@@ -386,12 +386,12 @@ func BenchmarkFFT3R(b *testing.B) {
 	}
 }
 
-// --- Spectral-mode training: packed vs full-complex spectra ---------------
+// --- Spectral-mode training (packed spectra) ------------------------------
 
-func benchSpectralRound(b *testing.B, policy conv.TunePolicy) {
+func BenchmarkSpectralRoundPacked(b *testing.B) {
 	nw, err := net.Build(net.MustParse("C5-Trelu-C5-Trelu"), net.BuildOptions{
 		Width: 4, OutWidth: 4, Dims: 2, OutputExtent: 16,
-		Tuner: &conv.Autotuner{Policy: policy}, Memoize: true, Seed: 8,
+		Tuner: &conv.Autotuner{Policy: conv.TuneForceFFT}, Memoize: true, Seed: 8,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -419,9 +419,6 @@ func benchSpectralRound(b *testing.B, policy conv.TunePolicy) {
 		}
 	}
 }
-
-func BenchmarkSpectralRoundPacked(b *testing.B) { benchSpectralRound(b, conv.TuneForceFFT) }
-func BenchmarkSpectralRoundC2C(b *testing.B)    { benchSpectralRound(b, conv.TuneForceFFTC2C) }
 
 // --- Precision A/B: float64 vs float32 spectral path ----------------------
 

@@ -188,7 +188,11 @@ func (m *Model) Train(inputs, desired []*Tensor) (float64, error) {
 // Infer runs a forward-only inference round; like Network.Infer it is safe
 // for concurrent use, with rounds in flight simultaneously.
 func (m *Model) Infer(inputs ...*Tensor) ([]*Tensor, error) {
-	return m.en.Infer(inputs)
+	outs, err := m.en.Infer([][]*Tensor{inputs})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
 }
 
 // Forward runs an exclusive, stateful forward pass (NodeImage reflects it).

@@ -179,7 +179,7 @@ func jsonBenchmarks(cfg config) {
 	})
 
 	// Batched serving A/B: 8 volumes per dispatch, fused into one K-wide
-	// round vs 8 independent rounds in flight. ns_op is per dispatch of 8
+	// round vs 8 independent K=1 rounds in flight (8 goroutines × Infer). ns_op is per dispatch of 8
 	// volumes (vols/s = 8e9 / ns_op); the fused/independent ratio needs a
 	// ≥4-core host to show the cache-streaming win.
 	add("infer-fused/independent8", "26x26x26", inferWorkers, func(b *testing.B) {
@@ -189,10 +189,10 @@ func jsonBenchmarks(cfg config) {
 		benchsuite.InferFused(b, inferWorkers, 8, true)
 	})
 
-	// Pipelined-training A/B: strict round-by-round training vs the
-	// overlapped StartPipeline session (prefetched data, one round
-	// submitted ahead, per-edge update fencing), same worker count both
-	// rows. ns_op is one whole training round; like the other speedup
+	// Pipelined-training A/B on the one training-session path: lag 0
+	// (strict: each round waited before the next is submitted) vs lag 1
+	// (pipelined: one round submitted ahead, per-edge update fencing),
+	// prefetched data and the same worker count in both rows. ns_op is one whole training round; like the other speedup
 	// rows the ratio is bounded by the machine's core count, so a 1-vCPU
 	// host records parity and the ≥1.15× acceptance shape needs ≥4 cores.
 	add("train-pipeline/strict", "16x16x16", inferWorkers, func(b *testing.B) {
@@ -231,9 +231,9 @@ func jsonBenchmarks(cfg config) {
 	// znn-infer file path). ns_op is one whole-cube stream; each row records
 	// voxels_per_s (fresh output voxels), halo_waste at its block size, and
 	// the measured pooled-spectrum peak. tile/seq is the naive sequential
-	// baseline the pipelined row must beat on ≥4-core hosts (core-count-
-	// bound, like every other speedup row); the block-16 and f32 rows sweep
-	// the (block size × precision) grid.
+	// baseline (window 1) the pipelined row (window 2) must beat on ≥4-core
+	// hosts (core-count-bound, like every other speedup row); the block-16
+	// and f32 rows sweep the (block size × precision) grid.
 	tileWorkers := inferWorkers
 	add("tile/seq/f64-b32", "128x128x128", tileWorkers, func(b *testing.B) {
 		benchsuite.Tile(b, 128, 32, false, false, tileWorkers)

@@ -1,5 +1,5 @@
-// znn-bench regenerates every table and figure of the paper's evaluation
-// (see DESIGN.md section 4 for the experiment index).
+// znn-bench regenerates every table and figure of the paper's evaluation;
+// each experiment id below names the table or figure it reproduces.
 //
 // Usage:
 //

@@ -177,7 +177,7 @@ func table34(cfg config) {
 	fmt.Println("saturate any processor count, the premise of Fig. 4.")
 }
 
-// fig4 prints the Fig. 4 curves (see also cmd/znn-speedup for full control).
+// fig4 prints the Fig. 4 curves.
 func fig4(cfg config) {
 	header("Fig. 4 — theoretically achievable speedup vs width")
 	widths := []int{1, 2, 5, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100, 120}

@@ -12,7 +12,7 @@
 //	znn-infer -vol 512x512x128 -in cube.raw -out affinity.raw
 //	          [-checkpoint model.znn | -spec C3-Trelu-C3 -width 2 -seed 1]
 //	          [-dtype f64|f32] [-block N | -block-in N] [-mem-budget bytes]
-//	          [-k N] [-window N] [-seq] [-workers N] [-f32] [-progress]
+//	          [-k N] [-window N] [-workers N] [-f32] [-progress]
 //	znn-infer -plan-only ...          print the block plan table and exit
 //	znn-infer -selfcheck [-vol 96] [-mem-budget 4194304]
 //
@@ -69,8 +69,7 @@ func main() {
 	blockIn := flag.Int("block-in", 0, "block input extent per axis (alternative to -block)")
 	memBudget := flag.Int64("mem-budget", 0, "pooled spectrum byte budget for block planning (0 = unconstrained)")
 	k := flag.Int("k", 0, "blocks per fused inference round (0 = plan's K or 1)")
-	window := flag.Int("window", 0, "fused rounds in flight (0 = 2)")
-	seq := flag.Bool("seq", false, "sequential read→compute→stitch baseline (no pipelining)")
+	window := flag.Int("window", 0, "fused rounds in flight (0 = 2; 1 = sequential read→compute→stitch baseline)")
 	workers := flag.Int("workers", 0, "scheduler workers (0 = all CPUs)")
 	progress := flag.Bool("progress", false, "log per-round stitching progress")
 	planOnly := flag.Bool("plan-only", false, "print the block plan table and exit")
@@ -105,7 +104,7 @@ func main() {
 	}
 	opt := znn.TileOptions{
 		BlockOut: blockOut, MemBudget: *memBudget,
-		K: *k, Window: *window, Sequential: *seq,
+		K: *k, Window: *window,
 	}
 
 	if *planOnly {

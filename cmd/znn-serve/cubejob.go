@@ -149,16 +149,15 @@ func (s *server) cubeLookup(w http.ResponseWriter, r *http.Request) *cubeJob {
 	return j
 }
 
-// cubeCreateRequest is the POST /cube body. Block/K/Window/Sequential are
-// the TileOptions knobs; zero values let the execution planner (or the
+// cubeCreateRequest is the POST /cube body. Block/K/Window are the
+// TileOptions knobs; zero values let the execution planner (or the
 // defaults) choose.
 type cubeCreateRequest struct {
-	Shape      []int  `json:"shape"`
-	DType      string `json:"dtype,omitempty"`
-	Block      int    `json:"block,omitempty"`
-	K          int    `json:"k,omitempty"`
-	Window     int    `json:"window,omitempty"`
-	Sequential bool   `json:"sequential,omitempty"`
+	Shape  []int  `json:"shape"`
+	DType  string `json:"dtype,omitempty"`
+	Block  int    `json:"block,omitempty"`
+	K      int    `json:"k,omitempty"`
+	Window int    `json:"window,omitempty"`
 }
 
 func (s *server) handleCubeCreate(w http.ResponseWriter, r *http.Request) {
@@ -204,9 +203,7 @@ func (s *server) handleCubeCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	job := &cubeJob{
 		shape: shape, dtype: dt, outShape: g.Out, numOut: nw.NumOutputs(),
-		opt: znn.TileOptions{
-			BlockOut: req.Block, K: req.K, Window: req.Window, Sequential: req.Sequential,
-		},
+		opt:   znn.TileOptions{BlockOut: req.Block, K: req.K, Window: req.Window},
 		state: cubeUploading, created: time.Now(),
 	}
 	if job.inputBytes() > s.maxCubeBytes {

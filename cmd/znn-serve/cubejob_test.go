@@ -279,7 +279,7 @@ func TestCubeJobF32(t *testing.T) {
 		binary.LittleEndian.PutUint32(raw[4*i:], math.Float32bits(float32(v)))
 		vol.Data[i] = float64(float32(v)) // the job computes on the quantized voxels
 	}
-	resp, job := cubeReq(t, http.MethodPost, ts.URL+"/cube", []byte(`{"shape":[8,8,8],"dtype":"f32","block":2,"sequential":true}`))
+	resp, job := cubeReq(t, http.MethodPost, ts.URL+"/cube", []byte(`{"shape":[8,8,8],"dtype":"f32","block":2,"window":1}`))
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create: status %d: %v", resp.StatusCode, job)
 	}

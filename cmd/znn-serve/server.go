@@ -151,7 +151,7 @@ func (g *generation) release() { g.wg.Done() }
 func (s *server) dispatchFused(batch [][]*znn.Tensor) ([][]*znn.Tensor, int64, error) {
 	g := s.acquire()
 	defer g.release()
-	outs, err := g.nw.InferBatchFusedMulti(batch)
+	outs, err := g.nw.InferBatch(batch)
 	return outs, g.id, err
 }
 

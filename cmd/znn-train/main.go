@@ -7,7 +7,7 @@
 //	          [-workers N] [-rounds 200] [-eta 0.5] [-momentum 0.9]
 //	          [-loss mean-bce] [-data boundary|texture|random]
 //	          [-conv auto|direct|fft] [-memoize] [-sliding]
-//	          [-pipeline] [-strict]
+//	          [-pipeline]
 //	          [-checkpoint file] [-resume file]
 //
 // -checkpoint writes crash-safely (temp file + fsync + atomic rename), so a
@@ -15,15 +15,16 @@
 // checkpoint and continues training it (spec/width flags are then ignored —
 // the network geometry comes from the file).
 //
-// -pipeline overlaps training rounds: sample N+1 is generated on a
-// background goroutine while round N computes, and round N+1's forward
-// work is admitted edge by edge as round N's backward work drains (the
-// per-edge fencing of internal/train). -strict forces today's
-// round-by-round semantics even when -pipeline is given; strict is also
-// the default. Every round logs its phase split — data_ms (blocked
-// fetching the sample), compute_ms (blocked in the round), drain_ms
-// (blocked applying the update tail) — so the pipeline's overlap is
-// observable per round, not just inferred from totals.
+// Training runs on one session path; -pipeline only picks how far the loop
+// submits ahead of the round it waits (the lag). The default lag 0 is
+// strict round-by-round training: each round is waited before the next is
+// submitted. -pipeline sets lag 1: sample N+1 is generated on a background
+// goroutine while round N computes, and round N+1's forward work is
+// admitted edge by edge as round N's backward work drains (the per-edge
+// fencing of internal/train). Every round logs its phase split — data_ms
+// (blocked fetching the sample), compute_ms (blocked in the round),
+// drain_ms (blocked applying the update tail) — so the pipeline's overlap
+// is observable per round, not just inferred from totals.
 package main
 
 import (
@@ -54,8 +55,7 @@ func main() {
 	planned := flag.Bool("plan", false, "compile from a whole-network execution plan (per-layer method/precision under -mem-budget)")
 	memBudget := flag.Int64("mem-budget", 0, "pooled spectrum byte budget for the execution plan (0 = unconstrained; implies -plan)")
 	planMaxK := flag.Int("plan-max-k", 0, "planner's fused batch width cap (0 = default)")
-	pipeline := flag.Bool("pipeline", false, "overlap training rounds (prefetched data + per-edge update fencing)")
-	strict := flag.Bool("strict", false, "force strict round-by-round training (overrides -pipeline)")
+	pipeline := flag.Bool("pipeline", false, "overlap training rounds: keep one round submitted ahead (prefetched data + per-edge update fencing)")
 	sliding := flag.Bool("sliding", true, "convert pooling to sliding-window filtering")
 	checkpoint := flag.String("checkpoint", "", "write a checkpoint here when done (crash-safe: temp file + rename)")
 	resume := flag.String("resume", "", "resume training from this checkpoint (overrides -spec/-width/-out/-dims/-f32)")
@@ -137,11 +137,12 @@ func main() {
 		log.Fatalf("unknown dataset %q", *dataset)
 	}
 
-	pipelined := *pipeline && !*strict
-	nw.SetPipeline(pipelined)
-	mode := "strict"
-	if pipelined {
-		mode = "pipelined"
+	// lag is how many rounds the loop keeps submitted ahead of the one it
+	// waits: 0 is strict round-by-round training, 1 overlaps consecutive
+	// rounds. Same session, same per-edge path either way.
+	lag, mode := 0, "strict"
+	if *pipeline {
+		lag, mode = 1, "pipelined"
 	}
 	fmt.Printf("training mode: %s\n", mode)
 
@@ -157,82 +158,71 @@ func main() {
 	var loss float64
 	var totData, totCompute, totDrain float64
 	every := max(1, *rounds/10)
-	logRound := func(round int, loss, dataMs, computeMs, drainMs float64) {
-		if round != 1 && round%every != 0 {
-			return
-		}
-		el := time.Since(start)
-		fmt.Printf("round %5d  loss %.6f  (%.1f ms/update, data_ms %.1f compute_ms %.1f drain_ms %.1f)\n",
-			round, loss, el.Seconds()*1000/float64(round), dataMs, computeMs, drainMs)
-	}
 
+	// submitted is one round in flight: compute_ms is the time the loop
+	// actually blocked on it (in Submit plus in Wait).
+	type submitted struct {
+		pr                *znn.PendingRound
+		round             int
+		dataMs, computeMs float64
+	}
 	tp := nw.TrainStart()
-	var prev *znn.PendingRound // pipelined: the one round submitted ahead
-	var prevRound int
-	var prevData float64
+	settle := func(r submitted) {
+		t := time.Now()
+		l, err := r.pr.Wait()
+		if err != nil {
+			log.Fatal(err)
+		}
+		loss = l
+		r.computeMs += ms(time.Since(t))
+		totCompute += r.computeMs
+		var drainMs float64
+		if lag == 0 {
+			// Nothing else is in flight: drain the round's update tail
+			// explicitly (it is otherwise forced lazily by the next round's
+			// forward pass) so the tail the pipeline hides is measured, not
+			// folded into the next round's compute.
+			t = time.Now()
+			if err := nw.Drain(); err != nil {
+				log.Fatal(err)
+			}
+			drainMs = ms(time.Since(t))
+			totDrain += drainMs
+		}
+		if r.round == 1 || r.round%every == 0 {
+			fmt.Printf("round %5d  loss %.6f  (%.1f ms/update, data_ms %.1f compute_ms %.1f drain_ms %.1f)\n",
+				r.round, loss, ms(time.Since(start))/float64(r.round), r.dataMs, r.computeMs, drainMs)
+		}
+	}
+	var pending []submitted // at most lag+1 rounds, oldest first
 	for round := 1; round <= *rounds; round++ {
-		t0 := time.Now()
+		t := time.Now()
 		s := pf.Next()
-		dataMs := ms(time.Since(t0))
+		dataMs := ms(time.Since(t))
 		totData += dataMs
 
-		t1 := time.Now()
+		t = time.Now()
 		pr, err := tp.Submit([]*znn.Tensor{s.Input}, []*znn.Tensor{s.Desired[0]})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !pipelined {
-			// Strict: the round ran to completion inside Submit. Drain its
-			// update tail explicitly (it is otherwise forced lazily by the
-			// next round's forward pass) so the tail the pipeline hides is
-			// measured, not folded into the next round's compute.
-			computeMs := ms(time.Since(t1))
-			totCompute += computeMs
-			loss, err = pr.Wait()
-			if err != nil {
-				log.Fatal(err)
-			}
-			t2 := time.Now()
-			if err := nw.Drain(); err != nil {
-				log.Fatal(err)
-			}
-			drainMs := ms(time.Since(t2))
-			totDrain += drainMs
-			logRound(round, loss, dataMs, computeMs, drainMs)
-			continue
+		pending = append(pending, submitted{pr, round, dataMs, ms(time.Since(t))})
+		if len(pending) > lag {
+			settle(pending[0])
+			pending = pending[1:]
 		}
-		// Pipelined: wait the previous round while this one is in flight;
-		// compute_ms is the time the loop actually blocked on it.
-		if prev != nil {
-			t2 := time.Now()
-			loss, err = prev.Wait()
-			if err != nil {
-				log.Fatal(err)
-			}
-			computeMs := ms(time.Since(t2))
-			totCompute += computeMs
-			logRound(prevRound, loss, prevData, computeMs, 0)
-		}
-		prev, prevRound, prevData = pr, round, dataMs
 	}
-	if prev != nil {
-		t2 := time.Now()
-		loss, err = prev.Wait()
-		if err != nil {
-			log.Fatal(err)
-		}
-		computeMs := ms(time.Since(t2))
-		totCompute += computeMs
-		logRound(prevRound, loss, prevData, computeMs, 0)
+	for _, r := range pending {
+		settle(r)
 	}
 	if err := tp.Close(); err != nil {
 		log.Fatal(err)
 	}
-	t3 := time.Now()
+	t := time.Now()
 	if err := nw.Drain(); err != nil {
 		log.Fatal(err)
 	}
-	totDrain += ms(time.Since(t3))
+	totDrain += ms(time.Since(t))
 
 	el := time.Since(start)
 	n := float64(*rounds)

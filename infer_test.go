@@ -82,92 +82,65 @@ func TestNetworkConcurrentInfer(t *testing.T) {
 	}
 }
 
-// TestNetworkInferBatchFused checks the fused serving entry point: one
-// K-wide round returns per-volume outputs in order, bit-identical to
-// one-at-a-time inference, including from concurrent callers (runs under
-// the CI -race job).
-func TestNetworkInferBatchFused(t *testing.T) {
-	n, err := NewNetwork("C3-Ttanh-C3", Config{
-		Width: 2, OutputPatch: 6, Workers: 4, Seed: 41, Conv: ForceFFT,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
-	rng := rand.New(rand.NewSource(42))
-	const k = 4
-	inputs := make([]*Tensor, k)
-	want := make([]*Tensor, k)
-	for i := range inputs {
-		inputs[i] = tensor.RandomUniform(rng, n.InputShape(), -1, 1)
-		outs, err := n.Infer(inputs[i])
+// TestNetworkInferBatch checks the batched serving entry point: one K-wide
+// fused round returns per-volume outputs in order, bit-identical to
+// one-at-a-time inference, on an FFT and an autotuned (direct) network,
+// including from concurrent callers (runs under the CI -race job).
+func TestNetworkInferBatch(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		cfg  Config
+	}{
+		{"C3-Ttanh-C3", Config{Width: 2, OutputPatch: 6, Workers: 4, Seed: 41, Conv: ForceFFT}},
+		{"C3-Trelu-C1", Config{Width: 2, OutputPatch: 5, Workers: 4, Seed: 31}},
+	} {
+		n, err := NewNetwork(tc.spec, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = outs[0]
-	}
+		defer n.Close()
 
-	const goroutines = 4
-	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			outs, err := n.InferBatchFused(inputs)
+		rng := rand.New(rand.NewSource(42))
+		const k = 4
+		batch := make([][]*Tensor, k)
+		want := make([]*Tensor, k)
+		for i := range batch {
+			batch[i] = []*Tensor{tensor.RandomUniform(rng, n.InputShape(), -1, 1)}
+			outs, err := n.Infer(batch[i]...)
 			if err != nil {
-				errs <- err
-				return
+				t.Fatal(err)
 			}
-			for i := range outs {
-				if !outs[i].Equal(want[i]) {
-					errs <- fmt.Errorf("fused output %d differs from serial Infer", i)
+			want[i] = outs[0]
+		}
+
+		const goroutines = 4
+		var wg sync.WaitGroup
+		errs := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				outs, err := n.InferBatch(batch)
+				if err != nil {
+					errs <- err
 					return
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-// TestNetworkInferBatch checks the batched serving entry point returns
-// per-volume outputs in order, equal to one-at-a-time inference.
-func TestNetworkInferBatch(t *testing.T) {
-	n, err := NewNetwork("C3-Trelu-C1", Config{
-		Width: 2, OutputPatch: 5, Workers: 4, Seed: 31,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
-	rng := rand.New(rand.NewSource(32))
-	const k = 5
-	inputs := make([]*Tensor, k)
-	want := make([]*Tensor, k)
-	for i := range inputs {
-		inputs[i] = tensor.RandomUniform(rng, n.InputShape(), -1, 1)
-		outs, err := n.Infer(inputs[i])
-		if err != nil {
-			t.Fatal(err)
+				if len(outs) != k {
+					errs <- fmt.Errorf("InferBatch returned %d volumes, want %d", len(outs), k)
+					return
+				}
+				for i := range outs {
+					if len(outs[i]) != 1 || !outs[i][0].Equal(want[i]) {
+						errs <- fmt.Errorf("%s: batch output %d differs from serial Infer", tc.spec, i)
+						return
+					}
+				}
+			}()
 		}
-		want[i] = outs[0]
-	}
-	outs, err := n.InferBatch(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != k {
-		t.Fatalf("InferBatch returned %d outputs, want %d", len(outs), k)
-	}
-	for i := range outs {
-		if !outs[i].Equal(want[i]) {
-			t.Fatalf("batch output %d differs from serial Infer", i)
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
 		}
 	}
 }

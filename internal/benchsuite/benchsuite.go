@@ -98,16 +98,10 @@ func SpectralRound96(b *testing.B, prec conv.Precision, workers int) {
 	}
 }
 
-// InferThroughput measures forward-only inference throughput on a small,
-// narrow network — the shape class where one round exposes far fewer
-// independent tasks than the paper's f·f′ fan-out, so a serialized
-// Forward loop leaves workers idle. inflight = 1 is the serialized
-// baseline; inflight = K keeps K rounds concurrently in flight on the
-// shared scheduler (the ZNNi serving regime). Reports vols/s so the
-// BENCH_<date>.json trajectory records throughput directly; the
-// in-flight/serialized ratio is bounded above by the machine's core
-// count, exactly like the paper's speedup experiments.
-func InferThroughput(b *testing.B, workers, inflight int) {
+// inferEngine compiles the inference-benchmark network: small and narrow
+// (C5-Ttanh-C3, width 2, 26³ input, forced FFT), so one round exposes far
+// fewer independent tasks than there are workers.
+func inferEngine(b *testing.B, workers int) (*train.Engine, *net.Network) {
 	nw, err := net.Build(net.MustParse("C5-Ttanh-C3"), net.BuildOptions{
 		Width: 2, InputExtent: 26,
 		Tuner: &conv.Autotuner{Policy: conv.TuneForceFFT},
@@ -120,12 +114,27 @@ func InferThroughput(b *testing.B, workers, inflight int) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return en, nw
+}
+
+// InferThroughput measures forward-only inference throughput on a small,
+// narrow network — the shape class where one round exposes far fewer
+// independent tasks than the paper's f·f′ fan-out, so a serialized
+// Forward loop leaves workers idle. inflight = 1 is the serialized
+// baseline; inflight = K keeps K rounds concurrently in flight on the
+// shared scheduler (the ZNNi serving regime). Reports vols/s so the
+// BENCH_<date>.json trajectory records throughput directly; the
+// in-flight/serialized ratio is bounded above by the machine's core
+// count, exactly like the paper's speedup experiments.
+func InferThroughput(b *testing.B, workers, inflight int) {
+	en, nw := inferEngine(b, workers)
 	defer en.Close()
 	rng := rand.New(rand.NewSource(18))
-	// A few distinct volumes so in-flight rounds are not byte-identical.
-	ins := make([][]*tensor.Tensor, 4)
+	// A few distinct volumes so in-flight rounds are not byte-identical;
+	// each is a K=1 batch.
+	ins := make([][][]*tensor.Tensor, 4)
 	for i := range ins {
-		ins[i] = []*tensor.Tensor{tensor.RandomUniform(rng, nw.InputShape(), -1, 1)}
+		ins[i] = [][]*tensor.Tensor{{tensor.RandomUniform(rng, nw.InputShape(), -1, 1)}}
 	}
 	// Warm kernel spectra and pools outside the timed region.
 	if _, err := en.Infer(ins[0]); err != nil {
@@ -172,25 +181,14 @@ func InferThroughput(b *testing.B, workers, inflight int) {
 // shape class: each benchmark op dispatches the same K volumes either as
 // ONE fused K-wide round (batch a first-class property of the round — one
 // kernel-spectrum fetch per edge feeds K pointwise products, one inverse
-// transform per (node, volume)) or as K independent rounds in flight (the
-// pre-fusion serving regime). Reports vols/s; like every speedup
-// experiment here, the fused/independent ratio is bandwidth- and
-// core-count-bound, so the win shows on ≥4-core hosts where K independent
-// rounds re-stream every layer's kernel spectra K times through a shared
-// cache hierarchy.
+// transform per (node, volume)) or as K independent K=1 rounds in flight,
+// one goroutine each (the pre-fusion serving regime). Reports vols/s; like
+// every speedup experiment here, the fused/independent ratio is bandwidth-
+// and core-count-bound, so the win shows on ≥4-core hosts where K
+// independent rounds re-stream every layer's kernel spectra K times
+// through a shared cache hierarchy.
 func InferFused(b *testing.B, workers, k int, fused bool) {
-	nw, err := net.Build(net.MustParse("C5-Ttanh-C3"), net.BuildOptions{
-		Width: 2, InputExtent: 26,
-		Tuner: &conv.Autotuner{Policy: conv.TuneForceFFT},
-		Seed:  17,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	en, err := train.NewEngine(nw.G, train.Config{Workers: workers})
-	if err != nil {
-		b.Fatal(err)
-	}
+	en, nw := inferEngine(b, workers)
 	defer en.Close()
 	rng := rand.New(rand.NewSource(18))
 	batch := make([][]*tensor.Tensor, k)
@@ -198,17 +196,29 @@ func InferFused(b *testing.B, workers, k int, fused bool) {
 		batch[i] = []*tensor.Tensor{tensor.RandomUniform(rng, nw.InputShape(), -1, 1)}
 	}
 	// Warm kernel spectra and pools outside the timed region.
-	if _, err := en.InferFused(batch); err != nil {
+	if _, err := en.Infer(batch); err != nil {
 		b.Fatal(err)
 	}
+	errs := make([]error, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if fused {
-			if _, err := en.InferFused(batch); err != nil {
+			if _, err := en.Infer(batch); err != nil {
 				b.Fatal(err)
 			}
-		} else {
-			if _, err := en.InferBatch(batch); err != nil {
+			continue
+		}
+		var wg sync.WaitGroup
+		for v := range batch {
+			wg.Add(1)
+			go func(v int) {
+				defer wg.Done()
+				_, errs[v] = en.Infer(batch[v : v+1])
+			}(v)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -218,16 +228,16 @@ func InferFused(b *testing.B, workers, k int, fused bool) {
 }
 
 // TrainPipeline measures whole training rounds through a StartPipeline
-// session — the strict/pipelined A/B behind the train-pipeline/* BENCH
-// rows. Both modes share one loop shape: the prefetcher generates sample
-// N+1 on a background goroutine while round N computes, one round is
-// submitted ahead, and the loop blocks on the previous round's Wait. In
-// strict mode Submit is synchronous (Engine.Round semantics), so the loop
-// degenerates to round-by-round training and the row is the pre-pipeline
-// baseline; in pipelined mode round N+1's forward work is admitted edge by
-// edge as round N's backward fences release, overlapping N's backward tail
-// and lazy update drain with N+1's forward head. The ratio is bounded by
-// the machine's core count — on a 1-vCPU host the two rows read parity.
+// session — the lag-0/lag-1 A/B behind the train-pipeline/{strict,pipelined}
+// BENCH rows. Both rows run one loop on the one session path: the
+// prefetcher generates sample N+1 on a background goroutine while round N
+// computes, and the loop keeps `lag` rounds submitted ahead of the one it
+// waits. Lag 0 (strict) waits each round before submitting the next —
+// round-by-round training, Engine.Round semantics; lag 1 (pipelined) lets
+// round N+1's forward work be admitted edge by edge as round N's backward
+// fences release, overlapping N's backward tail and lazy update drain with
+// N+1's forward head. The ratio is bounded by the machine's core count —
+// on a 1-vCPU host the two rows read parity.
 func TrainPipeline(b *testing.B, workers int, pipelined bool) {
 	nw, err := net.Build(net.MustParse("C5-Ttanh-C3"), net.BuildOptions{
 		Width: 2, InputExtent: 16,
@@ -237,7 +247,7 @@ func TrainPipeline(b *testing.B, workers int, pipelined bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	en, err := train.NewEngine(nw.G, train.Config{Workers: workers, Eta: 1e-4, Pipeline: pipelined})
+	en, err := train.NewEngine(nw.G, train.Config{Workers: workers, Eta: 1e-4})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,8 +259,12 @@ func TrainPipeline(b *testing.B, workers int, pipelined bool) {
 	if _, err := en.Round([]*tensor.Tensor{s.Input}, []*tensor.Tensor{s.Desired[0]}); err != nil {
 		b.Fatal(err)
 	}
+	lag := 0
+	if pipelined {
+		lag = 1
+	}
 	tp := en.StartPipeline()
-	var prev *train.PendingRound
+	var pending []*train.PendingRound // at most lag+1 rounds, oldest first
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := pf.Next()
@@ -258,22 +272,18 @@ func TrainPipeline(b *testing.B, workers int, pipelined bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if prev != nil {
-			if _, err := prev.Wait(); err != nil {
+		pending = append(pending, pr)
+		if len(pending) > lag {
+			if _, err := pending[0].Wait(); err != nil {
 				b.Fatal(err)
 			}
-		}
-		prev = pr
-	}
-	if prev != nil {
-		if _, err := prev.Wait(); err != nil {
-			b.Fatal(err)
+			pending = pending[1:]
 		}
 	}
-	b.StopTimer()
-	if err := tp.Close(); err != nil {
+	if err := tp.Close(); err != nil { // waits the tail
 		b.Fatal(err)
 	}
+	b.StopTimer()
 }
 
 // planNet builds the execution-planner benchmark network: C5-Ttanh-C7,
@@ -350,14 +360,14 @@ func PlanBench(b *testing.B, regime string, budget int64, workers int) {
 	}
 	// Warm kernel spectra and pools outside the timed region, then reset
 	// the pool peak gauges so meas_bytes reflects only the timed rounds.
-	if _, err := en.InferFused(batch); err != nil {
+	if _, err := en.Infer(batch); err != nil {
 		b.Fatal(err)
 	}
 	mempool.Spectra.ResetPeak()
 	mempool.Spectra32.ResetPeak()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := en.InferFused(batch); err != nil {
+		if _, err := en.Infer(batch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -371,8 +381,8 @@ func PlanBench(b *testing.B, regime string, budget int64, workers int) {
 // Tile measures whole-cube streaming inference: an n³ raw f64 volume on
 // disk streamed through overlap-tiled fused inference rounds (halo =
 // FOV−1) and stitched back to disk — the znn-infer file path end to end.
-// pipelined=false runs the naive sequential baseline (read → compute →
-// stitch, one round at a time) the tile/* BENCH rows A/B against; the
+// pipelined=false runs the naive sequential baseline (window 1: read →
+// compute → stitch, one round at a time) the tile/* BENCH rows A/B against; the
 // pipelined/sequential ratio is bounded by the machine's core count like
 // every other speedup experiment in this repo, since the overlap hides
 // I/O and stitching behind compute only when there are cores to run them
@@ -423,7 +433,10 @@ func Tile(b *testing.B, n, blockOut int, f32, pipelined bool, workers int) {
 	}
 	reader := tile.NewRawReader(inF, vol, tile.F64)
 	writer := tile.NewRawWriter(outF, g.Out, tile.F64)
-	opt := znn.TileOptions{BlockOut: blockOut, K: 2, Sequential: !pipelined}
+	opt := znn.TileOptions{BlockOut: blockOut, K: 2, Window: 2}
+	if !pipelined {
+		opt.Window = 1
+	}
 
 	mempool.Spectra.ResetPeak()
 	mempool.Spectra32.ResetPeak()

@@ -26,9 +26,6 @@ const (
 	TuneForceDirect
 	// TuneForceFFT always chooses FFT convolution (packed r2c spectra).
 	TuneForceFFT
-	// TuneForceFFTC2C always chooses the legacy full-complex FFT path,
-	// kept for packed-vs-full A/B benchmarking.
-	TuneForceFFTC2C
 )
 
 func (p TunePolicy) String() string {
@@ -41,8 +38,6 @@ func (p TunePolicy) String() string {
 		return "force-direct"
 	case TuneForceFFT:
 		return "force-fft"
-	case TuneForceFFTC2C:
-		return "force-fft-c2c"
 	default:
 		return "unknown"
 	}
@@ -108,8 +103,6 @@ func (a *Autotuner) Choose(g LayerGeom) Method {
 		return Direct
 	case TuneForceFFT:
 		return FFT
-	case TuneForceFFTC2C:
-		return FFTC2C
 	}
 	a.mu.Lock()
 	if m, ok := a.cache[g]; ok {
@@ -301,15 +294,12 @@ func ForwardFlops(g LayerGeom, m Method, prec Precision) float64 {
 		return fp * f * ov * kv
 	case SparseDirect:
 		return fp * f * ov * math.Max(g.density()*kv, 1) * sparseDirectOverhead
-	case FFT, FFTC2C:
+	case FFT:
 		ms := transformShape(g.In, g.Kernel, g.Sp)
 		nv := float64(ms.Volume())
 		hv := float64(fft.PackedVolume(ms))
-		if m == FFTC2C {
-			hv = nv
-		}
 		cost := 2*FFTConstant*hv*math.Log2(math.Max(nv, 2))*(f+fp) + 6*fp*f*hv
-		if m == FFT && prec == PrecF32 {
+		if prec == PrecF32 {
 			cost *= f32FFTCostFactor
 		}
 		return cost

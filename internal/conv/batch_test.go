@@ -35,7 +35,6 @@ func TestForwardInferBatchMatchesSingle(t *testing.T) {
 		{"direct", Direct, PrecF64},
 		{"fft/f64", FFT, PrecF64},
 		{"fft/f32", FFT, PrecF32},
-		{"fft-c2c", FFTC2C, PrecF64},
 	}
 	for _, tc := range cases {
 		tr := NewTransformerPrec(in, ker.S, tensor.Dense(), tc.mth, tc.prec, false, nil)
@@ -103,7 +102,7 @@ func TestSpectrumCacheBatch(t *testing.T) {
 	var cnt Counters
 	var sc SpectrumCache
 	sc.ResetBatch(vols)
-	specs := sc.GetBatch(m, true, PrecF64, &cnt)
+	specs := sc.GetBatch(m, PrecF64, &cnt)
 	if len(specs) != k {
 		t.Fatalf("GetBatch returned %d spectra, want %d", len(specs), k)
 	}
@@ -112,12 +111,12 @@ func TestSpectrumCacheBatch(t *testing.T) {
 		t.Fatalf("GetBatch computed %d FFTs, want %d", ffts, k)
 	}
 	for i := range vols {
-		got := sc.GetAt(i, m, true, PrecF64, &cnt)
+		got := sc.GetAt(i, m, PrecF64, &cnt)
 		if &got.C128[0] != &specs[i].C128[0] {
 			t.Fatalf("GetAt(%d) returned a different buffer than GetBatch", i)
 		}
 	}
-	sc.GetBatch(m, true, PrecF64, &cnt)
+	sc.GetBatch(m, PrecF64, &cnt)
 	if now := cnt.Snapshot().FFTs; now != ffts {
 		t.Fatalf("second GetBatch recomputed spectra: %d FFTs, want %d", now, ffts)
 	}
@@ -139,8 +138,8 @@ func TestSpectrumCachePooledRelease(t *testing.T) {
 	var sc SpectrumCache
 	sc.SetPooled(true)
 	sc.ResetBatch(vols)
-	sc.GetBatch(m, true, PrecF64, nil)
-	sc.GetBatch(m, true, PrecF32, nil)
+	sc.GetBatch(m, PrecF64, nil)
+	sc.GetBatch(m, PrecF32, nil)
 	if live := mempool.Spectra.Stats().LiveBytes; live <= pre64 {
 		t.Fatalf("pooled f64 cache did not draw from the spectra pool (live %d, was %d)", live, pre64)
 	}
@@ -157,7 +156,7 @@ func TestSpectrumCachePooledRelease(t *testing.T) {
 
 	// Reset on a live pooled cache must also return its buffers.
 	sc.ResetBatch(vols)
-	sc.GetBatch(m, true, PrecF64, nil)
+	sc.GetBatch(m, PrecF64, nil)
 	sc.ResetBatch(vols)
 	if live := mempool.Spectra.Stats().LiveBytes; live != pre64 {
 		t.Fatalf("ResetBatch leaked pooled bytes: live %d, want %d", live, pre64)

@@ -326,8 +326,8 @@ func TestSpectrumCacheSharing(t *testing.T) {
 	sc.Reset(img)
 	var c Counters
 	m := transformShape(img.S, tensor.Cube(3), tensor.Dense())
-	a := sc.Get(m, true, PrecF64, &c)
-	b := sc.Get(m, true, PrecF64, &c)
+	a := sc.Get(m, PrecF64, &c)
+	b := sc.Get(m, PrecF64, &c)
 	if &a.C128[0] != &b.C128[0] {
 		t.Error("SpectrumCache.Get returned distinct buffers for same shape")
 	}
@@ -335,7 +335,7 @@ func TestSpectrumCacheSharing(t *testing.T) {
 		t.Errorf("FFT count = %d, want 1 (cached)", c.Snapshot().FFTs)
 	}
 	sc.Reset(img)
-	_ = sc.Get(m, true, PrecF64, &c)
+	_ = sc.Get(m, PrecF64, &c)
 	if c.Snapshot().FFTs != 2 {
 		t.Errorf("FFT count after Reset = %d, want 2", c.Snapshot().FFTs)
 	}
@@ -348,7 +348,7 @@ func TestSpectrumCacheGetBeforeResetPanics(t *testing.T) {
 			t.Error("Get before Reset did not panic")
 		}
 	}()
-	sc.Get(tensor.Cube(4), true, PrecF64, nil)
+	sc.Get(tensor.Cube(4), PrecF64, nil)
 }
 
 func TestTransformerForwardUsesSharedSpectrum(t *testing.T) {

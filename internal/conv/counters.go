@@ -13,10 +13,9 @@ import (
 // A nil *Counters is valid and counts nothing, so instrumentation can stay
 // in place on hot paths.
 type Counters struct {
-	FFTs        atomic.Int64 // number of forward 3D transforms (packed or full)
-	PackedFFTs  atomic.Int64 // forward + inverse transforms that ran r2c/c2r packed
+	FFTs        atomic.Int64 // number of forward 3D transforms
 	InverseFFTs atomic.Int64 // number of inverse 3D transforms
-	FFTFlops    atomic.Int64 // Σ over transforms of C·W·log2(N); W = N full, (X/2+1)·Y·Z packed
+	FFTFlops    atomic.Int64 // Σ over transforms of C·W·log2(N), W = (X/2+1)·Y·Z packed coefficients
 	MulVolume   atomic.Int64 // coefficients of pointwise complex multiply-accumulate
 	ReflectOps  atomic.Int64 // spectrum-reflection passes (phase trick, no FFT)
 	DirectFlops atomic.Int64 // multiply-add pairs of direct convolution
@@ -27,59 +26,45 @@ type Counters struct {
 // (the paper's Fig. 4 assumes C = 5).
 const FFTConstant = 5
 
-// fftFlops returns the modeled cost of one 3D transform at shape m:
-// C·N·log2(N) for a full complex transform, with N replaced by the packed
-// coefficient count (X/2+1)·Y·Z when the transform exploits real-input
-// symmetry — the ~2× saving that motivates the r2c path.
-func fftFlops(m tensor.Shape, packed bool) int64 {
+// fftFlops returns the modeled cost of one real-input 3D transform at shape
+// m: the paper's C·N·log2(N) with the leading N replaced by the packed
+// coefficient count (X/2+1)·Y·Z — the ~2× saving of exploiting real-input
+// symmetry.
+func fftFlops(m tensor.Shape) int64 {
 	n := float64(m.Volume())
 	if n <= 1 {
 		return 0
 	}
-	work := n
-	if packed {
-		work = float64(fft.PackedVolume(m))
-	}
-	return int64(FFTConstant * work * math.Log2(n))
+	return int64(FFTConstant * float64(fft.PackedVolume(m)) * math.Log2(n))
 }
 
-func (c *Counters) addFFT(m tensor.Shape, packed, f32 bool) {
+func (c *Counters) addFFT(m tensor.Shape, f32 bool) {
 	if c == nil {
 		return
 	}
 	c.FFTs.Add(1)
-	if packed {
-		c.PackedFFTs.Add(1)
-	}
 	if f32 {
 		c.F32FFTs.Add(1)
 	}
-	c.FFTFlops.Add(fftFlops(m, packed))
+	c.FFTFlops.Add(fftFlops(m))
 }
 
-func (c *Counters) addInverse(m tensor.Shape, packed, f32 bool) {
+func (c *Counters) addInverse(m tensor.Shape, f32 bool) {
 	if c == nil {
 		return
 	}
 	c.InverseFFTs.Add(1)
-	if packed {
-		c.PackedFFTs.Add(1)
-	}
 	if f32 {
 		c.F32FFTs.Add(1)
 	}
-	c.FFTFlops.Add(fftFlops(m, packed))
+	c.FFTFlops.Add(fftFlops(m))
 }
 
-func (c *Counters) addMul(m tensor.Shape, packed bool) {
+func (c *Counters) addMul(m tensor.Shape) {
 	if c == nil {
 		return
 	}
-	if packed {
-		c.MulVolume.Add(int64(fft.PackedVolume(m)))
-	} else {
-		c.MulVolume.Add(int64(m.Volume()))
-	}
+	c.MulVolume.Add(int64(fft.PackedVolume(m)))
 }
 
 func (c *Counters) addReflect(m tensor.Shape) {
@@ -105,7 +90,6 @@ func (c *Counters) addDirect(flops int64) {
 // that executed it.
 type Snapshot struct {
 	FFTs         int64
-	PackedFFTs   int64
 	InverseFFTs  int64
 	FFTFlops     int64
 	MulVolume    int64
@@ -123,7 +107,6 @@ func (c *Counters) Snapshot() Snapshot {
 	}
 	return Snapshot{
 		FFTs:         c.FFTs.Load(),
-		PackedFFTs:   c.PackedFFTs.Load(),
 		InverseFFTs:  c.InverseFFTs.Load(),
 		FFTFlops:     c.FFTFlops.Load(),
 		MulVolume:    c.MulVolume.Load(),
@@ -140,7 +123,6 @@ func (c *Counters) Snapshot() Snapshot {
 func (s Snapshot) Sub(t Snapshot) Snapshot {
 	return Snapshot{
 		FFTs:         s.FFTs - t.FFTs,
-		PackedFFTs:   s.PackedFFTs - t.PackedFFTs,
 		InverseFFTs:  s.InverseFFTs - t.InverseFFTs,
 		FFTFlops:     s.FFTFlops - t.FFTFlops,
 		MulVolume:    s.MulVolume - t.MulVolume,
@@ -158,7 +140,6 @@ func (c *Counters) Reset() {
 		return
 	}
 	c.FFTs.Store(0)
-	c.PackedFFTs.Store(0)
 	c.InverseFFTs.Store(0)
 	c.FFTFlops.Store(0)
 	c.MulVolume.Store(0)

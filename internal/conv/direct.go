@@ -15,15 +15,14 @@
 // reflected forward image with the backward image, subsampled at stride s
 // (Section III).
 //
-// The spectral path is parameterized by both layout and precision: Method
-// selects Hermitian-packed r2c transforms (FFT, the default) or legacy
-// full-complex ones (FFTC2C), and Precision selects float64/complex128
-// (PrecF64, bit-compatible default) or float32/complex64 (PrecF32) element
-// types for the packed path. Spectra of different layouts or precisions
-// never mix: SpectrumCache keys on (shape, packedness, precision), and
-// SpectralCompatible requires one method and one precision across a
-// summing node's edges. The autotuner's cost model and measured primitives
-// account for the halved bandwidth of PrecF32.
+// The spectral path (Method FFT) runs real-input r2c/c2r transforms over
+// Hermitian-packed spectra and is parameterized by precision: Precision
+// selects float64/complex128 (PrecF64, bit-compatible default) or
+// float32/complex64 (PrecF32) element types. Spectra of different
+// precisions never mix: SpectrumCache keys on (shape, precision), and
+// SpectralCompatible requires one precision across a summing node's edges.
+// The autotuner's cost model and measured primitives account for the halved
+// bandwidth of PrecF32.
 //
 // # Batched spectrum sharing
 //

@@ -28,7 +28,7 @@ func transformShape(n, k tensor.Shape, sp tensor.Sparsity) tensor.Shape {
 func fftOf(t *tensor.Tensor, m tensor.Shape, c *Counters) []complex128 {
 	buf := mempool.Spectra.Get(fft.PackedVolume(m))
 	fft.NewPlan3R(m).Forward(buf, t)
-	c.addFFT(m, true, false)
+	c.addFFT(m, false)
 	return buf
 }
 
@@ -69,27 +69,16 @@ func FullFFT(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
 	return out
 }
 
-// reflectSpectrumInto computes the spectrum of the reflected-and-re-padded
-// signal from the spectrum of the original: for a real signal w with
-// support [0, K−1] padded into M, the reflection w[K−1−t] has spectrum
+// reflectSpectrumPackedInto computes the spectrum of the reflected-and-
+// re-padded signal from the Hermitian-packed spectrum of the original at
+// logical transform shape m: for a real signal w with support [0, K−1]
+// padded into M, the reflection w[K−1−t] has spectrum
 // conj(W[m])·Π_d ω_d^{(K_d−1)·m_d}, a pointwise pass with no extra FFT.
 // This is how the backward pass reuses the forward kernel FFT and the
-// update reuses the forward image FFT (Table II, memoized column).
-func reflectSpectrumInto[C fft.Complex](dst, src []C, m, support tensor.Shape) {
-	if len(dst) != m.Volume() || len(src) != m.Volume() {
-		panic("conv: reflectSpectrum buffer size mismatch")
-	}
-	px := phaseTableOf[C](m.X, support.X)
-	py := phaseTableOf[C](m.Y, support.Y)
-	pz := phaseTableOf[C](m.Z, support.Z)
-	reflectLoop(dst, src, tensor.Shape{X: m.X, Y: m.Y, Z: m.Z}, px, py, pz)
-}
-
-// reflectSpectrumPackedInto is reflectSpectrumInto on Hermitian-packed
-// spectra of logical transform shape m. The identity is pointwise at each
-// frequency, so it applies verbatim over the packed index range
-// kx = 0 .. X/2 — and the result stays Hermitian because the reflected
-// signal is again real.
+// update reuses the forward image FFT (Table II, memoized column). The
+// identity is pointwise at each frequency, so it applies verbatim over the
+// packed index range kx = 0 .. X/2 — and the result stays Hermitian because
+// the reflected signal is again real.
 func reflectSpectrumPackedInto[C fft.Complex](dst, src []C, m, support tensor.Shape) {
 	ps := fft.PackedShape(m)
 	if len(dst) != ps.Volume() || len(src) != ps.Volume() {
@@ -102,8 +91,8 @@ func reflectSpectrumPackedInto[C fft.Complex](dst, src []C, m, support tensor.Sh
 }
 
 // reflectLoop applies dst[i] = conj(src[i])·px[x]·py[y]·pz[z] over the
-// iteration shape it (the packed or full spectrum shape; the phase tables
-// are indexed by coordinate, so the loop is layout-agnostic). The complex64
+// iteration shape it (the packed spectrum shape; the phase tables are
+// indexed by coordinate). The complex64
 // instantiation runs in explicit float32 component arithmetic to dodge the
 // compiler's complex64-multiply promotion (see fft's kernels64).
 func reflectLoop[C fft.Complex](dst, src []C, it tensor.Shape, px, py, pz []C) {
@@ -182,7 +171,3 @@ func phaseTableOf[C fft.Complex](m, k int) []C {
 	phaseCache[key] = tab
 	return tab
 }
-
-// phaseTable is phaseTableOf at complex128 (the historical name, used by
-// tests).
-func phaseTable(m, k int) []complex128 { return phaseTableOf[complex128](m, k) }

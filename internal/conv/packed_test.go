@@ -9,10 +9,10 @@ import (
 	"znn/internal/tensor"
 )
 
-// TestC2CMatchesPackedTransformer checks phase-by-phase parity between the
-// packed (FFT) and legacy full-complex (FFTC2C) transformers and the
-// direct reference, on randomized geometry including sparse kernels.
-func TestC2CMatchesPackedTransformer(t *testing.T) {
+// TestPackedTransformerMatchesDirect checks phase-by-phase parity between
+// the packed FFT transformer and the direct reference, on randomized
+// geometry including sparse kernels.
+func TestPackedTransformerMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 30; trial++ {
 		img, ker, sp := randGeom(rng)
@@ -20,44 +20,28 @@ func TestC2CMatchesPackedTransformer(t *testing.T) {
 		bwd := tensor.RandomUniform(rng, bwdShape, -1, 1)
 
 		packed := NewTransformer(img.S, ker.S, sp, FFT, false, nil)
-		c2c := NewTransformer(img.S, ker.S, sp, FFTC2C, false, nil)
 
-		fp := packed.Forward(img, ker, nil)
-		fc := c2c.Forward(img, ker, nil)
-		fd := ValidDirect(img, ker, sp)
-		if d := fp.MaxAbsDiff(fd); d > tol {
+		if d := packed.Forward(img, ker, nil).MaxAbsDiff(ValidDirect(img, ker, sp)); d > tol {
 			t.Fatalf("trial %d: packed forward differs from direct by %g (img %v ker %v sp %v)",
 				trial, d, img.S, ker.S, sp)
 		}
-		if d := fp.MaxAbsDiff(fc); d > tol {
-			t.Fatalf("trial %d: packed forward differs from c2c by %g", trial, d)
+		if d := packed.Backward(bwd, ker, nil).MaxAbsDiff(FullDirect(bwd, ker.Reflect(), sp)); d > tol {
+			t.Fatalf("trial %d: packed backward differs from direct by %g", trial, d)
 		}
-
-		bp := packed.Backward(bwd, ker, nil)
-		bc := c2c.Backward(bwd, ker, nil)
-		if d := bp.MaxAbsDiff(bc); d > tol {
-			t.Fatalf("trial %d: packed backward differs from c2c by %g", trial, d)
-		}
-
-		gp := packed.KernelGrad(img, bwd)
-		gc := c2c.KernelGrad(img, bwd)
-		gd := KernelGradDirect(img, bwd, ker.S, sp)
-		if d := gp.MaxAbsDiff(gd); d > tol {
+		if d := packed.KernelGrad(img, bwd).MaxAbsDiff(KernelGradDirect(img, bwd, ker.S, sp)); d > tol {
 			t.Fatalf("trial %d: packed kernel grad differs from direct by %g", trial, d)
-		}
-		if d := gp.MaxAbsDiff(gc); d > tol {
-			t.Fatalf("trial %d: packed kernel grad differs from c2c by %g", trial, d)
 		}
 	}
 }
 
-// TestPackedReflectMatchesUnpacked verifies the packed conjugate-reflection
-// identity against the unpacked reference: every packed entry of the
-// reflected spectrum must equal the corresponding entry of the full
-// reflected spectrum.
-func TestPackedReflectMatchesUnpacked(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
+// TestPackedReflectIsSpectrumOfReflection ties the packed conjugate-
+// reflection identity to its meaning: reflecting in the spectral domain must
+// equal transforming the spatially reflected, re-padded signal — at even,
+// odd, Bluestein and degenerate transform extents.
+func TestPackedReflectIsSpectrumOfReflection(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
 	shapes := []struct{ m, support tensor.Shape }{
+		{tensor.S3(10, 6, 5), tensor.S3(4, 3, 2)},
 		{tensor.S3(8, 6, 4), tensor.S3(3, 2, 2)},
 		{tensor.S3(15, 5, 3), tensor.S3(4, 3, 1)}, // odd X
 		{tensor.S3(7, 4, 2), tensor.S3(2, 2, 2)},  // Bluestein X
@@ -66,99 +50,65 @@ func TestPackedReflectMatchesUnpacked(t *testing.T) {
 	for _, c := range shapes {
 		w := tensor.RandomUniform(rng, c.support, -1, 1)
 
-		full := make([]complex128, c.m.Volume())
-		fft.LoadReal(full, c.m, w)
-		fft.NewPlan3(c.m).Forward(full)
-		fullRefl := make([]complex128, c.m.Volume())
-		reflectSpectrumInto(fullRefl, full, c.m, c.support)
-
 		pk := make([]complex128, fft.PackedVolume(c.m))
 		fft.NewPlan3R(c.m).Forward(pk, w)
-		pkRefl := make([]complex128, len(pk))
-		reflectSpectrumPackedInto(pkRefl, pk, c.m, c.support)
+		got := make([]complex128, len(pk))
+		reflectSpectrumPackedInto(got, pk, c.m, c.support)
 
-		ps := fft.PackedShape(c.m)
-		for z := 0; z < ps.Z; z++ {
-			for y := 0; y < ps.Y; y++ {
-				for x := 0; x < ps.X; x++ {
-					got := pkRefl[ps.Index(x, y, z)]
-					want := fullRefl[c.m.Index(x, y, z)]
-					if d := got - want; real(d)*real(d)+imag(d)*imag(d) > tol*tol {
-						t.Fatalf("m %v support %v at (%d,%d,%d): packed reflect %v, want %v",
-							c.m, c.support, x, y, z, got, want)
-					}
-				}
+		want := make([]complex128, len(pk))
+		fft.NewPlan3R(c.m).Forward(want, w.Reflect())
+
+		for i := range got {
+			if d := got[i] - want[i]; real(d)*real(d)+imag(d)*imag(d) > tol*tol {
+				t.Fatalf("m %v support %v index %d: reflected spectrum %v, want %v",
+					c.m, c.support, i, got[i], want[i])
 			}
 		}
 	}
 }
 
-// TestPackedReflectIsSpectrumOfReflection ties the packed identity to its
-// meaning: reflecting in the spectral domain must equal transforming the
-// spatially reflected, re-padded signal.
-func TestPackedReflectIsSpectrumOfReflection(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	m := tensor.S3(10, 6, 5)
-	support := tensor.S3(4, 3, 2)
-	w := tensor.RandomUniform(rng, support, -1, 1)
-
-	pk := make([]complex128, fft.PackedVolume(m))
-	fft.NewPlan3R(m).Forward(pk, w)
-	got := make([]complex128, len(pk))
-	reflectSpectrumPackedInto(got, pk, m, support)
-
-	want := make([]complex128, len(pk))
-	fft.NewPlan3R(m).Forward(want, w.Reflect())
-
-	for i := range got {
-		if d := got[i] - want[i]; real(d)*real(d)+imag(d)*imag(d) > tol*tol {
-			t.Fatalf("index %d: reflected spectrum %v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestPhaseTableCached(t *testing.T) {
-	a := phaseTable(12, 4)
-	b := phaseTable(12, 4)
+	a := phaseTableOf[complex128](12, 4)
+	b := phaseTableOf[complex128](12, 4)
 	if &a[0] != &b[0] {
 		t.Error("phaseTable rebuilt an already-cached table")
 	}
 	// (K−1) mod M collisions share one table.
-	c := phaseTable(12, 16)
+	c := phaseTableOf[complex128](12, 16)
 	if &a[0] != &c[0] {
 		t.Error("phaseTable missed the (M, shift) cache key collapse")
 	}
-	if len(phaseTable(5, 3)) != 5 {
+	if len(phaseTableOf[complex128](5, 3)) != 5 {
 		t.Error("phaseTable length mismatch")
 	}
 }
 
-// TestPackedSpectraHalvePoolFootprint is the pool-stats acceptance check:
-// running the same convolution through the packed and the c2c transformers
-// must roughly halve the peak bytes drawn from the spectra pool.
-func TestPackedSpectraHalvePoolFootprint(t *testing.T) {
+// TestPackedSpectraPoolFootprint is the pool-stats acceptance check for the
+// Hermitian-packed layout: one edge's forward, backward and kernel-gradient
+// phases hold the two cached kernel spectra plus one in-flight product,
+// each of PackedVolume(m) complex128 coefficients — at most half of what the
+// same three buffers draw as full-complex volumes (PR 1's 2× result, kept as
+// a closed-form bound now that the full-complex path is gone).
+func TestPackedSpectraPoolFootprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	img := tensor.RandomUniform(rng, tensor.Cube(24), -1, 1)
 	ker := tensor.RandomUniform(rng, tensor.Cube(5), -0.5, 0.5)
 	bwd := tensor.RandomUniform(rng, img.S.ValidConv(ker.S, tensor.Dense()), -1, 1)
 
-	peakOf := func(mth Method) int64 {
-		tr := NewTransformer(img.S, ker.S, tensor.Dense(), mth, false, nil)
-		mempool.Spectra.ResetPeak()
-		base := mempool.Spectra.Stats().LiveBytes
-		tr.Forward(img, ker, nil)
-		tr.Backward(bwd, ker, nil)
-		tr.KernelGrad(img, bwd)
-		return mempool.Spectra.Stats().PeakLiveBytes - base
-	}
+	tr := NewTransformer(img.S, ker.S, tensor.Dense(), FFT, false, nil)
+	mempool.Spectra.ResetPeak()
+	base := mempool.Spectra.Stats().LiveBytes
+	tr.Forward(img, ker, nil)
+	tr.Backward(bwd, ker, nil)
+	tr.KernelGrad(img, bwd)
+	peak := mempool.Spectra.Stats().PeakLiveBytes - base
 
-	c2c := peakOf(FFTC2C)
-	packed := peakOf(FFT)
-	if packed <= 0 || c2c <= 0 {
-		t.Fatalf("no pool traffic measured (packed %d, c2c %d)", packed, c2c)
+	m := tr.TransformShape()
+	if want := int64(3 * mempool.ClassSize(fft.PackedVolume(m)) * 16); peak != want {
+		t.Errorf("packed peak pool bytes = %d, want %d (3 packed buffers)", peak, want)
 	}
-	if packed*2 > c2c {
-		t.Errorf("packed peak pool bytes = %d, want ≤ half of c2c %d", packed, c2c)
+	if full := int64(3 * mempool.ClassSize(m.Volume()) * 16); 2*peak > full {
+		t.Errorf("packed peak pool bytes = %d, want ≤ half of the full-complex layout's %d", peak, full)
 	}
 }
 

@@ -2,18 +2,14 @@ package conv
 
 import "fmt"
 
-// Precision selects the numeric element type of the spectral pipeline.
-// It rides next to Method the same way the packed/full split does: both
-// precisions stay live and A/B-benchmarkable.
-//
-// Precision applies to the Hermitian-packed FFT path (Method FFT): with
+// Precision selects the numeric element type of the spectral pipeline
+// (Method FFT); both precisions stay live and A/B-benchmarkable. With
 // PrecF32 the transformer converts images to float32 at the transform
 // boundary, runs the r2c/c2r transforms and every pointwise spectral
 // operation in complex64, and converts back on store. Spectra are half the
 // bytes of the PrecF64 path at identical coefficient counts, which on the
 // bandwidth-bound Y/Z passes and pointwise products is the dominant cost.
-// Direct convolution is unaffected, and the legacy full-complex FFTC2C
-// path always runs in complex128.
+// Direct convolution is unaffected.
 type Precision uint8
 
 const (

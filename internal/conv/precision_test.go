@@ -130,15 +130,15 @@ func TestSpectrumCachePrecisionKeying(t *testing.T) {
 	sc.Reset(img)
 	var c Counters
 	m := transformShape(img.S, tensor.Cube(3), tensor.Dense())
-	a := sc.Get(m, true, PrecF64, &c)
-	b := sc.Get(m, true, PrecF32, &c)
+	a := sc.Get(m, PrecF64, &c)
+	b := sc.Get(m, PrecF32, &c)
 	if a.F32() || !b.F32() {
 		t.Fatal("cache returned wrong precision arm")
 	}
 	if a.Len() != b.Len() {
 		t.Errorf("packed lengths differ across precisions: %d vs %d", a.Len(), b.Len())
 	}
-	b2 := sc.Get(m, true, PrecF32, &c)
+	b2 := sc.Get(m, PrecF32, &c)
 	if &b.C64[0] != &b2.C64[0] {
 		t.Error("f32 spectrum not cached")
 	}

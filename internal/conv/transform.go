@@ -9,22 +9,19 @@ import (
 	"znn/internal/tensor"
 )
 
-// spectrumKey identifies a cached spectrum: Hermitian-packed and full
-// complex spectra of the same transform shape have different layouts (and
-// lengths), and the two precisions have different element types, so a node
-// feeding a mix of edges keeps one entry per (shape, packedness, dtype)
-// combination.
+// spectrumKey identifies a cached spectrum: the two precisions have
+// different element types, so a node feeding a mix of edges keeps one entry
+// per (transform shape, dtype) combination.
 type spectrumKey struct {
-	m      tensor.Shape
-	packed bool
-	prec   Precision
+	m    tensor.Shape
+	prec Precision
 }
 
 // SpectrumCache shares the forward FFTs of one node's images among all
 // edges that consume them ("the FFT of an image at a node can be shared by
-// edges at that node", Section IV). The cache is keyed by transform shape,
-// packedness and precision so a node feeding layers with different kernel
-// sizes or dtypes keeps one spectrum per combination; it is batch-aware, so
+// edges at that node", Section IV). The cache is keyed by transform shape
+// and precision so a node feeding layers with different kernel sizes or
+// dtypes keeps one spectrum per combination; it is batch-aware, so
 // a fused K-volume inference round holds one image — and lazily one
 // spectrum per key — per volume. The batched spectrum-sharing contract: a
 // node's K images are published together (ResetBatch), every consuming edge
@@ -100,19 +97,18 @@ func (sc *SpectrumCache) ReleaseAll() {
 	sc.dropLocked()
 }
 
-// Get returns the spectrum of the cached image at transform shape m —
-// Hermitian-packed when packed is true, full complex otherwise, at the
-// given precision — computing it on first use. The returned buffer is
-// shared and must be treated as immutable.
-func (sc *SpectrumCache) Get(m tensor.Shape, packed bool, prec Precision, c *Counters) fft.Spectrum {
-	return sc.GetAt(0, m, packed, prec, c)
+// Get returns the Hermitian-packed spectrum of the cached image at
+// transform shape m and the given precision, computing it on first use. The
+// returned buffer is shared and must be treated as immutable.
+func (sc *SpectrumCache) Get(m tensor.Shape, prec Precision, c *Counters) fft.Spectrum {
+	return sc.GetAt(0, m, prec, c)
 }
 
 // GetAt is Get for volume i of a batched cache.
-func (sc *SpectrumCache) GetAt(i int, m tensor.Shape, packed bool, prec Precision, c *Counters) fft.Spectrum {
+func (sc *SpectrumCache) GetAt(i int, m tensor.Shape, prec Precision, c *Counters) fft.Spectrum {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return sc.getLocked(i, m, packed, prec, c)
+	return sc.getLocked(i, m, prec, c)
 }
 
 // GetBatch returns the spectra of all K cached images at one key,
@@ -120,22 +116,22 @@ func (sc *SpectrumCache) GetAt(i int, m tensor.Shape, packed bool, prec Precisio
 // batched transformer sweeps, where one kernel-spectrum fetch feeds K
 // pointwise products. The returned slice is shared; treat it and every
 // buffer as immutable.
-func (sc *SpectrumCache) GetBatch(m tensor.Shape, packed bool, prec Precision, c *Counters) []fft.Spectrum {
+func (sc *SpectrumCache) GetBatch(m tensor.Shape, prec Precision, c *Counters) []fft.Spectrum {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for i := range sc.imgs {
-		sc.getLocked(i, m, packed, prec, c)
+		sc.getLocked(i, m, prec, c)
 	}
-	return sc.entries[spectrumKey{m: m, packed: packed, prec: prec}]
+	return sc.entries[spectrumKey{m: m, prec: prec}]
 }
 
 // getLocked computes-or-returns the spectrum of image i at the key.
 // Caller holds sc.mu.
-func (sc *SpectrumCache) getLocked(i int, m tensor.Shape, packed bool, prec Precision, c *Counters) fft.Spectrum {
+func (sc *SpectrumCache) getLocked(i int, m tensor.Shape, prec Precision, c *Counters) fft.Spectrum {
 	if len(sc.imgs) == 0 || sc.imgs[i] == nil {
 		panic("conv: SpectrumCache.Get before Reset")
 	}
-	key := spectrumKey{m: m, packed: packed, prec: prec}
+	key := spectrumKey{m: m, prec: prec}
 	specs := sc.entries[key]
 	if specs == nil {
 		specs = make([]fft.Spectrum, len(sc.imgs))
@@ -148,8 +144,7 @@ func (sc *SpectrumCache) getLocked(i int, m tensor.Shape, packed bool, prec Prec
 		return specs[i]
 	}
 	var buf fft.Spectrum
-	switch {
-	case packed && prec == PrecF32:
+	if prec == PrecF32 {
 		var b []complex64
 		if sc.pooled {
 			b = mempool.Spectra32.Get(fft.PackedVolume(m))
@@ -158,7 +153,7 @@ func (sc *SpectrumCache) getLocked(i int, m tensor.Shape, packed bool, prec Prec
 		}
 		fft.NewPlan3ROf[float32, complex64](m).ForwardF64(b, sc.imgs[i])
 		buf = fft.Spec64(b)
-	case packed:
+	} else {
 		var b []complex128
 		if sc.pooled {
 			b = mempool.Spectra.Get(fft.PackedVolume(m))
@@ -167,18 +162,8 @@ func (sc *SpectrumCache) getLocked(i int, m tensor.Shape, packed bool, prec Prec
 		}
 		fft.NewPlan3R(m).Forward(b, sc.imgs[i])
 		buf = fft.Spec128(b)
-	default:
-		var b []complex128
-		if sc.pooled {
-			b = mempool.Spectra.Get(m.Volume())
-		} else {
-			b = make([]complex128, m.Volume())
-		}
-		fft.LoadReal(b, m, sc.imgs[i])
-		fft.NewPlan3(m).Forward(b)
-		buf = fft.Spec128(b)
 	}
-	c.addFFT(m, packed, prec == PrecF32)
+	c.addFFT(m, prec == PrecF32)
 	specs[i] = buf
 	return buf
 }
@@ -190,14 +175,9 @@ const (
 	// Direct computes convolutions in the spatial domain.
 	Direct Method = iota
 	// FFT computes convolutions in the frequency domain using real-input
-	// (r2c/c2r) transforms with Hermitian-packed spectra — the default
-	// spectral path. Its element type is selected by Precision.
+	// (r2c/c2r) transforms with Hermitian-packed spectra. Its element type
+	// is selected by Precision.
 	FFT
-	// FFTC2C computes frequency-domain convolutions with full complex
-	// transforms over all X·Y·Z points. It is the pre-packing code path,
-	// kept selectable (TuneForceFFTC2C) so packed-vs-full A/B benchmarks
-	// run against live code rather than an old commit. Always complex128.
-	FFTC2C
 	// SparseDirect computes convolutions in the spatial domain from a
 	// precomputed nonzero-tap list (znn3's sparse_convolve): work scales
 	// with the kernel's nonzero count instead of its dense volume, so the
@@ -213,8 +193,6 @@ func (m Method) String() string {
 		return "direct"
 	case FFT:
 		return "fft"
-	case FFTC2C:
-		return "fft-c2c"
 	case SparseDirect:
 		return "sparse-direct"
 	default:
@@ -222,9 +200,8 @@ func (m Method) String() string {
 	}
 }
 
-// IsFFT reports whether the method computes in the frequency domain
-// (packed or full-complex).
-func (m Method) IsFFT() bool { return m == FFT || m == FFTC2C }
+// IsFFT reports whether the method computes in the frequency domain.
+func (m Method) IsFFT() bool { return m == FFT }
 
 // Transformer executes the three convolution phases of one edge — forward,
 // backward, kernel gradient — with a fixed method and precision, and
@@ -237,20 +214,18 @@ func (m Method) IsFFT() bool { return m == FFT || m == FFTC2C }
 // without extra synchronization beyond the internal mutex: an edge's update
 // always executes before the edge's next forward pass overwrites the slots.
 type Transformer struct {
-	in     tensor.Shape    // input image shape n
-	k      tensor.Shape    // kernel shape
-	out    tensor.Shape    // valid output shape n − s(k−1)
-	sp     tensor.Sparsity // sparsity s
-	m      tensor.Shape    // common transform shape
-	mth    Method
-	prec   Precision
-	mem    bool
-	cnt    *Counters
-	packed bool                              // spectra are Hermitian-packed (Method FFT)
-	sv     int                               // spectrum coefficient count (packed or full volume)
-	p3     *fft.Plan3                        // full-complex plan (Method FFTC2C)
-	p3r    *fft.Plan3R                       // packed real plan (Method FFT, PrecF64)
-	p3r32  *fft.Plan3ROf[float32, complex64] // packed real plan (Method FFT, PrecF32)
+	in    tensor.Shape    // input image shape n
+	k     tensor.Shape    // kernel shape
+	out   tensor.Shape    // valid output shape n − s(k−1)
+	sp    tensor.Sparsity // sparsity s
+	m     tensor.Shape    // common transform shape
+	mth   Method
+	prec  Precision
+	mem   bool
+	cnt   *Counters
+	sv    int                               // packed spectrum coefficient count (Method FFT)
+	p3r   *fft.Plan3R                       // packed real plan (Method FFT, PrecF64)
+	p3r32 *fft.Plan3ROf[float32, complex64] // packed real plan (Method FFT, PrecF32)
 
 	mu       sync.Mutex
 	kerValid bool         // kernel spectra below are current
@@ -269,8 +244,8 @@ func NewTransformer(in, k tensor.Shape, sp tensor.Sparsity, method Method, memoi
 }
 
 // NewTransformerPrec builds a transformer with an explicit precision.
-// Precision affects the packed FFT path only; Direct and FFTC2C normalize
-// to PrecF64.
+// Precision affects the FFT path only; the spatial methods normalize to
+// PrecF64.
 func NewTransformerPrec(in, k tensor.Shape, sp tensor.Sparsity, method Method, prec Precision, memoize bool, counters *Counters) *Transformer {
 	out := in.ValidConv(k, sp)
 	if !out.Valid() {
@@ -290,55 +265,37 @@ func NewTransformerPrec(in, k tensor.Shape, sp tensor.Sparsity, method Method, p
 		mem:  memoize,
 		cnt:  counters,
 	}
-	switch method {
-	case Direct, SparseDirect:
-	case FFT:
-		t.packed = true
-		t.sv = fft.PackedVolume(t.m)
-		t.initPlans()
-	case FFTC2C:
-		t.p3 = fft.NewPlan3(t.m)
-		t.sv = t.m.Volume()
-	default:
-		panic(fmt.Sprintf("conv: unknown method %v", method))
-	}
+	t.initMethod()
 	return t
 }
 
-// initPlans builds the packed plan for the current precision.
-func (t *Transformer) initPlans() {
-	if t.prec == PrecF32 {
-		t.p3r32 = fft.NewPlan3ROf[float32, complex64](t.m)
-		t.p3r = nil
-	} else {
-		t.p3r = fft.NewPlan3R(t.m)
-		t.p3r32 = nil
+// initMethod derives the method-dependent fields (spectrum length, plans)
+// from t.mth and t.prec.
+func (t *Transformer) initMethod() {
+	t.sv, t.p3r, t.p3r32 = 0, nil, nil
+	switch t.mth {
+	case Direct, SparseDirect:
+	case FFT:
+		t.sv = fft.PackedVolume(t.m)
+		if t.prec == PrecF32 {
+			t.p3r32 = fft.NewPlan3ROf[float32, complex64](t.m)
+		} else {
+			t.p3r = fft.NewPlan3R(t.m)
+		}
+	default:
+		panic(fmt.Sprintf("conv: unknown method %v", t.mth))
 	}
 }
 
 // SetPrecision switches the element type of the packed spectral path. It
 // discards cached kernel spectra and memo slots (their layout changes) and
-// is a no-op for Direct and FFTC2C transformers. It must not race with the
+// is a no-op for spatial-method transformers. It must not race with the
 // transform phases: the engine calls it at compile time, before any round
 // runs.
 func (t *Transformer) SetPrecision(p Precision) {
-	if t.mth != FFT {
-		return
+	if t.mth == FFT {
+		t.SetMethodPrec(FFT, p)
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.prec == p {
-		return
-	}
-	t.prec = p
-	t.initPlans()
-	t.kerValid = false
-	t.kerF.Release()
-	t.kerFRefl.Release()
-	t.kerF = fft.Spectrum{}
-	t.kerFRefl = fft.Spectrum{}
-	t.imgF = fft.Spectrum{}
-	t.bwdF = fft.Spectrum{}
 }
 
 // SetMethodPrec rebuilds the transformer for a new (method, precision)
@@ -349,7 +306,7 @@ func (t *Transformer) SetPrecision(p Precision) {
 // it is compile-time only: it must not race with any transform phase.
 func (t *Transformer) SetMethodPrec(m Method, p Precision) {
 	if m != FFT {
-		p = PrecF64 // spatial and c2c paths are float64-only
+		p = PrecF64 // spatial paths are float64-only
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -358,26 +315,8 @@ func (t *Transformer) SetMethodPrec(m Method, p Precision) {
 	}
 	t.mth = m
 	t.prec = p
-	t.packed = false
-	t.sv = 0
-	t.p3, t.p3r, t.p3r32 = nil, nil, nil
-	switch m {
-	case Direct, SparseDirect:
-	case FFT:
-		t.packed = true
-		t.sv = fft.PackedVolume(t.m)
-		t.initPlans()
-	case FFTC2C:
-		t.p3 = fft.NewPlan3(t.m)
-		t.sv = t.m.Volume()
-	default:
-		panic(fmt.Sprintf("conv: unknown method %v", m))
-	}
-	t.kerValid = false
-	t.kerF.Release()
-	t.kerFRefl.Release()
-	t.kerF = fft.Spectrum{}
-	t.kerFRefl = fft.Spectrum{}
+	t.initMethod()
+	t.releaseKernelSpectraLocked()
 	t.imgF = fft.Spectrum{}
 	t.bwdF = fft.Spectrum{}
 	t.taps = nil
@@ -408,19 +347,24 @@ func (t *Transformer) specGet() fft.Spectrum {
 	return fft.Spec128(mempool.Spectra.Get(t.sv))
 }
 
+// product returns the pointwise product a·b in a fresh pooled buffer whose
+// ownership passes to the caller.
+func (t *Transformer) product(a, b fft.Spectrum) fft.Spectrum {
+	prod := t.specGet()
+	fft.MulSpecInto(prod, a, b)
+	t.cnt.addMul(t.m)
+	return prod
+}
+
 // specInto computes the forward spectrum of src into buf (length t.sv) at
-// the transform shape, in the method's layout and precision.
+// the transform shape and the transformer's precision.
 func (t *Transformer) specInto(buf fft.Spectrum, src *tensor.Tensor) {
-	switch {
-	case t.packed && t.prec == PrecF32:
+	if t.prec == PrecF32 {
 		t.p3r32.ForwardF64(buf.C64, src)
-	case t.packed:
+	} else {
 		t.p3r.Forward(buf.C128, src)
-	default:
-		fft.LoadReal(buf.C128, t.m, src)
-		t.p3.Forward(buf.C128)
 	}
-	t.cnt.addFFT(t.m, t.packed, t.prec == PrecF32)
+	t.cnt.addFFT(t.m, t.prec == PrecF32)
 }
 
 // newSpec allocates a GC-managed spectrum buffer (memo slots live across
@@ -440,28 +384,21 @@ func (t *Transformer) newSpec(src *tensor.Tensor) fft.Spectrum {
 // inverseStore inverts spec (consuming the buffer) and stores the
 // sub-volume at (ox,oy,oz) into out, with the 1/N normalization.
 func (t *Transformer) inverseStore(out *tensor.Tensor, spec fft.Spectrum, ox, oy, oz int) {
-	switch {
-	case t.packed && t.prec == PrecF32:
+	if t.prec == PrecF32 {
 		t.p3r32.InverseF64(out, spec.C64, ox, oy, oz)
-	case t.packed:
+	} else {
 		t.p3r.Inverse(out, spec.C128, ox, oy, oz)
-	default:
-		t.p3.Inverse(spec.C128)
-		fft.StoreReal(out, spec.C128, t.m, ox, oy, oz)
 	}
-	t.cnt.addInverse(t.m, t.packed, t.prec == PrecF32)
+	t.cnt.addInverse(t.m, t.prec == PrecF32)
 }
 
 // reflectInto applies the conjugate-reflection phase pass for a signal of
-// the given support, in the method's spectrum layout and precision.
+// the given support, at the transformer's precision.
 func (t *Transformer) reflectInto(dst, src fft.Spectrum, support tensor.Shape) {
-	switch {
-	case t.packed && t.prec == PrecF32:
+	if t.prec == PrecF32 {
 		reflectSpectrumPackedInto(dst.C64, src.C64, t.m, support)
-	case t.packed:
+	} else {
 		reflectSpectrumPackedInto(dst.C128, src.C128, t.m, support)
-	default:
-		reflectSpectrumInto(dst.C128, src.C128, t.m, support)
 	}
 	t.cnt.addReflect(t.m)
 }
@@ -509,6 +446,10 @@ func (t *Transformer) kernelSpectra(ker *tensor.Tensor) (kf, kfr fft.Spectrum) {
 func (t *Transformer) ReleaseKernelSpectra() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.releaseKernelSpectraLocked()
+}
+
+func (t *Transformer) releaseKernelSpectraLocked() {
 	t.kerValid = false
 	t.kerF.Release()
 	t.kerFRefl.Release()
@@ -585,15 +526,8 @@ func (t *Transformer) ForwardInferBatch(imgs []*tensor.Tensor, ker *tensor.Tenso
 	}
 	imgFs := t.batchSpectra(imgs, sc)
 	kf, _ := t.kernelSpectra(ker)
-	ox, oy, oz := t.sp.X*(t.k.X-1), t.sp.Y*(t.k.Y-1), t.sp.Z*(t.k.Z-1)
 	for i := range imgs {
-		prod := t.specGet()
-		fft.MulSpecInto(prod, imgFs[i], kf)
-		t.cnt.addMul(t.m, t.packed)
-		out := tensor.New(t.out)
-		t.inverseStore(out, prod, ox, oy, oz)
-		prod.Release()
-		outs[i] = out
+		outs[i] = t.FinishForward(t.product(imgFs[i], kf))
 	}
 	return outs
 }
@@ -612,10 +546,7 @@ func (t *Transformer) ForwardProductInferBatch(imgs []*tensor.Tensor, ker *tenso
 	kf, _ := t.kernelSpectra(ker)
 	prods := make([]fft.Spectrum, len(imgs))
 	for i := range imgs {
-		prod := t.specGet()
-		fft.MulSpecInto(prod, imgFs[i], kf)
-		t.cnt.addMul(t.m, t.packed)
-		prods[i] = prod
+		prods[i] = t.product(imgFs[i], kf)
 	}
 	return prods
 }
@@ -629,7 +560,7 @@ func (t *Transformer) batchSpectra(imgs []*tensor.Tensor, sc *SpectrumCache) []f
 		}
 	}
 	if sc != nil {
-		return sc.GetBatch(t.m, t.packed, t.prec, t.cnt)
+		return sc.GetBatch(t.m, t.prec, t.cnt)
 	}
 	specs := make([]fft.Spectrum, len(imgs))
 	for i, img := range imgs {
@@ -658,25 +589,7 @@ func (t *Transformer) forward(img, ker *tensor.Tensor, sc *SpectrumCache, memo b
 		t.cnt.addDirect(sparseConvFlops(t.out, tl))
 		return out
 	}
-	var imgF fft.Spectrum
-	if sc != nil {
-		imgF = sc.Get(t.m, t.packed, t.prec, t.cnt)
-	} else {
-		imgF = t.newSpec(img)
-	}
-	kf, _ := t.kernelSpectra(ker)
-	prod := t.specGet()
-	fft.MulSpecInto(prod, imgF, kf)
-	t.cnt.addMul(t.m, t.packed)
-	out := tensor.New(t.out)
-	t.inverseStore(out, prod, t.sp.X*(t.k.X-1), t.sp.Y*(t.k.Y-1), t.sp.Z*(t.k.Z-1))
-	prod.Release()
-	if memo {
-		t.mu.Lock()
-		t.imgF = imgF
-		t.mu.Unlock()
-	}
-	return out
+	return t.FinishForward(t.forwardProduct(img, ker, sc, memo))
 }
 
 // Backward computes the edge's backward pass: the full convolution of the
@@ -700,25 +613,7 @@ func (t *Transformer) Backward(bwd, ker *tensor.Tensor, sc *SpectrumCache) *tens
 		t.cnt.addDirect(sparseConvFlops(t.out, tl))
 		return out
 	}
-	var bwdF fft.Spectrum
-	if sc != nil {
-		bwdF = sc.Get(t.m, t.packed, t.prec, t.cnt)
-	} else {
-		bwdF = t.newSpec(bwd)
-	}
-	_, kfr := t.kernelSpectra(ker)
-	prod := t.specGet()
-	fft.MulSpecInto(prod, bwdF, kfr)
-	t.cnt.addMul(t.m, t.packed)
-	out := tensor.New(t.in)
-	t.inverseStore(out, prod, 0, 0, 0)
-	prod.Release()
-	if t.mem {
-		t.mu.Lock()
-		t.bwdF = bwdF
-		t.mu.Unlock()
-	}
-	return out
+	return t.FinishBackward(t.BackwardProduct(bwd, ker, sc))
 }
 
 // KernelGrad computes the gradient of the loss with respect to the kernel:
@@ -754,7 +649,7 @@ func (t *Transformer) KernelGrad(img, bwd *tensor.Tensor) *tensor.Tensor {
 	prod := t.specGet()
 	t.reflectInto(prod, imgF, t.in)
 	fft.MulSpecInto(prod, prod, bwdF)
-	t.cnt.addMul(t.m, t.packed)
+	t.cnt.addMul(t.m)
 	// Full-convolution values at offsets (n′−1) + s·a, a = 0..k−1.
 	full := tensor.New(tensor.Shape{
 		X: t.sp.X*(t.k.X-1) + 1,
@@ -816,14 +711,12 @@ func (t *Transformer) forwardProduct(img, ker *tensor.Tensor, sc *SpectrumCache,
 	}
 	var imgF fft.Spectrum
 	if sc != nil {
-		imgF = sc.Get(t.m, t.packed, t.prec, t.cnt)
+		imgF = sc.Get(t.m, t.prec, t.cnt)
 	} else {
 		imgF = t.newSpec(img)
 	}
 	kf, _ := t.kernelSpectra(ker)
-	prod := t.specGet()
-	fft.MulSpecInto(prod, imgF, kf)
-	t.cnt.addMul(t.m, t.packed)
+	prod := t.product(imgF, kf)
 	if memo {
 		t.mu.Lock()
 		t.imgF = imgF
@@ -853,14 +746,12 @@ func (t *Transformer) BackwardProduct(bwd, ker *tensor.Tensor, sc *SpectrumCache
 	}
 	var bwdF fft.Spectrum
 	if sc != nil {
-		bwdF = sc.Get(t.m, t.packed, t.prec, t.cnt)
+		bwdF = sc.Get(t.m, t.prec, t.cnt)
 	} else {
 		bwdF = t.newSpec(bwd)
 	}
 	_, kfr := t.kernelSpectra(ker)
-	prod := t.specGet()
-	fft.MulSpecInto(prod, bwdF, kfr)
-	t.cnt.addMul(t.m, t.packed)
+	prod := t.product(bwdF, kfr)
 	if t.mem {
 		t.mu.Lock()
 		t.bwdF = bwdF

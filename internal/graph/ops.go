@@ -357,9 +357,8 @@ func (o *DropoutOp) Backward(grad *tensor.Tensor, _ *BwdCtx) *tensor.Tensor {
 	return o.D.Backward(grad)
 }
 
-// SpectralEligible reports whether all edges are FFT convolutions (packed
-// or full-complex — SpectralCompatible requires one consistent method, so
-// the summed buffers share a layout) with pairwise-compatible geometry, so
+// SpectralEligible reports whether all edges are FFT convolutions with
+// pairwise-compatible geometry and precision (SpectralCompatible), so
 // their converging results may be summed in the FFT domain with a single
 // inverse transform at the node (the execution model of the paper's
 // Table II costs).

@@ -308,9 +308,6 @@ func layerCost(g conv.LayerGeom, m conv.Method, prec conv.Precision, k int, meas
 	if m.IsFFT() {
 		ms := g.TransformShape()
 		hv := float64(fft.PackedVolume(ms))
-		if m == conv.FFTC2C {
-			hv = float64(ms.Volume())
-		}
 		stream := 2 * float64(g.F) * float64(g.FPrime) * hv
 		if measured {
 			// Scale the flop-unit stream term into seconds via the
@@ -350,9 +347,7 @@ func LayerBytesRounds(g conv.LayerGeom, m conv.Method, prec conv.Precision, k, w
 	ms := g.TransformShape()
 	n := fft.PackedVolume(ms)
 	es := int64(16) // complex128
-	if m == conv.FFTC2C {
-		n = ms.Volume()
-	} else if prec == conv.PrecF32 {
+	if prec == conv.PrecF32 {
 		es = 8 // complex64
 	}
 	buf := int64(mempool.ClassSize(n)) * es

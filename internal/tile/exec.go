@@ -22,16 +22,14 @@ type Config struct {
 	// blocks. Default 1; the planner's K is the right value for planned
 	// networks.
 	K int
-	// Window is the number of fused rounds in flight when Pipelined;
-	// bounded so the stream holds at most (Window+1)·K block inputs and
-	// Window rounds' pooled spectra at once. Default 2.
+	// Window is the number of fused rounds in flight; bounded so the stream
+	// holds at most (Window+1)·K block inputs and Window rounds' pooled
+	// spectra at once. With Window ≥ 2 the three stages overlap: while up
+	// to Window rounds compute, the next round's blocks are read and
+	// completed rounds are stitched. Window 1 is the naive sequential
+	// baseline — read → compute → stitch, one round at a time — which the
+	// tile/* benchmarks A/B against. Default 2.
 	Window int
-	// Pipelined overlaps the three stages: while up to Window rounds
-	// compute, the next round's blocks are read and completed rounds are
-	// stitched. False runs the naive sequential baseline —
-	// read → compute → stitch, one round at a time — which the tile/*
-	// benchmarks A/B against.
-	Pipelined bool
 	// OnProgress, when non-nil, is called after each stitched round from
 	// the executor's goroutine.
 	OnProgress func(Progress)
@@ -107,9 +105,6 @@ func Run(cfg Config) (Stats, error) {
 	window := cfg.Window
 	if window < 1 {
 		window = 2
-	}
-	if !cfg.Pipelined {
-		window = 1
 	}
 
 	release := cfg.Prog.AcquireInfer()
@@ -203,7 +198,7 @@ func Run(cfg Config) (Stats, error) {
 			batch = append(batch, []*tensor.Tensor{in})
 		}
 		st.ReadNs += time.Since(t0).Nanoseconds()
-		rs, err := cfg.Prog.NewInferRound(batch)
+		rs, err := cfg.Prog.NewRound(train.ModeInfer, batch, nil)
 		if err != nil {
 			for _, t := range inputs {
 				free <- t

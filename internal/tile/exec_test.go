@@ -38,7 +38,7 @@ func randomVolume(s tensor.Shape, seed int64) *tensor.Tensor {
 // runTiled streams vol through a fresh block engine for the grid and
 // returns the stitched outputs, one volume per network output.
 func runTiled(t *testing.T, spec string, g *Grid, vol *tensor.Tensor, outW int,
-	policy conv.TunePolicy, prec conv.Precision, k, window int, pipelined bool) ([]*tensor.Tensor, Stats) {
+	policy conv.TunePolicy, prec conv.Precision, k, window int) ([]*tensor.Tensor, Stats) {
 	t.Helper()
 	en := buildEngine(t, spec, g.BlockIn, outW, policy, prec)
 	defer en.Close()
@@ -51,7 +51,7 @@ func runTiled(t *testing.T, spec string, g *Grid, vol *tensor.Tensor, outW int,
 	st, err := Run(Config{
 		Prog: en.Program(), Grid: g,
 		In: MemReader{T: vol}, Out: ws,
-		K: k, Window: window, Pipelined: pipelined,
+		K: k, Window: window,
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -69,11 +69,11 @@ func singleShot(t *testing.T, spec string, vol *tensor.Tensor, outW int,
 	t.Helper()
 	en := buildEngine(t, spec, vol.S, outW, policy, prec)
 	defer en.Close()
-	outs, err := en.Infer([]*tensor.Tensor{vol.Clone()})
+	outs, err := en.Infer([][]*tensor.Tensor{{vol.Clone()}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return outs
+	return outs[0]
 }
 
 // TestStreamBitIdenticalDirect is the tentpole invariant: with
@@ -87,16 +87,16 @@ func TestStreamBitIdenticalDirect(t *testing.T) {
 	ref := singleShot(t, spec, vol, 2, conv.TuneForceDirect, conv.PrecF64)
 
 	for _, blockOut := range []int{3, 4, 7, 10} { // 10³ output: divides, ragged, full
-		for _, pipelined := range []bool{false, true} {
+		for _, window := range []int{1, 2} { // sequential baseline, overlapped
 			g, err := NewGrid(vol.S, 5, blockOut)
 			if err != nil {
 				t.Fatal(err)
 			}
-			outs, _ := runTiled(t, spec, g, vol, 2, conv.TuneForceDirect, conv.PrecF64, 2, 2, pipelined)
+			outs, _ := runTiled(t, spec, g, vol, 2, conv.TuneForceDirect, conv.PrecF64, 2, window)
 			for oi := range outs {
 				if !outs[oi].Equal(ref[oi]) {
-					t.Errorf("block %d pipelined=%v output %d: tiled differs from single-shot (max |Δ| = %g)",
-						blockOut, pipelined, oi, outs[oi].MaxAbsDiff(ref[oi]))
+					t.Errorf("block %d window=%d output %d: tiled differs from single-shot (max |Δ| = %g)",
+						blockOut, window, oi, outs[oi].MaxAbsDiff(ref[oi]))
 				}
 			}
 		}
@@ -116,7 +116,7 @@ func TestStreamOneVoxelBlocks(t *testing.T) {
 	if g.NumBlocks() != 64 {
 		t.Fatalf("expected 64 one-voxel blocks, got %d", g.NumBlocks())
 	}
-	outs, st := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 3, 2, true)
+	outs, st := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 3, 2)
 	if !outs[0].Equal(ref[0]) {
 		t.Errorf("one-voxel blocks differ from single-shot (max |Δ| = %g)", outs[0].MaxAbsDiff(ref[0]))
 	}
@@ -140,7 +140,7 @@ func TestStreamAnisotropic(t *testing.T) {
 	if g.BlockOut != tensor.S3(3, 5, 5) {
 		t.Fatalf("BlockOut = %v, want (3,5,5)", g.BlockOut)
 	}
-	outs, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 2, 3, true)
+	outs, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 2, 3)
 	if !outs[0].Equal(ref[0]) {
 		t.Errorf("anisotropic tiling differs from single-shot (max |Δ| = %g)", outs[0].MaxAbsDiff(ref[0]))
 	}
@@ -158,8 +158,8 @@ func TestStreamFFTTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF64, 2, 2, true)
-	b, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF64, 2, 2, true)
+	a, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF64, 2, 2)
+	b, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF64, 2, 2)
 	if !a[0].ApproxEqual(ref[0], conv.PrecF64.Tol()) {
 		t.Errorf("FFT tiled vs single-shot: max |Δ| = %g exceeds tol %g", a[0].MaxAbsDiff(ref[0]), conv.PrecF64.Tol())
 	}
@@ -178,8 +178,8 @@ func TestStreamF32Parity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o64, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF64, 2, 2, true)
-	o32, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF32, 2, 2, true)
+	o64, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF64, 2, 2)
+	o32, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF32, 2, 2)
 	if !o32[0].ApproxEqual(o64[0], conv.PrecF32.Tol()) {
 		t.Errorf("f32 vs f64 tiled streams: max |Δ| = %g exceeds tol %g",
 			o32[0].MaxAbsDiff(o64[0]), conv.PrecF32.Tol())
@@ -196,7 +196,7 @@ func TestStreamRawFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memOut, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 2, 2, true)
+	memOut, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 2, 2)
 
 	dir := t.TempDir()
 	inPath, outPath := dir+"/in.raw", dir+"/out.raw"
@@ -215,9 +215,9 @@ func TestStreamRawFiles(t *testing.T) {
 	var last Progress
 	st, err := Run(Config{
 		Prog: en.Program(), Grid: g,
-		In:  NewRawReader(rf, vol.S, F64),
-		Out: []Writer{NewRawWriter(wf, g.Out, F64)},
-		K:   2, Pipelined: true,
+		In:         NewRawReader(rf, vol.S, F64),
+		Out:        []Writer{NewRawWriter(wf, g.Out, F64)},
+		K:          2,
 		OnProgress: func(p Progress) { last = p },
 	})
 	if err != nil {
@@ -297,7 +297,7 @@ func TestStreamPropagatesReadError(t *testing.T) {
 	_, err = Run(Config{
 		Prog: en.Program(), Grid: g,
 		In: fr, Out: []Writer{MemWriter{T: out}},
-		K: 2, Pipelined: true,
+		K: 2,
 	})
 	if err == nil {
 		t.Fatal("failing reader: want error")

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"znn/internal/graph"
-	"znn/internal/plan"
 	"znn/internal/sched"
 	"znn/internal/tensor"
 )
@@ -13,15 +12,15 @@ import (
 // Engine executes rounds on a compiled Program. It is the stable façade
 // over the Program/RoundState split: Round and Forward keep their original
 // exclusive, stateful semantics (NodeForward and InputGradient report the
-// last such round), while Infer and InferBatch run forward-only rounds
-// that may be in flight concurrently from any number of goroutines.
+// last such round), while Infer runs forward-only K-wide rounds that may be
+// in flight concurrently from any number of goroutines.
 type Engine struct {
 	p *Program
 
 	mu        sync.Mutex
 	lastLoss  float64
-	last      *RoundState // most recent exclusive round (Round or Forward)
-	lastTrain *RoundState // most recent training Round, for InputGradient
+	last      *RoundState // most recent successful exclusive round (Round or Forward)
+	lastTrain *RoundState // most recent successful training round, for InputGradient
 	training  bool
 }
 
@@ -40,10 +39,6 @@ func (en *Engine) Program() *Program { return en.p }
 
 // Workers returns the number of scheduler workers.
 func (en *Engine) Workers() int { return en.p.cfg.Workers }
-
-// Plan returns the execution plan the engine's program was compiled from,
-// or nil when edges run their individually autotuned methods.
-func (en *Engine) Plan() *plan.Plan { return en.p.cfg.Plan }
 
 // NumInputs returns the number of graph input nodes (volumes per round).
 func (en *Engine) NumInputs() int { return len(en.p.inputs) }
@@ -69,49 +64,29 @@ func (en *Engine) SetTraining(training bool) {
 // Round runs one gradient iteration: forward pass on the inputs, loss
 // against the desired outputs, backward pass, and (lazily executed) weight
 // updates. It returns the loss. inputs and desired follow the order of
-// g.Inputs() and g.Outputs(). Training rounds are exclusive — weights
-// mutate — so concurrent calls serialize.
+// g.Inputs() and g.Outputs(). It is a one-round training session — open,
+// Submit, Wait, Close — so it shares every line of the path overlapped
+// training takes; sessions are exclusive, so concurrent calls serialize.
 func (en *Engine) Round(inputs, desired []*tensor.Tensor) (float64, error) {
-	en.p.roundMu.Lock()
-	defer en.p.roundMu.Unlock()
-	return en.roundLocked(inputs, desired)
-}
-
-// roundLocked is Round's body, factored out so a strict pipelined session
-// (which holds the round lock for its whole lifetime) executes the exact
-// same code — the bit-identity guarantee between Engine.Round and a
-// strict TrainPipeline is by construction, not by parallel maintenance.
-func (en *Engine) roundLocked(inputs, desired []*tensor.Tensor) (float64, error) {
-	rs, err := en.p.newRound([][]*tensor.Tensor{inputs}, desired, true, false)
+	tp := en.StartPipeline()
+	defer tp.Close()
+	pr, err := tp.Submit(inputs, desired)
 	if err != nil {
 		return 0, err
 	}
-	if err := rs.run(); err != nil {
-		return 0, err
-	}
-	// Training also surfaces the engine's sticky error: a panicked update
-	// task means partially applied weights, which no later round outruns.
-	if err := en.p.sch.Err(); err != nil {
-		return 0, err
-	}
-	loss := rs.Loss()
-	en.mu.Lock()
-	en.lastLoss = loss
-	en.last = rs
-	en.lastTrain = rs
-	en.mu.Unlock()
-	return loss, nil
+	return pr.Wait()
 }
 
 // Forward runs a forward-only pass and returns the output images in
 // g.Outputs() order. Like Round it is exclusive and stateful: ops record
-// their Jacobian inputs, dropout honours SetTraining, and the pass forces
-// pending weight updates exactly as a training round's forward phase
-// would. For concurrent, side-effect-free inference use Infer.
+// their Jacobian inputs, dropout honours SetTraining, and pending weight
+// updates are applied before the pass. For concurrent, side-effect-free
+// inference use Infer.
 func (en *Engine) Forward(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	en.p.roundMu.Lock()
 	defer en.p.roundMu.Unlock()
-	rs, err := en.p.newRound([][]*tensor.Tensor{inputs}, nil, false, false)
+	en.p.sch.DrainUpdates()
+	rs, err := en.p.NewRound(ModeForward, [][]*tensor.Tensor{inputs}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -127,19 +102,26 @@ func (en *Engine) Forward(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	return rs.Outputs(), nil
 }
 
-// Infer runs a forward-only inference round and returns the output images
-// in g.Outputs() order. Infer is safe to call from any number of
-// goroutines at once: rounds share the Program's scheduler, kernel
-// spectra and memory pools but carry private accumulators and spectrum
-// caches, so N calls keep every worker busy even when one round exposes
-// little parallelism. Dropout runs in inference mode and no gradient or
-// Jacobian state is touched. Pending weight updates from a previous
-// training round are drained before the first concurrent round is
-// admitted, so all in-flight rounds see one consistent set of weights.
-func (en *Engine) Infer(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	release := en.p.acquireInfer()
+// Infer runs ONE K-wide forward-only inference round over the batch —
+// batch[v] is volume v's input slice in g.Inputs() order — and returns each
+// volume's outputs in g.Outputs() order. The round sweeps all K volumes at
+// each (node, edge) step: one kernel-spectrum fetch per edge feeds K
+// pointwise products, and each summing node runs one inverse transform per
+// volume. Per-volume results are bit-identical to K serialized Forward
+// passes.
+//
+// Infer is safe to call from any number of goroutines at once: rounds share
+// the Program's scheduler, kernel spectra and memory pools but carry
+// private accumulators and spectrum caches, so N calls keep every worker
+// busy even when one round exposes little parallelism. Dropout runs in
+// inference mode and no gradient or Jacobian state is touched. Pending
+// weight updates from a previous training round are drained before the
+// first concurrent round is admitted, so all in-flight rounds see one
+// consistent set of weights. A round error fails only this batch.
+func (en *Engine) Infer(batch [][]*tensor.Tensor) ([][]*tensor.Tensor, error) {
+	release := en.p.AcquireInfer()
 	defer release()
-	rs, err := en.p.newRound([][]*tensor.Tensor{inputs}, nil, false, true)
+	rs, err := en.p.NewRound(ModeInfer, batch, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -148,72 +130,6 @@ func (en *Engine) Infer(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	}
 	// A sticky engine error means an update task panicked: weights are
 	// partially applied and every result is suspect, so keep failing.
-	if err := en.p.sch.Err(); err != nil {
-		return nil, err
-	}
-	return rs.Outputs(), nil
-}
-
-// InferBatch runs len(batch) forward-only inference rounds concurrently —
-// all in flight on the shared scheduler at once — and returns each round's
-// outputs in order. The first error aborts the batch result (individual
-// rounds still run to completion).
-func (en *Engine) InferBatch(batch [][]*tensor.Tensor) ([][]*tensor.Tensor, error) {
-	release := en.p.acquireInfer()
-	defer release()
-	outs := make([][]*tensor.Tensor, len(batch))
-	errs := make([]error, len(batch))
-	var wg sync.WaitGroup
-	for i, inputs := range batch {
-		wg.Add(1)
-		go func(i int, inputs []*tensor.Tensor) {
-			defer wg.Done()
-			rs, err := en.p.newRound([][]*tensor.Tensor{inputs}, nil, false, true)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			if err := rs.run(); err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i] = rs.Outputs()
-		}(i, inputs)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	if err := en.p.sch.Err(); err != nil {
-		return nil, err
-	}
-	return outs, nil
-}
-
-// InferFused runs ONE K-wide fused inference round over the batch —
-// batch[v] is volume v's input slice — and returns each volume's outputs
-// in order. Where InferBatch keeps K independent rounds in flight (K full
-// sweeps of kernel-spectrum loads), the fused round sweeps all K volumes
-// at each (node, edge) step: one kernel-spectrum fetch per edge feeds K
-// pointwise products, and each summing node runs one inverse transform per
-// volume. Per-volume results are bit-identical to K serialized Forward
-// passes. A round error fails only this batch; like Infer, fused rounds
-// may themselves be in flight concurrently with other inference rounds.
-func (en *Engine) InferFused(batch [][]*tensor.Tensor) ([][]*tensor.Tensor, error) {
-	if len(batch) == 0 {
-		return nil, nil
-	}
-	release := en.p.acquireInfer()
-	defer release()
-	rs, err := en.p.NewInferRound(batch)
-	if err != nil {
-		return nil, err
-	}
-	if err := rs.run(); err != nil {
-		return nil, err
-	}
 	if err := en.p.sch.Err(); err != nil {
 		return nil, err
 	}
@@ -235,7 +151,8 @@ func (en *Engine) Drain() error {
 // InputGradient returns the gradient of the loss with respect to input i,
 // available after a Round (a feature the general graph formulation gives
 // for free; useful for sensitivity analysis). It reports the most recent
-// training Round even when Forward or Infer passes ran in between.
+// successful training round even when Forward or Infer passes ran in
+// between.
 func (en *Engine) InputGradient(i int) *tensor.Tensor {
 	en.mu.Lock()
 	last := en.lastTrain
@@ -247,7 +164,7 @@ func (en *Engine) InputGradient(i int) *tensor.Tensor {
 }
 
 // NodeForward returns the forward image at the named node from the last
-// exclusive round (Round or Forward), or nil if unknown.
+// successful exclusive round (Round or Forward), or nil if unknown.
 func (en *Engine) NodeForward(name string) *tensor.Tensor {
 	en.mu.Lock()
 	last := en.last
@@ -266,7 +183,7 @@ func (en *Engine) NodeForward(name string) *tensor.Tensor {
 // SchedulerStats returns scheduler counters for the current engine.
 func (en *Engine) SchedulerStats() sched.Stats { return en.p.sch.Stats() }
 
-// Loss returns the loss of the most recent Round.
+// Loss returns the loss of the most recent successful training round.
 func (en *Engine) Loss() float64 {
 	en.mu.Lock()
 	defer en.mu.Unlock()

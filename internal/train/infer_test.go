@@ -34,6 +34,16 @@ func buildInferNet(t testing.TB, workers int) (*Engine, *net.Network) {
 	return en, nw
 }
 
+// infer1 runs one K=1 inference round — the shape of the public
+// Network.Infer wrapper over the engine's one K-wide entry.
+func infer1(en *Engine, inputs ...*tensor.Tensor) ([]*tensor.Tensor, error) {
+	outs, err := en.Infer([][]*tensor.Tensor{inputs})
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
 // TestConcurrentInferDeterminism runs ≥8 simultaneous Infer rounds on one
 // engine and checks every result is bit-identical to the serialized
 // Forward pass over the same input. This is both the -race exercise for
@@ -65,7 +75,7 @@ func TestConcurrentInferDeterminism(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < perG; k++ {
 				i := (g + k) % nInputs
-				outs, err := en.Infer([]*tensor.Tensor{inputs[i]})
+				outs, err := infer1(en, inputs[i])
 				if err != nil {
 					errs <- err
 					return
@@ -103,7 +113,7 @@ func TestInferAfterTrainingSeesUpdatedWeights(t *testing.T) {
 		}
 	}
 	// Updates from the last Round are still pending here.
-	inferOut, err := en.Infer([]*tensor.Tensor{in.Clone()})
+	inferOut, err := infer1(en, in.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,36 +124,6 @@ func TestInferAfterTrainingSeesUpdatedWeights(t *testing.T) {
 	if !inferOut[0].Equal(fwdOut[0]) {
 		t.Fatalf("Infer after training differs from Forward (max |Δ| = %g): pending updates not applied before inference",
 			inferOut[0].MaxAbsDiff(fwdOut[0]))
-	}
-}
-
-// TestInferBatchMatchesSerial checks InferBatch returns per-round outputs
-// in order, equal to serial Forward results.
-func TestInferBatchMatchesSerial(t *testing.T) {
-	en, nw := buildInferNet(t, 4)
-	defer en.Close()
-
-	rng := rand.New(rand.NewSource(7))
-	const k = 6
-	batch := make([][]*tensor.Tensor, k)
-	want := make([]*tensor.Tensor, k)
-	for i := range batch {
-		in := tensor.RandomUniform(rng, nw.InputShape(), -1, 1)
-		batch[i] = []*tensor.Tensor{in}
-		outs, err := en.Forward([]*tensor.Tensor{in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = outs[0]
-	}
-	outs, err := en.InferBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range outs {
-		if len(outs[i]) != 1 || !outs[i][0].Equal(want[i]) {
-			t.Fatalf("batch round %d differs from serial Forward", i)
-		}
 	}
 }
 
@@ -213,14 +193,14 @@ func TestInferAllocatesLessThanRound(t *testing.T) {
 
 	// Warm the inference side's pool classes (first round may Miss while
 	// the free lists grow to the infer working set), then measure.
-	if _, err := en.Infer([]*tensor.Tensor{in.Clone()}); err != nil {
+	if _, err := infer1(en, in.Clone()); err != nil {
 		t.Fatal(err)
 	}
 	pre := mempool.Spectra.Stats()
 	mempool.Spectra.ResetPeak()
 	const inferRounds = 3
 	for i := 0; i < inferRounds; i++ {
-		if _, err := en.Infer([]*tensor.Tensor{in.Clone()}); err != nil {
+		if _, err := infer1(en, in.Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -243,9 +223,9 @@ func TestInferAllocatesLessThanRound(t *testing.T) {
 
 // TestInferFusedMatchesForward checks the fused-round acceptance property:
 // one K-wide fused inference round's per-volume outputs are bit-identical
-// to K serialized exclusive Forward passes over the same volumes — and to
-// the K=1 fused round, which must be exactly today's Infer. Run under the
-// CI -race job.
+// to K serialized exclusive Forward passes over the same volumes, at K=5
+// and K=1, with lazy updates pending at the training→serving transition.
+// Run under the CI -race job.
 func TestInferFusedMatchesForward(t *testing.T) {
 	en, nw := buildInferNet(t, 4)
 	defer en.Close()
@@ -274,7 +254,7 @@ func TestInferFusedMatchesForward(t *testing.T) {
 		want[v] = outs[0]
 	}
 
-	outs, err := en.InferFused(batch)
+	outs, err := en.Infer(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,20 +268,13 @@ func TestInferFusedMatchesForward(t *testing.T) {
 		}
 	}
 
-	// K=1 fused round ≡ plain Infer ≡ Forward.
-	one, err := en.InferFused(batch[:1])
+	// K=1 round ≡ Forward.
+	one, err := en.Infer(batch[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !one[0][0].Equal(want[0]) {
-		t.Fatal("K=1 fused round differs from serialized Forward")
-	}
-	single, err := en.Infer(batch[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !single[0].Equal(one[0][0]) {
-		t.Fatal("K=1 fused round differs from plain Infer")
+		t.Fatal("K=1 round differs from serialized Forward")
 	}
 }
 
@@ -342,7 +315,7 @@ func TestInferFusedConcurrent(t *testing.T) {
 					idx[v] = (g + rep + v) % nVols
 					batch[v] = []*tensor.Tensor{vols[idx[v]]}
 				}
-				outs, err := en.InferFused(batch)
+				outs, err := en.Infer(batch)
 				if err != nil {
 					errs <- err
 					return
@@ -377,12 +350,12 @@ func TestInferFusedReleasesPool(t *testing.T) {
 	for v := range batch {
 		batch[v] = []*tensor.Tensor{tensor.RandomUniform(rng, nw.InputShape(), -1, 1)}
 	}
-	if _, err := en.InferFused(batch); err != nil { // warm pool classes
+	if _, err := en.Infer(batch); err != nil { // warm pool classes
 		t.Fatal(err)
 	}
 	pre := mempool.Spectra.Stats()
 	for i := 0; i < 3; i++ {
-		if _, err := en.InferFused(batch); err != nil {
+		if _, err := en.Infer(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,7 +398,7 @@ func TestInferProgressUnderSustainedTraining(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 5; i++ {
-		if _, err := en.Infer([]*tensor.Tensor{in.Clone()}); err != nil {
+		if _, err := infer1(en, in.Clone()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -454,7 +427,7 @@ func TestInferDoesNotDisturbTraining(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Inference between A's training rounds only.
-		if _, err := enA.Infer([]*tensor.Tensor{in.Clone()}); err != nil {
+		if _, err := infer1(enA, in.Clone()); err != nil {
 			t.Fatal(err)
 		}
 		lB, err := enB.Round([]*tensor.Tensor{in.Clone()}, []*tensor.Tensor{des.Clone()})

@@ -7,20 +7,19 @@ import (
 	"znn/internal/tensor"
 )
 
-// TrainPipeline is a training session that may keep several rounds in
-// flight at once. StartPipeline acquires the program's round lock
-// exclusively for the whole session (inference, Engine.Round and
-// SetTraining block until Close); within the session, round ordering is
-// enforced per edge by the backward fences described in the package doc
-// instead of per round, so round N's backward tail and lazy update drain
-// overlap round N+1's forward head.
+// TrainPipeline is a training session: the one path every training round
+// takes. StartPipeline acquires the program's round lock exclusively for
+// the whole session (inference, Forward, other sessions and SetTraining
+// block until Close); within the session, round ordering is enforced per
+// edge by the backward fences described in the package doc instead of per
+// round.
 //
-// When the engine was compiled with Config.Pipeline unset the session runs
-// strict: each Submit executes one complete round synchronously through
-// the exact Engine.Round code path, and Wait just reports its result. The
-// two modes expose one API so callers (znn-train, benchsuite) switch with
-// a flag, and the strict mode is the bit-reference the pipelined mode is
-// tested against.
+// Whether rounds overlap is decided by how the caller waits, not by the
+// engine. Waiting each round before submitting the next runs them strictly
+// one after another (every fence is released by then, so admission is
+// immediate) — what Engine.Round does. Submitting round N+1 before waiting
+// round N lets N's backward tail and lazy update drain overlap N+1's
+// forward head.
 //
 // A TrainPipeline is not itself safe for concurrent Submit calls: rounds
 // are ordered by submission, so the caller owns the submission order.
@@ -28,7 +27,6 @@ type TrainPipeline struct {
 	en *Engine
 
 	mu     sync.Mutex
-	seq    uint64 // session round counter (fenceSeq of the next round is seq+1)
 	last   *PendingRound
 	closed bool
 	err    error
@@ -40,68 +38,45 @@ type TrainPipeline struct {
 // completed by the Wait of any later round or by the session's Close.
 type PendingRound struct {
 	tp   *TrainPipeline
-	rs   *RoundState   // nil for strict rounds, which complete at Submit
+	rs   *RoundState
 	prev *PendingRound // predecessor in submission order; nil once waited
 	once sync.Once
 	loss float64
 	err  error
 }
 
-// SetPipeline toggles whether StartPipeline sessions overlap rounds —
-// the post-compile equivalent of Config.Pipeline, for callers that rebuild
-// engines from stored configs (checkpoint resume). It waits for in-flight
-// rounds; it must not be called during an open session.
-func (en *Engine) SetPipeline(on bool) {
-	en.p.roundMu.Lock()
-	defer en.p.roundMu.Unlock()
-	en.p.cfg.Pipeline = on
-}
-
 // StartPipeline opens a training session on the engine. It blocks until
 // every in-flight round (training or inference) has finished, then holds
 // the round lock exclusively until the session's Close — the session owns
-// the engine. Whether rounds overlap is fixed at compile time by
-// Config.Pipeline; see TrainPipeline.
+// the engine.
 func (en *Engine) StartPipeline() *TrainPipeline {
 	en.p.roundMu.Lock()
-	// Session round numbering restarts at 1, gated on the always-released
-	// fence 0; stale fences from a previous session must not admit round 2
-	// early.
-	for _, es := range en.p.edges {
-		es.resetFence()
-	}
 	return &TrainPipeline{en: en}
 }
 
-// Submit starts one training round on the session and returns its handle.
-// In pipelined mode the round's task tree is set in motion immediately —
-// its forward tasks are admitted edge by edge as the previous round's
-// backward fences release — and Submit returns without waiting. In strict
-// mode Submit executes the round to completion (Engine.Round semantics)
-// and the returned handle is already resolved. Submission errors (shape
-// validation, closed session) are returned here; round execution errors
-// come from the handle's Wait.
+// Submit starts one training round on the session and returns its handle
+// without waiting: the round's task tree is set in motion immediately, its
+// forward tasks admitted edge by edge as the previous round's backward
+// fences release. Submission errors (shape validation, closed session) are
+// returned here; round execution errors come from the handle's Wait.
 func (tp *TrainPipeline) Submit(inputs, desired []*tensor.Tensor) (*PendingRound, error) {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
 	if tp.closed {
 		return nil, fmt.Errorf("train: Submit on a closed pipeline session")
 	}
-	if !tp.en.p.cfg.Pipeline {
-		loss, err := tp.en.roundLocked(inputs, desired)
-		pr := &PendingRound{tp: tp, loss: loss, err: err}
-		tp.last = pr
-		return pr, nil
-	}
-	rs, err := tp.en.p.newRound([][]*tensor.Tensor{inputs}, desired, true, false)
+	rs, err := tp.en.p.NewRound(ModeTrain, [][]*tensor.Tensor{inputs}, desired)
 	if err != nil {
 		return nil, err
 	}
-	tp.seq++
-	rs.fenceSeq = tp.seq
+	// Rounds are numbered across sessions: a session's first round gates on
+	// the previous session's last, whose fences its Close left released.
+	p := tp.en.p
+	p.trainSeq++
+	rs.fenceSeq = p.trainSeq
 	pr := &PendingRound{tp: tp, rs: rs, prev: tp.last}
 	tp.last = pr
-	rs.start()
+	rs.Start()
 	return pr, nil
 }
 
@@ -114,14 +89,11 @@ func (pr *PendingRound) Wait() (float64, error) {
 }
 
 func (pr *PendingRound) finish() {
-	if pr.rs == nil {
-		return // strict round: resolved at Submit
-	}
 	if pr.prev != nil {
 		pr.prev.Wait()
 		pr.prev = nil // release the chain for GC
 	}
-	err := pr.rs.wait()
+	err := pr.rs.Wait()
 	// Backstop: release every edge fence this round owns. The normal
 	// release happened per edge inside its backward task; a round that
 	// errored before reaching some edge's backward would otherwise leave
@@ -130,12 +102,18 @@ func (pr *PendingRound) finish() {
 		es.backwardDone(pr.rs.fenceSeq)
 	}
 	if err == nil {
-		// Like Engine.Round, surface the engine's sticky error: a panicked
-		// update task means partially applied weights.
+		// Training also surfaces the engine's sticky error: a panicked
+		// update task means partially applied weights, which no later round
+		// outruns.
 		err = pr.rs.p.sch.Err()
 	}
-	pr.loss = pr.rs.Loss()
 	pr.err = err
+	if err != nil {
+		// An errored round leaves Loss, NodeForward and InputGradient
+		// reporting the last successful one.
+		return
+	}
+	pr.loss = pr.rs.Loss()
 	en := pr.tp.en
 	en.mu.Lock()
 	en.lastLoss = pr.loss

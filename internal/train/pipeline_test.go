@@ -1,34 +1,55 @@
 package train
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
-	"math/rand"
-
 	"znn/internal/chaos"
+	"znn/internal/conv"
 	"znn/internal/net"
+	"znn/internal/plan"
 	"znn/internal/tensor"
 )
 
-// pipelineSamples pre-generates a deterministic training set so strict and
-// pipelined runs consume bit-identical inputs.
-func pipelineSamples(nw *net.Network, rounds int, seed int64) (ins, des []*tensor.Tensor) {
+// pipelineSamples pre-generates a deterministic training set so every round
+// path consumes bit-identical inputs.
+// ins[i] and des[i] are round i's input and desired-output slices.
+func pipelineSamples(nw *net.Network, rounds int, seed int64) (ins, des [][]*tensor.Tensor) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < rounds; i++ {
-		ins = append(ins, tensor.RandomUniform(rng, nw.InputShape(), -1, 1))
-		des = append(des, tensor.RandomUniform(rng, nw.OutputShape(), -0.5, 0.5))
+		in := make([]*tensor.Tensor, len(nw.Inputs))
+		for j := range in {
+			in[j] = tensor.RandomUniform(rng, nw.InputShape(), -1, 1)
+		}
+		d := make([]*tensor.Tensor, len(nw.Outputs))
+		for j := range d {
+			d[j] = tensor.RandomUniform(rng, nw.OutputShape(), -0.5, 0.5)
+		}
+		ins, des = append(ins, in), append(des, d)
 	}
 	return ins, des
 }
 
-// trainRounds runs the training set through Engine.Round (the pre-pipeline
-// reference path) and returns the loss trajectory.
-func trainRounds(t *testing.T, en *Engine, ins, des []*tensor.Tensor) []float64 {
+// cloneAll deep-copies one round's tensors, so paths that train on the
+// same sample set never share (or mutate) each other's buffers.
+func cloneAll(ts []*tensor.Tensor) []*tensor.Tensor {
+	out := make([]*tensor.Tensor, len(ts))
+	for i, t := range ts {
+		out[i] = t.Clone()
+	}
+	return out
+}
+
+// trainRounds runs the training set through Engine.Round and returns the
+// loss trajectory.
+func trainRounds(t *testing.T, en *Engine, ins, des [][]*tensor.Tensor) []float64 {
 	t.Helper()
 	losses := make([]float64, len(ins))
 	for i := range ins {
-		loss, err := en.Round([]*tensor.Tensor{ins[i].Clone()}, []*tensor.Tensor{des[i].Clone()})
+		loss, err := en.Round(cloneAll(ins[i]), cloneAll(des[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,16 +60,15 @@ func trainRounds(t *testing.T, en *Engine, ins, des []*tensor.Tensor) []float64 
 
 // trainPipeline runs the training set through a StartPipeline session with
 // ahead rounds submitted before the oldest is waited (ahead 0 waits each
-// round before submitting the next; strict sessions resolve at Submit, so
-// ahead is moot there).
-func trainPipeline(t *testing.T, en *Engine, ins, des []*tensor.Tensor, ahead int) []float64 {
+// round before submitting the next).
+func trainPipeline(t *testing.T, en *Engine, ins, des [][]*tensor.Tensor, ahead int) []float64 {
 	t.Helper()
 	tp := en.StartPipeline()
 	losses := make([]float64, len(ins))
 	pending := make([]*PendingRound, 0, ahead+1)
 	next := 0 // index of the oldest unwaited round
 	for i := range ins {
-		pr, err := tp.Submit([]*tensor.Tensor{ins[i].Clone()}, []*tensor.Tensor{des[i].Clone()})
+		pr, err := tp.Submit(cloneAll(ins[i]), cloneAll(des[i]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,70 +114,226 @@ func sameTrajectory(t *testing.T, label string, wantLoss, gotLoss []float64, wan
 	}
 }
 
-// TestStrictPipelineMatchesRound is the escape-hatch guarantee: a session
-// with Config.Pipeline unset must produce the exact Engine.Round loss
-// trajectory and weights — strict mode IS the pre-pipeline semantics. Runs
-// on a width-3 net: strict shares Round's code path, so bit-identity holds
-// at any fan-in.
-func TestStrictPipelineMatchesRound(t *testing.T) {
-	o := net.BuildOptions{Width: 3, OutputExtent: 2, Seed: 11}
-	ref, str := buildPair(t, "C3-Ttanh-C3", o)
-	ins, des := pipelineSamples(ref, 6, 12)
-
-	enRef, err := NewEngine(ref.G, Config{Workers: 2, Eta: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refLoss := trainRounds(t, enRef, ins, des)
-	if err := enRef.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	enStr, err := NewEngine(str.G, Config{Workers: 2, Eta: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	strLoss := trainPipeline(t, enStr, ins, des, 2)
-	if err := enStr.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sameTrajectory(t, "strict session", refLoss, strLoss, ref, str)
+// roundPathRegimes are the convolution regimes TestRoundPathEquivalence
+// sweeps. Every net is width 2 — fan-in 2 everywhere, so each wait-free
+// join is one commutative float add and results are bit-identical whatever
+// order contributions arrive in (the repo's width-2 bit-exactness
+// convention). build returns a fresh, identically seeded network and the
+// engine config that runs it.
+var roundPathRegimes = []struct {
+	name  string
+	build func(t *testing.T) (*net.Network, Config)
+}{
+	{"forced-fft", func(t *testing.T) (*net.Network, Config) {
+		return buildForced(t, conv.TuneForceFFT), Config{Eta: 0.05}
+	}},
+	{"forced-direct", func(t *testing.T) (*net.Network, Config) {
+		return buildForced(t, conv.TuneForceDirect), Config{Eta: 0.05}
+	}},
+	{"planned-mixed", func(t *testing.T) (*net.Network, Config) {
+		// The smallest width-2 shape class the planner splits: the 2³ layer
+		// runs direct, the 7³ layer FFT at f32.
+		nw, err := net.Build(net.MustParse("C2-Ttanh-C7"), net.BuildOptions{
+			Width: 2, OutWidth: 2, OutputExtent: 16, Seed: 23,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := plan.Build(nw.LayerGeoms(), plan.Config{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Methods()) < 2 {
+			t.Fatalf("planned regime runs a single method: %v", p.Methods())
+		}
+		return nw, Config{Eta: 0.05, Plan: p}
+	}},
 }
 
-// TestPipelinedMatchesStrict asserts the fencing itself preserves the
-// arithmetic: on a width-2 net (fan-in 2 everywhere, so every join is a
-// commutative two-term float add — the repo's width-2 bit-exactness
-// convention) the pipelined trajectory equals strict bit for bit, at 1
-// worker (where no overlap is even possible) and at 4 workers (where round
-// N+1's forward genuinely interleaves with round N's tail).
-func TestPipelinedMatchesStrict(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(map[int]string{1: "1worker", 4: "4workers"}[workers], func(t *testing.T) {
-			o := net.BuildOptions{Width: 2, OutputExtent: 2, Seed: 13}
-			ref, pip := buildPair(t, "C3-Ttanh-C3", o)
-			ins, des := pipelineSamples(ref, 8, 14)
+func buildForced(t *testing.T, policy conv.TunePolicy) *net.Network {
+	t.Helper()
+	nw, err := net.Build(net.MustParse("C3-Ttanh-C3"), net.BuildOptions{
+		Width: 2, OutputExtent: 4, Seed: 13,
+		Tuner: &conv.Autotuner{Policy: policy}, Memoize: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nw
+}
 
-			enRef, err := NewEngine(ref.G, Config{Workers: workers, Eta: 0.05})
-			if err != nil {
-				t.Fatal(err)
-			}
-			refLoss := trainRounds(t, enRef, ins, des)
-			if err := enRef.Close(); err != nil {
-				t.Fatal(err)
-			}
+// TestRoundPathEquivalence is the invariant table of the one round path:
+// across forced-FFT, forced-direct and planned mixed-method nets at 1, 2
+// and 4 workers,
+//
+//   - training through an Engine.Round loop, through a session that waits
+//     each round before submitting the next, and through a session that
+//     keeps one round submitted ahead yields bitwise-equal loss
+//     trajectories and final weights;
+//   - Infer at K=1, volume v of Infer at K=4, and Infer called from 4
+//     goroutines at once each equal the serialized exclusive Forward pass
+//     bit for bit — with the last training round's lazy updates still
+//     pending when inference starts.
+func TestRoundPathEquivalence(t *testing.T) {
+	const rounds, k = 5, 4
+	for _, regime := range roundPathRegimes {
+		for _, workers := range []int{1, 2, 4} {
+			regime, workers := regime, workers
+			t.Run(fmt.Sprintf("%s/%dworkers", regime.name, workers), func(t *testing.T) {
+				open := func() (*net.Network, *Engine) {
+					nw, cfg := regime.build(t)
+					cfg.Workers = workers
+					en, err := NewEngine(nw.G, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return nw, en
+				}
+				ref, enRef := open()
+				ins, des := pipelineSamples(ref, rounds, 14)
+				refLoss := trainRounds(t, enRef, ins, des)
+				checkInferPaths(t, ref, enRef, k)
+				if err := enRef.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for _, ahead := range []int{0, 1} {
+					nw, en := open()
+					loss := trainPipeline(t, en, ins, des, ahead)
+					if err := en.Close(); err != nil {
+						t.Fatal(err)
+					}
+					sameTrajectory(t, fmt.Sprintf("session lag %d", ahead), refLoss, loss, ref, nw)
+				}
+			})
+		}
+	}
+}
 
-			enPip, err := NewEngine(pip.G, Config{Workers: workers, Eta: 0.05, Pipeline: true})
+// checkInferPaths asserts every way into a forward-only round agrees with
+// the serialized Forward pass on k random volumes.
+func checkInferPaths(t *testing.T, nw *net.Network, en *Engine, k int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(15))
+	batch := make([][]*tensor.Tensor, k)
+	want := make([]*tensor.Tensor, k)
+	for v := range batch {
+		in := tensor.RandomUniform(rng, nw.InputShape(), -1, 1)
+		batch[v] = []*tensor.Tensor{in}
+		outs, err := en.Forward([]*tensor.Tensor{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[v] = outs[0]
+	}
+	one, err := en.Infer(batch[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !one[0][0].Equal(want[0]) {
+		t.Error("Infer K=1 differs from Forward")
+	}
+	fused, err := en.Infer(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := range fused {
+		if !fused[v][0].Equal(want[v]) {
+			t.Errorf("Infer K=%d volume %d differs from Forward", k, v)
+		}
+	}
+	var wg sync.WaitGroup
+	for v := range batch {
+		wg.Add(1)
+		go func(v int) {
+			defer wg.Done()
+			outs, err := en.Infer(batch[v : v+1])
 			if err != nil {
-				t.Fatal(err)
+				t.Error(err)
+				return
 			}
-			// Keep 3 rounds in flight: deep enough that fences — not the
-			// submission loop — are what orders the rounds.
-			pipLoss := trainPipeline(t, enPip, ins, des, 3)
-			if err := enPip.Close(); err != nil {
-				t.Fatal(err)
+			if !outs[0][0].Equal(want[v]) {
+				t.Errorf("concurrent Infer of volume %d differs from Forward", v)
 			}
-			sameTrajectory(t, "pipelined", refLoss, pipLoss, ref, pip)
-		})
+		}(v)
+	}
+	wg.Wait()
+}
+
+// TestSubmitReportsValidationErrors pins where errors surface: a round that
+// fails validation is rejected by Submit itself — no handle, nothing to
+// Wait — and the session stays usable.
+func TestSubmitReportsValidationErrors(t *testing.T) {
+	nw := buildForced(t, conv.TuneForceFFT)
+	ins, des := pipelineSamples(nw, 1, 19)
+	en, err := NewEngine(nw.G, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer en.Close()
+	tp := en.StartPipeline()
+	defer tp.Close()
+
+	bad := tensor.New(tensor.Cube(1))
+	if pr, err := tp.Submit([]*tensor.Tensor{bad}, des[0]); err == nil || pr != nil {
+		t.Fatalf("Submit with a mis-shaped input = (%v, %v), want (nil, error)", pr, err)
+	}
+	if pr, err := tp.Submit(ins[0], []*tensor.Tensor{bad}); err == nil || pr != nil {
+		t.Fatalf("Submit with a mis-shaped target = (%v, %v), want (nil, error)", pr, err)
+	}
+	pr, err := tp.Submit(ins[0], des[0])
+	if err != nil {
+		t.Fatalf("Submit after rejected rounds: %v", err)
+	}
+	if _, err := pr.Wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestErroredRoundKeepsLastSuccessfulState faults a session round at the
+// round.dispatch chaos point and asserts the engine's round-reporting state
+// — Loss, NodeForward, InputGradient — still describes the last round that
+// succeeded.
+func TestErroredRoundKeepsLastSuccessfulState(t *testing.T) {
+	nw := buildForced(t, conv.TuneForceFFT)
+	ins, des := pipelineSamples(nw, 2, 20)
+	en, err := NewEngine(nw.G, Config{Workers: 2, Eta: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer en.Close()
+
+	loss, err := en.Round(ins[0], des[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	outName := nw.Outputs[0].Name
+	img, grad := en.NodeForward(outName), en.InputGradient(0)
+	if img == nil || grad == nil {
+		t.Fatal("no round state after a successful round")
+	}
+
+	chaos.Set("round.dispatch", chaos.Fault{Panic: "faulted round", Count: 1})
+	defer chaos.ClearAll()
+	tp := en.StartPipeline()
+	pr, err := tp.Submit(ins[1], des[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pr.Wait(); err == nil || !strings.Contains(err.Error(), "faulted round") {
+		t.Fatalf("faulted round error = %v, want the injected fault", err)
+	}
+	if err := tp.Close(); err == nil {
+		t.Fatal("Close after a faulted last round returned nil")
+	}
+
+	if got := en.Loss(); got != loss {
+		t.Errorf("Loss() = %v after an errored round, want the last successful %v", got, loss)
+	}
+	if en.NodeForward(outName) != img {
+		t.Error("NodeForward reports the errored round")
+	}
+	if en.InputGradient(0) != grad {
+		t.Error("InputGradient reports the errored round")
 	}
 }
 
@@ -172,7 +348,7 @@ func TestPipelineErrorDoesNotWedgeSuccessor(t *testing.T) {
 		t.Fatal(err)
 	}
 	ins, des := pipelineSamples(nw, 3, 16)
-	en, err := NewEngine(nw.G, Config{Workers: 2, Eta: 0.05, Pipeline: true})
+	en, err := NewEngine(nw.G, Config{Workers: 2, Eta: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +360,7 @@ func TestPipelineErrorDoesNotWedgeSuccessor(t *testing.T) {
 	tp := en.StartPipeline()
 	var prs []*PendingRound
 	for i := range ins {
-		pr, err := tp.Submit([]*tensor.Tensor{ins[i]}, []*tensor.Tensor{des[i]})
+		pr, err := tp.Submit(ins[i], des[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,20 +382,20 @@ func TestPipelineErrorDoesNotWedgeSuccessor(t *testing.T) {
 
 // TestPipelineSubmitAfterClose pins the session lifecycle: Submit on a
 // closed session fails, Close is idempotent, and the engine is usable
-// (strictly) again after the session ends.
+// again after the session ends.
 func TestPipelineSubmitAfterClose(t *testing.T) {
 	nw, err := net.Build(net.MustParse("C2-Ttanh"), net.BuildOptions{Width: 2, OutputExtent: 2, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ins, des := pipelineSamples(nw, 1, 18)
-	en, err := NewEngine(nw.G, Config{Workers: 2, Pipeline: true})
+	en, err := NewEngine(nw.G, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer en.Close()
 	tp := en.StartPipeline()
-	if _, err := tp.Submit([]*tensor.Tensor{ins[0]}, []*tensor.Tensor{des[0]}); err != nil {
+	if _, err := tp.Submit(ins[0], des[0]); err != nil {
 		t.Fatal(err)
 	}
 	if err := tp.Close(); err != nil {
@@ -228,10 +404,10 @@ func TestPipelineSubmitAfterClose(t *testing.T) {
 	if err := tp.Close(); err != nil {
 		t.Fatal("second Close:", err)
 	}
-	if _, err := tp.Submit([]*tensor.Tensor{ins[0]}, []*tensor.Tensor{des[0]}); err == nil {
+	if _, err := tp.Submit(ins[0], des[0]); err == nil {
 		t.Fatal("Submit on a closed session succeeded")
 	}
-	if _, err := en.Round([]*tensor.Tensor{ins[0]}, []*tensor.Tensor{des[0]}); err != nil {
+	if _, err := en.Round(ins[0], des[0]); err != nil {
 		t.Fatalf("Round after session close: %v", err)
 	}
 }

@@ -152,12 +152,12 @@ func TestPlannedBudgetHoldsMeasured(t *testing.T) {
 
 	// One warm round fills kernel spectra and the pools' size classes;
 	// the measured round then reflects the steady serving state.
-	if _, err := en.InferFused(batch); err != nil {
+	if _, err := en.Infer(batch); err != nil {
 		t.Fatal(err)
 	}
 	mempool.Spectra.ResetPeak()
 	mempool.Spectra32.ResetPeak()
-	outs, err := en.InferFused(batch)
+	outs, err := en.Infer(batch)
 	if err != nil {
 		t.Fatal(err)
 	}

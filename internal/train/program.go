@@ -11,11 +11,13 @@
 //     through training rounds, which are exclusive).
 //   - RoundState (round.go) is everything one round in flight mutates:
 //     per-node wait-free sums, spectrum caches, forward/backward images,
-//     the loss accumulator and the round-scoped task fan-out. Training
-//     rounds hold the Program's round lock exclusively; forward-only
-//     inference rounds hold it shared, so N of them run concurrently on
-//     the one scheduler and mempool — the regime ZNNi (Zlateski et al.,
-//     2016) shows maximizes CPU inference throughput.
+//     the loss accumulator and the round-scoped task fan-out. Every round
+//     — K-wide inference, exclusive forward, training — is built by the one
+//     constructor, Program.NewRound. Training sessions hold the Program's
+//     round lock exclusively; forward-only inference rounds hold it shared,
+//     so N of them run concurrently on the one scheduler and mempool — the
+//     regime ZNNi (Zlateski et al., 2016) shows maximizes CPU inference
+//     throughput.
 //
 // Each training round (one stochastic gradient iteration) proceeds exactly
 // as in the paper: a data-provider task publishes the input images and
@@ -38,15 +40,18 @@
 // of it is settled the moment round N's backward task on e has run — the
 // backward transform has consumed the recorded forward state and the
 // round-N update task has been swapped into the edge's slot, where FORCE
-// orders it before any later forward on e. That per-edge fence is what a
-// pipelined training session (Engine.StartPipeline) enforces: round N+1's
-// forward task on e is withheld until edge e's round-N backward completed,
-// and nothing else — so the tail of round N's backward sweep and its lazy
-// update drain overlap the head of round N+1's forward sweep. The strict
-// path (Engine.Round, or a session with Config.Pipeline unset) instead
-// serializes whole rounds behind the program's round lock, exactly the
-// pre-pipelining semantics; it remains the bit-reference the pipelined
-// mode is tested against.
+// orders it before any later forward on e. That per-edge fence is the one
+// ordering every training round runs under: round N+1's forward task on e
+// is withheld until edge e's round-N backward completed, and nothing else.
+//
+// Training therefore has a single path — a session (Engine.StartPipeline)
+// whose rounds are Submitted and Waited — and overlap is a consequence of
+// how the caller waits, not a mode of the engine. Waiting each round before
+// submitting the next (what Engine.Round does) finds every fence already
+// released, so admission is immediate and rounds run strictly one after
+// another; submitting round N+1 before waiting round N lets the tail of
+// N's backward sweep and its lazy update drain overlap the head of N+1's
+// forward sweep. Per-edge arithmetic is identical either way.
 package train
 
 import (
@@ -91,27 +96,15 @@ type Config struct {
 	// rebuilds the edge's transformer to the planned (method, precision)
 	// instead of applying the global Precision. Edges whose geometry the
 	// plan does not cover fall back to the global Precision. The plan's
-	// fused width K is advisory to round builders (see Engine.Plan).
+	// fused width K is advisory to round builders.
 	Plan *plan.Plan
-	// Pipeline enables overlapped training sessions: when set, a session
-	// opened with Engine.StartPipeline admits round N+1's forward task on
-	// edge e as soon as edge e's round-N backward task has completed (the
-	// per-edge fence described in the package doc), instead of waiting for
-	// the whole of round N. When unset, StartPipeline sessions run strict —
-	// each Submit executes a complete round exactly like Engine.Round, the
-	// bit-reference semantics. Engine.Round and Forward are always strict
-	// regardless of this flag.
-	Pipeline bool
 	// DisableSpectral turns off spectral accumulation. By default, when
 	// every edge converging on a node is an FFT convolution with identical
 	// geometry, the edges sum their FFT-domain products and the node runs
 	// a single inverse transform — the execution model assumed by the
 	// paper's Table II costs (f′ inverse transforms per layer instead of
-	// f′·f). The accumulated buffers use whatever spectrum layout the
-	// edges' method dictates: Hermitian-packed half-spectra for the
-	// default r2c path (conv.FFT), full complex volumes for the legacy
-	// c2c path (conv.FFTC2C); the Transformer products and finishers keep
-	// the layout internal, so the engine only moves opaque buffers.
+	// f′·f). The Transformer products and finishers keep the spectrum
+	// layout internal, so the engine only moves opaque buffers.
 	DisableSpectral bool
 }
 
@@ -154,8 +147,8 @@ type edgeState struct {
 	// update is the update task created by the previous round's backward
 	// pass; the next forward pass forces it (Algorithm 1).
 	update *sched.Task
-	// bwdSeq is the per-edge fence of a pipelined training session: the
-	// highest session round whose backward task on this edge has completed
+	// bwdSeq is the per-edge training fence: the highest training round
+	// whose backward task on this edge has completed
 	// (or been force-released by the round's completion backstop). waiters
 	// are the callbacks — enqueues of the next round's gated forward
 	// wrappers — parked until bwdSeq reaches their round's predecessor.
@@ -225,16 +218,6 @@ func (es *edgeState) whenBackward(seq uint64, fn func()) {
 	es.mu.Unlock()
 }
 
-// resetFence rewinds the edge's fence for a new pipelined session (session
-// round numbering restarts at 1). The caller holds the round lock
-// exclusively, so no waiter can be parked here.
-func (es *edgeState) resetFence() {
-	es.mu.Lock()
-	es.bwdSeq = 0
-	es.waiters = nil
-	es.mu.Unlock()
-}
-
 // Program is the immutable compiled form of a computation graph: topology,
 // edge transformers, weights, cached kernel spectra, and the shared
 // scheduler. Rounds execute against it through RoundState values; any
@@ -249,11 +232,14 @@ type Program struct {
 	nodes   []nodeInfo
 	edges   []*edgeState
 
-	// roundMu orders rounds: training and compat forward rounds take it
-	// exclusively (they mutate cross-round op state), inference rounds
-	// take it shared. Weight-mutating update tasks are drained before the
-	// first shared round is admitted (see acquireInfer).
+	// roundMu orders rounds: training sessions and exclusive forward
+	// rounds take it exclusively (they mutate cross-round op state),
+	// inference rounds take it shared. Weight-mutating update tasks are
+	// drained before the first shared round is admitted (see AcquireInfer).
 	roundMu sync.RWMutex
+	// trainSeq numbers training rounds (RoundState.fenceSeq) for the
+	// per-edge fences; guarded by roundMu held exclusively.
+	trainSeq uint64
 }
 
 // Compile turns the graph into an executable Program. The graph must
@@ -335,41 +321,9 @@ func Compile(g *graph.Graph, cfg Config) (*Program, error) {
 	return p, nil
 }
 
-// Workers returns the number of scheduler workers.
-func (p *Program) Workers() int { return p.cfg.Workers }
-
-// Plan returns the execution plan the program was compiled from, or nil
-// when the edges run their individually autotuned methods.
-func (p *Program) Plan() *plan.Plan { return p.cfg.Plan }
-
-// Scheduler returns the program's shared scheduler (stats, draining).
-func (p *Program) Scheduler() *sched.Engine { return p.sch }
-
-// NewInferRound builds (without running) one K-wide fused inference round:
-// batch[v] is volume v's input slice in g.Inputs() order, and all K volumes
-// flow through a single task tree — each edge sweep loads the kernel
-// spectrum once for K pointwise products, and each summing node runs one
-// inverse transform per volume. The caller must hold an inference
-// admission (Engine.InferFused wraps admission, execution and output
-// demux; this constructor exists for callers composing their own round
-// lifecycle). K = 1 is exactly an ordinary inference round.
-func (p *Program) NewInferRound(batch [][]*tensor.Tensor) (*RoundState, error) {
-	return p.newRound(batch, nil, false, true)
-}
-
-// AcquireInfer admits forward-only rounds and returns the matching release
-// function. It is the exported admission hook for streaming executors that
-// compose their own round lifecycle over NewInferRound: a whole-volume
-// tiler acquires once, keeps a bounded window of fused rounds in flight
-// (RoundState.Start/Wait), and releases when the stream ends — instead of
-// paying the pending-update drain check per block. While held, training
-// rounds wait; with Engine.InferFused and friends it shares the ordinary
-// shared round lock, so admissions coexist.
-func (p *Program) AcquireInfer() (release func()) { return p.acquireInfer() }
-
 // Err surfaces the engine's sticky scheduler error (a panicked update task
 // means partially applied weights — every later result is suspect).
-// Callers composing rounds via NewInferRound should check it after waits.
+// Callers composing rounds via NewRound should check it after waits.
 func (p *Program) Err() error { return p.sch.Err() }
 
 // InputShapes returns the required shape of each round input, in
@@ -392,17 +346,22 @@ func (p *Program) OutputShapes() []tensor.Shape {
 	return out
 }
 
-// acquireInfer admits a forward-only round and returns the matching
-// release function. Normally it takes the round lock shared, first making
-// sure no lazily pending update task can mutate weights while inference
-// rounds are in flight (the drain runs under the exclusive lock so it
-// cannot race with a training round spawning new updates, and the
-// admission loop re-checks under the shared lock). Sustained training
-// leaves fresh lazy updates after every round, which could starve that
-// retry loop forever — so after a few attempts the round is admitted
-// holding the exclusive lock instead: serialized with training but
-// guaranteed to make progress.
-func (p *Program) acquireInfer() (release func()) {
+// AcquireInfer admits forward-only rounds and returns the matching release
+// function. Engine.Infer takes it per call; a streaming executor that
+// composes its own round lifecycle over NewRound (the whole-volume tiler)
+// acquires once, keeps a bounded window of fused rounds in flight
+// (RoundState.Start/Wait), and releases when the stream ends — instead of
+// paying the pending-update drain check per block. Admissions coexist.
+//
+// Normally it takes the round lock shared, first making sure no lazily
+// pending update task can mutate weights while inference rounds are in
+// flight (the drain runs under the exclusive lock so it cannot race with a
+// training round spawning new updates, and the admission loop re-checks
+// under the shared lock). Sustained training leaves fresh lazy updates
+// after every round, which could starve that retry loop forever — so after
+// a few attempts the round is admitted holding the exclusive lock instead:
+// serialized with training but guaranteed to make progress.
+func (p *Program) AcquireInfer() (release func()) {
 	for attempt := 0; attempt < 3; attempt++ {
 		p.roundMu.RLock()
 		if _, upd := p.sch.Pending(); upd == 0 {

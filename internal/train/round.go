@@ -17,7 +17,7 @@ import (
 // side is K-wide — one wait-free accumulator, one published image and
 // (lazily) one cached spectrum per volume of the round's batch — while the
 // backward side stays singular: only training rounds run backward, and
-// training rounds are exclusive with K = 1. Accumulators come from the
+// training rounds have K = 1. Accumulators come from the
 // wsum free lists, so N rounds in flight get private sums.
 type roundNode struct {
 	fwdSums  []*wsum.Sum        // per-volume tensor accumulators
@@ -74,6 +74,23 @@ func (rn *roundNode) BwdImage() *tensor.Tensor {
 	return rn.bwdImg
 }
 
+// Mode selects what a round does and which cross-round state it may touch.
+type Mode int
+
+const (
+	// ModeInfer is a forward-only round of any batch width K that touches no
+	// cross-round op state (dropout in inference mode, no Jacobian or memo
+	// recording), so any number run concurrently under AcquireInfer.
+	ModeInfer Mode = iota
+	// ModeForward is an exclusive, stateful K=1 forward pass: ops record
+	// their Jacobian inputs and dropout honours SetTraining, exactly as a
+	// training round's forward phase (Engine.Forward).
+	ModeForward
+	// ModeTrain is a K=1 gradient iteration — forward, loss, backward, lazy
+	// updates — numbered and ordered by its TrainPipeline session.
+	ModeTrain
+)
+
 // RoundState is one round in flight: a private fan-out of tasks over the
 // shared Program. The batch width K is a first-class property of the
 // round: a fused inference round carries K volumes through one task tree,
@@ -83,22 +100,21 @@ func (rn *roundNode) BwdImage() *tensor.Tensor {
 // additionally carry the desired outputs, the loss accumulator and
 // backward sums, and always have K = 1; inference rounds (infer = true)
 // never allocate backward accumulators and never touch cross-round op
-// state, which is what lets many of them run concurrently. K = 1 inference
-// rounds execute the exact code path they always did, so their outputs
-// stay bit-identical.
+// state, which is what lets many of them run concurrently.
 type RoundState struct {
 	p        *Program
 	sr       *sched.Round
-	backward bool
-	infer    bool
+	backward bool               // ModeTrain
+	infer    bool               // ModeInfer
 	k        int                // batch width (volumes per round)
 	batch    [][]*tensor.Tensor // batch[v] is volume v's input images
 	desired  []*tensor.Tensor
 	nodes    []roundNode
-	// fenceSeq is the round's 1-based sequence number within a pipelined
-	// training session, or 0 for strict/inference rounds. A non-zero
-	// fenceSeq gates every forward task on its edge's round-(fenceSeq-1)
-	// backward fence instead of enqueueing it directly (see fanOutForward).
+	// fenceSeq is a training round's 1-based sequence number on its Program
+	// (set by TrainPipeline.Submit before Start): every forward task
+	// is gated on its edge's round-(fenceSeq-1) backward fence, and every
+	// backward task releases the edge's fence at fenceSeq (see
+	// fanOutForward).
 	fenceSeq uint64
 
 	mu          sync.Mutex
@@ -106,16 +122,25 @@ type RoundState struct {
 	outputsLeft int
 }
 
-// newRound validates the round's inputs against the graph and allocates
-// the per-round state. batch holds one input slice per volume; only
-// inference rounds may carry more than one volume. Exactly one accumulator
-// per volume is drawn per summing node side — the spectral one when the
-// node's edges sum in the FFT domain, the tensor one otherwise — and
-// backward accumulators only for training rounds, so forward-only rounds
-// allocate strictly less. Inference rounds run their spectrum caches
-// pooled: they never memoize, so the buffers can return to the spectra
-// pools through the release hook instead of becoming per-round garbage.
-func (p *Program) newRound(batch [][]*tensor.Tensor, desired []*tensor.Tensor, backward, infer bool) (*RoundState, error) {
+// NewRound is the one way work enters the engine: it validates the round's
+// inputs against the graph and builds (without running) the per-round
+// state. batch holds one input slice per volume in g.Inputs() order; only
+// ModeInfer rounds may carry more than one volume, and all K volumes flow
+// through a single task tree. desired is the ModeTrain target in
+// g.Outputs() order (nil otherwise). The caller must hold the matching
+// admission — AcquireInfer for ModeInfer, the exclusive round lock for the
+// other two (Engine.Forward and TrainPipeline do) — and runs the round
+// with Start/Wait.
+//
+// Exactly one accumulator per volume is drawn per summing node side — the
+// spectral one when the node's edges sum in the FFT domain, the tensor one
+// otherwise — and backward accumulators only for training rounds, so
+// forward-only rounds allocate strictly less. Inference rounds run their
+// spectrum caches pooled: they never memoize, so the buffers can return to
+// the spectra pools through the release hook instead of becoming per-round
+// garbage.
+func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tensor.Tensor) (*RoundState, error) {
+	backward, infer := mode == ModeTrain, mode == ModeInfer
 	k := len(batch)
 	if k == 0 {
 		return nil, fmt.Errorf("train: empty round batch")
@@ -190,36 +215,18 @@ func (p *Program) newRound(batch [][]*tensor.Tensor, desired []*tensor.Tensor, b
 	return rs, nil
 }
 
-// run executes the round to completion: it spawns the data-provider task
-// (Fig. 3, orange node) and waits for the round's own task tree — other
-// rounds in flight and lazy update tasks are not waited on. The
-// accumulators return to their free lists — and pooled spectrum-cache
-// buffers to the spectra pools — before run returns; the published images
-// in rs.nodes stay valid. The returned error is round-local (sched
-// attributes a round task's panic to its Round), so one failing round in
-// flight does not poison concurrent or later rounds; update-task panics
-// stay on the engine's sticky error, surfaced by the exclusive entry
-// points and Drain/Close.
+// run executes the round to completion (Start then Wait).
 func (rs *RoundState) run() error {
-	rs.start()
-	return rs.wait()
+	rs.Start()
+	return rs.Wait()
 }
 
-// Start spawns the round's task tree without waiting for it — the submit
-// half of a streaming executor that keeps several inference rounds in
-// flight (the caller must hold an inference admission, see
-// Program.AcquireInfer). Pair every Start with exactly one Wait.
-func (rs *RoundState) Start() { rs.start() }
-
-// Wait blocks until a Started round's task tree completes, releases the
-// round's pooled buffers, and returns the round-local error. The published
-// output images (Outputs/OutputsAt) stay valid after Wait.
-func (rs *RoundState) Wait() error { return rs.wait() }
-
-// start spawns the round's data-provider task (Fig. 3, orange node),
-// setting the task tree in motion without waiting for it — the pipelined
-// session's Submit half. Strict callers use run.
-func (rs *RoundState) start() {
+// Start spawns the round's data-provider task (Fig. 3, orange node),
+// setting the task tree in motion without waiting for it — the submit half
+// of every executor that keeps several rounds in flight (a training
+// session's Submit, the tiler's window). Pair every Start with exactly one
+// Wait.
+func (rs *RoundState) Start() {
 	providerPrio := int64(1 << 30) // runs before any forward task
 	rs.sr.Spawn(sched.Work, providerPrio, func() {
 		// The "round.dispatch" chaos point fires inside the round's own
@@ -246,9 +253,15 @@ func (rs *RoundState) start() {
 	})
 }
 
-// wait blocks until the round's task tree has completed, then releases the
-// round's accumulators — the pipelined session's Wait half.
-func (rs *RoundState) wait() error {
+// Wait blocks until the round's own task tree has completed — other rounds
+// in flight and lazy update tasks are not waited on — then returns the
+// round's accumulators to their free lists and pooled spectrum-cache
+// buffers to the spectra pools; the published images (Outputs/OutputsAt)
+// stay valid. The returned error is round-local (sched attributes a round
+// task's panic to its Round), so one failing round in flight does not
+// poison concurrent or later rounds; update-task panics stay on the
+// engine's sticky error (Program.Err).
+func (rs *RoundState) Wait() error {
 	rs.sr.Wait()
 	rs.release()
 	return rs.sr.Err()
@@ -302,9 +315,6 @@ func (rs *RoundState) OutputsAt(v int) []*tensor.Tensor {
 	return outs
 }
 
-// Width returns the round's batch width K.
-func (rs *RoundState) Width() int { return rs.k }
-
 // Loss returns the loss computed by the round's loss-gradient task.
 func (rs *RoundState) Loss() float64 {
 	rs.mu.Lock()
@@ -313,22 +323,22 @@ func (rs *RoundState) Loss() float64 {
 }
 
 // fanOutForward enqueues the forward tasks of node's out-edges, each
-// consuming the node's K published images, as one scheduler batch (a fused
-// round's task counts scale with K, so per-task lock traffic would too).
-// Inference rounds skip the FORCE bookkeeping entirely: acquireInfer
-// drained all pending update tasks before the round was admitted, so there
-// is nothing to force and no cross-round edge state to touch (Algorithm 1,
-// FORWARD-TASK + FORCE).
+// consuming the node's K published images.
 //
-// Pipelined training rounds (fenceSeq > 0) take a third path: each
-// out-edge's forward wrapper is created — and counted against the round —
-// immediately, but enqueued only once the edge's fence reports the
-// previous session round's backward task on that edge completed. The
-// wrapper body is then exactly the strict one (FORCE the pending update,
-// run the forward), so per-edge arithmetic is identical; only admission
-// timing differs.
+// Training rounds gate each out-edge on its per-edge fence: the forward
+// wrapper is created — and counted against the round — immediately, but
+// enqueued only once the edge's fence reports the previous training round's
+// backward task on that edge completed (immediately, when the caller
+// waited that round already). The wrapper then FORCEs the edge's pending
+// update and runs the forward (Algorithm 1, FORWARD-TASK + FORCE).
+//
+// Forward-only rounds skip the FORCE bookkeeping entirely: their admission
+// drained all pending update tasks, so there is nothing to force and no
+// cross-round edge state to order. Their tasks go out as one scheduler
+// batch (a fused round's task counts scale with K, so per-task lock
+// traffic would too).
 func (rs *RoundState) fanOutForward(n *graph.Node, imgs []*tensor.Tensor) {
-	if rs.fenceSeq > 0 {
+	if rs.backward {
 		for _, e := range n.Out {
 			e := e
 			es := rs.p.edges[e.ID]
@@ -347,18 +357,8 @@ func (rs *RoundState) fanOutForward(n *graph.Node, imgs []*tensor.Tensor) {
 	specs := make([]sched.TaskSpec, len(n.Out))
 	for i, e := range n.Out {
 		e := e
-		if rs.infer {
-			specs[i] = sched.TaskSpec{Prio: e.To.FwdPrio, Fn: func() {
-				rs.doForward(e, imgs)
-			}}
-			continue
-		}
-		es := rs.p.edges[e.ID]
 		specs[i] = sched.TaskSpec{Prio: e.To.FwdPrio, Fn: func() {
-			sub := rs.sr.NewTask(sched.Work, e.To.FwdPrio, func() {
-				rs.doForward(e, imgs)
-			})
-			rs.p.sch.Force(es.pendingUpdate(), sub)
+			rs.doForward(e, imgs)
 		}}
 	}
 	rs.sr.SpawnBatch(specs)
@@ -504,12 +504,9 @@ func (rs *RoundState) doBackward(e *graph.Edge, img *tensor.Tensor) {
 	// All cross-round edge state is settled: the backward transform has
 	// consumed the op's recorded forward inputs and this round's update
 	// task (if any) sits in the edge slot where FORCE orders it. Release
-	// the edge's fence so a pipelined successor round's forward on e can be
-	// admitted — the source-sum join below is round-local and need not hold
-	// it back.
-	if rs.fenceSeq > 0 {
-		rs.p.edges[e.ID].backwardDone(rs.fenceSeq)
-	}
+	// the edge's fence so a successor round's forward on e can be admitted —
+	// the source-sum join below is round-local and need not hold it back.
+	rs.p.edges[e.ID].backwardDone(rs.fenceSeq)
 
 	var sum *tensor.Tensor
 	if bwdSpectral {

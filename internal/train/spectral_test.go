@@ -204,71 +204,3 @@ func nextPow2(n int) int {
 	}
 	return p
 }
-
-// The packed r2c spectral engine must train identically to the legacy
-// full-complex (c2c) engine: same losses round by round and same final
-// weights, with both engines running spectral accumulation.
-func TestPackedSpectralMatchesC2C(t *testing.T) {
-	mk := func(policy conv.TunePolicy) *net.Network {
-		nw, err := net.Build(net.MustParse("C3-Trelu-C3-Ttanh-C2"), net.BuildOptions{
-			Width: 4, OutputExtent: 2, Seed: 51,
-			Tuner:   &conv.Autotuner{Policy: policy},
-			Memoize: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw
-	}
-	packed := mk(conv.TuneForceFFT)
-	c2c := mk(conv.TuneForceFFTC2C)
-
-	enPacked, err := NewEngine(packed.G, Config{Workers: 3, Eta: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enC2C, err := NewEngine(c2c.G, Config{Workers: 3, Eta: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, en := range []*Engine{enPacked, enC2C} {
-		found := false
-		for _, ns := range en.p.nodes {
-			if ns.fwdSpectral {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatal("no node qualified for spectral accumulation")
-		}
-	}
-
-	rng := rand.New(rand.NewSource(52))
-	for round := 0; round < 5; round++ {
-		in := tensor.RandomUniform(rng, packed.InputShape(), -1, 1)
-		des := tensor.RandomUniform(rng, packed.OutputShape(), -0.5, 0.5)
-		lp, err := enPacked.Round([]*tensor.Tensor{in.Clone()}, []*tensor.Tensor{des.Clone()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lc, err := enC2C.Round([]*tensor.Tensor{in.Clone()}, []*tensor.Tensor{des.Clone()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(lp-lc) > 1e-8*(1+math.Abs(lc)) {
-			t.Fatalf("round %d: packed loss %g vs c2c %g", round, lp, lc)
-		}
-	}
-	if err := enPacked.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := enC2C.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wp, wc := packed.Params(), c2c.Params()
-	for i := range wp {
-		if math.Abs(wp[i]-wc[i]) > 1e-8 {
-			t.Fatalf("weights diverged at %d: packed %g c2c %g", i, wp[i], wc[i])
-		}
-	}
-}

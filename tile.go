@@ -2,15 +2,12 @@ package znn
 
 import (
 	"fmt"
-	"runtime"
 
 	"znn/internal/conv"
 	"znn/internal/net"
-	"znn/internal/ops"
 	"znn/internal/plan"
 	"znn/internal/tensor"
 	"znn/internal/tile"
-	"znn/internal/train"
 )
 
 // TileStats summarizes a completed streaming (tiled) inference run.
@@ -38,20 +35,14 @@ type TileOptions struct {
 	// K is the fused batch width (blocks per inference round); 0 uses the
 	// plan's K, or 1 for unplanned networks.
 	K int
-	// Window is the number of fused rounds in flight; 0 means 2.
+	// Window is the number of fused rounds in flight; 0 means 2. Window 1
+	// disables the overlap: read → compute → stitch one round at a time, the
+	// naive baseline the tile benchmarks A/B against.
 	Window int
-	// Sequential disables pipelining: read → compute → stitch one round
-	// at a time, the naive baseline the tile benchmarks A/B against.
-	Sequential bool
 	// OnProgress, when non-nil, receives a snapshot after every stitched
 	// round.
 	OnProgress func(TileProgress)
 }
-
-// Program exposes the network's compiled execution program — the handle
-// streaming executors (internal/tile) and command-line front ends drive
-// rounds through directly.
-func (n *Network) Program() *train.Program { return n.en.Program() }
 
 // WithInputShape returns a new independent Network with the same spec,
 // configuration and current parameters, rebuilt to take inputs of the
@@ -68,74 +59,7 @@ func (n *Network) rebuildAt(in Shape, rounds int) (*Network, error) {
 	if err := n.en.Drain(); err != nil {
 		return nil, err
 	}
-	cfg := n.cfg
-	lossName := cfg.Loss
-	if lossName == "" {
-		lossName = "squared"
-	}
-	loss, err := ops.LossByName(lossName)
-	if err != nil {
-		return nil, err
-	}
-	nw, err := net.Build(n.spec, net.BuildOptions{
-		Width:      cfg.Width,
-		InWidth:    cfg.InWidth,
-		OutWidth:   cfg.OutWidth,
-		Dims:       cfg.Dims,
-		InputShape: in,
-		Tuner:      cfg.tuner(),
-		Memoize:    cfg.Memoize,
-		Seed:       cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if err := nw.SetParams(n.nw.Params()); err != nil {
-		return nil, err
-	}
-	var pl *plan.Plan
-	if cfg.Planned || cfg.MemBudget > 0 {
-		pl, err = plan.Build(nw.LayerGeoms(), plan.Config{
-			Budget:     cfg.MemBudget,
-			MaxK:       cfg.PlanMaxK,
-			Measured:   cfg.Conv == AutotuneMeasured,
-			Precisions: n.planPrecisions(),
-			Workers:    n.planWorkers(),
-			Rounds:     rounds,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	en, err := train.NewEngine(nw.G, train.Config{
-		Workers:         cfg.Workers,
-		Policy:          cfg.Policy,
-		Loss:            loss,
-		Eta:             cfg.Eta,
-		Momentum:        cfg.Momentum,
-		Precision:       cfg.precision(),
-		DisableSpectral: cfg.DisableSpectral,
-		Plan:            pl,
-		Pipeline:        cfg.Pipeline,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Network{spec: n.spec, nw: nw, en: en, cfg: cfg, pl: pl}, nil
-}
-
-func (n *Network) planWorkers() int {
-	if n.cfg.Workers > 0 {
-		return n.cfg.Workers
-	}
-	return runtime.NumCPU()
-}
-
-func (n *Network) planPrecisions() []conv.Precision {
-	if n.cfg.Float32 {
-		return []conv.Precision{conv.PrecF32}
-	}
-	return nil
+	return compile(n.spec, n.cfg, net.BuildOptions{InputShape: in}, n.nw.Params(), rounds)
 }
 
 // Tileable reports whether the network can run tiled whole-volume
@@ -185,14 +109,7 @@ func (n *Network) PlanBlocks(vol Shape, opt TileOptions) (*plan.Plan, error) {
 		budget = n.cfg.MemBudget
 	}
 	return plan.BuildBlocked(plan.BlockConfig{
-		Config: plan.Config{
-			Budget:     budget,
-			MaxK:       n.cfg.PlanMaxK,
-			Measured:   n.cfg.Conv == AutotuneMeasured,
-			Precisions: n.planPrecisions(),
-			Workers:    n.planWorkers(),
-			Rounds:     tileWindow(opt),
-		},
+		Config:     n.cfg.planConfig(budget, tileWindow(opt)),
 		FOV:        n.spec.FieldOfView(),
 		Vol:        vol,
 		Candidates: opt.Candidates,
@@ -201,9 +118,6 @@ func (n *Network) PlanBlocks(vol Shape, opt TileOptions) (*plan.Plan, error) {
 }
 
 func tileWindow(opt TileOptions) int {
-	if opt.Sequential {
-		return 1
-	}
 	if opt.Window > 0 {
 		return opt.Window
 	}
@@ -259,7 +173,7 @@ func (n *Network) InferVolumeIO(in tile.Reader, out []tile.Writer, opt TileOptio
 	return tile.Run(tile.Config{
 		Prog: bn.en.Program(), Grid: g,
 		In: in, Out: out,
-		K: k, Window: window, Pipelined: !opt.Sequential,
+		K: k, Window: window,
 		OnProgress: opt.OnProgress,
 	})
 }

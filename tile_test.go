@@ -33,8 +33,8 @@ func TestInferVolumeMatchesSingleShot(t *testing.T) {
 	}
 
 	for _, blockOut := range []int{3, 4, 8} { // out volume is 8³: ragged, divides, single block
-		for _, seq := range []bool{false, true} {
-			outs, st, err := n.InferVolume(vol, TileOptions{BlockOut: blockOut, K: 2, Sequential: seq})
+		for _, window := range []int{0, 1} { // default overlap, sequential baseline
+			outs, st, err := n.InferVolume(vol, TileOptions{BlockOut: blockOut, K: 2, Window: window})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -42,8 +42,8 @@ func TestInferVolumeMatchesSingleShot(t *testing.T) {
 				t.Fatalf("block %d: got %d outputs, first shape %v", blockOut, len(outs), outs[0].S)
 			}
 			if !outs[0].Equal(ref[0]) {
-				t.Errorf("block %d sequential=%v: tiled differs from single-shot (max |Δ| = %g)",
-					blockOut, seq, outs[0].MaxAbsDiff(ref[0]))
+				t.Errorf("block %d window=%d: tiled differs from single-shot (max |Δ| = %g)",
+					blockOut, window, outs[0].MaxAbsDiff(ref[0]))
 			}
 			if st.Blocks < 1 {
 				t.Errorf("block %d: stats report %d blocks", blockOut, st.Blocks)

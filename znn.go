@@ -147,12 +147,6 @@ type Config struct {
 	// front ends should set it to their maximum batch size so the plan's
 	// footprint estimate covers the widest round they will run.
 	PlanMaxK int
-	// Pipeline enables overlapped training sessions (TrainStart): round
-	// N+1's forward work on an edge is admitted as soon as round N's
-	// backward work on that edge has drained, so consecutive rounds'
-	// compute overlaps. When false, TrainStart sessions run strict — each
-	// round completes before the next starts, the exact Train semantics.
-	Pipeline bool
 }
 
 func (c Config) tuner() *conv.Autotuner {
@@ -193,6 +187,19 @@ func NewNetwork(spec string, cfg Config) (*Network, error) {
 	if cfg.SlidingWindow {
 		parsed = parsed.ToFiltering()
 	}
+	return compile(parsed, cfg, net.BuildOptions{
+		OutputExtent: cfg.OutputPatch,
+		InputExtent:  cfg.InputPatch,
+	}, nil, 0)
+}
+
+// compile builds spec at the geometry bo names (patch extents or an explicit
+// input shape; the remaining build options come from cfg), installs params
+// when non-nil — before planning, which reads the kernels' densities — and
+// compiles the engine, from an execution plan when cfg asks for one. rounds
+// is the number of in-flight fused rounds the plan's byte model is charged
+// for.
+func compile(spec net.Spec, cfg Config, bo net.BuildOptions, params []float64, rounds int) (*Network, error) {
 	lossName := cfg.Loss
 	if lossName == "" {
 		lossName = "squared"
@@ -201,37 +208,20 @@ func NewNetwork(spec string, cfg Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	nw, err := net.Build(parsed, net.BuildOptions{
-		Width:        cfg.Width,
-		InWidth:      cfg.InWidth,
-		OutWidth:     cfg.OutWidth,
-		Dims:         cfg.Dims,
-		OutputExtent: cfg.OutputPatch,
-		InputExtent:  cfg.InputPatch,
-		Tuner:        cfg.tuner(),
-		Memoize:      cfg.Memoize,
-		Seed:         cfg.Seed,
-	})
+	bo.Width, bo.InWidth, bo.OutWidth, bo.Dims = cfg.Width, cfg.InWidth, cfg.OutWidth, cfg.Dims
+	bo.Tuner, bo.Memoize, bo.Seed = cfg.tuner(), cfg.Memoize, cfg.Seed
+	nw, err := net.Build(spec, bo)
 	if err != nil {
 		return nil, err
 	}
+	if params != nil {
+		if err := nw.SetParams(params); err != nil {
+			return nil, err
+		}
+	}
 	var pl *plan.Plan
 	if cfg.Planned || cfg.MemBudget > 0 {
-		workers := cfg.Workers
-		if workers < 1 {
-			workers = runtime.NumCPU()
-		}
-		var precs []conv.Precision
-		if cfg.Float32 {
-			precs = []conv.Precision{conv.PrecF32}
-		}
-		pl, err = plan.Build(nw.LayerGeoms(), plan.Config{
-			Budget:     cfg.MemBudget,
-			MaxK:       cfg.PlanMaxK,
-			Measured:   cfg.Conv == AutotuneMeasured,
-			Precisions: precs,
-			Workers:    workers,
-		})
+		pl, err = plan.Build(nw.LayerGeoms(), cfg.planConfig(cfg.MemBudget, rounds))
 		if err != nil {
 			return nil, err
 		}
@@ -245,12 +235,30 @@ func NewNetwork(spec string, cfg Config) (*Network, error) {
 		Precision:       cfg.precision(),
 		DisableSpectral: cfg.DisableSpectral,
 		Plan:            pl,
-		Pipeline:        cfg.Pipeline,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Network{spec: parsed, nw: nw, en: en, cfg: cfg, pl: pl}, nil
+	return &Network{spec: spec, nw: nw, en: en, cfg: cfg, pl: pl}, nil
+}
+
+// planConfig is the execution planner's configuration for this network
+// config under the given byte budget and in-flight round count.
+func (c Config) planConfig(budget int64, rounds int) plan.Config {
+	pc := plan.Config{
+		Budget:   budget,
+		MaxK:     c.PlanMaxK,
+		Measured: c.Conv == AutotuneMeasured,
+		Workers:  c.Workers,
+		Rounds:   rounds,
+	}
+	if pc.Workers < 1 {
+		pc.Workers = runtime.NumCPU()
+	}
+	if c.Float32 {
+		pc.Precisions = []conv.Precision{conv.PrecF32}
+	}
+	return pc
 }
 
 // InputShape returns the shape training inputs must have.
@@ -315,8 +323,7 @@ func (n *Network) TrainMulti(inputs, desired []*Tensor) (float64, error) {
 	return n.en.Round(inputs, desired)
 }
 
-// TrainPipeline is a training session that may keep several rounds in
-// flight at once; see TrainStart.
+// TrainPipeline is a training session; see TrainStart.
 type TrainPipeline = train.TrainPipeline
 
 // PendingRound is one submitted training round of a TrainPipeline; its
@@ -325,10 +332,12 @@ type PendingRound = train.PendingRound
 
 // TrainStart opens a training session and returns its handle. The session
 // owns the network until its Close: Infer, Train and SetTraining block for
-// the duration. With Config.Pipeline set, rounds submitted to the session
-// overlap — round N+1's forward work on an edge starts as soon as round
-// N's backward work on that edge has drained; otherwise each Submit runs a
-// complete round exactly like Train. Typical loop:
+// the duration. Submit starts a round without waiting for it, and overlap
+// is how the caller waits: waiting each round before submitting the next
+// is exactly Train (which is itself a one-round session), while keeping
+// one round submitted ahead overlaps consecutive rounds — round N+1's
+// forward work on an edge starts as soon as round N's backward work on
+// that edge has drained. Typical overlapped loop:
 //
 //	tp := n.TrainStart()
 //	var prev *znn.PendingRound
@@ -344,89 +353,41 @@ type PendingRound = train.PendingRound
 //	err := tp.Close() // waits the tail
 func (n *Network) TrainStart() *TrainPipeline { return n.en.StartPipeline() }
 
-// SetPipeline toggles overlapped training sessions after construction —
-// the Config.Pipeline equivalent for networks rebuilt from a checkpoint.
-// Must not be called while a TrainStart session is open.
-func (n *Network) SetPipeline(on bool) { n.en.SetPipeline(on) }
-
 // Drain applies all pending lazy weight updates. Training normally leaves
 // the final round's updates queued (they are forced by the next round's
 // forward pass); call Drain after the last round — or before reading
 // Params — so every gradient is applied. Close drains implicitly.
 func (n *Network) Drain() error { return n.en.Drain() }
 
-// Infer runs a forward-only inference round and returns the outputs.
-// Infer is safe to call from any number of goroutines at once: concurrent
-// calls keep their rounds in flight on the shared scheduler and memory
-// pools simultaneously, which is how a narrow network saturates a wide
-// machine under serving traffic. Dropout layers always run in inference
-// mode here; pending weight updates from training are applied before the
-// first concurrent round is admitted, so all in-flight rounds see one
-// consistent set of weights.
+// Infer runs a forward-only inference round on one volume and returns the
+// outputs. Infer is safe to call from any number of goroutines at once:
+// concurrent calls keep their rounds in flight on the shared scheduler and
+// memory pools simultaneously, which is how a narrow network saturates a
+// wide machine under serving traffic. Dropout layers always run in
+// inference mode here; pending weight updates from training are applied
+// before the first concurrent round is admitted, so all in-flight rounds
+// see one consistent set of weights.
 func (n *Network) Infer(inputs ...*Tensor) ([]*Tensor, error) {
-	return n.en.Infer(inputs)
-}
-
-// InferBatch runs one forward-only round per input volume, all in flight
-// concurrently, and returns the first network output for each (the common
-// single-input single-output serving case; use InferBatchMulti for wider
-// networks). Outputs are returned in input order.
-func (n *Network) InferBatch(inputs []*Tensor) ([]*Tensor, error) {
-	batch := make([][]*Tensor, len(inputs))
-	for i, in := range inputs {
-		batch[i] = []*Tensor{in}
-	}
-	outs, err := n.en.InferBatch(batch)
+	outs, err := n.en.Infer([][]*Tensor{inputs})
 	if err != nil {
 		return nil, err
 	}
-	firsts := make([]*Tensor, len(outs))
-	for i, o := range outs {
-		firsts[i] = o[0]
-	}
-	return firsts, nil
+	return outs[0], nil
 }
 
-// InferBatchMulti is InferBatch for networks with multiple inputs or
-// outputs: each batch element is one round's input slice, and the result
-// holds each round's full output slice.
-func (n *Network) InferBatchMulti(batch [][]*Tensor) ([][]*Tensor, error) {
-	return n.en.InferBatch(batch)
-}
-
-// InferBatchFused runs the K input volumes through ONE K-wide fused
-// inference round and returns the first network output per volume, in
-// order. Where InferBatch keeps K independent rounds in flight — K full
-// sweeps of kernel-spectrum loads and per-node pointwise products — the
-// fused round makes the batch dimension a property of the round itself:
-// every layer's kernel spectrum streams through cache once per batch,
-// feeding K pointwise products, with one inverse transform per (node,
-// volume). That is the ZNNi/PZnet batching result for many-core CPU
+// InferBatch runs the K volumes of batch — batch[v] is volume v's input
+// slice — through ONE K-wide fused inference round and returns volume v's
+// output slice at index v. The batch dimension is a property of the round
+// itself: every layer's kernel spectrum streams through cache once per
+// batch, feeding K pointwise products, with one inverse transform per
+// (node, volume) — the ZNNi/PZnet batching result for many-core CPU
 // inference throughput. Per-volume outputs are bit-identical to K
-// serialized Forward passes; a round error fails only this batch. Fused
-// rounds are themselves concurrency-safe alongside any other inference
-// calls.
-func (n *Network) InferBatchFused(inputs []*Tensor) ([]*Tensor, error) {
-	batch := make([][]*Tensor, len(inputs))
-	for i, in := range inputs {
-		batch[i] = []*Tensor{in}
-	}
-	outs, err := n.en.InferFused(batch)
-	if err != nil {
-		return nil, err
-	}
-	firsts := make([]*Tensor, len(outs))
-	for i, o := range outs {
-		firsts[i] = o[0]
-	}
-	return firsts, nil
-}
-
-// InferBatchFusedMulti is InferBatchFused for networks with multiple
-// inputs or outputs: batch[v] is volume v's full input slice, and the
-// result holds volume v's full output slice.
-func (n *Network) InferBatchFusedMulti(batch [][]*Tensor) ([][]*Tensor, error) {
-	return n.en.InferFused(batch)
+// serialized Forward passes; a round error fails only this batch. Like
+// Infer it is concurrency-safe alongside any other inference calls (to
+// keep N independent rounds in flight instead, call Infer from N
+// goroutines).
+func (n *Network) InferBatch(batch [][]*Tensor) ([][]*Tensor, error) {
+	return n.en.Infer(batch)
 }
 
 // Forward runs an exclusive, stateful forward pass (dropout honours
