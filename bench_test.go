@@ -1,18 +1,20 @@
 // Benchmarks mirroring the paper's tables and figures, one testing.B per
 // experiment (scaled to finish quickly; cmd/znn-bench runs the full
-// parameter sweeps and prints the tables).
+// parameter sweeps and prints the tables), followed by the within-run A/B
+// pairs between execution paths the public API offers side by side.
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 package znn_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"znn"
 	"znn/internal/baseline"
-	"znn/internal/benchsuite"
 	"znn/internal/conv"
 	"znn/internal/fft"
 	"znn/internal/graph"
@@ -93,6 +95,24 @@ func BenchmarkFig4Curves(b *testing.B) {
 
 // --- Fig. 5–7: parallel training rounds (speedup numerator/denominator) --
 
+// benchRounds times whole training rounds on en, each on fresh copies of
+// in and des.
+func benchRounds(b *testing.B, en *train.Engine, in, des []*tensor.Tensor) {
+	clone := func(ts []*tensor.Tensor) []*tensor.Tensor {
+		out := make([]*tensor.Tensor, len(ts))
+		for i, t := range ts {
+			out[i] = t.Clone()
+		}
+		return out
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := en.Round(clone(in), clone(des)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchTrainingRound(b *testing.B, workers int, policy sched.Policy) {
 	nw, err := net.Build(net.MustParse("C3-Trelu-M2-C3-Trelu-M2-C3-Trelu-C3-Trelu"),
 		net.BuildOptions{
@@ -113,20 +133,7 @@ func benchTrainingRound(b *testing.B, workers int, policy sched.Policy) {
 	for i := range des {
 		des[i] = tensor.RandomUniform(rng, nw.OutputShape(), 0, 1)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cin := make([]*tensor.Tensor, len(in))
-		for j, t := range in {
-			cin[j] = t.Clone()
-		}
-		cdes := make([]*tensor.Tensor, len(des))
-		for j, t := range des {
-			cdes[j] = t.Clone()
-		}
-		if _, err := en.Round(cin, cdes); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRounds(b, en, in, des)
 }
 
 func BenchmarkFig5Round1Worker(b *testing.B)  { benchTrainingRound(b, 1, sched.PolicyPriority) }
@@ -186,17 +193,7 @@ func benchGPUComparison(b *testing.B, znnSide bool, kernel int) {
 			b.Fatal(err)
 		}
 		defer en.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cin := []*tensor.Tensor{in[0].Clone()}
-			cdes := make([]*tensor.Tensor, len(des))
-			for j, t := range des {
-				cdes[j] = t.Clone()
-			}
-			if _, err := en.Round(cin, cdes); err != nil {
-				b.Fatal(err)
-			}
-		}
+		benchRounds(b, en, in, des)
 		return
 	}
 	x, err := baseline.NewLayerwiseExecutor(nw, 2)
@@ -304,11 +301,11 @@ func BenchmarkMakeBaseline(b *testing.B) {
 }
 
 // --- E14: scheduler strategies ------------------------------------------
+// (the priority side is BenchmarkFig5Round2Workers)
 
-func BenchmarkSchedulerPriority(b *testing.B) { benchTrainingRound(b, 2, sched.PolicyPriority) }
-func BenchmarkSchedulerFIFO(b *testing.B)     { benchTrainingRound(b, 2, sched.PolicyFIFO) }
-func BenchmarkSchedulerLIFO(b *testing.B)     { benchTrainingRound(b, 2, sched.PolicyLIFO) }
-func BenchmarkSchedulerSteal(b *testing.B)    { benchTrainingRound(b, 2, sched.PolicySteal) }
+func BenchmarkSchedulerFIFO(b *testing.B)  { benchTrainingRound(b, 2, sched.PolicyFIFO) }
+func BenchmarkSchedulerLIFO(b *testing.B)  { benchTrainingRound(b, 2, sched.PolicyLIFO) }
+func BenchmarkSchedulerSteal(b *testing.B) { benchTrainingRound(b, 2, sched.PolicySteal) }
 
 // --- E15: memoization ----------------------------------------------------
 
@@ -331,17 +328,7 @@ func benchMemoization(b *testing.B, memoize bool) {
 	for i := range des {
 		des[i] = tensor.RandomUniform(rng, nw.OutputShape(), 0, 1)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cin := []*tensor.Tensor{in[0].Clone()}
-		cdes := make([]*tensor.Tensor, len(des))
-		for j, t := range des {
-			cdes[j] = t.Clone()
-		}
-		if _, err := en.Round(cin, cdes); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchRounds(b, en, in, des)
 }
 
 func BenchmarkMemoizationOff(b *testing.B) { benchMemoization(b, false) }
@@ -372,12 +359,14 @@ func BenchmarkFFT3(b *testing.B) {
 	}
 }
 
-func BenchmarkFFT3R(b *testing.B) {
+// benchFFT3R measures one packed forward+inverse cycle at n³ at precision
+// (R, C).
+func benchFFT3R[R tensor.Real, C fft.Complex](b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(20))
-	img := tensor.RandomUniform(rng, tensor.Cube(30), -1, 1)
-	p := fft.NewPlan3R(img.S)
-	buf := make([]complex128, p.PackedLen())
-	out := tensor.New(img.S)
+	img := tensor.RandomUniformOf[R](rng, tensor.Cube(n), -1, 1)
+	p := fft.NewPlan3ROf[R, C](img.S)
+	buf := make([]C, p.PackedLen())
+	out := tensor.NewOf[R](img.S)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -386,39 +375,13 @@ func BenchmarkFFT3R(b *testing.B) {
 	}
 }
 
+func BenchmarkFFT3R(b *testing.B) { benchFFT3R[float64, complex128](b, 30) }
+
 // --- Spectral-mode training (packed spectra) ------------------------------
 
-func BenchmarkSpectralRoundPacked(b *testing.B) {
-	nw, err := net.Build(net.MustParse("C5-Trelu-C5-Trelu"), net.BuildOptions{
-		Width: 4, OutWidth: 4, Dims: 2, OutputExtent: 16,
-		Tuner: &conv.Autotuner{Policy: conv.TuneForceFFT}, Memoize: true, Seed: 8,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	en, err := train.NewEngine(nw.G, train.Config{Workers: 2, Eta: 1e-6})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer en.Close()
-	rng := rand.New(rand.NewSource(9))
-	in := []*tensor.Tensor{tensor.RandomUniform(rng, nw.InputShape(), -1, 1)}
-	des := make([]*tensor.Tensor, 4)
-	for i := range des {
-		des[i] = tensor.RandomUniform(rng, nw.OutputShape(), 0, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cin := []*tensor.Tensor{in[0].Clone()}
-		cdes := make([]*tensor.Tensor, len(des))
-		for j, t := range des {
-			cdes[j] = t.Clone()
-		}
-		if _, err := en.Round(cin, cdes); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// The memoizing forced-FFT round of E15 is also the packed spectral-mode
+// round (spectral sums on both passes).
+func BenchmarkSpectralRoundPacked(b *testing.B) { benchMemoization(b, true) }
 
 // --- Precision A/B: float64 vs float32 spectral path ----------------------
 
@@ -428,26 +391,53 @@ func BenchmarkSpectralRoundPacked(b *testing.B) {
 // run at the same rate), so the isolated transform is roughly precision-
 // neutral; the float32 win appears at pipeline level, where spectra, image
 // conversions, pool zeroing and pointwise products are bandwidth-bound —
-// see BenchmarkSpectralRound96*. Harnesses live in internal/benchsuite,
-// shared with `znn-bench -json` so the trajectory files measure exactly
-// these workloads.
+// see BenchmarkSpectralRound96*.
 
-func BenchmarkFFT3R96(b *testing.B)    { benchsuite.FFT3R[float64, complex128](b, 96) }
-func BenchmarkFFT3R96F32(b *testing.B) { benchsuite.FFT3R[float32, complex64](b, 96) }
+func BenchmarkFFT3R96(b *testing.B)    { benchFFT3R[float64, complex128](b, 96) }
+func BenchmarkFFT3R96F32(b *testing.B) { benchFFT3R[float32, complex64](b, 96) }
 
-func BenchmarkSpectralRound96F64(b *testing.B) { benchsuite.SpectralRound96(b, conv.PrecF64, 2) }
-func BenchmarkSpectralRound96F32(b *testing.B) { benchsuite.SpectralRound96(b, conv.PrecF32, 2) }
+// benchSpectralRound96 measures one spectral training round at the 96³
+// class: a 3D C5 layer with input extent 92 (FullConv 92+4 = 96, already
+// 5-smooth, so the common transform shape is 96³), 2×2 edges with spectral
+// accumulation active on both the forward and backward side.
+func benchSpectralRound96(b *testing.B, prec conv.Precision) {
+	nw, err := net.Build(net.MustParse("C5"), net.BuildOptions{
+		Width: 2, InWidth: 2, OutWidth: 2, InputExtent: 92,
+		Tuner:   &conv.Autotuner{Policy: conv.TuneForceFFT, Precision: prec},
+		Memoize: true, Seed: 8,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	en, err := train.NewEngine(nw.G, train.Config{Workers: 2, Eta: 1e-6, Precision: prec})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer en.Close()
+	rng := rand.New(rand.NewSource(9))
+	in := make([]*tensor.Tensor, 2)
+	for i := range in {
+		in[i] = tensor.RandomUniform(rng, nw.InputShape(), -1, 1)
+	}
+	des := make([]*tensor.Tensor, 2)
+	for i := range des {
+		des[i] = tensor.RandomUniform(rng, nw.OutputShape(), 0, 1)
+	}
+	benchRounds(b, en, in, des)
+}
+
+func BenchmarkSpectralRound96F64(b *testing.B) { benchSpectralRound96(b, conv.PrecF64) }
+func BenchmarkSpectralRound96F32(b *testing.B) { benchSpectralRound96(b, conv.PrecF32) }
 
 // BenchmarkFFT3R_Odd exposes the odd-length r2c fallback cost: odd X-lines
 // run a full-length complex transform and keep only the packed half, so
 // they gain the memory and pointwise savings but not the X-pass flop
 // halving. Each odd size is paired with its even 5-smooth neighbour so the
 // gap is visible in one run (and regressions in either path are caught).
-// Sizes share the benchsuite harness with `znn-bench -json`.
 func BenchmarkFFT3R_Odd(b *testing.B) {
 	for _, n := range []int{15, 16, 27, 30, 45, 48} {
 		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
-			benchsuite.FFT3R[float64, complex128](b, n)
+			benchFFT3R[float64, complex128](b, n)
 		})
 	}
 }
@@ -471,4 +461,173 @@ func BenchmarkDirectConvValid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		conv.ValidDirectInto(out, img, ker, tensor.Dense())
 	}
+}
+
+// --- Within-run A/Bs between paths the public API offers side by side -----
+//
+// Each benchmark builds its networks and inputs once and times the sides as
+// sub-benchmarks in one process on one host; the ratio between sides is the
+// result, the absolute numbers are not.
+
+// abSide is one side of an A/B: op runs one timed operation.
+type abSide struct {
+	name string
+	op   func() error
+}
+
+// benchSides times each side after one untimed warm-up op (kernel spectra,
+// transform plans and pools are then hot) and reports throughput in unit,
+// where one op produces work units.
+func benchSides(b *testing.B, unit string, work int, sides ...abSide) {
+	for _, s := range sides {
+		b.Run(s.name, func(b *testing.B) {
+			if err := s.op(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := s.op(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*work)/b.Elapsed().Seconds(), unit)
+		})
+	}
+}
+
+// abNetwork builds a network that is closed when the benchmark ends.
+func abNetwork(b *testing.B, spec string, cfg znn.Config) *znn.Network {
+	b.Helper()
+	nw, err := znn.NewNetwork(spec, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { nw.Close() })
+	return nw
+}
+
+// abBatch draws k single-input volumes for nw.
+func abBatch(nw *znn.Network, seed int64, k int) [][]*znn.Tensor {
+	rng := rand.New(rand.NewSource(seed))
+	batch := make([][]*znn.Tensor, k)
+	for i := range batch {
+		batch[i] = []*znn.Tensor{tensor.RandomUniform(rng, nw.InputShape(), -1, 1)}
+	}
+	return batch
+}
+
+// BenchmarkInferFused: the same 8 volumes as ONE fused 8-wide round
+// (InferBatch) vs 8 independent rounds in flight (8 goroutines × Infer), on
+// a small narrow net where one round exposes few independent tasks.
+func BenchmarkInferFused(b *testing.B) {
+	nw := abNetwork(b, "C5-Ttanh-C3", znn.Config{Width: 2, InputPatch: 26, Conv: znn.ForceFFT, Seed: 17})
+	batch := abBatch(nw, 18, 8)
+	benchSides(b, "vols/s", len(batch),
+		abSide{"Independent8", func() error {
+			errs := make([]error, len(batch))
+			var wg sync.WaitGroup
+			for v := range batch {
+				wg.Add(1)
+				go func(v int) {
+					defer wg.Done()
+					_, errs[v] = nw.Infer(batch[v]...)
+				}(v)
+			}
+			wg.Wait()
+			return errors.Join(errs...)
+		}},
+		abSide{"Fused8", func() error {
+			_, err := nw.InferBatch(batch)
+			return err
+		}},
+	)
+}
+
+// BenchmarkTrainLag: a TrainStart session of 8 rounds waited with lag 0
+// (each round before the next is submitted — what Train does) vs lag 1 (one
+// round submitted ahead, so round N's backward tail and update drain
+// overlap round N+1's forward head).
+func BenchmarkTrainLag(b *testing.B) {
+	const rounds = 8
+	nw := abNetwork(b, "C5-Ttanh-C3", znn.Config{Width: 2, InputPatch: 16, Conv: znn.ForceFFT, Eta: 1e-4, Seed: 29})
+	rng := rand.New(rand.NewSource(30))
+	in := []*znn.Tensor{tensor.RandomUniform(rng, nw.InputShape(), -1, 1)}
+	des := []*znn.Tensor{tensor.RandomUniform(rng, nw.OutputShape(), 0, 1)}
+	session := func(lag int) func() error {
+		return func() error {
+			tp := nw.TrainStart()
+			var pending []*znn.PendingRound // at most lag+1 rounds, oldest first
+			for i := 0; i < rounds; i++ {
+				pr, err := tp.Submit(in, des)
+				if err != nil {
+					tp.Close()
+					return err
+				}
+				pending = append(pending, pr)
+				if len(pending) > lag {
+					if _, err := pending[0].Wait(); err != nil {
+						tp.Close()
+						return err
+					}
+					pending = pending[1:]
+				}
+			}
+			return tp.Close() // waits the tail
+		}
+	}
+	benchSides(b, "rounds/s", rounds,
+		abSide{"Lag0", session(0)},
+		abSide{"Lag1", session(1)},
+	)
+}
+
+// BenchmarkTileWindow: a 64³ volume streamed through overlap-tiled fused
+// rounds with one round in flight (read → compute → stitch in turn) vs two
+// (reads and stitches hide behind compute).
+func BenchmarkTileWindow(b *testing.B) {
+	nw := abNetwork(b, "C3-Trelu-C3", znn.Config{Width: 2, OutputPatch: 4, Conv: znn.ForceFFT, Seed: 40})
+	vol := tensor.RandomUniform(rand.New(rand.NewSource(41)), znn.Cube(64), -1, 1)
+	voxels := znn.Cube(64 - nw.FieldOfView() + 1).Volume()
+	stream := func(window int) func() error {
+		return func() error {
+			_, _, err := nw.InferVolume(vol, znn.TileOptions{BlockOut: 16, K: 2, Window: window})
+			return err
+		}
+	}
+	benchSides(b, "voxels/s", voxels,
+		abSide{"Window1", stream(1)},
+		abSide{"Window2", stream(2)},
+	)
+}
+
+// BenchmarkPlanRegimes: the same 8 volumes through a mixed-method net
+// (C5-Ttanh-C7: the planner runs the 5³ layer direct and the 7³ layer FFT)
+// compiled from the execution planner vs both global forcings. The planned
+// side runs rounds of its plan's K, the forced sides one 8-wide round.
+func BenchmarkPlanRegimes(b *testing.B) {
+	const vols = 8
+	cfg := znn.Config{Width: 4, OutWidth: 4, OutputPatch: 24, Seed: 23}
+	regime := func(name string, mod func(*znn.Config)) abSide {
+		c := cfg
+		mod(&c)
+		nw := abNetwork(b, "C5-Ttanh-C7", c)
+		batch := abBatch(nw, 24, vols)
+		k := vols
+		if p := nw.Plan(); p != nil {
+			k = p.K
+		}
+		return abSide{name, func() error {
+			for i := 0; i < len(batch); i += k {
+				if _, err := nw.InferBatch(batch[i:min(i+k, len(batch))]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}}
+	}
+	benchSides(b, "vols/s", vols,
+		regime("Planned", func(c *znn.Config) { c.Planned = true }),
+		regime("ForceFFT", func(c *znn.Config) { c.Conv = znn.ForceFFT }),
+		regime("ForceDirect", func(c *znn.Config) { c.Conv = znn.ForceDirect }),
+	)
 }

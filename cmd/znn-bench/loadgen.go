@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,7 +27,7 @@ type loadgenConfig struct {
 
 // loadgenSummary is the machine-readable outcome: the counters CI asserts
 // on (shed responses must all carry Retry-After, reloads must bump the
-// generation) plus the latency quantiles that feed the BENCH trajectory.
+// generation) plus the latency quantiles.
 type loadgenSummary struct {
 	Addr            string  `json:"addr"`
 	DurationS       float64 `json:"duration_s"`
@@ -50,17 +49,15 @@ type loadgenSummary struct {
 	GenerationsSeen []int64 `json:"generations_seen"`
 }
 
-// loadgen drives the target server and writes the summary (and a BENCH row).
+// loadgen drives the target server and writes the summary.
 func loadgen(lc loadgenConfig) error {
 	header(fmt.Sprintf("load generator → %s", lc.addr))
 
 	// The server's own geometry defines the request payload.
-	h, err := getHealthz(lc.addr)
+	inputVol, genStart, err := getHealthz(lc.addr)
 	if err != nil {
-		return fmt.Errorf("healthz: %w", err)
+		return err
 	}
-	inputVol := int(h["input_volume"].(float64))
-	genStart := int64(h["generation"].(float64))
 	rng := rand.New(rand.NewSource(1))
 	data := make([]float64, inputVol)
 	for i := range data {
@@ -174,8 +171,8 @@ func loadgen(lc loadgenConfig) error {
 	}
 
 	genEnd := genStart
-	if h, err := getHealthz(lc.addr); err == nil {
-		genEnd = int64(h["generation"].(float64))
+	if _, g, err := getHealthz(lc.addr); err == nil {
+		genEnd = g
 	}
 	var seen []int64
 	genMu.Lock()
@@ -225,52 +222,36 @@ func loadgen(lc loadgenConfig) error {
 		}
 		fmt.Printf("\nwrote %s\n", lc.out)
 	}
-	return appendBenchRow(sum)
+	return nil
 }
 
-func getHealthz(addr string) (map[string]any, error) {
+// getHealthz reads the two /healthz fields the load generator depends on:
+// the request payload size and the model generation. The answer comes from
+// outside the process, so a non-200 status or a missing field is an error,
+// not a crash.
+func getHealthz(addr string) (inputVolume int, generation int64, err error) {
 	resp, err := http.Get(addr + "/healthz")
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
 	defer resp.Body.Close()
-	var m map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, err
+	if resp.StatusCode != http.StatusOK {
+		return 0, 0, fmt.Errorf("GET /healthz: status %s", resp.Status)
 	}
-	return m, nil
-}
-
-// appendBenchRow folds the load-generator quantiles into BENCH_<date>.json
-// so serving latency under load is part of the same diffable trajectory as
-// the kernel and round benchmarks — merged into an existing file from a
-// -json run on the same day, or a fresh one otherwise.
-func appendBenchRow(sum loadgenSummary) error {
-	out := benchFile{
-		Date: time.Now().Format("2006-01-02"),
-		Go:   runtime.Version(),
-		CPU:  cpuModel(),
+	var h struct {
+		InputVolume *int   `json:"input_volume"`
+		Generation  *int64 `json:"generation"`
 	}
-	name := fmt.Sprintf("BENCH_%s.json", out.Date)
-	if data, err := os.ReadFile(name); err == nil {
-		json.Unmarshal(data, &out)
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		return 0, 0, fmt.Errorf("GET /healthz: %w", err)
 	}
-	out.Results = append(out.Results, benchRecord{
-		Name:     "serve-loadgen",
-		Shape:    fmt.Sprintf("%d clients", sum.Clients),
-		NsOp:     int64(sum.P50Ms * 1e6),
-		P99Ns:    int64(sum.P99Ms * 1e6),
-		ShedRate: sum.ShedRate,
-		Arch:     runtime.GOARCH,
-		Features: "", // latency of the remote process; its kernel path is in its /stats
-	})
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
+	switch {
+	case h.InputVolume == nil:
+		return 0, 0, fmt.Errorf("GET /healthz: no input_volume field")
+	case *h.InputVolume < 1:
+		return 0, 0, fmt.Errorf("GET /healthz: input_volume %d", *h.InputVolume)
+	case h.Generation == nil:
+		return 0, 0, fmt.Errorf("GET /healthz: no generation field")
 	}
-	if err := os.WriteFile(name, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("appended serve-loadgen row to %s\n", name)
-	return nil
+	return *h.InputVolume, *h.Generation, nil
 }

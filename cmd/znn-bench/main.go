@@ -1,5 +1,6 @@
-// znn-bench regenerates every table and figure of the paper's evaluation;
-// each experiment id below names the table or figure it reproduces.
+// znn-bench regenerates every table and figure of the paper's evaluation
+// (each experiment id below names the table or figure it reproduces) and
+// doubles as the load generator for a running znn-serve.
 //
 // Usage:
 //
@@ -13,8 +14,8 @@
 // Load-generator mode drives a RUNNING znn-serve instead of in-process
 // benchmarks: concurrent clients hammer /infer for -duration, optionally
 // POSTing /reload every -reload-every, and the run's p50/p99 latency and
-// shed rate land both in BENCH_<date>.json (row "serve-loadgen") and in a
-// -loadgen-out summary JSON that CI asserts on:
+// shed rate are printed and written to the -loadgen-out summary JSON that
+// CI asserts on:
 //
 //	znn-bench -loadgen http://localhost:8080 -duration 10s -clients 16 \
 //	          [-deadline-ms 500] [-reload-every 2s] [-loadgen-out sum.json]
@@ -38,7 +39,6 @@ type config struct {
 	paperScale bool
 	rounds     int // timed rounds per measurement
 	warmup     int
-	rows       string // -json row-name prefix filter; "" runs every row
 }
 
 func main() {
@@ -46,10 +46,6 @@ func main() {
 	workers := flag.Int("workers", 0, "max worker threads for measured experiments (0 = all CPUs)")
 	paperScale := flag.Bool("paper-scale", false, "use the paper's full network sizes (slow)")
 	rounds := flag.Int("rounds", 0, "timed rounds per point (0 = default per experiment)")
-	jsonOut := flag.Bool("json", false,
-		"run the core benchmark suite and write machine-readable results to BENCH_<date>.json")
-	rows := flag.String("rows", "",
-		"with -json, only run rows whose name starts with this prefix; results merge into an existing same-day BENCH file")
 	loadgenAddr := flag.String("loadgen", "", "drive a running znn-serve at this base URL instead of in-process benchmarks")
 	duration := flag.Duration("duration", 10*time.Second, "loadgen run length")
 	clients := flag.Int("clients", 2*runtime.NumCPU(), "loadgen concurrent request loops")
@@ -61,7 +57,7 @@ func main() {
 	if *workers < 1 {
 		*workers = runtime.NumCPU()
 	}
-	cfg := config{workers: *workers, paperScale: *paperScale, rounds: *rounds, warmup: 2, rows: *rows}
+	cfg := config{workers: *workers, paperScale: *paperScale, rounds: *rounds, warmup: 2}
 
 	if *loadgenAddr != "" {
 		if err := loadgen(loadgenConfig{
@@ -75,11 +71,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
 			os.Exit(1)
 		}
-		return
-	}
-
-	if *jsonOut {
-		jsonBenchmarks(cfg)
 		return
 	}
 

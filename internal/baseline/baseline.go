@@ -15,8 +15,8 @@
 //  2. GPUModel — a calibrated throughput model converting the workload's
 //     direct-convolution FLOPs into modeled seconds/update on a Titan X,
 //     with per-framework efficiency factors. These produce the absolute
-//     bars of Figs. 8–9 and are explicitly labeled as modeled in
-//     EXPERIMENTS.md.
+//     bars of Figs. 8–9, which `znn-bench -exp fig8|fig9` labels as
+//     modeled in its output.
 package baseline
 
 import (

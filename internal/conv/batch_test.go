@@ -17,81 +17,99 @@ func batchVolumes(r *rand.Rand, s tensor.Shape, k int) []*tensor.Tensor {
 	return vols
 }
 
-// TestForwardInferBatchMatchesSingle checks the batched sweep is
-// bit-identical to per-volume ForwardInfer for every method and precision,
-// with and without a shared batch spectrum cache.
-func TestForwardInferBatchMatchesSingle(t *testing.T) {
+// TestForwardWidthTable pins batch width as data: for every method ×
+// precision × width K × {no cache, shared cache}, ForwardBatch(vols)[i] and
+// the finished ForwardProducts(vols)[i] are bitwise equal to the one-volume
+// Forward(vols[i]).
+func TestForwardWidthTable(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	in := tensor.S3(9, 8, 7)
 	ker := tensor.RandomUniform(r, tensor.Cube(3), -1, 1)
-	const k = 4
-	vols := batchVolumes(r, in, k)
+	ker.Data[4], ker.Data[13] = 0, 0 // give SparseDirect taps to skip
+	vols := batchVolumes(r, in, 3)
 
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
 		mth  Method
 		prec Precision
 	}{
 		{"direct", Direct, PrecF64},
+		{"sparse-direct", SparseDirect, PrecF64},
 		{"fft/f64", FFT, PrecF64},
 		{"fft/f32", FFT, PrecF32},
-	}
-	for _, tc := range cases {
+	} {
 		tr := NewTransformerPrec(in, ker.S, tensor.Dense(), tc.mth, tc.prec, false, nil)
-		want := make([]*tensor.Tensor, k)
+		want := make([]*tensor.Tensor, len(vols))
 		for i, v := range vols {
-			want[i] = tr.ForwardInfer(v, ker, nil)
+			want[i] = tr.Forward(v, ker, nil)
 		}
-		got := tr.ForwardInferBatch(vols, ker, nil)
-		for i := range got {
-			if !got[i].Equal(want[i]) {
-				t.Errorf("%s: batched volume %d differs from single ForwardInfer (max |Δ| = %g)",
-					tc.name, i, got[i].MaxAbsDiff(want[i]))
-			}
-		}
-		var sc SpectrumCache
-		sc.ResetBatch(vols)
-		got = tr.ForwardInferBatch(vols, ker, &sc)
-		for i := range got {
-			if !got[i].Equal(want[i]) {
-				t.Errorf("%s: cached batched volume %d differs from single ForwardInfer", tc.name, i)
+		for _, k := range []int{1, 3} {
+			for _, cached := range []bool{false, true} {
+				var sc *SpectrumCache
+				if cached {
+					sc = new(SpectrumCache)
+					sc.Reset(vols[:k]...)
+				}
+				check := func(entry string, got []*tensor.Tensor) {
+					t.Helper()
+					if len(got) != k {
+						t.Fatalf("%s K=%d cached=%v: %s returned %d volumes", tc.name, k, cached, entry, len(got))
+					}
+					for i := range got {
+						if !got[i].Equal(want[i]) {
+							t.Errorf("%s K=%d cached=%v: %s volume %d differs from Forward (max |Δ| = %g)",
+								tc.name, k, cached, entry, i, got[i].MaxAbsDiff(want[i]))
+						}
+					}
+				}
+				check("ForwardBatch", tr.ForwardBatch(vols[:k], ker, sc, true))
+				if !tc.mth.IsFFT() {
+					continue
+				}
+				finished := make([]*tensor.Tensor, 0, k)
+				for _, prod := range tr.ForwardProducts(vols[:k], ker, sc, true) {
+					finished = append(finished, tr.FinishForward(prod))
+				}
+				check("ForwardProducts", finished)
 			}
 		}
 	}
 }
 
-// TestForwardProductInferBatchMatchesForward checks the product sweep: one
-// kernel-spectrum fetch feeding K products, each finished with one inverse
-// transform, equals the plain forward output per volume.
-func TestForwardProductInferBatchMatchesForward(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	in := tensor.S3(10, 9, 6)
+// TestInferSweepLeavesMemoAlone: an inference sweep that lands between a
+// training round's forward+backward and its (lazy) update must not touch
+// the memo slots — the update still consumes the training image spectrum
+// and produces the same gradient bits.
+func TestInferSweepLeavesMemoAlone(t *testing.T) {
+	r := rand.New(rand.NewSource(59))
+	in := tensor.S3(9, 8, 7)
 	ker := tensor.RandomUniform(r, tensor.Cube(3), -1, 1)
-	const k = 3
-	vols := batchVolumes(r, in, k)
+	img := tensor.RandomUniform(r, in, -1, 1)
+	bwd := tensor.RandomUniform(r, in.ValidConv(ker.S, tensor.Dense()), -1, 1)
+	others := batchVolumes(r, in, 2)
 
-	for _, prec := range []Precision{PrecF64, PrecF32} {
-		tr := NewTransformerPrec(in, ker.S, tensor.Dense(), FFT, prec, false, nil)
-		var sc SpectrumCache
-		sc.ResetBatch(vols)
-		prods := tr.ForwardProductInferBatch(vols, ker, &sc)
-		if len(prods) != k {
-			t.Fatalf("prec %v: got %d products, want %d", prec, len(prods), k)
-		}
-		for i, prod := range prods {
-			got := tr.FinishForward(prod)
-			want := tr.ForwardInfer(vols[i], ker, nil)
-			if !got.Equal(want) {
-				t.Errorf("prec %v: finished product %d differs from ForwardInfer (max |Δ| = %g)",
-					prec, i, got.MaxAbsDiff(want))
+	grad := func(inferBetween bool) *tensor.Tensor {
+		tr := NewTransformer(in, ker.S, tensor.Dense(), FFT, true, nil)
+		tr.Forward(img, ker, nil)
+		tr.Backward(bwd, ker, nil)
+		if inferBetween {
+			tr.ForwardBatch(others, ker, nil, true)
+			tr.ForwardProducts(others[:1], ker, nil, true)[0].Release()
+			if !tr.HasMemoizedSpectra() {
+				t.Fatal("inference sweep cleared the memo slots")
 			}
 		}
+		// Poisoned image: the gradient must come from the memoized spectrum.
+		return tr.KernelGrad(tensor.New(in), bwd)
+	}
+	if want, got := grad(false), grad(true); !got.Equal(want) {
+		t.Errorf("kernel gradient changed by an interleaved inference sweep (max |Δ| = %g)", got.MaxAbsDiff(want))
 	}
 }
 
 // TestSpectrumCacheBatch checks the batch cache contract: GetBatch computes
-// each volume's spectrum once, GetAt returns the same shared buffers, and
-// a second GetBatch is pure cache hits.
+// each volume's spectrum once, Get returns volume 0's shared buffer, and a
+// second GetBatch is pure cache hits.
 func TestSpectrumCacheBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(47))
 	in := tensor.S3(8, 8, 8)
@@ -101,7 +119,7 @@ func TestSpectrumCacheBatch(t *testing.T) {
 
 	var cnt Counters
 	var sc SpectrumCache
-	sc.ResetBatch(vols)
+	sc.Reset(vols...)
 	specs := sc.GetBatch(m, PrecF64, &cnt)
 	if len(specs) != k {
 		t.Fatalf("GetBatch returned %d spectra, want %d", len(specs), k)
@@ -110,11 +128,8 @@ func TestSpectrumCacheBatch(t *testing.T) {
 	if ffts != k {
 		t.Fatalf("GetBatch computed %d FFTs, want %d", ffts, k)
 	}
-	for i := range vols {
-		got := sc.GetAt(i, m, PrecF64, &cnt)
-		if &got.C128[0] != &specs[i].C128[0] {
-			t.Fatalf("GetAt(%d) returned a different buffer than GetBatch", i)
-		}
+	if got := sc.Get(m, PrecF64, &cnt); &got.C128[0] != &specs[0].C128[0] {
+		t.Fatal("Get returned a different buffer than GetBatch's volume 0")
 	}
 	sc.GetBatch(m, PrecF64, &cnt)
 	if now := cnt.Snapshot().FFTs; now != ffts {
@@ -137,7 +152,7 @@ func TestSpectrumCachePooledRelease(t *testing.T) {
 
 	var sc SpectrumCache
 	sc.SetPooled(true)
-	sc.ResetBatch(vols)
+	sc.Reset(vols...)
 	sc.GetBatch(m, PrecF64, nil)
 	sc.GetBatch(m, PrecF32, nil)
 	if live := mempool.Spectra.Stats().LiveBytes; live <= pre64 {
@@ -155,10 +170,10 @@ func TestSpectrumCachePooledRelease(t *testing.T) {
 	}
 
 	// Reset on a live pooled cache must also return its buffers.
-	sc.ResetBatch(vols)
+	sc.Reset(vols...)
 	sc.GetBatch(m, PrecF64, nil)
-	sc.ResetBatch(vols)
+	sc.Reset(vols...)
 	if live := mempool.Spectra.Stats().LiveBytes; live != pre64 {
-		t.Fatalf("ResetBatch leaked pooled bytes: live %d, want %d", live, pre64)
+		t.Fatalf("Reset leaked pooled bytes: live %d, want %d", live, pre64)
 	}
 }

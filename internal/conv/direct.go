@@ -24,21 +24,20 @@
 // The autotuner's cost model and measured primitives account for the halved
 // bandwidth of PrecF32.
 //
-// # Batched spectrum sharing
+// # Batch width
 //
-// Inference batches K volumes through one sweep per edge: SpectrumCache is
-// batch-aware (a node publishes its K images together with ResetBatch, and
-// every consuming edge shares the same lazily computed spectrum per
-// (key, volume) via GetBatch/GetAt), and the Transformer's batched entry
-// points — ForwardInferBatch and ForwardProductInferBatch — fetch the
-// edge's kernel spectrum once per sweep and stream it through K pointwise
-// products, instead of re-reading it per volume. All batched entry points
-// are memoization-free, like their *Infer counterparts. Inference-round
-// caches additionally run pooled (SetPooled): buffers come from the
-// spectra pool of their precision and return through ReleaseAll, the
-// round's release hook, so sustained serving traffic produces no per-round
-// spectrum garbage; training caches stay GC-managed because memoizing
-// edges retain their buffers across the round boundary.
+// A forward sweep takes the round's volumes as a slice, whatever its
+// length: SpectrumCache holds a node's images together (Reset) and every
+// consuming edge shares the same lazily computed spectrum per (key, volume)
+// (GetBatch), and the Transformer's sweeps — ForwardBatch and
+// ForwardProducts — fetch the edge's kernel spectrum once and stream it
+// through one pointwise product per volume, instead of re-reading it per
+// volume. Forward is the one-volume case. Inference-round caches
+// additionally run pooled (SetPooled): buffers come from the spectra pool
+// of their precision and return through ReleaseAll, the round's release
+// hook, so sustained serving traffic produces no per-round spectrum
+// garbage; training caches stay GC-managed because memoizing edges retain
+// their buffers across the round boundary.
 package conv
 
 import (

@@ -21,12 +21,11 @@ type spectrumKey struct {
 // edges that consume them ("the FFT of an image at a node can be shared by
 // edges at that node", Section IV). The cache is keyed by transform shape
 // and precision so a node feeding layers with different kernel sizes or
-// dtypes keeps one spectrum per combination; it is batch-aware, so
-// a fused K-volume inference round holds one image — and lazily one
-// spectrum per key — per volume. The batched spectrum-sharing contract: a
-// node's K images are published together (ResetBatch), every consuming edge
-// sees the same K buffers (GetBatch/GetAt), and the buffers are immutable
-// until the next Reset or ReleaseAll.
+// dtypes keeps one spectrum per combination, and it holds one image — and
+// lazily one spectrum per key — per volume of the round's batch. A node's
+// images are published together (Reset), every consuming edge sees the
+// same buffers (Get/GetBatch), and the buffers are immutable until the next
+// Reset or ReleaseAll.
 //
 // Two allocation regimes coexist. Training rounds use GC-managed buffers:
 // memoizing edges retain references across the round boundary (the update
@@ -40,7 +39,6 @@ type SpectrumCache struct {
 	mu      sync.Mutex
 	pooled  bool
 	imgs    []*tensor.Tensor
-	single  [1]*tensor.Tensor // backing array for the K=1 Reset fast path
 	entries map[spectrumKey][]fft.Spectrum
 }
 
@@ -53,19 +51,10 @@ func (sc *SpectrumCache) SetPooled(pooled bool) {
 	sc.pooled = pooled
 }
 
-// Reset points the cache at a new single image, discarding cached spectra
-// (pooled buffers return to their pool).
-func (sc *SpectrumCache) Reset(img *tensor.Tensor) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	sc.single[0] = img
-	sc.imgs = sc.single[:]
-	sc.dropLocked()
-}
-
-// ResetBatch points the cache at the K images of one fused round's node,
-// discarding cached spectra. The slice is retained, not copied.
-func (sc *SpectrumCache) ResetBatch(imgs []*tensor.Tensor) {
+// Reset points the cache at a node's images, one per volume of the round,
+// discarding cached spectra (pooled buffers return to their pool). A passed
+// slice is retained, not copied.
+func (sc *SpectrumCache) Reset(imgs ...*tensor.Tensor) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	sc.imgs = imgs
@@ -97,25 +86,20 @@ func (sc *SpectrumCache) ReleaseAll() {
 	sc.dropLocked()
 }
 
-// Get returns the Hermitian-packed spectrum of the cached image at
-// transform shape m and the given precision, computing it on first use. The
-// returned buffer is shared and must be treated as immutable.
+// Get returns the Hermitian-packed spectrum of the cached image (volume 0)
+// at transform shape m and the given precision, computing it on first use.
+// The returned buffer is shared and must be treated as immutable.
 func (sc *SpectrumCache) Get(m tensor.Shape, prec Precision, c *Counters) fft.Spectrum {
-	return sc.GetAt(0, m, prec, c)
-}
-
-// GetAt is Get for volume i of a batched cache.
-func (sc *SpectrumCache) GetAt(i int, m tensor.Shape, prec Precision, c *Counters) fft.Spectrum {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	return sc.getLocked(i, m, prec, c)
+	return sc.getLocked(0, m, prec, c)
 }
 
-// GetBatch returns the spectra of all K cached images at one key,
-// computing missing ones under a single lock hold — the entry point for
-// batched transformer sweeps, where one kernel-spectrum fetch feeds K
-// pointwise products. The returned slice is shared; treat it and every
-// buffer as immutable.
+// GetBatch returns the spectra of all cached images at one key, computing
+// missing ones under a single lock hold — the entry point for transformer
+// sweeps, where one kernel-spectrum fetch feeds a pointwise product per
+// volume. The returned slice is shared; treat it and every buffer as
+// immutable.
 func (sc *SpectrumCache) GetBatch(m tensor.Shape, prec Precision, c *Counters) []fft.Spectrum {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -488,108 +472,97 @@ func (t *Transformer) tapsFor(ker *tensor.Tensor, refl bool) *TapList {
 	return t.taps
 }
 
-// Forward computes the edge's forward pass: the valid sparse convolution of
-// img with ker. sc, when non-nil, supplies the node-shared image spectrum.
+// Forward computes the edge's forward pass for one volume: the valid sparse
+// convolution of img with ker. sc, when non-nil, supplies the node-shared
+// image spectrum. With memoization enabled the image spectrum is retained
+// for KernelGrad.
 func (t *Transformer) Forward(img, ker *tensor.Tensor, sc *SpectrumCache) *tensor.Tensor {
-	return t.forward(img, ker, sc, t.mem)
+	return t.ForwardBatch([]*tensor.Tensor{img}, ker, sc, false)[0]
 }
 
-// ForwardInfer is Forward without the memoization side effect. Concurrent
-// forward-only rounds share one Transformer, and the imgF memo slot is
-// round-scoped *training* state: if an inference pass overwrote it, a lazy
-// update task from the surrounding training rounds could consume the wrong
-// image spectrum. Inference therefore never touches the memo slots (it has
-// no update to subsidize anyway).
-func (t *Transformer) ForwardInfer(img, ker *tensor.Tensor, sc *SpectrumCache) *tensor.Tensor {
-	return t.forward(img, ker, sc, false)
-}
-
-// ForwardInferBatch is ForwardInfer over the K volumes of one fused
-// inference round: the kernel spectrum is fetched (and, after an
-// invalidation, recomputed) once and streams through the K pointwise
-// products and inverse transforms, instead of being re-read per volume —
-// the ZNNi batching observation that wins CPU inference throughput. sc,
-// when non-nil, must be a batch cache holding the same K images. Like
-// ForwardInfer it never touches the memo slots.
-func (t *Transformer) ForwardInferBatch(imgs []*tensor.Tensor, ker *tensor.Tensor, sc *SpectrumCache) []*tensor.Tensor {
+// ForwardBatch computes the edge's forward pass for every volume of a
+// round's sweep. On the FFT path the kernel spectrum is fetched (and, after
+// an invalidation, recomputed) once and streams through one pointwise
+// product and one inverse transform per volume — the ZNNi batching
+// observation that wins CPU inference throughput. sc, when non-nil, must
+// hold the same images.
+//
+// infer suppresses the memoization side effect. Concurrent forward-only
+// rounds share one Transformer, and the imgF memo slot is round-scoped
+// *training* state: if an inference pass overwrote it, a lazy update task
+// from the surrounding training rounds could consume the wrong image
+// spectrum.
+func (t *Transformer) ForwardBatch(imgs []*tensor.Tensor, ker *tensor.Tensor, sc *SpectrumCache, infer bool) []*tensor.Tensor {
 	outs := make([]*tensor.Tensor, len(imgs))
-	if !t.mth.IsFFT() {
-		// Spatial methods have no spectra to share; SparseDirect still
-		// amortizes its tap list, cached on first use across the K volumes.
-		for i, img := range imgs {
-			outs[i] = t.forward(img, ker, nil, false)
+	if t.mth.IsFFT() {
+		imgFs, kf := t.forwardSpectra(imgs, ker, sc, infer)
+		for i, imgF := range imgFs {
+			outs[i] = t.FinishForward(t.product(imgF, kf))
 		}
 		return outs
 	}
-	if ker.S != t.k {
-		panic(fmt.Sprintf("conv: kernel %v, want %v", ker.S, t.k))
+	t.checkForward(imgs, ker)
+	var tl *TapList
+	if t.mth == SparseDirect {
+		tl = t.tapsFor(ker, false)
 	}
-	imgFs := t.batchSpectra(imgs, sc)
-	kf, _ := t.kernelSpectra(ker)
-	for i := range imgs {
-		outs[i] = t.FinishForward(t.product(imgFs[i], kf))
+	for i, img := range imgs {
+		out := tensor.New(t.out)
+		if tl != nil {
+			ValidSparseDirectInto(out, img, tl, t.sp)
+			t.cnt.addDirect(sparseConvFlops(t.out, tl))
+		} else {
+			ValidDirectInto(out, img, ker, t.sp)
+			t.cnt.addDirect(directConvFlops(t.out, t.k))
+		}
+		outs[i] = out
 	}
 	return outs
 }
 
-// ForwardProductInferBatch is ForwardProductInfer over the K volumes of one
-// fused inference round: one kernel-spectrum fetch feeds K pointwise
-// products (each into a pooled buffer whose ownership passes to the caller,
-// typically one wsum.ComplexSum per volume). The per-volume inverse
-// transforms happen at the accumulating node (FinishForward), one per
-// (node, volume).
-func (t *Transformer) ForwardProductInferBatch(imgs []*tensor.Tensor, ker *tensor.Tensor, sc *SpectrumCache) []fft.Spectrum {
-	if !t.mth.IsFFT() {
-		panic("conv: ForwardProductInferBatch on a direct-method transformer")
-	}
-	imgFs := t.batchSpectra(imgs, sc)
-	kf, _ := t.kernelSpectra(ker)
-	prods := make([]fft.Spectrum, len(imgs))
-	for i := range imgs {
-		prods[i] = t.product(imgFs[i], kf)
-	}
-	return prods
-}
-
-// batchSpectra returns the K forward image spectra, shared through the
-// batch cache when one is supplied.
-func (t *Transformer) batchSpectra(imgs []*tensor.Tensor, sc *SpectrumCache) []fft.Spectrum {
+// checkForward validates a forward sweep's operand shapes.
+func (t *Transformer) checkForward(imgs []*tensor.Tensor, ker *tensor.Tensor) {
 	for _, img := range imgs {
 		if img.S != t.in {
 			panic(fmt.Sprintf("conv: forward image %v, want %v", img.S, t.in))
 		}
 	}
-	if sc != nil {
-		return sc.GetBatch(t.m, t.prec, t.cnt)
-	}
-	specs := make([]fft.Spectrum, len(imgs))
-	for i, img := range imgs {
-		specs[i] = t.newSpec(img)
-	}
-	return specs
-}
-
-func (t *Transformer) forward(img, ker *tensor.Tensor, sc *SpectrumCache, memo bool) *tensor.Tensor {
-	if img.S != t.in {
-		panic(fmt.Sprintf("conv: forward image %v, want %v", img.S, t.in))
-	}
 	if ker.S != t.k {
 		panic(fmt.Sprintf("conv: kernel %v, want %v", ker.S, t.k))
 	}
-	switch t.mth {
-	case Direct:
-		out := tensor.New(t.out)
-		ValidDirectInto(out, img, ker, t.sp)
-		t.cnt.addDirect(directConvFlops(t.out, t.k))
-		return out
-	case SparseDirect:
-		tl := t.tapsFor(ker, false)
-		out := tensor.New(t.out)
-		ValidSparseDirectInto(out, img, tl, t.sp)
-		t.cnt.addDirect(sparseConvFlops(t.out, tl))
-		return out
+}
+
+// forwardSpectra is the FFT forward core: the image spectrum of every
+// volume (shared through sc when one is supplied) and the kernel spectrum
+// they are all multiplied by. Unless infer is set, a memoizing transformer
+// records the image spectrum for KernelGrad; the memo slot holds one
+// volume, which is all a training round carries.
+func (t *Transformer) forwardSpectra(imgs []*tensor.Tensor, ker *tensor.Tensor, sc *SpectrumCache, infer bool) (imgFs []fft.Spectrum, kf fft.Spectrum) {
+	if !t.mth.IsFFT() {
+		panic("conv: spectral forward on a direct-method transformer")
 	}
-	return t.FinishForward(t.forwardProduct(img, ker, sc, memo))
+	t.checkForward(imgs, ker)
+	if sc != nil {
+		imgFs = sc.GetBatch(t.m, t.prec, t.cnt)
+		if len(imgFs) != len(imgs) {
+			panic(fmt.Sprintf("conv: spectrum cache holds %d images, sweep has %d", len(imgFs), len(imgs)))
+		}
+	} else {
+		imgFs = make([]fft.Spectrum, len(imgs))
+		for i, img := range imgs {
+			imgFs[i] = t.newSpec(img)
+		}
+	}
+	kf, _ = t.kernelSpectra(ker)
+	if t.mem && !infer {
+		if len(imgs) != 1 {
+			panic(fmt.Sprintf("conv: memoizing forward over %d volumes", len(imgs)))
+		}
+		t.mu.Lock()
+		t.imgF = imgFs[0]
+		t.mu.Unlock()
+	}
+	return imgFs, kf
 }
 
 // Backward computes the edge's backward pass: the full convolution of the
@@ -675,8 +648,8 @@ func (t *Transformer) HasMemoizedSpectra() bool {
 // same transform shape, kernel shape and sparsity, the node can sum the
 // edges' FFT-domain products and run a single inverse transform: the
 // execution model the paper's Table II costs assume (f′ inverse transforms
-// per layer forward pass instead of f′·f). The four methods below compute
-// the per-edge products and the per-node finishers.
+// per layer forward pass instead of f′·f). The methods below compute the
+// per-edge products and the per-node finishers.
 
 // SpectralCompatible reports whether two transformers may share a node's
 // spectral sum: same FFT method and precision (so the buffers have the same
@@ -687,42 +660,19 @@ func (t *Transformer) SpectralCompatible(o *Transformer) bool {
 		t.m == o.m && t.k == o.k && t.sp == o.sp && t.out == o.out && t.in == o.in
 }
 
-// ForwardProduct computes the edge's FFT-domain forward product
-// F(img)·F(kernel) into a pooled buffer (ownership passes to the caller,
-// typically a wsum.ComplexSum). Memoization records the image spectrum
-// exactly as Forward does.
-func (t *Transformer) ForwardProduct(img, ker *tensor.Tensor, sc *SpectrumCache) fft.Spectrum {
-	return t.forwardProduct(img, ker, sc, t.mem)
-}
-
-// ForwardProductInfer is ForwardProduct without the memoization side effect
-// (see ForwardInfer), for forward-only rounds running concurrently over a
-// shared Transformer.
-func (t *Transformer) ForwardProductInfer(img, ker *tensor.Tensor, sc *SpectrumCache) fft.Spectrum {
-	return t.forwardProduct(img, ker, sc, false)
-}
-
-func (t *Transformer) forwardProduct(img, ker *tensor.Tensor, sc *SpectrumCache, memo bool) fft.Spectrum {
-	if !t.mth.IsFFT() {
-		panic("conv: ForwardProduct on a direct-method transformer")
+// ForwardProducts computes the edge's FFT-domain forward product
+// F(img)·F(kernel) for every volume of a round's sweep, each into a pooled
+// buffer whose ownership passes to the caller (typically one
+// wsum.ComplexSum per volume); the inverse transforms happen at the
+// accumulating node (FinishForward), one per (node, volume). sc and infer
+// are as in ForwardBatch.
+func (t *Transformer) ForwardProducts(imgs []*tensor.Tensor, ker *tensor.Tensor, sc *SpectrumCache, infer bool) []fft.Spectrum {
+	imgFs, kf := t.forwardSpectra(imgs, ker, sc, infer)
+	prods := make([]fft.Spectrum, len(imgFs))
+	for i, imgF := range imgFs {
+		prods[i] = t.product(imgF, kf)
 	}
-	if img.S != t.in {
-		panic(fmt.Sprintf("conv: forward image %v, want %v", img.S, t.in))
-	}
-	var imgF fft.Spectrum
-	if sc != nil {
-		imgF = sc.Get(t.m, t.prec, t.cnt)
-	} else {
-		imgF = t.newSpec(img)
-	}
-	kf, _ := t.kernelSpectra(ker)
-	prod := t.product(imgF, kf)
-	if memo {
-		t.mu.Lock()
-		t.imgF = imgF
-		t.mu.Unlock()
-	}
-	return prod
+	return prods
 }
 
 // FinishForward inverts an accumulated forward spectrum, crops the valid

@@ -14,9 +14,7 @@ import "sync/atomic"
 //     "scalar" on amd64 hosts that merely lack the features, and "purego"
 //     when the build excluded the assembly (purego tag or non-amd64).
 //
-// After init the table is immutable on the production path; SetVectorKernels
-// exists for benchmarks and differential tests to A/B the two sets and must
-// not race transforms.
+// After init the table is immutable.
 var (
 	mulInto64    = mulInto64Scalar
 	mulAccInto64 = mulAccInto64Scalar
@@ -61,30 +59,3 @@ func KernelPath() string { return kernelPath }
 // KernelDispatches returns the number of kernel calls dispatched to the
 // AVX2 set since process start (0 on the scalar and purego paths).
 func KernelDispatches() int64 { return vecKernelOps.Load() }
-
-// SetVectorKernels enables or disables the AVX2 kernel set (including the
-// lane-batched line passes) and reports whether it was previously enabled.
-// Disabling restores the exact pre-vectorization scalar path, which is how
-// benchmarks measure the asm win on one host. It is a no-op returning
-// false when the build or CPU cannot run the vector set. Not safe to call
-// concurrently with transforms: test and benchmark use only.
-func SetVectorKernels(on bool) bool {
-	prev := vecActive
-	if on {
-		installVectorKernels()
-	} else {
-		mulInto64 = mulInto64Scalar
-		mulAccInto64 = mulAccInto64Scalar
-		scale64 = scale64Scalar
-		bfLaneR2 = bfLaneR2Go
-		bfLaneR4 = bfLaneR4Go
-		r2cLaneCombine = r2cLaneCombineGo
-		c2rLanePre = c2rLanePreGo
-		laneBatch = false
-		vecActive = false
-		if kernelPath == "avx2" {
-			kernelPath = "scalar"
-		}
-	}
-	return prev
-}

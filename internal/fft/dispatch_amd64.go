@@ -4,10 +4,9 @@ package fft
 
 import "znn/internal/cpu"
 
-// installVectorKernels swaps the AVX2 kernel set into the dispatch table
-// when the CPU supports it (AVX2 + FMA + OS YMM state). Called from init
-// and from SetVectorKernels(true).
-func installVectorKernels() {
+// init swaps the AVX2 kernel set into the dispatch table when the CPU
+// supports it (AVX2 + FMA + OS YMM state).
+func init() {
 	if !cpu.VectorOK() {
 		return
 	}
@@ -22,8 +21,6 @@ func installVectorKernels() {
 	vecActive = true
 	kernelPath = "avx2"
 }
-
-func init() { installVectorKernels() }
 
 // The exported wrappers below bridge the asm bodies (which require whole
 // vector groups) to arbitrary slice lengths: the assembly processes the

@@ -2,9 +2,7 @@
 
 package fft
 
-// installVectorKernels is a no-op when the assembly is excluded from the
-// build (purego tag or non-amd64 GOARCH): the dispatch table keeps the
-// portable Go kernels and KernelPath reports "purego".
-func installVectorKernels() {}
-
+// When the assembly is excluded from the build (purego tag or non-amd64
+// GOARCH) the dispatch table keeps the portable Go kernels and KernelPath
+// reports "purego".
 func init() { kernelPath = "purego" }

@@ -86,8 +86,7 @@
 // is the escape hatch that excludes all assembly and CPUID probing — the
 // portable configuration every non-amd64 port compiles, and the fastest
 // way to rule the vector kernels in or out when debugging a numerical
-// discrepancy. SetVectorKernels toggles the sets at runtime for
-// benchmarks and differential tests only.
+// discrepancy.
 package fft
 
 import (

@@ -54,24 +54,12 @@ type Op interface {
 	Backward(grad *tensor.Tensor, ctx *BwdCtx) *tensor.Tensor
 }
 
-// BatchForwarder is implemented by ops that can sweep the K volumes of one
-// fused inference round in a single call, amortizing per-call setup (for
-// convolution edges: one kernel-spectrum fetch feeding K pointwise
-// products) across the batch. It is only invoked with ctx.Infer set — the
-// batched sweep stores no per-round op state.
-type BatchForwarder interface {
-	ForwardBatch(ins []*tensor.Tensor, ctx *FwdCtx) []*tensor.Tensor
-}
-
-// ForwardBatch applies op to each of the K volumes of a fused inference
-// round, using the op's batched sweep when it has one and a per-volume
-// loop otherwise. ctx must mark an inference round.
+// ForwardBatch applies op to every volume of one round's sweep: a
+// convolution edge runs its batched sweep (one kernel-spectrum fetch feeding
+// a pointwise product per volume), any other op is applied per volume.
 func ForwardBatch(op Op, ins []*tensor.Tensor, ctx *FwdCtx) []*tensor.Tensor {
-	if !ctx.infer() {
-		panic("graph: ForwardBatch outside an inference round")
-	}
-	if b, ok := op.(BatchForwarder); ok {
-		return b.ForwardBatch(ins, ctx)
+	if c, ok := op.(*ConvOp); ok {
+		return c.forwardBatch(ins, ctx)
 	}
 	outs := make([]*tensor.Tensor, len(ins))
 	for i, in := range ins {
@@ -130,23 +118,15 @@ func (o *ConvOp) OutShape(in tensor.Shape) tensor.Shape {
 
 // Forward computes the valid sparse convolution.
 func (o *ConvOp) Forward(in *tensor.Tensor, ctx *FwdCtx) *tensor.Tensor {
+	return o.forwardBatch([]*tensor.Tensor{in}, ctx)[0]
+}
+
+func (o *ConvOp) forwardBatch(ins []*tensor.Tensor, ctx *FwdCtx) []*tensor.Tensor {
 	var sc *conv.SpectrumCache
 	if ctx != nil {
 		sc = ctx.Spectra
 	}
-	if ctx.infer() {
-		return o.Tr.ForwardInfer(in, o.Kernel, sc)
-	}
-	return o.Tr.Forward(in, o.Kernel, sc)
-}
-
-// ForwardBatch sweeps the K volumes of a fused inference round through the
-// edge with a single kernel-spectrum fetch (see conv.ForwardInferBatch).
-func (o *ConvOp) ForwardBatch(ins []*tensor.Tensor, ctx *FwdCtx) []*tensor.Tensor {
-	if !ctx.infer() {
-		panic("graph: ConvOp.ForwardBatch outside an inference round")
-	}
-	return o.Tr.ForwardInferBatch(ins, o.Kernel, ctx.Spectra)
+	return o.Tr.ForwardBatch(ins, o.Kernel, sc, ctx.infer())
 }
 
 // Backward computes the full convolution with the reflected kernel.
@@ -209,15 +189,6 @@ func (o *TransferOp) Forward(in *tensor.Tensor, ctx *FwdCtx) *tensor.Tensor {
 		o.fwdOut = out
 	}
 	return out
-}
-
-// ForwardBatch applies the transfer to the K volumes of a fused inference
-// round (no Jacobian stores — there is no backward pass to consume them).
-func (o *TransferOp) ForwardBatch(ins []*tensor.Tensor, ctx *FwdCtx) []*tensor.Tensor {
-	if !ctx.infer() {
-		panic("graph: TransferOp.ForwardBatch outside an inference round")
-	}
-	return ops.TransferForwardBatch(o.F, ins, o.Bias)
 }
 
 // Backward multiplies the backward image by f′ evaluated at the stored

@@ -61,7 +61,8 @@ func (nw *Network) forwardSerial(inputs []*tensor.Tensor) ([]*tensor.Tensor, err
 			var spec fft.Spectrum
 			for _, e := range n.In {
 				op := e.Op.(*graph.ConvOp)
-				prod := op.Tr.ForwardProduct(imgs[e.From.ID], op.Kernel, &caches[e.From.ID])
+				in := []*tensor.Tensor{imgs[e.From.ID]}
+				prod := op.Tr.ForwardProducts(in, op.Kernel, &caches[e.From.ID], false)[0]
 				if spec.IsNil() {
 					spec = prod
 				} else {

@@ -106,17 +106,6 @@ func TransferForward(t Transfer, in *tensor.Tensor, bias float64) *tensor.Tensor
 	return out
 }
 
-// TransferForwardBatch applies the transfer to the K volumes of one fused
-// inference round's sweep: one virtual dispatch of the nonlinearity per
-// batch instead of per volume.
-func TransferForwardBatch(t Transfer, ins []*tensor.Tensor, bias float64) []*tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(ins))
-	for i, in := range ins {
-		outs[i] = TransferForward(t, in, bias)
-	}
-	return outs
-}
-
 // TransferBackward computes the transfer Jacobian: each voxel of the
 // backward image grad multiplied by f′ evaluated via the forward output
 // fwdOut (Section III: "every voxel of a backward image is multiplied by

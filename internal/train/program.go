@@ -13,11 +13,13 @@
 //     per-node wait-free sums, spectrum caches, forward/backward images,
 //     the loss accumulator and the round-scoped task fan-out. Every round
 //     — K-wide inference, exclusive forward, training — is built by the one
-//     constructor, Program.NewRound. Training sessions hold the Program's
-//     round lock exclusively; forward-only inference rounds hold it shared,
-//     so N of them run concurrently on the one scheduler and mempool — the
-//     regime ZNNi (Zlateski et al., 2016) shows maximizes CPU inference
-//     throughput.
+//     constructor, Program.NewRound, and runs the one forward sweep
+//     (RoundState.doForward) over its volumes: the batch width K is the
+//     length of a slice, 1 outside inference, never a code path. Training
+//     sessions hold the Program's round lock exclusively; forward-only
+//     inference rounds hold it shared, so N of them run concurrently on
+//     the one scheduler and mempool — the regime ZNNi (Zlateski et al.,
+//     2016) shows maximizes CPU inference throughput.
 //
 // Each training round (one stochastic gradient iteration) proceeds exactly
 // as in the paper: a data-provider task publishes the input images and

@@ -16,9 +16,9 @@ import (
 // roundNode is the per-round runtime state of one graph node. The forward
 // side is K-wide — one wait-free accumulator, one published image and
 // (lazily) one cached spectrum per volume of the round's batch — while the
-// backward side stays singular: only training rounds run backward, and
-// training rounds have K = 1. Accumulators come from the
-// wsum free lists, so N rounds in flight get private sums.
+// backward side is singular: only training rounds run backward, and they
+// carry one volume. Accumulators come from the wsum free lists, so N rounds
+// in flight get private sums.
 type roundNode struct {
 	fwdSums  []*wsum.Sum        // per-volume tensor accumulators
 	fwdCSums []*wsum.ComplexSum // per-volume spectral accumulators
@@ -44,7 +44,7 @@ func (rn *roundNode) completeFwd(v int, img *tensor.Tensor) (allDone bool) {
 	allDone = rn.fwdLeft == 0
 	rn.mu.Unlock()
 	if allDone {
-		rn.spectra.ResetBatch(rn.fwdImgs)
+		rn.spectra.Reset(rn.fwdImgs...)
 	}
 	return allDone
 }
@@ -56,8 +56,8 @@ func (rn *roundNode) setBwd(img *tensor.Tensor) {
 	rn.bwdSpec.Reset(img)
 }
 
-// FwdImage returns the node's forward image for volume 0 — the whole image
-// on K=1 rounds, which is what the exclusive Round/Forward paths read.
+// FwdImage returns the node's forward image for volume 0 — the only volume
+// of the exclusive Round/Forward rounds, which are its readers.
 func (rn *roundNode) FwdImage() *tensor.Tensor { return rn.FwdImageAt(0) }
 
 // FwdImageAt returns the node's forward image for volume v.
@@ -92,15 +92,14 @@ const (
 )
 
 // RoundState is one round in flight: a private fan-out of tasks over the
-// shared Program. The batch width K is a first-class property of the
-// round: a fused inference round carries K volumes through one task tree,
-// so each (node, edge) sweep loads the edge's kernel spectrum once for K
-// pointwise products and the node runs one inverse transform per volume
-// (the ZNNi/PZnet batching regime). Training rounds (backward = true)
-// additionally carry the desired outputs, the loss accumulator and
-// backward sums, and always have K = 1; inference rounds (infer = true)
-// never allocate backward accumulators and never touch cross-round op
-// state, which is what lets many of them run concurrently.
+// shared Program. The batch width K is data: a round carries its K volumes
+// through one task tree, so each (node, edge) sweep loads the edge's kernel
+// spectrum once for K pointwise products and the node runs one inverse
+// transform per volume (the ZNNi/PZnet batching regime). Training rounds
+// (backward = true) additionally carry the desired outputs, the loss
+// accumulator and backward sums, and have K = 1; inference rounds
+// (infer = true) never allocate backward accumulators and never touch
+// cross-round op state, which is what lets many of them run concurrently.
 type RoundState struct {
 	p        *Program
 	sr       *sched.Round
@@ -247,7 +246,7 @@ func (rs *RoundState) Start() {
 			copy(rn.fwdImgs, imgs)
 			rn.fwdLeft = 0
 			rn.mu.Unlock()
-			rn.spectra.ResetBatch(rn.fwdImgs)
+			rn.spectra.Reset(rn.fwdImgs...)
 			rs.fanOutForward(node, imgs)
 		}
 	})
@@ -364,57 +363,47 @@ func (rs *RoundState) fanOutForward(n *graph.Node, imgs []*tensor.Tensor) {
 	rs.sr.SpawnBatch(specs)
 }
 
-// doForward is Algorithm 1's DO-FORWARD, swept across the round's K
-// volumes: the edge's kernel spectrum is fetched once and feeds K
-// pointwise products (or the op's batched sweep), and each volume joins
-// its own per-volume accumulator at the target node.
+// doForward is Algorithm 1's DO-FORWARD over the round's volumes: one sweep
+// of the edge (its kernel spectrum fetched once), then each volume joins
+// its own accumulator at the target node. The two arms are the two kinds
+// of sum a node can have.
 func (rs *RoundState) doForward(e *graph.Edge, imgs []*tensor.Tensor) {
 	us := &rs.nodes[e.From.ID]
 	vs := &rs.nodes[e.To.ID]
 	if rs.p.nodes[e.To.ID].fwdSpectral {
 		op := e.Op.(*graph.ConvOp)
-		if rs.infer && rs.k > 1 {
-			prods := op.Tr.ForwardProductInferBatch(imgs, op.Kernel, &us.spectra)
-			for v, prod := range prods {
-				if vs.fwdCSums[v].Add(prod) {
-					// One inverse transform per (node, volume), each its
-					// own task: the inverses of a completed batch run in
-					// parallel instead of serializing on the sweeping task.
-					v := v
-					rs.sr.Spawn(sched.Work, e.To.FwdPrio, func() {
-						rs.finishForward(e, v, op.Tr.FinishForward(vs.fwdCSums[v].Value()))
-					})
-				}
+		var done []int // volumes whose sum this task completed
+		for v, prod := range op.Tr.ForwardProducts(imgs, op.Kernel, &us.spectra, rs.infer) {
+			if vs.fwdCSums[v].Add(prod) {
+				done = append(done, v)
 			}
-			return
 		}
-		var prod fft.Spectrum
-		if rs.infer {
-			prod = op.Tr.ForwardProductInfer(imgs[0], op.Kernel, &us.spectra)
-		} else {
-			prod = op.Tr.ForwardProduct(imgs[0], op.Kernel, &us.spectra)
+		// One inverse transform per (node, volume). All but one go out as
+		// tasks so the inverses of a completed batch run in parallel instead
+		// of serializing here; the last runs on this task.
+		for i, v := range done {
+			if i == len(done)-1 {
+				rs.finishSpectral(e, v)
+				break
+			}
+			v := v
+			rs.sr.Spawn(sched.Work, e.To.FwdPrio, func() { rs.finishSpectral(e, v) })
 		}
-		if !vs.fwdCSums[0].Add(prod) {
-			return
-		}
-		rs.finishForward(e, 0, op.Tr.FinishForward(vs.fwdCSums[0].Value()))
 		return
 	}
 	ctx := &graph.FwdCtx{Spectra: &us.spectra, Infer: rs.infer}
-	if rs.infer && rs.k > 1 {
-		outs := graph.ForwardBatch(e.Op, imgs, ctx)
-		for v, out := range outs {
-			if vs.fwdSums[v].Add(out) {
-				rs.finishForward(e, v, vs.fwdSums[v].Value())
-			}
+	for v, out := range graph.ForwardBatch(e.Op, imgs, ctx) {
+		if vs.fwdSums[v].Add(out) {
+			rs.finishForward(e, v, vs.fwdSums[v].Value())
 		}
-		return
 	}
-	out := e.Op.Forward(imgs[0], ctx)
-	if !vs.fwdSums[0].Add(out) {
-		return
-	}
-	rs.finishForward(e, 0, vs.fwdSums[0].Value())
+}
+
+// finishSpectral inverts volume v's completed spectral sum at edge e's
+// target node and publishes the image.
+func (rs *RoundState) finishSpectral(e *graph.Edge, v int) {
+	sum := rs.nodes[e.To.ID].fwdCSums[v].Value()
+	rs.finishForward(e, v, e.Op.(*graph.ConvOp).Tr.FinishForward(sum))
 }
 
 // finishForward publishes volume v's completed image at edge e's target

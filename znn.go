@@ -123,10 +123,6 @@ type Config struct {
 	// SlidingWindow converts max-pooling layers to max-filtering with
 	// sparse convolution (Fig. 2), enabling dense output patches.
 	SlidingWindow bool
-	// DisableSpectral turns off node-level FFT-domain accumulation (by
-	// default, convergent FFT-convolution edges with identical geometry
-	// sum spectra and run one inverse transform per node).
-	DisableSpectral bool
 	// Float32 runs the packed spectral pipeline in float32/complex64:
 	// half the spectrum memory and bandwidth at float32 accuracy. The
 	// autotuner cost model accounts for the halved bandwidth when
@@ -227,14 +223,13 @@ func compile(spec net.Spec, cfg Config, bo net.BuildOptions, params []float64, r
 		}
 	}
 	en, err := train.NewEngine(nw.G, train.Config{
-		Workers:         cfg.Workers,
-		Policy:          cfg.Policy,
-		Loss:            loss,
-		Eta:             cfg.Eta,
-		Momentum:        cfg.Momentum,
-		Precision:       cfg.precision(),
-		DisableSpectral: cfg.DisableSpectral,
-		Plan:            pl,
+		Workers:   cfg.Workers,
+		Policy:    cfg.Policy,
+		Loss:      loss,
+		Eta:       cfg.Eta,
+		Momentum:  cfg.Momentum,
+		Precision: cfg.precision(),
+		Plan:      pl,
 	})
 	if err != nil {
 		return nil, err
