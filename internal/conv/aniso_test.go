@@ -28,7 +28,7 @@ func TestAnisotropicTransformer(t *testing.T) {
 		bwd := tensor.RandomUniform(rng, g.in.ValidConv(g.k, g.sp), -1, 1)
 
 		wantF := ValidDirect(img, ker, g.sp)
-		wantB := BackwardDirect(bwd, ker, g.sp)
+		wantB := FullDirect(bwd, ker.Reflect(), g.sp)
 		wantG := KernelGradDirect(img, bwd, g.k, g.sp)
 
 		for _, method := range []Method{Direct, FFT} {
@@ -67,10 +67,12 @@ func TestKernelEqualsImage(t *testing.T) {
 }
 
 // Concurrent transformers sharing one SpectrumCache must be safe and
-// correct (this is exactly what the engine does for a layer's edges).
+// correct (this is exactly what the engine does for a layer's edges); the
+// direct edges share the kernels' scratch buffers and tap-list pool.
 func TestConcurrentEdgesOneCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	img := tensor.RandomUniform(rng, tensor.Cube(10), -1, 1)
+	img := tensor.RandomUniform(rng, tensor.S3(40, 10, 10), -1, 1)
+	bwd := tensor.RandomUniform(rng, tensor.S3(38, 8, 8), -1, 1)
 	var sc SpectrumCache
 	sc.Reset(img)
 	const edges = 8
@@ -80,21 +82,27 @@ func TestConcurrentEdgesOneCache(t *testing.T) {
 		kers[i] = tensor.RandomUniform(rng, tensor.Cube(3), -1, 1)
 		wants[i] = ValidDirect(img, kers[i], tensor.Dense())
 	}
-	done := make(chan error, edges)
-	for i := 0; i < edges; i++ {
-		go func(i int) {
-			tr := NewTransformer(img.S, tensor.Cube(3), tensor.Dense(), FFT, false, nil)
-			out := tr.Forward(img, kers[i], &sc)
-			if d := out.MaxAbsDiff(wants[i]); d > 1e-9 {
-				done <- errMismatch{d}
-				return
+	for _, method := range []Method{FFT, Direct} {
+		done := make(chan error, edges)
+		for i := 0; i < edges; i++ {
+			go func(i int) {
+				tr := NewTransformer(img.S, tensor.Cube(3), tensor.Dense(), method, false, nil)
+				out := tr.Forward(img, kers[i], &sc)
+				if method == Direct {
+					tr.Backward(bwd, kers[i], nil)
+					tr.KernelGrad(img, bwd)
+				}
+				if d := out.MaxAbsDiff(wants[i]); d > 1e-9 {
+					done <- errMismatch{d}
+					return
+				}
+				done <- nil
+			}(i)
+		}
+		for i := 0; i < edges; i++ {
+			if err := <-done; err != nil {
+				t.Fatalf("%v: %v", method, err)
 			}
-			done <- nil
-		}(i)
-	}
-	for i := 0; i < edges; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
 		}
 	}
 }

@@ -47,9 +47,7 @@ func (p TunePolicy) String() string {
 // purposes: f input nodes, fPrime output nodes, input image shape, kernel
 // shape and sparsity. Density is the mean nonzero fraction of the layer's
 // kernels in (0, 1]; zero means unknown and is treated as dense. It feeds
-// the sparse-direct cost term — before it existed, a mostly-zero (dilated
-// or pruned) kernel was costed as dense, biasing the tuner toward FFT on
-// exactly the layers where skipping zero taps wins.
+// the sparse-direct cost term, which charges only the nonzero taps.
 type LayerGeom struct {
 	In      tensor.Shape
 	Kernel  tensor.Shape
@@ -83,6 +81,13 @@ func (g LayerGeom) density() float64 {
 // measured end-to-end ratio, applied to the whole spectral term as a
 // bandwidth proxy; it shifts the direct-vs-FFT crossover toward FFT.
 const f32FFTCostFactor = 0.56
+
+// sparseDirectOverhead is only a planner tie-break. Direct and SparseDirect
+// run the same tap-list kernel, so at equal nonzero count they cost the
+// same; the factor keeps the tuner and planner labelling a dense layer
+// Direct, and lets SparseDirect win only where its density-scaled term beats
+// Direct's dense one by more than 2%.
+const sparseDirectOverhead = 1.02
 
 // Autotuner caches per-geometry decisions. The zero value uses TuneModel at
 // float64 precision; set Precision to PrecF32 when the layers will run the
@@ -139,10 +144,9 @@ func modelChoice(g LayerGeom, prec Precision) Method {
 	kv := float64(g.Kernel.Volume())
 	ov := float64(out.Volume())
 	direct := 3 * fp * f * ov * kv
-	// Sparse-direct: the forward and backward convolutions scale with the
-	// nonzero tap count (the kernel gradient stays dense — zero taps still
-	// receive gradients), with a small per-tap overhead so a fully dense
-	// kernel keeps plain Direct.
+	// Sparse-direct: forward and backward scale with the nonzero tap count,
+	// the kernel gradient stays dense; sparseDirectOverhead breaks the tie
+	// at density 1.
 	taps := math.Max(g.density()*kv, 1)
 	sparse := fp * f * ov * (2*taps*sparseDirectOverhead + kv)
 	m := transformShape(g.In, g.Kernel, g.Sp)
@@ -175,12 +179,7 @@ func measureChoice(g LayerGeom, prec Precision) Method {
 	rng := rand.New(rand.NewSource(12345))
 	img := tensor.RandomUniform(rng, g.In, -1, 1)
 	ker := tensor.RandomUniform(rng, g.Kernel, -1, 1)
-	outShape := g.In.ValidConv(g.Kernel, g.Sp)
-
-	tDirect := timeOp(func() {
-		out := tensor.New(outShape)
-		ValidDirectInto(out, img, ker, g.Sp)
-	})
+	tDirect := timeOp(directOp(img, ker, g.Sp))
 
 	tFFT, tInv, tMul, tRefl := measureSpectralPrimitives(g, img, prec)
 
@@ -190,12 +189,11 @@ func measureChoice(g LayerGeom, prec Precision) Method {
 	fftTotal := (f+fp)*tFFT + edges*(tFFT+3*tMul+3*tInv+2*tRefl)
 	best, bestCost := Direct, direct
 	// Sparse-direct is only a candidate when the layer's kernels actually
-	// have structural zeros — on a dense layer it is dense Direct plus tap
-	// indirection, and timing noise must not flip the tie.
+	// have structural zeros — on a dense layer it is Direct, and timing
+	// noise must not flip the tie.
 	if g.density() < 1 {
-		tSparse := timeSparseDirect(g, img, outShape, rng)
-		// Forward and backward run off the tap list; the kernel gradient
-		// stays on the dense path.
+		tSparse := timeSparseDirect(g, img, rng)
+		// Forward and backward skip zero taps; the kernel gradient is dense.
 		if sparse := edges * (2*tSparse + tDirect); sparse < bestCost {
 			best, bestCost = SparseDirect, sparse
 		}
@@ -206,16 +204,19 @@ func measureChoice(g LayerGeom, prec Precision) Method {
 	return best
 }
 
-// timeSparseDirect times one sparse-direct valid convolution with a kernel
-// zeroed down to the layer's density, so the measurement reflects the tap
-// count the real kernels would present.
-func timeSparseDirect(g LayerGeom, img *tensor.Tensor, outShape tensor.Shape, rng *rand.Rand) float64 {
-	ker := sparseKernel(rng, g.Kernel, g.density())
+// timeSparseDirect times one valid direct convolution with a kernel zeroed
+// down to the layer's density: the tap count the real kernels present.
+func timeSparseDirect(g LayerGeom, img *tensor.Tensor, rng *rand.Rand) float64 {
+	return timeOp(directOp(img, sparseKernel(rng, g.Kernel, g.density()), g.Sp))
+}
+
+// directOp returns the timed body of a direct measurement: like the
+// spectral primitives it runs on buffers made before the clock starts, so a
+// sample is not charged for allocating and zeroing an output volume.
+func directOp(img, ker *tensor.Tensor, sp tensor.Sparsity) func() {
+	out := tensor.New(img.S.ValidConv(ker.S, sp))
 	tl := NewTapList(ker)
-	return timeOp(func() {
-		out := tensor.New(outShape)
-		ValidSparseDirectInto(out, img, tl, g.Sp)
-	})
+	return func() { validInto(out, img, tl, sp) }
 }
 
 // sparseKernel builds a random kernel with approximately the given nonzero
@@ -314,18 +315,13 @@ func ForwardFlops(g LayerGeom, m Method, prec Precision) float64 {
 func MeasureForwardSeconds(g LayerGeom, m Method, prec Precision) float64 {
 	rng := rand.New(rand.NewSource(12345))
 	img := tensor.RandomUniform(rng, g.In, -1, 1)
-	outShape := g.In.ValidConv(g.Kernel, g.Sp)
 	f, fp := float64(g.F), float64(g.FPrime)
 	switch m {
 	case Direct:
 		ker := tensor.RandomUniform(rng, g.Kernel, -1, 1)
-		t := timeOp(func() {
-			out := tensor.New(outShape)
-			ValidDirectInto(out, img, ker, g.Sp)
-		})
-		return fp * f * t
+		return fp * f * timeOp(directOp(img, ker, g.Sp))
 	case SparseDirect:
-		return fp * f * timeSparseDirect(g, img, outShape, rng)
+		return fp * f * timeSparseDirect(g, img, rng)
 	case FFT:
 		tFFT, tInv, tMul, _ := measureSpectralPrimitives(g, img, prec)
 		return f*tFFT + fp*tInv + fp*f*tMul

@@ -150,7 +150,7 @@ func TestBackwardIsAdjointOfForward(t *testing.T) {
 		img, ker, sp := randGeom(r)
 		u := tensor.RandomUniform(r, img.S.ValidConv(ker.S, sp), -1, 1)
 		lhs := ValidDirect(img, ker, sp).Dot(u)
-		rhs := img.Dot(BackwardDirect(u, ker, sp))
+		rhs := img.Dot(FullDirect(u, ker.Reflect(), sp))
 		d := lhs - rhs
 		if d < 0 {
 			d = -d
@@ -202,7 +202,7 @@ func TestTransformerBackwardMatchesDirect(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		img, ker, sp := randGeom(rng)
 		bwd := tensor.RandomUniform(rng, img.S.ValidConv(ker.S, sp), -1, 1)
-		want := BackwardDirect(bwd, ker, sp)
+		want := FullDirect(bwd, ker.Reflect(), sp)
 		for _, method := range []Method{Direct, FFT} {
 			tr := NewTransformer(img.S, ker.S, sp, method, false, nil)
 			got := tr.Backward(bwd, ker, nil)

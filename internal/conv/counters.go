@@ -38,22 +38,16 @@ func fftFlops(m tensor.Shape) int64 {
 	return int64(FFTConstant * float64(fft.PackedVolume(m)) * math.Log2(n))
 }
 
-func (c *Counters) addFFT(m tensor.Shape, f32 bool) {
+// addFFT counts one forward transform, or with inverse one inverse one.
+func (c *Counters) addFFT(m tensor.Shape, f32, inverse bool) {
 	if c == nil {
 		return
 	}
-	c.FFTs.Add(1)
-	if f32 {
-		c.F32FFTs.Add(1)
+	if inverse {
+		c.InverseFFTs.Add(1)
+	} else {
+		c.FFTs.Add(1)
 	}
-	c.FFTFlops.Add(fftFlops(m))
-}
-
-func (c *Counters) addInverse(m tensor.Shape, f32 bool) {
-	if c == nil {
-		return
-	}
-	c.InverseFFTs.Add(1)
 	if f32 {
 		c.F32FFTs.Add(1)
 	}
@@ -146,17 +140,4 @@ func (c *Counters) Reset() {
 	c.ReflectOps.Store(0)
 	c.DirectFlops.Store(0)
 	c.F32FFTs.Store(0)
-}
-
-// directConvFlops returns the multiply-add count of a direct valid
-// convolution: output volume × kernel volume.
-func directConvFlops(out, k tensor.Shape) int64 {
-	return int64(out.Volume()) * int64(k.Volume())
-}
-
-// sparseConvFlops returns the multiply-add count of a sparse-direct
-// convolution: output volume × nonzero tap count — the whole point of the
-// tap-list path is that the counter (like the work) scales with nnz.
-func sparseConvFlops(out tensor.Shape, tl *TapList) int64 {
-	return int64(out.Volume()) * int64(tl.Len())
 }

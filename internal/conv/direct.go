@@ -16,32 +16,47 @@
 // (Section III).
 //
 // The spectral path (Method FFT) runs real-input r2c/c2r transforms over
-// Hermitian-packed spectra and is parameterized by precision: Precision
-// selects float64/complex128 (PrecF64, bit-compatible default) or
-// float32/complex64 (PrecF32) element types. Spectra of different
-// precisions never mix: SpectrumCache keys on (shape, precision), and
-// SpectralCompatible requires one precision across a summing node's edges.
-// The autotuner's cost model and measured primitives account for the halved
-// bandwidth of PrecF32.
+// Hermitian-packed spectra at a Precision, PrecF64 (default) or PrecF32.
+// Spectra of different precisions never mix: SpectrumCache keys on (shape,
+// precision), and SpectralCompatible requires one precision per summing node.
+//
+// # Direct kernels
+//
+// Direct and SparseDirect run one kernel, which takes a kernel in one form:
+// a TapList, the nonzero coefficients in fixed (z, y, x) order with their
+// source offsets. Dense kernels skip zero taps too, so the two methods differ
+// only in the planner's cost cell. Loops are output-outer, tap-inner: the
+// forward pass computes each output plane as one run at the image's row
+// stride — the gather dst[i] = Σ_t w_t·src[off_t + i], 32 voxels held in
+// eight YMM accumulators across every tap — and copies its rows out. The
+// backward pass is the same gather over the image zero-padded by s(k−1) in
+// pooled scratch, with the reflected tap list read straight off the kernel;
+// the kernel gradient is one dot product per tap and backward plane.
+//
+// Rounding contract: every output voxel is the FMA chain from +0 over its
+// taps in list order — in the vector body, in the final block (which
+// overlaps its predecessor instead of leaving a tail) and in the math.FMA
+// scalar code alike — so its bits do not depend on where a row, plane or
+// tile boundary falls: tiled ≡ single-shot and Direct ≡ SparseDirect are
+// bitwise. The gradient sums in the fixed order documented on dotGo. The
+// AVX2+FMA assembly runs when internal/cpu reports VectorOK; otherwise (the
+// purego tag, other GOARCHes, pre-AVX2 hosts) the Go twins in kernels.go
+// produce the same bits — via math.FMA, slow only on pre-FMA x86.
 //
 // # Batch width
 //
 // A forward sweep takes the round's volumes as a slice, whatever its
-// length: SpectrumCache holds a node's images together (Reset) and every
-// consuming edge shares the same lazily computed spectrum per (key, volume)
-// (GetBatch), and the Transformer's sweeps — ForwardBatch and
-// ForwardProducts — fetch the edge's kernel spectrum once and stream it
-// through one pointwise product per volume, instead of re-reading it per
-// volume. Forward is the one-volume case. Inference-round caches
-// additionally run pooled (SetPooled): buffers come from the spectra pool
-// of their precision and return through ReleaseAll, the round's release
-// hook, so sustained serving traffic produces no per-round spectrum
-// garbage; training caches stay GC-managed because memoizing edges retain
-// their buffers across the round boundary.
+// length; Forward is the one-volume case. SpectrumCache shares each node
+// image's lazily computed spectrum among the consuming edges, and the
+// Transformer's sweeps (ForwardBatch, ForwardProducts) fetch the kernel
+// spectrum, or build the tap list, once per sweep.
 package conv
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
 
 	"znn/internal/tensor"
 )
@@ -57,6 +72,121 @@ func checkConvArgs(img, ker *tensor.Tensor, sp tensor.Sparsity) {
 	}
 }
 
+// TapList is the nonzero-tap form of a kernel in (z, y, x) order, which
+// fixes every voxel's accumulation order. Its offset scratch makes it
+// single-goroutine.
+type TapList struct {
+	ks  tensor.Shape
+	w   []float64 // nonzero coefficients
+	at  []int     // their linear indices in the kernel
+	off []int     // their source offsets, set by bind
+}
+
+// NewTapList scans the kernel once and records its nonzero taps.
+func NewTapList(ker *tensor.Tensor) *TapList { return newTapList(ker, false) }
+
+// tapLists recycles the tap lists the hot paths build per call.
+var tapLists = sync.Pool{New: func() any { return new(TapList) }}
+
+// newTapList lists the nonzero taps of ker or, with refl, of its reflection
+// (reflecting every axis reverses the linear order), without building it.
+func newTapList(ker *tensor.Tensor, refl bool) *TapList {
+	tl := tapLists.Get().(*TapList)
+	tl.ks, tl.w, tl.at = ker.S, tl.w[:0], tl.at[:0]
+	last := len(ker.Data) - 1
+	for a, w := range ker.Data {
+		if refl {
+			w = ker.Data[last-a]
+		}
+		if w != 0 {
+			tl.w = append(tl.w, w)
+			tl.at = append(tl.at, a)
+		}
+	}
+	return tl
+}
+
+// bind sets and returns the taps' source offsets for a valid convolution
+// over a source of shape s: s·(k−1−a) per axis.
+func (tl *TapList) bind(s tensor.Shape, sp tensor.Sparsity) []int {
+	ks := tl.ks
+	tl.off = slices.Grow(tl.off[:0], len(tl.at))
+	for _, a := range tl.at {
+		x, y, z := a%ks.X, a/ks.X%ks.Y, a/(ks.X*ks.Y)
+		tl.off = append(tl.off, s.Index(sp.X*(ks.X-1-x), sp.Y*(ks.Y-1-y), sp.Z*(ks.Z-1-z)))
+	}
+	return tl.off
+}
+
+// Len returns the number of nonzero taps.
+func (tl *TapList) Len() int { return len(tl.w) }
+
+// KernelShape returns the shape of the kernel the list was built from.
+func (tl *TapList) KernelShape() tensor.Shape { return tl.ks }
+
+// Nnz counts the nonzero coefficients of a kernel.
+func Nnz(ker *tensor.Tensor) int {
+	n := 0
+	for _, w := range ker.Data {
+		if w != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Density returns the nonzero fraction of a kernel in [0, 1].
+func Density(ker *tensor.Tensor) float64 {
+	if len(ker.Data) == 0 {
+		return 1
+	}
+	return float64(Nnz(ker)) / float64(len(ker.Data))
+}
+
+// scratch holds the direct kernels' work buffers, one free list per
+// power-of-two capacity, dirty (users write all they read) and never freed:
+// a sync.Pool would drop the padded backward buffers at every GC.
+var scratch struct {
+	sync.Mutex
+	free [bits.UintSize][][]float64
+}
+
+func getScratch(n int) []float64 {
+	c := bits.Len(uint(n - 1))
+	scratch.Lock()
+	defer scratch.Unlock()
+	if free := scratch.free[c]; len(free) > 0 {
+		scratch.free[c] = free[:len(free)-1]
+		return free[len(free)-1][:n]
+	}
+	return make([]float64, n, 1<<c)
+}
+
+func putScratch(b []float64) {
+	c := bits.Len(uint(cap(b) - 1))
+	scratch.Lock()
+	scratch.free[c] = append(scratch.free[c], b)
+	scratch.Unlock()
+}
+
+// padInto writes the box of shape ds into dst: src (shape ss) at offset h,
+// zeros everywhere else.
+func padInto(dst []float64, ds tensor.Shape, src []float64, ss, h tensor.Shape) {
+	for z := 0; z < ds.Z; z++ {
+		for y := 0; y < ds.Y; y++ {
+			row := dst[ds.Index(0, y, z):][:ds.X]
+			sy, sz := y-h.Y, z-h.Z
+			if sy < 0 || sy >= ss.Y || sz < 0 || sz >= ss.Z {
+				clear(row)
+				continue
+			}
+			clear(row[:h.X])
+			copy(row[h.X:], src[ss.Index(0, sy, sz):][:ss.X])
+			clear(row[h.X+ss.X:])
+		}
+	}
+}
+
 // ValidDirect computes the valid sparse convolution of img with ker
 // directly in the spatial domain. The output shape is n − s(k−1) per axis;
 // it panics if the kernel (dilated) does not fit in the image.
@@ -64,8 +194,7 @@ func ValidDirect(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
 	checkConvArgs(img, ker, sp)
 	os := img.S.ValidConv(ker.S, sp)
 	if !os.Valid() {
-		panic(fmt.Sprintf("conv: kernel %v (sparsity %v) does not fit in image %v",
-			ker.S, sp, img.S))
+		panic(fmt.Sprintf("conv: kernel %v (sparsity %v) does not fit in image %v", ker.S, sp, img.S))
 	}
 	out := tensor.New(os)
 	ValidDirectInto(out, img, ker, sp)
@@ -73,40 +202,27 @@ func ValidDirect(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
 }
 
 // ValidDirectInto computes the valid sparse convolution into a
-// caller-provided output tensor of the correct shape. The output is
-// overwritten. The loop nest iterates kernel taps on the outside and adds
-// shifted image rows on the inside, so the innermost loop walks contiguous
-// memory in both operands.
+// caller-provided output tensor of the correct shape, overwriting it.
 func ValidDirectInto(out, img, ker *tensor.Tensor, sp tensor.Sparsity) {
-	os := img.S.ValidConv(ker.S, sp)
+	validInto(out, img, NewTapList(ker), sp)
+}
+
+// validInto is the forward gather: each output plane is one run at the
+// image's row stride in scratch, whose rows are then copied into out.
+func validInto(out, img *tensor.Tensor, tl *TapList, sp tensor.Sparsity) {
+	is, os := img.S, img.S.ValidConv(tl.ks, sp)
 	if out.S != os {
 		panic(fmt.Sprintf("conv: output shape %v, want %v", out.S, os))
 	}
-	out.Zero()
-	is, ks := img.S, ker.S
-	for kz := 0; kz < ks.Z; kz++ {
-		for ky := 0; ky < ks.Y; ky++ {
-			for kx := 0; kx < ks.X; kx++ {
-				w := ker.At(kx, ky, kz)
-				if w == 0 {
-					continue
-				}
-				// Image offset for this tap: s·(k−1−a) per axis.
-				ox := sp.X * (ks.X - 1 - kx)
-				oy := sp.Y * (ks.Y - 1 - ky)
-				oz := sp.Z * (ks.Z - 1 - kz)
-				for z := 0; z < os.Z; z++ {
-					for y := 0; y < os.Y; y++ {
-						src := img.Data[is.Index(ox, oy+y, oz+z):]
-						dst := out.Data[os.Index(0, y, z):]
-						for x := 0; x < os.X; x++ {
-							dst[x] += w * src[x]
-						}
-					}
-				}
-			}
+	offs := tl.bind(is, sp)
+	plane := getScratch((os.Y-1)*is.X + os.X)
+	for z := 0; z < os.Z; z++ {
+		gather(plane, img.Data[is.Index(0, 0, z):], tl.w, offs)
+		for y := 0; y < os.Y; y++ {
+			copy(out.Data[os.Index(0, y, z):][:os.X], plane[y*is.X:])
 		}
 	}
+	putScratch(plane)
 }
 
 // FullDirect computes the full sparse convolution of img with ker: every
@@ -120,36 +236,23 @@ func FullDirect(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
 }
 
 // FullDirectInto computes the full sparse convolution into out, which must
-// have shape n + s(k−1). The output is overwritten. Implemented as a
-// scatter: each kernel tap adds a scaled copy of the whole image at offset
-// s·a, again walking contiguous rows.
+// have shape n + s(k−1). The output is overwritten.
 func FullDirectInto(out, img, ker *tensor.Tensor, sp tensor.Sparsity) {
-	os := img.S.FullConv(ker.S, sp)
+	fullInto(out, img, NewTapList(ker), sp)
+}
+
+// fullInto is the valid gather over img zero-padded by s(k−1) on every side.
+func fullInto(out, img *tensor.Tensor, tl *TapList, sp tensor.Sparsity) {
+	os := img.S.FullConv(tl.ks, sp)
 	if out.S != os {
 		panic(fmt.Sprintf("conv: output shape %v, want %v", out.S, os))
 	}
-	out.Zero()
-	is, ks := img.S, ker.S
-	for kz := 0; kz < ks.Z; kz++ {
-		for ky := 0; ky < ks.Y; ky++ {
-			for kx := 0; kx < ks.X; kx++ {
-				w := ker.At(kx, ky, kz)
-				if w == 0 {
-					continue
-				}
-				ox, oy, oz := sp.X*kx, sp.Y*ky, sp.Z*kz
-				for z := 0; z < is.Z; z++ {
-					for y := 0; y < is.Y; y++ {
-						src := img.Data[is.Index(0, y, z):]
-						dst := out.Data[os.Index(ox, oy+y, oz+z):]
-						for x := 0; x < is.X; x++ {
-							dst[x] += w * src[x]
-						}
-					}
-				}
-			}
-		}
-	}
+	h := os.Sub(img.S)
+	ps := os.Add(h)
+	buf := getScratch(ps.Volume())
+	padInto(buf, ps, img.Data, img.S, h)
+	validInto(out, &tensor.Tensor{S: ps, Data: buf}, tl, sp)
+	putScratch(buf)
 }
 
 // KernelGradDirect computes the gradient of the loss with respect to the
@@ -167,34 +270,27 @@ func KernelGradDirect(img, bwd *tensor.Tensor, kshape tensor.Shape, sp tensor.Sp
 	}
 	g := tensor.New(kshape)
 	is, bs := img.S, bwd.S
-	for kz := 0; kz < kshape.Z; kz++ {
-		for ky := 0; ky < kshape.Y; ky++ {
-			for kx := 0; kx < kshape.X; kx++ {
-				ox := sp.X * (kshape.X - 1 - kx)
-				oy := sp.Y * (kshape.Y - 1 - ky)
-				oz := sp.Z * (kshape.Z - 1 - kz)
-				var acc float64
-				for z := 0; z < bs.Z; z++ {
-					for y := 0; y < bs.Y; y++ {
-						src := img.Data[is.Index(ox, oy+y, oz+z):]
-						b := bwd.Data[bs.Index(0, y, z):]
-						for x := 0; x < bs.X; x++ {
-							acc += b[x] * src[x]
-						}
-					}
-				}
-				g.Set(kx, ky, kz, acc)
-			}
+	// Every tap: a zero coefficient still receives a gradient.
+	all := tapLists.Get().(*TapList)
+	all.ks, all.at = kshape, all.at[:0]
+	for a := range g.Data {
+		all.at = append(all.at, a)
+	}
+	offs := all.bind(is, sp)
+	// A backward plane at the image's row stride, gaps zeroed; the dots.
+	ws, bp := tensor.S3(is.X, bs.Y, 1), tensor.S3(bs.X, bs.Y, 1)
+	buf := getScratch(ws.Volume() + len(offs))
+	run, part := buf[:(bs.Y-1)*is.X+bs.X], buf[ws.Volume():]
+	for z := 0; z < bs.Z; z++ {
+		padInto(buf, ws, bwd.Data[bs.Index(0, 0, z):], bp, tensor.Shape{})
+		dotTaps(part, run, img.Data[is.Index(0, 0, z):], offs)
+		for j, p := range part {
+			g.Data[j] += p
 		}
 	}
+	putScratch(buf)
+	tapLists.Put(all)
 	return g
-}
-
-// BackwardDirect computes the backward pass of a valid sparse convolution
-// directly: the full convolution of the backward image with the reflected
-// kernel, yielding the gradient with respect to the edge's input (shape n).
-func BackwardDirect(bwd, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
-	return FullDirect(bwd, ker.Reflect(), sp)
 }
 
 // NaiveValid is an intentionally simple reference implementation used only

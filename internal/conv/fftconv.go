@@ -28,7 +28,7 @@ func transformShape(n, k tensor.Shape, sp tensor.Sparsity) tensor.Shape {
 func fftOf(t *tensor.Tensor, m tensor.Shape, c *Counters) []complex128 {
 	buf := mempool.Spectra.Get(fft.PackedVolume(m))
 	fft.NewPlan3R(m).Forward(buf, t)
-	c.addFFT(m, false)
+	c.addFFT(m, false, false)
 	return buf
 }
 
@@ -40,31 +40,27 @@ func ValidFFT(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
 	checkConvArgs(img, ker, sp)
 	os := img.S.ValidConv(ker.S, sp)
 	if !os.Valid() {
-		panic(fmt.Sprintf("conv: kernel %v (sparsity %v) does not fit in image %v",
-			ker.S, sp, img.S))
+		panic(fmt.Sprintf("conv: kernel %v (sparsity %v) does not fit in image %v", ker.S, sp, img.S))
 	}
+	return fftConv(img, ker, sp, os, img.S.FullConv(ker.S, sp).Sub(img.S))
+}
+
+// FullFFT computes the full sparse convolution via packed real FFTs.
+func FullFFT(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
+	checkConvArgs(img, ker, sp)
+	return fftConv(img, ker, sp, img.S.FullConv(ker.S, sp), tensor.Shape{})
+}
+
+// fftConv is the full convolution at the transform shape, cropped to the
+// region of shape os at offset at.
+func fftConv(img, ker *tensor.Tensor, sp tensor.Sparsity, os, at tensor.Shape) *tensor.Tensor {
 	m := transformShape(img.S, ker.S, sp)
 	imgF := fftOf(img, m, nil)
 	kerF := fftOf(ker.Dilate(sp), m, nil)
 	fft.MulInto(imgF, imgF, kerF)
 	mempool.Spectra.Put(kerF)
 	out := tensor.New(os)
-	fft.NewPlan3R(m).Inverse(out, imgF, sp.X*(ker.S.X-1), sp.Y*(ker.S.Y-1), sp.Z*(ker.S.Z-1))
-	mempool.Spectra.Put(imgF)
-	return out
-}
-
-// FullFFT computes the full sparse convolution via packed real FFTs.
-func FullFFT(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
-	checkConvArgs(img, ker, sp)
-	os := img.S.FullConv(ker.S, sp)
-	m := fft.GoodShape(os)
-	imgF := fftOf(img, m, nil)
-	kerF := fftOf(ker.Dilate(sp), m, nil)
-	fft.MulInto(imgF, imgF, kerF)
-	mempool.Spectra.Put(kerF)
-	out := tensor.New(os)
-	fft.NewPlan3R(m).Inverse(out, imgF, 0, 0, 0)
+	fft.NewPlan3R(m).Inverse(out, imgF, at.X, at.Y, at.Z)
 	mempool.Spectra.Put(imgF)
 	return out
 }

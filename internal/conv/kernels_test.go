@@ -1,0 +1,211 @@
+package conv
+
+import (
+	"math"
+	"math/rand"
+	"os"
+	"reflect"
+	"testing"
+
+	"znn/internal/cpu"
+	"znn/internal/tensor"
+)
+
+// useKernels installs a primitive pair for the rest of the test or
+// benchmark and restores the dispatched pair afterwards.
+func useKernels(tb testing.TB, g func(dst, src, ws []float64, offs []int), d func(dst, a, b []float64, offs []int)) {
+	sg, sd := gather, dotTaps
+	gather, dotTaps = g, d
+	tb.Cleanup(func() { gather, dotTaps = sg, sd })
+}
+
+// vectorized reports whether init installed the assembly primitives.
+func vectorized() bool {
+	return reflect.ValueOf(gather).Pointer() != reflect.ValueOf(gatherGo).Pointer()
+}
+
+func sameBits(a, b []float64) int {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestDirectKernelsMatchGoTwin: the installed primitives (the assembly on
+// AVX2+FMA hosts) produce the Go twins' bits for every run length 1..67 —
+// each residue mod 4, 16 and 32 — at tap counts 0, 1, 25, 27 and 343, on
+// 5×5×1, 3×3×3 and 1×1×k kernels at dilation 1 and 2.
+func TestDirectKernelsMatchGoTwin(t *testing.T) {
+	if !vectorized() {
+		t.Skip("direct kernels not vectorized on this build/host: nothing to differentiate")
+	}
+	rng := rand.New(rand.NewSource(81))
+	kernels := []*tensor.Tensor{
+		tensor.New(tensor.Cube(3)), // 0 taps
+		tensor.RandomUniform(rng, tensor.Cube(1), -1, 1),
+		tensor.RandomUniform(rng, tensor.S3(5, 5, 1), -1, 1),
+		tensor.RandomUniform(rng, tensor.Cube(3), -1, 1),
+		tensor.RandomUniform(rng, tensor.Cube(7), -1, 1),
+		tensor.RandomUniform(rng, tensor.S3(1, 1, 5), -1, 1),
+	}
+	for _, ker := range kernels {
+		for _, sp := range []tensor.Sparsity{tensor.Dense(), tensor.Uniform(2)} {
+			tl := NewTapList(ker)
+			for n := 1; n <= 67; n++ {
+				// One run of n voxels: the source holds the dilated window.
+				src := tensor.RandomUniform(rng, tensor.S3(n, 1, 1).FullConv(ker.S, sp), -1, 1)
+				offs := tl.bind(src.S, sp)
+				want, got := make([]float64, n), make([]float64, n)
+				gatherGo(want, src.Data, tl.w, offs)
+				gather(got, src.Data, tl.w, offs)
+				if i := sameBits(want, got); i >= 0 {
+					t.Fatalf("gather k%v sp%v taps %d n %d: voxel %d = %v, twin %v", ker.S, sp, tl.Len(), n, i, got[i], want[i])
+				}
+				a := tensor.RandomUniform(rng, tensor.S3(n, 1, 1), -1, 1).Data
+				wantD, gotD := make([]float64, len(offs)), make([]float64, len(offs))
+				dotGo(wantD, a, src.Data, offs)
+				dotTaps(gotD, a, src.Data, offs)
+				if i := sameBits(wantD, gotD); i >= 0 {
+					t.Fatalf("dot k%v sp%v taps %d n %d: tap %d = %v, twin %v", ker.S, sp, tl.Len(), n, i, gotD[i], wantD[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDirectDispatchAVX2 is CI's proof that the direct kernels run the
+// assembly: with ZNN_REQUIRE_AVX2=1 it fails (rather than skips) when the
+// AVX2 path is not installed, then checks one exemplar-shaped edge against
+// the naive reference.
+func TestDirectDispatchAVX2(t *testing.T) {
+	if !vectorized() {
+		if os.Getenv("ZNN_REQUIRE_AVX2") != "" {
+			t.Fatalf("ZNN_REQUIRE_AVX2 set but the direct kernels are not on the AVX2 path (cpu: %+v)", cpu.X86)
+		}
+		t.Skip("direct kernels not vectorized on this build/host")
+	}
+	rng := rand.New(rand.NewSource(82))
+	img := tensor.RandomUniform(rng, tensor.S3(21, 19, 5), -1, 1)
+	ker := tensor.RandomUniform(rng, tensor.S3(5, 5, 1), -1, 1)
+	if d := ValidDirect(img, ker, tensor.Dense()).MaxAbsDiff(NaiveValid(img, ker, tensor.Dense())); d > tol {
+		t.Fatalf("AVX2 forward differs from naive by %g", d)
+	}
+}
+
+// TestDirectGradientsNumerical checks the direct Backward and KernelGrad
+// against central differences of L = ½‖Forward(img, ker) − target‖² on the
+// exemplar kernels at dilation 1 and 2 (ROADMAP 7(b), direct edge kind).
+func TestDirectGradientsNumerical(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for _, c := range []struct{ in, k tensor.Shape }{
+		{tensor.S3(13, 11, 3), tensor.S3(5, 5, 1)},
+		{tensor.S3(10, 9, 7), tensor.Cube(3)},
+	} {
+		for _, sp := range []tensor.Sparsity{tensor.Dense(), tensor.Uniform(2)} {
+			img := tensor.RandomUniform(rng, c.in, -1, 1)
+			ker := tensor.RandomUniform(rng, c.k, -1, 1)
+			tr := NewTransformer(c.in, c.k, sp, Direct, false, nil)
+			target := tensor.RandomUniform(rng, tr.OutShape(), -1, 1)
+			loss := func() float64 {
+				var l float64
+				for i, v := range tr.Forward(img, ker, nil).Data {
+					l += (v - target.Data[i]) * (v - target.Data[i]) / 2
+				}
+				return l
+			}
+			u := tr.Forward(img, ker, nil)
+			u.Axpy(-1, target) // dL/dout
+			for _, v := range []struct {
+				name string
+				x    *tensor.Tensor
+				grad *tensor.Tensor
+			}{
+				{"backward", img, tr.Backward(u, ker, nil)},
+				{"kernel grad", ker, tr.KernelGrad(img, u)},
+			} {
+				const h = 1e-4
+				var maxErr, maxGrad float64
+				for i := range v.x.Data {
+					x0 := v.x.Data[i]
+					v.x.Data[i] = x0 + h
+					lp := loss()
+					v.x.Data[i] = x0 - h
+					lm := loss()
+					v.x.Data[i] = x0
+					maxErr = math.Max(maxErr, math.Abs((lp-lm)/(2*h)-v.grad.Data[i]))
+					maxGrad = math.Max(maxGrad, math.Abs(v.grad.Data[i]))
+				}
+				if rel := maxErr / maxGrad; rel > 1e-6 {
+					t.Errorf("k%v sp%v %s: relative error %g vs central differences", c.k, sp, v.name, rel)
+				}
+			}
+		}
+	}
+}
+
+// TestDirectMeasureAllocFree: the body the measured tuner times for the
+// direct methods allocates nothing, so a direct sample is charged for the
+// arithmetic alone, like the spectral primitives it is compared with.
+func TestDirectMeasureAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	img := tensor.RandomUniform(rng, tensor.S3(20, 18, 6), -1, 1)
+	for _, ker := range []*tensor.Tensor{
+		tensor.RandomUniform(rng, tensor.S3(5, 5, 1), -1, 1),
+		sparseKernel(rng, tensor.Cube(3), 0.3),
+	} {
+		if a := testing.AllocsPerRun(100, directOp(img, ker, tensor.Dense())); a != 0 {
+			t.Errorf("kernel %v: timed direct body allocates %v times per call", ker.S, a)
+		}
+	}
+}
+
+// Per-phase direct microbenchmarks at the exemplar edge shapes and
+// train_fft7's k7 class, each a dispatched-vs-Go-twin pair (the ratio is
+// the vector kernels' speedup on this host). ns/voxel is per input voxel,
+// the unit of the benchmark's conv.*_ns_per_voxel rows.
+var directBenchClasses = []struct {
+	name  string
+	in, k tensor.Shape
+}{
+	{"k5x5x1", tensor.S3(45, 45, 15), tensor.S3(5, 5, 1)},
+	{"k3", tensor.S3(43, 43, 13), tensor.Cube(3)},
+	{"k7", tensor.Cube(24), tensor.Cube(7)},
+}
+
+func benchDirect(b *testing.B, phase func(tr *Transformer, img, ker, bwd *tensor.Tensor)) {
+	for _, c := range directBenchClasses {
+		rng := rand.New(rand.NewSource(85))
+		tr := NewTransformer(c.in, c.k, tensor.Dense(), Direct, false, nil)
+		img := tensor.RandomUniform(rng, c.in, -1, 1)
+		ker := tensor.RandomUniform(rng, c.k, -1, 1)
+		bwd := tensor.RandomUniform(rng, tr.OutShape(), -1, 1)
+		for _, v := range []struct {
+			name string
+			g    func(dst, src, ws []float64, offs []int)
+			d    func(dst, a, b []float64, offs []int)
+		}{{"dispatched", gather, dotTaps}, {"scalar", gatherGo, dotGo}} {
+			b.Run(c.name+"/"+v.name, func(b *testing.B) {
+				useKernels(b, v.g, v.d)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					phase(tr, img, ker, bwd)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(c.in.Volume()), "ns/voxel")
+			})
+		}
+	}
+}
+
+func BenchmarkDirectForward(b *testing.B) {
+	benchDirect(b, func(tr *Transformer, img, ker, _ *tensor.Tensor) { tr.Forward(img, ker, nil) })
+}
+
+func BenchmarkDirectBackward(b *testing.B) {
+	benchDirect(b, func(tr *Transformer, _, ker, bwd *tensor.Tensor) { tr.Backward(bwd, ker, nil) })
+}
+
+func BenchmarkDirectKernelGrad(b *testing.B) {
+	benchDirect(b, func(tr *Transformer, img, _, bwd *tensor.Tensor) { tr.KernelGrad(img, bwd) })
+}

@@ -44,33 +44,49 @@ func TestDensityEmptyKernel(t *testing.T) {
 	}
 }
 
-// TestSparseDirectMatchesDirectBitExact checks that the tap-list primitives
-// produce bit-identical outputs to the dense loops on randomized geometry
-// and randomized sparsity — the accumulation order is the same, so the
-// parity is exact equality, not a tolerance.
+// TestSparseDirectMatchesDirectBitExact runs a Direct and a SparseDirect
+// Transformer through all three phases at kernel density 1, 0.5 and 0, on
+// randomized geometry and on the exemplar shapes (5×5×1, 3×3×3) with rows
+// long enough to reach the vector kernels. Both run the one tap-list
+// kernel, so parity is exact equality, not a tolerance.
 func TestSparseDirectMatchesDirectBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	densities := []float64{0, 0.1, 0.25, 0.5, 0.9, 1}
-	for trial := 0; trial < 40; trial++ {
+	type geom struct {
+		img, ker *tensor.Tensor
+		sp       tensor.Sparsity
+	}
+	var geoms []geom
+	for trial := 0; trial < 12; trial++ {
 		img, ker, sp := randGeom(rng)
-		d := densities[trial%len(densities)]
-		if d < 1 {
-			sparsify(rng, ker, d)
+		geoms = append(geoms, geom{img, ker, sp})
+	}
+	for _, k := range []tensor.Shape{tensor.S3(5, 5, 1), tensor.Cube(3)} {
+		for _, sp := range []tensor.Sparsity{tensor.Dense(), tensor.Uniform(2)} {
+			in := tensor.S3(40, 13, 7)
+			geoms = append(geoms, geom{tensor.RandomUniform(rng, in, -1, 1), tensor.RandomUniform(rng, k, -1, 1), sp})
 		}
-		sv := ValidSparseDirect(img, ker, sp)
-		dv := ValidDirect(img, ker, sp)
-		for i := range sv.Data {
-			if sv.Data[i] != dv.Data[i] {
-				t.Fatalf("trial %d (density %g): valid output %d = %g, dense %g",
-					trial, d, i, sv.Data[i], dv.Data[i])
+	}
+	for gi, g := range geoms {
+		for _, d := range []float64{1, 0.5, 0} {
+			ker := g.ker.Clone()
+			if d < 1 {
+				sparsify(rng, ker, d)
 			}
-		}
-		sf := FullSparseDirect(img, ker, sp)
-		df := FullDirect(img, ker, sp)
-		for i := range sf.Data {
-			if sf.Data[i] != df.Data[i] {
-				t.Fatalf("trial %d (density %g): full output %d = %g, dense %g",
-					trial, d, i, sf.Data[i], df.Data[i])
+			bwd := tensor.RandomUniform(rng, g.img.S.ValidConv(ker.S, g.sp), -1, 1)
+			sd := NewTransformer(g.img.S, ker.S, g.sp, SparseDirect, false, nil)
+			dd := NewTransformer(g.img.S, ker.S, g.sp, Direct, false, nil)
+			for _, ph := range []struct {
+				name   string
+				sd, dd *tensor.Tensor
+			}{
+				{"forward", sd.Forward(g.img, ker, nil), dd.Forward(g.img, ker, nil)},
+				{"backward", sd.Backward(bwd, ker, nil), dd.Backward(bwd, ker, nil)},
+				{"kernel grad", sd.KernelGrad(g.img, bwd), dd.KernelGrad(g.img, bwd)},
+			} {
+				if !ph.sd.Equal(ph.dd) {
+					t.Fatalf("geom %d density %g: sparse-direct %s differs from direct (max |Δ| = %g)",
+						gi, d, ph.name, ph.sd.MaxAbsDiff(ph.dd))
+				}
 			}
 		}
 	}
@@ -83,10 +99,11 @@ func TestSparseDirectAllZeroKernel(t *testing.T) {
 	if got := NewTapList(ker).Len(); got != 0 {
 		t.Fatalf("all-zero kernel tap count = %d, want 0", got)
 	}
-	out := ValidSparseDirect(img, ker, tensor.Dense())
-	for i, v := range out.Data {
-		if v != 0 {
-			t.Fatalf("output %d = %g, want 0 for all-zero kernel", i, v)
+	for _, out := range []*tensor.Tensor{ValidDirect(img, ker, tensor.Dense()), FullDirect(img, ker, tensor.Dense())} {
+		for i, v := range out.Data {
+			if v != 0 {
+				t.Fatalf("output %d = %g, want 0 for all-zero kernel", i, v)
+			}
 		}
 	}
 }
@@ -134,9 +151,9 @@ func TestTransformerSparseDirectParity(t *testing.T) {
 	}
 }
 
-// TestTransformerSparseDirectKernelInvalidate checks that changing the
-// kernel and invalidating rebuilds the tap list (a stale list would keep
-// convolving with the old taps).
+// TestTransformerSparseDirectKernelInvalidate checks that a changed kernel
+// zero pattern takes effect (a cached tap list would keep convolving with
+// the old taps).
 func TestTransformerSparseDirectKernelInvalidate(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	img, ker, sp := randGeom(rng)

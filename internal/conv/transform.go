@@ -147,7 +147,7 @@ func (sc *SpectrumCache) getLocked(i int, m tensor.Shape, prec Precision, c *Cou
 		fft.NewPlan3R(m).Forward(b, sc.imgs[i])
 		buf = fft.Spec128(b)
 	}
-	c.addFFT(m, prec == PrecF32)
+	c.addFFT(m, prec == PrecF32, false)
 	specs[i] = buf
 	return buf
 }
@@ -162,12 +162,9 @@ const (
 	// (r2c/c2r) transforms with Hermitian-packed spectra. Its element type
 	// is selected by Precision.
 	FFT
-	// SparseDirect computes convolutions in the spatial domain from a
-	// precomputed nonzero-tap list (znn3's sparse_convolve): work scales
-	// with the kernel's nonzero count instead of its dense volume, so the
-	// planner can pick it for high-sparsity edges where the dense direct
-	// loop and the padded FFT both charge for taps that contribute nothing.
-	// Output bits match Direct exactly.
+	// SparseDirect is the spatial method's cost cell for kernels with
+	// structural zeros (znn3's sparse_convolve): it runs Direct's tap-list
+	// kernel, bit for bit, but is costed by nonzero count.
 	SparseDirect
 )
 
@@ -217,8 +214,6 @@ type Transformer struct {
 	kerFRefl fft.Spectrum // spectrum of the reflected dilated kernel
 	imgF     fft.Spectrum // memoized forward image spectrum (round-scoped)
 	bwdF     fft.Spectrum // memoized backward gradient spectrum (round-scoped)
-	taps     *TapList     // cached nonzero-tap list (Method SparseDirect)
-	tapsRefl *TapList     // cached reflected tap list (SparseDirect backward)
 }
 
 // NewTransformer builds a float64 transformer for an edge with the given
@@ -286,7 +281,7 @@ func (t *Transformer) SetPrecision(p Precision) {
 // pair — the execution planner's hook for emitting a whole-network plan
 // into an already-built graph. Every method-dependent derived field is
 // recomputed and every cached artifact whose layout depends on the pair
-// (kernel spectra, memo slots, tap lists) is discarded. Like SetPrecision
+// (kernel spectra, memo slots) is discarded. Like SetPrecision
 // it is compile-time only: it must not race with any transform phase.
 func (t *Transformer) SetMethodPrec(m Method, p Precision) {
 	if m != FFT {
@@ -303,8 +298,6 @@ func (t *Transformer) SetMethodPrec(m Method, p Precision) {
 	t.releaseKernelSpectraLocked()
 	t.imgF = fft.Spectrum{}
 	t.bwdF = fft.Spectrum{}
-	t.taps = nil
-	t.tapsRefl = nil
 }
 
 // Method returns the convolution method in use.
@@ -348,7 +341,7 @@ func (t *Transformer) specInto(buf fft.Spectrum, src *tensor.Tensor) {
 	} else {
 		t.p3r.Forward(buf.C128, src)
 	}
-	t.cnt.addFFT(t.m, t.prec == PrecF32)
+	t.cnt.addFFT(t.m, t.prec == PrecF32, false)
 }
 
 // newSpec allocates a GC-managed spectrum buffer (memo slots live across
@@ -373,7 +366,7 @@ func (t *Transformer) inverseStore(out *tensor.Tensor, spec fft.Spectrum, ox, oy
 	} else {
 		t.p3r.Inverse(out, spec.C128, ox, oy, oz)
 	}
-	t.cnt.addInverse(t.m, t.prec == PrecF32)
+	t.cnt.addFFT(t.m, t.prec == PrecF32, true)
 }
 
 // reflectInto applies the conjugate-reflection phase pass for a signal of
@@ -443,33 +436,12 @@ func (t *Transformer) releaseKernelSpectraLocked() {
 
 // InvalidateKernel marks the cached kernel spectra stale; the update task
 // calls this after changing the weights. The buffers are retained for
-// in-place recomputation; tap lists are rebuilt from scratch (the set of
-// nonzero coordinates itself may change).
+// in-place recomputation. The spatial methods cache nothing: they build
+// their tap list from the live kernel on every call.
 func (t *Transformer) InvalidateKernel() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.kerValid = false
-	t.taps = nil
-	t.tapsRefl = nil
-}
-
-// tapsFor returns the (possibly cached) nonzero-tap list of ker, and
-// lazily its reflected counterpart when refl is true. Cached under the
-// same invalidation discipline as the kernel spectra: the update task's
-// InvalidateKernel always runs before the next pass reads the taps.
-func (t *Transformer) tapsFor(ker *tensor.Tensor, refl bool) *TapList {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if refl {
-		if t.tapsRefl == nil {
-			t.tapsRefl = NewTapList(ker.Reflect())
-		}
-		return t.tapsRefl
-	}
-	if t.taps == nil {
-		t.taps = NewTapList(ker)
-	}
-	return t.taps
 }
 
 // Forward computes the edge's forward pass for one volume: the valid sparse
@@ -484,8 +456,9 @@ func (t *Transformer) Forward(img, ker *tensor.Tensor, sc *SpectrumCache) *tenso
 // round's sweep. On the FFT path the kernel spectrum is fetched (and, after
 // an invalidation, recomputed) once and streams through one pointwise
 // product and one inverse transform per volume — the ZNNi batching
-// observation that wins CPU inference throughput. sc, when non-nil, must
-// hold the same images.
+// observation that wins CPU inference throughput; the spatial path builds
+// the tap list once for the sweep. sc, when non-nil, must hold the same
+// images.
 //
 // infer suppresses the memoization side effect. Concurrent forward-only
 // rounds share one Transformer, and the imgF memo slot is round-scoped
@@ -502,21 +475,13 @@ func (t *Transformer) ForwardBatch(imgs []*tensor.Tensor, ker *tensor.Tensor, sc
 		return outs
 	}
 	t.checkForward(imgs, ker)
-	var tl *TapList
-	if t.mth == SparseDirect {
-		tl = t.tapsFor(ker, false)
-	}
+	tl := NewTapList(ker)
 	for i, img := range imgs {
-		out := tensor.New(t.out)
-		if tl != nil {
-			ValidSparseDirectInto(out, img, tl, t.sp)
-			t.cnt.addDirect(sparseConvFlops(t.out, tl))
-		} else {
-			ValidDirectInto(out, img, ker, t.sp)
-			t.cnt.addDirect(directConvFlops(t.out, t.k))
-		}
-		outs[i] = out
+		outs[i] = tensor.New(t.out)
+		validInto(outs[i], img, tl, t.sp)
+		t.cnt.addDirect(int64(t.out.Volume() * tl.Len())) // zero taps skipped, not counted
 	}
+	tapLists.Put(tl)
 	return outs
 }
 
@@ -573,17 +538,12 @@ func (t *Transformer) Backward(bwd, ker *tensor.Tensor, sc *SpectrumCache) *tens
 	if bwd.S != t.out {
 		panic(fmt.Sprintf("conv: backward image %v, want %v", bwd.S, t.out))
 	}
-	switch t.mth {
-	case Direct:
+	if !t.mth.IsFFT() {
+		tl := newTapList(ker, true)
 		out := tensor.New(t.in)
-		FullDirectInto(out, bwd, ker.Reflect(), t.sp)
-		t.cnt.addDirect(directConvFlops(t.out, t.k))
-		return out
-	case SparseDirect:
-		tl := t.tapsFor(ker, true)
-		out := tensor.New(t.in)
-		FullSparseDirectInto(out, bwd, tl, t.sp)
-		t.cnt.addDirect(sparseConvFlops(t.out, tl))
+		fullInto(out, bwd, tl, t.sp)
+		t.cnt.addDirect(int64(t.out.Volume() * tl.Len()))
+		tapLists.Put(tl)
 		return out
 	}
 	return t.FinishBackward(t.BackwardProduct(bwd, ker, sc))
@@ -601,11 +561,10 @@ func (t *Transformer) KernelGrad(img, bwd *tensor.Tensor) *tensor.Tensor {
 			img.S, bwd.S, t.in, t.out))
 	}
 	if !t.mth.IsFFT() {
-		// SparseDirect intentionally computes the *dense* gradient: a zero
-		// tap can receive a nonzero gradient — sparse execution is a
-		// strategy for the current weights, not a pruning mask on updates.
+		// Dense for both spatial methods: skipping zero taps is a strategy
+		// for the current weights, not a pruning mask on updates.
 		g := KernelGradDirect(img, bwd, t.k, t.sp)
-		t.cnt.addDirect(directConvFlops(t.out, t.k))
+		t.cnt.addDirect(int64(t.out.Volume() * t.k.Volume()))
 		return g
 	}
 	t.mu.Lock()

@@ -178,7 +178,7 @@ func TestConvOpForwardBackwardUpdate(t *testing.T) {
 		}
 		grad := tensor.RandomUniform(rng, out.S, -1, 1)
 		back := op.Backward(grad, nil)
-		wantB := conv.BackwardDirect(grad, k, tensor.Dense())
+		wantB := conv.FullDirect(grad, k.Reflect(), tensor.Dense())
 		if d := back.MaxAbsDiff(wantB); d > 1e-9 {
 			t.Fatalf("%v backward differs by %g", method, d)
 		}

@@ -103,6 +103,33 @@ func TestStreamBitIdenticalDirect(t *testing.T) {
 	}
 }
 
+// TestStreamBitIdenticalDirectResidues puts the x block boundaries of an
+// all-direct net at every residue mod 16 (block 17 over a 272-voxel output
+// axis), so each output voxel lands at a different place in the direct
+// kernel's vector blocks, overlapped final block and scalar tail in some
+// block than in the single-shot run — and the stitched output must still be
+// bitwise single-shot.
+func TestStreamBitIdenticalDirectResidues(t *testing.T) {
+	const spec = "C3-Trelu-C3-Ttanh" // FOV 5
+	vol := randomVolume(tensor.S3(16*17+4, 7, 6), 10)
+	ref := singleShot(t, spec, vol, 1, conv.TuneForceDirect, conv.PrecF64)
+	g, err := NewGrid(vol.S, 5, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int]bool{}
+	for i := 0; i < g.NumBlocks(); i++ {
+		seen[g.Block(i).In.X%16] = true
+	}
+	if len(seen) != 16 {
+		t.Fatalf("block x origins cover %d residues mod 16, want 16", len(seen))
+	}
+	outs, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 2, 2)
+	if !outs[0].Equal(ref[0]) {
+		t.Errorf("tiled differs from single-shot (max |Δ| = %g)", outs[0].MaxAbsDiff(ref[0]))
+	}
+}
+
 // TestStreamOneVoxelBlocks drives the degenerate every-block-one-voxel
 // decomposition (64 rounds on a 4³ output) and still demands bitwise parity.
 func TestStreamOneVoxelBlocks(t *testing.T) {
