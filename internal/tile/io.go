@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"znn/internal/tensor"
 )
@@ -119,9 +120,15 @@ func NewRawReader(r io.ReaderAt, shape tensor.Shape, d DType) *RawVolume {
 	return &RawVolume{shape: shape, dtype: d, r: r}
 }
 
-// NewRawWriter wraps an io.WriterAt receiving a raw volume.
+// NewRawWriter wraps an io.WriterAt receiving a raw volume. A file gets the
+// volume's bytes reserved up front (best effort, see reserve), so it has its
+// full size from here on.
 func NewRawWriter(w io.WriterAt, shape tensor.Shape, d DType) *RawVolume {
-	return &RawVolume{shape: shape, dtype: d, w: w}
+	rv := &RawVolume{shape: shape, dtype: d, w: w}
+	if f, ok := w.(*os.File); ok {
+		reserve(f, rv.Bytes())
+	}
+	return rv
 }
 
 // Bytes returns the file size of the full volume.

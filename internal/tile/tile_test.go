@@ -231,6 +231,27 @@ func TestRawVolumeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRawWriterReservesFile: a file writer has the volume's full size before
+// the first block is stitched, wherever the filesystem can reserve it.
+func TestRawWriterReservesFile(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "out"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	w := NewRawWriter(f, tensor.S3(10, 9, 8), F32)
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != w.Bytes() {
+		if err := reserve(f, w.Bytes()); err != nil {
+			t.Skipf("cannot reserve here: %v", err)
+		}
+		t.Errorf("file holds %d bytes after NewRawWriter, want %d", fi.Size(), w.Bytes())
+	}
+}
+
 // TestParseDType covers the flag values.
 func TestParseDType(t *testing.T) {
 	if d, err := ParseDType("f32"); err != nil || d != F32 || d.Size() != 4 {
