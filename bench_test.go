@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"znn"
-	"znn/internal/baseline"
 	"znn/internal/conv"
 	"znn/internal/fft"
 	"znn/internal/graph"
@@ -22,11 +21,9 @@ import (
 	"znn/internal/model"
 	"znn/internal/net"
 	"znn/internal/ops"
-	"znn/internal/pqueue"
 	"znn/internal/sched"
 	"znn/internal/tensor"
 	"znn/internal/train"
-	"znn/internal/wsum"
 )
 
 // --- Table I: nonlinear layer primitives --------------------------------
@@ -196,7 +193,7 @@ func benchGPUComparison(b *testing.B, znnSide bool, kernel int) {
 		benchRounds(b, en, in, des)
 		return
 	}
-	x, err := baseline.NewLayerwiseExecutor(nw, 2)
+	x, err := net.NewLayerwiseExecutor(nw, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -213,67 +210,9 @@ func BenchmarkFig8BaselineKernel6(b *testing.B)  { benchGPUComparison(b, false, 
 func BenchmarkFig8ZNNKernel12(b *testing.B)      { benchGPUComparison(b, true, 12) }
 func BenchmarkFig8BaselineKernel12(b *testing.B) { benchGPUComparison(b, false, 12) }
 
-// --- E11: wait-free vs locked summation ---------------------------------
-
-func benchSum(b *testing.B, waitFree bool, adders int) {
-	shape := tensor.Cube(32)
-	rng := rand.New(rand.NewSource(7))
-	inputs := make([]*tensor.Tensor, adders)
-	for i := range inputs {
-		inputs[i] = tensor.RandomUniform(rng, shape, -1, 1)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var wg sync.WaitGroup
-		if waitFree {
-			s := wsum.New(adders)
-			for j := 0; j < adders; j++ {
-				wg.Add(1)
-				go func(v *tensor.Tensor) {
-					defer wg.Done()
-					s.Add(v)
-				}(inputs[j].Clone())
-			}
-		} else {
-			s := wsum.NewLocked(adders)
-			for j := 0; j < adders; j++ {
-				wg.Add(1)
-				go func(v *tensor.Tensor) {
-					defer wg.Done()
-					s.Add(v)
-				}(inputs[j].Clone())
-			}
-		}
-		wg.Wait()
-	}
-}
-
-func BenchmarkWaitFreeSum8(b *testing.B)  { benchSum(b, true, 8) }
-func BenchmarkLockedSum8(b *testing.B)    { benchSum(b, false, 8) }
-func BenchmarkWaitFreeSum32(b *testing.B) { benchSum(b, true, 32) }
-func BenchmarkLockedSum32(b *testing.B)   { benchSum(b, false, 32) }
-
-// --- E12: heap-of-lists vs binary heap ----------------------------------
-
-func benchQueue(b *testing.B, q pqueue.Queue, distinct int) {
-	const tasks = 1024
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < tasks; j++ {
-			q.Push(int64(j%distinct), j)
-		}
-		for j := 0; j < tasks; j++ {
-			q.Pop()
-		}
-	}
-}
-
-func BenchmarkPQueueHeapOfListsK4(b *testing.B) { benchQueue(b, pqueue.NewHeapOfLists(), 4) }
-func BenchmarkPQueueBinaryHeapK4(b *testing.B)  { benchQueue(b, pqueue.NewBinaryHeap(), 4) }
-func BenchmarkPQueueHeapOfListsK1024(b *testing.B) {
-	benchQueue(b, pqueue.NewHeapOfLists(), 1024)
-}
-func BenchmarkPQueueBinaryHeapK1024(b *testing.B) { benchQueue(b, pqueue.NewBinaryHeap(), 1024) }
+// Wait-free vs locked summation (E11) and heap-of-lists vs binary heap
+// (E12) are benchmarked in internal/wsum and internal/pqueue, beside the
+// comparators they time.
 
 // --- E13: pooled allocation ---------------------------------------------
 

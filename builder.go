@@ -129,7 +129,7 @@ func (b *GraphBuilder) MaxFilter(name string, window Shape, sp Sparsity, from No
 			name, window, sp, from.n.Shape)
 	}
 	v := b.g.AddNode(name, out)
-	b.g.Connect(from.n, v, graph.NewMaxFilterOp(window, sp, ops.FilterDeque))
+	b.g.Connect(from.n, v, graph.NewMaxFilterOp(window, sp))
 	return NodeRef{n: v}
 }
 
@@ -168,7 +168,6 @@ func (b *GraphBuilder) Build() (*Model, error) {
 	}
 	en, err := train.NewEngine(b.g, train.Config{
 		Workers:  b.cfg.Workers,
-		Policy:   b.cfg.Policy,
 		Loss:     loss,
 		Eta:      b.cfg.Eta,
 		Momentum: b.cfg.Momentum,

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"znn/internal/chaos"
+	"znn/internal/tensor"
 )
 
 func testNet(t *testing.T, seed int64) *Network {
@@ -85,6 +87,83 @@ func TestLoadLegacyHeaderlessCheckpoint(t *testing.T) {
 	}
 	defer restored.Close()
 	sameParams(t, n, restored)
+}
+
+// TestLoadCheckpointWithRemovedPolicyField proves checkpoints whose Config
+// still carries the removed scheduler-policy field keep loading in both
+// formats: gob drops fields the destination struct does not have.
+func TestLoadCheckpointWithRemovedPolicyField(t *testing.T) {
+	// oldConfig is Config as those checkpoints encode it.
+	type oldConfig struct {
+		Width         int
+		OutWidth      int
+		InWidth       int
+		Dims          int
+		OutputPatch   int
+		InputPatch    int
+		Workers       int
+		Policy        string
+		Conv          ConvMode
+		Memoize       bool
+		Loss          string
+		Eta           float64
+		Momentum      float64
+		Seed          int64
+		SlidingWindow bool
+		Float32       bool
+		Planned       bool
+		MemBudget     int64
+		PlanMaxK      int
+	}
+	type oldCheckpoint struct {
+		Format int
+		Spec   string
+		Config oldConfig
+		Params []float64
+	}
+	n := testNet(t, 37)
+	c := n.cfg
+	cfg := oldConfig{
+		Width: c.Width, OutWidth: c.OutWidth, InWidth: c.InWidth, Dims: c.Dims,
+		OutputPatch: c.OutputPatch, InputPatch: c.InputPatch, Workers: c.Workers,
+		Policy: "fifo", Conv: c.Conv, Memoize: c.Memoize, Loss: c.Loss,
+		Eta: c.Eta, Momentum: c.Momentum, Seed: c.Seed, SlidingWindow: c.SlidingWindow,
+		Float32: c.Float32, Planned: c.Planned, MemBudget: c.MemBudget, PlanMaxK: c.PlanMaxK,
+	}
+	in := tensor.RandomUniform(rand.New(rand.NewSource(38)), n.InputShape(), -1, 1)
+	want, err := n.Infer(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := func(format int) []byte {
+		var buf bytes.Buffer
+		cp := oldCheckpoint{Format: format, Spec: n.Spec(), Config: cfg, Params: n.Params()}
+		if err := gob.NewEncoder(&buf).Encode(cp); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var v2 bytes.Buffer
+	if err := writeCheckpoint(&v2, encode(checkpointFormat)); err != nil {
+		t.Fatal(err)
+	}
+	for name, file := range map[string][]byte{
+		"v1": encode(checkpointFormatLegacy),
+		"v2": v2.Bytes(),
+	} {
+		restored, err := Load(bytes.NewReader(file), 1)
+		if err != nil {
+			t.Fatalf("%s: checkpoint with Policy rejected: %v", name, err)
+		}
+		got, err := restored.Infer(in)
+		restored.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got[0].Equal(want[0]) {
+			t.Errorf("%s: restored inference differs by %g", name, got[0].MaxAbsDiff(want[0]))
+		}
+	}
 }
 
 // TestLoadTypedErrors exercises every typed failure class.

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"znn/internal/conv"
 	"znn/internal/graph"
@@ -78,23 +79,38 @@ func buildBench(b benchNet, width int, seed int64) (*net.Network, []*tensor.Tens
 	return nw, in, des, nil
 }
 
+// timeRounds returns the mean seconds of round over cfg.rounds timed calls
+// (defaultRounds when unset) after warmup untimed ones, each call on fresh
+// copies of in and des (rounds consume their inputs).
+func timeRounds(cfg config, warmup, defaultRounds int, in, des []*tensor.Tensor, round func(in, des []*tensor.Tensor) (float64, error)) float64 {
+	rounds := cfg.rounds
+	if rounds == 0 {
+		rounds = defaultRounds
+	}
+	run := func() {
+		if _, err := round(clone(in), clone(des)); err != nil {
+			panic(err)
+		}
+	}
+	for i := 0; i < warmup; i++ {
+		run()
+	}
+	start := time.Now()
+	for i := 0; i < rounds; i++ {
+		run()
+	}
+	return time.Since(start).Seconds() / float64(rounds)
+}
+
 // measureSerial times one serial gradient round (the T₁ baseline).
 func measureSerial(cfg config, b benchNet, width int) (float64, error) {
 	nw, in, des, err := buildBench(b, width, 7)
 	if err != nil {
 		return 0, err
 	}
-	opt := graph.UpdateOpts{Eta: 1e-6}
-	rounds := cfg.rounds
-	if rounds == 0 {
-		rounds = 3
-	}
-	sec := timeIt(1, rounds, func() {
-		if _, err := nw.RoundSerial(clone(in), clone(des), ops.SquaredLoss{}, opt); err != nil {
-			panic(err)
-		}
-	})
-	return sec, nil
+	return timeRounds(cfg, 1, 3, in, des, func(in, des []*tensor.Tensor) (float64, error) {
+		return nw.RoundSerial(in, des, ops.SquaredLoss{}, graph.UpdateOpts{Eta: 1e-6})
+	}), nil
 }
 
 // measureParallel times one engine round with the given worker count.
@@ -108,16 +124,7 @@ func measureParallel(cfg config, b benchNet, width, workers int) (float64, error
 		return 0, err
 	}
 	defer en.Close()
-	rounds := cfg.rounds
-	if rounds == 0 {
-		rounds = 5
-	}
-	sec := timeIt(cfg.warmup, rounds, func() {
-		if _, err := en.Round(clone(in), clone(des)); err != nil {
-			panic(err)
-		}
-	})
-	return sec, nil
+	return timeRounds(cfg, cfg.warmup, 5, in, des, en.Round), nil
 }
 
 // fig5 measures speedup versus worker count for each width (the paper's

@@ -1,6 +1,9 @@
-// znn-bench regenerates every table and figure of the paper's evaluation
-// (each experiment id below names the table or figure it reproduces) and
-// doubles as the load generator for a running znn-serve.
+// znn-bench regenerates the paper's tables and figures from what this host
+// measures (each experiment id below names the table or figure it
+// reproduces) and doubles as the load generator for a running znn-serve.
+// A/B comparisons between two implementations of one mechanism (scheduler
+// strategies, memoization, wait-free summation, pooled allocation, the
+// heap-of-lists) are `go test -bench` benchmarks beside the code they time.
 //
 // Usage:
 //
@@ -8,8 +11,7 @@
 //	znn-bench -exp fig7 -workers 4     # one experiment
 //	znn-bench -exp fig8 -paper-scale   # the paper's exact parameters
 //
-// Experiments: tablev table1 table2 table34 fig4 fig5 fig6 fig7 fig8 fig9
-// sched memo sum pool pqueue all.
+// Experiments: tablev table1 table2 table34 fig4 fig5 fig6 fig7 fig8 fig9 all.
 //
 // Load-generator mode drives a RUNNING znn-serve instead of in-process
 // benchmarks: concurrent clients hammer /infer for -duration, optionally
@@ -19,6 +21,10 @@
 //
 //	znn-bench -loadgen http://localhost:8080 -duration 10s -clients 16 \
 //	          [-deadline-ms 500] [-reload-every 2s] [-loadgen-out sum.json]
+//
+// It stays beside benchmark/serve.go because the two answer different
+// questions: -loadgen drives reloads and deadlines for CI's chaos
+// assertions, while benchmark/serve.go is the frozen latency yardstick.
 //
 // Measured speedups are bounded by this machine's core count; the paper's
 // 8–120 CPU curves are regenerated analytically by fig4 and the measured
@@ -74,60 +80,58 @@ func main() {
 		return
 	}
 
-	experiments := map[string]func(config){
-		"tablev":  tableV,
-		"table1":  table1,
-		"table2":  table2,
-		"table34": table34,
-		"fig4":    fig4,
-		"fig5":    fig5,
-		"fig6":    fig6,
-		"fig7":    fig7,
-		"fig8":    fig8,
-		"fig9":    fig9,
-		"sched":   schedAblation,
-		"memo":    memoAblation,
-		"sum":     sumAblation,
-		"pool":    poolAblation,
-		"pqueue":  pqueueAblation,
-	}
-	order := []string{"tablev", "table1", "table2", "table34", "fig4",
-		"fig5", "fig6", "fig7", "fig8", "fig9",
-		"sched", "memo", "sum", "pool", "pqueue"}
-
-	if *exp == "all" {
-		for _, name := range order {
-			experiments[name](cfg)
-			fmt.Println()
-		}
-		return
-	}
-	fn, ok := experiments[*exp]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known: %s all\n",
-			*exp, strings.Join(order, " "))
+	exps, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fn(cfg)
+	for _, e := range exps {
+		e.run(cfg)
+		if len(exps) > 1 {
+			fmt.Println()
+		}
+	}
+}
+
+// experiment is one -exp id and the function that prints it.
+type experiment struct {
+	id  string
+	run func(config)
+}
+
+// experiments lists every -exp id in the order -exp all runs them.
+var experiments = []experiment{
+	{"tablev", tableV},
+	{"table1", table1},
+	{"table2", table2},
+	{"table34", table34},
+	{"fig4", fig4},
+	{"fig5", fig5},
+	{"fig6", fig6},
+	{"fig7", fig7},
+	{"fig8", fig8},
+	{"fig9", fig9},
+}
+
+// selectExperiments resolves an -exp value: "all" or one id.
+func selectExperiments(id string) ([]experiment, error) {
+	if id == "all" {
+		return experiments, nil
+	}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		if e.id == id {
+			return []experiment{e}, nil
+		}
+		ids[i] = e.id
+	}
+	return nil, fmt.Errorf("unknown experiment %q; known: %s all", id, strings.Join(ids, " "))
 }
 
 // header prints a boxed experiment title.
 func header(title string) {
 	line := strings.Repeat("=", len(title)+4)
 	fmt.Printf("%s\n= %s =\n%s\n", line, title, line)
-}
-
-// timeIt returns the mean seconds per call of fn over timed calls after
-// warmup calls.
-func timeIt(warmup, timed int, fn func()) float64 {
-	for i := 0; i < warmup; i++ {
-		fn()
-	}
-	start := time.Now()
-	for i := 0; i < timed; i++ {
-		fn()
-	}
-	return time.Since(start).Seconds() / float64(timed)
 }
 
 // tableV prints the machine inventory (the stand-in for the paper's

@@ -278,7 +278,7 @@ func TestMaxPoolOpRoundTrip(t *testing.T) {
 func TestMaxFilterOpSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	in := tensor.RandomUniform(rng, tensor.Cube(8), -1, 1)
-	op := NewMaxFilterOp(tensor.Cube(2), tensor.Uniform(2), ops.FilterDeque)
+	op := NewMaxFilterOp(tensor.Cube(2), tensor.Uniform(2))
 	if got := op.OutShape(in.S); got != tensor.Cube(6) {
 		t.Fatalf("OutShape = %v", got)
 	}

@@ -253,15 +253,16 @@ func (o *MaxPoolOp) Backward(grad *tensor.Tensor, _ *BwdCtx) *tensor.Tensor {
 type MaxFilterOp struct {
 	Window tensor.Shape
 	Sp     tensor.Sparsity
-	Algo   ops.FilterAlgo
 
 	inShape tensor.Shape
 	argmax  []int32
 }
 
-// NewMaxFilterOp builds a max-filtering op.
-func NewMaxFilterOp(window tensor.Shape, sp tensor.Sparsity, algo ops.FilterAlgo) *MaxFilterOp {
-	return &MaxFilterOp{Window: window, Sp: sp, Algo: algo}
+// NewMaxFilterOp builds a max-filtering op. It always runs the monotonic
+// deque (O(1) amortized per voxel); the paper's O(log k) heap stays in
+// package ops as the Table I reference.
+func NewMaxFilterOp(window tensor.Shape, sp tensor.Sparsity) *MaxFilterOp {
+	return &MaxFilterOp{Window: window, Sp: sp}
 }
 
 // Kind returns "maxfilter".
@@ -275,7 +276,7 @@ func (o *MaxFilterOp) OutShape(in tensor.Shape) tensor.Shape {
 
 // Forward filters and stores the argmax map (skipped on inference rounds).
 func (o *MaxFilterOp) Forward(in *tensor.Tensor, ctx *FwdCtx) *tensor.Tensor {
-	out, am := ops.MaxFilterSparseForward(in, o.Window, o.Sp, o.Algo, nil)
+	out, am := ops.MaxFilterSparseForward(in, o.Window, o.Sp, ops.FilterDeque, nil)
 	if !ctx.infer() {
 		o.inShape = in.S
 		o.argmax = am

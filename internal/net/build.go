@@ -40,8 +40,6 @@ type BuildOptions struct {
 	Memoize bool
 	// Counters receives convolution work counts (may be nil).
 	Counters *conv.Counters
-	// FilterAlgo selects the sliding-max algorithm (default deque).
-	FilterAlgo ops.FilterAlgo
 	// Seed drives parameter initialization; equal seeds and specs build
 	// identical parameters.
 	Seed int64
@@ -320,7 +318,7 @@ func Build(spec Spec, o BuildOptions) (*Network, error) {
 			next := make([]*graph.Node, len(cur))
 			for j, u := range cur {
 				next[j] = g.AddNode(fmt.Sprintf("L%d/filt/%d", li, j), outShape)
-				g.Connect(u, next[j], graph.NewMaxFilterOp(w, sp, o.FilterAlgo))
+				g.Connect(u, next[j], graph.NewMaxFilterOp(w, sp))
 			}
 			cur, shape = next, outShape
 			sparsity *= l.Window

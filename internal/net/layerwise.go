@@ -1,31 +1,10 @@
-// Package baseline provides the comparators for the paper's CPU-vs-GPU
-// experiments (Figs. 8 and 9).
-//
-// The paper benchmarks ZNN against Caffe, Caffe+cuDNN and Theano running on
-// a Titan X GPU. Without that hardware, this package substitutes:
-//
-//  1. LayerwiseExecutor — the *algorithmic* strategy of those frameworks
-//     (process one layer at a time with data parallelism across output
-//     units and a barrier between layers, direct convolution only) run on
-//     the same CPU as ZNN. The relative shape of ZNN-vs-baseline across
-//     kernel and output sizes comes from algorithmic complexity (direct
-//     conv cost grows with the kernel volume, FFT conv cost does not), and
-//     survives the hardware substitution.
-//
-//  2. GPUModel — a calibrated throughput model converting the workload's
-//     direct-convolution FLOPs into modeled seconds/update on a Titan X,
-//     with per-framework efficiency factors. These produce the absolute
-//     bars of Figs. 8–9, which `znn-bench -exp fig8|fig9` labels as
-//     modeled in its output.
-package baseline
+package net
 
 import (
 	"fmt"
 	"sync"
 
 	"znn/internal/graph"
-	"znn/internal/model"
-	"znn/internal/net"
 	"znn/internal/ops"
 	"znn/internal/tensor"
 )
@@ -34,18 +13,22 @@ import (
 // parallelizing within the level and placing a barrier between levels —
 // the SIMD-style schedule of GPU frameworks ("the current GPU
 // implementations employ SIMD parallelism to perform computation on one
-// whole layer at a time", Section XI).
+// whole layer at a time", Section XI). Run on the same CPU as ZNN with
+// direct convolution, it is the measured comparator of Figs. 8 and 9: the
+// shape of ZNN-vs-layerwise across kernel and output sizes comes from
+// algorithmic complexity (direct conv cost grows with the kernel volume,
+// FFT conv cost does not), which survives the hardware substitution.
 type LayerwiseExecutor struct {
-	Net     *net.Network
+	Net     *Network
 	Workers int
 
 	levels [][]*graph.Edge // edges grouped by the topological level of their source
 }
 
 // NewLayerwiseExecutor prepares the level schedule for a network.
-func NewLayerwiseExecutor(nw *net.Network, workers int) (*LayerwiseExecutor, error) {
+func NewLayerwiseExecutor(nw *Network, workers int) (*LayerwiseExecutor, error) {
 	if workers < 1 {
-		return nil, fmt.Errorf("baseline: need ≥1 worker, got %d", workers)
+		return nil, fmt.Errorf("net: need ≥1 worker, got %d", workers)
 	}
 	order, err := nw.G.TopoSort()
 	if err != nil {
@@ -118,12 +101,12 @@ func (x *LayerwiseExecutor) Forward(inputs []*tensor.Tensor) ([]*tensor.Tensor, 
 
 func (x *LayerwiseExecutor) forward(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
 	if len(inputs) != len(x.Net.Inputs) {
-		return nil, fmt.Errorf("baseline: got %d inputs, want %d", len(inputs), len(x.Net.Inputs))
+		return nil, fmt.Errorf("net: got %d inputs, want %d", len(inputs), len(x.Net.Inputs))
 	}
 	imgs := make([]*tensor.Tensor, len(x.Net.G.Nodes))
 	for i, in := range inputs {
 		if in.S != x.Net.Inputs[i].Shape {
-			return nil, fmt.Errorf("baseline: input %d shape %v, want %v", i, in.S, x.Net.Inputs[i].Shape)
+			return nil, fmt.Errorf("net: input %d shape %v, want %v", i, in.S, x.Net.Inputs[i].Shape)
 		}
 		imgs[x.Net.Inputs[i].ID] = in
 	}
@@ -189,38 +172,4 @@ func (x *LayerwiseExecutor) Round(inputs, desired []*tensor.Tensor, loss ops.Los
 		e.Op.(graph.Trainable).Update(imgs[e.From.ID], bwd[e.To.ID], opt)
 	})
 	return lossVal, nil
-}
-
-// GPUFramework identifies a modeled comparator.
-type GPUFramework struct {
-	Name string
-	// Efficiency is the fraction of peak FLOP/s the framework sustains on
-	// direct convolution workloads.
-	Efficiency float64
-	// Overhead is the fixed per-update cost (kernel launches, host
-	// synchronization) in seconds.
-	Overhead float64
-}
-
-// TitanXPeakFlops is the single-precision peak of the GeForce GTX Titan X
-// (Maxwell, 2015) used in the paper's comparison: ≈6.1 TFLOP/s.
-const TitanXPeakFlops = 6.1e12
-
-// Modeled comparators. Efficiencies are calibration constants chosen to
-// land in the range the paper's absolute numbers imply; they scale the
-// bars without changing who-wins-where against kernel size.
-var (
-	Caffe      = GPUFramework{Name: "Caffe", Efficiency: 0.30, Overhead: 3e-3}
-	CaffeCuDNN = GPUFramework{Name: "Caffe (cuDNN)", Efficiency: 0.55, Overhead: 2e-3}
-	Theano     = GPUFramework{Name: "Theano", Efficiency: 0.20, Overhead: 5e-3}
-)
-
-// ModeledSecondsPerUpdate converts the direct-convolution FLOPs of one
-// training round of the given geometry into modeled GPU seconds.
-func ModeledSecondsPerUpdate(fw GPUFramework, g model.Geometry) (float64, error) {
-	cost, err := model.Estimate(g, model.Direct)
-	if err != nil {
-		return 0, err
-	}
-	return cost.T1/(fw.Efficiency*TitanXPeakFlops) + fw.Overhead, nil
 }

@@ -1,4 +1,4 @@
-package baseline
+package net_test
 
 import (
 	"math"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"znn/internal/graph"
-	"znn/internal/model"
 	"znn/internal/net"
 	"znn/internal/ops"
 	"znn/internal/tensor"
@@ -33,7 +32,7 @@ func TestLayerwiseForwardMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 4} {
-		x, err := NewLayerwiseExecutor(sut, workers)
+		x, err := net.NewLayerwiseExecutor(sut, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +51,7 @@ func TestLayerwiseRoundMatchesSerial(t *testing.T) {
 	sut := buildNet(t, 3)
 	rng := rand.New(rand.NewSource(4))
 	opt := graph.UpdateOpts{Eta: 0.05}
-	x, err := NewLayerwiseExecutor(sut, 3)
+	x, err := net.NewLayerwiseExecutor(sut, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +80,10 @@ func TestLayerwiseRoundMatchesSerial(t *testing.T) {
 
 func TestLayerwiseValidation(t *testing.T) {
 	nw := buildNet(t, 5)
-	if _, err := NewLayerwiseExecutor(nw, 0); err == nil {
+	if _, err := net.NewLayerwiseExecutor(nw, 0); err == nil {
 		t.Error("zero workers not rejected")
 	}
-	x, err := NewLayerwiseExecutor(nw, 1)
+	x, err := net.NewLayerwiseExecutor(nw, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,52 +92,5 @@ func TestLayerwiseValidation(t *testing.T) {
 	}
 	if _, err := x.Forward([]*tensor.Tensor{tensor.New(tensor.Cube(2))}); err == nil {
 		t.Error("wrong input shape not rejected")
-	}
-}
-
-func TestGPUModelScalesWithKernel(t *testing.T) {
-	// Modeled direct-conv seconds must grow steeply with the kernel size;
-	// that is what produces the paper's crossover.
-	// Paper-scale 2D geometry (width 40, several conv layers) so the
-	// convolution FLOPs dominate the fixed per-update overhead.
-	geom := func(k int) model.Geometry {
-		var spec net.Spec
-		for i := 0; i < 4; i++ {
-			spec.Layers = append(spec.Layers,
-				net.LayerSpec{Kind: net.ConvLayer, Window: k},
-				net.LayerSpec{Kind: net.TransferLayer, Transfer: "relu"})
-		}
-		return model.Geometry{Spec: spec, Width: 40, OutWidth: 40, OutExtent: 16, Dims: 2}
-	}
-	s10, err := ModeledSecondsPerUpdate(CaffeCuDNN, geom(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s40, err := ModeledSecondsPerUpdate(CaffeCuDNN, geom(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s40 <= s10 {
-		t.Errorf("modeled time did not grow with kernel: k10 %g vs k40 %g", s10, s40)
-	}
-	// Ratio should reflect k² growth (2D), i.e. well above 4×.
-	if s40/s10 < 4 {
-		t.Errorf("modeled growth %g×, want ≥4× for 4× kernel extent", s40/s10)
-	}
-}
-
-func TestGPUFrameworkOrdering(t *testing.T) {
-	// cuDNN must be modeled faster than stock Caffe, which is faster than
-	// Theano, on any fixed workload (matching the paper's Fig. 8 bars).
-	spec := net.Spec{Layers: []net.LayerSpec{
-		{Kind: net.ConvLayer, Window: 5},
-		{Kind: net.TransferLayer, Transfer: "relu"},
-	}}
-	g := model.Geometry{Spec: spec, Width: 8, OutExtent: 8, Dims: 2}
-	sc, _ := ModeledSecondsPerUpdate(Caffe, g)
-	scu, _ := ModeledSecondsPerUpdate(CaffeCuDNN, g)
-	st, _ := ModeledSecondsPerUpdate(Theano, g)
-	if !(scu < sc && sc < st) {
-		t.Errorf("framework ordering wrong: cuDNN %g, Caffe %g, Theano %g", scu, sc, st)
 	}
 }

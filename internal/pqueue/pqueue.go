@@ -9,7 +9,10 @@
 //
 // FIFO and LIFO queues implement the same interface; the paper's Section X
 // mentions them (plus work stealing, provided by package sched) as
-// alternative scheduling strategies with noticeably lower scalability.
+// alternative scheduling strategies with noticeably lower scalability, and
+// package sched's FIFO/LIFO strategies run on them. The conventional binary
+// heap that the heap-of-lists is measured against (BenchmarkPQueue*) and
+// checked against (TestRandomizedAgainstReference) lives in the tests.
 package pqueue
 
 import (
@@ -199,66 +202,4 @@ func (q *LIFO) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.items)
-}
-
-// BinaryHeap is a conventional one-item-per-node priority queue used as the
-// baseline in experiment E12 (heap-of-lists vs plain heap). Its operations
-// cost O(log N) in the number of queued tasks.
-type BinaryHeap struct {
-	mu  sync.Mutex
-	h   pairHeap
-	seq int64 // tiebreaker preserving FIFO order within a priority
-}
-
-type pair struct {
-	prio int64
-	seq  int64
-	it   Item
-}
-
-type pairHeap []pair
-
-func (h pairHeap) Len() int { return len(h) }
-func (h pairHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio
-	}
-	return h[i].seq < h[j].seq
-}
-func (h pairHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *pairHeap) Push(x any)   { *h = append(*h, x.(pair)) }
-func (h *pairHeap) Pop() any {
-	old := *h
-	n := len(old)
-	p := old[n-1]
-	*h = old[:n-1]
-	return p
-}
-
-// NewBinaryHeap returns an empty binary-heap queue.
-func NewBinaryHeap() *BinaryHeap { return &BinaryHeap{} }
-
-// Push enqueues it at the given priority.
-func (q *BinaryHeap) Push(priority int64, it Item) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.seq++
-	heap.Push(&q.h, pair{prio: priority, seq: q.seq, it: it})
-}
-
-// Pop removes and returns the highest-priority item (FIFO within ties).
-func (q *BinaryHeap) Pop() (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if len(q.h) == 0 {
-		return nil, false
-	}
-	return heap.Pop(&q.h).(pair).it, true
-}
-
-// Len returns the number of queued items.
-func (q *BinaryHeap) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.h)
 }

@@ -122,46 +122,3 @@ func (s *Sum) Reset(required int) {
 	s.total = 0
 	s.required = required
 }
-
-// LockedSum is the naive baseline for experiment E11: the whole image
-// addition happens inside the critical section, so lock hold time scales
-// with image volume.
-type LockedSum struct {
-	mu       sync.Mutex
-	sum      *tensor.Tensor
-	total    int
-	required int
-}
-
-// NewLocked returns a naive locked summation expecting required
-// contributions.
-func NewLocked(required int) *LockedSum {
-	if required < 1 {
-		panic(fmt.Sprintf("wsum: required must be ≥ 1, got %d", required))
-	}
-	return &LockedSum{required: required}
-}
-
-// Add contributes v under the lock, returning true for the completing call.
-func (s *LockedSum) Add(v *tensor.Tensor) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.sum == nil {
-		s.sum = v
-	} else {
-		s.sum.Add(v)
-	}
-	s.total++
-	return s.total == s.required
-}
-
-// Value returns the accumulated tensor after completion.
-func (s *LockedSum) Value() *tensor.Tensor {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.total != s.required {
-		panic(fmt.Sprintf("wsum: Value before completion (%d of %d contributions)",
-			s.total, s.required))
-	}
-	return s.sum
-}

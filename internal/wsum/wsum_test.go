@@ -152,45 +152,3 @@ func TestRequiredAccessor(t *testing.T) {
 		t.Errorf("Required after Reset = %d, want 2", s.Required())
 	}
 }
-
-func TestLockedSumMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	shape := tensor.S3(4, 4, 4)
-	const workers = 16
-	inputs := make([]*tensor.Tensor, workers)
-	want := tensor.New(shape)
-	for i := range inputs {
-		inputs[i] = tensor.RandomInts(rng, shape, 20)
-		want.Add(inputs[i])
-	}
-	s := NewLocked(workers)
-	var result *tensor.Tensor
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(v *tensor.Tensor) {
-			defer wg.Done()
-			if s.Add(v) {
-				mu.Lock()
-				result = s.Value()
-				mu.Unlock()
-			}
-		}(inputs[i].Clone())
-	}
-	wg.Wait()
-	if !result.Equal(want) {
-		t.Error("LockedSum result differs from sequential sum")
-	}
-}
-
-func TestLockedValueBeforeCompletionPanics(t *testing.T) {
-	s := NewLocked(2)
-	s.Add(tensor.New(tensor.Cube(2)))
-	defer func() {
-		if recover() == nil {
-			t.Error("LockedSum.Value before completion did not panic")
-		}
-	}()
-	s.Value()
-}

@@ -62,18 +62,6 @@ func Dense() Sparsity { return tensor.Dense() }
 // Uniform returns isotropic sparsity s.
 func Uniform(s int) Sparsity { return tensor.Uniform(s) }
 
-// SchedulerPolicy selects the task scheduling strategy.
-type SchedulerPolicy = sched.Policy
-
-// Scheduler policies. Priority is the paper's scheduler; the others are
-// the alternatives of Section X, provided for experimentation.
-const (
-	Priority     SchedulerPolicy = sched.PolicyPriority
-	FIFO         SchedulerPolicy = sched.PolicyFIFO
-	LIFO         SchedulerPolicy = sched.PolicyLIFO
-	WorkStealing SchedulerPolicy = sched.PolicySteal
-)
-
 // ConvMode selects how convolutions are computed.
 type ConvMode int
 
@@ -105,8 +93,6 @@ type Config struct {
 	// (runtime.NumCPU()) — the paper's scheduler exists to use every
 	// core, so the old silent default of 1 was a trap.
 	Workers int
-	// Policy is the scheduling strategy (default Priority).
-	Policy SchedulerPolicy
 	// Conv selects the convolution mode (default Autotune).
 	Conv ConvMode
 	// Memoize enables FFT memoization (Section IV).
@@ -224,7 +210,6 @@ func compile(spec net.Spec, cfg Config, bo net.BuildOptions, params []float64, r
 	}
 	en, err := train.NewEngine(nw.G, train.Config{
 		Workers:   cfg.Workers,
-		Policy:    cfg.Policy,
 		Loss:      loss,
 		Eta:       cfg.Eta,
 		Momentum:  cfg.Momentum,
