@@ -273,30 +273,21 @@ func benchMemoization(b *testing.B, memoize bool) {
 func BenchmarkMemoizationOff(b *testing.B) { benchMemoization(b, false) }
 func BenchmarkMemoizationOn(b *testing.B)  { benchMemoization(b, true) }
 
-// --- FFT primitives -------------------------------------------------------
+// --- Spectral-mode training (packed spectra) ------------------------------
 
-// BenchmarkFFT3 vs BenchmarkFFT3R is the packed-pipeline A/B: one full
-// load→forward→inverse→store cycle of a real volume at a representative
-// transform shape (30³ is GoodShape of a 24³ image convolved with a 5³
-// kernel). The r2c/c2r path computes and stores only the (X/2+1)·Y·Z
-// Hermitian-packed coefficients.
+// The memoizing forced-FFT round of E15 is also the packed spectral-mode
+// round (spectral sums on both passes).
+func BenchmarkSpectralRoundPacked(b *testing.B) { benchMemoization(b, true) }
 
-func BenchmarkFFT3(b *testing.B) {
-	rng := rand.New(rand.NewSource(20))
-	img := tensor.RandomUniform(rng, tensor.Cube(30), -1, 1)
-	m := img.S
-	p := fft.NewPlan3(m)
-	buf := make([]complex128, m.Volume())
-	out := tensor.New(m)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fft.LoadReal(buf, m, img)
-		p.Forward(buf)
-		p.Inverse(buf)
-		fft.StoreReal(out, buf, m, 0, 0, 0)
-	}
-}
+// --- Precision A/B: float64 vs float32 spectral path ----------------------
+
+// BenchmarkFFT3R96 vs BenchmarkFFT3R96F32 is the per-transform precision
+// A/B at the 96³ class: one packed forward+inverse cycle. In pure scalar Go
+// the butterflies are compute-bound (float32 and float64 scalar multiplies
+// run at the same rate), so the isolated transform is roughly precision-
+// neutral; the float32 win appears at pipeline level, where spectra, image
+// conversions, pool zeroing and pointwise products are bandwidth-bound —
+// see BenchmarkSpectralRound96*.
 
 // benchFFT3R measures one packed forward+inverse cycle at n³ at precision
 // (R, C).
@@ -313,24 +304,6 @@ func benchFFT3R[R tensor.Real, C fft.Complex](b *testing.B, n int) {
 		p.Inverse(out, buf, 0, 0, 0)
 	}
 }
-
-func BenchmarkFFT3R(b *testing.B) { benchFFT3R[float64, complex128](b, 30) }
-
-// --- Spectral-mode training (packed spectra) ------------------------------
-
-// The memoizing forced-FFT round of E15 is also the packed spectral-mode
-// round (spectral sums on both passes).
-func BenchmarkSpectralRoundPacked(b *testing.B) { benchMemoization(b, true) }
-
-// --- Precision A/B: float64 vs float32 spectral path ----------------------
-
-// BenchmarkFFT3R96 vs BenchmarkFFT3R96F32 is the per-transform precision
-// A/B at the 96³ class: one packed forward+inverse cycle. In pure scalar Go
-// the butterflies are compute-bound (float32 and float64 scalar multiplies
-// run at the same rate), so the isolated transform is roughly precision-
-// neutral; the float32 win appears at pipeline level, where spectra, image
-// conversions, pool zeroing and pointwise products are bandwidth-bound —
-// see BenchmarkSpectralRound96*.
 
 func BenchmarkFFT3R96(b *testing.B)    { benchFFT3R[float64, complex128](b, 96) }
 func BenchmarkFFT3R96F32(b *testing.B) { benchFFT3R[float32, complex64](b, 96) }
@@ -367,19 +340,6 @@ func benchSpectralRound96(b *testing.B, prec conv.Precision) {
 
 func BenchmarkSpectralRound96F64(b *testing.B) { benchSpectralRound96(b, conv.PrecF64) }
 func BenchmarkSpectralRound96F32(b *testing.B) { benchSpectralRound96(b, conv.PrecF32) }
-
-// BenchmarkFFT3R_Odd exposes the odd-length r2c fallback cost: odd X-lines
-// run a full-length complex transform and keep only the packed half, so
-// they gain the memory and pointwise savings but not the X-pass flop
-// halving. Each odd size is paired with its even 5-smooth neighbour so the
-// gap is visible in one run (and regressions in either path are caught).
-func BenchmarkFFT3R_Odd(b *testing.B) {
-	for _, n := range []int{15, 16, 27, 30, 45, 48} {
-		b.Run(fmt.Sprintf("%d", n), func(b *testing.B) {
-			benchFFT3R[float64, complex128](b, n)
-		})
-	}
-}
 
 func BenchmarkFFTConvValid(b *testing.B) {
 	rng := rand.New(rand.NewSource(10))

@@ -11,7 +11,9 @@ import (
 
 // transformShape returns the common FFT shape used for every phase of a
 // convolution edge with input image shape n, kernel shape k and sparsity s:
-// the 5-smooth shape covering the forward full convolution, n + s(k−1).
+// fft.GoodShape of the forward full convolution n + s(k−1), the smallest
+// covering shape with 5-smooth extents and an even (or unit) X extent —
+// exactly the shapes package fft plans.
 //
 // A single shape per edge is what makes memoization sound: the forward
 // image FFT is reusable in the update, and the backward-gradient FFT is

@@ -36,15 +36,15 @@ func TestPackedTransformerMatchesDirect(t *testing.T) {
 
 // TestPackedReflectIsSpectrumOfReflection ties the packed conjugate-
 // reflection identity to its meaning: reflecting in the spectral domain must
-// equal transforming the spatially reflected, re-padded signal — at even,
-// odd, Bluestein and degenerate transform extents.
+// equal transforming the spatially reflected, re-padded signal — at even X,
+// odd 5-smooth Y and Z, and degenerate transform extents.
 func TestPackedReflectIsSpectrumOfReflection(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	shapes := []struct{ m, support tensor.Shape }{
 		{tensor.S3(10, 6, 5), tensor.S3(4, 3, 2)},
 		{tensor.S3(8, 6, 4), tensor.S3(3, 2, 2)},
-		{tensor.S3(15, 5, 3), tensor.S3(4, 3, 1)}, // odd X
-		{tensor.S3(7, 4, 2), tensor.S3(2, 2, 2)},  // Bluestein X
+		{tensor.S3(16, 15, 3), tensor.S3(4, 3, 1)}, // odd Y and Z
+		{tensor.S3(6, 25, 27), tensor.S3(2, 4, 5)},
 		{tensor.S3(6, 1, 1), tensor.S3(3, 1, 1)},
 	}
 	for _, c := range shapes {

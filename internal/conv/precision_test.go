@@ -53,15 +53,14 @@ func TestF32TransformerMatchesDirect(t *testing.T) {
 }
 
 // TestF32PackedReflectMatchesF64 checks the complex64 conjugate-reflection
-// pass against the complex128 one on packed spectra, including odd and
-// Bluestein X extents (reachable at the fft layer even though conv's
-// transform shapes are always 5-smooth).
+// pass against the complex128 one on packed spectra, including odd 5-smooth
+// Y and Z extents.
 func TestF32PackedReflectMatchesF64(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	shapes := []struct{ m, support tensor.Shape }{
 		{tensor.S3(8, 6, 4), tensor.S3(3, 2, 2)},
-		{tensor.S3(15, 5, 3), tensor.S3(4, 3, 1)}, // odd X
-		{tensor.S3(7, 4, 2), tensor.S3(2, 2, 2)},  // Bluestein X
+		{tensor.S3(16, 15, 3), tensor.S3(4, 3, 1)}, // odd Y and Z
+		{tensor.S3(6, 25, 27), tensor.S3(2, 4, 5)},
 	}
 	for _, c := range shapes {
 		w := tensor.RandomUniform(rng, c.support, -1, 1)

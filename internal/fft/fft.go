@@ -5,11 +5,20 @@
 // self-contained pure-Go replacement with the same asymptotics:
 //
 //   - iterative-free recursive mixed-radix Cooley-Tukey for lengths whose
-//     prime factors are all ≤ 5 (the sizes GoodSize produces),
-//   - Bluestein's chirp-z algorithm for arbitrary lengths,
-//   - separable 3D transforms built from cached 1D plans (Plan3), and
-//   - real-to-complex transforms with Hermitian-packed spectra
-//     (PlanR/Plan3R), the fast path for convolution of real images.
+//     prime factors are all ≤ 5 (the sizes GoodSize produces), and
+//   - separable 3D real-to-complex transforms with Hermitian-packed spectra
+//     (PlanR/Plan3R), built from cached 1D plans, the path for convolution
+//     of real images.
+//
+// # Shapes
+//
+// The package serves exactly the transform shapes GoodShape returns, which
+// is what FFT convolution asks for: every extent is 5-smooth, and the X
+// extent is even or 1. NewPlanOf panics on a length that is not 5-smooth and
+// NewPlanROf on an odd length above 1, naming the function that pads it. A
+// full complex 3D transform (Plan3) is not part of the package: it lives in
+// the tests, as the scalar reference the packed transform is checked
+// against.
 //
 // # Precision
 //
@@ -19,11 +28,11 @@
 // type. The training pipeline is memory-bandwidth-bound on multi-core
 // machines, so the complex64 instantiation — half the bytes per
 // coefficient — roughly doubles effective bandwidth through the Y/Z passes
-// and every pointwise spectral operation. Twiddle, chirp and phase tables
-// are always computed in float64 and rounded once, so the float32 path
-// loses no accuracy to table construction. Plan, PlanR, Plan3 and Plan3R
-// remain aliases for the float64/complex128 instantiations; plans of both
-// precisions for one length coexist in the cache.
+// and every pointwise spectral operation. Twiddle and phase tables are
+// always computed in float64 and rounded once, so the float32 path loses no
+// accuracy to table construction. Plan, PlanR and Plan3R remain aliases for
+// the float64/complex128 instantiations; plans of both precisions for one
+// length coexist in the cache.
 //
 // # Packed spectra
 //
@@ -35,12 +44,13 @@
 // A packed spectrum stores exactly those (X/2+1)·Y·Z coefficients, laid out
 // like a tensor of shape PackedShape(s) = (X/2+1, Y, Z) with x fastest:
 // coefficient (kx, ky, kz) at linear index (kz·Y + ky)·(X/2+1) + kx. Packing
-// halves both the transform flops (even X runs r2c through a half-length
-// complex plan; Y and Z passes cover only X/2+1 columns) and the memory and
-// pointwise work of every spectral-domain operation. Pointwise identities —
-// products (MulInto/MulAccInto) and conjugate-reflection phase passes —
-// apply to packed spectra unchanged, because they hold per coefficient and
-// packing only drops coefficients implied by symmetry.
+// halves both the transform flops (the even X extent runs r2c through a
+// half-length complex plan; Y and Z passes cover only X/2+1 columns) and
+// the memory and pointwise work of every spectral-domain operation.
+// Pointwise identities — products (MulInto/MulAccInto) and
+// conjugate-reflection phase passes — apply to packed spectra unchanged,
+// because they hold per coefficient and packing only drops coefficients
+// implied by symmetry.
 //
 // Plans are safe for concurrent use by multiple workers; per-call scratch
 // comes from sync.Pool so steady-state transforms do not allocate.
@@ -66,12 +76,11 @@
 //   - AVX2+FMA assembly (kernels64_amd64.s), installed on amd64 builds when
 //     internal/cpu confirms AVX2, FMA and OS YMM-state support at runtime.
 //     The flat kernels process four complex64 coefficients per iteration;
-//     the butterfly kernels run lane-batched: the 3D plans gather eight
+//     the butterfly kernels run lane-batched: the 3D plan gathers eight
 //     independent lines into split re/im float32 planes (element j of lane
 //     c at plane index j·8+c) so each butterfly is a column of 8-wide
 //     vertical float32 FMAs with broadcast twiddles. Lane batching covers
-//     all three axes, including the r2c/c2r X pass, for 5-smooth lengths;
-//     Bluestein lengths keep the per-line scalar path.
+//     all three axes, including the r2c/c2r X pass.
 //   - Portable Go kernels otherwise — bitwise-identical to the pre-dispatch
 //     scalar implementation.
 //
@@ -134,17 +143,16 @@ func cmplxOf[C Complex](re, im float64) C {
 }
 
 // maxRadix is the largest prime factor handled by the mixed-radix path.
-// Larger prime factors fall back to Bluestein.
+// Plans exist only for lengths without a larger prime factor.
 const maxRadix = 5
 
 // PlanOf holds the precomputed twiddle factors for 1D complex transforms of
 // a fixed length at coefficient type C.
 type PlanOf[C Complex] struct {
 	n       int
-	factors []int         // mixed-radix factorization (empty when bluestein != nil)
-	w       []C           // w[k] = exp(-2πi k/n), forward twiddles
-	winv    []C           // conjugate twiddles for the inverse transform
-	blue    *bluestein[C] // non-nil when n has a prime factor > maxRadix
+	factors []int // mixed-radix factorization
+	w       []C   // w[k] = exp(-2πi k/n), forward twiddles
+	winv    []C   // conjugate twiddles for the inverse transform
 
 	scratch sync.Pool // *[]C of length n
 }
@@ -168,47 +176,29 @@ var (
 func NewPlan(n int) *Plan { return NewPlanOf[complex128](n) }
 
 // NewPlanOf returns a (cached) plan for transforms of length n at
-// coefficient type C. It panics for n < 1.
-//
-// Construction happens outside the cache lock because Bluestein plans
-// recursively create their inner power-of-two plan; two goroutines racing
-// on the same uncached length may both build it, and the first to publish
-// wins.
+// coefficient type C. It panics for n < 1 and for lengths that are not
+// 5-smooth: callers pad to GoodSize first.
 func NewPlanOf[C Complex](n int) *PlanOf[C] {
 	if n < 1 {
 		panic(fmt.Sprintf("fft: invalid transform length %d", n))
 	}
+	factors, rem := factorize(n)
+	if rem != 1 {
+		panic(fmt.Sprintf("fft: transform length %d has a prime factor above %d; pad it to GoodSize(%d) = %d",
+			n, maxRadix, n, GoodSize(n)))
+	}
 	key := planKey{n, is32[C]()}
 	planMu.Lock()
+	defer planMu.Unlock()
 	if p, ok := planCache[key]; ok {
-		planMu.Unlock()
 		return p.(*PlanOf[C])
 	}
-	planMu.Unlock()
-	p := newPlanUncached[C](n)
-	planMu.Lock()
-	defer planMu.Unlock()
-	if q, ok := planCache[key]; ok {
-		return q.(*PlanOf[C])
-	}
-	planCache[key] = p
-	return p
-}
-
-func newPlanUncached[C Complex](n int) *PlanOf[C] {
-	p := &PlanOf[C]{n: n}
+	p := &PlanOf[C]{n: n, factors: factors, w: twiddlesOf[C](n, -1), winv: twiddlesOf[C](n, +1)}
 	p.scratch.New = func() any {
 		s := make([]C, n)
 		return &s
 	}
-	factors, rem := factorize(n)
-	if rem == 1 {
-		p.factors = factors
-		p.w = twiddlesOf[C](n, -1)
-		p.winv = twiddlesOf[C](n, +1)
-	} else {
-		p.blue = newBluestein[C](n)
-	}
+	planCache[key] = p
 	return p
 }
 
@@ -253,8 +243,8 @@ func factorize(n int) (factors []int, rem int) {
 	return factors, rem
 }
 
-// GoodSize returns the smallest 5-smooth integer ≥ n. FFT convolution pads
-// images to good sizes so the fast mixed-radix path is always taken.
+// GoodSize returns the smallest 5-smooth integer ≥ n, the lengths NewPlanOf
+// accepts. FFT convolution pads images to good sizes (see GoodShape).
 func GoodSize(n int) int {
 	if n < 1 {
 		return 1
@@ -300,10 +290,6 @@ func (p *PlanOf[C]) transform(data []C, inverse bool) {
 		panic(fmt.Sprintf("fft: data length %d does not match plan length %d", len(data), p.n))
 	}
 	if p.n == 1 {
-		return
-	}
-	if p.blue != nil {
-		p.blue.transform(data, inverse)
 		return
 	}
 	sp := p.scratch.Get().(*[]C)
@@ -403,84 +389,6 @@ func (p *PlanOf[C]) rec(dst, src []C, n, stride, fi int, w []C) {
 	}
 }
 
-// bluestein implements the chirp-z transform for arbitrary lengths on top of
-// a power-of-two convolution.
-type bluestein[C Complex] struct {
-	n     int
-	m     int        // power-of-two convolution length ≥ 2n-1
-	chirp []C        // exp(-πi k²/n), k = 0..n-1
-	bHat  []C        // forward FFT of the chirp filter, length m
-	inner *PlanOf[C] // power-of-two plan of length m
-	pool  sync.Pool  // *[]C of length m
-}
-
-func newBluestein[C Complex](n int) *bluestein[C] {
-	m := 1
-	for m < 2*n-1 {
-		m *= 2
-	}
-	b := &bluestein[C]{n: n, m: m, inner: NewPlanOf[C](m)}
-	b.pool.New = func() any {
-		s := make([]C, m)
-		return &s
-	}
-	b.chirp = make([]C, n)
-	for k := 0; k < n; k++ {
-		// k² mod 2n keeps the angle argument small and exact.
-		kk := (k * k) % (2 * n)
-		ang := -math.Pi * float64(kk) / float64(n)
-		b.chirp[k] = cmplxOf[C](math.Cos(ang), math.Sin(ang))
-	}
-	bvec := make([]C, m)
-	for k := 0; k < n; k++ {
-		c := conjOf(b.chirp[k])
-		bvec[k] = c
-		if k > 0 {
-			bvec[m-k] = c
-		}
-	}
-	b.inner.Forward(bvec)
-	b.bHat = bvec
-	return b
-}
-
-func (b *bluestein[C]) transform(data []C, inverse bool) {
-	if inverse {
-		// IDFT(x) = conj(DFT(conj(x))) / n
-		for i := range data {
-			data[i] = conjOf(data[i])
-		}
-		b.forward(data)
-		for i := range data {
-			data[i] = conjOf(data[i]) // caller applies 1/n when needed
-		}
-		return
-	}
-	b.forward(data)
-}
-
-func (b *bluestein[C]) forward(data []C) {
-	ap := b.pool.Get().(*[]C)
-	a := *ap
-	for i := range a {
-		a[i] = 0
-	}
-	for k := 0; k < b.n; k++ {
-		a[k] = data[k] * b.chirp[k]
-	}
-	b.inner.Forward(a)
-	for i := range a {
-		a[i] *= b.bHat[i]
-	}
-	b.inner.Inverse(a)
-	for k := 0; k < b.n; k++ {
-		data[k] = a[k] * b.chirp[k]
-	}
-	b.pool.Put(ap)
-}
-
-func cmplxConj(c complex128) complex128 { return complex(real(c), -imag(c)) }
-
 var (
 	twiddleMu    sync.Mutex
 	twiddleCache = map[int][]complex128{}
@@ -500,24 +408,4 @@ func Twiddle(n int) []complex128 {
 	w := twiddles(n, -1)
 	twiddleCache[n] = w
 	return w
-}
-
-// NaiveDFT computes the O(n²) discrete Fourier transform, used as the
-// reference implementation in tests.
-func NaiveDFT(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for k := 0; k < n; k++ {
-		var acc complex128
-		for j := 0; j < n; j++ {
-			ang := sign * 2 * math.Pi * float64(k*j%n) / float64(n)
-			acc += x[j] * complex(math.Cos(ang), math.Sin(ang))
-		}
-		out[k] = acc
-	}
-	return out
 }

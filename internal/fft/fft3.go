@@ -1,11 +1,6 @@
 package fft
 
-import (
-	"fmt"
-	"sync"
-
-	"znn/internal/tensor"
-)
+import "znn/internal/tensor"
 
 // lineBlock is the number of adjacent strided lines gathered into one
 // contiguous tile by blockLines. Eight complex128 values span two cache
@@ -52,197 +47,18 @@ func blockLines[C Complex](pl *PlanOf[C], buf []C, base, width, stride, n int, i
 	}
 }
 
-// Plan3Of performs separable 3D transforms over a complex buffer laid out
-// like a tensor of the plan's shape (x fastest). A Plan3Of is safe for
-// concurrent use.
-type Plan3Of[C Complex] struct {
-	s          tensor.Shape
-	px, py, pz *PlanOf[C]
-	tilePool   sync.Pool  // *[]C, lineBlock·max(Y,Z) for blocked lines
-	lanePool   *sync.Pool // *laneTile for the lane-batched passes (complex64 only)
-}
-
-// Plan3 is the double-precision 3D complex plan.
-type Plan3 = Plan3Of[complex128]
-
-// plan3Key identifies a cached 3D plan by shape and precision.
-type plan3Key struct {
-	s   tensor.Shape
-	f32 bool
-}
-
-var (
-	plan3Mu    sync.Mutex
-	plan3Cache = map[plan3Key]any{} // *Plan3Of[C]
-)
-
-// NewPlan3 returns a (cached) complex128 3D plan for the given shape.
-func NewPlan3(s tensor.Shape) *Plan3 { return NewPlan3Of[complex128](s) }
-
-// NewPlan3Of returns a (cached) 3D plan for the given shape at coefficient
-// type C.
-func NewPlan3Of[C Complex](s tensor.Shape) *Plan3Of[C] {
-	if !s.Valid() {
-		panic(fmt.Sprintf("fft: invalid 3D shape %v", s))
-	}
-	key := plan3Key{s, is32[C]()}
-	plan3Mu.Lock()
-	defer plan3Mu.Unlock()
-	if p, ok := plan3Cache[key]; ok {
-		return p.(*Plan3Of[C])
-	}
-	p := &Plan3Of[C]{
-		s:  s,
-		px: NewPlanOf[C](s.X),
-		py: NewPlanOf[C](s.Y),
-		pz: NewPlanOf[C](s.Z),
-	}
-	m := lineBlock * max(s.Y, s.Z)
-	p.tilePool.New = func() any {
-		b := make([]C, m)
-		return &b
-	}
-	if is32[C]() {
-		e := max(s.X, s.Y, s.Z)
-		p.lanePool = &sync.Pool{New: func() any { return newLaneTile(e) }}
-	}
-	plan3Cache[key] = p
-	return p
-}
-
-// Shape returns the transform shape.
-func (p *Plan3Of[C]) Shape() tensor.Shape { return p.s }
-
-// GoodShape returns the elementwise smallest 5-smooth shape ≥ s.
+// GoodShape returns the transform shape FFT convolution uses for a full
+// convolution of shape s: the smallest shape ≥ s whose extents are all
+// 5-smooth and whose X extent is even, or 1 when s.X is 1. An even X is
+// what lets the r2c X pass run through a half-length complex plan
+// (PlanROf); Y and Z run full complex passes and take any 5-smooth extent.
+// The smallest even 5-smooth m ≥ n is 2·GoodSize(⌈n/2⌉).
 func GoodShape(s tensor.Shape) tensor.Shape {
-	return tensor.Shape{X: GoodSize(s.X), Y: GoodSize(s.Y), Z: GoodSize(s.Z)}
-}
-
-// Forward computes the in-place 3D forward DFT of buf.
-func (p *Plan3Of[C]) Forward(buf []C) { p.transform(buf, false) }
-
-// Inverse computes the in-place 3D inverse DFT of buf including the 1/N
-// normalization (N = volume).
-func (p *Plan3Of[C]) Inverse(buf []C) {
-	p.transform(buf, true)
-	scaleOf(buf, 1/float64(p.s.Volume()))
-}
-
-func (p *Plan3Of[C]) transform(buf []C, inverse bool) {
-	s := p.s
-	if len(buf) != s.Volume() {
-		panic(fmt.Sprintf("fft: buffer length %d does not match shape %v", len(buf), s))
-	}
-	if laneTransform3(p, buf, inverse) {
-		return
-	}
-	// X lines are contiguous.
+	x := 1
 	if s.X > 1 {
-		for off := 0; off < len(buf); off += s.X {
-			line := buf[off : off+s.X]
-			if inverse {
-				p.px.InverseUnscaled(line)
-			} else {
-				p.px.Forward(line)
-			}
-		}
+		x = 2 * GoodSize((s.X+1)/2)
 	}
-	if s.Y <= 1 && s.Z <= 1 {
-		return
-	}
-	tp := p.tilePool.Get().(*[]C)
-	tile := *tp
-	// Y lines have stride X, X adjacent columns per z-plane.
-	if s.Y > 1 {
-		plane := s.X * s.Y
-		for z := 0; z < s.Z; z++ {
-			blockLines(p.py, buf, z*plane, s.X, s.X, s.Y, inverse, tile)
-		}
-	}
-	// Z lines have stride X·Y, X·Y adjacent columns.
-	if s.Z > 1 {
-		plane := s.X * s.Y
-		blockLines(p.pz, buf, 0, plane, plane, s.Z, inverse, tile)
-	}
-	p.tilePool.Put(tp)
-}
-
-// laneTransform3 runs all three passes lane-batched (see lane64.go) when
-// the buffer is complex64, the lane path is enabled, and every
-// extent-above-1 axis has a 5-smooth plan (Bluestein lengths keep the
-// scalar per-line path). The X pass batches 8 contiguous lines through
-// blockLanesRows64 — the X-axis counterpart of the Y/Z column tiles.
-// Reports whether it handled the transform.
-func laneTransform3[C Complex](p *Plan3Of[C], buf []C, inverse bool) bool {
-	if !laneBatch || p.lanePool == nil {
-		return false
-	}
-	b64, ok := any(buf).([]complex64)
-	if !ok {
-		return false
-	}
-	px, _ := any(p.px).(*PlanOf[complex64])
-	py, _ := any(p.py).(*PlanOf[complex64])
-	pz, _ := any(p.pz).(*PlanOf[complex64])
-	s := p.s
-	if (s.X > 1 && !px.laneOK()) || (s.Y > 1 && !py.laneOK()) || (s.Z > 1 && !pz.laneOK()) {
-		return false
-	}
-	lt := p.lanePool.Get().(*laneTile)
-	if s.X > 1 {
-		blockLanesRows64(px, b64, 0, s.Y*s.Z, inverse, lt)
-	}
-	plane := s.X * s.Y
-	if s.Y > 1 {
-		for z := 0; z < s.Z; z++ {
-			blockLanes64(py, b64, z*plane, s.X, s.X, s.Y, inverse, lt)
-		}
-	}
-	if s.Z > 1 {
-		blockLanes64(pz, b64, 0, plane, plane, s.Z, inverse, lt)
-	}
-	p.lanePool.Put(lt)
-	return true
-}
-
-// LoadReal writes t into the complex buffer buf (laid out with shape s),
-// zero-padding outside t's extent. It panics if t does not fit in s. The
-// real and complex element types convert independently, so a float64 image
-// can load straight into a complex64 buffer.
-func LoadReal[R tensor.Real, C Complex](buf []C, s tensor.Shape, t *tensor.Vol[R]) {
-	if !t.S.Fits(s) {
-		panic(fmt.Sprintf("fft: tensor %v does not fit in buffer shape %v", t.S, s))
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	for z := 0; z < t.S.Z; z++ {
-		for y := 0; y < t.S.Y; y++ {
-			src := t.Data[t.S.Index(0, y, z):]
-			off := s.Index(0, y, z)
-			for x := 0; x < t.S.X; x++ {
-				buf[off+x] = cmplxOf[C](float64(src[x]), 0)
-			}
-		}
-	}
-}
-
-// StoreReal extracts the real parts of a sub-volume of buf starting at
-// (ox,oy,oz) into dst.
-func StoreReal[R tensor.Real, C Complex](dst *tensor.Vol[R], buf []C, s tensor.Shape, ox, oy, oz int) {
-	d := dst.S
-	if ox < 0 || oy < 0 || oz < 0 || ox+d.X > s.X || oy+d.Y > s.Y || oz+d.Z > s.Z {
-		panic(fmt.Sprintf("fft: store region %v at (%d,%d,%d) out of range of %v", d, ox, oy, oz, s))
-	}
-	for z := 0; z < d.Z; z++ {
-		for y := 0; y < d.Y; y++ {
-			off := s.Index(ox, oy+y, oz+z)
-			row := dst.Data[d.Index(0, y, z):]
-			for x := 0; x < d.X; x++ {
-				row[x] = R(real(complex128(buf[off+x])))
-			}
-		}
-	}
+	return tensor.Shape{X: x, Y: GoodSize(s.Y), Z: GoodSize(s.Z)}
 }
 
 // MulInto computes dst[i] = a[i]*b[i] elementwise; dst may alias a or b.

@@ -58,7 +58,7 @@ func TestPlan3MatchesNaive(t *testing.T) {
 	shapes := []tensor.Shape{
 		tensor.S3(4, 4, 4),
 		tensor.S3(8, 6, 5),
-		tensor.S3(3, 7, 2), // includes a Bluestein dimension (7)
+		tensor.S3(3, 15, 2),
 		tensor.S3(1, 9, 4),
 		tensor.S3(5, 1, 1),
 		tensor.S3(1, 1, 1),
@@ -76,7 +76,7 @@ func TestPlan3MatchesNaive(t *testing.T) {
 
 func TestPlan3RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, s := range []tensor.Shape{tensor.S3(8, 8, 8), tensor.S3(6, 10, 3), tensor.S3(2, 2, 7)} {
+	for _, s := range []tensor.Shape{tensor.S3(8, 8, 8), tensor.S3(6, 10, 3), tensor.S3(2, 2, 9)} {
 		p := NewPlan3(s)
 		buf := randComplex(rng, s.Volume())
 		got := append([]complex128(nil), buf...)
@@ -102,10 +102,39 @@ func TestPlan3SeparabilityOfImpulse(t *testing.T) {
 }
 
 func TestGoodShape(t *testing.T) {
-	in := tensor.S3(7, 11, 31)
-	want := tensor.S3(8, 12, 32)
-	if got := GoodShape(in); got != want {
-		t.Errorf("GoodShape(%v) = %v, want %v", in, got, want)
+	for in, want := range map[tensor.Shape]tensor.Shape{
+		tensor.S3(7, 11, 31):  tensor.S3(8, 12, 32),
+		tensor.S3(15, 15, 15): tensor.S3(16, 15, 15),
+		tensor.S3(45, 45, 15): tensor.S3(48, 45, 15),
+		tensor.S3(1, 27, 25):  tensor.S3(1, 27, 25),
+		tensor.S3(3, 1, 1):    tensor.S3(4, 1, 1),
+	} {
+		if got := GoodShape(in); got != want {
+			t.Errorf("GoodShape(%v) = %v, want %v", in, got, want)
+		}
+	}
+	// For every extent n = 1 … 512, each result extent is ≥ n and 5-smooth,
+	// X is even unless it is 1, and no smaller extent with those properties
+	// exists: every shape GoodShape returns has a plan, and none is padded
+	// further than it needs to be.
+	smooth := func(m int) bool { _, rem := factorize(m); return rem == 1 }
+	servedX := func(m int) bool { return smooth(m) && (m == 1 || m%2 == 0) }
+	for n := 1; n <= 512; n++ {
+		g := GoodShape(tensor.S3(n, n, n))
+		for _, c := range []struct {
+			axis   string
+			got    int
+			served func(int) bool
+		}{{"X", g.X, servedX}, {"Y", g.Y, smooth}, {"Z", g.Z, smooth}} {
+			if c.got < n || !c.served(c.got) {
+				t.Fatalf("GoodShape(%d³).%s = %d: not a served extent ≥ %d", n, c.axis, c.got, n)
+			}
+			for m := n; m < c.got; m++ {
+				if c.served(m) {
+					t.Fatalf("GoodShape(%d³).%s = %d, but %d is smaller and served", n, c.axis, c.got, m)
+				}
+			}
+		}
 	}
 }
 

@@ -172,9 +172,7 @@ func (p *Plan3ROf[R, C]) forwardRows(packed []C, ts tensor.Shape, loadRow func(l
 
 // laneXEligible reports whether the r2c/c2r X pass can run lane-batched
 // (see lane64.go) and unwraps the concrete half-plan: the packed buffer is
-// complex64, the length is even with a 5-smooth half-length plan, and the
-// lane path is enabled. Odd lengths (full-transform fallback) and
-// Bluestein halves keep the per-line path.
+// complex64, the length is above 1, and the lane path is enabled.
 func laneXEligible[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C) (packed64 []complex64, hp *PlanOf[complex64], wf []complex64, ok bool) {
 	if !laneBatch || p.lanePool == nil {
 		return nil, nil, nil, false
@@ -183,7 +181,7 @@ func laneXEligible[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C) (pac
 	if !ok {
 		return nil, nil, nil, false
 	}
-	if p.px.half == nil || p.px.half.blue != nil {
+	if p.px.half == nil {
 		return nil, nil, nil, false
 	}
 	hp, _ = any(p.px.half).(*PlanOf[complex64])
@@ -388,8 +386,7 @@ func (p *Plan3ROf[R, C]) complexPasses(packed []C, inverse bool) {
 // lanePasses3R is the lane-batched Y/Z counterpart of complexPasses: the
 // same column tiling as blockLines, but with the tile in split-stride SoA
 // planes so every butterfly runs 8 columns wide (see lane64.go). Requires
-// complex64 coefficients and 5-smooth Y/Z plans; reports whether it handled
-// the passes.
+// complex64 coefficients; reports whether it handled the passes.
 func lanePasses3R[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C, inverse bool) bool {
 	if !laneBatch || p.lanePool == nil {
 		return false
@@ -398,11 +395,8 @@ func lanePasses3R[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C, inver
 	if !ok {
 		return false
 	}
-	py, _ := any(p.py).(*PlanOf[complex64])
-	pz, _ := any(p.pz).(*PlanOf[complex64])
-	if (p.s.Y > 1 && !py.laneOK()) || (p.s.Z > 1 && !pz.laneOK()) {
-		return false
-	}
+	py := any(p.py).(*PlanOf[complex64])
+	pz := any(p.pz).(*PlanOf[complex64])
 	lt := p.lanePool.Get().(*laneTile)
 	xh := p.ps.X
 	plane := xh * p.s.Y

@@ -8,14 +8,13 @@ import (
 	"znn/internal/tensor"
 )
 
-// plan3RShapes exercises even/odd/5-smooth and Bluestein extents along
-// every axis, plus degenerate axes.
+// plan3RShapes exercises the shapes GoodShape produces: even X with radix
+// 2, 3, 4 and 5 halves, odd 5-smooth Y and Z, plus degenerate axes.
 var plan3RShapes = []tensor.Shape{
 	tensor.S3(8, 6, 4),
-	tensor.S3(15, 4, 4), // odd X (fallback r2c path)
-	tensor.S3(7, 3, 2),  // Bluestein X, odd
-	tensor.S3(6, 7, 11), // Bluestein Y and Z
-	tensor.S3(9, 5, 1),
+	tensor.S3(16, 15, 4), // odd Y
+	tensor.S3(6, 25, 27), // odd Y and Z
+	tensor.S3(10, 5, 1),
 	tensor.S3(1, 9, 4), // X = 1
 	tensor.S3(4, 1, 1),
 	tensor.S3(1, 1, 1),
@@ -26,8 +25,8 @@ func TestPackedShape(t *testing.T) {
 	if got := PackedShape(tensor.S3(8, 6, 4)); got != tensor.S3(5, 6, 4) {
 		t.Errorf("PackedShape(8,6,4) = %v, want 5x6x4", got)
 	}
-	if got := PackedShape(tensor.S3(7, 3, 2)); got != tensor.S3(4, 3, 2) {
-		t.Errorf("PackedShape(7,3,2) = %v, want 4x3x2", got)
+	if got := PackedShape(tensor.S3(1, 3, 2)); got != tensor.S3(1, 3, 2) {
+		t.Errorf("PackedShape(1,3,2) = %v, want 1x3x2", got)
 	}
 	if PackedVolume(tensor.S3(8, 6, 4)) != 5*6*4 {
 		t.Error("PackedVolume mismatch")

@@ -1,11 +1,15 @@
 package fft
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"znn/internal/tensor"
 )
 
 func randComplex(rng *rand.Rand, n int) []complex128 {
@@ -27,10 +31,9 @@ func maxErr(a, b []complex128) float64 {
 }
 
 // Lengths covering every code path: 1, radix-2 only, radix-4, mixed radix,
-// radices 3 and 5, 5-smooth composites, primes (Bluestein), and a
-// prime-times-smooth composite (Bluestein).
-var testLengths = []int{1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 20, 25, 27,
-	30, 32, 45, 60, 64, 100, 120, 125, 128, 7, 11, 13, 17, 31, 97, 14, 22, 33, 77}
+// radices 3 and 5, and 5-smooth composites, odd and even.
+var testLengths = []int{1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 15, 16, 18, 20, 24, 25, 27,
+	30, 32, 36, 45, 48, 50, 54, 60, 64, 75, 81, 96, 100, 120, 125, 128}
 
 func TestForwardMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -128,7 +131,7 @@ func TestLinearity(t *testing.T) {
 func TestImpulseTransform(t *testing.T) {
 	// FFT of a unit impulse at 0 is all ones; at position j it is the
 	// complex exponential.
-	for _, n := range []int{4, 6, 9, 11, 20} {
+	for _, n := range []int{4, 6, 9, 15, 20} {
 		p := NewPlan(n)
 		x := make([]complex128, n)
 		x[0] = 1
@@ -142,7 +145,7 @@ func TestImpulseTransform(t *testing.T) {
 }
 
 func TestConstantTransform(t *testing.T) {
-	for _, n := range []int{4, 6, 9, 11, 20} {
+	for _, n := range []int{4, 6, 9, 15, 20} {
 		p := NewPlan(n)
 		x := make([]complex128, n)
 		for i := range x {
@@ -164,14 +167,9 @@ func TestPlanCaching(t *testing.T) {
 	if NewPlan(64) != NewPlan(64) {
 		t.Error("NewPlan did not cache plans")
 	}
-	if NewPlan3(GoodShape3()) != NewPlan3(GoodShape3()) {
-		t.Error("NewPlan3 did not cache plans")
+	if NewPlan3R(tensor.Cube(8)) != NewPlan3R(tensor.Cube(8)) {
+		t.Error("NewPlan3R did not cache plans")
 	}
-}
-
-func GoodShape3() (s struct{ X, Y, Z int }) {
-	s.X, s.Y, s.Z = 8, 8, 8
-	return
 }
 
 func TestPlanLengthMismatchPanics(t *testing.T) {
@@ -184,13 +182,36 @@ func TestPlanLengthMismatchPanics(t *testing.T) {
 	p.Forward(make([]complex128, 7))
 }
 
+// TestNewPlanPanicsOnBadLength: a length no plan serves panics, and the
+// message names what is wrong or the function that pads the length to one
+// that is served.
 func TestNewPlanPanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewPlan(0) did not panic")
-		}
-	}()
-	NewPlan(0)
+	for _, c := range []struct {
+		name, want string
+		f          func()
+	}{
+		{"NewPlan(0)", "invalid transform length", func() { NewPlan(0) }},
+		{"NewPlan(7)", "GoodSize", func() { NewPlan(7) }},
+		{"NewPlan(22)", "GoodSize", func() { NewPlan(22) }},
+		{"NewPlanR(15)", "GoodShape", func() { NewPlanR(15) }},
+		{"NewPlanROf[float32](9)", "GoodShape", func() { NewPlanROf[float32, complex64](9) }},
+		{"NewPlan3R(7x4x4)", "GoodShape", func() { NewPlan3R(tensor.S3(7, 4, 4)) }},
+		{"NewPlan3R(8x7x4)", "GoodSize", func() { NewPlan3R(tensor.S3(8, 7, 4)) }},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Errorf("%s did not panic", c.name)
+					return
+				}
+				if msg := fmt.Sprint(r); !strings.Contains(msg, c.want) {
+					t.Errorf("%s panicked with %q, which does not name %s", c.name, msg, c.want)
+				}
+			}()
+			c.f()
+		}()
+	}
 }
 
 func TestGoodSize(t *testing.T) {
@@ -231,30 +252,6 @@ func TestFactorize(t *testing.T) {
 				t.Fatalf("factorize(%d): remainder %d still smooth-divisible", n, rem)
 			}
 		}
-	}
-}
-
-func TestBluesteinMatchesMixedRadixOnSmoothSizes(t *testing.T) {
-	// Force Bluestein on a smooth size and check it agrees with the
-	// mixed-radix path.
-	rng := rand.New(rand.NewSource(6))
-	n := 24
-	x := randComplex(rng, n)
-	viaMixed := append([]complex128(nil), x...)
-	NewPlan(n).Forward(viaMixed)
-	b := newBluestein[complex128](n)
-	viaBlue := append([]complex128(nil), x...)
-	b.transform(viaBlue, false)
-	if e := maxErr(viaMixed, viaBlue); e > 1e-9 {
-		t.Errorf("bluestein differs from mixed radix by %g", e)
-	}
-	// And the inverse path.
-	inv1 := append([]complex128(nil), x...)
-	NewPlan(n).InverseUnscaled(inv1)
-	inv2 := append([]complex128(nil), x...)
-	b.transform(inv2, true)
-	if e := maxErr(inv1, inv2); e > 1e-9 {
-		t.Errorf("bluestein inverse differs from mixed radix by %g", e)
 	}
 }
 

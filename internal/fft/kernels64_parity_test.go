@@ -42,8 +42,7 @@ func randC64(rng *rand.Rand, n int) []complex64 {
 }
 
 // kernelLengths covers vector-width multiples, every tail residue, and
-// the radix mixes of 5-smooth plans plus Bluestein-triggering lengths for
-// the plan-level tests.
+// the radix mixes of 5-smooth plans.
 var kernelLengths = []int{1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 25, 27, 30, 31, 48, 64, 96, 100, 125, 128}
 
 func TestFlatKernelParity(t *testing.T) {

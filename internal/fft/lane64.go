@@ -42,11 +42,6 @@ func newLaneTile(n int) *laneTile {
 	return t
 }
 
-// laneOK reports whether the plan's lines can take the lane-batched path:
-// a 5-smooth factorization (Bluestein lengths keep the per-line scalar
-// path) of length ≥ 2.
-func (p *PlanOf[C]) laneOK() bool { return p.blue == nil && p.n > 1 }
-
 // recLane64 is rec64 across lanes independent lines: dst and src are SoA
 // plane pairs, with logical element j of this sub-transform at plane index
 // j*stride*lanes (src) and j*lanes (dst). The recursion structure and the
@@ -251,39 +246,6 @@ func scatterLanes64(buf []complex64, dre, dim []float32, base, stride, n, b int)
 	}
 }
 
-// gatherLanesRows64 is the row-major gather for the c2c X pass, where the
-// batched lines are contiguous: line c (c < b) occupies
-// buf[base+c*n : base+(c+1)*n]. Walking each line sequentially keeps the
-// reads streaming; the strided plane writes stay inside the cache-resident
-// tile.
-func gatherLanesRows64(sre, sim []float32, buf []complex64, base, n, b int) {
-	for c := 0; c < b; c++ {
-		line := buf[base+c*n : base+(c+1)*n]
-		for j, v := range line {
-			sre[j*lanes+c] = real(v)
-			sim[j*lanes+c] = imag(v)
-		}
-	}
-	if b < lanes {
-		for j := 0; j < n; j++ {
-			o := j * lanes
-			for c := b; c < lanes; c++ {
-				sre[o+c], sim[o+c] = 0, 0
-			}
-		}
-	}
-}
-
-// scatterLanesRows64 merges the first b lanes back into contiguous lines.
-func scatterLanesRows64(buf []complex64, dre, dim []float32, base, n, b int) {
-	for c := 0; c < b; c++ {
-		line := buf[base+c*n : base+(c+1)*n]
-		for j := range line {
-			line[j] = complex(dre[j*lanes+c], dim[j*lanes+c])
-		}
-	}
-}
-
 // blockLanes64 is the lane-batched counterpart of blockLines for complex64
 // buffers on 5-smooth plans: each block of lanes adjacent columns is
 // split-gathered into SoA planes, transformed in lockstep, and merged back.
@@ -298,23 +260,5 @@ func blockLanes64(pl *PlanOf[complex64], buf []complex64, base, width, stride, n
 		gatherLanes64(lt.srcRe, lt.srcIm, buf, base+x0, stride, n, b)
 		recLane64(pl.factors, n, lt.dstRe, lt.dstIm, lt.srcRe, lt.srcIm, n, 1, 0, w)
 		scatterLanes64(buf, lt.dstRe, lt.dstIm, base+x0, stride, n, b)
-	}
-}
-
-// blockLanesRows64 is blockLanes64 for contiguous lines (the c2c X pass):
-// width lines of length n starting at base, lanes at a time.
-func blockLanesRows64(pl *PlanOf[complex64], buf []complex64, base, nlines int, inverse bool, lt *laneTile) {
-	w := pl.w
-	if inverse {
-		w = pl.winv
-	}
-	n := pl.n
-	countVec()
-	for l0 := 0; l0 < nlines; l0 += lanes {
-		b := min(lanes, nlines-l0)
-		off := base + l0*n
-		gatherLanesRows64(lt.srcRe, lt.srcIm, buf, off, n, b)
-		recLane64(pl.factors, n, lt.dstRe, lt.dstIm, lt.srcRe, lt.srcIm, n, 1, 0, w)
-		scatterLanesRows64(buf, lt.dstRe, lt.dstIm, off, n, b)
 	}
 }

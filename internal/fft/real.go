@@ -14,22 +14,20 @@ import (
 //
 // A real signal's DFT is Hermitian-symmetric, F[k] = conj(F[n−k]), so only
 // the first n/2+1 coefficients (k = 0 .. ⌊n/2⌋) are computed and stored —
-// the "packed" half-spectrum. For even n the transform runs through a
+// the "packed" half-spectrum. The length is 1 or even (GoodShape pads X
+// extents to such lengths), and for even n the transform runs through a
 // single complex plan of length n/2 (the classic pack-into-complex trick:
 // even samples become real parts, odd samples imaginary parts) followed by
 // an O(n) split butterfly, roughly halving the work of a full complex
-// transform. Odd lengths fall back to a full-length complex transform and
-// keep only the packed half, so packing still halves downstream memory and
-// pointwise work even when the transform itself saves nothing.
+// transform.
 //
 // Plans are cached per (length, precision) and safe for concurrent use.
 type PlanROf[R tensor.Real, C Complex] struct {
 	n    int
-	half *PlanOf[C] // length n/2 complex plan (even n ≥ 2)
-	full *PlanOf[C] // length n complex plan (odd n fallback)
-	wf   []C        // split twiddles exp(−2πik/n), k = 0 .. n/2 (even n)
+	half *PlanOf[C] // length n/2 complex plan (nil for n = 1)
+	wf   []C        // split twiddles exp(−2πik/n), k = 0 .. n/2
 
-	scratch sync.Pool // *[]C of length n/2 (even) or n (odd)
+	scratch sync.Pool // *[]C of length n/2
 }
 
 // PlanR is the double-precision real-transform plan.
@@ -52,42 +50,33 @@ var (
 func NewPlanR(n int) *PlanR { return NewPlanROf[float64, complex128](n) }
 
 // NewPlanROf returns a (cached) real-transform plan for length n at the
-// given precision. It panics for n < 1.
+// given precision. It panics for n < 1 and for odd n > 1: callers pad
+// the X extent with GoodShape first. An even n whose half is not 5-smooth
+// panics in NewPlanOf.
 func NewPlanROf[R tensor.Real, C Complex](n int) *PlanROf[R, C] {
 	if n < 1 {
 		panic(fmt.Sprintf("fft: invalid transform length %d", n))
 	}
+	if n > 1 && n%2 != 0 {
+		panic(fmt.Sprintf("fft: real transform length %d is odd; pad it with GoodShape (X extent %d)",
+			n, GoodShape(tensor.S3(n, 1, 1)).X))
+	}
 	key := planRKey{n, isR32[R](), is32[C]()}
 	planRMu.Lock()
+	defer planRMu.Unlock()
 	if p, ok := planRCache[key]; ok {
-		planRMu.Unlock()
 		return p.(*PlanROf[R, C])
 	}
-	planRMu.Unlock()
-	p := newPlanRUncached[R, C](n)
-	planRMu.Lock()
-	defer planRMu.Unlock()
-	if q, ok := planRCache[key]; ok {
-		return q.(*PlanROf[R, C])
-	}
-	planRCache[key] = p
-	return p
-}
-
-func newPlanRUncached[R tensor.Real, C Complex](n int) *PlanROf[R, C] {
 	p := &PlanROf[R, C]{n: n}
-	scratchLen := n
-	if n > 1 && n%2 == 0 {
+	if n > 1 {
 		p.half = NewPlanOf[C](n / 2)
 		p.wf = twiddlesOf[C](n, -1)[: n/2+1 : n/2+1]
-		scratchLen = n / 2
-	} else if n > 1 {
-		p.full = NewPlanOf[C](n)
 	}
 	p.scratch.New = func() any {
-		s := make([]C, scratchLen)
+		s := make([]C, n/2)
 		return &s
 	}
+	planRCache[key] = p
 	return p
 }
 
@@ -113,14 +102,6 @@ func (p *PlanROf[R, C]) Forward(dst []C, src []R) {
 	sp := p.scratch.Get().(*[]C)
 	z := *sp
 	defer p.scratch.Put(sp)
-	if p.full != nil { // odd length: full complex transform, keep half
-		for j, v := range src {
-			z[j] = cmplxOf[C](float64(v), 0)
-		}
-		p.full.Forward(z)
-		copy(dst, z[:p.HalfLen()])
-		return
-	}
 	// Even length n = 2m: transform z[j] = x[2j] + i·x[2j+1] at length m,
 	// then split even/odd sub-spectra with the butterfly
 	//   Fe[k] = (Z[k] + conj(Z[m−k]))/2
@@ -171,21 +152,6 @@ func (p *PlanROf[R, C]) inverseScaled(dst []R, src []C, scale float64) {
 	sp := p.scratch.Get().(*[]C)
 	z := *sp
 	defer p.scratch.Put(sp)
-	if p.full != nil { // odd length: rebuild the full Hermitian spectrum
-		c := cmplxOf[C](scale/float64(p.n), 0)
-		h := p.HalfLen()
-		z[0] = src[0] * c
-		for k := 1; k < h; k++ {
-			v := src[k] * c
-			z[k] = v
-			z[p.n-k] = conjOf(v)
-		}
-		p.full.InverseUnscaled(z)
-		for j := range dst {
-			dst[j] = R(real(complex128(z[j])))
-		}
-		return
-	}
 	// Even length n = 2m: invert the split butterfly,
 	//   Fe[k] = (F[k] + conj(F[m−k]))/2
 	//   Fo[k] = (F[k] − conj(F[m−k]))·w^{−k}/2

@@ -12,10 +12,10 @@ import (
 const tol32 = 1e-4
 
 // TestPlanR32RoundTrip checks forward+inverse identity for the float32 r2c
-// plan across even, odd and Bluestein lengths.
+// plan across the lengths it serves, with radix-2, 3, 4 and 5 halves.
 func TestPlanR32RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 7, 8, 11, 13, 15, 16, 27, 45, 48, 96} {
+	for _, n := range []int{1, 2, 4, 6, 8, 10, 16, 18, 30, 48, 50, 54, 96} {
 		p := NewPlanROf[float32, complex64](n)
 		src := make([]float32, n)
 		for i := range src {
@@ -37,7 +37,7 @@ func TestPlanR32RoundTrip(t *testing.T) {
 // float64 one coefficient by coefficient.
 func TestPlanR32MatchesPlanR64(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{4, 7, 12, 15, 31} {
+	for _, n := range []int{4, 6, 12, 20, 30} {
 		src64 := make([]float64, n)
 		src32 := make([]float32, n)
 		for i := range src64 {
@@ -60,14 +60,14 @@ func TestPlanR32MatchesPlanR64(t *testing.T) {
 }
 
 // TestPlan3R32MatchesPlan3R64 checks the packed 3D float32 transform
-// against the float64 reference, over even, odd-X and Bluestein-X shapes,
-// with zero-padding and cropped inverse.
+// against the float64 reference, over even-X shapes with odd 5-smooth Y and
+// Z extents, with zero-padding and cropped inverse.
 func TestPlan3R32MatchesPlan3R64(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	shapes := []tensor.Shape{
 		tensor.S3(8, 6, 4),
-		tensor.S3(15, 5, 3), // odd X fallback
-		tensor.S3(7, 4, 2),  // Bluestein X
+		tensor.S3(16, 15, 3), // odd Y and Z
+		tensor.S3(10, 25, 27),
 		tensor.S3(12, 1, 1),
 		tensor.S3(30, 30, 30),
 	}

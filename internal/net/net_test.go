@@ -43,7 +43,7 @@ func TestParseAllKinds(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, s := range []string{"", "X3", "C", "Cx", "C0", "P0", "D0", "D1.5", "T"} {
+	for _, s := range []string{"", "X3", "C", "Cx", "C0", "P0", "D0", "D1.5", "T", "C3-DNaN", "C3-Dnan", "D-Inf"} {
 		if _, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) did not fail", s)
 		}

@@ -98,7 +98,7 @@ func Parse(s string) (Spec, error) {
 			spec.Layers = append(spec.Layers, LayerSpec{Kind: FilterLayer, Window: k})
 		case 'D', 'd':
 			keep, err := strconv.ParseFloat(arg, 64)
-			if err != nil || keep <= 0 || keep > 1 {
+			if err != nil || !(keep > 0 && keep <= 1) { // rejects NaN too
 				return spec, fmt.Errorf("net: bad dropout keep in %q", f)
 			}
 			spec.Layers = append(spec.Layers, LayerSpec{Kind: DropoutLayer, Keep: keep})
@@ -128,7 +128,8 @@ func (s Spec) String() string {
 		case TransferLayer:
 			parts[i] = "T" + l.Transfer
 		case DropoutLayer:
-			parts[i] = fmt.Sprintf("D%g", l.Keep)
+			// No exponent form: the '-' of "1e-05" would split the layer.
+			parts[i] = "D" + strconv.FormatFloat(l.Keep, 'f', -1, 64)
 		}
 	}
 	return strings.Join(parts, "-")

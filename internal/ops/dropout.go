@@ -20,7 +20,7 @@ type Dropout struct {
 
 // NewDropout returns a dropout op with the given keep probability and seed.
 func NewDropout(keep float64, seed int64) *Dropout {
-	if keep <= 0 || keep > 1 {
+	if !(keep > 0 && keep <= 1) { // rejects NaN too
 		panic(fmt.Sprintf("ops: dropout keep probability %v outside (0,1]", keep))
 	}
 	return &Dropout{Keep: keep, rng: rand.New(rand.NewSource(seed))}

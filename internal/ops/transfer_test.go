@@ -162,7 +162,7 @@ func TestDropoutExpectationPreserved(t *testing.T) {
 }
 
 func TestDropoutInvalidKeepPanics(t *testing.T) {
-	for _, keep := range []float64{0, -0.1, 1.5} {
+	for _, keep := range []float64{0, -0.1, 1.5, math.NaN(), math.Inf(1)} {
 		func() {
 			defer func() {
 				if recover() == nil {
