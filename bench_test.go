@@ -39,14 +39,14 @@ func BenchmarkTable1MaxPool(b *testing.B) {
 func BenchmarkTable1MaxFilterHeap(b *testing.B) {
 	img := tensor.RandomUniform(rand.New(rand.NewSource(1)), tensor.Cube(32), -1, 1)
 	for i := 0; i < b.N; i++ {
-		ops.MaxFilterForward(img, tensor.Cube(2), ops.FilterHeap, nil)
+		ops.MaxFilterForward(img, tensor.Cube(2), tensor.Dense(), ops.FilterHeap, nil)
 	}
 }
 
 func BenchmarkTable1MaxFilterDeque(b *testing.B) {
 	img := tensor.RandomUniform(rand.New(rand.NewSource(1)), tensor.Cube(32), -1, 1)
 	for i := 0; i < b.N; i++ {
-		ops.MaxFilterForward(img, tensor.Cube(2), ops.FilterDeque, nil)
+		ops.MaxFilterForward(img, tensor.Cube(2), tensor.Dense(), ops.FilterDeque, nil)
 	}
 }
 

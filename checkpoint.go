@@ -219,22 +219,9 @@ func loadWith(r io.Reader, workers int, mutate func(*Config)) (*Network, error) 
 	if err := chaos.Inject("checkpoint.load"); err != nil {
 		return nil, fmt.Errorf("znn: reading checkpoint: %w", err)
 	}
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(checkpointMagic))
-	var cp checkpoint
-	if err == nil && bytes.Equal(head, checkpointMagic[:]) {
-		cp, err = readV2(br)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Legacy headerless checkpoint: a bare gob stream.
-		if err := gob.NewDecoder(br).Decode(&cp); err != nil {
-			return nil, fmt.Errorf("znn: reading legacy checkpoint (%v): %w", err, ErrCheckpointCorrupt)
-		}
-		if cp.Format != checkpointFormatLegacy {
-			return nil, fmt.Errorf("znn: legacy checkpoint declares format %d: %w", cp.Format, ErrCheckpointFormat)
-		}
+	cp, err := decodeCheckpoint(r)
+	if err != nil {
+		return nil, err
 	}
 	cfg := cp.Config
 	// The stored spec already includes the sliding-window transform.
@@ -278,6 +265,25 @@ func LoadFilePlanned(path string, workers int, budget int64, maxK int) (*Network
 	return LoadPlanned(f, workers, budget, maxK)
 }
 
+// decodeCheckpoint reads a v2 or legacy v1 checkpoint stream into its
+// payload without building the network. Every failure wraps
+// ErrCheckpointCorrupt or ErrCheckpointFormat.
+func decodeCheckpoint(r io.Reader) (checkpoint, error) {
+	br := bufio.NewReader(r)
+	if head, err := br.Peek(len(checkpointMagic)); err == nil && bytes.Equal(head, checkpointMagic[:]) {
+		return readV2(br)
+	}
+	// Legacy headerless checkpoint: a bare gob stream.
+	var cp checkpoint
+	if err := gob.NewDecoder(br).Decode(&cp); err != nil {
+		return cp, fmt.Errorf("znn: reading legacy checkpoint (%v): %w", err, ErrCheckpointCorrupt)
+	}
+	if cp.Format != checkpointFormatLegacy {
+		return cp, fmt.Errorf("znn: legacy checkpoint declares format %d: %w", cp.Format, ErrCheckpointFormat)
+	}
+	return cp, nil
+}
+
 // readV2 parses a v2 checkpoint stream positioned at the magic.
 func readV2(br *bufio.Reader) (checkpoint, error) {
 	var cp checkpoint
@@ -295,9 +301,15 @@ func readV2(br *bufio.Reader) (checkpoint, error) {
 	if size > maxPayload {
 		return cp, fmt.Errorf("znn: checkpoint declares %d payload bytes: %w", size, ErrCheckpointCorrupt)
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return cp, fmt.Errorf("znn: checkpoint payload truncated (%v): %w", err, ErrCheckpointCorrupt)
+	// The buffer grows as bytes arrive, never to the declared length up
+	// front: a torn header must not cost its claimed size in memory.
+	payload, err := io.ReadAll(io.LimitReader(br, int64(size)))
+	if err != nil {
+		return cp, fmt.Errorf("znn: reading checkpoint payload (%v): %w", err, ErrCheckpointCorrupt)
+	}
+	if uint64(len(payload)) != size {
+		return cp, fmt.Errorf("znn: checkpoint payload truncated at %d of %d bytes: %w",
+			len(payload), size, ErrCheckpointCorrupt)
 	}
 	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(hdr[20:24]) {
 		return cp, fmt.Errorf("znn: checkpoint checksum %08x, header says %08x: %w",

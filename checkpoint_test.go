@@ -2,11 +2,13 @@ package znn
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"znn/internal/chaos"
@@ -227,6 +229,65 @@ func TestLoadTypedErrors(t *testing.T) {
 		}
 		if _, err := Load(&w, 1); !errors.Is(err, ErrCheckpointSpec) {
 			t.Fatalf("err = %v, want ErrCheckpointSpec", err)
+		}
+	})
+}
+
+// tornHeader is a v2 header declaring size payload bytes, followed by only
+// body bytes of payload.
+func tornHeader(size uint64, body int) []byte {
+	b := append(checkpointMagic[:], make([]byte, 16+body)...)
+	binary.LittleEndian.PutUint32(b[8:12], checkpointFormat)
+	binary.LittleEndian.PutUint64(b[12:20], size)
+	return b
+}
+
+// TestLoadTornLengthHeader: a header declaring a payload just under the
+// 16 GiB cap over a 3-byte body is corrupt, and loading it allocates
+// nothing near the declared length.
+func TestLoadTornLengthHeader(t *testing.T) {
+	torn := tornHeader(1<<34-1, 3)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Load(bytes.NewReader(torn), 1)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCheckpointCorrupt) {
+		t.Fatalf("err = %v, want ErrCheckpointCorrupt", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("loading a %d-byte torn file allocated %d bytes", len(torn), grew)
+	}
+}
+
+// FuzzDecodeCheckpoint feeds the checkpoint decoder the bytes a load or a
+// serving hot reload reads from disk, without building a network. The
+// seeds are a saved v2 checkpoint, a legacy v1 gob, a truncated header and
+// a header whose length outruns its body. Decoding must never panic, and
+// every failure must wrap ErrCheckpointCorrupt or ErrCheckpointFormat.
+//
+//	go test -run '^$' -fuzz '^FuzzDecodeCheckpoint$' -fuzztime 10s .
+func FuzzDecodeCheckpoint(f *testing.F) {
+	n, err := NewNetwork("C3-Trelu-C1", Config{Width: 2, OutputPatch: 4, Workers: 1, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var v2, v1 bytes.Buffer
+	if err := n.Save(&v2); err != nil {
+		f.Fatal(err)
+	}
+	legacy := checkpoint{Format: checkpointFormatLegacy, Spec: n.Spec(), Config: n.cfg, Params: n.Params()}
+	if err := gob.NewEncoder(&v1).Encode(legacy); err != nil {
+		f.Fatal(err)
+	}
+	n.Close()
+	f.Add(v2.Bytes())
+	f.Add(v1.Bytes())
+	f.Add(v2.Bytes()[:10])
+	f.Add(tornHeader(1<<34-1, 3))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		_, err := decodeCheckpoint(bytes.NewReader(b))
+		if err != nil && !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointFormat) {
+			t.Fatalf("untyped decode error: %v", err)
 		}
 	})
 }

@@ -34,7 +34,7 @@ func table1(cfg config) {
 	// Max-filtering with the paper's heap algorithm, windows 2..8.
 	for _, k := range []int{2, 4, 8} {
 		var st ops.FilterStats
-		ops.MaxFilterForward(img, tensor.Cube(k), ops.FilterHeap, &st)
+		ops.MaxFilterForward(img, tensor.Cube(k), tensor.Dense(), ops.FilterHeap, &st)
 		predicted := 6 * vol * math.Log2(float64(k))
 		measured := float64(st.Comparisons)
 		fmt.Printf("max-filter k=%d (heap) %14.0f %14.0f %8.2f\n",
@@ -42,7 +42,7 @@ func table1(cfg config) {
 	}
 	for _, k := range []int{2, 4, 8} {
 		var st ops.FilterStats
-		ops.MaxFilterForward(img, tensor.Cube(k), ops.FilterDeque, &st)
+		ops.MaxFilterForward(img, tensor.Cube(k), tensor.Dense(), ops.FilterDeque, &st)
 		predicted := 6 * vol * math.Log2(float64(k))
 		measured := float64(st.Comparisons)
 		fmt.Printf("max-filter k=%d (deque)%14.0f %14.0f %8.2f\n",

@@ -211,6 +211,8 @@ func TestCubeJobValidation(t *testing.T) {
 		{"under the FOV", `{"shape":[2,9,9]}`, http.StatusBadRequest},
 		{"bad dtype", `{"shape":[9,9,9],"dtype":"f16"}`, http.StatusBadRequest},
 		{"bad json", `{`, http.StatusBadRequest},
+		// 2^22·2^22·2^20 voxels: the int64 byte count wraps to 0.
+		{"byte count overflows", `{"shape":[4194304,4194304,1048576]}`, http.StatusRequestEntityTooLarge},
 	} {
 		if resp, m := cubeReq(t, http.MethodPost, ts.URL+"/cube", []byte(tc.body)); resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d (%v)", tc.name, resp.StatusCode, tc.status, m)

@@ -47,7 +47,8 @@ func (p TunePolicy) String() string {
 // purposes: f input nodes, fPrime output nodes, input image shape, kernel
 // shape and sparsity. Density is the mean nonzero fraction of the layer's
 // kernels in (0, 1]; zero means unknown and is treated as dense. It feeds
-// the sparse-direct cost term, which charges only the nonzero taps.
+// Direct's cost, which charges the forward and backward passes only for the
+// nonzero taps the tap-list kernel runs.
 type LayerGeom struct {
 	In      tensor.Shape
 	Kernel  tensor.Shape
@@ -82,12 +83,11 @@ func (g LayerGeom) density() float64 {
 // bandwidth proxy; it shifts the direct-vs-FFT crossover toward FFT.
 const f32FFTCostFactor = 0.56
 
-// sparseDirectOverhead is only a planner tie-break. Direct and SparseDirect
-// run the same tap-list kernel, so at equal nonzero count they cost the
-// same; the factor keeps the tuner and planner labelling a dense layer
-// Direct, and lets SparseDirect win only where its density-scaled term beats
-// Direct's dense one by more than 2%.
-const sparseDirectOverhead = 1.02
+// taps returns the number of kernel taps Direct's forward and backward
+// passes run per output voxel: max(density·|k|, 1).
+func (g LayerGeom) taps() float64 {
+	return math.Max(g.density()*float64(g.Kernel.Volume()), 1)
+}
 
 // Autotuner caches per-geometry decisions. The zero value uses TuneModel at
 // float64 precision; set Precision to PrecF32 when the layers will run the
@@ -130,8 +130,10 @@ func (a *Autotuner) Choose(g LayerGeom) Method {
 	return m
 }
 
-// modelChoice applies the Table II totals: direct costs 3·f′·f·n′³·k³
-// multiply-adds per round; memoized FFT costs
+// modelChoice applies the Table II totals: direct costs
+// f′·f·n′³·(2·taps + k³) multiply-adds per round, the forward and backward
+// passes running only the nonzero taps and the kernel gradient every tap
+// (3·f′·f·n′³·k³ for a dense kernel); memoized FFT costs
 // 6Ch·log₂(n³)·[f′+f+f′·f] + 12·f′·f·h, where h = (X/2+1)·Y·Z is the
 // Hermitian-packed coefficient count — real-input transforms and packed
 // pointwise products do roughly half the work the paper's full-complex
@@ -143,12 +145,7 @@ func modelChoice(g LayerGeom, prec Precision) Method {
 	f, fp := float64(g.F), float64(g.FPrime)
 	kv := float64(g.Kernel.Volume())
 	ov := float64(out.Volume())
-	direct := 3 * fp * f * ov * kv
-	// Sparse-direct: forward and backward scale with the nonzero tap count,
-	// the kernel gradient stays dense; sparseDirectOverhead breaks the tie
-	// at density 1.
-	taps := math.Max(g.density()*kv, 1)
-	sparse := fp * f * ov * (2*taps*sparseDirectOverhead + kv)
+	direct := fp * f * ov * (2*g.taps() + kv)
 	m := transformShape(g.In, g.Kernel, g.Sp)
 	nv := float64(m.Volume())
 	hv := float64(fft.PackedVolume(m))
@@ -157,14 +154,10 @@ func modelChoice(g LayerGeom, prec Precision) Method {
 	if prec == PrecF32 {
 		fftCost *= f32FFTCostFactor
 	}
-	best, bestCost := Direct, direct
-	if sparse < bestCost {
-		best, bestCost = SparseDirect, sparse
+	if fftCost < direct {
+		return FFT
 	}
-	if fftCost < bestCost {
-		best = FFT
-	}
-	return best
+	return Direct
 }
 
 // measureChoice times the primitive operations of both methods on this
@@ -172,7 +165,8 @@ func modelChoice(g LayerGeom, prec Precision) Method {
 // mirror the implementation: per round the FFT path performs (f+f′) shared
 // image transforms plus, per edge, one kernel transform, three pointwise
 // products, three inverse transforms and two spectrum reflections; the
-// direct path performs three direct convolutions per edge. The FFT
+// direct path performs three direct convolutions per edge, the forward and
+// backward ones timed at the layer's kernel density. The FFT
 // primitives timed are the packed r2c ones at the tuner's precision, since
 // Method FFT at that precision is what the tuner would select.
 func measureChoice(g LayerGeom, prec Precision) Method {
@@ -186,27 +180,22 @@ func measureChoice(g LayerGeom, prec Precision) Method {
 	f, fp := float64(g.F), float64(g.FPrime)
 	edges := f * fp
 	direct := 3 * edges * tDirect
-	fftTotal := (f+fp)*tFFT + edges*(tFFT+3*tMul+3*tInv+2*tRefl)
-	best, bestCost := Direct, direct
-	// Sparse-direct is only a candidate when the layer's kernels actually
-	// have structural zeros — on a dense layer it is Direct, and timing
-	// noise must not flip the tie.
 	if g.density() < 1 {
-		tSparse := timeSparseDirect(g, img, rng)
 		// Forward and backward skip zero taps; the kernel gradient is dense.
-		if sparse := edges * (2*tSparse + tDirect); sparse < bestCost {
-			best, bestCost = SparseDirect, sparse
-		}
+		direct = edges * (2*timeSparse(g, img, rng) + tDirect)
 	}
-	if fftTotal < bestCost {
-		best = FFT
+	fftTotal := (f+fp)*tFFT + edges*(tFFT+3*tMul+3*tInv+2*tRefl)
+	if fftTotal < direct {
+		return FFT
 	}
-	return best
+	return Direct
 }
 
-// timeSparseDirect times one valid direct convolution with a kernel zeroed
-// down to the layer's density: the tap count the real kernels present.
-func timeSparseDirect(g LayerGeom, img *tensor.Tensor, rng *rand.Rand) float64 {
+// timeSparse times one valid direct convolution with a kernel zeroed down
+// to the layer's density: the tap count the real kernels present. Only
+// layers whose kernels have structural zeros take this second timing, so
+// a dense layer's choice rests on the one dense reading.
+func timeSparse(g LayerGeom, img *tensor.Tensor, rng *rand.Rand) float64 {
 	return timeOp(directOp(img, sparseKernel(rng, g.Kernel, g.density()), g.Sp))
 }
 
@@ -281,20 +270,17 @@ func timeSpectral[R tensor.Real, C fft.Complex](g LayerGeom, img *tensor.Tensor,
 // connected layer with the given method and precision, in arbitrary
 // consistent units — the whole-network planner's per-layer cost term.
 // Unlike modelChoice (which totals all three training phases) this counts
-// the forward pass only: f′·f convolutions for the spatial methods; for
-// FFT, f shared image transforms, f′ inverse transforms at the summing
+// the forward pass only: f′·f convolutions of the nonzero taps for Direct;
+// for FFT, f shared image transforms, f′ inverse transforms at the summing
 // nodes and f′·f pointwise products (kernel transforms are memoized across
 // rounds and amortized separately by the planner's fused-K term).
 func ForwardFlops(g LayerGeom, m Method, prec Precision) float64 {
 	out := g.In.ValidConv(g.Kernel, g.Sp)
 	f, fp := float64(g.F), float64(g.FPrime)
-	kv := float64(g.Kernel.Volume())
 	ov := float64(out.Volume())
 	switch m {
 	case Direct:
-		return fp * f * ov * kv
-	case SparseDirect:
-		return fp * f * ov * math.Max(g.density()*kv, 1) * sparseDirectOverhead
+		return fp * f * ov * g.taps()
 	case FFT:
 		ms := transformShape(g.In, g.Kernel, g.Sp)
 		nv := float64(ms.Volume())
@@ -318,10 +304,11 @@ func MeasureForwardSeconds(g LayerGeom, m Method, prec Precision) float64 {
 	f, fp := float64(g.F), float64(g.FPrime)
 	switch m {
 	case Direct:
+		if g.density() < 1 {
+			return fp * f * timeSparse(g, img, rng)
+		}
 		ker := tensor.RandomUniform(rng, g.Kernel, -1, 1)
 		return fp * f * timeOp(directOp(img, ker, g.Sp))
-	case SparseDirect:
-		return fp * f * timeSparseDirect(g, img, rng)
 	case FFT:
 		tFFT, tInv, tMul, _ := measureSpectralPrimitives(g, img, prec)
 		return f*tFFT + fp*tInv + fp*f*tMul

@@ -25,7 +25,7 @@ func TestForwardWidthTable(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	in := tensor.S3(9, 8, 7)
 	ker := tensor.RandomUniform(r, tensor.Cube(3), -1, 1)
-	ker.Data[4], ker.Data[13] = 0, 0 // give SparseDirect taps to skip
+	ker.Data[4], ker.Data[13] = 0, 0 // give Direct taps to skip
 	vols := batchVolumes(r, in, 3)
 
 	for _, tc := range []struct {
@@ -34,7 +34,6 @@ func TestForwardWidthTable(t *testing.T) {
 		prec Precision
 	}{
 		{"direct", Direct, PrecF64},
-		{"sparse-direct", SparseDirect, PrecF64},
 		{"fft/f64", FFT, PrecF64},
 		{"fft/f32", FFT, PrecF32},
 	} {

@@ -22,26 +22,28 @@
 //
 // # Direct kernels
 //
-// Direct and SparseDirect run one kernel, which takes a kernel in one form:
-// a TapList, the nonzero coefficients in fixed (z, y, x) order with their
-// source offsets. Dense kernels skip zero taps too, so the two methods differ
-// only in the planner's cost cell. Loops are output-outer, tap-inner: the
-// forward pass computes each output plane as one run at the image's row
-// stride — the gather dst[i] = Σ_t w_t·src[off_t + i], 32 voxels held in
-// eight YMM accumulators across every tap — and copies its rows out. The
-// backward pass is the same gather over the image zero-padded by s(k−1) in
-// pooled scratch, with the reflected tap list read straight off the kernel;
-// the kernel gradient is one dot product per tap and backward plane.
+// Direct runs one kernel, which takes a kernel in one form: a TapList, the
+// nonzero coefficients in fixed (z, y, x) order with their source offsets.
+// Kernel sparsity is therefore not a separate method but an input to
+// Direct's cost: the forward and backward passes run only the nonzero taps,
+// and LayerGeom.Density scales the planner's and autotuner's estimates.
+// Loops are output-outer, tap-inner: the forward pass computes each output
+// plane as one run at the image's row stride — the gather
+// dst[i] = Σ_t w_t·src[off_t + i], 32 voxels held in eight YMM accumulators
+// across every tap — and copies its rows out. The backward pass is the same
+// gather over the image zero-padded by s(k−1) in pooled scratch, with the
+// reflected tap list read straight off the kernel; the kernel gradient is
+// one dot product per tap and backward plane.
 //
 // Rounding contract: every output voxel is the FMA chain from +0 over its
 // taps in list order — in the vector body, in the final block (which
 // overlaps its predecessor instead of leaving a tail) and in the math.FMA
 // scalar code alike — so its bits do not depend on where a row, plane or
-// tile boundary falls: tiled ≡ single-shot and Direct ≡ SparseDirect are
-// bitwise. The gradient sums in the fixed order documented on dotGo. The
-// AVX2+FMA assembly runs when internal/cpu reports VectorOK; otherwise (the
-// purego tag, other GOARCHes, pre-AVX2 hosts) the Go twins in kernels.go
-// produce the same bits — via math.FMA, slow only on pre-FMA x86.
+// tile boundary falls, and tiled ≡ single-shot is bitwise. The gradient
+// sums in the fixed order documented on dotGo. The AVX2+FMA assembly runs
+// when internal/cpu reports VectorOK; otherwise (the purego tag, other
+// GOARCHes, pre-AVX2 hosts) the Go twins in kernels.go produce the same
+// bits — via math.FMA, slow only on pre-FMA x86.
 //
 // # Batch width
 //
@@ -231,14 +233,8 @@ func validInto(out, img *tensor.Tensor, tl *TapList, sp tensor.Sparsity) {
 func FullDirect(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
 	checkConvArgs(img, ker, sp)
 	out := tensor.New(img.S.FullConv(ker.S, sp))
-	FullDirectInto(out, img, ker, sp)
-	return out
-}
-
-// FullDirectInto computes the full sparse convolution into out, which must
-// have shape n + s(k−1). The output is overwritten.
-func FullDirectInto(out, img, ker *tensor.Tensor, sp tensor.Sparsity) {
 	fullInto(out, img, NewTapList(ker), sp)
+	return out
 }
 
 // fullInto is the valid gather over img zero-padded by s(k−1) on every side.

@@ -162,10 +162,6 @@ const (
 	// (r2c/c2r) transforms with Hermitian-packed spectra. Its element type
 	// is selected by Precision.
 	FFT
-	// SparseDirect is the spatial method's cost cell for kernels with
-	// structural zeros (znn3's sparse_convolve): it runs Direct's tap-list
-	// kernel, bit for bit, but is costed by nonzero count.
-	SparseDirect
 )
 
 func (m Method) String() string {
@@ -174,8 +170,6 @@ func (m Method) String() string {
 		return "direct"
 	case FFT:
 		return "fft"
-	case SparseDirect:
-		return "sparse-direct"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -223,8 +217,7 @@ func NewTransformer(in, k tensor.Shape, sp tensor.Sparsity, method Method, memoi
 }
 
 // NewTransformerPrec builds a transformer with an explicit precision.
-// Precision affects the FFT path only; the spatial methods normalize to
-// PrecF64.
+// Precision affects the FFT path only; Direct normalizes to PrecF64.
 func NewTransformerPrec(in, k tensor.Shape, sp tensor.Sparsity, method Method, prec Precision, memoize bool, counters *Counters) *Transformer {
 	out := in.ValidConv(k, sp)
 	if !out.Valid() {
@@ -253,7 +246,7 @@ func NewTransformerPrec(in, k tensor.Shape, sp tensor.Sparsity, method Method, p
 func (t *Transformer) initMethod() {
 	t.sv, t.p3r, t.p3r32 = 0, nil, nil
 	switch t.mth {
-	case Direct, SparseDirect:
+	case Direct:
 	case FFT:
 		t.sv = fft.PackedVolume(t.m)
 		if t.prec == PrecF32 {
@@ -436,8 +429,8 @@ func (t *Transformer) releaseKernelSpectraLocked() {
 
 // InvalidateKernel marks the cached kernel spectra stale; the update task
 // calls this after changing the weights. The buffers are retained for
-// in-place recomputation. The spatial methods cache nothing: they build
-// their tap list from the live kernel on every call.
+// in-place recomputation. Direct caches nothing: it builds its tap list
+// from the live kernel on every call.
 func (t *Transformer) InvalidateKernel() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -561,8 +554,8 @@ func (t *Transformer) KernelGrad(img, bwd *tensor.Tensor) *tensor.Tensor {
 			img.S, bwd.S, t.in, t.out))
 	}
 	if !t.mth.IsFFT() {
-		// Dense for both spatial methods: skipping zero taps is a strategy
-		// for the current weights, not a pruning mask on updates.
+		// Dense: skipping zero taps is a strategy for the current weights,
+		// not a pruning mask on updates.
 		g := KernelGradDirect(img, bwd, t.k, t.sp)
 		t.cnt.addDirect(int64(t.out.Volume() * t.k.Volume()))
 		return g
@@ -622,7 +615,7 @@ func (t *Transformer) SpectralCompatible(o *Transformer) bool {
 // ForwardProducts computes the edge's FFT-domain forward product
 // F(img)·F(kernel) for every volume of a round's sweep, each into a pooled
 // buffer whose ownership passes to the caller (typically one
-// wsum.ComplexSum per volume); the inverse transforms happen at the
+// wsum.Sum[fft.Spectrum] per volume); the inverse transforms happen at the
 // accumulating node (FinishForward), one per (node, volume). sc and infer
 // are as in ForwardBatch.
 func (t *Transformer) ForwardProducts(imgs []*tensor.Tensor, ker *tensor.Tensor, sc *SpectrumCache, infer bool) []fft.Spectrum {

@@ -276,7 +276,7 @@ func (o *MaxFilterOp) OutShape(in tensor.Shape) tensor.Shape {
 
 // Forward filters and stores the argmax map (skipped on inference rounds).
 func (o *MaxFilterOp) Forward(in *tensor.Tensor, ctx *FwdCtx) *tensor.Tensor {
-	out, am := ops.MaxFilterSparseForward(in, o.Window, o.Sp, ops.FilterDeque, nil)
+	out, am := ops.MaxFilterForward(in, o.Window, o.Sp, ops.FilterDeque, nil)
 	if !ctx.infer() {
 		o.inShape = in.S
 		o.argmax = am

@@ -40,18 +40,21 @@ type FilterStats struct {
 }
 
 // MaxFilterForward computes the sliding-window maximum over every position
-// of a window of the given shape: output extent n − k + 1 per axis
-// (Section II, "Max-filtering"). It is computed as three sequential 1D
-// passes along x, y and z. It returns the filtered image and the linear
+// of a window of the given shape (Section II, "Max-filtering"), with taps
+// spaced by the sparsity along each axis: the max-filtering counterpart of
+// sparse convolution, and the paper's dense filter at tensor.Dense().
+// Output extent is n − s(k−1) per axis. It is computed as three sequential
+// 1D passes along x, y and z. It returns the filtered image and the linear
 // input index of each output's maximum (ties resolve to the highest linear
 // index). stats may be nil.
-func MaxFilterForward(in *tensor.Tensor, window tensor.Shape, algo FilterAlgo, stats *FilterStats) (*tensor.Tensor, []int32) {
-	if !window.Valid() {
-		panic(fmt.Sprintf("ops: invalid filter window %v", window))
+func MaxFilterForward(in *tensor.Tensor, window tensor.Shape, sp tensor.Sparsity, algo FilterAlgo, stats *FilterStats) (*tensor.Tensor, []int32) {
+	if !window.Valid() || !sp.Valid() {
+		panic(fmt.Sprintf("ops: invalid filter window %v (sparsity %v)", window, sp))
 	}
-	os := in.S.ValidConv(window, tensor.Dense())
+	os := in.S.ValidConv(window, sp)
 	if !os.Valid() {
-		panic(fmt.Sprintf("ops: filter window %v does not fit in image %v", window, in.S))
+		panic(fmt.Sprintf("ops: filter window %v (sparsity %v) does not fit in image %v",
+			window, sp, in.S))
 	}
 	// Pass along x: values and original indices.
 	cur := in.Clone()
@@ -59,80 +62,77 @@ func MaxFilterForward(in *tensor.Tensor, window tensor.Shape, algo FilterAlgo, s
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	cur, idx = filterAxis(cur, idx, 0, window.X, algo, stats)
-	cur, idx = filterAxis(cur, idx, 1, window.Y, algo, stats)
-	cur, idx = filterAxis(cur, idx, 2, window.Z, algo, stats)
+	cur, idx = filterAxis(cur, idx, 0, window.X, sp.X, algo, stats)
+	cur, idx = filterAxis(cur, idx, 1, window.Y, sp.Y, algo, stats)
+	cur, idx = filterAxis(cur, idx, 2, window.Z, sp.Z, algo, stats)
 	if cur.S != os {
 		panic(fmt.Sprintf("ops: internal error, filtered shape %v want %v", cur.S, os))
 	}
 	return cur, idx
 }
 
-// filterAxis applies the 1D sliding maximum of width k along the given axis
-// (0=x, 1=y, 2=z) of the (value, index) image pair, producing an image
-// shrunk by k−1 along that axis.
-func filterAxis(val *tensor.Tensor, idx []int32, axis, k int, algo FilterAlgo, stats *FilterStats) (*tensor.Tensor, []int32) {
+// filterAxis applies the 1D sliding maximum with window k and dilation d
+// along the given axis (0=x, 1=y, 2=z) of the (value, index) image pair,
+// producing an image shrunk by d(k−1) along that axis. Output positions
+// i < L−d(k−1) take the maximum over {i, i+d, ..., i+d(k−1)}; each residue
+// class mod d is an independent dense sliding maximum, so the complexity
+// matches the dense case.
+func filterAxis(val *tensor.Tensor, idx []int32, axis, k, d int, algo FilterAlgo, stats *FilterStats) (*tensor.Tensor, []int32) {
 	if k == 1 {
 		return val, idx
 	}
 	s := val.S
-	var os tensor.Shape
+	os := s
+	var lineLen, stride, ostride int
 	switch axis {
 	case 0:
-		os = tensor.Shape{X: s.X - k + 1, Y: s.Y, Z: s.Z}
+		os.X -= d * (k - 1)
+		lineLen, stride, ostride = s.X, 1, 1
 	case 1:
-		os = tensor.Shape{X: s.X, Y: s.Y - k + 1, Z: s.Z}
+		os.Y -= d * (k - 1)
+		lineLen, stride, ostride = s.Y, s.X, os.X
 	default:
-		os = tensor.Shape{X: s.X, Y: s.Y, Z: s.Z - k + 1}
+		os.Z -= d * (k - 1)
+		lineLen, stride, ostride = s.Z, s.X*s.Y, os.X*os.Y
 	}
 	if !os.Valid() {
-		panic(fmt.Sprintf("ops: filter width %d exceeds image %v along axis %d", k, s, axis))
+		panic(fmt.Sprintf("ops: dilated width %d·%d exceeds image %v along axis %d", k, d, s, axis))
 	}
 	out := tensor.New(os)
 	oidx := make([]int32, os.Volume())
 
-	// Walk every 1D line along the chosen axis.
-	var lineLen, stride int
-	switch axis {
-	case 0:
-		lineLen, stride = s.X, 1
-	case 1:
-		lineLen, stride = s.Y, s.X
-	default:
-		lineLen, stride = s.Z, s.X*s.Y
-	}
-	outLen := lineLen - k + 1
-
-	vals := make([]float64, lineLen)
-	srcs := make([]int32, lineLen)
-	ovals := make([]float64, outLen)
-	osrcs := make([]int32, outLen)
+	// Scratch for the longest residue class.
+	maxSub := (lineLen + d - 1) / d
+	vals := make([]float64, maxSub)
+	srcs := make([]int32, maxSub)
+	ovals := make([]float64, maxSub)
+	osrcs := make([]int32, maxSub)
 
 	forEachLine(s, axis, func(base int) {
-		for i := 0; i < lineLen; i++ {
-			vals[i] = val.Data[base+i*stride]
-			srcs[i] = idx[base+i*stride]
-		}
-		switch algo {
-		case FilterHeap:
-			slideMaxHeap(vals, srcs, k, ovals, osrcs, stats)
-		default:
-			slideMaxDeque(vals, srcs, k, ovals, osrcs, stats)
-		}
-		// Output line base: same (y,z)/(x,z)/(x,y) coordinates in os.
-		obase := outBase(s, os, axis, base)
-		var ostride int
-		switch axis {
-		case 0:
-			ostride = 1
-		case 1:
-			ostride = os.X
-		default:
-			ostride = os.X * os.Y
-		}
-		for i := 0; i < outLen; i++ {
-			out.Data[obase+i*ostride] = ovals[i]
-			oidx[obase+i*ostride] = osrcs[i]
+		// The output line has the same transverse coordinates.
+		obase := os.Index(s.Coords(base))
+		for r := 0; r < d; r++ {
+			subLen := (lineLen - r + d - 1) / d
+			if subLen < k {
+				continue
+			}
+			for j := 0; j < subLen; j++ {
+				p := base + (r+j*d)*stride
+				vals[j] = val.Data[p]
+				srcs[j] = idx[p]
+			}
+			subOut := subLen - k + 1
+			switch algo {
+			case FilterHeap:
+				slideMaxHeap(vals[:subLen], srcs[:subLen], k, ovals[:subOut], osrcs[:subOut], stats)
+			default:
+				slideMaxDeque(vals[:subLen], srcs[:subLen], k, ovals[:subOut], osrcs[:subOut], stats)
+			}
+			for j := 0; j < subOut; j++ {
+				o := obase + (r+j*d)*ostride
+				out.Data[o] = ovals[j]
+				oidx[o] = osrcs[j]
+			}
 		}
 	})
 	return out, oidx
@@ -160,13 +160,6 @@ func forEachLine(s tensor.Shape, axis int, f func(base int)) {
 			}
 		}
 	}
-}
-
-// outBase maps an input line base offset to the corresponding output line
-// base offset (the transverse coordinates are unchanged).
-func outBase(s, os tensor.Shape, axis, base int) int {
-	x, y, z := s.Coords(base)
-	return os.Index(x, y, z)
 }
 
 // slideMaxDeque computes the sliding maximum with a monotonic deque.
@@ -256,115 +249,6 @@ func slideMaxHeap(vals []float64, srcs []int32, k int, ovals []float64, osrcs []
 		stats.Comparisons += h.comparisons
 		stats.Elements += int64(len(vals))
 	}
-}
-
-// MaxFilterSparseForward computes the sliding maximum over a dilated
-// window: taps spaced by the sparsity along each axis, the max-filtering
-// counterpart of sparse convolution. Output extent is n − s(k−1) per axis.
-// With dense sparsity it reduces to MaxFilterForward. Each axis pass
-// processes the s interleaved residue classes as independent dense 1D
-// filters, so the complexity matches the dense case.
-func MaxFilterSparseForward(in *tensor.Tensor, window tensor.Shape, sp tensor.Sparsity, algo FilterAlgo, stats *FilterStats) (*tensor.Tensor, []int32) {
-	if sp == tensor.Dense() {
-		return MaxFilterForward(in, window, algo, stats)
-	}
-	if !sp.Valid() {
-		panic(fmt.Sprintf("ops: invalid filter sparsity %v", sp))
-	}
-	os := in.S.ValidConv(window, sp)
-	if !os.Valid() {
-		panic(fmt.Sprintf("ops: dilated window %v (sparsity %v) does not fit in image %v",
-			window, sp, in.S))
-	}
-	cur := in.Clone()
-	idx := make([]int32, in.S.Volume())
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	cur, idx = filterAxisSparse(cur, idx, 0, window.X, sp.X, algo, stats)
-	cur, idx = filterAxisSparse(cur, idx, 1, window.Y, sp.Y, algo, stats)
-	cur, idx = filterAxisSparse(cur, idx, 2, window.Z, sp.Z, algo, stats)
-	if cur.S != os {
-		panic(fmt.Sprintf("ops: internal error, sparse-filtered shape %v want %v", cur.S, os))
-	}
-	return cur, idx
-}
-
-// filterAxisSparse applies the 1D sliding maximum with window k and
-// dilation d along the given axis. Output positions i < L−d(k−1) take the
-// maximum over {i, i+d, ..., i+d(k−1)}; each residue class mod d is an
-// independent dense sliding maximum.
-func filterAxisSparse(val *tensor.Tensor, idx []int32, axis, k, d int, algo FilterAlgo, stats *FilterStats) (*tensor.Tensor, []int32) {
-	if k == 1 || d == 1 {
-		return filterAxis(val, idx, axis, k, algo, stats)
-	}
-	s := val.S
-	var lineLen, stride int
-	var os tensor.Shape
-	switch axis {
-	case 0:
-		lineLen, stride = s.X, 1
-		os = tensor.Shape{X: s.X - d*(k-1), Y: s.Y, Z: s.Z}
-	case 1:
-		lineLen, stride = s.Y, s.X
-		os = tensor.Shape{X: s.X, Y: s.Y - d*(k-1), Z: s.Z}
-	default:
-		lineLen, stride = s.Z, s.X*s.Y
-		os = tensor.Shape{X: s.X, Y: s.Y, Z: s.Z - d*(k-1)}
-	}
-	if !os.Valid() {
-		panic(fmt.Sprintf("ops: dilated width %d·%d exceeds image %v along axis %d", k, d, s, axis))
-	}
-	out := tensor.New(os)
-	oidx := make([]int32, os.Volume())
-	outLen := lineLen - d*(k-1)
-
-	// Scratch for the longest residue class.
-	maxSub := (lineLen + d - 1) / d
-	vals := make([]float64, maxSub)
-	srcs := make([]int32, maxSub)
-	ovals := make([]float64, maxSub)
-	osrcs := make([]int32, maxSub)
-
-	forEachLine(s, axis, func(base int) {
-		obase := outBase(s, os, axis, base)
-		var ostride int
-		switch axis {
-		case 0:
-			ostride = 1
-		case 1:
-			ostride = os.X
-		default:
-			ostride = os.X * os.Y
-		}
-		for r := 0; r < d; r++ {
-			subLen := (lineLen - r + d - 1) / d
-			if subLen < k {
-				continue
-			}
-			for j := 0; j < subLen; j++ {
-				p := base + (r+j*d)*stride
-				vals[j] = val.Data[p]
-				srcs[j] = idx[p]
-			}
-			subOut := subLen - k + 1
-			switch algo {
-			case FilterHeap:
-				slideMaxHeap(vals[:subLen], srcs[:subLen], k, ovals[:subOut], osrcs[:subOut], stats)
-			default:
-				slideMaxDeque(vals[:subLen], srcs[:subLen], k, ovals[:subOut], osrcs[:subOut], stats)
-			}
-			for j := 0; j < subOut; j++ {
-				i := r + j*d
-				if i >= outLen {
-					break
-				}
-				out.Data[obase+i*ostride] = ovals[j]
-				oidx[obase+i*ostride] = osrcs[j]
-			}
-		}
-	})
-	return out, oidx
 }
 
 // MaxFilterBackward applies the max-filtering Jacobian: every element of

@@ -57,7 +57,7 @@ func TestMaxFilterMatchesNaive(t *testing.T) {
 		in := tensor.RandomInts(r, s, 3)
 		wantV, wantI := NaiveMaxFilter(in, w)
 		for _, algo := range []FilterAlgo{FilterHeap, FilterDeque} {
-			gotV, gotI := MaxFilterForward(in, w, algo, nil)
+			gotV, gotI := MaxFilterForward(in, w, tensor.Dense(), algo, nil)
 			if !gotV.Equal(wantV) {
 				return false
 			}
@@ -77,7 +77,7 @@ func TestMaxFilterMatchesNaive(t *testing.T) {
 func TestMaxFilterWindowOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	in := tensor.RandomUniform(rng, tensor.Cube(4), -1, 1)
-	out, argmax := MaxFilterForward(in, tensor.Cube(1), FilterDeque, nil)
+	out, argmax := MaxFilterForward(in, tensor.Cube(1), tensor.Dense(), FilterDeque, nil)
 	if !out.Equal(in) {
 		t.Error("1×1×1 max filter is not the identity")
 	}
@@ -94,13 +94,13 @@ func TestMaxFilterTooLargeWindowPanics(t *testing.T) {
 			t.Error("oversized window did not panic")
 		}
 	}()
-	MaxFilterForward(tensor.New(tensor.Cube(3)), tensor.Cube(4), FilterDeque, nil)
+	MaxFilterForward(tensor.New(tensor.Cube(3)), tensor.Cube(4), tensor.Dense(), FilterDeque, nil)
 }
 
 func TestMaxFilterAnisotropic(t *testing.T) {
 	// Window along a single axis behaves like a 1D running maximum.
 	in := tensor.FromSlice(tensor.S3(5, 1, 1), 3, 1, 4, 1, 5)
-	out, _ := MaxFilterForward(in, tensor.S3(3, 1, 1), FilterDeque, nil)
+	out, _ := MaxFilterForward(in, tensor.S3(3, 1, 1), tensor.Dense(), FilterDeque, nil)
 	want := tensor.FromSlice(tensor.S3(3, 1, 1), 4, 4, 5)
 	if !out.Equal(want) {
 		t.Errorf("1D max filter = %v, want %v", out.Data, want.Data)
@@ -112,7 +112,7 @@ func TestMaxFilterBackwardAccumulatesTies(t *testing.T) {
 	// to the highest linear index); gradients accumulate there.
 	in := tensor.New(tensor.S3(3, 1, 1))
 	in.Fill(7)
-	_, argmax := MaxFilterForward(in, tensor.S3(2, 1, 1), FilterDeque, nil)
+	_, argmax := MaxFilterForward(in, tensor.S3(2, 1, 1), tensor.Dense(), FilterDeque, nil)
 	grad := tensor.FromSlice(tensor.S3(2, 1, 1), 1, 1)
 	back := MaxFilterBackward(grad, argmax, in.S)
 	want := tensor.FromSlice(tensor.S3(3, 1, 1), 0, 1, 1)
@@ -131,15 +131,15 @@ func TestMaxFilterBackwardFiniteDifference(t *testing.T) {
 	in := tensor.RandomUniform(rng, tensor.S3(5, 4, 3), -1, 1)
 	w := tensor.S3(2, 2, 2)
 	u := tensor.RandomUniform(rng, in.S.ValidConv(w, tensor.Dense()), -1, 1)
-	_, argmax := MaxFilterForward(in, w, FilterDeque, nil)
+	_, argmax := MaxFilterForward(in, w, tensor.Dense(), FilterDeque, nil)
 	grad := MaxFilterBackward(u, argmax, in.S)
 	for i := 0; i < in.S.Volume(); i += 7 { // sample voxels
 		plus := in.Clone()
 		plus.Data[i] += h
 		minus := in.Clone()
 		minus.Data[i] -= h
-		outP, _ := MaxFilterForward(plus, w, FilterDeque, nil)
-		outM, _ := MaxFilterForward(minus, w, FilterDeque, nil)
+		outP, _ := MaxFilterForward(plus, w, tensor.Dense(), FilterDeque, nil)
+		outM, _ := MaxFilterForward(minus, w, tensor.Dense(), FilterDeque, nil)
 		want := (outP.Dot(u) - outM.Dot(u)) / (2 * h)
 		if math.Abs(grad.Data[i]-want) > 1e-5 {
 			t.Fatalf("dL/dx[%d] = %v, finite diff %v", i, grad.Data[i], want)
@@ -157,7 +157,7 @@ func TestMaxPoolMatchesFilterPlusSubsample(t *testing.T) {
 		s := p.Mul(tensor.Shape{X: 1 + rng.Intn(4), Y: 1 + rng.Intn(4), Z: 1 + rng.Intn(3)})
 		in := tensor.RandomUniform(rng, s, -1, 1)
 		pooled, _ := MaxPoolForward(in, p)
-		filtered, _ := MaxFilterForward(in, p, FilterDeque, nil)
+		filtered, _ := MaxFilterForward(in, p, tensor.Dense(), FilterDeque, nil)
 		sub := filtered.Subsample(0, 0, 0, tensor.Sparsity{X: p.X, Y: p.Y, Z: p.Z}, pooled.S)
 		if !sub.Equal(pooled) {
 			t.Fatalf("trial %d: pooling != filter+subsample", trial)
@@ -173,7 +173,7 @@ func TestFilterStatsComplexity(t *testing.T) {
 	in := tensor.RandomUniform(rng, tensor.S3(8192, 1, 1), -1, 1)
 	perElem := func(k int, algo FilterAlgo) float64 {
 		var st FilterStats
-		MaxFilterForward(in, tensor.S3(k, 1, 1), algo, &st)
+		MaxFilterForward(in, tensor.S3(k, 1, 1), tensor.Dense(), algo, &st)
 		return float64(st.Comparisons) / float64(st.Elements)
 	}
 	// Absolute bound with a generous constant.
@@ -235,15 +235,19 @@ func TestSparseMaxFilterMatchesNaive(t *testing.T) {
 			Z: sp.Z*(w.Z-1) + 1 + r.Intn(4),
 		}
 		in := tensor.RandomInts(r, s, 4) // ties exercise tie-break consistency
-		wantV, wantI := naiveSparseMaxFilter(in, w, sp)
-		for _, algo := range []FilterAlgo{FilterHeap, FilterDeque} {
-			gotV, gotI := MaxFilterSparseForward(in, w, sp, algo, nil)
-			if !gotV.Equal(wantV) {
-				return false
-			}
-			for i := range gotI {
-				if gotI[i] != wantI[i] {
+		// The dense row pins the dilated pass at d = 1 against the same
+		// definition, on the same image.
+		for _, sp := range []tensor.Sparsity{sp, tensor.Dense()} {
+			wantV, wantI := naiveSparseMaxFilter(in, w, sp)
+			for _, algo := range []FilterAlgo{FilterHeap, FilterDeque} {
+				gotV, gotI := MaxFilterForward(in, w, sp, algo, nil)
+				if !gotV.Equal(wantV) {
 					return false
+				}
+				for i := range gotI {
+					if gotI[i] != wantI[i] {
+						return false
+					}
 				}
 			}
 		}
@@ -251,22 +255,6 @@ func TestSparseMaxFilterMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSparseMaxFilterDenseFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	in := tensor.RandomUniform(rng, tensor.Cube(6), -1, 1)
-	w := tensor.Cube(2)
-	a, ai := MaxFilterSparseForward(in, w, tensor.Dense(), FilterDeque, nil)
-	b, bi := MaxFilterForward(in, w, FilterDeque, nil)
-	if !a.Equal(b) {
-		t.Error("dense-sparsity sparse filter differs from dense filter")
-	}
-	for i := range ai {
-		if ai[i] != bi[i] {
-			t.Fatalf("argmax differs at %d", i)
-		}
 	}
 }
 

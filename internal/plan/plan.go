@@ -57,7 +57,7 @@ import (
 )
 
 // Config parameterizes a planning run. The zero value plans an unbounded
-// (budget-free) network over {Direct, SparseDirect, FFT} × {f64, f32} at
+// (budget-free) network over {Direct, FFT} × {f64, f32} at
 // K ∈ {1, 2, 4, 8} with the flop cost model.
 type Config struct {
 	// Budget bounds the estimated pooled spectrum bytes of one fused
@@ -71,8 +71,7 @@ type Config struct {
 	Measured bool
 	// Precisions restricts the precision choices; nil means {f64, f32}.
 	Precisions []conv.Precision
-	// Methods restricts the method choices; nil means
-	// {Direct, SparseDirect, FFT}.
+	// Methods restricts the method choices; nil means {Direct, FFT}.
 	Methods []conv.Method
 	// Workers bounds the number of simultaneously in-flight pointwise
 	// product buffers in the byte model; 0 means 1.
@@ -153,7 +152,7 @@ func Build(geoms []conv.LayerGeom, cfg Config) (*Plan, error) {
 	}
 	methods := cfg.Methods
 	if methods == nil {
-		methods = []conv.Method{conv.Direct, conv.SparseDirect, conv.FFT}
+		methods = []conv.Method{conv.Direct, conv.FFT}
 	}
 	precs := cfg.Precisions
 	if precs == nil {
@@ -360,25 +359,17 @@ func LayerBytesRounds(g conv.LayerGeom, m conv.Method, prec conv.Precision, k, w
 }
 
 // minBytes returns the smallest achievable footprint over all K (used for
-// the infeasibility error message).
+// the infeasibility error message): K=1 minimizes every per-layer one.
 func minBytes(geoms []conv.LayerGeom, cfg Config, methods []conv.Method, precs []conv.Precision, workers int) int64 {
-	min := int64(math.MaxInt64)
-	for k := 1; k <= 1; k++ { // K=1 minimizes every per-layer footprint
-		var total int64
-		for _, g := range geoms {
-			layerMin := int64(math.MaxInt64)
-			for _, o := range layerOptions(g, cfg, methods, precs, k, workers) {
-				if o.bytes < layerMin {
-					layerMin = o.bytes
-				}
-			}
-			total += layerMin
+	var total int64
+	for _, g := range geoms {
+		layerMin := int64(math.MaxInt64)
+		for _, o := range layerOptions(g, cfg, methods, precs, 1, workers) {
+			layerMin = min(layerMin, o.bytes)
 		}
-		if total < min {
-			min = total
-		}
+		total += layerMin
 	}
-	return min
+	return total
 }
 
 // Forced builds a plan that assigns every layer the same (method,

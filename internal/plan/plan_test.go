@@ -108,30 +108,26 @@ func TestInfeasibleBudget(t *testing.T) {
 	}
 }
 
-// TestSparseDirectSelected: at very low kernel density on a geometry where
-// FFT loses (tiny volume, high transform overhead), the planner picks the
-// sparse-direct primitive.
-func TestSparseDirectSelected(t *testing.T) {
+// TestDensityMovesCrossover: kernel density is an input to Direct's cost,
+// not a method of its own. A layer whose dense kernels make FFT the cheaper
+// method is planned Direct once only 5% of its taps are nonzero.
+func TestDensityMovesCrossover(t *testing.T) {
 	g := conv.LayerGeom{
-		In: tensor.Cube(10), Kernel: tensor.Cube(3), Sp: tensor.Dense(),
-		F: 1, FPrime: 1, Density: 0.05,
+		In: tensor.Cube(24), Kernel: tensor.Cube(7), Sp: tensor.Dense(),
+		F: 4, FPrime: 4, Density: 1,
 	}
-	p, err := Build([]conv.LayerGeom{g}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Layers[0].Method != conv.SparseDirect {
-		t.Fatalf("method = %v, want sparse-direct at density 0.05\n%s", p.Layers[0].Method, p.Table())
-	}
-	// The same geometry dense must NOT pick sparse-direct: its modeled
-	// overhead keeps plain direct ahead at density 1.
-	g.Density = 1
-	p, err = Build([]conv.LayerGeom{g}, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Layers[0].Method == conv.SparseDirect {
-		t.Fatalf("dense kernel planned sparse-direct\n%s", p.Table())
+	for _, c := range []struct {
+		density float64
+		want    conv.Method
+	}{{1, conv.FFT}, {0.05, conv.Direct}} {
+		g.Density = c.density
+		p, err := Build([]conv.LayerGeom{g}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Layers[0].Method; got != c.want {
+			t.Fatalf("density %g: method = %v, want %v\n%s", c.density, got, c.want, p.Table())
+		}
 	}
 }
 
@@ -200,9 +196,6 @@ func TestLayerBytesModel(t *testing.T) {
 	g := benchGeoms()[1]
 	if got := LayerBytes(g, conv.Direct, conv.PrecF64, 8, 4); got != 0 {
 		t.Fatalf("direct bytes = %d, want 0", got)
-	}
-	if got := LayerBytes(g, conv.SparseDirect, conv.PrecF64, 8, 4); got != 0 {
-		t.Fatalf("sparse-direct bytes = %d, want 0", got)
 	}
 	b64 := LayerBytes(g, conv.FFT, conv.PrecF64, 2, 1)
 	b32 := LayerBytes(g, conv.FFT, conv.PrecF32, 2, 1)

@@ -25,30 +25,11 @@ func (t *Vol[T]) Sub(src *Vol[T]) {
 	}
 }
 
-// MulElem multiplies t by src elementwise (Hadamard product).
-func (t *Vol[T]) MulElem(src *Vol[T]) {
-	if t.S != src.S {
-		panic(fmt.Sprintf("tensor: MulElem shape mismatch %v vs %v", t.S, src.S))
-	}
-	for i, v := range src.Data {
-		t.Data[i] *= v
-	}
-}
-
 // Scale multiplies every voxel by c.
 func (t *Vol[T]) Scale(c float64) {
 	cc := T(c)
 	for i := range t.Data {
 		t.Data[i] *= cc
-	}
-}
-
-// AddScalar adds c to every voxel (used by the bias part of transfer
-// functions).
-func (t *Vol[T]) AddScalar(c float64) {
-	cc := T(c)
-	for i := range t.Data {
-		t.Data[i] += cc
 	}
 }
 
@@ -86,9 +67,6 @@ func (t *Vol[T]) Dot(u *Vol[T]) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of the tensor viewed as a vector.
-func (t *Vol[T]) Norm2() float64 { return math.Sqrt(t.Dot(t)) }
-
 // MaxAbs returns the largest absolute voxel value.
 func (t *Vol[T]) MaxAbs() float64 {
 	var m float64
@@ -110,48 +88,6 @@ func (t *Vol[T]) Reflect() *Vol[T] {
 		r.Data[n-1-i] = v
 	}
 	return r
-}
-
-// ReflectInto writes the reflection of t into dst, which must have the same
-// shape. Reversing the flat data reverses each axis because the layout is a
-// full row-major order.
-func (t *Vol[T]) ReflectInto(dst *Vol[T]) {
-	if dst.S != t.S {
-		panic(fmt.Sprintf("tensor: ReflectInto shape mismatch %v vs %v", dst.S, t.S))
-	}
-	n := len(t.Data)
-	for i, v := range t.Data {
-		dst.Data[n-1-i] = v
-	}
-}
-
-// PadTo returns a new tensor of the given (elementwise larger or equal)
-// shape with t copied into the corner at the origin and zeros elsewhere.
-// FFT convolution zero-pads operands this way.
-func (t *Vol[T]) PadTo(s Shape) *Vol[T] {
-	if !t.S.Fits(s) {
-		panic(fmt.Sprintf("tensor: cannot pad %v to smaller shape %v", t.S, s))
-	}
-	p := NewOf[T](s)
-	t.CopyIntoAt(p, 0, 0, 0)
-	return p
-}
-
-// CopyIntoAt copies t into dst with t's origin placed at (ox, oy, oz) in
-// dst. The region must fit.
-func (t *Vol[T]) CopyIntoAt(dst *Vol[T], ox, oy, oz int) {
-	if ox < 0 || oy < 0 || oz < 0 ||
-		ox+t.S.X > dst.S.X || oy+t.S.Y > dst.S.Y || oz+t.S.Z > dst.S.Z {
-		panic(fmt.Sprintf("tensor: CopyIntoAt %v at (%d,%d,%d) does not fit in %v",
-			t.S, ox, oy, oz, dst.S))
-	}
-	for z := 0; z < t.S.Z; z++ {
-		for y := 0; y < t.S.Y; y++ {
-			src := t.Data[t.S.Index(0, y, z) : t.S.Index(0, y, z)+t.S.X]
-			off := dst.S.Index(ox, oy+y, oz+z)
-			copy(dst.Data[off:off+t.S.X], src)
-		}
-	}
 }
 
 // CropFrom returns a new tensor of shape s copied out of t starting at

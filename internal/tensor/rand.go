@@ -12,13 +12,6 @@ func (t *Vol[T]) FillUniform(rng *rand.Rand, lo, hi float64) {
 	}
 }
 
-// FillNormal fills t with N(mean, stddev²) samples from rng.
-func (t *Vol[T]) FillNormal(rng *rand.Rand, mean, stddev float64) {
-	for i := range t.Data {
-		t.Data[i] = T(mean + stddev*rng.NormFloat64())
-	}
-}
-
 // RandomUniform allocates a float64 tensor filled with uniform samples.
 func RandomUniform(rng *rand.Rand, s Shape, lo, hi float64) *Tensor {
 	t := New(s)
@@ -31,13 +24,6 @@ func RandomUniform(rng *rand.Rand, s Shape, lo, hi float64) *Tensor {
 func RandomUniformOf[T Real](rng *rand.Rand, s Shape, lo, hi float64) *Vol[T] {
 	t := NewOf[T](s)
 	t.FillUniform(rng, lo, hi)
-	return t
-}
-
-// RandomNormal allocates a float64 tensor filled with Gaussian samples.
-func RandomNormal(rng *rand.Rand, s Shape, mean, stddev float64) *Tensor {
-	t := New(s)
-	t.FillNormal(rng, mean, stddev)
 	return t
 }
 

@@ -33,7 +33,7 @@
 // voxels an earlier block already produced; its stitch region starts at
 // an interior offset (Block.Src) so every output voxel is written exactly
 // once, by a statically determined block. With spatial-domain arithmetic
-// (direct / sparse-direct convolution, transfers, max filters) the
+// (direct convolution at any kernel density, transfers, max filters) the
 // recomputed values are bitwise equal to the originals — convolution at
 // an offset reads the same inputs in the same order — so the stitched
 // volume is bit-identical to single-shot inference regardless of block

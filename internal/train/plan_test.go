@@ -29,7 +29,7 @@ func buildPlanNet(t testing.TB) *net.Network {
 // compiled from one graph schedule a node's fan-in additions in varying
 // order, so even two all-direct compiles differ in the last bits at
 // fan-in 4 (see buildInferNet's width-2 bit-exactness note). Per-edge
-// arithmetic parity of sparse-direct is covered bit-exactly in
+// arithmetic of Direct at every kernel density is covered in
 // internal/conv; here the network-level claim is order-jitter only.
 const spatialTol = 1e-12
 
@@ -54,7 +54,6 @@ func TestPlannedMatchesForcedCells(t *testing.T) {
 		tol  float64
 	}{
 		{"direct/f64", conv.Direct, conv.PrecF64, spatialTol},
-		{"sparse-direct/f64", conv.SparseDirect, conv.PrecF64, spatialTol},
 		{"fft/f64", conv.FFT, conv.PrecF64, conv.PrecF64.Tol()},
 		{"fft/f32", conv.FFT, conv.PrecF32, conv.PrecF32.Tol()},
 	}

@@ -20,10 +20,10 @@ import (
 // carry one volume. Accumulators come from the wsum free lists, so N rounds
 // in flight get private sums.
 type roundNode struct {
-	fwdSums  []*wsum.Sum        // per-volume tensor accumulators
-	fwdCSums []*wsum.ComplexSum // per-volume spectral accumulators
-	bwdSum   *wsum.Sum
-	bwdCSum  *wsum.ComplexSum
+	fwdSums  []*wsum.Sum[*tensor.Tensor] // per-volume tensor accumulators
+	fwdCSums []*wsum.Sum[fft.Spectrum]   // per-volume spectral accumulators
+	bwdSum   *wsum.Sum[*tensor.Tensor]
+	bwdCSum  *wsum.Sum[fft.Spectrum]
 	spectra  conv.SpectrumCache // forward image spectra shared by out-edges (batch-aware)
 	bwdSpec  conv.SpectrumCache // backward image spectra shared by in-edges
 
@@ -192,12 +192,12 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 		}
 		if fanIn := len(ni.n.In); fanIn > 0 {
 			if ni.fwdSpectral {
-				rn.fwdCSums = make([]*wsum.ComplexSum, k)
+				rn.fwdCSums = make([]*wsum.Sum[fft.Spectrum], k)
 				for v := range rn.fwdCSums {
 					rn.fwdCSums[v] = wsum.GetComplex(fanIn)
 				}
 			} else {
-				rn.fwdSums = make([]*wsum.Sum, k)
+				rn.fwdSums = make([]*wsum.Sum[*tensor.Tensor], k)
 				for v := range rn.fwdSums {
 					rn.fwdSums[v] = wsum.Get(fanIn)
 				}

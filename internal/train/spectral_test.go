@@ -145,7 +145,7 @@ func TestSpectralInverseCounts(t *testing.T) {
 	}
 }
 
-// The ComplexSum must produce exact sums under concurrency (integer
+// The spectral Sum must produce exact sums under concurrency (integer
 // spectra make complex addition exact).
 func TestComplexSumConcurrent(t *testing.T) {
 	const adders = 16

@@ -38,7 +38,7 @@ func TestSumPoolReuse(t *testing.T) {
 }
 
 // TestComplexSumValueConsumes checks the ownership contract that makes
-// Release safe: Value hands the buffer out and clears the slot, so a
+// Release safe: Value hands the buffer out to the caller, so a
 // subsequent Release returns nothing to the spectra pool.
 func TestComplexSumValueConsumes(t *testing.T) {
 	base := mempool.Spectra.Stats().Puts

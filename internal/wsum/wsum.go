@@ -10,62 +10,94 @@
 // instead, adds it into its own outside the lock, and retries. The thread
 // that contributes the final addition observes total == required and
 // reports completion, at which point the slot holds the full sum.
+//
+// One Sum type serves tensors (New, Get) and the spectra of spectral mode
+// (NewComplex, GetComplex), where edges converging on a node sum their
+// FFT-domain products before a single inverse transform (Table II's forward
+// cost). Spectra come from the pool of their precision, and every buffer a
+// spectral sum consumes goes back to it; all contributions to one sum share
+// a layout and precision (SpectralEligible), or Spectrum.Add panics.
 package wsum
 
 import (
 	"fmt"
 	"sync"
 
+	"znn/internal/fft"
 	"znn/internal/tensor"
 )
 
-// Sum accumulates a fixed number of tensors concurrently. Create one with
-// New, call Add from any number of goroutines (collectively exactly
-// `required` times), then read the result with Value on the goroutine that
-// received last == true.
-type Sum struct {
+// Sum accumulates a fixed number of T values concurrently. Create one with
+// New or NewComplex (or Get/GetComplex from the free list), call Add from
+// any number of goroutines (collectively exactly `required` times), then
+// read the result with Value on the goroutine that received last == true.
+type Sum[T interface{ Add(T) }] struct {
 	mu       sync.Mutex
-	sum      *tensor.Tensor
+	sum      T
+	held     bool // the slot owns sum: a parked partial, or the result until Value
 	total    int
 	required int
+	kind     *kind[T]
 }
 
-// New returns a summation object expecting exactly required contributions.
-func New(required int) *Sum {
-	if required < 1 {
-		panic(fmt.Sprintf("wsum: required must be ≥ 1, got %d", required))
+// kind holds what differs between element types: the free list of Sum
+// objects, and what becomes of a buffer the sum consumes (nil drops it).
+type kind[T interface{ Add(T) }] struct {
+	free    sync.Pool
+	recycle func(T)
+}
+
+// Per-round sums come from free lists rather than being reset in place, so
+// concurrent rounds get private accumulators without allocation churn.
+var (
+	tensors = &kind[*tensor.Tensor]{}
+	spectra = &kind[fft.Spectrum]{recycle: fft.Spectrum.Release}
+)
+
+// get returns a Sum reset to expect required contributions, from the free
+// list when pooled is set.
+func (k *kind[T]) get(required int, pooled bool) (s *Sum[T]) {
+	if pooled {
+		s, _ = k.free.Get().(*Sum[T])
 	}
-	return &Sum{required: required}
-}
-
-// sumPool recycles Sum objects across rounds. Rounds used to reset one
-// engine-owned Sum per node in place, which pinned the engine to a single
-// round in flight; per-round sums come from this free list instead, so N
-// concurrent rounds each get private accumulators without allocation churn.
-var sumPool = sync.Pool{New: func() any { return &Sum{} }}
-
-// Get returns a Sum from the package free list, reset to expect required
-// contributions. Pair with Release when the round completes.
-func Get(required int) *Sum {
-	s := sumPool.Get().(*Sum)
+	if s == nil {
+		s = &Sum[T]{kind: k}
+	}
 	s.Reset(required)
 	return s
 }
 
-// Release drops the Sum's tensor reference (ownership of the completed
-// value has passed to the caller of Value) and returns the object to the
-// free list.
-func (s *Sum) Release() {
+// New returns a tensor summation expecting exactly required contributions.
+func New(required int) *Sum[*tensor.Tensor] { return tensors.get(required, false) }
+
+// Get returns a tensor Sum from the package free list, reset to expect
+// required contributions. Pair with Release when the round completes.
+func Get(required int) *Sum[*tensor.Tensor] { return tensors.get(required, true) }
+
+// NewComplex returns a spectral summation expecting required contributions.
+func NewComplex(required int) *Sum[fft.Spectrum] { return spectra.get(required, false) }
+
+// GetComplex returns a spectral Sum from the free list, reset to expect
+// required contributions. Pair with Release when the round completes.
+func GetComplex(required int) *Sum[fft.Spectrum] { return spectra.get(required, true) }
+
+// Release returns the object to its free list. A buffer still parked in
+// the slot (an abandoned round that never reached Value) is recycled like
+// a consumed partial; a completed sum holds nothing, because Value
+// transfers the buffer out.
+func (s *Sum[T]) Release() {
 	s.mu.Lock()
-	s.sum = nil
-	s.total = 0
-	s.required = 1
+	held, ok := s.sum, s.held
 	s.mu.Unlock()
-	sumPool.Put(s)
+	s.Reset(1)
+	if ok && s.kind.recycle != nil {
+		s.kind.recycle(held)
+	}
+	s.kind.free.Put(s)
 }
 
 // Required returns the number of contributions the sum expects.
-func (s *Sum) Required() int {
+func (s *Sum[T]) Required() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.required
@@ -75,50 +107,54 @@ func (s *Sum) Required() int {
 // true for exactly one caller: the one whose contribution completed the
 // sum. The caller must not use v afterwards — ownership transfers to the
 // Sum (v's buffer may become the final result or be consumed as a partial).
-func (s *Sum) Add(v *tensor.Tensor) (last bool) {
-	var vPrime *tensor.Tensor
+func (s *Sum[T]) Add(v T) (last bool) {
+	var zero T
 	for {
 		s.mu.Lock()
-		if s.sum == nil {
+		vPrime, parked := s.sum, s.held
+		if parked {
+			s.sum = zero
+		} else {
 			s.sum = v
-			v = nil
 			s.total++
 			last = s.total == s.required
-		} else {
-			vPrime = s.sum
-			s.sum = nil
 		}
+		s.held = !parked
 		s.mu.Unlock()
-		if v == nil {
+		if !parked {
 			return last
 		}
 		// The expensive image addition happens outside the critical
 		// section, on this thread's private copy.
 		v.Add(vPrime)
+		if s.kind.recycle != nil {
+			s.kind.recycle(vPrime)
+		}
 	}
 }
 
-// Value returns the accumulated tensor. It must only be called after some
-// Add returned true; the result is the completed sum.
-func (s *Sum) Value() *tensor.Tensor {
+// Value returns the completed sum and transfers ownership to the caller,
+// so a later Release does not recycle it. It must only be called after
+// some Add returned true.
+func (s *Sum[T]) Value() T {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.total != s.required {
 		panic(fmt.Sprintf("wsum: Value before completion (%d of %d contributions)",
 			s.total, s.required))
 	}
+	s.held = false
 	return s.sum
 }
 
 // Reset prepares the object for a new round with the given number of
-// expected contributions, releasing the previous result.
-func (s *Sum) Reset(required int) {
+// expected contributions, dropping the previous result.
+func (s *Sum[T]) Reset(required int) {
 	if required < 1 {
 		panic(fmt.Sprintf("wsum: required must be ≥ 1, got %d", required))
 	}
+	var zero T
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.sum = nil
-	s.total = 0
-	s.required = required
+	s.sum, s.held, s.total, s.required = zero, false, 0, required
 }
