@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -44,31 +45,109 @@ func TestDensityEmptyKernel(t *testing.T) {
 	}
 }
 
-// TestDirectDensitySweep runs a Direct Transformer through all three phases
-// at kernel density 1, 0.5 and 0, on randomized geometry and on the exemplar
-// shapes (5×5×1, 3×3×3) with rows long enough to reach the vector kernels,
-// against the naive references. The tap list skips zero taps in forward and
-// backward; the kernel gradient stays dense (sparse execution is a strategy,
-// not a pruning mask: zero taps receive nonzero gradients), so its reference
-// is the definition ⟨valid(x, δ_a), u⟩ at every tap a.
-func TestDirectDensitySweep(t *testing.T) {
-	rng := rand.New(rand.NewSource(71))
-	type geom struct {
-		img, ker *tensor.Tensor
-		sp       tensor.Sparsity
-	}
-	var geoms []geom
+type densityGeom struct {
+	img, ker *tensor.Tensor
+	sp       tensor.Sparsity
+}
+
+// densityGeoms returns randomized geometry plus the exemplar shapes (5×5×1,
+// 3×3×3) with rows long enough to reach the vector kernels.
+func densityGeoms(rng *rand.Rand) []densityGeom {
+	var geoms []densityGeom
 	for trial := 0; trial < 12; trial++ {
 		img, ker, sp := randGeom(rng)
-		geoms = append(geoms, geom{img, ker, sp})
+		geoms = append(geoms, densityGeom{img, ker, sp})
 	}
 	for _, k := range []tensor.Shape{tensor.S3(5, 5, 1), tensor.Cube(3)} {
 		for _, sp := range []tensor.Sparsity{tensor.Dense(), tensor.Uniform(2)} {
 			in := tensor.S3(40, 13, 7)
-			geoms = append(geoms, geom{tensor.RandomUniform(rng, in, -1, 1), tensor.RandomUniform(rng, k, -1, 1), sp})
+			geoms = append(geoms, densityGeom{tensor.RandomUniform(rng, in, -1, 1), tensor.RandomUniform(rng, k, -1, 1), sp})
 		}
 	}
-	for gi, g := range geoms {
+	return geoms
+}
+
+// fmaValid is the valid convolution with every kernel tap, zeros included,
+// as one math.FMA chain per output voxel in the kernel's linear (z, y, x)
+// order, the order a tap list fixes.
+func fmaValid(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
+	os, ks := img.S.ValidConv(ker.S, sp), ker.S
+	out := tensor.New(os)
+	for z := 0; z < os.Z; z++ {
+		for y := 0; y < os.Y; y++ {
+			for x := 0; x < os.X; x++ {
+				var acc float64
+				for c := 0; c < ks.Z; c++ {
+					for b := 0; b < ks.Y; b++ {
+						for a := 0; a < ks.X; a++ {
+							acc = math.FMA(ker.At(a, b, c), img.At(
+								x+sp.X*(ks.X-1-a),
+								y+sp.Y*(ks.Y-1-b),
+								z+sp.Z*(ks.Z-1-c)), acc)
+						}
+					}
+				}
+				out.Set(x, y, z, acc)
+			}
+		}
+	}
+	return out
+}
+
+// fmaFull is fmaValid over img zero-padded by s(k−1) on every side.
+func fmaFull(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
+	h := img.S.FullConv(ker.S, sp).Sub(img.S)
+	p := tensor.New(img.S.Add(h).Add(h))
+	for z := 0; z < img.S.Z; z++ {
+		for y := 0; y < img.S.Y; y++ {
+			for x := 0; x < img.S.X; x++ {
+				p.Set(x+h.X, y+h.Y, z+h.Z, img.At(x, y, z))
+			}
+		}
+	}
+	return fmaValid(p, ker, sp)
+}
+
+// TestSparseDirectMatchesDirectBitExact runs a Direct Transformer through
+// all three phases at kernel density 1, 0.5 and 0. Skipping zero taps must
+// leave every bit of forward and backward as evaluating all of them does
+// (fma(0, x, acc) is acc), and the kernel gradient must equal the one-shot
+// KernelGradDirect exactly.
+func TestSparseDirectMatchesDirectBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for gi, g := range densityGeoms(rng) {
+		for _, d := range []float64{1, 0.5, 0} {
+			ker := g.ker.Clone()
+			if d < 1 {
+				sparsify(rng, ker, d)
+			}
+			bwd := tensor.RandomUniform(rng, g.img.S.ValidConv(ker.S, g.sp), -1, 1)
+			tr := NewTransformer(g.img.S, ker.S, g.sp, Direct, false, nil)
+			for _, ph := range []struct {
+				name      string
+				got, want *tensor.Tensor
+			}{
+				{"forward", tr.Forward(g.img, ker, nil), fmaValid(g.img, ker, g.sp)},
+				{"backward", tr.Backward(bwd, ker, nil), fmaFull(bwd, ker.Reflect(), g.sp)},
+				{"kernel grad", tr.KernelGrad(g.img, bwd), KernelGradDirect(g.img, bwd, ker.S, g.sp)},
+			} {
+				if !ph.got.Equal(ph.want) {
+					t.Fatalf("geom %d density %g: %s differs from the all-taps evaluation (max |Δ| = %g)",
+						gi, d, ph.name, ph.got.MaxAbsDiff(ph.want))
+				}
+			}
+		}
+	}
+}
+
+// TestTransformerSparseDirectParity runs a Direct Transformer through all
+// three phases at kernel density 1, 0.5 and 0 against the naive references.
+// The kernel gradient stays dense (sparse execution is a strategy, not a
+// pruning mask: zero taps receive nonzero gradients), so its reference is
+// the definition ⟨valid(x, δ_a), u⟩ at every tap a.
+func TestTransformerSparseDirectParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for gi, g := range densityGeoms(rng) {
 		for _, d := range []float64{1, 0.5, 0} {
 			ker := g.ker.Clone()
 			if d < 1 {

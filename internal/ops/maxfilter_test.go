@@ -235,19 +235,15 @@ func TestSparseMaxFilterMatchesNaive(t *testing.T) {
 			Z: sp.Z*(w.Z-1) + 1 + r.Intn(4),
 		}
 		in := tensor.RandomInts(r, s, 4) // ties exercise tie-break consistency
-		// The dense row pins the dilated pass at d = 1 against the same
-		// definition, on the same image.
-		for _, sp := range []tensor.Sparsity{sp, tensor.Dense()} {
-			wantV, wantI := naiveSparseMaxFilter(in, w, sp)
-			for _, algo := range []FilterAlgo{FilterHeap, FilterDeque} {
-				gotV, gotI := MaxFilterForward(in, w, sp, algo, nil)
-				if !gotV.Equal(wantV) {
+		wantV, wantI := naiveSparseMaxFilter(in, w, sp)
+		for _, algo := range []FilterAlgo{FilterHeap, FilterDeque} {
+			gotV, gotI := MaxFilterForward(in, w, sp, algo, nil)
+			if !gotV.Equal(wantV) {
+				return false
+			}
+			for i := range gotI {
+				if gotI[i] != wantI[i] {
 					return false
-				}
-				for i := range gotI {
-					if gotI[i] != wantI[i] {
-						return false
-					}
 				}
 			}
 		}
@@ -255,6 +251,27 @@ func TestSparseMaxFilterMatchesNaive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSparseMaxFilterDenseFallback pins the dilated pass at d = 1, where
+// each axis is a single residue class, against the same definition.
+func TestSparseMaxFilterDenseFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	in := tensor.RandomUniform(rng, tensor.Cube(6), -1, 1)
+	for _, w := range []tensor.Shape{tensor.Cube(1), tensor.Cube(2), tensor.S3(3, 1, 2), tensor.Cube(6)} {
+		wantV, wantI := naiveSparseMaxFilter(in, w, tensor.Dense())
+		for _, algo := range []FilterAlgo{FilterHeap, FilterDeque} {
+			gotV, gotI := MaxFilterForward(in, w, tensor.Dense(), algo, nil)
+			if !gotV.Equal(wantV) {
+				t.Fatalf("window %v algo %v: values differ from the definition", w, algo)
+			}
+			for i := range gotI {
+				if gotI[i] != wantI[i] {
+					t.Fatalf("window %v algo %v: argmax differs at %d", w, algo, i)
+				}
+			}
+		}
 	}
 }
 

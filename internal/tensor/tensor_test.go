@@ -252,24 +252,46 @@ func TestReflectEachAxis(t *testing.T) {
 	}
 }
 
-// TestPadCropRoundTrip zero-pads a tensor into a larger one at an offset
-// and crops it back out.
-func TestPadCropRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := RandomUniform(rng, S3(3, 4, 2), -1, 1)
-	p := New(Cube(6))
-	for z := 0; z < a.S.Z; z++ {
-		for y := 0; y < a.S.Y; y++ {
-			for x := 0; x < a.S.X; x++ {
-				p.Set(x+1, y+2, z+3, a.At(x, y, z))
+// placeAt writes src into dst with its origin at (ox, oy, oz).
+func placeAt(dst, src *Tensor, ox, oy, oz int) {
+	for z := 0; z < src.S.Z; z++ {
+		for y := 0; y < src.S.Y; y++ {
+			for x := 0; x < src.S.X; x++ {
+				dst.Set(x+ox, y+oy, z+oz, src.At(x, y, z))
 			}
 		}
 	}
-	if got := p.CropFrom(1, 2, 3, a.S); !got.Equal(a) {
-		t.Error("CropFrom does not recover the padded region")
-	}
-	if got := p.CropFrom(0, 0, 0, S3(6, 2, 3)); got.MaxAbs() != 0 {
+}
+
+// TestPadCropRoundTrip zero-pads a tensor at the origin of a larger one and
+// crops it back out.
+func TestPadCropRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	a := RandomUniform(rng, S3(3, 4, 5), -1, 1)
+	p := New(S3(8, 8, 8))
+	placeAt(p, a, 0, 0, 0)
+	if got := p.CropFrom(3, 0, 0, S3(5, 8, 8)); got.MaxAbs() != 0 {
 		t.Error("CropFrom outside the padded region is not zero")
+	}
+	if got := p.CropFrom(0, 0, 0, a.S); !got.Equal(a) {
+		t.Error("CropFrom of the padded region is not the identity")
+	}
+}
+
+// TestCopyIntoAtAndCrop places a block at an offset inside a larger tensor
+// and checks that CropInto at that offset recovers it.
+func TestCopyIntoAtAndCrop(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	small := RandomUniform(rng, S3(2, 2, 2), -1, 1)
+	big := New(Cube(5))
+	placeAt(big, small, 1, 2, 3)
+	got := New(small.S)
+	big.CropInto(got, 1, 2, 3)
+	if !got.Equal(small) {
+		t.Error("CropInto does not recover the placed region")
+	}
+	if big.At(0, 0, 0) != 0 {
+		t.Error("placing the block disturbed voxels outside its region")
 	}
 }
 
