@@ -7,14 +7,19 @@
 package znn_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
 	"znn"
 	"znn/internal/conv"
+	"znn/internal/data"
 	"znn/internal/fft"
 	"znn/internal/graph"
 	"znn/internal/mempool"
@@ -23,6 +28,7 @@ import (
 	"znn/internal/ops"
 	"znn/internal/sched"
 	"znn/internal/tensor"
+	"znn/internal/tile"
 	"znn/internal/train"
 )
 
@@ -529,4 +535,81 @@ func BenchmarkPlanRegimes(b *testing.B) {
 		regime("ForceFFT", func(c *znn.Config) { c.Conv = znn.ForceFFT }),
 		regime("ForceDirect", func(c *znn.Config) { c.Conv = znn.ForceDirect }),
 	)
+}
+
+// --- Profile mirrors of the benchmark's FFT workloads ---------------------
+//
+// benchmark/ has no profile flag, so these two run its FFT workloads'
+// networks, shapes and modes through the public API under go test, where
+// -cpuprofile works:
+//
+//	go test -run '^$' -bench WorkloadTrainFFT7 -benchtime 20x -cpuprofile cpu.out .
+//	go tool pprof -top cpu.out
+
+// BenchmarkWorkloadTrainFFT7 mirrors train_fft7: strict training of three
+// 7³ layers, width 8, a 12³ output patch, forced FFT with memoized spectra,
+// two workers. One op is one update.
+func BenchmarkWorkloadTrainFFT7(b *testing.B) {
+	const out = 12
+	nw := abNetwork(b, "C7-Trelu-C7-Trelu-C7-Tlogistic", znn.Config{
+		Width: 8, OutputPatch: out, Conv: znn.ForceFFT, Memoize: true,
+		Workers: 2, Seed: 1, Eta: 1e-4,
+	})
+	p := data.NewBoundaryProvider(nw.InputShape(), znn.Cube(out), 1)
+	p.SetCentered(true)
+	samples := make([]data.Sample, 4)
+	for i := range samples {
+		samples[i] = p.Next()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := samples[i%len(samples)]
+		if _, err := nw.Train(s.Input, s.Desired[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWorkloadInferCubeF32 mirrors infer_cube_f32: a 106³ float32 cube
+// streamed raw file to raw file through tiled inference of
+// C5-Trelu-C5-Trelu-C3-Ttanh, width 4, planned under a 64 MB budget, two
+// workers. One op is one whole-cube pass.
+func BenchmarkWorkloadInferCubeF32(b *testing.B) {
+	vol := znn.Cube(106)
+	nw := abNetwork(b, "C5-Trelu-C5-Trelu-C3-Ttanh", znn.Config{
+		Width: 4, OutputPatch: 16, Planned: true, Float32: true,
+		MemBudget: 64 << 20, Workers: 2, Seed: 1,
+	})
+	outShape := znn.Cube(vol.X - nw.FieldOfView() + 1)
+	dir := b.TempDir()
+	inPath, outPath := filepath.Join(dir, "in.f32"), filepath.Join(dir, "out.f32")
+	raw := make([]byte, 4*vol.Volume())
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < len(raw); i += 4 {
+		binary.LittleEndian.PutUint32(raw[i:], math.Float32bits(float32(rng.Float64()*2-1)))
+	}
+	if err := os.WriteFile(inPath, raw, 0o644); err != nil {
+		b.Fatal(err)
+	}
+	pass := func() error {
+		in, err := os.Open(inPath)
+		if err != nil {
+			return err
+		}
+		defer in.Close()
+		out, err := os.Create(outPath)
+		if err != nil {
+			return err
+		}
+		_, err = nw.InferVolumeIO(tile.NewRawReader(in, vol, tile.F32),
+			[]tile.Writer{tile.NewRawWriter(out, outShape, tile.F32)}, znn.TileOptions{})
+		return errors.Join(err, out.Close())
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := pass(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(outShape.Volume())*float64(b.N)/b.Elapsed().Seconds(), "voxels/s")
 }

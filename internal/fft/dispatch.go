@@ -21,7 +21,9 @@ var (
 	scale64      = scale64Scalar
 
 	bfLaneR2       = bfLaneR2Go
+	bfLaneR3       = bfLaneR3Go
 	bfLaneR4       = bfLaneR4Go
+	bfLaneR5       = bfLaneR5Go
 	r2cLaneCombine = r2cLaneCombineGo
 	c2rLanePre     = c2rLanePreGo
 

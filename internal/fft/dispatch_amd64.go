@@ -14,7 +14,9 @@ func init() {
 	mulAccInto64 = mulAccInto64AVX2
 	scale64 = scale64AVX2
 	bfLaneR2 = bfLaneR2AVX2
+	bfLaneR3 = bfLaneR3AVX2
 	bfLaneR4 = bfLaneR4AVX2
+	bfLaneR5 = bfLaneR5AVX2
 	r2cLaneCombine = r2cLaneCombineAVX2
 	c2rLanePre = c2rLanePreAVX2
 	laneBatch = true
@@ -70,11 +72,25 @@ func bfLaneR2AVX2(dre, dim []float32, m int, w []complex64, step int) {
 	bfLaneR2Asm(&dre[0], &dim[0], m, &w[0], step)
 }
 
+func bfLaneR3AVX2(dre, dim []float32, m int, w []complex64, step int, wr, wi float32) {
+	if m == 0 {
+		return
+	}
+	bfLaneR3Asm(&dre[0], &dim[0], m, &w[0], step, wr, wi)
+}
+
 func bfLaneR4AVX2(dre, dim []float32, m, pn int, w []complex64, step int, nr, ni float32) {
 	if m == 0 {
 		return
 	}
 	bfLaneR4Asm(&dre[0], &dim[0], m, pn, &w[0], step, nr, ni)
+}
+
+func bfLaneR5AVX2(dre, dim []float32, m int, w []complex64, step int, r1, i1, r2, i2 float32) {
+	if m == 0 {
+		return
+	}
+	bfLaneR5Asm(&dre[0], &dim[0], m, &w[0], step, r1, i1, r2, i2)
 }
 
 func r2cLaneCombineAVX2(zre, zim, outre, outim []float32, wf []complex64, m int) {

@@ -302,35 +302,34 @@ func (p *PlanOf[C]) transform(data []C, inverse bool) {
 	if d64, ok := any(data).([]complex64); ok {
 		rec64(p.factors, p.n, d64, any(src).([]complex64), p.n, 1, 0, any(w).([]complex64))
 	} else {
-		p.rec(data, src, p.n, 1, 0, w)
+		rec(p.factors, p.n, any(data).([]complex128), any(src).([]complex128), p.n, 1, 0, any(w).([]complex128))
 	}
 	p.scratch.Put(sp)
 }
 
 // rec computes the DFT of the length-n subsequence of src starting at
 // offset 0 with the given stride, writing the contiguous result into dst.
-// w is the full-length twiddle table for the chosen direction.
-func (p *PlanOf[C]) rec(dst, src []C, n, stride, fi int, w []C) {
+// factors is the plan's factorization (fi indexes this level's radix), pn
+// the plan length and w its full-length twiddle table for the chosen
+// direction. It is the complex128 recursion; rec64 is its complex64 twin.
+//
+// Each radix-r level twiddles leg j by w[j·k·step] with k < m = n/r and
+// step = pn/n, so j·k·step < pn and the index needs no reduction. The ω_r
+// constants come from the same table (w[pn/r], w[2·pn/r]), so the inverse
+// butterflies follow from winv with no sign logic.
+func rec(factors []int, pn int, dst, src []complex128, n, stride, fi int, w []complex128) {
 	if n == 1 {
 		dst[0] = src[0]
 		return
 	}
-	radix := p.factors[fi]
+	radix := factors[fi]
 	m := n / radix
 	for j := 0; j < radix; j++ {
-		p.rec(dst[j*m:(j+1)*m], src[j*stride:], m, stride*radix, fi+1, w)
+		rec(factors, pn, dst[j*m:(j+1)*m], src[j*stride:], m, stride*radix, fi+1, w)
 	}
-	// Combine the radix sub-transforms in place. For each k the reads
-	// (dst[j*m+k]) and writes (dst[q*m+k]) touch the same positions, so
-	// buffering reads in t makes the in-place update safe.
-	//
-	// Twiddle indices like (j·k·step) mod p.n advance by a fixed amount
-	// < p.n per iteration, so they are tracked incrementally with a
-	// conditional subtract: an integer divide per lookup was a measurable
-	// slice of the butterfly time at every radix above 2.
-	step := p.n / n      // twiddle stride for ω_n
-	stepR := p.n / radix // twiddle stride for ω_radix
-	var t [maxRadix]C
+	// Combine the radix sub-transforms in place: for each k the reads
+	// (dst[j*m+k]) and writes (dst[q*m+k]) touch the same positions.
+	step := pn / n
 	switch radix {
 	case 2:
 		for k := 0; k < m; k++ {
@@ -339,15 +338,28 @@ func (p *PlanOf[C]) rec(dst, src []C, n, stride, fi int, w []C) {
 			dst[k] = a + b
 			dst[m+k] = a - b
 		}
-	case 4:
-		// Radix-4 butterfly: ω_4 powers are ±1, ±i.
-		neg := w[stepR] // -i forward, +i inverse
-		i2, i3 := 0, 0
+	case 3:
+		// y0 = a+s, y1,2 = a + Re(ω₃)·s ± i·Im(ω₃)·d with s = b+c, d = b−c.
+		wr, wi := real(w[pn/3]), imag(w[pn/3])
 		for k := 0; k < m; k++ {
 			a := dst[k]
 			b := dst[m+k] * w[k*step]
-			c := dst[2*m+k] * w[i2]
-			d := dst[3*m+k] * w[i3]
+			c := dst[2*m+k] * w[2*k*step]
+			s, d := b+c, b-c
+			t := complex(real(a)+wr*real(s), imag(a)+wr*imag(s))
+			u := complex(-wi*imag(d), wi*real(d))
+			dst[k] = a + s
+			dst[m+k] = t + u
+			dst[2*m+k] = t - u
+		}
+	case 4:
+		// Radix-4 butterfly: ω_4 powers are ±1, ±i.
+		neg := w[pn/4] // -i forward, +i inverse
+		for k := 0; k < m; k++ {
+			a := dst[k]
+			b := dst[m+k] * w[k*step]
+			c := dst[2*m+k] * w[2*k*step]
+			d := dst[3*m+k] * w[3*k*step]
 			apc, amc := a+c, a-c
 			bpd, bmd := b+d, b-d
 			jbmd := bmd * neg
@@ -355,36 +367,32 @@ func (p *PlanOf[C]) rec(dst, src []C, n, stride, fi int, w []C) {
 			dst[m+k] = amc + jbmd
 			dst[2*m+k] = apc - bpd
 			dst[3*m+k] = amc - jbmd
-			if i2 += 2 * step; i2 >= p.n {
-				i2 -= p.n
-			}
-			if i3 += 3 * step; i3 >= p.n {
-				i3 -= p.n
-			}
 		}
-	default:
-		var idx [maxRadix]int // idx[j] = (j·k·step) mod p.n
+	case 5:
+		// With s1,d1 = x1±x4 and s2,d2 = x2±x3 (x_j twiddled) and
+		// ω₅ = r1+i·i1, ω₅² = r2+i·i2:
+		//   y0    = x0 + s1 + s2
+		//   y1,4  = x0 + r1·s1 + r2·s2 ± i·(i1·d1 + i2·d2)
+		//   y2,3  = x0 + r2·s1 + r1·s2 ± i·(i2·d1 − i1·d2)
+		r1, i1 := real(w[pn/5]), imag(w[pn/5])
+		r2, i2 := real(w[2*pn/5]), imag(w[2*pn/5])
 		for k := 0; k < m; k++ {
-			for j := 0; j < radix; j++ {
-				t[j] = dst[j*m+k] * w[idx[j]]
-			}
-			for q := 0; q < radix; q++ {
-				acc := t[0]
-				qs := q * stepR // < p.n
-				iq := 0         // (j·q·stepR) mod p.n
-				for j := 1; j < radix; j++ {
-					if iq += qs; iq >= p.n {
-						iq -= p.n
-					}
-					acc += t[j] * w[iq]
-				}
-				dst[q*m+k] = acc
-			}
-			for j := 1; j < radix; j++ {
-				if idx[j] += j * step; idx[j] >= p.n {
-					idx[j] -= p.n
-				}
-			}
+			x0 := dst[k]
+			x1 := dst[m+k] * w[k*step]
+			x2 := dst[2*m+k] * w[2*k*step]
+			x3 := dst[3*m+k] * w[3*k*step]
+			x4 := dst[4*m+k] * w[4*k*step]
+			s1, d1 := x1+x4, x1-x4
+			s2, d2 := x2+x3, x2-x3
+			t1 := complex(real(x0)+r1*real(s1)+r2*real(s2), imag(x0)+r1*imag(s1)+r2*imag(s2))
+			u1 := complex(-(i1*imag(d1) + i2*imag(d2)), i1*real(d1)+i2*real(d2))
+			t2 := complex(real(x0)+r2*real(s1)+r1*real(s2), imag(x0)+r2*imag(s1)+r1*imag(s2))
+			u2 := complex(-(i2*imag(d1) - i1*imag(d2)), i2*real(d1)-i1*real(d2))
+			dst[k] = x0 + s1 + s2
+			dst[m+k] = t1 + u1
+			dst[2*m+k] = t2 + u2
+			dst[3*m+k] = t2 - u2
+			dst[4*m+k] = t1 - u1
 		}
 	}
 }

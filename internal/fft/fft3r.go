@@ -29,9 +29,16 @@ func PackedVolume(s tensor.Shape) int { return PackedShape(s).Volume() }
 // r2c X-pass (each real row transforms straight into its packed row), then
 // runs batched complex transforms along Y and Z over the X/2+1 packed
 // columns — roughly half the work and half the memory of a full complex
-// transform. The inverse pass runs the complex Y/Z passes, then applies the
+// transform. The inverse pass runs the complex Z/Y passes, then applies the
 // c2r X-pass only to the rows of the requested crop region, fusing the
 // store, crop, and 1/N normalization.
+//
+// Both directions are pruned (ZNNi's pruned FFTs): the forward X and Y
+// passes run only on the source's rows and z-slabs, since the padding is
+// zero and transforms to zero; the inverse Y and X passes run only on the
+// crop's z-slabs and rows, since nothing else is read. The Z pass runs over
+// every packed column. The pruning is exact: outputs match the unpruned
+// transform bit for bit.
 //
 // A Plan3ROf is safe for concurrent use.
 type Plan3ROf[R tensor.Real, C Complex] struct {
@@ -167,7 +174,7 @@ func (p *Plan3ROf[R, C]) forwardRows(packed []C, ts tensor.Shape, loadRow func(l
 		}
 	}
 	p.linePool.Put(lp)
-	p.complexPasses(packed, false)
+	p.complexPasses(packed, false, 0, ts.Z)
 }
 
 // laneXEligible reports whether the r2c/c2r X pass can run lane-batched
@@ -280,7 +287,7 @@ func (p *Plan3ROf[R, C]) inverseRows(ds tensor.Shape, packed []C, ox, oy, oz int
 		panic(fmt.Sprintf("fft: store region %v at (%d,%d,%d) out of range of %v",
 			ds, ox, oy, oz, p.s))
 	}
-	p.complexPasses(packed, true)
+	p.complexPasses(packed, true, oz, oz+ds.Z)
 	scale := 1 / float64(p.s.Y*p.s.Z)
 	lp := p.linePool.Get().(*[]R)
 	line := *lp
@@ -349,12 +356,14 @@ func laneInverseX[R tensor.Real, C Complex](p *Plan3ROf[R, C], ds tensor.Shape, 
 }
 
 // complexPasses runs the batched complex transforms along Y then Z (or Z
-// then Y for the inverse) over the packed columns.
-func (p *Plan3ROf[R, C]) complexPasses(packed []C, inverse bool) {
+// then Y for the inverse) over the packed columns. The Y pass runs only on
+// the z-slabs [z0, z1): the source's slabs forward, the crop's inverse (see
+// the pruning note on Plan3ROf).
+func (p *Plan3ROf[R, C]) complexPasses(packed []C, inverse bool, z0, z1 int) {
 	if p.s.Y <= 1 && p.s.Z <= 1 {
 		return
 	}
-	if lanePasses3R(p, packed, inverse) {
+	if lanePasses3R(p, packed, inverse, z0, z1) {
 		return
 	}
 	tp := p.tilePool.Get().(*[]C)
@@ -363,7 +372,7 @@ func (p *Plan3ROf[R, C]) complexPasses(packed []C, inverse bool) {
 	plane := xh * p.s.Y
 	if !inverse {
 		if p.s.Y > 1 {
-			for z := 0; z < p.s.Z; z++ {
+			for z := z0; z < z1; z++ {
 				blockLines(p.py, packed, z*plane, xh, xh, p.s.Y, false, tile)
 			}
 		}
@@ -375,7 +384,7 @@ func (p *Plan3ROf[R, C]) complexPasses(packed []C, inverse bool) {
 			blockLines(p.pz, packed, 0, plane, plane, p.s.Z, true, tile)
 		}
 		if p.s.Y > 1 {
-			for z := 0; z < p.s.Z; z++ {
+			for z := z0; z < z1; z++ {
 				blockLines(p.py, packed, z*plane, xh, xh, p.s.Y, true, tile)
 			}
 		}
@@ -385,9 +394,10 @@ func (p *Plan3ROf[R, C]) complexPasses(packed []C, inverse bool) {
 
 // lanePasses3R is the lane-batched Y/Z counterpart of complexPasses: the
 // same column tiling as blockLines, but with the tile in split-stride SoA
-// planes so every butterfly runs 8 columns wide (see lane64.go). Requires
-// complex64 coefficients; reports whether it handled the passes.
-func lanePasses3R[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C, inverse bool) bool {
+// planes so every butterfly runs 8 columns wide (see lane64.go), and the
+// same Y-pass slab range [z0, z1). Requires complex64 coefficients; reports
+// whether it handled the passes.
+func lanePasses3R[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C, inverse bool, z0, z1 int) bool {
 	if !laneBatch || p.lanePool == nil {
 		return false
 	}
@@ -402,7 +412,7 @@ func lanePasses3R[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C, inver
 	plane := xh * p.s.Y
 	if !inverse {
 		if p.s.Y > 1 {
-			for z := 0; z < p.s.Z; z++ {
+			for z := z0; z < z1; z++ {
 				blockLanes64(py, b64, z*plane, xh, xh, p.s.Y, false, lt)
 			}
 		}
@@ -414,7 +424,7 @@ func lanePasses3R[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C, inver
 			blockLanes64(pz, b64, 0, plane, plane, p.s.Z, true, lt)
 		}
 		if p.s.Y > 1 {
-			for z := 0; z < p.s.Z; z++ {
+			for z := z0; z < z1; z++ {
 				blockLanes64(py, b64, z*plane, xh, xh, p.s.Y, true, lt)
 			}
 		}

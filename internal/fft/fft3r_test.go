@@ -158,3 +158,69 @@ func TestPlan3RValidationPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestPlan3RPrunedMatchesFull pins the pruned Y pass as exact, the way
+// convolution uses it on kernels: the forward of a 7³ source into 24³, 30³
+// and 36³ must equal, element for element, the forward of the same data
+// zero-padded to the full shape (which runs every Y slab), and the inverse
+// cropped to 7³ at KernelGrad's offset (out−1 = n−13 for an n−6 image) must
+// equal the full inverse, then cropped. Both precisions; at float32 both
+// the scalar tile path and the lane path, whichever kernels are installed.
+func TestPlan3RPrunedMatchesFull(t *testing.T) {
+	testPruned[float64, complex128](t, "f64", false)
+	testPruned[float32, complex64](t, "f32/scalar", false)
+	testPruned[float32, complex64](t, "f32/lane", true)
+}
+
+func testPruned[R tensor.Real, C Complex](t *testing.T, name string, lane bool) {
+	defer func(old bool) { laneBatch = old }(laneBatch)
+	laneBatch = lane
+	rng := rand.New(rand.NewSource(37))
+	k := tensor.Cube(7)
+	for _, n := range []int{24, 30, 36} {
+		s := tensor.Cube(n)
+		p := NewPlan3ROf[R, C](s)
+		src := tensor.NewOf[R](k)
+		padded := tensor.NewOf[R](s)
+		for z := 0; z < k.Z; z++ {
+			for y := 0; y < k.Y; y++ {
+				for x := 0; x < k.X; x++ {
+					v := R(rng.Float64()*2 - 1)
+					src.Data[k.Index(x, y, z)] = v
+					padded.Data[s.Index(x, y, z)] = v
+				}
+			}
+		}
+		got := make([]C, p.PackedLen())
+		want := make([]C, p.PackedLen())
+		p.Forward(got, src)
+		p.Forward(want, padded)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s n=%d: pruned forward[%d] = %v, full %v", name, n, i, got[i], want[i])
+			}
+		}
+
+		dense := tensor.NewOf[R](s)
+		for i := range dense.Data {
+			dense.Data[i] = R(rng.Float64()*2 - 1)
+		}
+		p.Forward(want, dense)
+		copy(got, want)
+		o := n - 13
+		crop := tensor.NewOf[R](k)
+		p.Inverse(crop, got, o, o, o)
+		full := tensor.NewOf[R](s)
+		p.Inverse(full, want, 0, 0, 0)
+		for z := 0; z < k.Z; z++ {
+			for y := 0; y < k.Y; y++ {
+				for x := 0; x < k.X; x++ {
+					g, w := crop.Data[k.Index(x, y, z)], full.Data[s.Index(o+x, o+y, o+z)]
+					if g != w {
+						t.Fatalf("%s n=%d: pruned inverse (%d,%d,%d) = %v, full %v", name, n, x, y, z, g, w)
+					}
+				}
+			}
+		}
+	}
+}

@@ -9,7 +9,7 @@ package fft
 // butterflies. Spelled out in explicit float32 component arithmetic the
 // same butterflies run at full float32 speed, so the generic entry points
 // dispatch to these kernels when C = complex64. The complex128
-// instantiation keeps the generic code path unchanged.
+// instantiation runs rec, which keeps the builtin complex arithmetic.
 //
 // The flat kernels with AVX2 counterparts carry a Scalar suffix; the
 // undecorated names (mulInto64, scale64, …) are the function variables in
@@ -23,7 +23,7 @@ func mul64(a, b complex64) complex64 {
 	return complex(ar*br-ai*bi, ar*bi+ai*br)
 }
 
-// rec64 mirrors PlanOf.rec with manual float32 butterflies.
+// rec64 mirrors rec with manual float32 butterflies.
 func rec64(factors []int, pn int, dst, src []complex64, n, stride, fi int, w []complex64) {
 	if n == 1 {
 		dst[0] = src[0]
@@ -35,7 +35,6 @@ func rec64(factors []int, pn int, dst, src []complex64, n, stride, fi int, w []c
 		rec64(factors, pn, dst[j*m:(j+1)*m], src[j*stride:], m, stride*radix, fi+1, w)
 	}
 	step := pn / n
-	stepR := pn / radix
 	switch radix {
 	case 2:
 		for k := 0; k < m; k++ {
@@ -48,15 +47,28 @@ func rec64(factors []int, pn int, dst, src []complex64, n, stride, fi int, w []c
 			dst[k] = complex(ar+xr, ai+xi)
 			dst[m+k] = complex(ar-xr, ai-xi)
 		}
-	case 4:
-		neg := w[stepR] // -i forward, +i inverse (to float32 rounding)
-		nr, ni := real(neg), imag(neg)
-		i2, i3 := 0, 0
+	case 3:
+		wr, wi := real(w[pn/3]), imag(w[pn/3])
 		for k := 0; k < m; k++ {
 			a := dst[k]
 			b := mul64(dst[m+k], w[k*step])
-			c := mul64(dst[2*m+k], w[i2])
-			d := mul64(dst[3*m+k], w[i3])
+			c := mul64(dst[2*m+k], w[2*k*step])
+			sR, sI := real(b)+real(c), imag(b)+imag(c)
+			dR, dI := real(b)-real(c), imag(b)-imag(c)
+			tR, tI := real(a)+wr*sR, imag(a)+wr*sI
+			uR, uI := -wi*dI, wi*dR
+			dst[k] = complex(real(a)+sR, imag(a)+sI)
+			dst[m+k] = complex(tR+uR, tI+uI)
+			dst[2*m+k] = complex(tR-uR, tI-uI)
+		}
+	case 4:
+		neg := w[pn/4] // -i forward, +i inverse (to float32 rounding)
+		nr, ni := real(neg), imag(neg)
+		for k := 0; k < m; k++ {
+			a := dst[k]
+			b := mul64(dst[m+k], w[k*step])
+			c := mul64(dst[2*m+k], w[2*k*step])
+			d := mul64(dst[3*m+k], w[3*k*step])
 			apcR, apcI := real(a)+real(c), imag(a)+imag(c)
 			amcR, amcI := real(a)-real(c), imag(a)-imag(c)
 			bpdR, bpdI := real(b)+real(d), imag(b)+imag(d)
@@ -67,40 +79,29 @@ func rec64(factors []int, pn int, dst, src []complex64, n, stride, fi int, w []c
 			dst[m+k] = complex(amcR+jr, amcI+ji)
 			dst[2*m+k] = complex(apcR-bpdR, apcI-bpdI)
 			dst[3*m+k] = complex(amcR-jr, amcI-ji)
-			if i2 += 2 * step; i2 >= pn {
-				i2 -= pn
-			}
-			if i3 += 3 * step; i3 >= pn {
-				i3 -= pn
-			}
 		}
-	default:
-		var t [maxRadix]complex64
-		var idx [maxRadix]int // idx[j] = (j·k·step) mod pn
+	case 5:
+		r1, i1 := real(w[pn/5]), imag(w[pn/5])
+		r2, i2 := real(w[2*pn/5]), imag(w[2*pn/5])
 		for k := 0; k < m; k++ {
-			for j := 0; j < radix; j++ {
-				t[j] = mul64(dst[j*m+k], w[idx[j]])
-			}
-			for q := 0; q < radix; q++ {
-				accR, accI := real(t[0]), imag(t[0])
-				qs := q * stepR // < pn
-				iq := 0         // (j·q·stepR) mod pn
-				for j := 1; j < radix; j++ {
-					x := t[j]
-					if iq += qs; iq >= pn {
-						iq -= pn
-					}
-					tw := w[iq]
-					accR += real(x)*real(tw) - imag(x)*imag(tw)
-					accI += real(x)*imag(tw) + imag(x)*real(tw)
-				}
-				dst[q*m+k] = complex(accR, accI)
-			}
-			for j := 1; j < radix; j++ {
-				if idx[j] += j * step; idx[j] >= pn {
-					idx[j] -= pn
-				}
-			}
+			x0 := dst[k]
+			x1 := mul64(dst[m+k], w[k*step])
+			x2 := mul64(dst[2*m+k], w[2*k*step])
+			x3 := mul64(dst[3*m+k], w[3*k*step])
+			x4 := mul64(dst[4*m+k], w[4*k*step])
+			s1R, s1I := real(x1)+real(x4), imag(x1)+imag(x4)
+			d1R, d1I := real(x1)-real(x4), imag(x1)-imag(x4)
+			s2R, s2I := real(x2)+real(x3), imag(x2)+imag(x3)
+			d2R, d2I := real(x2)-real(x3), imag(x2)-imag(x3)
+			t1R, t1I := real(x0)+r1*s1R+r2*s2R, imag(x0)+r1*s1I+r2*s2I
+			u1R, u1I := -(i1*d1I + i2*d2I), i1*d1R+i2*d2R
+			t2R, t2I := real(x0)+r2*s1R+r1*s2R, imag(x0)+r2*s1I+r1*s2I
+			u2R, u2I := -(i2*d1I - i1*d2I), i2*d1R-i1*d2R
+			dst[k] = complex(real(x0)+s1R+s2R, imag(x0)+s1I+s2I)
+			dst[m+k] = complex(t1R+u1R, t1I+u1I)
+			dst[2*m+k] = complex(t2R+u2R, t2I+u2I)
+			dst[3*m+k] = complex(t2R-u2R, t2I-u2I)
+			dst[4*m+k] = complex(t1R-u1R, t1I-u1I)
 		}
 	}
 }

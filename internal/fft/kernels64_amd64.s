@@ -15,9 +15,11 @@
 //     transform is 8 contiguous float32 values per plane (32 bytes, one
 //     YMM), so every butterfly is pure vertical arithmetic with the
 //     twiddle components broadcast from the complex64 table (real at
-//     byte offset 8·i, imaginary at 8·i+4). Twiddle indices that wrap
-//     modulo pn advance incrementally with a compare-and-subtract, the
-//     same bookkeeping as the scalar rec64.
+//     byte offset 8·i, imaginary at 8·i+4). There is one body per radix
+//     the plans produce: 2, 3, 4 and 5. Leg j of a radix-r level reads
+//     twiddle j·k·step, which stays below pn (k < n/r), so radix 3 and 5
+//     address it as a scaled multiple of k·step; radix 4 keeps an
+//     incremental compare-and-subtract that never fires.
 //
 // All routines are NOSPLIT leaf functions and end with VZEROUPPER to avoid
 // AVX→SSE transition stalls in the surrounding Go code.
@@ -253,6 +255,237 @@ r4i2ok:
 r4i3ok:
 	DECQ CX
 	JNZ  r4loop
+	VZEROUPPER
+	RET
+
+// func bfLaneR3Asm(dre, dim *float32, m int, w *complex64, step int, wr, wi float32)
+//
+// Radix-3 lane butterfly, mirroring rec64's case 3: legs b/c are twiddled
+// by w[k·step], w[2k·step] (no wrap: 2k·step < pn), then with s = b+c,
+// d = b−c and ω₃ = wr+i·wi:
+//   y0 = a+s;  y1,2 = a + wr·s ± i·wi·d
+TEXT ·bfLaneR3Asm(SB), NOSPLIT, $0-48
+	MOVQ dre+0(FP), DI
+	MOVQ dim+8(FP), SI
+	MOVQ m+16(FP), CX
+	MOVQ w+24(FP), DX
+	MOVQ step+32(FP), BX
+	VBROADCASTSS wr+40(FP), Y14
+	VBROADCASTSS wi+44(FP), Y15
+	MOVQ CX, R8
+	SHLQ $5, R8                    // m·32
+	SHLQ $3, BX                    // step·8
+	XORQ R9, R9                    // k·step·8
+	XORQ R10, R10                  // k·32
+
+r3loop:
+	// b' = w[k·step]·dst[m+k]
+	LEAQ (R10)(R8*1), AX
+	VBROADCASTSS (DX)(R9*1), Y0
+	VBROADCASTSS 4(DX)(R9*1), Y1
+	VMOVUPS (DI)(AX*1), Y2
+	VMOVUPS (SI)(AX*1), Y3
+	VMULPS       Y0, Y2, Y4
+	VFNMADD231PS Y1, Y3, Y4        // br'
+	VMULPS       Y1, Y2, Y5
+	VFMADD231PS  Y0, Y3, Y5        // bi'
+
+	// c' = w[2k·step]·dst[2m+k]
+	LEAQ (R10)(R8*2), AX
+	VBROADCASTSS (DX)(R9*2), Y0
+	VBROADCASTSS 4(DX)(R9*2), Y1
+	VMOVUPS (DI)(AX*1), Y2
+	VMOVUPS (SI)(AX*1), Y3
+	VMULPS       Y0, Y2, Y6
+	VFNMADD231PS Y1, Y3, Y6        // cr'
+	VMULPS       Y1, Y2, Y7
+	VFMADD231PS  Y0, Y3, Y7        // ci'
+
+	VADDPS Y6, Y4, Y8              // sR
+	VSUBPS Y6, Y4, Y9              // dR
+	VADDPS Y7, Y5, Y10             // sI
+	VSUBPS Y7, Y5, Y11             // dI
+
+	// a = dst[k]; y0 = a+s
+	VMOVUPS (DI)(R10*1), Y0        // ar
+	VMOVUPS (SI)(R10*1), Y1        // ai
+	VADDPS Y8, Y0, Y2
+	VADDPS Y10, Y1, Y3
+	VMOVUPS Y2, (DI)(R10*1)
+	VMOVUPS Y3, (SI)(R10*1)
+
+	// t = a + wr·s;  i·wi·d = (−wi·dI, wi·dR)
+	VFMADD231PS Y14, Y8, Y0        // tR
+	VFMADD231PS Y14, Y10, Y1       // tI
+	VMULPS Y15, Y11, Y4            // wi·dI
+	VMULPS Y15, Y9, Y5             // wi·dR
+	VSUBPS Y4, Y0, Y2              // y1.re = tR − wi·dI
+	VADDPS Y4, Y0, Y3              // y2.re = tR + wi·dI
+	VADDPS Y5, Y1, Y6              // y1.im = tI + wi·dR
+	VSUBPS Y5, Y1, Y7              // y2.im = tI − wi·dR
+	VMOVUPS Y3, (DI)(AX*1)         // AX still addresses dst[2m+k]
+	VMOVUPS Y7, (SI)(AX*1)
+	SUBQ R8, AX
+	VMOVUPS Y2, (DI)(AX*1)
+	VMOVUPS Y6, (SI)(AX*1)
+
+	ADDQ $32, R10
+	ADDQ BX, R9
+	DECQ CX
+	JNZ  r3loop
+	VZEROUPPER
+	RET
+
+// func bfLaneR5Asm(dre, dim *float32, m int, w *complex64, step int, r1, i1, r2, i2 float32)
+//
+// Radix-5 lane butterfly, mirroring rec64's case 5: legs 1..4 are twiddled
+// by w[j·k·step] (no wrap: 4k·step < pn), then with s1,d1 = x1±x4,
+// s2,d2 = x2±x3, ω₅ = r1+i·i1 and ω₅² = r2+i·i2:
+//   y0   = x0 + s1 + s2
+//   y1,4 = x0 + r1·s1 + r2·s2 ± i·(i1·d1 + i2·d2)
+//   y2,3 = x0 + r2·s1 + r1·s2 ± i·(i2·d1 − i1·d2)
+// r1 and r2 stay in registers; i1 and i2 are re-broadcast from the
+// argument frame, since the ten live data vectors leave too few YMMs.
+TEXT ·bfLaneR5Asm(SB), NOSPLIT, $0-56
+	MOVQ dre+0(FP), DI
+	MOVQ dim+8(FP), SI
+	MOVQ m+16(FP), CX
+	MOVQ w+24(FP), DX
+	MOVQ step+32(FP), BX
+	VBROADCASTSS r1+40(FP), Y14
+	VBROADCASTSS r2+48(FP), Y15
+	MOVQ CX, R8
+	SHLQ $5, R8                    // m·32
+	SHLQ $3, BX                    // step·8
+	XORQ R9, R9                    // k·step·8
+	XORQ R10, R10                  // k·32
+
+r5loop:
+	// x1' = w[k·step]·dst[m+k]
+	LEAQ (R10)(R8*1), AX
+	VBROADCASTSS (DX)(R9*1), Y0
+	VBROADCASTSS 4(DX)(R9*1), Y1
+	VMOVUPS (DI)(AX*1), Y2
+	VMOVUPS (SI)(AX*1), Y3
+	VMULPS       Y0, Y2, Y4
+	VFNMADD231PS Y1, Y3, Y4
+	VMULPS       Y1, Y2, Y5
+	VFMADD231PS  Y0, Y3, Y5
+
+	// x4' = w[4k·step]·dst[4m+k]
+	LEAQ (R10)(R8*4), AX
+	VBROADCASTSS (DX)(R9*4), Y0
+	VBROADCASTSS 4(DX)(R9*4), Y1
+	VMOVUPS (DI)(AX*1), Y2
+	VMOVUPS (SI)(AX*1), Y3
+	VMULPS       Y0, Y2, Y6
+	VFNMADD231PS Y1, Y3, Y6
+	VMULPS       Y1, Y2, Y7
+	VFMADD231PS  Y0, Y3, Y7
+
+	VADDPS Y6, Y4, Y8              // s1R
+	VSUBPS Y6, Y4, Y4              // d1R
+	VADDPS Y7, Y5, Y9              // s1I
+	VSUBPS Y7, Y5, Y5              // d1I
+
+	// x2' = w[2k·step]·dst[2m+k]
+	LEAQ (R10)(R8*2), AX
+	VBROADCASTSS (DX)(R9*2), Y0
+	VBROADCASTSS 4(DX)(R9*2), Y1
+	VMOVUPS (DI)(AX*1), Y2
+	VMOVUPS (SI)(AX*1), Y3
+	VMULPS       Y0, Y2, Y6
+	VFNMADD231PS Y1, Y3, Y6
+	VMULPS       Y1, Y2, Y7
+	VFMADD231PS  Y0, Y3, Y7
+
+	// x3' = w[3k·step]·dst[3m+k]
+	ADDQ R8, AX
+	LEAQ (R9)(R9*2), R11
+	VBROADCASTSS (DX)(R11*1), Y0
+	VBROADCASTSS 4(DX)(R11*1), Y1
+	VMOVUPS (DI)(AX*1), Y2
+	VMOVUPS (SI)(AX*1), Y3
+	VMULPS       Y0, Y2, Y10
+	VFNMADD231PS Y1, Y3, Y10
+	VMULPS       Y1, Y2, Y11
+	VFMADD231PS  Y0, Y3, Y11
+
+	VADDPS Y10, Y6, Y0             // s2R
+	VSUBPS Y10, Y6, Y6             // d2R
+	VADDPS Y11, Y7, Y1             // s2I
+	VSUBPS Y11, Y7, Y7             // d2I
+
+	// x0 = dst[k]; y0 = x0 + s1 + s2
+	VMOVUPS (DI)(R10*1), Y2        // x0R
+	VMOVUPS (SI)(R10*1), Y3        // x0I
+	VADDPS Y8, Y2, Y10
+	VADDPS Y0, Y10, Y10
+	VMOVUPS Y10, (DI)(R10*1)
+	VADDPS Y9, Y3, Y10
+	VADDPS Y1, Y10, Y10
+	VMOVUPS Y10, (SI)(R10*1)
+
+	// y1,4.re = (x0R + r1·s1R + r2·s2R) ∓ (i1·d1I + i2·d2I)
+	VMOVAPS Y2, Y10
+	VFMADD231PS Y14, Y8, Y10
+	VFMADD231PS Y15, Y0, Y10
+	VBROADCASTSS i1+44(FP), Y12
+	VBROADCASTSS i2+52(FP), Y13
+	VMULPS      Y12, Y5, Y11
+	VFMADD231PS Y13, Y7, Y11
+	VSUBPS Y11, Y10, Y12
+	VADDPS Y11, Y10, Y10
+	LEAQ (R10)(R8*1), AX
+	VMOVUPS Y12, (DI)(AX*1)        // y1.re
+	LEAQ (R10)(R8*4), R11
+	VMOVUPS Y10, (DI)(R11*1)       // y4.re
+
+	// y1,4.im = (x0I + r1·s1I + r2·s2I) ± (i1·d1R + i2·d2R)
+	VMOVAPS Y3, Y10
+	VFMADD231PS Y14, Y9, Y10
+	VFMADD231PS Y15, Y1, Y10
+	VBROADCASTSS i1+44(FP), Y12
+	VBROADCASTSS i2+52(FP), Y13
+	VMULPS      Y12, Y4, Y11
+	VFMADD231PS Y13, Y6, Y11
+	VADDPS Y11, Y10, Y12
+	VSUBPS Y11, Y10, Y10
+	VMOVUPS Y12, (SI)(AX*1)        // y1.im
+	VMOVUPS Y10, (SI)(R11*1)       // y4.im
+
+	// y2,3.re = (x0R + r2·s1R + r1·s2R) ∓ (i2·d1I − i1·d2I)
+	VMOVAPS Y2, Y10
+	VFMADD231PS Y15, Y8, Y10
+	VFMADD231PS Y14, Y0, Y10
+	VBROADCASTSS i2+52(FP), Y12
+	VBROADCASTSS i1+44(FP), Y13
+	VMULPS       Y12, Y5, Y11
+	VFNMADD231PS Y13, Y7, Y11
+	VSUBPS Y11, Y10, Y12
+	VADDPS Y11, Y10, Y10
+	LEAQ (R10)(R8*2), AX
+	VMOVUPS Y12, (DI)(AX*1)        // y2.re
+	LEAQ (AX)(R8*1), R11
+	VMOVUPS Y10, (DI)(R11*1)       // y3.re
+
+	// y2,3.im = (x0I + r2·s1I + r1·s2I) ± (i2·d1R − i1·d2R)
+	VMOVAPS Y3, Y10
+	VFMADD231PS Y15, Y9, Y10
+	VFMADD231PS Y14, Y1, Y10
+	VBROADCASTSS i2+52(FP), Y12
+	VBROADCASTSS i1+44(FP), Y13
+	VMULPS       Y12, Y4, Y11
+	VFNMADD231PS Y13, Y6, Y11
+	VADDPS Y11, Y10, Y12
+	VSUBPS Y11, Y10, Y10
+	VMOVUPS Y12, (SI)(AX*1)        // y2.im
+	VMOVUPS Y10, (SI)(R11*1)       // y3.im
+
+	ADDQ $32, R10
+	ADDQ BX, R9
+	DECQ CX
+	JNZ  r5loop
 	VZEROUPPER
 	RET
 

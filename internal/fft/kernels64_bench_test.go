@@ -106,3 +106,27 @@ func BenchmarkR2CCombine64(b *testing.B) {
 		func() { r2cLaneCombine(zre, zim, outRe, outIm, wf, m) },
 		func() { r2cLaneCombineGo(zre, zim, outRe, outIm, wf, m) })
 }
+
+// The radix-3 and radix-5 lane butterflies run over a 60-point twiddle
+// table (60 = 4·3·5, infer_cube_f32's transform extent) at step 1: m = 20
+// and m = 12, one whole-table sweep each. They mutate in place like the
+// pairs above.
+const benchPN35 = 60
+
+func BenchmarkLaneR3(b *testing.B) {
+	w := twiddlesOf[complex64](benchPN35, -1)
+	t := w[benchPN35/3]
+	re, im := lanePlanes(benchPN35, 0.01)
+	benchPair(b, len(re)*4*2*2,
+		func() { bfLaneR3(re, im, benchPN35/3, w, 1, real(t), imag(t)) },
+		func() { bfLaneR3Go(re, im, benchPN35/3, w, 1, real(t), imag(t)) })
+}
+
+func BenchmarkLaneR5(b *testing.B) {
+	w := twiddlesOf[complex64](benchPN35, -1)
+	t1, t2 := w[benchPN35/5], w[2*benchPN35/5]
+	re, im := lanePlanes(benchPN35, 0.01)
+	benchPair(b, len(re)*4*2*2,
+		func() { bfLaneR5(re, im, benchPN35/5, w, 1, real(t1), imag(t1), real(t2), imag(t2)) },
+		func() { bfLaneR5Go(re, im, benchPN35/5, w, 1, real(t1), imag(t1), real(t2), imag(t2)) })
+}

@@ -5,6 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"znn/internal/cpu"
@@ -119,10 +122,18 @@ func laneButterflyParity(t *testing.T, m, pn, step int, inverse bool, radix int)
 	case 2:
 		bfLaneR2Go(re, im, m, w, step)
 		bfLaneR2(re2, im2, m, w, step)
+	case 3:
+		t := w[pn/3]
+		bfLaneR3Go(re, im, m, w, step, real(t), imag(t))
+		bfLaneR3(re2, im2, m, w, step, real(t), imag(t))
 	case 4:
 		neg := w[pn/4]
 		bfLaneR4Go(re, im, m, pn, w, step, real(neg), imag(neg))
 		bfLaneR4(re2, im2, m, pn, w, step, real(neg), imag(neg))
+	case 5:
+		t1, t2 := w[pn/5], w[2*pn/5]
+		bfLaneR5Go(re, im, m, w, step, real(t1), imag(t1), real(t2), imag(t2))
+		bfLaneR5(re2, im2, m, w, step, real(t1), imag(t1), real(t2), imag(t2))
 	}
 	for i := range re {
 		c64Near(t, fmt.Sprintf("bfLaneR%d m=%d pn=%d step=%d inv=%v", radix, m, pn, step, inverse),
@@ -146,6 +157,13 @@ func TestLaneButterflyParity(t *testing.T) {
 		laneButterflyParity(t, 12, 48, 1, inverse, 4)
 		laneButterflyParity(t, 12, 96, 2, inverse, 4)
 		laneButterflyParity(t, 25, 100, 1, inverse, 4)
+		laneButterflyParity(t, 1, 3, 1, inverse, 3)
+		laneButterflyParity(t, 4, 12, 1, inverse, 3)
+		laneButterflyParity(t, 12, 36, 1, inverse, 3)
+		laneButterflyParity(t, 20, 120, 2, inverse, 3)
+		laneButterflyParity(t, 1, 5, 1, inverse, 5)
+		laneButterflyParity(t, 12, 60, 1, inverse, 5)
+		laneButterflyParity(t, 6, 60, 2, inverse, 5)
 	}
 }
 
@@ -231,8 +249,9 @@ func recLane64ref(factors []int, n int, dst, src []complex64, w []complex64) {
 
 // TestKernelDispatchAVX2 is CI's proof that the assembly actually runs on
 // the host: with ZNN_REQUIRE_AVX2=1 it fails (rather than skips) when the
-// AVX2 path is not installed, then drives a transform + pointwise product
-// and asserts the dispatch counter advanced.
+// AVX2 path is not installed, checks that every lane butterfly the plans
+// reach (radix 2, 3, 4 and 5) is its AVX2 body, then drives a pointwise
+// product and asserts the dispatch counter advanced.
 func TestKernelDispatchAVX2(t *testing.T) {
 	require := os.Getenv("ZNN_REQUIRE_AVX2") != ""
 	if KernelPath() != "avx2" {
@@ -240,6 +259,14 @@ func TestKernelDispatchAVX2(t *testing.T) {
 			t.Fatalf("ZNN_REQUIRE_AVX2 set but kernel path is %q (cpu: %+v)", KernelPath(), cpu.X86)
 		}
 		t.Skipf("kernel path %q: AVX2 not available", KernelPath())
+	}
+	for name, fn := range map[string]any{
+		"bfLaneR2": bfLaneR2, "bfLaneR3": bfLaneR3, "bfLaneR4": bfLaneR4, "bfLaneR5": bfLaneR5,
+	} {
+		got := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
+		if !strings.HasSuffix(got, "."+name+"AVX2") {
+			t.Errorf("%s dispatches to %s, want the AVX2 body", name, got)
+		}
 	}
 	before := KernelDispatches()
 	a := randC64(rand.New(rand.NewSource(1)), 1024)

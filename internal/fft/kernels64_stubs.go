@@ -22,7 +22,13 @@ func scale64Asm(data *complex64, n int, s float32)
 func bfLaneR2Asm(dre, dim *float32, m int, w *complex64, step int)
 
 //go:noescape
+func bfLaneR3Asm(dre, dim *float32, m int, w *complex64, step int, wr, wi float32)
+
+//go:noescape
 func bfLaneR4Asm(dre, dim *float32, m, pn int, w *complex64, step int, nr, ni float32)
+
+//go:noescape
+func bfLaneR5Asm(dre, dim *float32, m int, w *complex64, step int, r1, i1, r2, i2 float32)
 
 //go:noescape
 func r2cLaneCombineAsm(zre, zim, outre, outim *float32, wf *complex64, m int)

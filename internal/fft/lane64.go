@@ -8,9 +8,9 @@ package fft
 // float32 arithmetic over 8 contiguous floats with a broadcast twiddle and
 // no cross-lane dependencies — exactly the shape an 8-wide AVX2 register
 // executes in one instruction per operation, and the shape the hand
-// assembly in kernels64_amd64.s implements for radix 2 and 4 and the
-// r2c/c2r split passes. Radix 3 and 5 stay in the Go lane kernels below
-// (still lane-batched: one twiddle load feeds 8 lines).
+// assembly in kernels64_amd64.s implements for every radix the plans
+// produce (2, 3, 4 and 5) and for the r2c/c2r split passes. The Go lane
+// kernels below are the portable twins of those bodies.
 //
 // The lane count matches lineBlock, so the lane path is a drop-in
 // replacement for the blockLines cache tiling: the gather that used to
@@ -44,9 +44,9 @@ func newLaneTile(n int) *laneTile {
 
 // recLane64 is rec64 across lanes independent lines: dst and src are SoA
 // plane pairs, with logical element j of this sub-transform at plane index
-// j*stride*lanes (src) and j*lanes (dst). The recursion structure and the
-// incremental twiddle indexing mirror rec64 exactly; only the innermost
-// arithmetic widens from one complex value to lanes of them.
+// j*stride*lanes (src) and j*lanes (dst). The recursion structure mirrors
+// rec64 exactly; only the innermost arithmetic widens from one complex
+// value to lanes of them.
 func recLane64(factors []int, pn int, dstRe, dstIm, srcRe, srcIm []float32, n, stride, fi int, w []complex64) {
 	if n == 1 {
 		copy(dstRe[:lanes], srcRe[:lanes])
@@ -63,11 +63,15 @@ func recLane64(factors []int, pn int, dstRe, dstIm, srcRe, srcIm []float32, n, s
 	switch radix {
 	case 2:
 		bfLaneR2(dstRe, dstIm, m, w, step)
+	case 3:
+		t := w[pn/3] // ω₃ (to float32 rounding)
+		bfLaneR3(dstRe, dstIm, m, w, step, real(t), imag(t))
 	case 4:
 		neg := w[pn/4] // -i forward, +i inverse (to float32 rounding)
 		bfLaneR4(dstRe, dstIm, m, pn, w, step, real(neg), imag(neg))
-	default:
-		bfLaneGenGo(dstRe, dstIm, m, pn, w, step, pn/radix, radix)
+	case 5:
+		t1, t2 := w[pn/5], w[2*pn/5] // ω₅, ω₅²
+		bfLaneR5(dstRe, dstIm, m, w, step, real(t1), imag(t1), real(t2), imag(t2))
 	}
 }
 
@@ -129,48 +133,62 @@ func bfLaneR4Go(dre, dim []float32, m, pn int, w []complex64, step int, nr, ni f
 	}
 }
 
-// bfLaneGenGo handles the remaining radices (3 and 5) with the same
-// incremental twiddle bookkeeping as rec64's default case, lane-batched.
-// It has no assembly counterpart: one broadcast twiddle still feeds 8
-// lanes of straight-line float32 math, which is most of the win.
-func bfLaneGenGo(dre, dim []float32, m, pn int, w []complex64, step, stepR, radix int) {
-	var tre, tim [maxRadix][lanes]float32
-	var idx [maxRadix]int // idx[j] = (j·k·step) mod pn
+// bfLaneR3Go is the portable radix-3 lane butterfly, the lane-batched
+// mirror of rec64's case 3 (wr+i·wi is ω₃, the third-turn twiddle).
+func bfLaneR3Go(dre, dim []float32, m int, w []complex64, step int, wr, wi float32) {
 	for k := 0; k < m; k++ {
-		for j := 0; j < radix; j++ {
-			t := w[idx[j]]
-			wr, wi := real(t), imag(t)
-			o := (j*m + k) * lanes
-			for c := 0; c < lanes; c++ {
-				xr, xi := dre[o+c], dim[o+c]
-				tre[j][c] = xr*wr - xi*wi
-				tim[j][c] = xr*wi + xi*wr
-			}
+		t1 := w[k*step]
+		t2 := w[2*k*step]
+		o0, o1, o2 := k*lanes, (m+k)*lanes, (2*m+k)*lanes
+		for c := 0; c < lanes; c++ {
+			ar, ai := dre[o0+c], dim[o0+c]
+			xr, xi := dre[o1+c], dim[o1+c]
+			br := xr*real(t1) - xi*imag(t1)
+			bi := xr*imag(t1) + xi*real(t1)
+			xr, xi = dre[o2+c], dim[o2+c]
+			cr := xr*real(t2) - xi*imag(t2)
+			ci := xr*imag(t2) + xi*real(t2)
+			sr, si := br+cr, bi+ci
+			dr, di := br-cr, bi-ci
+			tr, ti := ar+wr*sr, ai+wr*si
+			ur, ui := -wi*di, wi*dr
+			dre[o0+c], dim[o0+c] = ar+sr, ai+si
+			dre[o1+c], dim[o1+c] = tr+ur, ti+ui
+			dre[o2+c], dim[o2+c] = tr-ur, ti-ui
 		}
-		for q := 0; q < radix; q++ {
-			accR, accI := tre[0], tim[0]
-			qs := q * stepR // < pn
-			iq := 0         // (j·q·stepR) mod pn
-			for j := 1; j < radix; j++ {
-				if iq += qs; iq >= pn {
-					iq -= pn
-				}
-				t := w[iq]
-				wr, wi := real(t), imag(t)
-				for c := 0; c < lanes; c++ {
-					accR[c] += tre[j][c]*wr - tim[j][c]*wi
-					accI[c] += tre[j][c]*wi + tim[j][c]*wr
-				}
-			}
-			o := (q*m + k) * lanes
-			for c := 0; c < lanes; c++ {
-				dre[o+c], dim[o+c] = accR[c], accI[c]
-			}
+	}
+}
+
+// bfLaneR5Go is the portable radix-5 lane butterfly, the lane-batched
+// mirror of rec64's case 5 (r1+i·i1 is ω₅, r2+i·i2 is ω₅²).
+func bfLaneR5Go(dre, dim []float32, m int, w []complex64, step int, r1, i1, r2, i2 float32) {
+	var xr, xi [5]float32
+	for k := 0; k < m; k++ {
+		var t [5]complex64
+		for j := 1; j < 5; j++ {
+			t[j] = w[j*k*step]
 		}
-		for j := 1; j < radix; j++ {
-			if idx[j] += j * step; idx[j] >= pn {
-				idx[j] -= pn
+		for c := 0; c < lanes; c++ {
+			xr[0], xi[0] = dre[k*lanes+c], dim[k*lanes+c]
+			for j := 1; j < 5; j++ {
+				o := (j*m+k)*lanes + c
+				vr, vi := dre[o], dim[o]
+				xr[j] = vr*real(t[j]) - vi*imag(t[j])
+				xi[j] = vr*imag(t[j]) + vi*real(t[j])
 			}
+			s1r, s1i := xr[1]+xr[4], xi[1]+xi[4]
+			d1r, d1i := xr[1]-xr[4], xi[1]-xi[4]
+			s2r, s2i := xr[2]+xr[3], xi[2]+xi[3]
+			d2r, d2i := xr[2]-xr[3], xi[2]-xi[3]
+			t1r, t1i := xr[0]+r1*s1r+r2*s2r, xi[0]+r1*s1i+r2*s2i
+			u1r, u1i := -(i1*d1i + i2*d2i), i1*d1r+i2*d2r
+			t2r, t2i := xr[0]+r2*s1r+r1*s2r, xi[0]+r2*s1i+r1*s2i
+			u2r, u2i := -(i2*d1i - i1*d2i), i2*d1r-i1*d2r
+			dre[k*lanes+c], dim[k*lanes+c] = xr[0]+s1r+s2r, xi[0]+s1i+s2i
+			dre[(m+k)*lanes+c], dim[(m+k)*lanes+c] = t1r+u1r, t1i+u1i
+			dre[(2*m+k)*lanes+c], dim[(2*m+k)*lanes+c] = t2r+u2r, t2i+u2i
+			dre[(3*m+k)*lanes+c], dim[(3*m+k)*lanes+c] = t2r-u2r, t2i-u2i
+			dre[(4*m+k)*lanes+c], dim[(4*m+k)*lanes+c] = t1r-u1r, t1i-u1i
 		}
 	}
 }

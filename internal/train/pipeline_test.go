@@ -2,10 +2,12 @@ package train
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"znn/internal/chaos"
 	"znn/internal/conv"
@@ -342,6 +344,12 @@ func TestErroredRoundKeepsLastSuccessfulState(t *testing.T) {
 // so none of its per-edge fences release normally — and asserts the error
 // stays on that round while the third round still completes (the finish
 // backstop force-releases the dead round's fences).
+//
+// The order in which in-flight rounds' provider tasks run is not part of
+// the contract (they share one priority, and the per-edge fences are what
+// order the weight use), so a hit-counting fault cannot pick a round by
+// submission order. Instead the panic is armed only between round 0's
+// provider hit and round 1's, and round 2 is submitted after it fired.
 func TestPipelineErrorDoesNotWedgeSuccessor(t *testing.T) {
 	nw, err := net.Build(net.MustParse("C3-Ttanh-C3"), net.BuildOptions{Width: 2, OutputExtent: 2, Seed: 15})
 	if err != nil {
@@ -354,17 +362,38 @@ func TestPipelineErrorDoesNotWedgeSuccessor(t *testing.T) {
 	}
 	defer en.Close()
 
-	chaos.Set("round.dispatch", chaos.Fault{Panic: "mid-session fault", After: 1, Count: 1})
+	const point = "round.dispatch"
 	defer chaos.ClearAll()
-
+	// awaitHit waits until the provider of the round just submitted has
+	// reached the chaos point.
+	awaitHit := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); chaos.Hits(point) == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("no provider task reached the chaos point")
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
 	tp := en.StartPipeline()
 	var prs []*PendingRound
 	for i := range ins {
+		switch i {
+		case 0:
+			chaos.Set(point, chaos.Fault{After: math.MaxInt}) // counts hits, never fires
+		case 1:
+			chaos.Set(point, chaos.Fault{Panic: "mid-session fault", Count: 1})
+		case 2:
+			chaos.Clear(point)
+		}
 		pr, err := tp.Submit(ins[i], des[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 		prs = append(prs, pr)
+		if i < 2 {
+			awaitHit()
+		}
 	}
 	if _, err := prs[0].Wait(); err != nil {
 		t.Fatalf("round 0 failed: %v", err)
