@@ -120,7 +120,7 @@ func benchTrainingRound(b *testing.B, workers int, policy sched.Policy) {
 	nw, err := net.Build(net.MustParse("C3-Trelu-M2-C3-Trelu-M2-C3-Trelu-C3-Trelu"),
 		net.BuildOptions{
 			Width: 4, OutWidth: 4, OutputExtent: 8,
-			Tuner: &conv.Autotuner{Policy: conv.TuneForceDirect}, Seed: 3,
+			Method: conv.Direct, Seed: 3,
 		})
 	if err != nil {
 		b.Fatal(err)
@@ -146,7 +146,7 @@ func BenchmarkFig7SerialBaseline(b *testing.B) {
 	nw, err := net.Build(net.MustParse("C3-Trelu-M2-C3-Trelu-M2-C3-Trelu-C3-Trelu"),
 		net.BuildOptions{
 			Width: 4, OutWidth: 4, OutputExtent: 8,
-			Tuner: &conv.Autotuner{Policy: conv.TuneForceDirect}, Seed: 3,
+			Method: conv.Direct, Seed: 3,
 		})
 	if err != nil {
 		b.Fatal(err)
@@ -170,15 +170,15 @@ func BenchmarkFig7SerialBaseline(b *testing.B) {
 
 func benchGPUComparison(b *testing.B, znnSide bool, kernel int) {
 	spec := fmt.Sprintf("C%d-Trelu-P2-C%d-Trelu-C%d-Trelu", kernel, kernel, kernel)
-	tune := conv.TuneForceDirect
+	method := conv.Direct
 	memo := false
 	if znnSide {
-		tune = conv.TuneForceFFT
+		method = conv.FFT
 		memo = true
 	}
 	nw, err := net.Build(net.MustParse(spec), net.BuildOptions{
 		Width: 4, OutWidth: 4, Dims: 2, OutputExtent: 2,
-		Tuner: &conv.Autotuner{Policy: tune}, Memoize: memo, Seed: 5,
+		Method: method, Memoize: memo, Seed: 5,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -257,7 +257,7 @@ func BenchmarkSchedulerSteal(b *testing.B) { benchTrainingRound(b, 2, sched.Poli
 func benchMemoization(b *testing.B, memoize bool) {
 	nw, err := net.Build(net.MustParse("C5-Trelu-C5-Trelu"), net.BuildOptions{
 		Width: 4, OutWidth: 4, Dims: 2, OutputExtent: 16,
-		Tuner: &conv.Autotuner{Policy: conv.TuneForceFFT}, Memoize: memoize, Seed: 8,
+		Method: conv.FFT, Memoize: memoize, Seed: 8,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -321,7 +321,7 @@ func BenchmarkFFT3R96F32(b *testing.B) { benchFFT3R[float32, complex64](b, 96) }
 func benchSpectralRound96(b *testing.B, prec conv.Precision) {
 	nw, err := net.Build(net.MustParse("C5"), net.BuildOptions{
 		Width: 2, InWidth: 2, OutWidth: 2, InputExtent: 92,
-		Tuner:   &conv.Autotuner{Policy: conv.TuneForceFFT, Precision: prec},
+		Method:  conv.FFT,
 		Memoize: true, Seed: 8,
 	})
 	if err != nil {
@@ -541,7 +541,8 @@ func BenchmarkPlanRegimes(b *testing.B) {
 //
 // benchmark/ has no profile flag, so these two run its FFT workloads'
 // networks, shapes and modes through the public API under go test, where
-// -cpuprofile works:
+// -cpuprofile works (BenchmarkWorkloadTrainAnisoAuto, in workload_test.go,
+// mirrors train_aniso_auto the same way):
 //
 //	go test -run '^$' -bench WorkloadTrainFFT7 -benchtime 20x -cpuprofile cpu.out .
 //	go tool pprof -top cpu.out

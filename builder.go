@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"znn/internal/conv"
 	"znn/internal/graph"
 	"znn/internal/ops"
 	"znn/internal/train"
@@ -32,8 +31,10 @@ func (r NodeRef) Shape() Shape { return r.n.Shape }
 func (r NodeRef) Name() string { return r.n.Name }
 
 // NewGraphBuilder starts an empty graph. cfg supplies convolution mode,
-// memoization, seed and (at Build time) scheduler/training settings; the
-// layer-geometry fields of cfg are ignored.
+// memoization, seed and (at Build time) precision, planning, scheduler and
+// training settings, all as NewNetwork applies them — conv layers are the
+// groups of edges with one geometry, priced at their real fan-in and
+// fan-out. The layer-geometry fields of cfg are ignored.
 func NewGraphBuilder(cfg Config) *GraphBuilder {
 	return &GraphBuilder{
 		g:   graph.New(),
@@ -78,9 +79,11 @@ func (b *GraphBuilder) Conv(name string, kernel Shape, sp Sparsity, from ...Node
 				name, f.n.Name, got, out)
 		}
 	}
+	method, _, err := b.cfg.convMode()
+	if err != nil {
+		return b.fail("znn: Conv %q: %v", name, err)
+	}
 	v := b.g.AddNode(name, out)
-	tuner := b.cfg.tuner()
-	method := tuner.Choose(convGeom(from[0].n.Shape, kernel, sp, len(from), 1))
 	for _, f := range from {
 		k := graph.InitKernel(b.rng, kernel, len(from))
 		op := graph.NewConvOp(f.n.Shape, k, sp, method, b.cfg.Memoize, nil)
@@ -152,26 +155,13 @@ type Model struct {
 	en *train.Engine
 }
 
-// Build compiles the graph into a trainable model. Training options come
-// from the Config given to NewGraphBuilder.
+// Build compiles the graph into a trainable model, settling every conv
+// edge's method as the Config given to NewGraphBuilder asks.
 func (b *GraphBuilder) Build() (*Model, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	lossName := b.cfg.Loss
-	if lossName == "" {
-		lossName = "squared"
-	}
-	loss, err := ops.LossByName(lossName)
-	if err != nil {
-		return nil, err
-	}
-	en, err := train.NewEngine(b.g, train.Config{
-		Workers:  b.cfg.Workers,
-		Loss:     loss,
-		Eta:      b.cfg.Eta,
-		Momentum: b.cfg.Momentum,
-	})
+	en, _, err := b.cfg.engine(b.g, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -206,8 +196,3 @@ func (m *Model) NodeImage(name string) *Tensor { return m.en.NodeForward(name) }
 
 // Close applies pending updates and stops the workers.
 func (m *Model) Close() error { return m.en.Close() }
-
-// convGeom adapts builder parameters to the autotuner's layer geometry.
-func convGeom(in Shape, k Shape, sp Sparsity, f, fp int) conv.LayerGeom {
-	return conv.LayerGeom{In: in, Kernel: k, Sp: sp, F: f, FPrime: fp}
-}

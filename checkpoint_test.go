@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -370,5 +371,56 @@ func TestServingCompatible(t *testing.T) {
 	defer f32.Close()
 	if err := a.ServingCompatible(f32); !errors.Is(err, ErrCheckpointPrecision) {
 		t.Fatalf("precision drift: err = %v, want ErrCheckpointPrecision", err)
+	}
+}
+
+// TestCheckpointConvModes: checkpoints store Config.Conv by value, so the
+// mode numbers are fixed. 0, 2 and 3 round-trip as themselves, the retired
+// measured mode 1 loads as Autotune, and an unknown mode fails the load
+// instead of falling back to some default. The net is one whose autotuned
+// methods differ from both forced ones: 8→8 11³ kernels on a 26³ patch
+// (FFT at f32), then an 8→1 1³ layer (direct).
+func TestCheckpointConvModes(t *testing.T) {
+	for _, c := range []struct {
+		mode    ConvMode
+		methods string // "" = the load must fail
+	}{
+		{Autotune, "[fft direct]"},
+		{1, "[fft direct]"},
+		{ForceDirect, "[direct direct]"},
+		{ForceFFT, "[fft fft]"},
+		{9, ""},
+	} {
+		n, err := NewNetwork("C11-Trelu-C1", Config{
+			Width: 8, InWidth: 8, OutputPatch: 16, Float32: true, Workers: 1, Seed: 11,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.cfg.Conv = c.mode
+		var buf bytes.Buffer
+		err = n.Save(&buf)
+		n.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := Load(&buf, 1)
+		if c.methods == "" {
+			if err == nil {
+				restored.Close()
+				t.Errorf("mode %d: load succeeded", c.mode)
+			} else if !errors.Is(err, ErrCheckpointSpec) {
+				t.Errorf("mode %d: %v, want ErrCheckpointSpec", c.mode, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("mode %d: %v", c.mode, err)
+		}
+		sameParams(t, n, restored)
+		if got := fmt.Sprint(restored.LayerMethods()); got != c.methods {
+			t.Errorf("mode %d: loaded methods %s, want %s", c.mode, got, c.methods)
+		}
+		restored.Close()
 	}
 }

@@ -87,13 +87,13 @@ func layerwiseFigure(cfg config, which int) {
 		fmt.Printf("kernel %d%s:\n", k, dimsSuffix(c.dims))
 		fmt.Printf("  %8s %12s %18s\n", "out", "ZNN (s)", "layerwise-dir (s)")
 		for _, o := range c.outputs {
-			b := benchNet{spec: c.spec(k), dims: c.dims, out: max(1, o/4), tune: conv.TuneForceFFT}
+			b := benchNet{spec: c.spec(k), dims: c.dims, out: max(1, o/4), method: conv.FFT}
 			znnSec, err := measureParallel(cfg, b, c.width, cfg.workers)
 			if err != nil {
 				fmt.Printf("  %8d  error: %v\n", o, err)
 				continue
 			}
-			b.tune = conv.TuneForceDirect
+			b.method = conv.Direct
 			dirStr := "err"
 			if dirSec, err := measureLayerwise(cfg, b, c.width); err == nil {
 				dirStr = fmt.Sprintf("%.4f", dirSec)

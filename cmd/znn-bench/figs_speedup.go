@@ -19,7 +19,7 @@ type benchNet struct {
 	spec   string
 	dims   int
 	out    int
-	tune   conv.TunePolicy
+	method conv.Method
 	widths []int
 }
 
@@ -33,13 +33,13 @@ func paperNets(cfg config) []benchNet {
 			{
 				name: "2D (CTMCTMCTCTCTCT, k=11², out=48², FFT conv)",
 				spec: "C11-Trelu-M2-C11-Trelu-M2-C11-Trelu-C11-Trelu-C11-Trelu-C11-Trelu",
-				dims: 2, out: 48, tune: conv.TuneForceFFT,
+				dims: 2, out: 48, method: conv.FFT,
 				widths: []int{5, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100, 120},
 			},
 			{
 				name: "3D (CTMCTMCTCT, k=3³, out=12³, direct conv)",
 				spec: "C3-Trelu-M2-C3-Trelu-M2-C3-Trelu-C3-Trelu",
-				dims: 3, out: 12, tune: conv.TuneForceDirect,
+				dims: 3, out: 12, method: conv.Direct,
 				widths: []int{5, 10, 15, 20, 25, 30, 40, 50, 60, 80, 100, 120},
 			},
 		}
@@ -48,13 +48,13 @@ func paperNets(cfg config) []benchNet {
 		{
 			name: "2D scaled (CTMCTMCTCT, k=7², out=24², FFT conv)",
 			spec: "C7-Trelu-M2-C7-Trelu-M2-C7-Trelu-C7-Trelu",
-			dims: 2, out: 24, tune: conv.TuneForceFFT,
+			dims: 2, out: 24, method: conv.FFT,
 			widths: []int{2, 4, 8, 16},
 		},
 		{
 			name: "3D scaled (CTMCTMCTCT, k=3³, out=8³, direct conv)",
 			spec: "C3-Trelu-M2-C3-Trelu-M2-C3-Trelu-C3-Trelu",
-			dims: 3, out: 8, tune: conv.TuneForceDirect,
+			dims: 3, out: 8, method: conv.Direct,
 			widths: []int{2, 4, 8, 16},
 		},
 	}
@@ -64,7 +64,7 @@ func paperNets(cfg config) []benchNet {
 func buildBench(b benchNet, width int, seed int64) (*net.Network, []*tensor.Tensor, []*tensor.Tensor, error) {
 	nw, err := net.Build(net.MustParse(b.spec), net.BuildOptions{
 		Width: width, OutWidth: width, Dims: b.dims, OutputExtent: b.out,
-		Tuner: &conv.Autotuner{Policy: b.tune}, Memoize: b.tune == conv.TuneForceFFT,
+		Method: b.method, Memoize: b.method == conv.FFT,
 		Seed: seed,
 	})
 	if err != nil {

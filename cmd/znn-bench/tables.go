@@ -63,18 +63,18 @@ func table2(cfg config) {
 
 	for _, mode := range []struct {
 		name    string
-		tune    conv.TunePolicy
+		method  conv.Method
 		memoize bool
 	}{
-		{"direct", conv.TuneForceDirect, false},
-		{"fft", conv.TuneForceFFT, false},
-		{"fft-memoized", conv.TuneForceFFT, true},
+		{"direct", conv.Direct, false},
+		{"fft", conv.FFT, false},
+		{"fft-memoized", conv.FFT, true},
 	} {
 		var counters conv.Counters
 		nw, err := net.Build(net.MustParse(fmt.Sprintf("C%d", k)), net.BuildOptions{
 			Width: fp, InWidth: f, OutWidth: fp,
 			InputExtent: nIn,
-			Tuner:       &conv.Autotuner{Policy: mode.tune},
+			Method:      mode.method,
 			Memoize:     mode.memoize,
 			Counters:    &counters,
 			Seed:        1,

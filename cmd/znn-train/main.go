@@ -49,7 +49,7 @@ func main() {
 	momentum := flag.Float64("momentum", 0.9, "momentum coefficient")
 	lossName := flag.String("loss", "mean-bce", "loss: squared, bce, softmax, mean-*")
 	dataset := flag.String("data", "boundary", "data: boundary, texture, random")
-	convMode := flag.String("conv", "auto", "conv: auto, measured, direct, fft")
+	convMode := flag.String("conv", "auto", "conv: auto (per-layer direct/FFT by the planner's training-round cost), direct, fft; -plan overrides it")
 	memoize := flag.Bool("memoize", true, "enable FFT memoization")
 	f32 := flag.Bool("f32", false, "run the spectral pipeline in float32/complex64")
 	planned := flag.Bool("plan", false, "compile from a whole-network execution plan (per-layer method/precision under -mem-budget)")
@@ -70,8 +70,6 @@ func main() {
 	switch *convMode {
 	case "auto":
 		cm = znn.Autotune
-	case "measured":
-		cm = znn.AutotuneMeasured
 	case "direct":
 		cm = znn.ForceDirect
 	case "fft":

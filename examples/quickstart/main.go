@@ -34,7 +34,7 @@ func main() {
 	fmt.Println(nw)
 	fmt.Printf("input patch %v → output patch %v, field of view %d\n",
 		nw.InputShape(), nw.OutputShape(), nw.FieldOfView())
-	fmt.Printf("autotuned conv methods per layer: %v\n\n", nw.LayerMethods())
+	fmt.Printf("conv method per layer (Autotune, priced per training round): %v\n\n", nw.LayerMethods())
 
 	// The teacher task: targets are the input filtered by a fixed, hidden
 	// 5³ kernel (the network's field of view is 5, so it can match it).

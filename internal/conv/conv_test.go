@@ -397,66 +397,6 @@ func TestShapeValidationPanics(t *testing.T) {
 	}
 }
 
-func TestAutotunePolicies(t *testing.T) {
-	smallK := LayerGeom{In: tensor.Cube(12), Kernel: tensor.Cube(2), Sp: tensor.Dense(), F: 1, FPrime: 1}
-	bigK := LayerGeom{In: tensor.Cube(40), Kernel: tensor.Cube(11), Sp: tensor.Dense(), F: 10, FPrime: 10}
-
-	var force Autotuner
-	force.Policy = TuneForceDirect
-	if force.Choose(bigK) != Direct {
-		t.Error("TuneForceDirect did not force direct")
-	}
-	force.Policy = TuneForceFFT
-	if force.Choose(smallK) != FFT {
-		t.Error("TuneForceFFT did not force FFT")
-	}
-
-	var model Autotuner // zero value = TuneModel
-	if model.Choose(smallK) != Direct {
-		t.Error("model chose FFT for tiny kernel on single-edge layer")
-	}
-	if model.Choose(bigK) != FFT {
-		t.Error("model chose direct for 9³ kernels on a wide layer")
-	}
-	// Cache: repeated calls return the same answer.
-	if model.Choose(bigK) != FFT {
-		t.Error("cached choice changed")
-	}
-}
-
-func TestModelChoiceCrossoverGrowsWithKernel(t *testing.T) {
-	// For a fixed wide layer, the model must switch from direct to FFT as
-	// the kernel grows, and never switch back.
-	prevFFT := false
-	for k := 1; k <= 13; k += 2 {
-		g := LayerGeom{In: tensor.Cube(40), Kernel: tensor.Cube(k), Sp: tensor.Dense(), F: 8, FPrime: 8}
-		isFFT := modelChoice(g, PrecF64) == FFT
-		if prevFFT && !isFFT {
-			t.Errorf("model switched back to direct at k=%d", k)
-		}
-		prevFFT = prevFFT || isFFT
-	}
-	if !prevFFT {
-		t.Error("model never chose FFT even for 13³ kernels on 40³ images")
-	}
-}
-
-func TestMeasuredChoiceRuns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing-based autotune skipped in -short")
-	}
-	var a Autotuner
-	a.Policy = TuneMeasure
-	g := LayerGeom{In: tensor.Cube(10), Kernel: tensor.Cube(3), Sp: tensor.Dense(), F: 4, FPrime: 4}
-	m := a.Choose(g)
-	if m != Direct && m != FFT {
-		t.Errorf("measured choice returned invalid method %v", m)
-	}
-	if a.Choose(g) != m {
-		t.Error("measured choice not cached")
-	}
-}
-
 func TestTwoDImagesAsDegenerateThirdDim(t *testing.T) {
 	// 2D ConvNets are 3D with Z = 1 (paper Section VIII); the conv engines
 	// must handle them exactly.

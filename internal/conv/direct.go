@@ -1,8 +1,9 @@
 // Package conv implements ZNN's convolution engines (Section IV of the
 // paper): direct (spatial) convolution, FFT-based convolution, sparse
-// (dilated) variants of both, FFT memoization across the forward, backward
-// and update phases, and the per-layer autotuner that chooses between the
-// direct and FFT methods.
+// (dilated) variants of both, and FFT memoization across the forward,
+// backward and update phases. Which method a layer runs is not decided
+// here: internal/plan prices and picks it, and the engine sets it on each
+// edge's Transformer.
 //
 // Convolution semantics follow the paper (and MATLAB): true convolution
 // with a flipped kernel. With image size n, kernel size k and sparsity s,
@@ -26,7 +27,7 @@
 // nonzero coefficients in fixed (z, y, x) order with their source offsets.
 // Kernel sparsity is therefore not a separate method but an input to
 // Direct's cost: the forward and backward passes run only the nonzero taps,
-// and LayerGeom.Density scales the planner's and autotuner's estimates.
+// and LayerGeom.Density scales the planner's estimates.
 // Loops are output-outer, tap-inner: the forward pass computes each output
 // plane as one run at the image's row stride — the gather
 // dst[i] = Σ_t w_t·src[off_t + i], 32 voxels held in eight YMM accumulators

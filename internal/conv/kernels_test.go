@@ -145,22 +145,6 @@ func TestDirectGradientsNumerical(t *testing.T) {
 	}
 }
 
-// TestDirectMeasureAllocFree: the body the measured tuner times for the
-// direct methods allocates nothing, so a direct sample is charged for the
-// arithmetic alone, like the spectral primitives it is compared with.
-func TestDirectMeasureAllocFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(84))
-	img := tensor.RandomUniform(rng, tensor.S3(20, 18, 6), -1, 1)
-	for _, ker := range []*tensor.Tensor{
-		tensor.RandomUniform(rng, tensor.S3(5, 5, 1), -1, 1),
-		sparseKernel(rng, tensor.Cube(3), 0.3),
-	} {
-		if a := testing.AllocsPerRun(100, directOp(img, ker, tensor.Dense())); a != 0 {
-			t.Errorf("kernel %v: timed direct body allocates %v times per call", ker.S, a)
-		}
-	}
-}
-
 // Per-phase direct microbenchmarks at the exemplar edge shapes and
 // train_fft7's k7 class, each a dispatched-vs-Go-twin pair (the ratio is
 // the vector kernels' speedup on this host). ns/voxel is per input voxel,

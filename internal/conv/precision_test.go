@@ -181,31 +181,3 @@ func TestSetPrecisionSwitchesPath(t *testing.T) {
 		t.Error("direct transformer should stay PrecF64")
 	}
 }
-
-// TestAutotunerPrecisionShiftsCrossover: the f32 cost discount may only
-// move geometries from Direct to FFT, never the other way, and there is at
-// least one geometry where the two precisions disagree (the crossover
-// actually moved).
-func TestAutotunerPrecisionShiftsCrossover(t *testing.T) {
-	flipped := 0
-	for n := 4; n <= 46; n += 3 {
-		for k := 2; k <= 12; k++ {
-			if n <= k {
-				continue
-			}
-			g := LayerGeom{In: tensor.Cube(n), Kernel: tensor.Cube(k),
-				Sp: tensor.Dense(), F: 1, FPrime: 1}
-			m64 := modelChoice(g, PrecF64)
-			m32 := modelChoice(g, PrecF32)
-			if m64 == FFT && m32 != FFT {
-				t.Fatalf("n=%d k=%d: f32 demoted FFT to %v", n, k, m32)
-			}
-			if m64 == Direct && m32 == FFT {
-				flipped++
-			}
-		}
-	}
-	if flipped == 0 {
-		t.Error("f32 discount never moved the crossover on the scanned grid")
-	}
-}

@@ -89,22 +89,14 @@ type ConvOp struct {
 
 // NewConvOp builds a convolution op for the given input shape, kernel and
 // sparsity, using the given method and memoization setting, at the default
-// float64 precision.
+// float64 precision (the engine's Config.Precision or plan retargets it at
+// compile time).
 func NewConvOp(in tensor.Shape, kernel *tensor.Tensor, sp tensor.Sparsity,
 	method conv.Method, memoize bool, counters *conv.Counters) *ConvOp {
-	return NewConvOpPrec(in, kernel, sp, method, conv.PrecF64, memoize, counters)
-}
-
-// NewConvOpPrec is NewConvOp with an explicit spectral precision, so graphs
-// built for the float32 path execute at that precision even outside a
-// train.Engine (the engine's Config.Precision remains authoritative when
-// one compiles the graph).
-func NewConvOpPrec(in tensor.Shape, kernel *tensor.Tensor, sp tensor.Sparsity,
-	method conv.Method, prec conv.Precision, memoize bool, counters *conv.Counters) *ConvOp {
 	return &ConvOp{
 		Kernel: kernel,
 		Sp:     sp,
-		Tr:     conv.NewTransformerPrec(in, kernel.S, sp, method, prec, memoize, counters),
+		Tr:     conv.NewTransformer(in, kernel.S, sp, method, memoize, counters),
 	}
 }
 
@@ -327,6 +319,55 @@ func (o *DropoutOp) Backward(grad *tensor.Tensor, _ *BwdCtx) *tensor.Tensor {
 		return grad.Clone()
 	}
 	return o.D.Backward(grad)
+}
+
+// ConvGeom returns the layer geometry of conv edge e as plans key it: f is
+// the fan-in of e's target node, f′ the fan-out of its source node. Density
+// is left unset. e.Op must be a *ConvOp.
+func ConvGeom(e *Edge) conv.LayerGeom {
+	op := e.Op.(*ConvOp)
+	return conv.LayerGeom{
+		In:     op.Tr.InShape(),
+		Kernel: op.Kernel.S,
+		Sp:     op.Sp,
+		F:      len(e.To.In),
+		FPrime: len(e.From.Out),
+	}
+}
+
+// LayerGeoms returns the planner's view of g: its conv edges grouped by
+// layer geometry in edge order, each group with the mean kernel density of
+// its edges and listed once per f·f′ edges — once per fully connected layer
+// it holds — so a plan's byte estimate charges every layer. A plan assigns
+// all edges of one geometry the same method.
+func LayerGeoms(g *Graph) []conv.LayerGeom {
+	var geoms []conv.LayerGeom
+	var edges []int
+	idx := map[conv.LayerGeom]int{}
+	for _, e := range g.Edges {
+		op, ok := e.Op.(*ConvOp)
+		if !ok {
+			continue
+		}
+		geom := ConvGeom(e)
+		i, seen := idx[geom]
+		if !seen {
+			i = len(geoms)
+			idx[geom] = i
+			geoms = append(geoms, geom)
+			edges = append(edges, 0)
+		}
+		edges[i]++
+		geoms[i].Density += conv.Density(op.Kernel)
+	}
+	var out []conv.LayerGeom
+	for i, geom := range geoms {
+		geom.Density /= float64(edges[i])
+		for range max(1, edges[i]/(geom.F*geom.FPrime)) {
+			out = append(out, geom)
+		}
+	}
+	return out
 }
 
 // SpectralEligible reports whether all edges are FFT convolutions with

@@ -34,8 +34,10 @@ type BuildOptions struct {
 	// isotropic; only the image extents differ per axis. In 2D the Z
 	// extent must be 1.
 	InputShape tensor.Shape
-	// Tuner decides direct vs FFT per conv layer. Nil uses TuneModel.
-	Tuner *conv.Autotuner
+	// Method is the convolution method every conv edge is built with (the
+	// zero value is Direct). Engines compiled from an execution plan
+	// override it per layer.
+	Method conv.Method
 	// Memoize enables FFT memoization on conv edges.
 	Memoize bool
 	// Counters receives convolution work counts (may be nil).
@@ -77,9 +79,6 @@ func (o *BuildOptions) fillDefaults() error {
 	if o.InputShape.Valid() && o.Dims == 2 && o.InputShape.Z != 1 {
 		return fmt.Errorf("net: 2D InputShape must have Z extent 1, got %v", o.InputShape)
 	}
-	if o.Tuner == nil {
-		o.Tuner = &conv.Autotuner{}
-	}
 	return nil
 }
 
@@ -113,33 +112,15 @@ type Network struct {
 	// likewise per transfer layer. Used for parameter access.
 	convLayers     [][]*graph.ConvOp
 	transferLayers [][]*graph.TransferOp
-	// Methods chosen by the autotuner per conv layer.
-	LayerMethods []conv.Method
-	// layerGeoms[i] is the i-th conv layer's tuning geometry as built
-	// (Density unset; LayerGeoms fills it from the live kernels).
-	layerGeoms []conv.LayerGeom
 }
 
 // LayerGeoms returns one LayerGeom per conv layer in execution order, with
-// Density recomputed from the current kernels (mean nonzero fraction over
-// the layer's edges) — the execution planner's view of the network.
-func (nw *Network) LayerGeoms() []conv.LayerGeom {
-	out := make([]conv.LayerGeom, len(nw.layerGeoms))
-	for i, g := range nw.layerGeoms {
-		var d float64
-		for _, op := range nw.convLayers[i] {
-			d += conv.Density(op.Kernel)
-		}
-		if n := len(nw.convLayers[i]); n > 0 {
-			g.Density = d / float64(n)
-		}
-		out[i] = g
-	}
-	return out
-}
+// Density the mean nonzero fraction of the layer's current kernels — the
+// execution planner's view of the network (graph.LayerGeoms of its graph).
+func (nw *Network) LayerGeoms() []conv.LayerGeom { return graph.LayerGeoms(nw.G) }
 
 // LayerGeomsFor walks the spec at a given (possibly anisotropic) input
-// shape and returns the per-conv-layer tuning geometries without building
+// shape and returns the per-conv-layer planning geometries without building
 // a graph — the execution planner's view of a candidate block network.
 // Widths and dimensionality follow o; its extent fields are ignored in
 // favour of in. Density is left unset (treated as dense); callers planning
@@ -257,10 +238,6 @@ func Build(spec Spec, o BuildOptions) (*Network, error) {
 			}
 			k := o.isoWindow(l.Window)
 			sp := o.isoSparsity(sparsity)
-			geom := conv.LayerGeom{In: shape, Kernel: k, Sp: sp, F: len(cur), FPrime: width}
-			method := o.Tuner.Choose(geom)
-			nw.LayerMethods = append(nw.LayerMethods, method)
-			nw.layerGeoms = append(nw.layerGeoms, geom)
 			outShape := shape.ValidConv(k, sp)
 			if !outShape.Valid() {
 				return nil, fmt.Errorf("net: layer %d: kernel %v (sparsity %v) does not fit image %v",
@@ -272,8 +249,7 @@ func Build(spec Spec, o BuildOptions) (*Network, error) {
 				next[j] = g.AddNode(fmt.Sprintf("L%d/conv/%d", li, j), outShape)
 				for _, u := range cur {
 					kernel := graph.InitKernel(rng, k, len(cur))
-					op := graph.NewConvOpPrec(shape, kernel, sp, method, o.Tuner.Precision,
-						o.Memoize, o.Counters)
+					op := graph.NewConvOp(shape, kernel, sp, o.Method, o.Memoize, o.Counters)
 					g.Connect(u, next[j], op)
 					layerOps = append(layerOps, op)
 				}

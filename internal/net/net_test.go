@@ -1,6 +1,7 @@
 package net
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -343,19 +344,63 @@ func TestRoundSerialReducesLoss(t *testing.T) {
 }
 
 func TestLayerMethodsRecorded(t *testing.T) {
-	tuner := &conv.Autotuner{Policy: conv.TuneForceFFT}
 	nw, err := Build(MustParse("C3-Trelu-C3"), BuildOptions{
-		Width: 2, OutputExtent: 2, Seed: 16, Tuner: tuner,
+		Width: 2, OutputExtent: 2, Seed: 16, Method: conv.FFT,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(nw.LayerMethods) != 2 {
-		t.Fatalf("LayerMethods = %v", nw.LayerMethods)
+	if n := nw.ConvEdgeCount(); n != 4 {
+		t.Fatalf("%d conv edges, want 4", n)
 	}
-	for _, m := range nw.LayerMethods {
-		if m != conv.FFT {
-			t.Errorf("forced FFT but layer used %v", m)
+	for _, layer := range nw.convLayers {
+		for _, op := range layer {
+			if m := op.Tr.Method(); m != conv.FFT {
+				t.Errorf("built with FFT but an edge runs %v", m)
+			}
+		}
+	}
+}
+
+// TestLayerGeomsPerLayer: the planner's graph-derived view of a layered
+// net is one entry per conv layer — the spec walk's geometry with the mean
+// density of that layer's live kernels — including two layers of identical
+// geometry, which stay two entries so a plan charges both.
+func TestLayerGeomsPerLayer(t *testing.T) {
+	for _, spec := range []string{"C5-Ttanh-C7", "C1-Trelu-C1-Trelu-C1"} {
+		o := BuildOptions{Width: 4, OutWidth: 4, OutputExtent: 6, Seed: 24}
+		nw, err := Build(MustParse(spec), o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := nw.Params()
+		for i := 0; i < len(p); i += 2 {
+			p[i] = 0 // about half of every kernel
+		}
+		if err := nw.SetParams(p); err != nil {
+			t.Fatal(err)
+		}
+		want, err := LayerGeomsFor(MustParse(spec), o, nw.InputShape())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, layer := range nw.convLayers {
+			for _, op := range layer {
+				want[i].Density += conv.Density(op.Kernel) / float64(len(layer))
+			}
+		}
+		got := nw.LayerGeoms()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d layer geometries, want %d", spec, len(got), len(want))
+		}
+		for i := range got {
+			if d := math.Abs(got[i].Density - want[i].Density); d > 1e-12 {
+				t.Errorf("%s layer %d: density %v, want %v", spec, i, got[i].Density, want[i].Density)
+			}
+			got[i].Density, want[i].Density = 0, 0
+			if got[i] != want[i] {
+				t.Errorf("%s layer %d: %+v, want %+v", spec, i, got[i], want[i])
+			}
 		}
 	}
 }

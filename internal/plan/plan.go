@@ -1,10 +1,20 @@
-// Package plan implements whole-network execution planning in the ZNNi
-// style: instead of tuning every convolution edge in isolation, the planner
-// enumerates per-layer (method, precision) assignments together with the
-// fused batch width K, costs each candidate with the Table-II model (or
-// with TuneMeasure-calibrated primitive timings), estimates the pooled
-// spectrum footprint of each candidate, and picks the throughput-optimal
-// plan whose estimated peak fits a memory budget.
+// Package plan is the one place a convolution layer is priced and its
+// method chosen. It implements whole-network execution planning in the
+// ZNNi style: instead of tuning every convolution edge in isolation, the
+// planner enumerates per-layer (method, precision) assignments together
+// with the fused batch width K, costs each candidate with the Table-II
+// model, estimates the pooled spectrum footprint of each candidate, and
+// picks the cheapest plan whose estimated peak fits a memory budget.
+//
+// # Objectives
+//
+// Config.Training selects what a layer's cost counts. The inference
+// objective (the default) prices the K-fused forward pass, with the kernel
+// spectrum streaming amortized over K, under the byte budget. The training
+// objective prices the three phases of one training round (forward,
+// backward, kernel gradient) at K=1: the per-layer direct-vs-FFT
+// autotuning of ZNN §IV, which the znn package runs for Config.Conv =
+// Autotune.
 //
 // # Plan format
 //
@@ -17,8 +27,7 @@
 //   - Layers[i] — the i-th conv layer's geometry (input shape, kernel,
 //     sparsity, fan-in f, fan-out f′, kernel density), its chosen
 //     conv.Method and conv.Precision, the modeled per-volume cost
-//     (arbitrary units under the flop model, seconds·f·f′ under
-//     Measured), and the estimated pooled bytes at width K.
+//     (arbitrary units), and the estimated pooled bytes at width K.
 //   - PeakBytes — the sum of the per-layer byte estimates: a deliberate
 //     upper bound on what the spectra pools (mempool.Spectra +
 //     mempool.Spectra32) can have live during one fused round.
@@ -40,8 +49,7 @@
 // round-scoped terms by N (kernel spectra are shared).
 //
 // Plans are deterministic: the same geometries, budget and configuration
-// always produce the same Plan (TuneMeasure calibration excepted — it times
-// real hardware).
+// always produce the same Plan.
 package plan
 
 import (
@@ -57,8 +65,8 @@ import (
 )
 
 // Config parameterizes a planning run. The zero value plans an unbounded
-// (budget-free) network over {Direct, FFT} × {f64, f32} at
-// K ∈ {1, 2, 4, 8} with the flop cost model.
+// (budget-free) network for inference over {Direct, FFT} × {f64, f32} at
+// K ∈ {1, 2, 4, 8}.
 type Config struct {
 	// Budget bounds the estimated pooled spectrum bytes of one fused
 	// round; 0 means unconstrained.
@@ -66,9 +74,10 @@ type Config struct {
 	// MaxK caps the fused batch width; the planner enumerates powers of
 	// two up to it. 0 means 8.
 	MaxK int
-	// Measured selects TuneMeasure-calibrated costs (times the primitives
-	// on this machine) instead of the Table-II flop model.
-	Measured bool
+	// Training selects the training objective: every layer is priced by
+	// the Table-II totals of one training round at K=1 (MaxK is ignored)
+	// instead of by the K-fused forward pass.
+	Training bool
 	// Precisions restricts the precision choices; nil means {f64, f32}.
 	Precisions []conv.Precision
 	// Methods restricts the method choices; nil means {Direct, FFT}.
@@ -103,7 +112,6 @@ type Plan struct {
 	Cost      float64 // total modeled per-volume cost
 	PeakBytes int64   // Σ layer byte estimates (upper bound for one round)
 	Budget    int64   // the budget it was planned under (0 = unconstrained)
-	Measured  bool
 
 	// Block-choice fields, set by BuildBlocked (zero otherwise): the
 	// chosen per-block output and input shapes, the halo-waste fraction
@@ -145,6 +153,9 @@ func Build(geoms []conv.LayerGeom, cfg Config) (*Plan, error) {
 	maxK := cfg.MaxK
 	if maxK <= 0 {
 		maxK = 8
+	}
+	if cfg.Training {
+		maxK = 1
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -243,7 +254,7 @@ func planAtK(geoms []conv.LayerGeom, cfg Config, methods []conv.Method, precs []
 		}
 	}
 
-	p := &Plan{K: k, Cost: cost, PeakBytes: bytes, Budget: cfg.Budget, Measured: cfg.Measured}
+	p := &Plan{K: k, Cost: cost, PeakBytes: bytes, Budget: cfg.Budget}
 	for i, g := range geoms {
 		o := opts[i][pick[i]]
 		p.Layers = append(p.Layers, Assignment{
@@ -283,7 +294,7 @@ func layerOptions(g conv.LayerGeom, cfg Config, methods []conv.Method, precs []c
 				continue
 			}
 			seen[o] = true
-			o.cost = layerCost(g, m, p, k, cfg.Measured)
+			o.cost = layerCost(g, m, p, k, cfg.Training)
 			o.bytes = LayerBytesRounds(g, m, p, k, workers, cfg.Rounds)
 			out = append(out, o)
 		}
@@ -294,28 +305,18 @@ func layerOptions(g conv.LayerGeom, cfg Config, methods []conv.Method, precs []c
 }
 
 // layerCost returns the per-volume cost of running the layer with
-// (m, prec) in a K-fused round: the forward cost plus, for spectral
-// methods, the kernel-spectrum streaming term amortized over the K
-// pointwise products it feeds ("one kernel-spectrum fetch per edge sweep").
-func layerCost(g conv.LayerGeom, m conv.Method, prec conv.Precision, k int, measured bool) float64 {
-	var c float64
-	if measured {
-		c = conv.MeasureForwardSeconds(g, m, prec)
-	} else {
-		c = conv.ForwardFlops(g, m, prec)
+// (m, prec): under the training objective, trainCost; otherwise the
+// forward cost in a K-fused round plus, for spectral methods, the
+// kernel-spectrum streaming term amortized over the K pointwise products
+// it feeds ("one kernel-spectrum fetch per edge sweep").
+func layerCost(g conv.LayerGeom, m conv.Method, prec conv.Precision, k int, training bool) float64 {
+	if training {
+		return trainCost(g, m, prec)
 	}
+	c := forwardCost(g, m, prec)
 	if m.IsFFT() {
-		ms := g.TransformShape()
-		hv := float64(fft.PackedVolume(ms))
-		stream := 2 * float64(g.F) * float64(g.FPrime) * hv
-		if measured {
-			// Scale the flop-unit stream term into seconds via the
-			// measured cost per modeled flop.
-			if fl := conv.ForwardFlops(g, m, prec); fl > 0 {
-				stream *= c / fl
-			}
-		}
-		c += stream / float64(k)
+		hv := float64(fft.PackedVolume(g.TransformShape()))
+		c += 2 * float64(g.F) * float64(g.FPrime) * hv / float64(k)
 	}
 	return c
 }
@@ -432,9 +433,6 @@ func (p *Plan) Table() string {
 	if p.Budget > 0 {
 		fmt.Fprintf(&b, "  budget=%d", p.Budget)
 	}
-	if p.Measured {
-		b.WriteString("  (measured)")
-	}
 	b.WriteString("\n")
 	if p.BlockOut.Valid() {
 		fmt.Fprintf(&b, "block: out=%s in=%s halo waste=%.3f  est cost/voxel=%.4g\n",
@@ -487,7 +485,6 @@ func (p *Plan) Stats() map[string]any {
 		"est_cost":       p.Cost,
 		"est_peak_bytes": p.PeakBytes,
 		"budget":         p.Budget,
-		"measured":       p.Measured,
 		"methods":        names,
 		"layers":         layers,
 	}

@@ -174,7 +174,7 @@ func TestStatsAndTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	for _, key := range []string{"k", "est_cost", "est_peak_bytes", "budget", "measured", "methods", "layers"} {
+	for _, key := range []string{"k", "est_cost", "est_peak_bytes", "budget", "methods", "layers"} {
 		if _, ok := st[key]; !ok {
 			t.Errorf("Stats missing %q", key)
 		}
@@ -210,5 +210,83 @@ func TestLayerBytesModel(t *testing.T) {
 	buf := few / (8 + 8 + 1 + 32)
 	if many != buf*(8+8+32+32) {
 		t.Fatalf("worker clamp wrong: 1-worker %d, 64-worker %d", few, many)
+	}
+}
+
+// trainingChoice is the method the training objective picks for one layer
+// at the given precision.
+func trainingChoice(t *testing.T, g conv.LayerGeom, prec conv.Precision) conv.Method {
+	t.Helper()
+	p, err := Build([]conv.LayerGeom{g}, Config{Training: true, Precisions: []conv.Precision{prec}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.K != 1 {
+		t.Fatalf("training plan has K=%d, want 1", p.K)
+	}
+	return p.Layers[0].Method
+}
+
+func TestTrainingObjectiveChoices(t *testing.T) {
+	smallK := conv.LayerGeom{In: tensor.Cube(12), Kernel: tensor.Cube(2), Sp: tensor.Dense(), F: 1, FPrime: 1}
+	bigK := conv.LayerGeom{In: tensor.Cube(40), Kernel: tensor.Cube(11), Sp: tensor.Dense(), F: 10, FPrime: 10}
+	if trainingChoice(t, smallK, conv.PrecF64) != conv.Direct {
+		t.Error("training objective chose FFT for a tiny kernel on a single-edge layer")
+	}
+	if trainingChoice(t, bigK, conv.PrecF64) != conv.FFT {
+		t.Error("training objective chose direct for 11³ kernels on a wide layer")
+	}
+	// The training objective is K=1 whatever MaxK asks for.
+	p, err := Build([]conv.LayerGeom{bigK}, Config{Training: true, MaxK: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.K != 1 {
+		t.Errorf("training plan with MaxK 8 has K=%d", p.K)
+	}
+}
+
+func TestTrainingCrossoverGrowsWithKernel(t *testing.T) {
+	// For a fixed wide layer, the model must switch from direct to FFT as
+	// the kernel grows, and never switch back.
+	prevFFT := false
+	for k := 1; k <= 13; k += 2 {
+		g := conv.LayerGeom{In: tensor.Cube(40), Kernel: tensor.Cube(k), Sp: tensor.Dense(), F: 8, FPrime: 8}
+		isFFT := trainingChoice(t, g, conv.PrecF64) == conv.FFT
+		if prevFFT && !isFFT {
+			t.Errorf("model switched back to direct at k=%d", k)
+		}
+		prevFFT = prevFFT || isFFT
+	}
+	if !prevFFT {
+		t.Error("model never chose FFT even for 13³ kernels on 40³ images")
+	}
+}
+
+// TestTrainingPrecisionShiftsCrossover: the f32 cost discount may only
+// move geometries from Direct to FFT, never the other way, and there is at
+// least one geometry where the two precisions disagree (the crossover
+// actually moved).
+func TestTrainingPrecisionShiftsCrossover(t *testing.T) {
+	flipped := 0
+	for n := 4; n <= 46; n += 3 {
+		for k := 2; k <= 12; k++ {
+			if n <= k {
+				continue
+			}
+			g := conv.LayerGeom{In: tensor.Cube(n), Kernel: tensor.Cube(k),
+				Sp: tensor.Dense(), F: 1, FPrime: 1}
+			m64 := trainingChoice(t, g, conv.PrecF64)
+			m32 := trainingChoice(t, g, conv.PrecF32)
+			if m64 == conv.FFT && m32 != conv.FFT {
+				t.Fatalf("n=%d k=%d: f32 demoted FFT to %v", n, k, m32)
+			}
+			if m64 == conv.Direct && m32 == conv.FFT {
+				flipped++
+			}
+		}
+	}
+	if flipped == 0 {
+		t.Error("f32 discount never moved the crossover on the scanned grid")
 	}
 }

@@ -15,11 +15,11 @@ import (
 // buildEngine compiles spec at the given input shape. Width 2 keeps direct
 // convolution's two-term fan-in sums order-independent, so direct-forced
 // tiled inference is bitwise comparable to single-shot.
-func buildEngine(t *testing.T, spec string, in tensor.Shape, outW int, policy conv.TunePolicy, prec conv.Precision) *train.Engine {
+func buildEngine(t *testing.T, spec string, in tensor.Shape, outW int, method conv.Method, prec conv.Precision) *train.Engine {
 	t.Helper()
 	nw, err := net.Build(net.MustParse(spec), net.BuildOptions{
 		Width: 2, OutWidth: outW, InputShape: in, Seed: 41,
-		Tuner: &conv.Autotuner{Policy: policy},
+		Method: method,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,9 +38,9 @@ func randomVolume(s tensor.Shape, seed int64) *tensor.Tensor {
 // runTiled streams vol through a fresh block engine for the grid and
 // returns the stitched outputs, one volume per network output.
 func runTiled(t *testing.T, spec string, g *Grid, vol *tensor.Tensor, outW int,
-	policy conv.TunePolicy, prec conv.Precision, k, window int) ([]*tensor.Tensor, Stats) {
+	method conv.Method, prec conv.Precision, k, window int) ([]*tensor.Tensor, Stats) {
 	t.Helper()
-	en := buildEngine(t, spec, g.BlockIn, outW, policy, prec)
+	en := buildEngine(t, spec, g.BlockIn, outW, method, prec)
 	defer en.Close()
 	outs := make([]*tensor.Tensor, outW)
 	ws := make([]Writer, outW)
@@ -65,9 +65,9 @@ func runTiled(t *testing.T, spec string, g *Grid, vol *tensor.Tensor, outW int,
 // singleShot runs whole-volume inference in one round — the reference the
 // tiler must reproduce.
 func singleShot(t *testing.T, spec string, vol *tensor.Tensor, outW int,
-	policy conv.TunePolicy, prec conv.Precision) []*tensor.Tensor {
+	method conv.Method, prec conv.Precision) []*tensor.Tensor {
 	t.Helper()
-	en := buildEngine(t, spec, vol.S, outW, policy, prec)
+	en := buildEngine(t, spec, vol.S, outW, method, prec)
 	defer en.Close()
 	outs, err := en.Infer([][]*tensor.Tensor{{vol.Clone()}})
 	if err != nil {
@@ -84,7 +84,7 @@ func singleShot(t *testing.T, spec string, vol *tensor.Tensor, outW int,
 func TestStreamBitIdenticalDirect(t *testing.T) {
 	const spec = "C3-Trelu-C3-Ttanh" // FOV 5
 	vol := randomVolume(tensor.Cube(14), 7)
-	ref := singleShot(t, spec, vol, 2, conv.TuneForceDirect, conv.PrecF64)
+	ref := singleShot(t, spec, vol, 2, conv.Direct, conv.PrecF64)
 
 	for _, blockOut := range []int{3, 4, 7, 10} { // 10³ output: divides, ragged, full
 		for _, window := range []int{1, 2} { // sequential baseline, overlapped
@@ -92,7 +92,7 @@ func TestStreamBitIdenticalDirect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			outs, _ := runTiled(t, spec, g, vol, 2, conv.TuneForceDirect, conv.PrecF64, 2, window)
+			outs, _ := runTiled(t, spec, g, vol, 2, conv.Direct, conv.PrecF64, 2, window)
 			for oi := range outs {
 				if !outs[oi].Equal(ref[oi]) {
 					t.Errorf("block %d window=%d output %d: tiled differs from single-shot (max |Δ| = %g)",
@@ -112,7 +112,7 @@ func TestStreamBitIdenticalDirect(t *testing.T) {
 func TestStreamBitIdenticalDirectResidues(t *testing.T) {
 	const spec = "C3-Trelu-C3-Ttanh" // FOV 5
 	vol := randomVolume(tensor.S3(16*17+4, 7, 6), 10)
-	ref := singleShot(t, spec, vol, 1, conv.TuneForceDirect, conv.PrecF64)
+	ref := singleShot(t, spec, vol, 1, conv.Direct, conv.PrecF64)
 	g, err := NewGrid(vol.S, 5, 17)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestStreamBitIdenticalDirectResidues(t *testing.T) {
 	if len(seen) != 16 {
 		t.Fatalf("block x origins cover %d residues mod 16, want 16", len(seen))
 	}
-	outs, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 2, 2)
+	outs, _ := runTiled(t, spec, g, vol, 1, conv.Direct, conv.PrecF64, 2, 2)
 	if !outs[0].Equal(ref[0]) {
 		t.Errorf("tiled differs from single-shot (max |Δ| = %g)", outs[0].MaxAbsDiff(ref[0]))
 	}
@@ -135,7 +135,7 @@ func TestStreamBitIdenticalDirectResidues(t *testing.T) {
 func TestStreamOneVoxelBlocks(t *testing.T) {
 	const spec = "C3-Trelu-C2" // FOV 4
 	vol := randomVolume(tensor.Cube(7), 8)
-	ref := singleShot(t, spec, vol, 1, conv.TuneForceDirect, conv.PrecF64)
+	ref := singleShot(t, spec, vol, 1, conv.Direct, conv.PrecF64)
 	g, err := NewGrid(vol.S, 4, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestStreamOneVoxelBlocks(t *testing.T) {
 	if g.NumBlocks() != 64 {
 		t.Fatalf("expected 64 one-voxel blocks, got %d", g.NumBlocks())
 	}
-	outs, st := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 3, 2)
+	outs, st := runTiled(t, spec, g, vol, 1, conv.Direct, conv.PrecF64, 3, 2)
 	if !outs[0].Equal(ref[0]) {
 		t.Errorf("one-voxel blocks differ from single-shot (max |Δ| = %g)", outs[0].MaxAbsDiff(ref[0]))
 	}
@@ -158,7 +158,7 @@ func TestStreamOneVoxelBlocks(t *testing.T) {
 func TestStreamAnisotropic(t *testing.T) {
 	const spec = "C3-Trelu-C3" // FOV 5
 	vol := randomVolume(tensor.S3(7, 20, 12), 9)
-	ref := singleShot(t, spec, vol, 1, conv.TuneForceDirect, conv.PrecF64)
+	ref := singleShot(t, spec, vol, 1, conv.Direct, conv.PrecF64)
 	g, err := NewGrid(vol.S, 5, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +167,7 @@ func TestStreamAnisotropic(t *testing.T) {
 	if g.BlockOut != tensor.S3(3, 5, 5) {
 		t.Fatalf("BlockOut = %v, want (3,5,5)", g.BlockOut)
 	}
-	outs, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 2, 3)
+	outs, _ := runTiled(t, spec, g, vol, 1, conv.Direct, conv.PrecF64, 2, 3)
 	if !outs[0].Equal(ref[0]) {
 		t.Errorf("anisotropic tiling differs from single-shot (max |Δ| = %g)", outs[0].MaxAbsDiff(ref[0]))
 	}
@@ -180,13 +180,13 @@ func TestStreamAnisotropic(t *testing.T) {
 func TestStreamFFTTolerance(t *testing.T) {
 	const spec = "C3-Trelu-C3-Ttanh" // FOV 5
 	vol := randomVolume(tensor.Cube(13), 10)
-	ref := singleShot(t, spec, vol, 1, conv.TuneForceFFT, conv.PrecF64)
+	ref := singleShot(t, spec, vol, 1, conv.FFT, conv.PrecF64)
 	g, err := NewGrid(vol.S, 5, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF64, 2, 2)
-	b, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF64, 2, 2)
+	a, _ := runTiled(t, spec, g, vol, 1, conv.FFT, conv.PrecF64, 2, 2)
+	b, _ := runTiled(t, spec, g, vol, 1, conv.FFT, conv.PrecF64, 2, 2)
 	if !a[0].ApproxEqual(ref[0], conv.PrecF64.Tol()) {
 		t.Errorf("FFT tiled vs single-shot: max |Δ| = %g exceeds tol %g", a[0].MaxAbsDiff(ref[0]), conv.PrecF64.Tol())
 	}
@@ -205,8 +205,8 @@ func TestStreamF32Parity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o64, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF64, 2, 2)
-	o32, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceFFT, conv.PrecF32, 2, 2)
+	o64, _ := runTiled(t, spec, g, vol, 1, conv.FFT, conv.PrecF64, 2, 2)
+	o32, _ := runTiled(t, spec, g, vol, 1, conv.FFT, conv.PrecF32, 2, 2)
 	if !o32[0].ApproxEqual(o64[0], conv.PrecF32.Tol()) {
 		t.Errorf("f32 vs f64 tiled streams: max |Δ| = %g exceeds tol %g",
 			o32[0].MaxAbsDiff(o64[0]), conv.PrecF32.Tol())
@@ -223,7 +223,7 @@ func TestStreamRawFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memOut, _ := runTiled(t, spec, g, vol, 1, conv.TuneForceDirect, conv.PrecF64, 2, 2)
+	memOut, _ := runTiled(t, spec, g, vol, 1, conv.Direct, conv.PrecF64, 2, 2)
 
 	dir := t.TempDir()
 	inPath, outPath := dir+"/in.raw", dir+"/out.raw"
@@ -237,7 +237,7 @@ func TestStreamRawFiles(t *testing.T) {
 	defer rf.Close()
 	defer wf.Close()
 
-	en := buildEngine(t, spec, g.BlockIn, 1, conv.TuneForceDirect, conv.PrecF64)
+	en := buildEngine(t, spec, g.BlockIn, 1, conv.Direct, conv.PrecF64)
 	defer en.Close()
 	var last Progress
 	st, err := Run(Config{
@@ -283,14 +283,14 @@ func TestStreamConfigErrors(t *testing.T) {
 	}
 
 	// Network built at the wrong block shape.
-	en := buildEngine(t, spec, tensor.Cube(7), 1, conv.TuneForceDirect, conv.PrecF64)
+	en := buildEngine(t, spec, tensor.Cube(7), 1, conv.Direct, conv.PrecF64)
 	_, err = Run(Config{Prog: en.Program(), Grid: g, In: MemReader{T: vol}, Out: []Writer{MemWriter{T: out}}})
 	en.Close()
 	if err == nil {
 		t.Error("mismatched network input shape: want error")
 	}
 
-	en = buildEngine(t, spec, g.BlockIn, 1, conv.TuneForceDirect, conv.PrecF64)
+	en = buildEngine(t, spec, g.BlockIn, 1, conv.Direct, conv.PrecF64)
 	defer en.Close()
 	// Wrong writer count.
 	if _, err := Run(Config{Prog: en.Program(), Grid: g, In: MemReader{T: vol}}); err == nil {
@@ -317,7 +317,7 @@ func TestStreamPropagatesReadError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	en := buildEngine(t, spec, g.BlockIn, 1, conv.TuneForceDirect, conv.PrecF64)
+	en := buildEngine(t, spec, g.BlockIn, 1, conv.Direct, conv.PrecF64)
 	defer en.Close()
 	out := tensor.New(g.Out)
 	fr := &failingReader{MemReader{T: vol}, 5}

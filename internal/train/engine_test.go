@@ -86,10 +86,10 @@ func TestForwardMatchesSerialAllPolicies(t *testing.T) {
 // Full training equivalence: N parallel rounds produce the same weights
 // and losses as N serial rounds, for both conv methods.
 func TestTrainingMatchesSerial(t *testing.T) {
-	for _, tune := range []conv.TunePolicy{conv.TuneForceDirect, conv.TuneForceFFT} {
+	for _, method := range []conv.Method{conv.Direct, conv.FFT} {
 		o := net.BuildOptions{
 			Width: 3, OutputExtent: 2, Seed: 5,
-			Tuner: &conv.Autotuner{Policy: tune},
+			Method: method,
 		}
 		par, ser := buildPair(t, "C3-Trelu-M2-C2-Ttanh", o)
 		rng := rand.New(rand.NewSource(6))
@@ -110,7 +110,7 @@ func TestTrainingMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			if math.Abs(gotLoss-wantLoss) > 1e-8*(1+math.Abs(wantLoss)) {
-				t.Fatalf("%v round %d: loss %g vs serial %g", tune, round, gotLoss, wantLoss)
+				t.Fatalf("%v round %d: loss %g vs serial %g", method, round, gotLoss, wantLoss)
 			}
 		}
 		if err := en.Close(); err != nil {
@@ -125,7 +125,7 @@ func TestTrainingMatchesSerial(t *testing.T) {
 			}
 		}
 		if maxd > 1e-8 {
-			t.Errorf("%v: weights diverged from serial by %g", tune, maxd)
+			t.Errorf("%v: weights diverged from serial by %g", method, maxd)
 		}
 	}
 }
@@ -227,7 +227,7 @@ func TestForceStatisticsAccumulate(t *testing.T) {
 	// before the main goroutine is scheduled again.
 	nw, err := net.Build(net.MustParse("C5-Trelu-C5"), net.BuildOptions{
 		Width: 12, OutputExtent: 12, Seed: 11,
-		Tuner: &conv.Autotuner{Policy: conv.TuneForceDirect},
+		Method: conv.Direct,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -495,7 +495,7 @@ func TestDropoutTrainingMode(t *testing.T) {
 func TestMemoizedTrainingMatchesUnmemoized(t *testing.T) {
 	// FFT memoization must not change results, only transform counts.
 	base := net.BuildOptions{Width: 2, OutputExtent: 2, Seed: 21,
-		Tuner: &conv.Autotuner{Policy: conv.TuneForceFFT}}
+		Method: conv.FFT}
 	memo := base
 	memo.Memoize = true
 	a, err := net.Build(net.MustParse("C3-Ttanh-C3"), base)

@@ -21,7 +21,7 @@ func buildInferNet(t testing.TB, workers int) (*Engine, *net.Network) {
 	t.Helper()
 	nw, err := net.Build(net.MustParse("C3-Ttanh-C3"), net.BuildOptions{
 		Width: 2, InputExtent: 16,
-		Tuner:   &conv.Autotuner{Policy: conv.TuneForceFFT},
+		Method:  conv.FFT,
 		Memoize: true, Seed: 11,
 	})
 	if err != nil {

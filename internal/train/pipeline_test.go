@@ -127,10 +127,10 @@ var roundPathRegimes = []struct {
 	build func(t *testing.T) (*net.Network, Config)
 }{
 	{"forced-fft", func(t *testing.T) (*net.Network, Config) {
-		return buildForced(t, conv.TuneForceFFT), Config{Eta: 0.05}
+		return buildForced(t, conv.FFT), Config{Eta: 0.05}
 	}},
 	{"forced-direct", func(t *testing.T) (*net.Network, Config) {
-		return buildForced(t, conv.TuneForceDirect), Config{Eta: 0.05}
+		return buildForced(t, conv.Direct), Config{Eta: 0.05}
 	}},
 	{"planned-mixed", func(t *testing.T) (*net.Network, Config) {
 		// The smallest width-2 shape class the planner splits: the 2³ layer
@@ -152,11 +152,11 @@ var roundPathRegimes = []struct {
 	}},
 }
 
-func buildForced(t *testing.T, policy conv.TunePolicy) *net.Network {
+func buildForced(t *testing.T, method conv.Method) *net.Network {
 	t.Helper()
 	nw, err := net.Build(net.MustParse("C3-Ttanh-C3"), net.BuildOptions{
 		Width: 2, OutputExtent: 4, Seed: 13,
-		Tuner: &conv.Autotuner{Policy: policy}, Memoize: true,
+		Method: method, Memoize: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -265,7 +265,7 @@ func checkInferPaths(t *testing.T, nw *net.Network, en *Engine, k int) {
 // fails validation is rejected by Submit itself — no handle, nothing to
 // Wait — and the session stays usable.
 func TestSubmitReportsValidationErrors(t *testing.T) {
-	nw := buildForced(t, conv.TuneForceFFT)
+	nw := buildForced(t, conv.FFT)
 	ins, des := pipelineSamples(nw, 1, 19)
 	en, err := NewEngine(nw.G, Config{Workers: 2})
 	if err != nil {
@@ -296,7 +296,7 @@ func TestSubmitReportsValidationErrors(t *testing.T) {
 // — Loss, NodeForward, InputGradient — still describes the last round that
 // succeeded.
 func TestErroredRoundKeepsLastSuccessfulState(t *testing.T) {
-	nw := buildForced(t, conv.TuneForceFFT)
+	nw := buildForced(t, conv.FFT)
 	ins, des := pipelineSamples(nw, 2, 20)
 	en, err := NewEngine(nw.G, Config{Workers: 2, Eta: 0.05})
 	if err != nil {

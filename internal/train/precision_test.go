@@ -23,7 +23,7 @@ func TestF32TrainingMatchesF64(t *testing.T) {
 	mk := func(counters *conv.Counters) *net.Network {
 		nw, err := net.Build(net.MustParse("C3-Trelu-C3-Ttanh-C2"), net.BuildOptions{
 			Width: 4, OutputExtent: 2, Seed: 71,
-			Tuner:   &conv.Autotuner{Policy: conv.TuneForceFFT},
+			Method:  conv.FFT,
 			Memoize: true, Counters: counters,
 		})
 		if err != nil {
@@ -91,7 +91,7 @@ func TestF32TrainingMatchesF64(t *testing.T) {
 func TestF32SerialMatchesEngine(t *testing.T) {
 	nw, err := net.Build(net.MustParse("C3-Trelu-C2"), net.BuildOptions{
 		Width: 3, OutputExtent: 3, Seed: 73,
-		Tuner:   &conv.Autotuner{Policy: conv.TuneForceFFT},
+		Method:  conv.FFT,
 		Memoize: true,
 	})
 	if err != nil {

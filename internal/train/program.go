@@ -281,14 +281,7 @@ func Compile(g *graph.Graph, cfg Config) (*Program, error) {
 			continue
 		}
 		if cfg.Plan != nil {
-			geom := conv.LayerGeom{
-				In:     op.Tr.InShape(),
-				Kernel: op.Kernel.S,
-				Sp:     op.Sp,
-				F:      len(e.To.In),
-				FPrime: len(e.From.Out),
-			}
-			if a, found := cfg.Plan.Lookup(geom); found {
+			if a, found := cfg.Plan.Lookup(graph.ConvGeom(e)); found {
 				op.Tr.SetMethodPrec(a.Method, a.Precision)
 				continue
 			}

@@ -21,7 +21,7 @@ func TestSpectralTrainingMatchesSerial(t *testing.T) {
 	mk := func() *net.Network {
 		nw, err := net.Build(net.MustParse("C3-Trelu-C3-Ttanh-C2"), net.BuildOptions{
 			Width: 4, OutputExtent: 2, Seed: 41,
-			Tuner:   &conv.Autotuner{Policy: conv.TuneForceFFT},
+			Method:  conv.FFT,
 			Memoize: true,
 		})
 		if err != nil {
@@ -103,7 +103,7 @@ func TestSpectralInverseCounts(t *testing.T) {
 	var c conv.Counters
 	nw, err := net.Build(net.MustParse("C3"), net.BuildOptions{
 		Width: fp, InWidth: f, OutWidth: fp, InputExtent: 12,
-		Tuner:   &conv.Autotuner{Policy: conv.TuneForceFFT},
+		Method:  conv.FFT,
 		Memoize: true, Counters: &c, Seed: 43,
 	})
 	if err != nil {

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"znn/internal/conv"
+	"znn/internal/graph"
 	"znn/internal/net"
 	"znn/internal/ops"
 	"znn/internal/plan"
@@ -62,16 +63,23 @@ func Dense() Sparsity { return tensor.Dense() }
 // Uniform returns isotropic sparsity s.
 func Uniform(s int) Sparsity { return tensor.Uniform(s) }
 
-// ConvMode selects how convolutions are computed.
+// ConvMode selects how each conv layer's method (direct or FFT) is chosen.
+// Checkpoints store it, so the values are fixed: 1 was the retired
+// measured autotuner and loads as Autotune; any other unlisted value makes
+// NewNetwork, Load and GraphBuilder.Build fail.
 type ConvMode int
 
-// Convolution modes. Autotune picks per layer using the Table II cost
-// model; AutotuneMeasured times the primitives on this machine.
+// Convolution modes. Autotune prices every conv layer by the Table II cost
+// of one training round at the configured precision and runs the cheaper
+// method (internal/plan's training objective, ZNN §IV's layerwise
+// autotuning); ForceDirect and ForceFFT run every layer with one method.
+// Planned networks ignore the mode: their plan picks every layer's method.
 const (
-	Autotune ConvMode = iota
-	AutotuneMeasured
-	ForceDirect
-	ForceFFT
+	Autotune    ConvMode = 0
+	ForceDirect ConvMode = 2
+	ForceFFT    ConvMode = 3
+
+	legacyAutotuneMeasured ConvMode = 1
 )
 
 // Config collects network construction and training options.
@@ -93,7 +101,7 @@ type Config struct {
 	// (runtime.NumCPU()) — the paper's scheduler exists to use every
 	// core, so the old silent default of 1 was a trap.
 	Workers int
-	// Conv selects the convolution mode (default Autotune).
+	// Conv selects how conv layers pick their method (default Autotune).
 	Conv ConvMode
 	// Memoize enables FFT memoization (Section IV).
 	Memoize bool
@@ -111,15 +119,15 @@ type Config struct {
 	SlidingWindow bool
 	// Float32 runs the packed spectral pipeline in float32/complex64:
 	// half the spectrum memory and bandwidth at float32 accuracy. The
-	// autotuner cost model accounts for the halved bandwidth when
+	// planner's cost model accounts for the halved bandwidth when
 	// choosing direct vs FFT per layer. Weights and images stay float64;
 	// only the transform-domain work changes precision.
 	Float32 bool
-	// Planned enables the whole-network execution planner: instead of
-	// tuning each conv layer in isolation, the network is compiled from a
-	// plan that picks (method, precision) per layer and a fused batch
-	// width K to maximize modeled throughput — under MemBudget when one
-	// is set. MemBudget > 0 implies Planned.
+	// Planned plans the network for inference: instead of pricing each
+	// conv layer's training round, the network is compiled from a plan
+	// that picks (method, precision) per layer and a fused batch width K
+	// to maximize modeled forward throughput — under MemBudget when one is
+	// set. MemBudget > 0 implies Planned.
 	Planned bool
 	// MemBudget bounds the plan's estimated pooled spectrum bytes for one
 	// fused inference round (see internal/plan for the exact semantics);
@@ -131,17 +139,19 @@ type Config struct {
 	PlanMaxK int
 }
 
-func (c Config) tuner() *conv.Autotuner {
-	t := &conv.Autotuner{Policy: conv.TuneModel, Precision: c.precision()}
+// convMode resolves c.Conv: the method conv edges are built with, and
+// whether the planner's training objective replaces it at compile time.
+// Planned networks replace it whatever the mode.
+func (c Config) convMode() (built conv.Method, autotune bool, err error) {
 	switch c.Conv {
+	case Autotune, legacyAutotuneMeasured:
+		return conv.Direct, true, nil
 	case ForceDirect:
-		t.Policy = conv.TuneForceDirect
+		return conv.Direct, false, nil
 	case ForceFFT:
-		t.Policy = conv.TuneForceFFT
-	case AutotuneMeasured:
-		t.Policy = conv.TuneMeasure
+		return conv.FFT, false, nil
 	}
-	return t
+	return 0, false, fmt.Errorf("znn: unknown Config.Conv mode %d", c.Conv)
 }
 
 func (c Config) precision() conv.Precision {
@@ -178,20 +188,15 @@ func NewNetwork(spec string, cfg Config) (*Network, error) {
 // compile builds spec at the geometry bo names (patch extents or an explicit
 // input shape; the remaining build options come from cfg), installs params
 // when non-nil — before planning, which reads the kernels' densities — and
-// compiles the engine, from an execution plan when cfg asks for one. rounds
-// is the number of in-flight fused rounds the plan's byte model is charged
-// for.
+// compiles the engine. rounds is the number of in-flight fused rounds a
+// planned network's byte model is charged for.
 func compile(spec net.Spec, cfg Config, bo net.BuildOptions, params []float64, rounds int) (*Network, error) {
-	lossName := cfg.Loss
-	if lossName == "" {
-		lossName = "squared"
-	}
-	loss, err := ops.LossByName(lossName)
+	method, _, err := cfg.convMode()
 	if err != nil {
 		return nil, err
 	}
 	bo.Width, bo.InWidth, bo.OutWidth, bo.Dims = cfg.Width, cfg.InWidth, cfg.OutWidth, cfg.Dims
-	bo.Tuner, bo.Memoize, bo.Seed = cfg.tuner(), cfg.Memoize, cfg.Seed
+	bo.Method, bo.Memoize, bo.Seed = method, cfg.Memoize, cfg.Seed
 	nw, err := net.Build(spec, bo)
 	if err != nil {
 		return nil, err
@@ -201,36 +206,65 @@ func compile(spec net.Spec, cfg Config, bo net.BuildOptions, params []float64, r
 			return nil, err
 		}
 	}
-	var pl *plan.Plan
-	if cfg.Planned || cfg.MemBudget > 0 {
-		pl, err = plan.Build(nw.LayerGeoms(), cfg.planConfig(cfg.MemBudget, rounds))
-		if err != nil {
-			return nil, err
-		}
-	}
-	en, err := train.NewEngine(nw.G, train.Config{
-		Workers:   cfg.Workers,
-		Loss:      loss,
-		Eta:       cfg.Eta,
-		Momentum:  cfg.Momentum,
-		Precision: cfg.precision(),
-		Plan:      pl,
-	})
+	en, pl, err := cfg.engine(nw.G, rounds)
 	if err != nil {
 		return nil, err
 	}
 	return &Network{spec: spec, nw: nw, en: en, cfg: cfg, pl: pl}, nil
 }
 
+// engine compiles g, built with c.convMode's method, into a training
+// engine. Unless the mode forces one method, the execution planner picks
+// every conv layer's method from graph.LayerGeoms(g), which reads the live
+// kernel densities: under the inference objective when c is planned, its
+// byte model charged for rounds fused rounds in flight, and otherwise under
+// the training objective at c's precision. The returned plan is the
+// inference plan, nil unless c is planned.
+func (c Config) engine(g *graph.Graph, rounds int) (*train.Engine, *plan.Plan, error) {
+	lossName := c.Loss
+	if lossName == "" {
+		lossName = "squared"
+	}
+	loss, err := ops.LossByName(lossName)
+	if err != nil {
+		return nil, nil, err
+	}
+	_, autotune, err := c.convMode()
+	if err != nil {
+		return nil, nil, err
+	}
+	var pl, apply *plan.Plan
+	if c.Planned || c.MemBudget > 0 {
+		pl, err = plan.Build(graph.LayerGeoms(g), c.planConfig(c.MemBudget, rounds))
+		apply = pl
+	} else if autotune {
+		apply, err = plan.Build(graph.LayerGeoms(g), plan.Config{Training: true, Precisions: []conv.Precision{c.precision()}})
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	en, err := train.NewEngine(g, train.Config{
+		Workers:   c.Workers,
+		Loss:      loss,
+		Eta:       c.Eta,
+		Momentum:  c.Momentum,
+		Precision: c.precision(),
+		Plan:      apply,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return en, pl, nil
+}
+
 // planConfig is the execution planner's configuration for this network
 // config under the given byte budget and in-flight round count.
 func (c Config) planConfig(budget int64, rounds int) plan.Config {
 	pc := plan.Config{
-		Budget:   budget,
-		MaxK:     c.PlanMaxK,
-		Measured: c.Conv == AutotuneMeasured,
-		Workers:  c.Workers,
-		Rounds:   rounds,
+		Budget:  budget,
+		MaxK:    c.PlanMaxK,
+		Workers: c.Workers,
+		Rounds:  rounds,
 	}
 	if pc.Workers < 1 {
 		pc.Workers = runtime.NumCPU()
@@ -265,30 +299,28 @@ func (n *Network) Spec() string { return n.spec.String() }
 // FieldOfView returns the input extent that influences one output voxel.
 func (n *Network) FieldOfView() int { return n.spec.FieldOfView() }
 
-// LayerMethods reports the per-conv-layer convolution method in use: the
-// plan's assignment when the network was compiled from an execution plan,
-// the autotuner's choice otherwise.
+// LayerMethods reports the convolution method each conv layer runs, read
+// from its compiled edges.
 func (n *Network) LayerMethods() []string {
-	if n.pl != nil {
-		out := make([]string, 0, len(n.nw.LayerMethods))
-		for _, g := range n.nw.LayerGeoms() {
-			if a, ok := n.pl.Lookup(g); ok {
-				out = append(out, a.Method.String())
-			}
+	var out []string
+	left := 0 // edges of the current layer still to pass
+	for _, e := range n.nw.G.Edges {
+		op, ok := e.Op.(*graph.ConvOp)
+		if !ok {
+			continue
 		}
-		if len(out) == len(n.nw.LayerMethods) {
-			return out
+		if left == 0 { // conv edges are built layer by layer, f·f′ each
+			g := graph.ConvGeom(e)
+			left = g.F * g.FPrime
+			out = append(out, op.Tr.Method().String())
 		}
-	}
-	out := make([]string, len(n.nw.LayerMethods))
-	for i, m := range n.nw.LayerMethods {
-		out[i] = m.String()
+		left--
 	}
 	return out
 }
 
 // Plan returns the execution plan the network was compiled from, or nil
-// when layers run their individually autotuned methods.
+// unless the network is Planned.
 func (n *Network) Plan() *plan.Plan { return n.pl }
 
 // Train runs one gradient iteration on a single-input single-output

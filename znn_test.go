@@ -2,11 +2,14 @@ package znn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"znn/internal/conv"
 	"znn/internal/data"
+	"znn/internal/graph"
 	"znn/internal/tensor"
 )
 
@@ -198,6 +201,54 @@ func TestGraphBuilderErrors(t *testing.T) {
 	b3.MaxPool("pool", Cube(2), in3) // 9 not divisible by 2
 	if _, err := b3.Build(); err == nil {
 		t.Error("indivisible pool not reported")
+	}
+}
+
+// TestGraphBuilderHonoursConfig: GraphBuilder settles its conv edges'
+// method and precision from the same Config fields NewNetwork does —
+// Float32, Planned and MemBudget included — and rejects an unknown Conv.
+// The net is one fully connected 8→8 layer of 9³ kernels on 24³ inputs:
+// FFT under an unconstrained plan, direct once the budget cannot hold a
+// spectrum.
+func TestGraphBuilderHonoursConfig(t *testing.T) {
+	build := func(cfg Config) (*Model, error) {
+		cfg.Workers = 1
+		b := NewGraphBuilder(cfg)
+		ins := make([]NodeRef, 8)
+		for i := range ins {
+			ins[i] = b.Input(fmt.Sprintf("in/%d", i), Cube(24))
+		}
+		for j := 0; j < 8; j++ {
+			b.Conv(fmt.Sprintf("out/%d", j), Cube(9), Dense(), ins...)
+		}
+		return b.Build()
+	}
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		method conv.Method
+		prec   conv.Precision
+	}{
+		{"ForceFFT f32", Config{Conv: ForceFFT, Float32: true}, conv.FFT, conv.PrecF32},
+		{"Autotune f32", Config{Float32: true}, conv.FFT, conv.PrecF32},
+		{"Planned", Config{Conv: ForceDirect, Planned: true}, conv.FFT, conv.PrecF32},
+		{"MemBudget", Config{Conv: ForceFFT, MemBudget: 1}, conv.Direct, conv.PrecF64},
+	} {
+		m, err := build(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for _, e := range m.g.Edges {
+			op := e.Op.(*graph.ConvOp)
+			if op.Tr.Method() != c.method || op.Tr.Precision() != c.prec {
+				t.Errorf("%s: edge %s runs %v %v, want %v %v", c.name, e, op.Tr.Method(), op.Tr.Precision(), c.method, c.prec)
+				break
+			}
+		}
+		m.Close()
+	}
+	if _, err := build(Config{Conv: 9}); err == nil {
+		t.Error("unknown Conv mode accepted")
 	}
 }
 
