@@ -71,7 +71,9 @@ func table2(cfg config) {
 		{"fft-memoized", conv.FFT, true},
 	} {
 		var counters conv.Counters
-		nw, err := net.Build(net.MustParse(fmt.Sprintf("C%d", k)), net.BuildOptions{
+		// A linear transfer in front: input nodes compute no backward
+		// image, so the measured layer's sources are the transfer nodes.
+		nw, err := net.Build(net.MustParse(fmt.Sprintf("Tlinear-C%d", k)), net.BuildOptions{
 			Width: fp, InWidth: f, OutWidth: fp,
 			InputExtent: nIn,
 			Method:      mode.method,

@@ -23,28 +23,38 @@
 //
 // # Direct kernels
 //
-// Direct runs one kernel, which takes a kernel in one form: a TapList, the
-// nonzero coefficients in fixed (z, y, x) order with their source offsets.
-// Kernel sparsity is therefore not a separate method but an input to
-// Direct's cost: the forward and backward passes run only the nonzero taps,
-// and LayerGeom.Density scales the planner's estimates.
-// Loops are output-outer, tap-inner: the forward pass computes each output
-// plane as one run at the image's row stride — the gather
-// dst[i] = Σ_t w_t·src[off_t + i], 32 voxels held in eight YMM accumulators
-// across every tap — and copies its rows out. The backward pass is the same
-// gather over the image zero-padded by s(k−1) in pooled scratch, with the
-// reflected tap list read straight off the kernel; the kernel gradient is
-// one dot product per tap and backward plane.
+// Direct runs one kernel, which takes each kernel in one form: a TapList,
+// the nonzero coefficients in fixed (z, y, x) order with their source
+// offsets. Kernel sparsity is therefore not a separate method but an input
+// to Direct's cost: the forward and backward passes run only the nonzero
+// taps, and LayerGeom.Density scales the planner's estimates.
 //
-// Rounding contract: every output voxel is the FMA chain from +0 over its
-// taps in list order — in the vector body, in the final block (which
-// overlaps its predecessor instead of leaving a tail) and in the math.FMA
-// scalar code alike — so its bits do not depend on where a row, plane or
-// tile boundary falls, and tiled ≡ single-shot is bitwise. The gradient
-// sums in the fixed order documented on dotGo. The AVX2+FMA assembly runs
-// when internal/cpu reports VectorOK; otherwise (the purego tag, other
-// GOARCHes, pre-AVX2 hosts) the Go twins in kernels.go produce the same
-// bits — via math.FMA, slow only on pre-FMA x86.
+// The kernel is a node-level sum. SumForward computes Σ_i valid(x_i, w_i)
+// over a node's direct in-edges and SumBackward Σ_j full(g_j, w_j) over its
+// direct out-edges, for a block of output planes [z0, z1), so the engine
+// runs one task per (node, plane block) and no edge has an output tensor of
+// its own. Loops are output-outer, tap-inner: each output plane is one run
+// at the images' row stride — the gather dst[i] = Σ_t w_t·src_t[i], where
+// every tap carries its own source run, 32 voxels held in eight YMM
+// accumulators across every tap of every edge — whose rows are copied out.
+// The backward pass is the same gather over each g_j zero-padded by
+// s(k−1), with the reflected taps read straight off the kernel; PadCache
+// pads a node's backward image once per halo for all the edges that read
+// it. Forward and Backward on one edge are the one-term case of the same
+// sums. The kernel gradient stays per edge: one dot product per tap and
+// backward plane.
+//
+// Rounding contract: every output voxel is the FMA chain from +0 over the
+// taps of its terms, term by term in the order given and each term's taps
+// in list order — in the vector body, in the final block (which overlaps
+// its predecessor instead of leaving a tail) and in the math.FMA scalar
+// code alike — so its bits do not depend on where a row, plane, block or
+// tile boundary falls, nor on which task ran first: tiled ≡ single-shot is
+// bitwise, and so is training at any worker count. The gradient sums in the
+// fixed order documented on dotGo. The AVX2+FMA assembly runs when
+// internal/cpu reports VectorOK; otherwise (the purego tag, other GOARCHes,
+// pre-AVX2 hosts) the Go twins in kernels.go produce the same bits — via
+// math.FMA, slow only on pre-FMA x86.
 //
 // # Batch width
 //
@@ -52,7 +62,9 @@
 // length; Forward is the one-volume case. SpectrumCache shares each node
 // image's lazily computed spectrum among the consuming edges, and the
 // Transformer's sweeps (ForwardBatch, ForwardProducts) fetch the kernel
-// spectrum, or build the tap list, once per sweep.
+// spectrum once per sweep. A direct node sum is per volume: the engine
+// runs one task per (volume, plane block), each building its tap table
+// once for its planes.
 package conv
 
 import (
@@ -195,37 +207,7 @@ func padInto(dst []float64, ds tensor.Shape, src []float64, ss, h tensor.Shape) 
 // it panics if the kernel (dilated) does not fit in the image.
 func ValidDirect(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
 	checkConvArgs(img, ker, sp)
-	os := img.S.ValidConv(ker.S, sp)
-	if !os.Valid() {
-		panic(fmt.Sprintf("conv: kernel %v (sparsity %v) does not fit in image %v", ker.S, sp, img.S))
-	}
-	out := tensor.New(os)
-	ValidDirectInto(out, img, ker, sp)
-	return out
-}
-
-// ValidDirectInto computes the valid sparse convolution into a
-// caller-provided output tensor of the correct shape, overwriting it.
-func ValidDirectInto(out, img, ker *tensor.Tensor, sp tensor.Sparsity) {
-	validInto(out, img, NewTapList(ker), sp)
-}
-
-// validInto is the forward gather: each output plane is one run at the
-// image's row stride in scratch, whose rows are then copied into out.
-func validInto(out, img *tensor.Tensor, tl *TapList, sp tensor.Sparsity) {
-	is, os := img.S, img.S.ValidConv(tl.ks, sp)
-	if out.S != os {
-		panic(fmt.Sprintf("conv: output shape %v, want %v", out.S, os))
-	}
-	offs := tl.bind(is, sp)
-	plane := getScratch((os.Y-1)*is.X + os.X)
-	for z := 0; z < os.Z; z++ {
-		gather(plane, img.Data[is.Index(0, 0, z):], tl.w, offs)
-		for y := 0; y < os.Y; y++ {
-			copy(out.Data[os.Index(0, y, z):][:os.X], plane[y*is.X:])
-		}
-	}
-	putScratch(plane)
+	return NewTransformer(img.S, ker.S, sp, Direct, false, nil).Forward(img, ker, nil)
 }
 
 // FullDirect computes the full sparse convolution of img with ker: every
@@ -233,23 +215,124 @@ func validInto(out, img *tensor.Tensor, tl *TapList, sp tensor.Sparsity) {
 // The output shape is n + s(k−1) per axis.
 func FullDirect(img, ker *tensor.Tensor, sp tensor.Sparsity) *tensor.Tensor {
 	checkConvArgs(img, ker, sp)
-	out := tensor.New(img.S.FullConv(ker.S, sp))
-	fullInto(out, img, NewTapList(ker), sp)
-	return out
+	tr := NewTransformer(img.S.FullConv(ker.S, sp), ker.S, sp, Direct, false, nil)
+	return tr.Backward(img, ker.Reflect(), nil)
 }
 
-// fullInto is the valid gather over img zero-padded by s(k−1) on every side.
-func fullInto(out, img *tensor.Tensor, tl *TapList, sp tensor.Sparsity) {
-	os := img.S.FullConv(tl.ks, sp)
-	if out.S != os {
-		panic(fmt.Sprintf("conv: output shape %v, want %v", out.S, os))
+// Term is one edge of a node-level direct sum: the edge's transformer, its
+// operand image and its kernel. For SumForward the operand is the edge's
+// source image; for SumBackward it is the edge's target backward image
+// zero-padded by the edge's Halo (PadCache.Get).
+type Term struct {
+	Tr       *Transformer
+	Img, Ker *tensor.Tensor
+}
+
+// SumForward sets output planes [z0, z1) of out to Σ valid(Img, Ker) over
+// terms whose images share one shape: a node's direct in-edges.
+func SumForward(out *tensor.Tensor, z0, z1 int, terms []Term) { sumPlanes(out, z0, z1, terms, false) }
+
+// SumBackward sets planes [z0, z1) of out to Σ full(bwd, reflect(Ker)) over
+// terms whose padded images share one shape: a node's direct out-edges.
+func SumBackward(out *tensor.Tensor, z0, z1 int, terms []Term) { sumPlanes(out, z0, z1, terms, true) }
+
+// gatherSet is sumPlanes' tap table: every tap of every term in order, its
+// weight, its image from the tap's offset on, and its run in one plane.
+type gatherSet struct {
+	w         []float64
+	src, runs [][]float64
+}
+
+var gatherSets = sync.Pool{New: func() any { return new(gatherSet) }}
+
+// sumPlanes is the one direct kernel: a valid gather over the terms' images
+// (already padded when refl, with the reflected taps). Each output plane is
+// one run at the images' row stride in scratch — every voxel one FMA chain
+// over all taps of all terms — whose rows are then copied into out.
+func sumPlanes(out *tensor.Tensor, z0, z1 int, terms []Term, refl bool) {
+	is, os := terms[0].Img.S, out.S
+	if z0 < 0 || z1 > os.Z || z0 > z1 {
+		panic(fmt.Sprintf("conv: planes [%d, %d) of %v", z0, z1, os))
 	}
-	h := os.Sub(img.S)
-	ps := os.Add(h)
-	buf := getScratch(ps.Volume())
-	padInto(buf, ps, img.Data, img.S, h)
-	validInto(out, &tensor.Tensor{S: ps, Data: buf}, tl, sp)
-	putScratch(buf)
+	gs := gatherSets.Get().(*gatherSet)
+	gs.w, gs.src = gs.w[:0], gs.src[:0]
+	for _, tm := range terms {
+		if tm.Img.S != is || tm.Ker.S != tm.Tr.k || is.ValidConv(tm.Ker.S, tm.Tr.sp) != os {
+			panic(fmt.Sprintf("conv: direct sum term image %v kernel %v sparsity %v, output %v over images %v",
+				tm.Img.S, tm.Ker.S, tm.Tr.sp, os, is))
+		}
+		tl := newTapList(tm.Ker, refl)
+		gs.w = append(gs.w, tl.w...)
+		for _, off := range tl.bind(is, tm.Tr.sp) {
+			gs.src = append(gs.src, tm.Img.Data[off:])
+		}
+		if z0 == 0 { // once per sum, in the paper's n′·k³ units for both passes; zero taps skipped
+			tm.Tr.cnt.addDirect(int64(tm.Tr.out.Volume() * tl.Len()))
+		}
+		tapLists.Put(tl)
+	}
+	n := (os.Y-1)*is.X + os.X
+	gs.runs = slices.Grow(gs.runs[:0], len(gs.src))[:len(gs.src)]
+	plane := getScratch(n)
+	for z := z0; z < z1; z++ {
+		base := is.Index(0, 0, z)
+		for t, s := range gs.src {
+			gs.runs[t] = s[base:][:n]
+		}
+		gather(plane, gs.runs, gs.w)
+		for y := 0; y < os.Y; y++ {
+			copy(out.Data[os.Index(0, y, z):][:os.X], plane[y*is.X:])
+		}
+	}
+	putScratch(plane)
+	clear(gs.src)
+	clear(gs.runs)
+	gatherSets.Put(gs)
+}
+
+// PadCache holds one node's backward image zero-padded once per halo, in
+// pooled scratch, for every direct in-edge that reads it: the spatial
+// counterpart of the node's SpectrumCache. Reset points it at an image;
+// Get pads on first use; Release returns the buffers once no task can
+// still read them.
+type PadCache struct {
+	mu   sync.Mutex
+	img  *tensor.Tensor
+	pads []*tensor.Tensor
+}
+
+// Reset releases the padded images and points the cache at img; it must
+// not race with Get.
+func (pc *PadCache) Reset(img *tensor.Tensor) {
+	pc.Release()
+	pc.img = img
+}
+
+// Get returns the cached image zero-padded by h on every side, padding it
+// on first use. The buffer is shared; treat it as immutable.
+func (pc *PadCache) Get(h tensor.Shape) *tensor.Tensor {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	ps := pc.img.S.Add(h).Add(h)
+	for _, p := range pc.pads {
+		if p.S == ps {
+			return p
+		}
+	}
+	p := &tensor.Tensor{S: ps, Data: getScratch(ps.Volume())}
+	padInto(p.Data, ps, pc.img.Data, pc.img.S, h)
+	pc.pads = append(pc.pads, p)
+	return p
+}
+
+// Release returns every padded image to the scratch pool.
+func (pc *PadCache) Release() {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	for _, p := range pc.pads {
+		putScratch(p.Data)
+	}
+	pc.pads = pc.pads[:0]
 }
 
 // KernelGradDirect computes the gradient of the loss with respect to the

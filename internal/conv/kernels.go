@@ -9,14 +9,15 @@ var (
 	dotTaps = dotGo
 )
 
-// gatherGo sets dst[i] = Σ_t ws[t]·src[offs[t]+i], each voxel a math.FMA
-// chain over the taps in list order from +0.
-func gatherGo(dst, src, ws []float64, offs []int) {
+// gatherGo sets dst[i] = Σ_t ws[t]·srcs[t][i], each voxel a math.FMA chain
+// over the taps in list order from +0. Every tap carries its own source run,
+// so one chain spans the taps of several images (a node-level sum).
+func gatherGo(dst []float64, srcs [][]float64, ws []float64) {
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
 		var a0, a1, a2, a3 float64
 		for t, w := range ws {
-			s := src[offs[t]+i:][:4]
+			s := srcs[t][i:][:4]
 			a0 = math.FMA(w, s[0], a0)
 			a1 = math.FMA(w, s[1], a1)
 			a2 = math.FMA(w, s[2], a2)
@@ -27,7 +28,7 @@ func gatherGo(dst, src, ws []float64, offs []int) {
 	for ; i < len(dst); i++ {
 		var a float64
 		for t, w := range ws {
-			a = math.FMA(w, src[offs[t]+i], a)
+			a = math.FMA(w, srcs[t][i], a)
 		}
 		dst[i] = a
 	}

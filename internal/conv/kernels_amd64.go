@@ -12,19 +12,25 @@ func init() {
 }
 
 //go:noescape
-func gatherAsm(dst *float64, n int, src, w *float64, off *int, nt int)
+func gatherAsm(dst *float64, n int, srcs *[]float64, w *float64, nt int)
 
 //go:noescape
 func dotAsm(dst, a *float64, n int, b *float64, off *int, nt int)
 
 // gatherAVX2 runs runs of 32 voxels or more in assembly, shorter ones in Go.
-func gatherAVX2(dst, src, ws []float64, offs []int) {
-	checkTaps(len(dst), src, len(ws), offs)
+func gatherAVX2(dst []float64, srcs [][]float64, ws []float64) {
+	bad := len(srcs) != len(ws)
+	for _, s := range srcs {
+		bad = bad || len(s) < len(dst)
+	}
+	if bad {
+		panic("conv: direct kernel taps outside their source")
+	}
 	if len(dst) < 32 || len(ws) == 0 {
-		gatherGo(dst, src, ws, offs)
+		gatherGo(dst, srcs, ws)
 		return
 	}
-	gatherAsm(&dst[0], len(dst), &src[0], &ws[0], &offs[0], len(ws))
+	gatherAsm(&dst[0], len(dst), &srcs[0], &ws[0], len(ws))
 }
 
 // dotAVX2 runs the 16-element blocks in assembly and the tail in Go.

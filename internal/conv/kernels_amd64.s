@@ -8,18 +8,18 @@
 // exactly like the twin's math.FMA. NOSPLIT leaf functions; VZEROUPPER on
 // exit avoids AVX→SSE transition stalls in the surrounding Go code.
 
-// func gatherAsm(dst *float64, n int, src, w *float64, off *int, nt int)
+// func gatherAsm(dst *float64, n int, srcs *[]float64, w *float64, nt int)
 //
-// dst[i] = Σ_t w[t]·src[off[t]+i] for i in [0, n), n ≥ 32, nt ≥ 1. Blocks
-// of 32 voxels live in Y0–Y7 across the whole tap loop; the final block
-// starts at n−32 and may overlap the previous one.
-TEXT ·gatherAsm(SB), NOSPLIT, $0-48
+// dst[i] = Σ_t w[t]·srcs[t][i] for i in [0, n), n ≥ 32, nt ≥ 1; each tap's
+// source is its own slice (24-byte headers, data pointer first). Blocks of
+// 32 voxels live in Y0–Y7 across the whole tap loop; the final block starts
+// at n−32 and may overlap the previous one.
+TEXT ·gatherAsm(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
 	MOVQ n+8(FP), DX
-	MOVQ src+16(FP), SI
+	MOVQ srcs+16(FP), SI
 	MOVQ w+24(FP), R8
-	MOVQ off+32(FP), R9
-	MOVQ nt+40(FP), R10
+	MOVQ nt+32(FP), R10
 	SUBQ $32, DX
 	SHLQ $3, DX                    // byte offset of the final block
 	XORQ BX, BX                    // byte offset of the current block
@@ -33,12 +33,12 @@ gblock:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
-	LEAQ (SI)(BX*1), AX            // src + block
+	MOVQ SI, R9                    // &srcs[0]
 	XORQ R11, R11                  // tap index
 
 gtap:
-	MOVQ (R9)(R11*8), R12
-	LEAQ (AX)(R12*8), R13          // src + block + off[t]
+	MOVQ (R9), R12
+	LEAQ (R12)(BX*1), R13          // srcs[t] + block
 	VBROADCASTSD (R8)(R11*8), Y8   // w[t]
 	VFMADD231PD (R13), Y8, Y0
 	VFMADD231PD 32(R13), Y8, Y1
@@ -48,6 +48,7 @@ gtap:
 	VFMADD231PD 160(R13), Y8, Y5
 	VFMADD231PD 192(R13), Y8, Y6
 	VFMADD231PD 224(R13), Y8, Y7
+	ADDQ $24, R9
 	INCQ R11
 	CMPQ R11, R10
 	JLT  gtap

@@ -13,15 +13,26 @@ import (
 
 // useKernels installs a primitive pair for the rest of the test or
 // benchmark and restores the dispatched pair afterwards.
-func useKernels(tb testing.TB, g func(dst, src, ws []float64, offs []int), d func(dst, a, b []float64, offs []int)) {
+func useKernels(tb testing.TB, g func(dst []float64, srcs [][]float64, ws []float64), d func(dst, a, b []float64, offs []int)) {
 	sg, sd := gather, dotTaps
 	gather, dotTaps = g, d
 	tb.Cleanup(func() { gather, dotTaps = sg, sd })
 }
 
-// vectorized reports whether init installed the assembly primitives.
+// vectorized reports whether init installed the assembly primitives: the
+// multi-source gather and the tap dot products both.
 func vectorized() bool {
-	return reflect.ValueOf(gather).Pointer() != reflect.ValueOf(gatherGo).Pointer()
+	return reflect.ValueOf(gather).Pointer() != reflect.ValueOf(gatherGo).Pointer() &&
+		reflect.ValueOf(dotTaps).Pointer() != reflect.ValueOf(dotGo).Pointer()
+}
+
+// runs cuts each tap's run of n voxels out of src at its offset.
+func runs(src []float64, offs []int, n int) [][]float64 {
+	out := make([][]float64, len(offs))
+	for t, off := range offs {
+		out[t] = src[off:][:n]
+	}
+	return out
 }
 
 func sameBits(a, b []float64) int {
@@ -58,8 +69,8 @@ func TestDirectKernelsMatchGoTwin(t *testing.T) {
 				src := tensor.RandomUniform(rng, tensor.S3(n, 1, 1).FullConv(ker.S, sp), -1, 1)
 				offs := tl.bind(src.S, sp)
 				want, got := make([]float64, n), make([]float64, n)
-				gatherGo(want, src.Data, tl.w, offs)
-				gather(got, src.Data, tl.w, offs)
+				gatherGo(want, runs(src.Data, offs, n), tl.w)
+				gather(got, runs(src.Data, offs, n), tl.w)
 				if i := sameBits(want, got); i >= 0 {
 					t.Fatalf("gather k%v sp%v taps %d n %d: voxel %d = %v, twin %v", ker.S, sp, tl.Len(), n, i, got[i], want[i])
 				}
@@ -70,6 +81,34 @@ func TestDirectKernelsMatchGoTwin(t *testing.T) {
 				if i := sameBits(wantD, gotD); i >= 0 {
 					t.Fatalf("dot k%v sp%v taps %d n %d: tap %d = %v, twin %v", ker.S, sp, tl.Len(), n, i, gotD[i], wantD[i])
 				}
+			}
+		}
+	}
+}
+
+// TestMultiSourceGatherMatchesGoTwin: the installed multi-source gather (one
+// FMA chain across taps that each read their own image, as a node-level sum
+// runs) produces the Go twin's bits for 1–300 taps over runs of 32–2000
+// voxels, ragged ends included, with every tap reading a source of its own
+// length at its own offset.
+func TestMultiSourceGatherMatchesGoTwin(t *testing.T) {
+	if !vectorized() {
+		t.Skip("direct kernels not vectorized on this build/host: nothing to differentiate")
+	}
+	rng := rand.New(rand.NewSource(84))
+	for _, taps := range []int{1, 2, 7, 27, 54, 216, 300} {
+		for _, n := range []int{32, 33, 63, 64, 65, 95, 257, 1000, 1937, 2000} {
+			srcs, ws := make([][]float64, taps), make([]float64, taps)
+			for i := range srcs {
+				src := tensor.RandomUniform(rng, tensor.S3(n+rng.Intn(200), 1, 1), -1, 1).Data
+				srcs[i] = src[rng.Intn(len(src)-n+1):][:n]
+				ws[i] = rng.Float64()*2 - 1
+			}
+			want, got := make([]float64, n), make([]float64, n)
+			gatherGo(want, srcs, ws)
+			gather(got, srcs, ws)
+			if i := sameBits(want, got); i >= 0 {
+				t.Fatalf("taps %d n %d: voxel %d = %v, twin %v", taps, n, i, got[i], want[i])
 			}
 		}
 	}
@@ -91,6 +130,16 @@ func TestDirectDispatchAVX2(t *testing.T) {
 	ker := tensor.RandomUniform(rng, tensor.S3(5, 5, 1), -1, 1)
 	if d := ValidDirect(img, ker, tensor.Dense()).MaxAbsDiff(NaiveValid(img, ker, tensor.Dense())); d > tol {
 		t.Fatalf("AVX2 forward differs from naive by %g", d)
+	}
+	// A node-level sum of two such edges.
+	img2 := tensor.RandomUniform(rng, img.S, -1, 1)
+	tr := NewTransformer(img.S, ker.S, tensor.Dense(), Direct, false, nil)
+	got := tensor.New(tr.OutShape())
+	SumForward(got, 0, got.S.Z, []Term{{tr, img, ker}, {tr, img2, ker.Reflect()}})
+	want := NaiveValid(img, ker, tensor.Dense())
+	want.Add(NaiveValid(img2, ker.Reflect(), tensor.Dense()))
+	if d := got.MaxAbsDiff(want); d > tol {
+		t.Fatalf("AVX2 two-edge sum differs from naive by %g", d)
 	}
 }
 
@@ -167,7 +216,7 @@ func benchDirect(b *testing.B, phase func(tr *Transformer, img, ker, bwd *tensor
 		bwd := tensor.RandomUniform(rng, tr.OutShape(), -1, 1)
 		for _, v := range []struct {
 			name string
-			g    func(dst, src, ws []float64, offs []int)
+			g    func(dst []float64, srcs [][]float64, ws []float64)
 			d    func(dst, a, b []float64, offs []int)
 		}{{"dispatched", gather, dotTaps}, {"scalar", gatherGo, dotGo}} {
 			b.Run(c.name+"/"+v.name, func(b *testing.B) {

@@ -305,6 +305,10 @@ func (t *Transformer) OutShape() tensor.Shape { return t.out }
 // InShape returns the forward input shape.
 func (t *Transformer) InShape() tensor.Shape { return t.in }
 
+// Halo returns s(k−1), the zero border by which the direct backward pass
+// pads the edge's backward image.
+func (t *Transformer) Halo() tensor.Shape { return t.in.Sub(t.out) }
+
 // TransformShape returns the common FFT shape (meaningful for FFT methods).
 func (t *Transformer) TransformShape() tensor.Shape { return t.m }
 
@@ -468,13 +472,10 @@ func (t *Transformer) ForwardBatch(imgs []*tensor.Tensor, ker *tensor.Tensor, sc
 		return outs
 	}
 	t.checkForward(imgs, ker)
-	tl := NewTapList(ker)
 	for i, img := range imgs {
 		outs[i] = tensor.New(t.out)
-		validInto(outs[i], img, tl, t.sp)
-		t.cnt.addDirect(int64(t.out.Volume() * tl.Len())) // zero taps skipped, not counted
+		SumForward(outs[i], 0, t.out.Z, []Term{{t, img, ker}})
 	}
-	tapLists.Put(tl)
 	return outs
 }
 
@@ -532,11 +533,11 @@ func (t *Transformer) Backward(bwd, ker *tensor.Tensor, sc *SpectrumCache) *tens
 		panic(fmt.Sprintf("conv: backward image %v, want %v", bwd.S, t.out))
 	}
 	if !t.mth.IsFFT() {
-		tl := newTapList(ker, true)
+		var pc PadCache
+		pc.Reset(bwd)
 		out := tensor.New(t.in)
-		fullInto(out, bwd, tl, t.sp)
-		t.cnt.addDirect(int64(t.out.Volume() * tl.Len()))
-		tapLists.Put(tl)
+		SumBackward(out, 0, t.in.Z, []Term{{t, pc.Get(t.Halo()), ker}})
+		pc.Release()
 		return out
 	}
 	return t.FinishBackward(t.BackwardProduct(bwd, ker, sc))
@@ -660,6 +661,19 @@ func (t *Transformer) BackwardProduct(bwd, ker *tensor.Tensor, sc *SpectrumCache
 		t.mu.Unlock()
 	}
 	return prod
+}
+
+// KeepBackward records the spectrum of bwd, shared through sc, for a
+// memoizing KernelGrad without computing the backward product: the edge's
+// source is a graph input, whose backward image nobody reads. Other
+// transformers have nothing to record.
+func (t *Transformer) KeepBackward(bwd *tensor.Tensor, sc *SpectrumCache) {
+	if t.mth.IsFFT() && t.mem {
+		bwdF := sc.Get(t.m, t.prec, t.cnt)
+		t.mu.Lock()
+		t.bwdF = bwdF
+		t.mu.Unlock()
+	}
 }
 
 // FinishBackward inverts an accumulated backward spectrum, crops the full

@@ -31,6 +31,10 @@ func (ctx *FwdCtx) infer() bool { return ctx != nil && ctx.Infer }
 // cache of the backward image at the edge's target node.
 type BwdCtx struct {
 	Spectra *conv.SpectrumCache
+	// Owned hands the backward image to the op to overwrite: nothing else
+	// reads it afterwards (a non-convolution edge is its target's only
+	// in-edge), so the op may return it as its result.
+	Owned bool
 }
 
 // UpdateOpts parameterizes gradient steps.
@@ -184,13 +188,20 @@ func (o *TransferOp) Forward(in *tensor.Tensor, ctx *FwdCtx) *tensor.Tensor {
 }
 
 // Backward multiplies the backward image by f′ evaluated at the stored
-// forward output, and records the bias gradient.
-func (o *TransferOp) Backward(grad *tensor.Tensor, _ *BwdCtx) *tensor.Tensor {
+// forward output — in place when ctx hands it over — and records the bias
+// gradient in the same pass.
+func (o *TransferOp) Backward(grad *tensor.Tensor, ctx *BwdCtx) *tensor.Tensor {
 	if o.fwdOut == nil {
 		panic("graph: transfer backward before forward")
 	}
-	out := ops.TransferBackward(o.F, o.fwdOut, grad)
-	o.biasGrad = ops.BiasGrad(out)
+	if o.fwdOut.S != grad.S {
+		panic(fmt.Sprintf("graph: transfer backward shape mismatch %v vs %v", o.fwdOut.S, grad.S))
+	}
+	out := grad
+	if ctx == nil || !ctx.Owned {
+		out = tensor.New(grad.S)
+	}
+	o.biasGrad = o.F.Backward(out.Data, o.fwdOut.Data, grad.Data)
 	return out
 }
 

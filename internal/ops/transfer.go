@@ -14,11 +14,18 @@ import (
 // Transfer is a pointwise nonlinearity. Deriv receives the forward output
 // y = f(x) (every supported function's derivative is expressible in its
 // output, which is what makes transfer Jacobians O(n³) with no stored
-// pre-activations).
+// pre-activations). Forward and Backward are the slice-level passes, one
+// loop each with no per-voxel interface call, evaluating exactly Apply's
+// and Deriv's expressions.
 type Transfer interface {
 	Name() string
 	Apply(x float64) float64
 	Deriv(y float64) float64
+	// Forward sets dst[i] = Apply(src[i] + bias).
+	Forward(dst, src []float64, bias float64)
+	// Backward sets dst[i] = g[i]·Deriv(y[i]) and returns Σ dst[i] summed
+	// in index order (tensor.Sum's), the bias gradient.
+	Backward(dst, y, g []float64) float64
 }
 
 // Logistic is the sigmoid 1/(1+e^{−x}).
@@ -33,6 +40,22 @@ func (Logistic) Apply(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 // Deriv returns y(1−y).
 func (Logistic) Deriv(y float64) float64 { return y * (1 - y) }
 
+// Forward evaluates the sigmoid of every biased voxel.
+func (Logistic) Forward(dst, src []float64, bias float64) {
+	for i, x := range src[:len(dst)] {
+		dst[i] = 1 / (1 + math.Exp(-(x + bias)))
+	}
+}
+
+// Backward multiplies by y(1−y).
+func (Logistic) Backward(dst, y, g []float64) (sum float64) {
+	for i := range dst {
+		dst[i] = g[i] * (y[i] * (1 - y[i]))
+		sum += dst[i]
+	}
+	return sum
+}
+
 // Tanh is the hyperbolic tangent.
 type Tanh struct{}
 
@@ -44,6 +67,22 @@ func (Tanh) Apply(x float64) float64 { return math.Tanh(x) }
 
 // Deriv returns 1−y².
 func (Tanh) Deriv(y float64) float64 { return 1 - y*y }
+
+// Forward evaluates tanh of every biased voxel.
+func (Tanh) Forward(dst, src []float64, bias float64) {
+	for i, x := range src[:len(dst)] {
+		dst[i] = math.Tanh(x + bias)
+	}
+}
+
+// Backward multiplies by 1−y².
+func (Tanh) Backward(dst, y, g []float64) (sum float64) {
+	for i := range dst {
+		dst[i] = g[i] * (1 - y[i]*y[i])
+		sum += dst[i]
+	}
+	return sum
+}
 
 // ReLU is half-wave rectification max(0, x).
 type ReLU struct{}
@@ -68,6 +107,22 @@ func (ReLU) Deriv(y float64) float64 {
 	return 0
 }
 
+// Forward rectifies every biased voxel.
+func (r ReLU) Forward(dst, src []float64, bias float64) {
+	for i, x := range src[:len(dst)] {
+		dst[i] = r.Apply(x + bias)
+	}
+}
+
+// Backward multiplies by 1 where the output is positive, by 0 elsewhere.
+func (r ReLU) Backward(dst, y, g []float64) (sum float64) {
+	for i := range dst {
+		dst[i] = g[i] * r.Deriv(y[i])
+		sum += dst[i]
+	}
+	return sum
+}
+
 // Linear is the identity transfer (useful for output layers trained with a
 // loss that includes its own nonlinearity).
 type Linear struct{}
@@ -80,6 +135,22 @@ func (Linear) Apply(x float64) float64 { return x }
 
 // Deriv returns 1.
 func (Linear) Deriv(float64) float64 { return 1 }
+
+// Forward adds the bias.
+func (Linear) Forward(dst, src []float64, bias float64) {
+	for i, x := range src[:len(dst)] {
+		dst[i] = x + bias
+	}
+}
+
+// Backward multiplies by 1.
+func (Linear) Backward(dst, _, g []float64) (sum float64) {
+	for i := range dst {
+		dst[i] = g[i] * 1
+		sum += dst[i]
+	}
+	return sum
+}
 
 // TransferByName returns the transfer function with the given name.
 func TransferByName(name string) (Transfer, error) {
@@ -100,9 +171,7 @@ func TransferByName(name string) (Transfer, error) {
 // TransferForward computes out = f(in + bias) into a new tensor.
 func TransferForward(t Transfer, in *tensor.Tensor, bias float64) *tensor.Tensor {
 	out := tensor.New(in.S)
-	for i, v := range in.Data {
-		out.Data[i] = t.Apply(v + bias)
-	}
+	t.Forward(out.Data, in.Data, bias)
 	return out
 }
 
@@ -116,9 +185,7 @@ func TransferBackward(t Transfer, fwdOut, grad *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("ops: transfer backward shape mismatch %v vs %v", fwdOut.S, grad.S))
 	}
 	out := tensor.New(grad.S)
-	for i, g := range grad.Data {
-		out.Data[i] = g * t.Deriv(fwdOut.Data[i])
-	}
+	t.Backward(out.Data, fwdOut.Data, grad.Data)
 	return out
 }
 

@@ -97,6 +97,58 @@ func TestTransferBackwardFiniteDifference(t *testing.T) {
 	}
 }
 
+// TestTransferSlicePassesMatchScalar pins the slice-level passes of every
+// transfer to the bits of the scalar formula — Forward to Apply(x+bias),
+// Backward to g·Deriv(y) with the bias gradient summed in tensor.Sum's
+// order — over ±0, ±Inf, NaN, subnormals, large magnitudes and ordinary
+// values, every value against every other.
+func TestTransferSlicePassesMatchScalar(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		5e-324, -5e-324, 2.2250738585072e-308, -1e-310, 1e300, -1e300, 1e20, -745.2, 710,
+		-40, 40, 1, -1, 0.5, -0.25, 0.3}
+	var src, y, g []float64
+	for _, a := range special {
+		for _, b := range special {
+			src, y, g = append(src, a), append(y, a), append(g, b)
+		}
+	}
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	for _, tf := range []Transfer{Logistic{}, Tanh{}, ReLU{}, Linear{}} {
+		for _, bias := range []float64{0, math.Copysign(0, -1), 0.7, -3, math.Inf(1)} {
+			dst := make([]float64, len(src))
+			tf.Forward(dst, src, bias)
+			for i, x := range src {
+				if want := tf.Apply(x + bias); bits(dst[i]) != bits(want) {
+					t.Fatalf("%s Forward(%v, bias %v) = %v, Apply gives %v", tf.Name(), x, bias, dst[i], want)
+				}
+			}
+		}
+		dst := make([]float64, len(g))
+		sum := tf.Backward(dst, y, g)
+		want := tensor.New(tensor.S3(len(g), 1, 1))
+		for i := range g {
+			want.Data[i] = g[i] * tf.Deriv(y[i])
+			if bits(dst[i]) != bits(want.Data[i]) {
+				t.Fatalf("%s Backward(y %v, g %v) = %v, g·Deriv(y) gives %v", tf.Name(), y[i], g[i], dst[i], want.Data[i])
+			}
+		}
+		// Finite gradients spanning 16 decades, where the order of the sum
+		// shows in its bits.
+		rng := rand.New(rand.NewSource(3))
+		ry, rg := make([]float64, 1000), make([]float64, 1000)
+		for i := range ry {
+			ry[i], rg[i] = rng.Float64(), (rng.Float64()-0.5)*math.Pow(10, float64(rng.Intn(17)-8))
+		}
+		fin := make([]float64, len(rg))
+		if got, wantSum := tf.Backward(fin, ry, rg), tensor.FromSlice(tensor.S3(len(fin), 1, 1), fin...).Sum(); bits(got) != bits(wantSum) {
+			t.Errorf("%s bias gradient %v, tensor.Sum gives %v", tf.Name(), got, wantSum)
+		}
+		if wantSum := want.Sum(); bits(sum) != bits(wantSum) && !(math.IsNaN(sum) && math.IsNaN(wantSum)) {
+			t.Errorf("%s bias gradient %v over all values, tensor.Sum gives %v", tf.Name(), sum, wantSum)
+		}
+	}
+}
+
 func TestTransferBackwardShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -11,17 +11,16 @@ import (
 
 // Engine executes rounds on a compiled Program. It is the stable façade
 // over the Program/RoundState split: Round and Forward keep their original
-// exclusive, stateful semantics (NodeForward and InputGradient report the
-// last such round), while Infer runs forward-only K-wide rounds that may be
-// in flight concurrently from any number of goroutines.
+// exclusive, stateful semantics (NodeForward reports the last such round),
+// while Infer runs forward-only K-wide rounds that may be in flight
+// concurrently from any number of goroutines.
 type Engine struct {
 	p *Program
 
-	mu        sync.Mutex
-	lastLoss  float64
-	last      *RoundState // most recent successful exclusive round (Round or Forward)
-	lastTrain *RoundState // most recent successful training round, for InputGradient
-	training  bool
+	mu       sync.Mutex
+	lastLoss float64
+	last     *RoundState // most recent successful exclusive round (Round or Forward)
+	training bool
 }
 
 // NewEngine compiles the graph into an execution engine (see Compile for
@@ -146,21 +145,6 @@ func (en *Engine) Infer(batch [][]*tensor.Tensor) ([][]*tensor.Tensor, error) {
 func (en *Engine) Drain() error {
 	en.p.sch.Drain()
 	return en.p.sch.Err()
-}
-
-// InputGradient returns the gradient of the loss with respect to input i,
-// available after a Round (a feature the general graph formulation gives
-// for free; useful for sensitivity analysis). It reports the most recent
-// successful training round even when Forward or Infer passes ran in
-// between.
-func (en *Engine) InputGradient(i int) *tensor.Tensor {
-	en.mu.Lock()
-	last := en.lastTrain
-	en.mu.Unlock()
-	if last == nil {
-		return nil
-	}
-	return last.nodes[en.p.inputs[i].ID].BwdImage()
 }
 
 // NodeForward returns the forward image at the named node from the last

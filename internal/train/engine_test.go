@@ -274,57 +274,6 @@ func TestForceStatisticsAccumulate(t *testing.T) {
 	}
 }
 
-func TestInputGradientAvailable(t *testing.T) {
-	nw, err := net.Build(net.MustParse("C2-Ttanh"), net.BuildOptions{
-		Width: 1, OutputExtent: 2, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(14))
-	in := tensor.RandomUniform(rng, nw.InputShape(), -1, 1)
-	des := tensor.RandomUniform(rng, nw.OutputShape(), -0.5, 0.5)
-	before := nw.Params()
-	en, err := NewEngine(nw.G, Config{Workers: 1, Eta: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer en.Close()
-	if _, err := en.Round([]*tensor.Tensor{in}, []*tensor.Tensor{des}); err != nil {
-		t.Fatal(err)
-	}
-	g := en.InputGradient(0)
-	if g == nil || g.S != nw.InputShape() {
-		t.Fatalf("input gradient missing or wrong shape: %v", g)
-	}
-	// The gradient was computed at the pre-round weights; restore them
-	// (after draining pending updates) before the finite-difference check.
-	if err := en.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.SetParams(before); err != nil {
-		t.Fatal(err)
-	}
-	// Finite-difference check on one input voxel.
-	const h = 1e-6
-	lossOf := func(x *tensor.Tensor) float64 {
-		out, err := nw.ForwardSerial([]*tensor.Tensor{x})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, _ := ops.SquaredLoss{}.Eval(out, []*tensor.Tensor{des})
-		return l
-	}
-	p := in.Clone()
-	p.Data[0] += h
-	m := in.Clone()
-	m.Data[0] -= h
-	want := (lossOf(p) - lossOf(m)) / (2 * h)
-	if math.Abs(g.Data[0]-want) > 1e-4*(1+math.Abs(want)) {
-		t.Errorf("input grad %g, finite diff %g", g.Data[0], want)
-	}
-}
-
 func TestEngineValidation(t *testing.T) {
 	nw, err := net.Build(net.MustParse("C2-Trelu"), net.BuildOptions{
 		Width: 1, OutputExtent: 2, Seed: 15,

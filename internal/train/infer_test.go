@@ -10,6 +10,7 @@ import (
 	"znn/internal/graph"
 	"znn/internal/mempool"
 	"znn/internal/net"
+	"znn/internal/ops"
 	"znn/internal/tensor"
 )
 
@@ -146,17 +147,21 @@ func TestInferAfterTrainingSeesUpdatedWeights(t *testing.T) {
 //     churn class this pooling kills for sustained serving traffic.
 //
 // The graph is chosen so the separation is deterministic at one worker: a
-// single input fans out through two FFT convolutions to two outputs, so
-// every forward node has fan-in 1 (non-spectral — each forward task holds
-// one pooled product at a time, plus the now-pooled shared image spectrum)
-// while the backward pass accumulates both edges' products spectrally at
-// the input node (Algorithm 4 parks one partial while folding the next:
-// two pooled buffers live at the peak).
+// single input passes a linear transfer and then fans out through two FFT
+// convolutions to two outputs, so every forward node has fan-in 1
+// (non-spectral — each forward task holds one pooled product at a time,
+// plus the now-pooled shared image spectrum) while the backward pass
+// accumulates both edges' products spectrally at the transfer's node
+// (Algorithm 4 parks one partial while folding the next: two pooled
+// buffers live at the peak). An input node computes no backward image, so
+// the fan-out sits one node in.
 func TestInferAllocatesLessThanRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := graph.New()
 	inShape := tensor.Cube(16)
-	n0 := g.AddNode("in", inShape)
+	in0 := g.AddNode("in", inShape)
+	n0 := g.AddNode("act", inShape)
+	g.Connect(in0, n0, graph.NewTransferOp(ops.Linear{}, 0))
 	k1 := graph.InitKernel(rng, tensor.Cube(3), 1)
 	k2 := graph.InitKernel(rng, tensor.Cube(3), 1)
 	outShape := inShape.ValidConv(tensor.Cube(3), tensor.Dense())

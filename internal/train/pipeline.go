@@ -109,8 +109,8 @@ func (pr *PendingRound) finish() {
 	}
 	pr.err = err
 	if err != nil {
-		// An errored round leaves Loss, NodeForward and InputGradient
-		// reporting the last successful one.
+		// An errored round leaves Loss and NodeForward reporting the last
+		// successful one.
 		return
 	}
 	pr.loss = pr.rs.Loss()
@@ -118,7 +118,6 @@ func (pr *PendingRound) finish() {
 	en.mu.Lock()
 	en.lastLoss = pr.loss
 	en.last = pr.rs
-	en.lastTrain = pr.rs
 	en.mu.Unlock()
 }
 

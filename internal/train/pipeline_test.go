@@ -293,7 +293,7 @@ func TestSubmitReportsValidationErrors(t *testing.T) {
 
 // TestErroredRoundKeepsLastSuccessfulState faults a session round at the
 // round.dispatch chaos point and asserts the engine's round-reporting state
-// — Loss, NodeForward, InputGradient — still describes the last round that
+// — Loss, NodeForward — still describes the last round that
 // succeeded.
 func TestErroredRoundKeepsLastSuccessfulState(t *testing.T) {
 	nw := buildForced(t, conv.FFT)
@@ -309,8 +309,8 @@ func TestErroredRoundKeepsLastSuccessfulState(t *testing.T) {
 		t.Fatal(err)
 	}
 	outName := nw.Outputs[0].Name
-	img, grad := en.NodeForward(outName), en.InputGradient(0)
-	if img == nil || grad == nil {
+	img := en.NodeForward(outName)
+	if img == nil {
 		t.Fatal("no round state after a successful round")
 	}
 
@@ -333,9 +333,6 @@ func TestErroredRoundKeepsLastSuccessfulState(t *testing.T) {
 	}
 	if en.NodeForward(outName) != img {
 		t.Error("NodeForward reports the errored round")
-	}
-	if en.InputGradient(0) != grad {
-		t.Error("InputGradient reports the errored round")
 	}
 }
 

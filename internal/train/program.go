@@ -21,16 +21,42 @@
 //     the one scheduler and mempool — the regime ZNNi (Zlateski et al.,
 //     2016) shows maximizes CPU inference throughput.
 //
-// Each training round (one stochastic gradient iteration) proceeds exactly
-// as in the paper: a data-provider task publishes the input images and
-// enqueues the first forward tasks; forward tasks FORCE their edge's
-// previous update task, apply the edge operation, and accumulate into the
-// target node's wait-free sum, with the last contributor fanning out the
-// next layer's forward tasks; when every output node's sum completes, the
-// loss-gradient task seeds the backward pass; backward tasks enqueue update
-// tasks at the lowest priority and accumulate into source-node sums. Update
-// tasks therefore run either lazily on idle workers or are forced just
-// before the next round's forward pass touches their edge.
+// Each training round (one stochastic gradient iteration) proceeds as in
+// the paper: a data-provider task publishes the input images and starts the
+// first forward tasks; forward tasks FORCE their edges' previous update
+// tasks, apply the edge operations, and produce the target node's image,
+// whose completion fans out the next layer's forward tasks; when every
+// output node completes, the loss-gradient task seeds the backward pass;
+// backward tasks enqueue update tasks at the lowest priority and produce
+// source-node backward images. Update tasks therefore run either lazily on
+// idle workers or are forced just before the next round's forward pass
+// touches their edge. Input nodes compute no backward image: the edges
+// leaving them only enqueue their update once the target's backward image
+// is published.
+//
+// # Node tasks
+//
+// A node's direct convolution in-edges whose sources share a shape form a
+// group (every in-edge of every layered net): once all their sources are
+// published, the node runs one task per (volume, block of output planes),
+// each voxel a single FMA chain over every tap of every in-edge in edge
+// order (conv.SumForward), written straight into the node's image — no
+// edge tensor, no sum. On training rounds the group's wrapper waits on
+// every in-edge's fence and FORCEs each in-edge's pending update first.
+// Backward is the mirror image: once every target of a node's direct
+// out-edges has published its backward image — padded once per halo, in
+// pooled scratch the target owns — the node runs one task per plane block
+// computing Σ_j full(g_j, w_ij) (conv.SumBackward); when the group
+// completes, each out-edge enqueues its update and releases its fence, so
+// backward still reads w_ij before the update writes it (Algorithm 2). The
+// order of every sum is fixed, so direct training is bitwise reproducible
+// at any worker count.
+//
+// The wait-free sum (Algorithm 4, package wsum) remains where parts meet
+// in arrival order: at spectral nodes, whose FFT edges sum their products
+// before one inverse transform, and at any node whose in-edges (out-edges,
+// backward) are not all one direct group, where each group contributes one
+// partial.
 //
 // # Round boundaries and per-edge fencing
 //
@@ -59,6 +85,7 @@ package train
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"znn/internal/conv"
@@ -126,8 +153,8 @@ func (c *Config) fillDefaults() {
 }
 
 // nodeInfo is the compiled, immutable per-node execution plan: which
-// accumulator kind the node needs and how wide its fan-in/out is. All
-// mutable per-round state lives in RoundState.
+// accumulator kind the node needs and how many contributions each of its
+// sums joins. All mutable per-round state lives in RoundState.
 type nodeInfo struct {
 	n *graph.Node
 
@@ -135,6 +162,60 @@ type nodeInfo struct {
 	// sum runs in the FFT domain with a single inverse transform.
 	fwdSpectral bool
 	bwdSpectral bool
+	// fwdParts and bwdParts count the contributions to the node's forward
+	// and backward sums: one per direct group, one per other edge. A sum of
+	// one part needs no accumulator; input nodes have no backward sum.
+	fwdParts, bwdParts int
+}
+
+// group is a set of one node's direct conv edges summed by node tasks, in
+// edge order (conv.SumForward, conv.SumBackward): forward, the in-edges
+// whose sources share a shape; backward, the out-edges whose targets share
+// a shape, and so their padded backward images too. Its output planes are
+// split into blocks, one task each per volume.
+type group struct {
+	id     int // index of the round's count of unpublished operands
+	edges  []*graph.Edge
+	blocks [][2]int // output plane ranges [z0, z1)
+}
+
+// blockWork is the number of multiply-adds a node task aims for: enough to
+// amortize the task, so small requests are not cut into per-plane slivers.
+const blockWork = 1 << 20
+
+// directGroups partitions the direct conv edges among edges by key, in edge
+// order, into groups summing into shape out; it records each edge's group
+// in of and returns the number of parts the node's sum joins.
+func (p *Program) directGroups(edges []*graph.Edge, out tensor.Shape, of []*group, key func(*graph.Edge) tensor.Shape) (parts int) {
+	var groups []*group
+	for _, e := range edges {
+		op, ok := e.Op.(*graph.ConvOp)
+		if !ok || op.Tr.Method() != conv.Direct {
+			parts++
+			continue
+		}
+		i := slices.IndexFunc(groups, func(g *group) bool { return key(g.edges[0]) == key(e) })
+		if i < 0 {
+			i = len(groups)
+			groups = append(groups, &group{id: len(p.groupEdges)})
+			p.groupEdges = append(p.groupEdges, 0)
+		}
+		groups[i].edges = append(groups[i].edges, e)
+		p.groupEdges[groups[i].id]++
+		of[e.ID] = groups[i]
+	}
+	for _, g := range groups {
+		taps := 0
+		for _, e := range g.edges {
+			taps += e.Op.(*graph.ConvOp).Kernel.S.Volume()
+		}
+		per := max(1, blockWork/(out.X*out.Y*taps))
+		n := (out.Z + per - 1) / per
+		for b := range n {
+			g.blocks = append(g.blocks, [2]int{b * out.Z / n, (b + 1) * out.Z / n})
+		}
+	}
+	return parts + len(groups)
 }
 
 // edgeState tracks the edge's pending update task across rounds. It is the
@@ -233,6 +314,10 @@ type Program struct {
 	outputs []*graph.Node
 	nodes   []nodeInfo
 	edges   []*edgeState
+	// fwdGroup and bwdGroup map an edge ID to the direct group summing it
+	// at its target (forward) and at its source (backward), or nil.
+	fwdGroup, bwdGroup []*group
+	groupEdges         []int32 // edges per group, indexed by group id
 
 	// roundMu orders rounds: training sessions and exclusive forward
 	// rounds take it exclusively (they mutate cross-round op state),
@@ -297,15 +382,21 @@ func Compile(g *graph.Graph, cfg Config) (*Program, error) {
 		outputs: g.Outputs(),
 	}
 	p.nodes = make([]nodeInfo, len(g.Nodes))
+	p.fwdGroup = make([]*group, len(g.Edges))
+	p.bwdGroup = make([]*group, len(g.Edges))
 	for i, n := range g.Nodes {
 		ni := nodeInfo{n: n}
 		if !cfg.DisableSpectral {
 			if len(n.In) > 1 && graph.SpectralEligible(n.In) {
 				ni.fwdSpectral = true
 			}
-			if len(n.Out) > 1 && graph.SpectralEligible(n.Out) {
+			if len(n.Out) > 1 && !n.IsInput() && graph.SpectralEligible(n.Out) {
 				ni.bwdSpectral = true
 			}
+		}
+		ni.fwdParts = p.directGroups(n.In, n.Shape, p.fwdGroup, func(e *graph.Edge) tensor.Shape { return e.From.Shape })
+		if !n.IsInput() {
+			ni.bwdParts = p.directGroups(n.Out, n.Shape, p.bwdGroup, func(e *graph.Edge) tensor.Shape { return e.To.Shape })
 		}
 		p.nodes[i] = ni
 	}

@@ -3,6 +3,7 @@ package train
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"znn/internal/chaos"
 	"znn/internal/conv"
@@ -14,11 +15,11 @@ import (
 )
 
 // roundNode is the per-round runtime state of one graph node. The forward
-// side is K-wide — one wait-free accumulator, one published image and
-// (lazily) one cached spectrum per volume of the round's batch — while the
-// backward side is singular: only training rounds run backward, and they
-// carry one volume. Accumulators come from the wsum free lists, so N rounds
-// in flight get private sums.
+// side is K-wide — one wait-free accumulator (when the node sums more than
+// one part), one published image and (lazily) one cached spectrum per
+// volume of the round's batch — while the backward side is singular: only
+// training rounds run backward, and they carry one volume. Accumulators
+// come from the wsum free lists, so N rounds in flight get private sums.
 type roundNode struct {
 	fwdSums  []*wsum.Sum[*tensor.Tensor] // per-volume tensor accumulators
 	fwdCSums []*wsum.Sum[fft.Spectrum]   // per-volume spectral accumulators
@@ -26,6 +27,7 @@ type roundNode struct {
 	bwdCSum  *wsum.Sum[fft.Spectrum]
 	spectra  conv.SpectrumCache // forward image spectra shared by out-edges (batch-aware)
 	bwdSpec  conv.SpectrumCache // backward image spectra shared by in-edges
+	pads     conv.PadCache      // backward image padded per halo, shared by direct in-edges
 
 	mu      sync.Mutex
 	fwdImgs []*tensor.Tensor // per-volume forward images
@@ -54,6 +56,7 @@ func (rn *roundNode) setBwd(img *tensor.Tensor) {
 	rn.bwdImg = img
 	rn.mu.Unlock()
 	rn.bwdSpec.Reset(img)
+	rn.pads.Reset(img)
 }
 
 // FwdImage returns the node's forward image for volume 0 — the only volume
@@ -109,6 +112,9 @@ type RoundState struct {
 	batch    [][]*tensor.Tensor // batch[v] is volume v's input images
 	desired  []*tensor.Tensor
 	nodes    []roundNode
+	// operands counts, per direct group, the edges whose operand (source
+	// forward image, or target backward image) is not yet published.
+	operands []atomic.Int32
 	// fenceSeq is a training round's 1-based sequence number on its Program
 	// (set by TrainPipeline.Submit before Start): every forward task
 	// is gated on its edge's round-(fenceSeq-1) backward fence, and every
@@ -131,10 +137,10 @@ type RoundState struct {
 // other two (Engine.Forward and TrainPipeline do) — and runs the round
 // with Start/Wait.
 //
-// Exactly one accumulator per volume is drawn per summing node side — the
-// spectral one when the node's edges sum in the FFT domain, the tensor one
-// otherwise — and backward accumulators only for training rounds, so
-// forward-only rounds allocate strictly less. Inference rounds run their
+// Exactly one accumulator per volume is drawn per node side that sums more
+// than one part — the spectral one when the node's edges sum in the FFT
+// domain, the tensor one otherwise — and backward accumulators only for
+// training rounds, so forward-only rounds allocate strictly less. Inference rounds run their
 // spectrum caches pooled: they never memoize, so the buffers can return to
 // the spectra pools through the release hook instead of becoming per-round
 // garbage.
@@ -180,6 +186,7 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 		batch:       batch,
 		desired:     desired,
 		nodes:       make([]roundNode, len(p.nodes)),
+		operands:    make([]atomic.Int32, len(p.groupEdges)),
 		outputsLeft: len(p.outputs),
 	}
 	for i := range p.nodes {
@@ -190,26 +197,25 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 		if infer {
 			rn.spectra.SetPooled(true)
 		}
-		if fanIn := len(ni.n.In); fanIn > 0 {
-			if ni.fwdSpectral {
-				rn.fwdCSums = make([]*wsum.Sum[fft.Spectrum], k)
-				for v := range rn.fwdCSums {
-					rn.fwdCSums[v] = wsum.GetComplex(fanIn)
-				}
-			} else {
-				rn.fwdSums = make([]*wsum.Sum[*tensor.Tensor], k)
-				for v := range rn.fwdSums {
-					rn.fwdSums[v] = wsum.Get(fanIn)
-				}
+		if ni.fwdSpectral {
+			rn.fwdCSums = make([]*wsum.Sum[fft.Spectrum], k)
+			for v := range rn.fwdCSums {
+				rn.fwdCSums[v] = wsum.GetComplex(ni.fwdParts)
+			}
+		} else if ni.fwdParts > 1 {
+			rn.fwdSums = make([]*wsum.Sum[*tensor.Tensor], k)
+			for v := range rn.fwdSums {
+				rn.fwdSums[v] = wsum.Get(ni.fwdParts)
 			}
 		}
-		if fanOut := len(ni.n.Out); backward && fanOut > 0 {
-			if ni.bwdSpectral {
-				rn.bwdCSum = wsum.GetComplex(fanOut)
-			} else {
-				rn.bwdSum = wsum.Get(fanOut)
-			}
+		if backward && ni.bwdSpectral {
+			rn.bwdCSum = wsum.GetComplex(ni.bwdParts)
+		} else if backward && ni.bwdParts > 1 {
+			rn.bwdSum = wsum.Get(ni.bwdParts)
 		}
+	}
+	for id, n := range p.groupEdges {
+		rs.operands[id].Store(n)
 	}
 	return rs, nil
 }
@@ -298,6 +304,7 @@ func (rs *RoundState) release() {
 			rn.spectra.ReleaseAll()
 			rn.bwdSpec.ReleaseAll()
 		}
+		rn.pads.Release()
 	}
 }
 
@@ -321,52 +328,99 @@ func (rs *RoundState) Loss() float64 {
 	return rs.loss
 }
 
-// fanOutForward enqueues the forward tasks of node's out-edges, each
-// consuming the node's K published images.
-//
-// Training rounds gate each out-edge on its per-edge fence: the forward
-// wrapper is created — and counted against the round — immediately, but
-// enqueued only once the edge's fence reports the previous training round's
-// backward task on that edge completed (immediately, when the caller
-// waited that round already). The wrapper then FORCEs the edge's pending
-// update and runs the forward (Algorithm 1, FORWARD-TASK + FORCE).
-//
-// Forward-only rounds skip the FORCE bookkeeping entirely: their admission
-// drained all pending update tasks, so there is nothing to force and no
-// cross-round edge state to order. Their tasks go out as one scheduler
-// batch (a fused round's task counts scale with K, so per-task lock
-// traffic would too).
+// fanOutForward hands node n's K published images to its out-edges. An
+// edge of a direct group counts down the group's unpublished sources, and
+// the last starts the group; every other edge gets a task of its own.
+// Training rounds gate both on fences and FORCE (gated); forward-only
+// rounds, whose admission drained every pending update, spawn at once.
 func (rs *RoundState) fanOutForward(n *graph.Node, imgs []*tensor.Tensor) {
-	if rs.backward {
-		for _, e := range n.Out {
-			e := e
-			es := rs.p.edges[e.ID]
-			wrapper := rs.sr.NewTask(sched.Work, e.To.FwdPrio, func() {
-				sub := rs.sr.NewTask(sched.Work, e.To.FwdPrio, func() {
-					rs.doForward(e, imgs)
-				})
-				rs.p.sch.Force(es.pendingUpdate(), sub)
-			})
-			es.whenBackward(rs.fenceSeq-1, func() {
-				rs.p.sch.Enqueue(wrapper)
-			})
+	var specs []sched.TaskSpec
+	for _, e := range n.Out {
+		if gr := rs.p.fwdGroup[e.ID]; gr != nil {
+			if rs.operands[gr.id].Add(-1) == 0 {
+				rs.gated(e.To.FwdPrio, gr.edges, func() { rs.forwardGroup(e.To, gr) })
+			}
+		} else if rs.backward {
+			rs.gated(e.To.FwdPrio, []*graph.Edge{e}, func() { rs.doForward(e, imgs) })
+		} else {
+			specs = append(specs, sched.TaskSpec{Prio: e.To.FwdPrio, Fn: func() { rs.doForward(e, imgs) }})
 		}
-		return
-	}
-	specs := make([]sched.TaskSpec, len(n.Out))
-	for i, e := range n.Out {
-		e := e
-		specs[i] = sched.TaskSpec{Prio: e.To.FwdPrio, Fn: func() {
-			rs.doForward(e, imgs)
-		}}
 	}
 	rs.sr.SpawnBatch(specs)
 }
 
-// doForward is Algorithm 1's DO-FORWARD over the round's volumes: one sweep
-// of the edge (its kernel spectrum fetched once), then each volume joins
-// its own accumulator at the target node. The two arms are the two kinds
-// of sum a node can have.
+// gated runs fn, which reads the kernels of edges. A forward-only round
+// runs it at once. A training round wraps it in a task, counted against
+// the round now and enqueued once every edge's fence reports the previous
+// round's backward on that edge done; the task FORCEs each edge's pending
+// update in turn, then runs fn (Algorithm 1, FORWARD-TASK + FORCE).
+func (rs *RoundState) gated(prio int64, edges []*graph.Edge, fn func()) {
+	if !rs.backward {
+		fn()
+		return
+	}
+	wrapper := rs.sr.NewTask(sched.Work, prio, func() { rs.forceAll(prio, edges, fn) })
+	left := new(atomic.Int32)
+	left.Store(int32(len(edges)))
+	for _, e := range edges {
+		rs.p.edges[e.ID].whenBackward(rs.fenceSeq-1, func() {
+			if left.Add(-1) == 0 {
+				rs.p.sch.Enqueue(wrapper)
+			}
+		})
+	}
+}
+
+// forceAll runs fn once every edge's pending update has completed, by
+// chaining one FORCE per edge.
+func (rs *RoundState) forceAll(prio int64, edges []*graph.Edge, fn func()) {
+	if len(edges) == 0 {
+		fn()
+		return
+	}
+	sub := rs.sr.NewTask(sched.Work, prio, func() { rs.forceAll(prio, edges[1:], fn) })
+	rs.p.sch.Force(rs.p.edges[edges[0].ID].pendingUpdate(), sub)
+}
+
+// forwardGroup sums direct group gr into node n's image of each volume:
+// each voxel one FMA chain over every tap of every in-edge.
+func (rs *RoundState) forwardGroup(n *graph.Node, gr *group) {
+	var specs []sched.TaskSpec
+	for v := range rs.k {
+		terms := make([]conv.Term, len(gr.edges))
+		for i, e := range gr.edges {
+			op := e.Op.(*graph.ConvOp)
+			terms[i] = conv.Term{Tr: op.Tr, Img: rs.nodes[e.From.ID].FwdImageAt(v), Ker: op.Kernel}
+		}
+		specs = rs.blockTasks(specs, n, n.FwdPrio, gr, terms, conv.SumForward, func(out *tensor.Tensor) {
+			rs.joinForward(n, v, out)
+		})
+	}
+	rs.sr.SpawnBatch(specs)
+}
+
+// blockTasks appends one task per block of gr's output planes, each summing
+// terms into its planes of a fresh image of node n; the last calls done.
+func (rs *RoundState) blockTasks(specs []sched.TaskSpec, n *graph.Node, prio int64, gr *group, terms []conv.Term,
+	sum func(out *tensor.Tensor, z0, z1 int, terms []conv.Term), done func(out *tensor.Tensor)) []sched.TaskSpec {
+	out := tensor.New(n.Shape)
+	left := new(atomic.Int32)
+	left.Store(int32(len(gr.blocks)))
+	for _, b := range gr.blocks {
+		specs = append(specs, sched.TaskSpec{Prio: prio, Fn: func() {
+			sum(out, b[0], b[1], terms)
+			if left.Add(-1) == 0 {
+				done(out)
+			}
+		}})
+	}
+	return specs
+}
+
+// doForward is Algorithm 1's DO-FORWARD for an edge outside any direct
+// group, over the round's volumes: one sweep of the edge (its kernel
+// spectrum fetched once), then each volume joins its target's sum. The two
+// arms are the two kinds of sum a node can have.
 func (rs *RoundState) doForward(e *graph.Edge, imgs []*tensor.Tensor) {
 	us := &rs.nodes[e.From.ID]
 	vs := &rs.nodes[e.To.ID]
@@ -393,35 +447,44 @@ func (rs *RoundState) doForward(e *graph.Edge, imgs []*tensor.Tensor) {
 	}
 	ctx := &graph.FwdCtx{Spectra: &us.spectra, Infer: rs.infer}
 	for v, out := range graph.ForwardBatch(e.Op, imgs, ctx) {
-		if vs.fwdSums[v].Add(out) {
-			rs.finishForward(e, v, vs.fwdSums[v].Value())
-		}
+		rs.joinForward(e.To, v, out)
 	}
+}
+
+// joinForward adds one part of volume v's image at node n; the last part
+// publishes it.
+func (rs *RoundState) joinForward(n *graph.Node, v int, img *tensor.Tensor) {
+	if sums := rs.nodes[n.ID].fwdSums; sums != nil {
+		if !sums[v].Add(img) {
+			return
+		}
+		img = sums[v].Value()
+	}
+	rs.finishForward(n, v, img)
 }
 
 // finishSpectral inverts volume v's completed spectral sum at edge e's
 // target node and publishes the image.
 func (rs *RoundState) finishSpectral(e *graph.Edge, v int) {
 	sum := rs.nodes[e.To.ID].fwdCSums[v].Value()
-	rs.finishForward(e, v, e.Op.(*graph.ConvOp).Tr.FinishForward(sum))
+	rs.finishForward(e.To, v, e.Op.(*graph.ConvOp).Tr.FinishForward(sum))
 }
 
-// finishForward publishes volume v's completed image at edge e's target
-// node; the node's last volume triggers the downstream fan-out (or output
-// accounting).
-func (rs *RoundState) finishForward(e *graph.Edge, v int, img *tensor.Tensor) {
-	vs := &rs.nodes[e.To.ID]
+// finishForward publishes volume v's completed image at node n; the node's
+// last volume triggers the downstream fan-out (or output accounting).
+func (rs *RoundState) finishForward(n *graph.Node, v int, img *tensor.Tensor) {
+	vs := &rs.nodes[n.ID]
 	if !vs.completeFwd(v, img) {
 		return
 	}
-	if e.To.IsOutput() {
+	if n.IsOutput() {
 		rs.outputReady()
 		return
 	}
 	vs.mu.Lock()
 	imgs := vs.fwdImgs
 	vs.mu.Unlock()
-	rs.fanOutForward(e.To, imgs)
+	rs.fanOutForward(n, imgs)
 }
 
 // outputReady fires when one output node's forward images complete for all
@@ -445,75 +508,103 @@ func (rs *RoundState) outputReady() {
 		rs.loss = loss
 		rs.mu.Unlock()
 		for i, o := range rs.p.outputs {
-			rs.nodes[o.ID].setBwd(grads[i])
-			for _, e := range o.In {
-				rs.spawnBackward(e, grads[i])
-			}
+			rs.publishBackward(o, grads[i])
 		}
 	})
 }
 
-// spawnBackward enqueues the backward task of edge e = (u, v) consuming the
-// backward image at v (Algorithm 2). Backward runs only on training
-// rounds, which are K=1.
-func (rs *RoundState) spawnBackward(e *graph.Edge, img *tensor.Tensor) {
-	rs.sr.Spawn(sched.Work, e.From.BwdPrio, func() {
-		rs.doBackward(e, img)
+// publishBackward publishes node n's backward image to its in-edges
+// (Algorithm 2; only training rounds, which are K=1, run backward). An
+// edge summed by a direct group at its source counts down the group's
+// unpublished targets; the last starts the group. Every other edge gets a
+// backward task of its own.
+func (rs *RoundState) publishBackward(n *graph.Node, img *tensor.Tensor) {
+	rs.nodes[n.ID].setBwd(img)
+	var specs []sched.TaskSpec
+	for _, e := range n.In {
+		if gr := rs.p.bwdGroup[e.ID]; gr == nil {
+			specs = append(specs, sched.TaskSpec{Prio: e.From.BwdPrio, Fn: func() { rs.doBackward(e, img) }})
+		} else if rs.operands[gr.id].Add(-1) == 0 {
+			specs = rs.backwardGroup(specs, e.From, gr)
+		}
+	}
+	rs.sr.SpawnBatch(specs)
+}
+
+// backwardGroup appends the tasks summing direct group gr into node n's
+// backward image: each voxel one FMA chain over the reflected taps of every
+// out-edge, reading each target's backward image padded once per halo.
+// Once done, the group's edges release and the image joins n's sum.
+func (rs *RoundState) backwardGroup(specs []sched.TaskSpec, n *graph.Node, gr *group) []sched.TaskSpec {
+	terms := make([]conv.Term, len(gr.edges))
+	for i, e := range gr.edges {
+		op := e.Op.(*graph.ConvOp)
+		terms[i] = conv.Term{Tr: op.Tr, Img: rs.nodes[e.To.ID].pads.Get(op.Tr.Halo()), Ker: op.Kernel}
+	}
+	return rs.blockTasks(specs, n, n.BwdPrio, gr, terms, conv.SumBackward, func(out *tensor.Tensor) {
+		for _, e := range gr.edges {
+			rs.releaseEdge(e)
+		}
+		rs.joinBackward(n, out)
 	})
 }
 
-// doBackward is Algorithm 2's BACKWARD-TASK body. The order matters: the
-// backward transform runs first (trainable transfer ops record their bias
-// gradient during it), then the update task is enqueued, then the result
-// joins the source node's sum.
+// doBackward is Algorithm 2's BACKWARD-TASK body for an edge outside any
+// direct group. The order matters: the backward transform runs first
+// (trainable transfer ops record their bias gradient during it), then the
+// edge releases, then the result joins the source node's sum. An input
+// node has no backward image: its edges only keep what their update needs.
 func (rs *RoundState) doBackward(e *graph.Edge, img *tensor.Tensor) {
 	vs := &rs.nodes[e.To.ID]
-	us := &rs.nodes[e.From.ID]
-	bwdSpectral := rs.p.nodes[e.From.ID].bwdSpectral
-
-	var out *tensor.Tensor // non-spectral backward output
-	var prod fft.Spectrum  // spectral backward product
-	if bwdSpectral {
-		op := e.Op.(*graph.ConvOp)
-		prod = op.Tr.BackwardProduct(img, op.Kernel, &vs.bwdSpec)
-	} else {
-		out = e.Op.Backward(img, &graph.BwdCtx{Spectra: &vs.bwdSpec})
+	op, isConv := e.Op.(*graph.ConvOp)
+	ctx := &graph.BwdCtx{Spectra: &vs.bwdSpec, Owned: !isConv}
+	switch {
+	case e.From.IsInput() && isConv:
+		op.Tr.KeepBackward(img, &vs.bwdSpec)
+		rs.releaseEdge(e)
+	case e.From.IsInput():
+		e.Op.Backward(img, ctx)
+		rs.releaseEdge(e)
+	case rs.p.nodes[e.From.ID].bwdSpectral:
+		prod := op.Tr.BackwardProduct(img, op.Kernel, &vs.bwdSpec)
+		rs.releaseEdge(e)
+		if sum := rs.nodes[e.From.ID].bwdCSum; sum.Add(prod) {
+			rs.publishBackward(e.From, op.Tr.FinishBackward(sum.Value()))
+		}
+	default:
+		out := e.Op.Backward(img, ctx)
+		rs.releaseEdge(e)
+		rs.joinBackward(e.From, out)
 	}
+}
 
+// releaseEdge ends edge e's backward: a trainable op's update task is
+// enqueued, then the edge's fence released. All cross-round edge state is
+// settled by then — the backward transform has consumed the op's recorded
+// forward inputs and this round's update sits in the edge slot where FORCE
+// orders it — so a successor round's forward on e may start; the
+// round-local source-sum join need not hold it back.
+func (rs *RoundState) releaseEdge(e *graph.Edge) {
 	if trainable, ok := e.Op.(graph.Trainable); ok {
-		fwdIn := us.FwdImage() // If = u.fwd_image, captured now
+		fwdIn, bwd := rs.nodes[e.From.ID].FwdImage(), rs.nodes[e.To.ID].BwdImage()
 		opt := graph.UpdateOpts{Eta: rs.p.cfg.Eta, Momentum: rs.p.cfg.Momentum}
 		upd := rs.sr.NewTask(sched.Update, graph.UpdatePriority, func() {
-			trainable.Update(fwdIn, img, opt)
+			trainable.Update(fwdIn, bwd, opt)
 		})
 		rs.p.edges[e.ID].swapUpdate(upd)
 		rs.p.sch.Enqueue(upd)
 	}
-
-	// All cross-round edge state is settled: the backward transform has
-	// consumed the op's recorded forward inputs and this round's update
-	// task (if any) sits in the edge slot where FORCE orders it. Release
-	// the edge's fence so a successor round's forward on e can be admitted —
-	// the source-sum join below is round-local and need not hold it back.
 	rs.p.edges[e.ID].backwardDone(rs.fenceSeq)
+}
 
-	var sum *tensor.Tensor
-	if bwdSpectral {
-		if !us.bwdCSum.Add(prod) {
+// joinBackward adds one part of node n's backward image; the last part
+// publishes it.
+func (rs *RoundState) joinBackward(n *graph.Node, img *tensor.Tensor) {
+	if sum := rs.nodes[n.ID].bwdSum; sum != nil {
+		if !sum.Add(img) {
 			return
 		}
-		sum = e.Op.(*graph.ConvOp).Tr.FinishBackward(us.bwdCSum.Value())
-	} else {
-		if !us.bwdSum.Add(out) {
-			return
-		}
-		sum = us.bwdSum.Value()
+		img = sum.Value()
 	}
-	us.setBwd(sum)
-	if e.From.IsInput() {
-		return
-	}
-	for _, e2 := range e.From.In {
-		rs.spawnBackward(e2, sum)
-	}
+	rs.publishBackward(n, img)
 }

@@ -101,7 +101,9 @@ func TestSpectralTrainingMatchesSerial(t *testing.T) {
 func TestSpectralInverseCounts(t *testing.T) {
 	f, fp := 4, 4
 	var c conv.Counters
-	nw, err := net.Build(net.MustParse("C3"), net.BuildOptions{
+	// A linear transfer first: the f input nodes compute no backward image,
+	// so the conv layer's sources are the transfer nodes.
+	nw, err := net.Build(net.MustParse("Tlinear-C3"), net.BuildOptions{
 		Width: fp, InWidth: f, OutWidth: fp, InputExtent: 12,
 		Method:  conv.FFT,
 		Memoize: true, Counters: &c, Seed: 43,
@@ -132,7 +134,7 @@ func TestSpectralInverseCounts(t *testing.T) {
 	}
 	snap := c.Snapshot()
 	// Forward: f′ inverses (spectral); backward: f inverses (spectral at
-	// the input-side nodes — here the f input nodes each have fp
+	// the input-side nodes — here the f transfer nodes each have fp
 	// out-edges); update: f·f′ inverses (one per kernel gradient).
 	want := int64(fp + f + f*fp)
 	if snap.InverseFFTs != want {

@@ -25,10 +25,13 @@ var anisoKernels = []Shape{S3(5, 5, 1), S3(3, 3, 3), S3(5, 5, 1), S3(3, 3, 3)}
 
 // anisoModel builds the exemplar net on a GraphBuilder: widths 8/8/8/1,
 // logistic transfers, fully connected layer to layer.
-func anisoModel(cfg Config) (*Model, error) {
+func anisoModel(cfg Config) (*Model, error) { return anisoModelAt(cfg, S3(49, 49, 15)) }
+
+// anisoModelAt builds the exemplar net on an input patch of another size.
+func anisoModelAt(cfg Config, patch Shape) (*Model, error) {
 	widths := []int{8, 8, 8, 1}
 	b := NewGraphBuilder(cfg)
-	cur := []NodeRef{b.Input("in", S3(49, 49, 15))}
+	cur := []NodeRef{b.Input("in", patch)}
 	for l, k := range anisoKernels {
 		next := make([]NodeRef, widths[l])
 		for j := range next {
