@@ -184,14 +184,9 @@ func (m *Model) Infer(inputs ...*Tensor) ([]*Tensor, error) {
 	return outs[0], nil
 }
 
-// Forward runs an exclusive, stateful forward pass (NodeImage reflects it).
-func (m *Model) Forward(inputs ...*Tensor) ([]*Tensor, error) {
-	return m.en.Forward(inputs)
-}
-
 // NodeImage returns the forward image of a named node after the last
-// exclusive pass (Train or Forward — concurrent Infer rounds keep their
-// images private), for inspecting intermediate representations.
+// successful Train (Infer rounds keep their images private), for
+// inspecting intermediate representations.
 func (m *Model) NodeImage(name string) *Tensor { return m.en.NodeForward(name) }
 
 // Close applies pending updates and stops the workers.

@@ -130,10 +130,10 @@ func main() {
 		log.Fatal(err)
 	}
 	defer inF.Close()
-	reader := tile.NewRawReader(inF, vol, dtype)
-	if fi, err := inF.Stat(); err == nil && fi.Size() < reader.Bytes() {
-		log.Fatalf("%s holds %d bytes, volume %v at %s needs %d", *inPath, fi.Size(), vol, dtype, reader.Bytes())
+	if err := checkInput(inF, vol, dtype); err != nil {
+		log.Fatal(err)
 	}
+	reader := tile.NewRawReader(inF, vol, dtype)
 
 	var writers []tile.Writer
 	var outFiles []*os.File
@@ -199,6 +199,19 @@ func resolveBlock(n *znn.Network, block, blockIn int) (int, error) {
 		return tile.BlockOutFromIn(n.FieldOfView(), blockIn)
 	}
 	return block, nil
+}
+
+// checkInput reports whether f is large enough to hold a volume of shape
+// vol at dtype d.
+func checkInput(f *os.File, vol tensor.Shape, d tile.DType) error {
+	need, err := tile.VolumeBytes(vol, d)
+	if err != nil {
+		return err
+	}
+	if fi, err := f.Stat(); err == nil && fi.Size() < need {
+		return fmt.Errorf("%s holds %d bytes, volume %v at %s needs %d", f.Name(), fi.Size(), vol, d, need)
+	}
+	return nil
 }
 
 // parseShape reads "N" (cube) or "XxYxZ".

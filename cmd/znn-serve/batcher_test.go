@@ -198,7 +198,6 @@ func TestServerBatchedInfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	nw.SetTraining(false)
 
 	s := newServer(nw, 4, 4, 20*time.Millisecond)
 	defer s.batch.close()

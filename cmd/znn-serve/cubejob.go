@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -75,30 +74,15 @@ type cubeJob struct {
 }
 
 // inputBytes and outputBytes are exact for every admitted job: admission
-// refuses a job whose byte counts overflow (see volumeBytes).
+// refuses a job whose byte counts overflow (see tile.VolumeBytes).
 func (j *cubeJob) inputBytes() int64 {
-	n, _ := volumeBytes(j.shape, j.dtype)
+	n, _ := tile.VolumeBytes(j.shape, j.dtype)
 	return n
 }
 
 func (j *cubeJob) outputBytes() int64 {
-	n, _ := volumeBytes(j.outShape, j.dtype)
+	n, _ := tile.VolumeBytes(j.outShape, j.dtype)
 	return n
-}
-
-// volumeBytes returns the byte size of a volume of shape s, and false when
-// an extent is not positive or the product overflows int64: the extents
-// come from the request, and a wrapped product would admit a job whose
-// buffers cannot be allocated.
-func volumeBytes(s tensor.Shape, dt tile.DType) (int64, bool) {
-	n := int64(dt.Size())
-	for _, e := range []int{s.X, s.Y, s.Z} {
-		if e <= 0 || n > math.MaxInt64/int64(e) {
-			return 0, false
-		}
-		n *= int64(e)
-	}
-	return n, true
 }
 
 // wire renders the job's progress document. Caller holds j.mu.
@@ -226,9 +210,9 @@ func (s *server) handleCubeCreate(w http.ResponseWriter, r *http.Request) {
 		opt:   znn.TileOptions{BlockOut: req.Block, K: req.K, Window: req.Window},
 		state: cubeUploading, created: time.Now(),
 	}
-	in, inOK := volumeBytes(shape, dt)
-	out, outOK := volumeBytes(g.Out, dt)
-	if !inOK || !outOK || in > s.maxCubeBytes || out > s.maxCubeBytes {
+	in, inErr := tile.VolumeBytes(shape, dt)
+	out, outErr := tile.VolumeBytes(g.Out, dt)
+	if inErr != nil || outErr != nil || in > s.maxCubeBytes || out > s.maxCubeBytes {
 		s.rejected.Add(1)
 		http.Error(w, fmt.Sprintf("volume %v (output %v) of %s is over the %d-byte cube cap",
 			shape, g.Out, dt, s.maxCubeBytes), http.StatusRequestEntityTooLarge)

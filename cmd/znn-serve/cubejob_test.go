@@ -88,7 +88,6 @@ func TestCubeJobLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.SetTraining(false)
 	defer nw.Close()
 	s := newServer(nw, 2, 1, 0)
 	ts := serveMux(s)
@@ -269,7 +268,6 @@ func TestCubeJobF32(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.SetTraining(false)
 	defer nw.Close()
 	s := newServer(nw, 2, 1, 0)
 	ts := serveMux(s)

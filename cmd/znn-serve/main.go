@@ -142,7 +142,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	nw.SetTraining(false)
 
 	s := newServer(nw, *inflight, *maxBatch, time.Duration(*batchDelay)*time.Microsecond)
 	s.reloadPath = *checkpoint

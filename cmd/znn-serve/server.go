@@ -436,7 +436,6 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusConflict, err)
 		return
 	}
-	next.SetTraining(false)
 
 	g := &generation{nw: next, id: cur.id + 1, source: path, loadedAt: time.Now()}
 	s.genMu.Lock()

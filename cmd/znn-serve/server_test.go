@@ -30,7 +30,6 @@ func testNet(t *testing.T, seed int64) *znn.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.SetTraining(false)
 	return nw
 }
 

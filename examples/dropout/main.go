@@ -49,8 +49,7 @@ func run(spec string, label string) (trainLoss, testLoss float64) {
 		}
 	}
 
-	// Evaluate with dropout disabled (inference mode).
-	nw.SetTraining(false)
+	// Evaluate with Infer, where dropout is the identity.
 	mse := func(s data.Sample) float64 {
 		out, err := nw.Infer(s.Input)
 		if err != nil {

@@ -11,8 +11,8 @@ import (
 
 // TestNetworkConcurrentInfer runs ≥8 simultaneous Infer calls on one
 // Network (the serving pattern) and checks every concurrent result is
-// bit-identical to the serialized Forward pass. Runs under the CI -race
-// job.
+// bit-identical to a serialized Infer of the same input. Runs under the CI
+// -race job.
 func TestNetworkConcurrentInfer(t *testing.T) {
 	n, err := NewNetwork("C3-Ttanh-C3", Config{
 		Width: 2, OutputPatch: 6, Workers: 4, Seed: 21, Conv: ForceFFT,
@@ -39,10 +39,10 @@ func TestNetworkConcurrentInfer(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = tensor.RandomUniform(rng, n.InputShape(), -1, 1)
 	}
-	// Serialized reference first via concurrent-safe Infer (drains pending
-	// updates), then the exclusive Forward as a second reference.
+	// Serialized reference first: the first Infer drains the pending
+	// updates.
 	for i := range inputs {
-		outs, err := n.Forward(inputs[i])
+		outs, err := n.Infer(inputs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +78,7 @@ func TestNetworkConcurrentInfer(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range diffs {
-		t.Fatalf("concurrent Infer on input %d differs from serialized Forward", i)
+		t.Fatalf("concurrent Infer on input %d differs from serialized Infer", i)
 	}
 }
 

@@ -290,19 +290,16 @@ func TestMaxFilterOpSparse(t *testing.T) {
 	}
 }
 
+// TestDropoutOpTrainVsInference checks that the round kind decides what
+// dropout does: an inference ctx gets the identity, a training round
+// (no inference ctx) a fresh mask per forward, which its backward reuses.
 func TestDropoutOpTrainVsInference(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	in := tensor.RandomUniform(rng, tensor.Cube(5), 0.5, 1)
 	op := NewDropoutOp(0.5, 42)
-	op.Train = false
-	if !op.Forward(in, nil).Equal(in) {
+	if !op.Forward(in, &FwdCtx{Infer: true}).Equal(in) {
 		t.Error("inference dropout not identity")
 	}
-	g := tensor.RandomUniform(rng, in.S, -1, 1)
-	if !op.Backward(g, nil).Equal(g) {
-		t.Error("inference dropout backward not identity")
-	}
-	op.Train = true
 	out := op.Forward(in, nil)
 	zeros := 0
 	for _, v := range out.Data {
@@ -312,6 +309,16 @@ func TestDropoutOpTrainVsInference(t *testing.T) {
 	}
 	if zeros == 0 || zeros == in.S.Volume() {
 		t.Errorf("training dropout zeroed %d of %d voxels", zeros, in.S.Volume())
+	}
+	g := tensor.RandomUniform(rng, in.S, 0.5, 1)
+	back := op.Backward(g, nil)
+	for i, v := range back.Data {
+		if (v == 0) != (out.Data[i] == 0) {
+			t.Fatalf("voxel %d: backward mask differs from the forward's", i)
+		}
+	}
+	if op.Forward(in, nil).Equal(out) {
+		t.Error("two training forwards drew the same mask")
 	}
 }
 

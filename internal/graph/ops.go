@@ -15,12 +15,12 @@ import (
 // transform (Section IV).
 type FwdCtx struct {
 	Spectra *conv.SpectrumCache
-	// Infer marks a forward-only round that may run concurrently with
-	// other forward-only rounds over the same ops. Ops must not store
-	// per-round state (Jacobian inputs, argmax maps, FFT memo slots) —
-	// there is no backward pass to consume it and a concurrent round
-	// would race on the slot — and dropout applies its inference-time
-	// identity regardless of the shared Train toggle.
+	// Infer marks an inference round, which may run concurrently with
+	// other inference rounds over the same ops; unset, the round is a
+	// training round. Ops must not store per-round state (Jacobian inputs,
+	// argmax maps, FFT memo slots) on an inference round — there is no
+	// backward pass to consume it and a concurrent round would race on the
+	// slot — and dropout is the identity there, masking only in training.
 	Infer bool
 }
 
@@ -295,17 +295,17 @@ func (o *MaxFilterOp) Backward(grad *tensor.Tensor, _ *BwdCtx) *tensor.Tensor {
 	return ops.MaxFilterBackward(grad, o.argmax, o.inShape)
 }
 
-// DropoutOp is the dropout extension as an edge operation.
+// DropoutOp is the dropout extension as an edge operation. The round kind
+// decides what it does: a training round masks (forward and backward), an
+// inference round applies the identity.
 type DropoutOp struct {
 	D *ops.Dropout
-	// Train toggles between training (mask) and inference (identity).
-	Train bool
 }
 
 // NewDropoutOp builds a dropout op with the given keep probability and
 // deterministic seed.
 func NewDropoutOp(keep float64, seed int64) *DropoutOp {
-	return &DropoutOp{D: ops.NewDropout(keep, seed), Train: true}
+	return &DropoutOp{D: ops.NewDropout(keep, seed)}
 }
 
 // Kind returns "dropout".
@@ -314,21 +314,17 @@ func (o *DropoutOp) Kind() string { return "dropout" }
 // OutShape returns the unchanged input shape.
 func (o *DropoutOp) OutShape(in tensor.Shape) tensor.Shape { return in }
 
-// Forward applies a fresh dropout mask (or the identity at inference —
-// either via the engine's Train toggle or an inference-round ctx, whose
-// concurrent rounds must not share mask state).
+// Forward applies a fresh dropout mask, or the identity on an inference
+// round (whose concurrent rounds must not share mask state).
 func (o *DropoutOp) Forward(in *tensor.Tensor, ctx *FwdCtx) *tensor.Tensor {
-	if !o.Train || ctx.infer() {
+	if ctx.infer() {
 		return o.D.InferenceForward(in)
 	}
 	return o.D.Forward(in)
 }
 
-// Backward applies the stored mask.
+// Backward applies the mask of the training round's forward.
 func (o *DropoutOp) Backward(grad *tensor.Tensor, _ *BwdCtx) *tensor.Tensor {
-	if !o.Train {
-		return grad.Clone()
-	}
 	return o.D.Backward(grad)
 }
 

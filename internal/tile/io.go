@@ -92,6 +92,24 @@ func (d DType) String() string {
 	return "f64"
 }
 
+// VolumeBytes returns the byte size of a raw volume of shape s at dtype d.
+// It errors when an extent is not positive or the size overflows int64:
+// shapes come from flags and requests, and a wrapped size would pass any
+// size check.
+func VolumeBytes(s tensor.Shape, d DType) (int64, error) {
+	n := int64(d.Size())
+	for _, e := range []int{s.X, s.Y, s.Z} {
+		if e <= 0 {
+			return 0, fmt.Errorf("tile: volume %v has a non-positive extent", s)
+		}
+		if n > math.MaxInt64/int64(e) {
+			return 0, fmt.Errorf("tile: volume %v at %s is over %d bytes", s, d, int64(math.MaxInt64))
+		}
+		n *= int64(e)
+	}
+	return n, nil
+}
+
 // ParseDType reads "f64"/"f32" (the CLI flag values).
 func ParseDType(s string) (DType, error) {
 	switch s {
@@ -124,16 +142,12 @@ func NewRawReader(r io.ReaderAt, shape tensor.Shape, d DType) *RawVolume {
 // volume's bytes reserved up front (best effort, see reserve), so it has its
 // full size from here on.
 func NewRawWriter(w io.WriterAt, shape tensor.Shape, d DType) *RawVolume {
-	rv := &RawVolume{shape: shape, dtype: d, w: w}
 	if f, ok := w.(*os.File); ok {
-		reserve(f, rv.Bytes())
+		if n, err := VolumeBytes(shape, d); err == nil {
+			reserve(f, n)
+		}
 	}
-	return rv
-}
-
-// Bytes returns the file size of the full volume.
-func (rv *RawVolume) Bytes() int64 {
-	return int64(rv.shape.Volume()) * int64(rv.dtype.Size())
+	return &RawVolume{shape: shape, dtype: d, w: w}
 }
 
 // Shape returns the volume shape.

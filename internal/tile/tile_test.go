@@ -4,79 +4,113 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"znn/internal/tensor"
 )
 
-// TestGridPartition checks, over a matrix of volume/block/FOV shapes
-// including ragged and anisotropic cases, that the stitch regions are
-// disjoint, cover the output volume exactly, and that every block's input
-// region lies inside the input volume.
+// gridCases is a matrix of volume/block/FOV shapes including ragged and
+// anisotropic cases; they also seed FuzzGrid.
+var gridCases = []struct {
+	vol      tensor.Shape
+	fov, out int
+}{
+	{tensor.Cube(16), 5, 4},      // divides evenly
+	{tensor.Cube(16), 5, 5},      // ragged: 12 = 5+5+2
+	{tensor.Cube(16), 5, 12},     // single block
+	{tensor.Cube(16), 5, 40},     // clamped to the whole output
+	{tensor.Cube(10), 5, 1},      // every block one output voxel
+	{tensor.S3(7, 20, 20), 5, 5}, // thin volume; 16 = 5·3+1 leaves 1-voxel residual
+	{tensor.S3(7, 96, 33), 3, 7}, // anisotropic, ragged on two axes
+	{tensor.S3(9, 9, 31), 9, 4},  // one axis exactly the FOV
+}
+
+// TestGridPartition checks checkGrid's invariants over gridCases.
 func TestGridPartition(t *testing.T) {
-	cases := []struct {
-		vol      tensor.Shape
-		fov, out int
-	}{
-		{tensor.Cube(16), 5, 4},      // divides evenly
-		{tensor.Cube(16), 5, 5},      // ragged: 12 = 5+5+2
-		{tensor.Cube(16), 5, 12},     // single block
-		{tensor.Cube(16), 5, 40},     // clamped to the whole output
-		{tensor.Cube(10), 5, 1},      // every block one output voxel
-		{tensor.S3(7, 20, 20), 5, 5}, // thin volume; 16 = 5·3+1 leaves 1-voxel residual
-		{tensor.S3(7, 96, 33), 3, 7}, // anisotropic, ragged on two axes
-		{tensor.S3(9, 9, 31), 9, 4},  // one axis exactly the FOV
-	}
-	for _, c := range cases {
+	for _, c := range gridCases {
 		g, err := NewGrid(c.vol, c.fov, c.out)
 		if err != nil {
 			t.Fatalf("NewGrid(%v, %d, %d): %v", c.vol, c.fov, c.out, err)
 		}
-		halo := c.fov - 1
-		if want := c.vol.Sub(tensor.S3(halo, halo, halo)); g.Out != want {
-			t.Fatalf("%v fov %d: Out = %v, want %v", c.vol, c.fov, g.Out, want)
+		checkGrid(t, g, c.vol, c.fov)
+	}
+}
+
+// FuzzGrid: over extents 1–64, FOV 1–16 and block extents −2–70, NewGrid
+// fails exactly when the inputs cannot be tiled (an axis under the field
+// of view, or a block output extent under 1), and every grid it returns
+// passes checkGrid.
+func FuzzGrid(f *testing.F) {
+	for _, c := range gridCases {
+		f.Add(uint8(c.vol.X-1), uint8(c.vol.Y-1), uint8(c.vol.Z-1), uint8(c.fov-1), uint8(c.out+2))
+	}
+	f.Add(uint8(3), uint8(15), uint8(15), uint8(4), uint8(7))  // an axis under the FOV
+	f.Add(uint8(15), uint8(15), uint8(15), uint8(4), uint8(1)) // block extent −1
+	f.Fuzz(func(t *testing.T, x, y, z, fov, block uint8) {
+		vol := tensor.S3(1+int(x)%64, 1+int(y)%64, 1+int(z)%64)
+		fv, out := 1+int(fov)%16, int(block)%73-2
+		g, err := NewGrid(vol, fv, out)
+		tileable := vol.X >= fv && vol.Y >= fv && vol.Z >= fv && out >= 1
+		if tileable != (err == nil) {
+			t.Fatalf("NewGrid(%v, %d, %d): err %v, tileable %v", vol, fv, out, err, tileable)
 		}
-		if g.BlockIn != g.BlockOut.Add(tensor.S3(halo, halo, halo)) {
-			t.Fatalf("BlockIn %v ≠ BlockOut %v + halo", g.BlockIn, g.BlockOut)
+		if err == nil {
+			checkGrid(t, g, vol, fv)
 		}
-		seen := tensor.New(g.Out)
-		for i := 0; i < g.NumBlocks(); i++ {
-			b := g.Block(i)
-			if b.Index != i {
-				t.Fatalf("block %d carries index %d", i, b.Index)
-			}
-			// Input region inside the volume.
-			if b.In.X < 0 || b.In.Y < 0 || b.In.Z < 0 ||
-				b.In.X+g.BlockIn.X > c.vol.X || b.In.Y+g.BlockIn.Y > c.vol.Y || b.In.Z+g.BlockIn.Z > c.vol.Z {
-				t.Fatalf("block %d input region %v+%v outside volume %v", i, b.In, g.BlockIn, c.vol)
-			}
-			// Stitch region inside the block output.
-			if b.Src.X+b.Region.X > g.BlockOut.X || b.Src.Y+b.Region.Y > g.BlockOut.Y || b.Src.Z+b.Region.Z > g.BlockOut.Z {
-				t.Fatalf("block %d stitch src %v+%v outside block output %v", i, b.Src, b.Region, g.BlockOut)
-			}
-			// The block's output position must agree with its input
-			// position: output voxel p needs input window [p, p+fov).
-			if b.Dst.Sub(b.Src) != b.In {
-				t.Fatalf("block %d: Dst %v − Src %v ≠ In %v (output/input positions disagree)", i, b.Dst, b.Src, b.In)
-			}
-			for z := 0; z < b.Region.Z; z++ {
-				for y := 0; y < b.Region.Y; y++ {
-					for x := 0; x < b.Region.X; x++ {
-						idx := g.Out.Index(b.Dst.X+x, b.Dst.Y+y, b.Dst.Z+z)
-						seen.Data[idx]++
-					}
+	})
+}
+
+// checkGrid asserts that g, the grid of volume vol at field of view fov,
+// has the output and block shapes the halo implies, that its stitch regions
+// cover every output voxel exactly once, and that every block's input region
+// lies inside the volume, its stitch region inside the block output, and its
+// input and output positions agree.
+func checkGrid(t *testing.T, g *Grid, vol tensor.Shape, fov int) {
+	t.Helper()
+	halo := fov - 1
+	if want := vol.Sub(tensor.S3(halo, halo, halo)); g.Out != want {
+		t.Fatalf("%v fov %d: Out = %v, want %v", vol, fov, g.Out, want)
+	}
+	if g.BlockIn != g.BlockOut.Add(tensor.S3(halo, halo, halo)) {
+		t.Fatalf("BlockIn %v ≠ BlockOut %v + halo", g.BlockIn, g.BlockOut)
+	}
+	seen := make([]int, g.Out.Volume())
+	for i := 0; i < g.NumBlocks(); i++ {
+		b := g.Block(i)
+		if b.Index != i {
+			t.Fatalf("block %d carries index %d", i, b.Index)
+		}
+		// Input region inside the volume.
+		if b.In.X < 0 || b.In.Y < 0 || b.In.Z < 0 ||
+			b.In.X+g.BlockIn.X > vol.X || b.In.Y+g.BlockIn.Y > vol.Y || b.In.Z+g.BlockIn.Z > vol.Z {
+			t.Fatalf("block %d input region %v+%v outside volume %v", i, b.In, g.BlockIn, vol)
+		}
+		// Stitch region inside the block output.
+		if b.Src.X+b.Region.X > g.BlockOut.X || b.Src.Y+b.Region.Y > g.BlockOut.Y || b.Src.Z+b.Region.Z > g.BlockOut.Z {
+			t.Fatalf("block %d stitch src %v+%v outside block output %v", i, b.Src, b.Region, g.BlockOut)
+		}
+		// The block's output position must agree with its input
+		// position: output voxel p needs input window [p, p+fov).
+		if b.Dst.Sub(b.Src) != b.In {
+			t.Fatalf("block %d: Dst %v − Src %v ≠ In %v (output/input positions disagree)", i, b.Dst, b.Src, b.In)
+		}
+		for z := 0; z < b.Region.Z; z++ {
+			for y := 0; y < b.Region.Y; y++ {
+				for x := 0; x < b.Region.X; x++ {
+					seen[g.Out.Index(b.Dst.X+x, b.Dst.Y+y, b.Dst.Z+z)]++
 				}
 			}
 		}
-		for i, v := range seen.Data {
-			if v != 1 {
-				x, y, z := g.Out.Coords(i)
-				t.Fatalf("%v fov %d out %d: output voxel (%d,%d,%d) stitched %v times", c.vol, c.fov, c.out, x, y, z, v)
-			}
+	}
+	for i, n := range seen {
+		if n != 1 {
+			x, y, z := g.Out.Coords(i)
+			t.Fatalf("%v fov %d: output voxel (%d,%d,%d) stitched %d times", vol, fov, x, y, z, n)
 		}
-		if w := g.HaloWaste(); w < 0 || w >= 1 {
-			t.Fatalf("HaloWaste = %v out of range", w)
-		}
+	}
+	if w := g.HaloWaste(); w < 0 || w >= 1 {
+		t.Fatalf("HaloWaste = %v out of range", w)
 	}
 }
 
@@ -239,16 +273,39 @@ func TestRawWriterReservesFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	w := NewRawWriter(f, tensor.S3(10, 9, 8), F32)
+	NewRawWriter(f, tensor.S3(10, 9, 8), F32)
+	const want = 10 * 9 * 8 * 4
 	fi, err := f.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() != w.Bytes() {
-		if err := reserve(f, w.Bytes()); err != nil {
+	if fi.Size() != want {
+		if err := reserve(f, want); err != nil {
 			t.Skipf("cannot reserve here: %v", err)
 		}
-		t.Errorf("file holds %d bytes after NewRawWriter, want %d", fi.Size(), w.Bytes())
+		t.Errorf("file holds %d bytes after NewRawWriter, want %d", fi.Size(), want)
+	}
+}
+
+// TestVolumeBytes: sizes are exact, and shapes whose byte count wraps
+// int64 (2097152³ at f64 is exactly 2⁶⁶ bytes, 3000000³ wraps negative)
+// or has a non-positive extent are refused with an error saying why.
+func TestVolumeBytes(t *testing.T) {
+	if n, err := VolumeBytes(tensor.S3(10, 9, 8), F32); err != nil || n != 10*9*8*4 {
+		t.Errorf("VolumeBytes(10x9x8, f32) = %d, %v; want %d", n, err, 10*9*8*4)
+	}
+	for _, c := range []struct {
+		s    tensor.Shape
+		want string
+	}{
+		{tensor.Cube(2097152), "over"},
+		{tensor.Cube(3000000), "over"},
+		{tensor.S3(4, 0, 4), "non-positive"},
+		{tensor.S3(4, 4, -1), "non-positive"},
+	} {
+		if n, err := VolumeBytes(c.s, F64); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("VolumeBytes(%v, f64) = %d, %v; want an error saying %q", c.s, n, err, c.want)
+		}
 	}
 }
 

@@ -10,17 +10,17 @@ import (
 )
 
 // Engine executes rounds on a compiled Program. It is the stable façade
-// over the Program/RoundState split: Round and Forward keep their original
-// exclusive, stateful semantics (NodeForward reports the last such round),
-// while Infer runs forward-only K-wide rounds that may be in flight
-// concurrently from any number of goroutines.
+// over the Program/RoundState split and runs two kinds of round: training
+// rounds (Round, or a TrainPipeline session), exclusive and stateful, with
+// dropout masking and NodeForward reporting the last one; and inference
+// rounds (Infer), forward-only and K-wide, with dropout the identity, any
+// number in flight at once from any number of goroutines.
 type Engine struct {
 	p *Program
 
 	mu       sync.Mutex
 	lastLoss float64
-	last     *RoundState // most recent successful exclusive round (Round or Forward)
-	training bool
+	last     *RoundState // most recent successful training round
 }
 
 // NewEngine compiles the graph into an execution engine (see Compile for
@@ -30,7 +30,7 @@ func NewEngine(g *graph.Graph, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{p: p, training: true}, nil
+	return &Engine{p: p}, nil
 }
 
 // Program returns the engine's compiled program.
@@ -41,24 +41,6 @@ func (en *Engine) Workers() int { return en.p.cfg.Workers }
 
 // NumInputs returns the number of graph input nodes (volumes per round).
 func (en *Engine) NumInputs() int { return len(en.p.inputs) }
-
-// SetTraining toggles dropout layers between training and inference mode.
-// It affects Round and Forward; Infer always runs dropout in inference
-// mode (the toggle is cross-round op state, which concurrent forward-only
-// rounds must not depend on).
-func (en *Engine) SetTraining(training bool) {
-	// Exclusive: DropoutOp.Train is read by concurrently running rounds.
-	en.p.roundMu.Lock()
-	defer en.p.roundMu.Unlock()
-	en.mu.Lock()
-	en.training = training
-	en.mu.Unlock()
-	for _, e := range en.p.g.Edges {
-		if d, ok := e.Op.(*graph.DropoutOp); ok {
-			d.Train = training
-		}
-	}
-}
 
 // Round runs one gradient iteration: forward pass on the inputs, loss
 // against the desired outputs, backward pass, and (lazily executed) weight
@@ -76,44 +58,18 @@ func (en *Engine) Round(inputs, desired []*tensor.Tensor) (float64, error) {
 	return pr.Wait()
 }
 
-// Forward runs a forward-only pass and returns the output images in
-// g.Outputs() order. Like Round it is exclusive and stateful: ops record
-// their Jacobian inputs, dropout honours SetTraining, and pending weight
-// updates are applied before the pass. For concurrent, side-effect-free
-// inference use Infer.
-func (en *Engine) Forward(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	en.p.roundMu.Lock()
-	defer en.p.roundMu.Unlock()
-	en.p.sch.DrainUpdates()
-	rs, err := en.p.NewRound(ModeForward, [][]*tensor.Tensor{inputs}, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := rs.run(); err != nil {
-		return nil, err
-	}
-	if err := en.p.sch.Err(); err != nil {
-		return nil, err
-	}
-	en.mu.Lock()
-	en.last = rs
-	en.mu.Unlock()
-	return rs.Outputs(), nil
-}
-
 // Infer runs ONE K-wide forward-only inference round over the batch —
 // batch[v] is volume v's input slice in g.Inputs() order — and returns each
 // volume's outputs in g.Outputs() order. The round sweeps all K volumes at
 // each (node, edge) step: one kernel-spectrum fetch per edge feeds K
 // pointwise products, and each summing node runs one inverse transform per
-// volume. Per-volume results are bit-identical to K serialized Forward
-// passes.
+// volume. Per-volume results are bit-identical to K separate K=1 rounds.
 //
 // Infer is safe to call from any number of goroutines at once: rounds share
 // the Program's scheduler, kernel spectra and memory pools but carry
 // private accumulators and spectrum caches, so N calls keep every worker
-// busy even when one round exposes little parallelism. Dropout runs in
-// inference mode and no gradient or Jacobian state is touched. Pending
+// busy even when one round exposes little parallelism. Dropout is the
+// identity and no gradient or Jacobian state is touched. Pending
 // weight updates from a previous training round are drained before the
 // first concurrent round is admitted, so all in-flight rounds see one
 // consistent set of weights. A round error fails only this batch.
@@ -124,7 +80,8 @@ func (en *Engine) Infer(batch [][]*tensor.Tensor) ([][]*tensor.Tensor, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := rs.run(); err != nil {
+	rs.Start()
+	if err := rs.Wait(); err != nil {
 		return nil, err
 	}
 	// A sticky engine error means an update task panicked: weights are
@@ -148,7 +105,8 @@ func (en *Engine) Drain() error {
 }
 
 // NodeForward returns the forward image at the named node from the last
-// successful exclusive round (Round or Forward), or nil if unknown.
+// successful training round, or nil if unknown. Inference rounds keep
+// their images private and leave it unchanged.
 func (en *Engine) NodeForward(name string) *tensor.Tensor {
 	en.mu.Lock()
 	last := en.last
@@ -174,24 +132,15 @@ func (en *Engine) Loss() float64 {
 	return en.lastLoss
 }
 
-// Close drains pending updates, returns the transformers' pooled kernel
-// spectra, and shuts the scheduler down. Releasing the spectra keeps a
-// closed engine from inflating the pools' live-byte baseline (kernel
-// spectra stay checked out across rounds while the engine lives); the
-// graph's transformers recompute them on the next compile's first round.
+// Close drains pending updates and shuts the engine down (see shutdown).
 func (en *Engine) Close() error {
 	err := en.Drain()
-	for _, e := range en.p.g.Edges {
-		if op, ok := e.Op.(*graph.ConvOp); ok {
-			op.Tr.ReleaseKernelSpectra()
-		}
-	}
-	en.p.sch.Shutdown()
+	en.shutdown()
 	return err
 }
 
 // CloseTimeout is Close with a bounded drain: it waits up to d for the
-// scheduler to go idle, then shuts the workers down if it did. When the
+// scheduler to go idle, then shuts the engine down if it did. When the
 // drain times out (a wedged round mid-crash) it reports false and leaves
 // the engine running — the graceful-shutdown caller exits anyway rather
 // than hanging forever, which is the drain contract a serving process
@@ -200,7 +149,21 @@ func (en *Engine) CloseTimeout(d time.Duration) (drained bool, err error) {
 	drained = en.p.sch.Quiesce(d)
 	err = en.p.sch.Err()
 	if drained {
-		en.p.sch.Shutdown()
+		en.shutdown()
 	}
 	return drained, err
+}
+
+// shutdown returns the transformers' pooled kernel spectra and stops the
+// workers. Releasing the spectra keeps a closed engine from inflating the
+// pools' live-byte baseline (kernel spectra stay checked out across rounds
+// while the engine lives); the graph's transformers recompute them on the
+// next compile's first round.
+func (en *Engine) shutdown() {
+	for _, e := range en.p.g.Edges {
+		if op, ok := e.Op.(*graph.ConvOp); ok {
+			op.Tr.ReleaseKernelSpectra()
+		}
+	}
+	en.p.sch.Shutdown()
 }

@@ -4,9 +4,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"znn/internal/conv"
 	"znn/internal/graph"
+	"znn/internal/mempool"
 	"znn/internal/net"
 	"znn/internal/ops"
 	"znn/internal/sched"
@@ -43,7 +45,7 @@ func TestForwardMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := en.Forward([]*tensor.Tensor{in.Clone()})
+		got, err := infer1(en, in.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +72,7 @@ func TestForwardMatchesSerialAllPolicies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := en.Forward([]*tensor.Tensor{in.Clone()})
+		got, err := infer1(en, in.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,11 +289,11 @@ func TestEngineValidation(t *testing.T) {
 	}
 	defer en.Close()
 	// Wrong input count.
-	if _, err := en.Forward(nil); err == nil {
+	if _, err := infer1(en); err == nil {
 		t.Error("missing inputs not rejected")
 	}
 	// Wrong input shape.
-	if _, err := en.Forward([]*tensor.Tensor{tensor.New(tensor.Cube(2))}); err == nil {
+	if _, err := infer1(en, tensor.New(tensor.Cube(2))); err == nil {
 		t.Error("wrong input shape not rejected")
 	}
 	// Wrong desired shape.
@@ -398,6 +400,10 @@ func TestMultiOutputSoftmax(t *testing.T) {
 	}
 }
 
+// TestDropoutTrainingMode checks that the round kind decides what dropout
+// does: two training rounds draw different masks, two Infer calls on the
+// same input are bitwise equal, and an Infer between training rounds
+// leaves NodeForward reporting the last training round.
 func TestDropoutTrainingMode(t *testing.T) {
 	nw, err := net.Build(net.MustParse("C3-Trelu-D0.6-C3"), net.BuildOptions{
 		Width: 2, OutputExtent: 2, Seed: 19,
@@ -407,37 +413,64 @@ func TestDropoutTrainingMode(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20))
 	in := tensor.RandomUniform(rng, nw.InputShape(), 0.5, 1)
+	des := tensor.RandomUniform(rng, nw.OutputShape(), -0.5, 0.5)
 	en, err := NewEngine(nw.G, Config{Workers: 2, Eta: 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer en.Close()
-	// Training mode: two forward passes differ (fresh masks).
-	a, err := en.Forward([]*tensor.Tensor{in})
-	if err != nil {
-		t.Fatal(err)
+	// mask trains one round and returns its dropout mask on node 0: 1 where
+	// a voxel was kept, 0 where dropped, and -1 where the transfer image the
+	// dropout reads is zero, which hides the mask.
+	mask := func() []int {
+		t.Helper()
+		if _, err := en.Round([]*tensor.Tensor{in}, []*tensor.Tensor{des}); err != nil {
+			t.Fatal(err)
+		}
+		pre, post := en.NodeForward("L1/t/0"), en.NodeForward("L2/drop/0")
+		m := make([]int, len(post.Data))
+		dropped := 0
+		for i, v := range post.Data {
+			switch {
+			case pre.Data[i] == 0:
+				m[i] = -1
+			case v == 0:
+				dropped++
+			default:
+				m[i] = 1
+			}
+		}
+		if dropped == 0 {
+			t.Fatal("training round dropped no voxel")
+		}
+		return m
 	}
-	aCopy := a[0].Clone()
-	b, err := en.Forward([]*tensor.Tensor{in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if aCopy.Equal(b[0]) {
-		t.Error("dropout training passes identical (mask not redrawn)")
-	}
-	// Inference mode: deterministic.
-	en.SetTraining(false)
-	c, err := en.Forward([]*tensor.Tensor{in})
+	a := mask()
+
+	img := en.NodeForward("L2/drop/0")
+	snap := img.Clone()
+	c, err := infer1(en, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cCopy := c[0].Clone()
-	d, err := en.Forward([]*tensor.Tensor{in})
+	d, err := infer1(en, in)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cCopy.Equal(d[0]) {
-		t.Error("inference passes differ")
+		t.Error("two Infer calls on one input differ (dropout not the identity)")
+	}
+	if got := en.NodeForward("L2/drop/0"); got != img || !got.Equal(snap) {
+		t.Error("Infer changed NodeForward")
+	}
+
+	b, differ := mask(), false
+	for i := range a {
+		differ = differ || a[i] >= 0 && b[i] >= 0 && a[i] != b[i]
+	}
+	if !differ {
+		t.Error("two training rounds drew the same dropout mask")
 	}
 }
 
@@ -490,5 +523,28 @@ func TestMemoizedTrainingMatchesUnmemoized(t *testing.T) {
 		if math.Abs(pa[i]-pb[i]) > 1e-8 {
 			t.Fatalf("memoized weights differ at %d: %g vs %g", i, pb[i], pa[i])
 		}
+	}
+}
+
+// TestCloseTimeoutReleasesKernelSpectra: a drained CloseTimeout ends the
+// engine as Close does, returning the pooled kernel spectra, so the
+// spectra pool's live bytes fall back to their level before the build.
+func TestCloseTimeoutReleasesKernelSpectra(t *testing.T) {
+	base := mempool.Spectra.Stats().LiveBytes
+	nw := buildForced(t, conv.FFT)
+	en, err := NewEngine(nw.G, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ins, des := pipelineSamples(nw, 2, 41)
+	trainRounds(t, en, ins, des)
+	if live := mempool.Spectra.Stats().LiveBytes; live <= base {
+		t.Fatalf("live spectra bytes %d after training, %d before the build: no kernel spectra held", live, base)
+	}
+	if drained, err := en.CloseTimeout(time.Minute); !drained || err != nil {
+		t.Fatalf("CloseTimeout = %v, %v; want drained", drained, err)
+	}
+	if live := mempool.Spectra.Stats().LiveBytes; live != base {
+		t.Errorf("live spectra bytes %d after CloseTimeout, %d before the build", live, base)
 	}
 }

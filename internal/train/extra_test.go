@@ -41,7 +41,7 @@ func TestMixedMethodNetMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer en.Close()
-	got, err := en.Forward([]*tensor.Tensor{in.Clone()})
+	got, err := infer1(en, in.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMultiInputNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer en.Close()
-	got, err := en.Forward(cloned)
+	got, err := infer1(en, cloned...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestInterleavedInferenceAndTraining(t *testing.T) {
 		// Inference pass between training rounds: must equal serial
 		// forward with the reference's current (post-update) weights.
 		probe := tensor.RandomUniform(rng, nw.InputShape(), -1, 1)
-		gotOut, err := en.Forward([]*tensor.Tensor{probe.Clone()})
+		gotOut, err := infer1(en, probe.Clone())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,8 +46,8 @@ func infer1(en *Engine, inputs ...*tensor.Tensor) ([]*tensor.Tensor, error) {
 }
 
 // TestConcurrentInferDeterminism runs ≥8 simultaneous Infer rounds on one
-// engine and checks every result is bit-identical to the serialized
-// Forward pass over the same input. This is both the -race exercise for
+// engine and checks every result is bit-identical to a serialized Infer
+// of the same input. This is both the -race exercise for
 // concurrent in-flight rounds and the determinism acceptance check.
 func TestConcurrentInferDeterminism(t *testing.T) {
 	en, nw := buildInferNet(t, 4)
@@ -59,7 +59,7 @@ func TestConcurrentInferDeterminism(t *testing.T) {
 	want := make([]*tensor.Tensor, nInputs)
 	for i := range inputs {
 		inputs[i] = tensor.RandomUniform(rng, nw.InputShape(), -1, 1)
-		outs, err := en.Forward([]*tensor.Tensor{inputs[i]})
+		outs, err := infer1(en, inputs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestConcurrentInferDeterminism(t *testing.T) {
 				}
 				if !outs[0].Equal(want[i]) {
 					errs <- fmt.Errorf(
-						"goroutine %d input %d: concurrent Infer differs from serial Forward (max |Δ| = %g)",
+						"goroutine %d input %d: concurrent Infer differs from serial Infer (max |Δ| = %g)",
 						g, i, outs[0].MaxAbsDiff(want[i]))
 					return
 				}
@@ -99,8 +99,8 @@ func TestConcurrentInferDeterminism(t *testing.T) {
 
 // TestInferAfterTrainingSeesUpdatedWeights checks the training→inference
 // transition: lazily pending update tasks from the last Round are applied
-// before the first Infer round is admitted, so Infer and a subsequent
-// (update-forcing) Forward agree bit-for-bit.
+// before the first Infer round is admitted, so Infer and an Infer after an
+// explicit Drain agree bit-for-bit.
 func TestInferAfterTrainingSeesUpdatedWeights(t *testing.T) {
 	en, nw := buildInferNet(t, 3)
 	defer en.Close()
@@ -118,13 +118,16 @@ func TestInferAfterTrainingSeesUpdatedWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwdOut, err := en.Forward([]*tensor.Tensor{in.Clone()})
+	if err := en.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	drainedOut, err := infer1(en, in.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !inferOut[0].Equal(fwdOut[0]) {
-		t.Fatalf("Infer after training differs from Forward (max |Δ| = %g): pending updates not applied before inference",
-			inferOut[0].MaxAbsDiff(fwdOut[0]))
+	if !inferOut[0].Equal(drainedOut[0]) {
+		t.Fatalf("Infer after training differs from Infer after Drain (max |Δ| = %g): pending updates not applied before inference",
+			inferOut[0].MaxAbsDiff(drainedOut[0]))
 	}
 }
 
@@ -228,8 +231,8 @@ func TestInferAllocatesLessThanRound(t *testing.T) {
 
 // TestInferFusedMatchesForward checks the fused-round acceptance property:
 // one K-wide fused inference round's per-volume outputs are bit-identical
-// to K serialized exclusive Forward passes over the same volumes, at K=5
-// and K=1, with lazy updates pending at the training→serving transition.
+// to K separate K=1 rounds over the same volumes, at K=5, with lazy
+// updates pending at the training→serving transition.
 // Run under the CI -race job.
 func TestInferFusedMatchesForward(t *testing.T) {
 	en, nw := buildInferNet(t, 4)
@@ -252,7 +255,7 @@ func TestInferFusedMatchesForward(t *testing.T) {
 	for v := range batch {
 		in := tensor.RandomUniform(rng, nw.InputShape(), -1, 1)
 		batch[v] = []*tensor.Tensor{in}
-		outs, err := en.Forward([]*tensor.Tensor{in})
+		outs, err := infer1(en, in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,18 +271,9 @@ func TestInferFusedMatchesForward(t *testing.T) {
 	}
 	for v := range outs {
 		if len(outs[v]) != 1 || !outs[v][0].Equal(want[v]) {
-			t.Fatalf("fused volume %d differs from serialized Forward (max |Δ| = %g)",
+			t.Fatalf("fused volume %d differs from its K=1 round (max |Δ| = %g)",
 				v, outs[v][0].MaxAbsDiff(want[v]))
 		}
-	}
-
-	// K=1 round ≡ Forward.
-	one, err := en.Infer(batch[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !one[0][0].Equal(want[0]) {
-		t.Fatal("K=1 round differs from serialized Forward")
 	}
 }
 
@@ -298,7 +292,7 @@ func TestInferFusedConcurrent(t *testing.T) {
 	want := make([]*tensor.Tensor, nVols)
 	for i := range vols {
 		vols[i] = tensor.RandomUniform(rng, nw.InputShape(), -1, 1)
-		outs, err := en.Forward([]*tensor.Tensor{vols[i]})
+		outs, err := infer1(en, vols[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,7 +321,7 @@ func TestInferFusedConcurrent(t *testing.T) {
 				}
 				for v := range outs {
 					if !outs[v][0].Equal(want[idx[v]]) {
-						errs <- fmt.Errorf("goroutine %d rep %d: fused volume %d differs from serialized Forward", g, rep, v)
+						errs <- fmt.Errorf("goroutine %d rep %d: fused volume %d differs from its K=1 round", g, rep, v)
 						return
 					}
 				}

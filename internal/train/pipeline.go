@@ -9,10 +9,9 @@ import (
 
 // TrainPipeline is a training session: the one path every training round
 // takes. StartPipeline acquires the program's round lock exclusively for
-// the whole session (inference, Forward, other sessions and SetTraining
-// block until Close); within the session, round ordering is enforced per
-// edge by the backward fences described in the package doc instead of per
-// round.
+// the whole session (inference rounds and other sessions block until
+// Close); within the session, round ordering is enforced per edge by the
+// backward fences described in the package doc instead of per round.
 //
 // Whether rounds overlap is decided by how the caller waits, not by the
 // engine. Waiting each round before submitting the next runs them strictly

@@ -95,7 +95,7 @@ func forwardWith(t testing.TB, nw *net.Network, p *plan.Plan, prec conv.Precisio
 		t.Fatal(err)
 	}
 	defer en.Close()
-	outs, err := en.Forward(in)
+	outs, err := infer1(en, in...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,6 @@ func TestPlannedBudgetHoldsMeasured(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer en.Close()
-	en.SetTraining(false)
 
 	// One warm round fills kernel spectra and the pools' size classes;
 	// the measured round then reflects the steady serving state.

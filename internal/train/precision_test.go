@@ -104,7 +104,7 @@ func TestF32SerialMatchesEngine(t *testing.T) {
 	defer en.Close()
 	rng := rand.New(rand.NewSource(74))
 	in := tensor.RandomUniform(rng, nw.InputShape(), -1, 1)
-	outs, err := en.Forward([]*tensor.Tensor{in.Clone()})
+	outs, err := infer1(en, in.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,10 +11,10 @@
 //     through training rounds, which are exclusive).
 //   - RoundState (round.go) is everything one round in flight mutates:
 //     per-node wait-free sums, spectrum caches, forward/backward images,
-//     the loss accumulator and the round-scoped task fan-out. Every round
-//     — K-wide inference, exclusive forward, training — is built by the one
-//     constructor, Program.NewRound, and runs the one forward sweep
-//     (RoundState.doForward) over its volumes: the batch width K is the
+//     the loss accumulator and the round-scoped task fan-out. Both kinds of
+//     round — K-wide inference, K=1 training — are built by the one
+//     constructor, Program.NewRound, and run the one forward sweep
+//     (RoundState.doForward) over their volumes: the batch width K is the
 //     length of a slice, 1 outside inference, never a code path. Training
 //     sessions hold the Program's round lock exclusively; forward-only
 //     inference rounds hold it shared, so N of them run concurrently on
@@ -319,9 +319,8 @@ type Program struct {
 	fwdGroup, bwdGroup []*group
 	groupEdges         []int32 // edges per group, indexed by group id
 
-	// roundMu orders rounds: training sessions and exclusive forward
-	// rounds take it exclusively (they mutate cross-round op state),
-	// inference rounds take it shared. Weight-mutating update tasks are
+	// roundMu orders rounds: training sessions take it exclusively (their
+	// rounds mutate cross-round op state), inference rounds take it shared. Weight-mutating update tasks are
 	// drained before the first shared round is admitted (see AcquireInfer).
 	roundMu sync.RWMutex
 	// trainSeq numbers training rounds (RoundState.fenceSeq) for the

@@ -60,7 +60,7 @@ func (rn *roundNode) setBwd(img *tensor.Tensor) {
 }
 
 // FwdImage returns the node's forward image for volume 0 — the only volume
-// of the exclusive Round/Forward rounds, which are its readers.
+// of a training round, its reader.
 func (rn *roundNode) FwdImage() *tensor.Tensor { return rn.FwdImageAt(0) }
 
 // FwdImageAt returns the node's forward image for volume v.
@@ -78,17 +78,14 @@ func (rn *roundNode) BwdImage() *tensor.Tensor {
 }
 
 // Mode selects what a round does and which cross-round state it may touch.
+// There are two kinds, and whether dropout masks follows from the kind.
 type Mode int
 
 const (
 	// ModeInfer is a forward-only round of any batch width K that touches no
-	// cross-round op state (dropout in inference mode, no Jacobian or memo
+	// cross-round op state (dropout is the identity, no Jacobian or memo
 	// recording), so any number run concurrently under AcquireInfer.
 	ModeInfer Mode = iota
-	// ModeForward is an exclusive, stateful K=1 forward pass: ops record
-	// their Jacobian inputs and dropout honours SetTraining, exactly as a
-	// training round's forward phase (Engine.Forward).
-	ModeForward
 	// ModeTrain is a K=1 gradient iteration — forward, loss, backward, lazy
 	// updates — numbered and ordered by its TrainPipeline session.
 	ModeTrain
@@ -99,19 +96,18 @@ const (
 // through one task tree, so each (node, edge) sweep loads the edge's kernel
 // spectrum once for K pointwise products and the node runs one inverse
 // transform per volume (the ZNNi/PZnet batching regime). Training rounds
-// (backward = true) additionally carry the desired outputs, the loss
-// accumulator and backward sums, and have K = 1; inference rounds
-// (infer = true) never allocate backward accumulators and never touch
-// cross-round op state, which is what lets many of them run concurrently.
+// additionally carry the desired outputs, the loss accumulator and
+// backward sums, and have K = 1; inference rounds never allocate backward
+// accumulators and never touch cross-round op state, which is what lets
+// many of them run concurrently.
 type RoundState struct {
-	p        *Program
-	sr       *sched.Round
-	backward bool               // ModeTrain
-	infer    bool               // ModeInfer
-	k        int                // batch width (volumes per round)
-	batch    [][]*tensor.Tensor // batch[v] is volume v's input images
-	desired  []*tensor.Tensor
-	nodes    []roundNode
+	p       *Program
+	sr      *sched.Round
+	train   bool               // ModeTrain; otherwise ModeInfer
+	k       int                // batch width (volumes per round)
+	batch   [][]*tensor.Tensor // batch[v] is volume v's input images
+	desired []*tensor.Tensor
+	nodes   []roundNode
 	// operands counts, per direct group, the edges whose operand (source
 	// forward image, or target backward image) is not yet published.
 	operands []atomic.Int32
@@ -133,9 +129,8 @@ type RoundState struct {
 // ModeInfer rounds may carry more than one volume, and all K volumes flow
 // through a single task tree. desired is the ModeTrain target in
 // g.Outputs() order (nil otherwise). The caller must hold the matching
-// admission — AcquireInfer for ModeInfer, the exclusive round lock for the
-// other two (Engine.Forward and TrainPipeline do) — and runs the round
-// with Start/Wait.
+// admission — AcquireInfer for ModeInfer, the exclusive round lock for
+// ModeTrain (TrainPipeline does) — and runs the round with Start/Wait.
 //
 // Exactly one accumulator per volume is drawn per node side that sums more
 // than one part — the spectral one when the node's edges sum in the FFT
@@ -145,13 +140,13 @@ type RoundState struct {
 // the spectra pools through the release hook instead of becoming per-round
 // garbage.
 func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tensor.Tensor) (*RoundState, error) {
-	backward, infer := mode == ModeTrain, mode == ModeInfer
+	train := mode == ModeTrain
 	k := len(batch)
 	if k == 0 {
 		return nil, fmt.Errorf("train: empty round batch")
 	}
-	if k > 1 && !infer {
-		return nil, fmt.Errorf("train: batch width %d on a non-inference round (training rounds are K=1)", k)
+	if k > 1 && train {
+		return nil, fmt.Errorf("train: batch width %d on a training round (training rounds are K=1)", k)
 	}
 	for v, inputs := range batch {
 		if len(inputs) != len(p.inputs) {
@@ -165,7 +160,7 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 			}
 		}
 	}
-	if backward {
+	if train {
 		if len(desired) != len(p.outputs) {
 			return nil, fmt.Errorf("train: got %d desired outputs, graph has %d output nodes",
 				len(desired), len(p.outputs))
@@ -180,8 +175,7 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 	rs := &RoundState{
 		p:           p,
 		sr:          p.sch.NewRound(),
-		backward:    backward,
-		infer:       infer,
+		train:       train,
 		k:           k,
 		batch:       batch,
 		desired:     desired,
@@ -194,7 +188,7 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 		rn := &rs.nodes[i]
 		rn.fwdImgs = make([]*tensor.Tensor, k)
 		rn.fwdLeft = k
-		if infer {
+		if !train {
 			rn.spectra.SetPooled(true)
 		}
 		if ni.fwdSpectral {
@@ -208,9 +202,9 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 				rn.fwdSums[v] = wsum.Get(ni.fwdParts)
 			}
 		}
-		if backward && ni.bwdSpectral {
+		if train && ni.bwdSpectral {
 			rn.bwdCSum = wsum.GetComplex(ni.bwdParts)
-		} else if backward && ni.bwdParts > 1 {
+		} else if train && ni.bwdParts > 1 {
 			rn.bwdSum = wsum.Get(ni.bwdParts)
 		}
 	}
@@ -218,12 +212,6 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 		rs.operands[id].Store(n)
 	}
 	return rs, nil
-}
-
-// run executes the round to completion (Start then Wait).
-func (rs *RoundState) run() error {
-	rs.Start()
-	return rs.Wait()
 }
 
 // Start spawns the round's data-provider task (Fig. 3, orange node),
@@ -300,17 +288,13 @@ func (rs *RoundState) release() {
 			rn.bwdCSum.Release()
 			rn.bwdCSum = nil
 		}
-		if rs.infer {
+		if !rs.train {
 			rn.spectra.ReleaseAll()
 			rn.bwdSpec.ReleaseAll()
 		}
 		rn.pads.Release()
 	}
 }
-
-// Outputs returns the round's output images in g.Outputs() order (volume 0
-// — the whole result of a K=1 round).
-func (rs *RoundState) Outputs() []*tensor.Tensor { return rs.OutputsAt(0) }
 
 // OutputsAt returns volume v's output images in g.Outputs() order.
 func (rs *RoundState) OutputsAt(v int) []*tensor.Tensor {
@@ -340,7 +324,7 @@ func (rs *RoundState) fanOutForward(n *graph.Node, imgs []*tensor.Tensor) {
 			if rs.operands[gr.id].Add(-1) == 0 {
 				rs.gated(e.To.FwdPrio, gr.edges, func() { rs.forwardGroup(e.To, gr) })
 			}
-		} else if rs.backward {
+		} else if rs.train {
 			rs.gated(e.To.FwdPrio, []*graph.Edge{e}, func() { rs.doForward(e, imgs) })
 		} else {
 			specs = append(specs, sched.TaskSpec{Prio: e.To.FwdPrio, Fn: func() { rs.doForward(e, imgs) }})
@@ -355,7 +339,7 @@ func (rs *RoundState) fanOutForward(n *graph.Node, imgs []*tensor.Tensor) {
 // round's backward on that edge done; the task FORCEs each edge's pending
 // update in turn, then runs fn (Algorithm 1, FORWARD-TASK + FORCE).
 func (rs *RoundState) gated(prio int64, edges []*graph.Edge, fn func()) {
-	if !rs.backward {
+	if !rs.train {
 		fn()
 		return
 	}
@@ -427,7 +411,7 @@ func (rs *RoundState) doForward(e *graph.Edge, imgs []*tensor.Tensor) {
 	if rs.p.nodes[e.To.ID].fwdSpectral {
 		op := e.Op.(*graph.ConvOp)
 		var done []int // volumes whose sum this task completed
-		for v, prod := range op.Tr.ForwardProducts(imgs, op.Kernel, &us.spectra, rs.infer) {
+		for v, prod := range op.Tr.ForwardProducts(imgs, op.Kernel, &us.spectra, !rs.train) {
 			if vs.fwdCSums[v].Add(prod) {
 				done = append(done, v)
 			}
@@ -445,7 +429,7 @@ func (rs *RoundState) doForward(e *graph.Edge, imgs []*tensor.Tensor) {
 		}
 		return
 	}
-	ctx := &graph.FwdCtx{Spectra: &us.spectra, Infer: rs.infer}
+	ctx := &graph.FwdCtx{Spectra: &us.spectra, Infer: !rs.train}
 	for v, out := range graph.ForwardBatch(e.Op, imgs, ctx) {
 		rs.joinForward(e.To, v, out)
 	}
@@ -495,14 +479,14 @@ func (rs *RoundState) outputReady() {
 	rs.outputsLeft--
 	ready := rs.outputsLeft == 0
 	rs.mu.Unlock()
-	if !ready || !rs.backward {
+	if !ready || !rs.train {
 		return
 	}
 	// Loss priority: above all backward tasks so the backward pass starts
 	// immediately.
 	lossPrio := int64(1 << 30)
 	rs.sr.Spawn(sched.Work, lossPrio, func() {
-		actual := rs.Outputs()
+		actual := rs.OutputsAt(0)
 		loss, grads := rs.p.cfg.Loss.Eval(actual, rs.desired)
 		rs.mu.Lock()
 		rs.loss = loss

@@ -343,8 +343,8 @@ type TrainPipeline = train.TrainPipeline
 type PendingRound = train.PendingRound
 
 // TrainStart opens a training session and returns its handle. The session
-// owns the network until its Close: Infer, Train and SetTraining block for
-// the duration. Submit starts a round without waiting for it, and overlap
+// owns the network until its Close: Infer and Train block for the
+// duration. Submit starts a round without waiting for it, and overlap
 // is how the caller waits: waiting each round before submitting the next
 // is exactly Train (which is itself a one-round session), while keeping
 // one round submitted ahead overlaps consecutive rounds — round N+1's
@@ -375,8 +375,8 @@ func (n *Network) Drain() error { return n.en.Drain() }
 // outputs. Infer is safe to call from any number of goroutines at once:
 // concurrent calls keep their rounds in flight on the shared scheduler and
 // memory pools simultaneously, which is how a narrow network saturates a
-// wide machine under serving traffic. Dropout layers always run in
-// inference mode here; pending weight updates from training are applied
+// wide machine under serving traffic. Dropout layers are the identity in
+// an inference round (they mask only in training rounds); pending weight updates from training are applied
 // before the first concurrent round is admitted, so all in-flight rounds
 // see one consistent set of weights.
 func (n *Network) Infer(inputs ...*Tensor) ([]*Tensor, error) {
@@ -393,25 +393,14 @@ func (n *Network) Infer(inputs ...*Tensor) ([]*Tensor, error) {
 // itself: every layer's kernel spectrum streams through cache once per
 // batch, feeding K pointwise products, with one inverse transform per
 // (node, volume) — the ZNNi/PZnet batching result for many-core CPU
-// inference throughput. Per-volume outputs are bit-identical to K
-// serialized Forward passes; a round error fails only this batch. Like
+// inference throughput. Per-volume outputs are bit-identical to K separate
+// Infer calls; a round error fails only this batch. Like
 // Infer it is concurrency-safe alongside any other inference calls (to
 // keep N independent rounds in flight instead, call Infer from N
 // goroutines).
 func (n *Network) InferBatch(batch [][]*Tensor) ([][]*Tensor, error) {
 	return n.en.Infer(batch)
 }
-
-// Forward runs an exclusive, stateful forward pass (dropout honours
-// SetTraining, ops record Jacobian state, pending updates are forced). It
-// exists for training-adjacent inspection; serving traffic should use
-// Infer, which runs concurrently.
-func (n *Network) Forward(inputs ...*Tensor) ([]*Tensor, error) {
-	return n.en.Forward(inputs)
-}
-
-// SetTraining toggles dropout between training and inference behaviour.
-func (n *Network) SetTraining(training bool) { n.en.SetTraining(training) }
 
 // Params returns a copy of the flattened parameter vector.
 func (n *Network) Params() []float64 { return n.nw.Params() }
