@@ -26,7 +26,6 @@ import (
 	"znn/internal/model"
 	"znn/internal/net"
 	"znn/internal/ops"
-	"znn/internal/sched"
 	"znn/internal/tensor"
 	"znn/internal/tile"
 	"znn/internal/train"
@@ -116,7 +115,7 @@ func benchRounds(b *testing.B, en *train.Engine, in, des []*tensor.Tensor) {
 	}
 }
 
-func benchTrainingRound(b *testing.B, workers int, policy sched.Policy) {
+func benchTrainingRound(b *testing.B, workers int) {
 	nw, err := net.Build(net.MustParse("C3-Trelu-M2-C3-Trelu-M2-C3-Trelu-C3-Trelu"),
 		net.BuildOptions{
 			Width: 4, OutWidth: 4, OutputExtent: 8,
@@ -125,7 +124,7 @@ func benchTrainingRound(b *testing.B, workers int, policy sched.Policy) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	en, err := train.NewEngine(nw.G, train.Config{Workers: workers, Policy: policy, Eta: 1e-6})
+	en, err := train.NewEngine(nw.G, train.Config{Workers: workers, Eta: 1e-6})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -139,8 +138,8 @@ func benchTrainingRound(b *testing.B, workers int, policy sched.Policy) {
 	benchRounds(b, en, in, des)
 }
 
-func BenchmarkFig5Round1Worker(b *testing.B)  { benchTrainingRound(b, 1, sched.PolicyPriority) }
-func BenchmarkFig5Round2Workers(b *testing.B) { benchTrainingRound(b, 2, sched.PolicyPriority) }
+func BenchmarkFig5Round1Worker(b *testing.B)  { benchTrainingRound(b, 1) }
+func BenchmarkFig5Round2Workers(b *testing.B) { benchTrainingRound(b, 2) }
 
 func BenchmarkFig7SerialBaseline(b *testing.B) {
 	nw, err := net.Build(net.MustParse("C3-Trelu-M2-C3-Trelu-M2-C3-Trelu-C3-Trelu"),
@@ -244,13 +243,6 @@ func BenchmarkMakeBaseline(b *testing.B) {
 	}
 	_ = sink
 }
-
-// --- E14: scheduler strategies ------------------------------------------
-// (the priority side is BenchmarkFig5Round2Workers)
-
-func BenchmarkSchedulerFIFO(b *testing.B)  { benchTrainingRound(b, 2, sched.PolicyFIFO) }
-func BenchmarkSchedulerLIFO(b *testing.B)  { benchTrainingRound(b, 2, sched.PolicyLIFO) }
-func BenchmarkSchedulerSteal(b *testing.B) { benchTrainingRound(b, 2, sched.PolicySteal) }
 
 // --- E15: memoization ----------------------------------------------------
 

@@ -1,9 +1,9 @@
 // znn-bench regenerates the paper's tables and figures from what this host
 // measures (each experiment id below names the table or figure it
 // reproduces) and doubles as the load generator for a running znn-serve.
-// A/B comparisons between two implementations of one mechanism (scheduler
-// strategies, memoization, wait-free summation, pooled allocation, the
-// heap-of-lists) are `go test -bench` benchmarks beside the code they time.
+// A/B comparisons between two implementations of one mechanism
+// (memoization, wait-free summation, pooled allocation, the heap-of-lists)
+// are `go test -bench` benchmarks beside the code they time.
 //
 // Usage:
 //

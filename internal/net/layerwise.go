@@ -86,9 +86,10 @@ func (x *LayerwiseExecutor) parallelFor(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// Forward evaluates the network level-synchronously.
+// Forward evaluates the network level-synchronously under inference
+// semantics, as ForwardSerial does.
 func (x *LayerwiseExecutor) Forward(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	imgs, err := x.forward(inputs)
+	imgs, err := x.forward(inputs, false)
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +100,8 @@ func (x *LayerwiseExecutor) Forward(inputs []*tensor.Tensor) ([]*tensor.Tensor, 
 	return outs, nil
 }
 
-func (x *LayerwiseExecutor) forward(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// forward runs the forward pass; train selects training semantics.
+func (x *LayerwiseExecutor) forward(inputs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
 	if len(inputs) != len(x.Net.Inputs) {
 		return nil, fmt.Errorf("net: got %d inputs, want %d", len(inputs), len(x.Net.Inputs))
 	}
@@ -110,12 +112,13 @@ func (x *LayerwiseExecutor) forward(inputs []*tensor.Tensor) ([]*tensor.Tensor, 
 		}
 		imgs[x.Net.Inputs[i].ID] = in
 	}
+	ctx := &graph.FwdCtx{Infer: !train}
 	for _, edges := range x.levels {
 		outs := make([]*tensor.Tensor, len(edges))
 		// Data-parallel within the level, barrier after.
 		x.parallelFor(len(edges), func(i int) {
 			e := edges[i]
-			outs[i] = e.Op.Forward(imgs[e.From.ID], nil)
+			outs[i] = e.Op.Forward(imgs[e.From.ID], ctx)
 		})
 		for i, e := range edges {
 			if imgs[e.To.ID] == nil {
@@ -131,7 +134,7 @@ func (x *LayerwiseExecutor) forward(inputs []*tensor.Tensor) ([]*tensor.Tensor, 
 // Round runs one full training iteration level-synchronously: forward,
 // loss, backward with a barrier per level, then all updates.
 func (x *LayerwiseExecutor) Round(inputs, desired []*tensor.Tensor, loss ops.Loss, opt graph.UpdateOpts) (float64, error) {
-	imgs, err := x.forward(inputs)
+	imgs, err := x.forward(inputs, true)
 	if err != nil {
 		return 0, err
 	}

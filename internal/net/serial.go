@@ -16,11 +16,13 @@ import (
 // baseline for the speedup experiments (the "serial algorithm" of
 // Section VIII).
 //
-// The ops are stateful (they store what their Jacobians need), so a
-// network must not be executed serially and by a train.Engine at the same
-// time.
+// It runs inference semantics, like the engine's inference rounds: dropout
+// is the identity and no op stores Jacobian state, so repeated calls agree
+// bitwise and leave the next training round unchanged. The ops are stateful
+// on training rounds, so a network must not be trained serially and by a
+// train.Engine at the same time.
 func (nw *Network) ForwardSerial(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	imgs, err := nw.forwardSerial(inputs)
+	imgs, err := nw.forwardSerial(inputs, false)
 	if err != nil {
 		return nil, err
 	}
@@ -31,7 +33,9 @@ func (nw *Network) ForwardSerial(inputs []*tensor.Tensor) ([]*tensor.Tensor, err
 	return outs, nil
 }
 
-func (nw *Network) forwardSerial(inputs []*tensor.Tensor) ([]*tensor.Tensor, error) {
+// forwardSerial runs the forward pass; train selects training semantics
+// (dropout masks, Jacobian state for the backward pass that follows).
+func (nw *Network) forwardSerial(inputs []*tensor.Tensor, train bool) ([]*tensor.Tensor, error) {
 	if len(inputs) != len(nw.Inputs) {
 		return nil, fmt.Errorf("net: got %d inputs, want %d", len(inputs), len(nw.Inputs))
 	}
@@ -62,7 +66,7 @@ func (nw *Network) forwardSerial(inputs []*tensor.Tensor) ([]*tensor.Tensor, err
 			for _, e := range n.In {
 				op := e.Op.(*graph.ConvOp)
 				in := []*tensor.Tensor{imgs[e.From.ID]}
-				prod := op.Tr.ForwardProducts(in, op.Kernel, &caches[e.From.ID], false)[0]
+				prod := op.Tr.ForwardProducts(in, op.Kernel, &caches[e.From.ID], !train)[0]
 				if spec.IsNil() {
 					spec = prod
 				} else {
@@ -73,7 +77,7 @@ func (nw *Network) forwardSerial(inputs []*tensor.Tensor) ([]*tensor.Tensor, err
 			sum = n.In[0].Op.(*graph.ConvOp).Tr.FinishForward(spec)
 		} else {
 			for _, e := range n.In {
-				out := e.Op.Forward(imgs[e.From.ID], &graph.FwdCtx{Spectra: &caches[e.From.ID]})
+				out := e.Op.Forward(imgs[e.From.ID], &graph.FwdCtx{Spectra: &caches[e.From.ID], Infer: !train})
 				if sum == nil {
 					sum = out
 				} else {
@@ -91,7 +95,7 @@ func (nw *Network) forwardSerial(inputs []*tensor.Tensor) ([]*tensor.Tensor, err
 // backward, immediate updates), the reference for the parallel engine and
 // the T₁ baseline for speedup measurements. It returns the loss.
 func (nw *Network) RoundSerial(inputs, desired []*tensor.Tensor, loss ops.Loss, opt graph.UpdateOpts) (float64, error) {
-	imgs, err := nw.forwardSerial(inputs)
+	imgs, err := nw.forwardSerial(inputs, true)
 	if err != nil {
 		return 0, err
 	}

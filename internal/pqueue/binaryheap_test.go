@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// queue is what the tests and benchmarks drive on both priority queues.
+type queue interface {
+	Push(priority int64, it Item)
+	Pop() (Item, bool)
+	Len() int
+}
+
 // BinaryHeap is a conventional one-item-per-node priority queue: the
 // reference the heap-of-lists is tested against and the baseline it is
 // benchmarked against (Section VII-A). Its operations cost O(log N) in the
@@ -71,7 +78,7 @@ func (q *BinaryHeap) Len() int {
 
 // --- E12: heap-of-lists vs binary heap ----------------------------------
 
-func benchQueue(b *testing.B, q Queue, distinct int) {
+func benchQueue(b *testing.B, q queue, distinct int) {
 	const tasks = 1024
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

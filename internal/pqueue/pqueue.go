@@ -1,18 +1,15 @@
-// Package pqueue implements the task queues of Section VII-A of the paper.
+// Package pqueue implements the task queue of Section VII-A of the paper.
 //
-// The central structure is the heap-of-lists priority queue: a binary heap
+// The structure is the heap-of-lists priority queue: a binary heap
 // keyed by distinct priority values, each heap slot holding a FIFO list of
 // tasks that share the priority. Insertion and deletion cost O(log K) where
 // K is the number of distinct priorities present, instead of O(log N) in
 // the number of queued tasks — a substantial saving for wide networks where
 // many tasks share each priority level.
 //
-// FIFO and LIFO queues implement the same interface; the paper's Section X
-// mentions them (plus work stealing, provided by package sched) as
-// alternative scheduling strategies with noticeably lower scalability, and
-// package sched's FIFO/LIFO strategies run on them. The conventional binary
-// heap that the heap-of-lists is measured against (BenchmarkPQueue*) and
-// checked against (TestRandomizedAgainstReference) lives in the tests.
+// The conventional binary heap that the heap-of-lists is measured against
+// (BenchmarkPQueue*) and checked against (TestRandomizedAgainstReference)
+// lives in the tests.
 package pqueue
 
 import (
@@ -22,18 +19,6 @@ import (
 
 // Item is the unit stored in a queue.
 type Item any
-
-// Queue is the interface shared by all scheduling queues. Higher priority
-// values are dequeued first; FIFO/LIFO implementations ignore priority.
-// All methods are safe for concurrent use.
-type Queue interface {
-	// Push enqueues an item at the given priority.
-	Push(priority int64, it Item)
-	// Pop removes and returns the next item, or ok=false when empty.
-	Pop() (it Item, ok bool)
-	// Len returns the number of queued items.
-	Len() int
-}
 
 // bucket is one heap entry: a priority and the FIFO list of items at it.
 type bucket struct {
@@ -124,82 +109,4 @@ func (q *HeapOfLists) DistinctPriorities() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return len(q.heap)
-}
-
-// FIFO is a first-in-first-out queue that ignores priorities.
-type FIFO struct {
-	mu    sync.Mutex
-	items []Item
-	head  int
-}
-
-// NewFIFO returns an empty FIFO queue.
-func NewFIFO() *FIFO { return &FIFO{} }
-
-// Push appends it to the tail of the queue; priority is ignored.
-func (q *FIFO) Push(_ int64, it Item) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.items = append(q.items, it)
-}
-
-// Pop removes and returns the head of the queue.
-func (q *FIFO) Pop() (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.head == len(q.items) {
-		return nil, false
-	}
-	it := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	return it, true
-}
-
-// Len returns the number of queued items.
-func (q *FIFO) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items) - q.head
-}
-
-// LIFO is a last-in-first-out stack that ignores priorities.
-type LIFO struct {
-	mu    sync.Mutex
-	items []Item
-}
-
-// NewLIFO returns an empty LIFO queue.
-func NewLIFO() *LIFO { return &LIFO{} }
-
-// Push pushes it on the stack; priority is ignored.
-func (q *LIFO) Push(_ int64, it Item) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.items = append(q.items, it)
-}
-
-// Pop removes and returns the most recently pushed item.
-func (q *LIFO) Pop() (Item, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := len(q.items)
-	if n == 0 {
-		return nil, false
-	}
-	it := q.items[n-1]
-	q.items[n-1] = nil
-	q.items = q.items[:n-1]
-	return it, true
-}
-
-// Len returns the number of queued items.
-func (q *LIFO) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.items)
 }

@@ -7,13 +7,11 @@ import (
 	"testing"
 )
 
-// queues under test, all satisfying Queue.
-func allQueues() map[string]func() Queue {
-	return map[string]func() Queue{
-		"heapoflists": func() Queue { return NewHeapOfLists() },
-		"binaryheap":  func() Queue { return NewBinaryHeap() },
-		"fifo":        func() Queue { return NewFIFO() },
-		"lifo":        func() Queue { return NewLIFO() },
+// queues under test: the heap-of-lists and its binary-heap reference.
+func allQueues() map[string]func() queue {
+	return map[string]func() queue{
+		"heapoflists": func() queue { return NewHeapOfLists() },
+		"binaryheap":  func() queue { return NewBinaryHeap() },
 	}
 }
 
@@ -30,10 +28,7 @@ func TestEmptyPop(t *testing.T) {
 }
 
 func TestPriorityOrder(t *testing.T) {
-	for _, mk := range []func() Queue{
-		func() Queue { return NewHeapOfLists() },
-		func() Queue { return NewBinaryHeap() },
-	} {
+	for _, mk := range allQueues() {
 		q := mk()
 		prios := []int64{3, 1, 4, 1, 5, 9, 2, 6}
 		for i, p := range prios {
@@ -55,10 +50,7 @@ func TestPriorityOrder(t *testing.T) {
 }
 
 func TestFIFOWithinPriority(t *testing.T) {
-	for _, mk := range []func() Queue{
-		func() Queue { return NewHeapOfLists() },
-		func() Queue { return NewBinaryHeap() },
-	} {
+	for _, mk := range allQueues() {
 		q := mk()
 		// Two priorities interleaved; within each, insertion order must hold.
 		q.Push(1, "a1")
@@ -72,32 +64,6 @@ func TestFIFOWithinPriority(t *testing.T) {
 			if it.(string) != w {
 				t.Fatalf("pop = %v, want %v", it, w)
 			}
-		}
-	}
-}
-
-func TestFIFOQueueOrder(t *testing.T) {
-	q := NewFIFO()
-	for i := 0; i < 10; i++ {
-		q.Push(int64(i%3), i)
-	}
-	for i := 0; i < 10; i++ {
-		it, ok := q.Pop()
-		if !ok || it.(int) != i {
-			t.Fatalf("FIFO pop = %v,%v want %d", it, ok, i)
-		}
-	}
-}
-
-func TestLIFOQueueOrder(t *testing.T) {
-	q := NewLIFO()
-	for i := 0; i < 10; i++ {
-		q.Push(int64(i%3), i)
-	}
-	for i := 9; i >= 0; i-- {
-		it, ok := q.Pop()
-		if !ok || it.(int) != i {
-			t.Fatalf("LIFO pop = %v,%v want %d", it, ok, i)
 		}
 	}
 }

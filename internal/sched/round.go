@@ -26,9 +26,9 @@ type Round struct {
 	spawned     int64 // total Work tasks ever attributed to the round
 	// done is created by Wait and closed by the task completing the
 	// round's last pending Work task. A dedicated channel per waiting
-	// round (instead of the engine's shared idle cond, which broadcasts
-	// on every task completion) means K rounds in flight wake once each,
-	// not K times per task.
+	// round (instead of the engine's shared idle cond, which fires only
+	// when the engine-wide count reaches 0) lets each of K rounds in
+	// flight wake as soon as its own tasks are done.
 	done chan struct{}
 	// firstErr is the first panic captured from one of this round's Work
 	// tasks (guarded by e.mu). Round-task panics are attributed here, not
@@ -97,7 +97,7 @@ func (r *Round) SpawnBatch(specs []TaskSpec) {
 		t.mu.Lock()
 		t.state = Queued
 		t.mu.Unlock()
-		r.e.strategy.Push(t.prio, t)
+		r.e.q.Push(t.prio, t)
 	}
 	r.e.mu.Lock()
 	r.e.workAvailable.Broadcast()

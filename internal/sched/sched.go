@@ -2,8 +2,8 @@
 // (Section VI of the paper).
 //
 // Tasks ready for execution sit on a queue ordered by priority (the
-// heap-of-lists structure of Section VII-A by default); a fixed set of
-// worker goroutines repeatedly execute the highest-priority task. Update
+// heap-of-lists structure of Section VII-A); a fixed set of worker
+// goroutines repeatedly execute the highest-priority task. Update
 // tasks are enqueued at the lowest priority and are *forced* lazily: when a
 // forward task needs the result of its edge's previous update, FORCE either
 // runs the subtask directly (update already completed), steals the queued
@@ -18,6 +18,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"znn/internal/pqueue"
 )
 
 // Kind distinguishes normal (forward/backward/provider/loss) tasks from
@@ -96,12 +98,12 @@ type Stats struct {
 
 // Engine owns the queue and the worker pool.
 type Engine struct {
-	strategy Strategy
-	workers  int
+	q       *pqueue.HeapOfLists
+	workers int
 
 	mu            sync.Mutex
 	workAvailable *sync.Cond // signalled on push
-	idle          *sync.Cond // signalled when pending counters drop
+	idle          *sync.Cond // signalled when a pending counter reaches 0
 	pendingWork   int
 	pendingUpdate int
 	stopped       bool
@@ -111,22 +113,21 @@ type Engine struct {
 	wg sync.WaitGroup
 }
 
-// New creates an engine with the given number of workers and scheduling
-// strategy (nil means the paper's priority strategy) and starts the worker
-// goroutines.
-func New(workers int, strategy Strategy) *Engine {
+// New creates an engine with the given number of workers over the queue q
+// (nil means a fresh one) and starts the worker goroutines.
+func New(workers int, q *pqueue.HeapOfLists) *Engine {
 	if workers < 1 {
 		panic(fmt.Sprintf("sched: need at least one worker, got %d", workers))
 	}
-	if strategy == nil {
-		strategy = NewPriorityStrategy()
+	if q == nil {
+		q = pqueue.NewHeapOfLists()
 	}
-	e := &Engine{strategy: strategy, workers: workers}
+	e := &Engine{q: q, workers: workers}
 	e.workAvailable = sync.NewCond(&e.mu)
 	e.idle = sync.NewCond(&e.mu)
 	for w := 0; w < workers; w++ {
 		e.wg.Add(1)
-		go e.workerLoop(w)
+		go e.workerLoop()
 	}
 	return e
 }
@@ -158,7 +159,7 @@ func (e *Engine) Enqueue(t *Task) {
 	}
 	t.state = Queued
 	t.mu.Unlock()
-	e.strategy.Push(t.prio, t)
+	e.q.Push(t.prio, t)
 	e.mu.Lock()
 	e.workAvailable.Signal()
 	e.mu.Unlock()
@@ -266,8 +267,14 @@ func (e *Engine) runBody(t *Task) {
 	e.mu.Lock()
 	if t.kind == Update {
 		e.pendingUpdate--
+		if e.pendingUpdate == 0 {
+			e.idle.Broadcast()
+		}
 	} else {
 		e.pendingWork--
+		if e.pendingWork == 0 {
+			e.idle.Broadcast()
+		}
 		if r := t.round; r != nil {
 			r.pendingWork--
 			if r.pendingWork == 0 && r.done != nil {
@@ -277,7 +284,6 @@ func (e *Engine) runBody(t *Task) {
 		}
 	}
 	e.stats.Executed++
-	e.idle.Broadcast()
 	e.mu.Unlock()
 
 	if sub != nil {
@@ -292,23 +298,24 @@ func (e *Engine) bumpStat(f func(*Stats)) {
 }
 
 // workerLoop is the body of each worker goroutine.
-func (e *Engine) workerLoop(id int) {
+func (e *Engine) workerLoop() {
 	defer e.wg.Done()
 	for {
-		t, ok := e.strategy.Pop(id)
+		it, ok := e.q.Pop()
 		if !ok {
 			e.mu.Lock()
 			// Re-check under the lock to avoid missing a push.
-			if e.strategy.Len() == 0 && !e.stopped {
+			if e.q.Len() == 0 && !e.stopped {
 				e.workAvailable.Wait()
 			}
 			stopped := e.stopped
 			e.mu.Unlock()
-			if stopped && e.strategy.Len() == 0 {
+			if stopped && e.q.Len() == 0 {
 				return
 			}
 			continue
 		}
+		t := it.(*Task)
 		t.mu.Lock()
 		if t.state != Queued {
 			// Claimed by FORCE after being pushed; drop the stale entry.

@@ -8,43 +8,35 @@ import (
 	"time"
 )
 
-func allPolicies() []Policy {
-	return []Policy{PolicyPriority, PolicyFIFO, PolicyLIFO, PolicySteal}
-}
-
 func TestSingleTaskRuns(t *testing.T) {
-	for _, p := range allPolicies() {
-		e := New(2, NewStrategy(p, 2))
-		var ran atomic.Bool
-		e.Spawn(Work, 1, func() { ran.Store(true) })
-		e.WaitWork()
-		if !ran.Load() {
-			t.Errorf("%s: task did not run", p)
-		}
-		e.Shutdown()
+	e := New(2, nil)
+	var ran atomic.Bool
+	e.Spawn(Work, 1, func() { ran.Store(true) })
+	e.WaitWork()
+	if !ran.Load() {
+		t.Error("task did not run")
 	}
+	e.Shutdown()
 }
 
 func TestManyTasksAllRun(t *testing.T) {
-	for _, p := range allPolicies() {
-		e := New(4, NewStrategy(p, 4))
-		const n = 500
-		var count atomic.Int64
-		for i := 0; i < n; i++ {
-			e.Spawn(Work, int64(i%7), func() { count.Add(1) })
-		}
-		e.WaitWork()
-		if count.Load() != n {
-			t.Errorf("%s: ran %d of %d tasks", p, count.Load(), n)
-		}
-		e.Shutdown()
+	e := New(4, nil)
+	const n = 500
+	var count atomic.Int64
+	for i := 0; i < n; i++ {
+		e.Spawn(Work, int64(i%7), func() { count.Add(1) })
 	}
+	e.WaitWork()
+	if count.Load() != n {
+		t.Errorf("ran %d of %d tasks", count.Load(), n)
+	}
+	e.Shutdown()
 }
 
 func TestPriorityOrderSingleWorker(t *testing.T) {
 	// With one worker and all tasks pre-queued, execution must follow
 	// priority order (FIFO within equal priorities).
-	e := New(1, NewPriorityStrategy())
+	e := New(1, nil)
 	var mu sync.Mutex
 	var order []int
 	gate := make(chan struct{})
@@ -72,7 +64,7 @@ func TestPriorityOrderSingleWorker(t *testing.T) {
 }
 
 func TestTasksSpawningTasks(t *testing.T) {
-	e := New(3, NewPriorityStrategy())
+	e := New(3, nil)
 	var count atomic.Int64
 	var spawn func(depth int)
 	spawn = func(depth int) {
@@ -93,7 +85,7 @@ func TestTasksSpawningTasks(t *testing.T) {
 }
 
 func TestForceNilUpdateRunsInline(t *testing.T) {
-	e := New(1, NewPriorityStrategy())
+	e := New(1, nil)
 	var ran atomic.Bool
 	sub := e.NewTask(Work, 1, func() { ran.Store(true) })
 	e.Force(nil, sub)
@@ -108,7 +100,7 @@ func TestForceNilUpdateRunsInline(t *testing.T) {
 }
 
 func TestForceCompletedUpdate(t *testing.T) {
-	e := New(1, NewPriorityStrategy())
+	e := New(1, nil)
 	upd := e.Spawn(Update, 0, func() {})
 	e.Drain() // let the update complete
 	if upd.State() != Completed {
@@ -131,7 +123,7 @@ func TestForceQueuedUpdateStealsAndRuns(t *testing.T) {
 	// Block the only worker so the update stays queued, then Force from
 	// this thread: both the update and the subtask must run here, in
 	// order.
-	e := New(1, NewPriorityStrategy())
+	e := New(1, nil)
 	gate := make(chan struct{})
 	e.Spawn(Work, 100, func() { <-gate })
 	time.Sleep(10 * time.Millisecond) // let the worker pick up the blocker
@@ -168,7 +160,7 @@ func TestForceQueuedUpdateStealsAndRuns(t *testing.T) {
 func TestForceExecutingUpdateAttaches(t *testing.T) {
 	// The update runs on a worker and blocks; FORCE must attach the
 	// subtask and return immediately; the worker then runs the subtask.
-	e := New(1, NewPriorityStrategy())
+	e := New(1, nil)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var seq []string
@@ -216,7 +208,7 @@ func TestForceExecutingUpdateAttaches(t *testing.T) {
 
 func TestUpdatesRunLazilyWhenIdle(t *testing.T) {
 	// Queued updates are executed by idle workers even without FORCE.
-	e := New(2, NewPriorityStrategy())
+	e := New(2, nil)
 	var ran atomic.Int64
 	for i := 0; i < 5; i++ {
 		e.Spawn(Update, 0, func() { ran.Add(1) })
@@ -230,7 +222,7 @@ func TestUpdatesRunLazilyWhenIdle(t *testing.T) {
 
 func TestWaitWorkExcludesUpdates(t *testing.T) {
 	// WaitWork must return even while an update is still pending.
-	e := New(1, NewPriorityStrategy())
+	e := New(1, nil)
 	gate := make(chan struct{})
 	blocked := make(chan struct{})
 	e.Spawn(Work, 10, func() { close(blocked); <-gate }) // hold the worker
@@ -254,7 +246,7 @@ func TestWaitWorkExcludesUpdates(t *testing.T) {
 }
 
 func TestPanicInTaskIsCaptured(t *testing.T) {
-	e := New(2, NewPriorityStrategy())
+	e := New(2, nil)
 	e.Spawn(Work, 1, func() { panic("boom") })
 	var after atomic.Bool
 	e.Spawn(Work, 1, func() { after.Store(true) })
@@ -269,7 +261,7 @@ func TestPanicInTaskIsCaptured(t *testing.T) {
 }
 
 func TestPendingCounters(t *testing.T) {
-	e := New(1, NewPriorityStrategy())
+	e := New(1, nil)
 	gate := make(chan struct{})
 	blocked := make(chan struct{})
 	e.Spawn(Work, 10, func() { close(blocked); <-gate })
@@ -288,45 +280,43 @@ func TestPendingCounters(t *testing.T) {
 	e.Shutdown()
 }
 
-func TestStressRandomDAGAllPolicies(t *testing.T) {
-	// A randomized fork/join workload: every policy must execute every
-	// task exactly once, with tasks spawning dependents.
-	for _, p := range allPolicies() {
-		rng := rand.New(rand.NewSource(42))
-		var rngMu sync.Mutex
-		randn := func(n int) int {
-			rngMu.Lock()
-			defer rngMu.Unlock()
-			return rng.Intn(n)
-		}
-		e := New(4, NewStrategy(p, 4))
-		var executed atomic.Int64
-		var expected atomic.Int64
-		var spawnRandom func(depth int)
-		spawnRandom = func(depth int) {
-			executed.Add(1)
-			if depth >= 5 {
-				return
-			}
-			kids := randn(3)
-			for i := 0; i < kids; i++ {
-				expected.Add(1)
-				e.Spawn(Work, int64(randn(5)), func() { spawnRandom(depth + 1) })
-			}
-		}
-		for i := 0; i < 20; i++ {
-			expected.Add(1)
-			e.Spawn(Work, int64(i%5), func() { spawnRandom(0) })
-		}
-		e.WaitWork()
-		if executed.Load() != expected.Load() {
-			t.Errorf("%s: executed %d of %d", p, executed.Load(), expected.Load())
-		}
-		if err := e.Err(); err != nil {
-			t.Errorf("%s: %v", p, err)
-		}
-		e.Shutdown()
+func TestStressRandomDAG(t *testing.T) {
+	// A randomized fork/join workload: the engine must execute every task
+	// exactly once, with tasks spawning dependents.
+	rng := rand.New(rand.NewSource(42))
+	var rngMu sync.Mutex
+	randn := func(n int) int {
+		rngMu.Lock()
+		defer rngMu.Unlock()
+		return rng.Intn(n)
 	}
+	e := New(4, nil)
+	var executed atomic.Int64
+	var expected atomic.Int64
+	var spawnRandom func(depth int)
+	spawnRandom = func(depth int) {
+		executed.Add(1)
+		if depth >= 5 {
+			return
+		}
+		kids := randn(3)
+		for i := 0; i < kids; i++ {
+			expected.Add(1)
+			e.Spawn(Work, int64(randn(5)), func() { spawnRandom(depth + 1) })
+		}
+	}
+	for i := 0; i < 20; i++ {
+		expected.Add(1)
+		e.Spawn(Work, int64(i%5), func() { spawnRandom(0) })
+	}
+	e.WaitWork()
+	if executed.Load() != expected.Load() {
+		t.Errorf("executed %d of %d", executed.Load(), expected.Load())
+	}
+	if err := e.Err(); err != nil {
+		t.Error(err)
+	}
+	e.Shutdown()
 }
 
 func TestNewEngineValidation(t *testing.T) {
@@ -339,7 +329,7 @@ func TestNewEngineValidation(t *testing.T) {
 }
 
 func TestEnqueueTwicePanics(t *testing.T) {
-	e := New(1, NewPriorityStrategy())
+	e := New(1, nil)
 	defer e.Shutdown()
 	gate := make(chan struct{})
 	blocked := make(chan struct{})
@@ -359,7 +349,7 @@ func TestEnqueueTwicePanics(t *testing.T) {
 // immediately, a busy one quiesces once its tasks finish, and a wedged
 // task makes Quiesce report false at the deadline instead of hanging.
 func TestQuiesce(t *testing.T) {
-	e := New(1, NewPriorityStrategy())
+	e := New(1, nil)
 	defer e.Shutdown()
 
 	if !e.Quiesce(10 * time.Millisecond) {

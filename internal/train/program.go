@@ -102,8 +102,6 @@ type Config struct {
 	// defaults to runtime.NumCPU() — the paper's scheduler exists to use
 	// every core, so running it single-threaded by omission was a trap.
 	Workers int
-	// Policy selects the scheduling strategy (default: priority).
-	Policy sched.Policy
 	// Loss is the training loss (default: squared).
 	Loss ops.Loss
 	// Eta is the learning rate.
@@ -140,9 +138,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Workers < 1 {
 		c.Workers = runtime.NumCPU()
-	}
-	if c.Policy == "" {
-		c.Policy = sched.PolicyPriority
 	}
 	if c.Loss == nil {
 		c.Loss = ops.SquaredLoss{}
@@ -376,7 +371,7 @@ func Compile(g *graph.Graph, cfg Config) (*Program, error) {
 	p := &Program{
 		cfg:     cfg,
 		g:       g,
-		sch:     sched.New(cfg.Workers, sched.NewStrategy(cfg.Policy, cfg.Workers)),
+		sch:     sched.New(cfg.Workers, nil),
 		inputs:  g.Inputs(),
 		outputs: g.Outputs(),
 	}
