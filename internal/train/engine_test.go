@@ -30,38 +30,42 @@ func buildPair(t *testing.T, spec string, o net.BuildOptions) (*net.Network, *ne
 }
 
 func TestForwardMatchesSerial(t *testing.T) {
-	for _, c := range []struct {
-		spec    string
-		o       net.BuildOptions
-		seed    int64
-		workers []int
-	}{
-		{"C3-Trelu-M2-C3-Ttanh", net.BuildOptions{Width: 3, OutputExtent: 3, Seed: 1}, 2, []int{1, 2, 4}},
-		{"C3-Trelu-C3-Tlogistic", net.BuildOptions{Width: 4, OutputExtent: 2, Seed: 3}, 4, []int{3}},
-	} {
-		par, ser := buildPair(t, c.spec, c.o)
-		rng := rand.New(rand.NewSource(c.seed))
-		in := tensor.RandomUniform(rng, par.InputShape(), -1, 1)
+	checkForwardMatchesSerial(t, "C3-Trelu-M2-C3-Ttanh", net.BuildOptions{Width: 3, OutputExtent: 3, Seed: 1}, 2, []int{1, 2, 4})
+}
 
-		want, err := ser.ForwardSerial([]*tensor.Tensor{in})
+// TestForwardMatchesSerialAllPolicies keeps its name from when the engine
+// could swap queue policies; the heap-of-lists is now the only one, so it
+// checks a second net (logistic output, width 4) on 3 workers.
+func TestForwardMatchesSerialAllPolicies(t *testing.T) {
+	checkForwardMatchesSerial(t, "C3-Trelu-C3-Tlogistic", net.BuildOptions{Width: 4, OutputExtent: 2, Seed: 3}, 4, []int{3})
+}
+
+// checkForwardMatchesSerial compares the engine's Infer with ForwardSerial
+// on one random input (drawn from seed), for each worker count.
+func checkForwardMatchesSerial(t *testing.T, spec string, o net.BuildOptions, seed int64, workers []int) {
+	t.Helper()
+	par, ser := buildPair(t, spec, o)
+	rng := rand.New(rand.NewSource(seed))
+	in := tensor.RandomUniform(rng, par.InputShape(), -1, 1)
+
+	want, err := ser.ForwardSerial([]*tensor.Tensor{in})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workers {
+		en, err := NewEngine(par.G, Config{Workers: w})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range c.workers {
-			en, err := NewEngine(par.G, Config{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := infer1(en, in.Clone())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := got[0].MaxAbsDiff(want[0]); d > 1e-9 {
-				t.Errorf("%s workers=%d: parallel forward differs from serial by %g", c.spec, workers, d)
-			}
-			if err := en.Close(); err != nil {
-				t.Fatal(err)
-			}
+		got, err := infer1(en, in.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := got[0].MaxAbsDiff(want[0]); d > 1e-9 {
+			t.Errorf("%s workers=%d: parallel forward differs from serial by %g", spec, w, d)
+		}
+		if err := en.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
