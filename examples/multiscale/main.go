@@ -47,8 +47,8 @@ func main() {
 	}
 	fmt.Printf("fine and coarse paths both map %v → %v\n", in.Shape(), fine.Shape())
 
-	// Convergent summation node (executed with the wait-free concurrent
-	// sum of Section VII-B), then a head producing the output.
+	// Convergent summation node (one node task sums both paths in a fixed
+	// order), then a head producing the output.
 	merged := b.Conv("merge", znn.Cube(3), znn.Dense(), fine, coarse)
 	out := b.Transfer("out", "tanh", merged)
 	fmt.Printf("output node %q has shape %v\n\n", out.Name(), out.Shape())

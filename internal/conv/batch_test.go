@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -18,9 +19,8 @@ func batchVolumes(r *rand.Rand, s tensor.Shape, k int) []*tensor.Tensor {
 }
 
 // TestForwardWidthTable pins batch width as data: for every method ×
-// precision × width K × {no cache, shared cache}, ForwardBatch(vols)[i] and
-// the finished ForwardProducts(vols)[i] are bitwise equal to the one-volume
-// Forward(vols[i]).
+// precision × width K × {no cache, shared cache}, ForwardBatch(vols)[i] is
+// bitwise equal to the one-volume Forward(vols[i]).
 func TestForwardWidthTable(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	in := tensor.S3(9, 8, 7)
@@ -62,14 +62,58 @@ func TestForwardWidthTable(t *testing.T) {
 					}
 				}
 				check("ForwardBatch", tr.ForwardBatch(vols[:k], ker, sc, true))
-				if !tc.mth.IsFFT() {
-					continue
+			}
+		}
+	}
+}
+
+// TestSpectralSumsMatchPerEdge pins the spectral node sums to the per-edge
+// path: for f ∈ {1, 3, 8} terms over K ∈ {1, 3} volumes at each precision,
+// SpectralForward equals Σ_i Forward(x_i, w_i) and SpectralBackward
+// Σ_i Backward(g_i, w_i) within Precision.Tol(), and a memoizing training
+// sum records both memo slots of every term.
+func TestSpectralSumsMatchPerEdge(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	in, ks := tensor.S3(9, 8, 7), tensor.Cube(3)
+	out := in.ValidConv(ks, tensor.Dense())
+	for _, prec := range []Precision{PrecF64, PrecF32} {
+		for _, f := range []int{1, 3, 8} {
+			for _, k := range []int{1, 3} {
+				name := fmt.Sprintf("%v/f%d/K%d", prec, f, k)
+				trs, refs := make([]*Transformer, f), make([]*Transformer, f)
+				kers := batchVolumes(r, ks, f)
+				for i := range trs {
+					trs[i] = NewTransformerPrec(in, ks, tensor.Dense(), FFT, prec, true, nil)
+					refs[i] = NewTransformerPrec(in, ks, tensor.Dense(), FFT, prec, false, nil)
 				}
-				finished := make([]*tensor.Tensor, 0, k)
-				for _, prod := range tr.ForwardProducts(vols[:k], ker, sc, true) {
-					finished = append(finished, tr.FinishForward(prod))
+				for v := range k {
+					imgs, bwds := batchVolumes(r, in, f), batchVolumes(r, out, f)
+					fwd, bwd := make([]SpecTerm, f), make([]SpecTerm, f)
+					wantF, wantB := tensor.New(out), tensor.New(in)
+					for i, tr := range trs {
+						var sc, bsc SpectrumCache
+						sc.Reset(imgs[i])
+						bsc.Reset(bwds[i])
+						fwd[i] = SpecTerm{Tr: tr, Ker: kers[i], F: tr.Spectrum(&sc)}
+						bwd[i] = SpecTerm{Tr: tr, Ker: kers[i], F: tr.Spectrum(&bsc)}
+						wantF.Add(refs[i].Forward(imgs[i], kers[i], nil))
+						wantB.Add(refs[i].Backward(bwds[i], kers[i], nil))
+					}
+					gotF, gotB := tensor.New(out), tensor.New(in)
+					SpectralForward(gotF, fwd, v < k-1) // the last volume trains
+					SpectralBackward(gotB, bwd)
+					if d := gotF.MaxAbsDiff(wantF); !(d <= prec.Tol()) {
+						t.Errorf("%s volume %d: forward sum differs from Σ Forward by %g", name, v, d)
+					}
+					if d := gotB.MaxAbsDiff(wantB); !(d <= prec.Tol()) {
+						t.Errorf("%s volume %d: backward sum differs from Σ Backward by %g", name, v, d)
+					}
 				}
-				check("ForwardProducts", finished)
+				for i, tr := range trs {
+					if !tr.HasMemoizedSpectra() {
+						t.Errorf("%s: term %d kept no memo spectra", name, i)
+					}
+				}
 			}
 		}
 	}
@@ -93,7 +137,7 @@ func TestInferSweepLeavesMemoAlone(t *testing.T) {
 		tr.Backward(bwd, ker, nil)
 		if inferBetween {
 			tr.ForwardBatch(others, ker, nil, true)
-			tr.ForwardProducts(others[:1], ker, nil, true)[0].Release()
+			SpectralForward(tensor.New(tr.OutShape()), []SpecTerm{{Tr: tr, Ker: ker, F: tr.newSpec(others[0])}}, true)
 			if !tr.HasMemoizedSpectra() {
 				t.Fatal("inference sweep cleared the memo slots")
 			}

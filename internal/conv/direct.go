@@ -19,7 +19,22 @@
 // The spectral path (Method FFT) runs real-input r2c/c2r transforms over
 // Hermitian-packed spectra at a Precision, PrecF64 (default) or PrecF32.
 // Spectra of different precisions never mix: SpectrumCache keys on (shape,
-// precision), and SpectralCompatible requires one precision per summing node.
+// precision), and SpectralCompatible requires one precision per spectral
+// sum.
+//
+// # Node sums
+//
+// Both methods sum a node, not an edge. SumForward computes Σ_i valid(x_i,
+// w_i) over a node's direct in-edges and SumBackward Σ_j full(g_j, w_j)
+// over its direct out-edges; SpectralForward and SpectralBackward compute
+// the same sums over a node's SpectralCompatible FFT edges, multiply-
+// accumulating F(x_i)·F(w_i) (or F(g_j)·F(w̃_j)) in term order into one
+// pooled spectrum that is inverted once. The operand spectra are computed
+// once per node image, before any sum reads them, and shared through the
+// node's SpectrumCache; the kernel spectra are cached on the Transformer.
+// Every sum adds its terms in the order given, so its bits do not depend on
+// which task ran first. Forward and Backward on one edge are the one-term
+// case of the node sums; the kernel gradient stays per edge.
 //
 // # Direct kernels
 //
@@ -29,19 +44,16 @@
 // to Direct's cost: the forward and backward passes run only the nonzero
 // taps, and LayerGeom.Density scales the planner's estimates.
 //
-// The kernel is a node-level sum. SumForward computes Σ_i valid(x_i, w_i)
-// over a node's direct in-edges and SumBackward Σ_j full(g_j, w_j) over its
-// direct out-edges, for a block of output planes [z0, z1), so the engine
-// runs one task per (node, plane block) and no edge has an output tensor of
-// its own. Loops are output-outer, tap-inner: each output plane is one run
-// at the images' row stride — the gather dst[i] = Σ_t w_t·src_t[i], where
-// every tap carries its own source run, 32 voxels held in eight YMM
-// accumulators across every tap of every edge — whose rows are copied out.
-// The backward pass is the same gather over each g_j zero-padded by
-// s(k−1), with the reflected taps read straight off the kernel; PadCache
-// pads a node's backward image once per halo for all the edges that read
-// it. Forward and Backward on one edge are the one-term case of the same
-// sums. The kernel gradient stays per edge: one dot product per tap and
+// The kernel computes its sums for a block of output planes [z0, z1), so
+// the engine runs one task per (node, plane block) and no edge has an
+// output tensor of its own. Loops are output-outer, tap-inner: each output
+// plane is one run at the images' row stride — the gather dst[i] = Σ_t
+// w_t·src_t[i], where every tap carries its own source run, 32 voxels held
+// in eight YMM accumulators across every tap of every edge — whose rows are
+// copied out. The backward pass is the same gather over each g_j
+// zero-padded by s(k−1), with the reflected taps read straight off the
+// kernel; PadCache pads a node's backward image once per halo for all the
+// edges that read it. The kernel gradient is one dot product per tap and
 // backward plane.
 //
 // Rounding contract: every output voxel is the FMA chain from +0 over the
@@ -59,12 +71,10 @@
 // # Batch width
 //
 // A forward sweep takes the round's volumes as a slice, whatever its
-// length; Forward is the one-volume case. SpectrumCache shares each node
-// image's lazily computed spectrum among the consuming edges, and the
-// Transformer's sweeps (ForwardBatch, ForwardProducts) fetch the kernel
-// spectrum once per sweep. A direct node sum is per volume: the engine
-// runs one task per (volume, plane block), each building its tap table
-// once for its planes.
+// length; Forward is the one-volume case. A node sum is per volume: the
+// engine runs one spectral task per (node, volume) and one direct task per
+// (volume, plane block), each fetching the kernel spectra or building its
+// tap table once.
 package conv
 
 import (

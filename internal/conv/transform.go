@@ -22,19 +22,21 @@ type spectrumKey struct {
 // edges at that node", Section IV). The cache is keyed by transform shape
 // and precision so a node feeding layers with different kernel sizes or
 // dtypes keeps one spectrum per combination, and it holds one image — and
-// lazily one spectrum per key — per volume of the round's batch. A node's
-// images are published together (Reset), every consuming edge sees the
-// same buffers (Get/GetBatch), and the buffers are immutable until the next
-// Reset or ReleaseAll.
+// lazily one spectrum per key — per volume. Reset points it at the images,
+// every consumer sees the same buffers (Get/GetBatch), and the buffers are
+// immutable until the next Reset or ReleaseAll. The engine keeps one cache
+// per (node, volume) and fills it in the task that publishes the image,
+// before any node sum reads it.
 //
-// Two allocation regimes coexist. Training rounds use GC-managed buffers:
-// memoizing edges retain references across the round boundary (the update
-// task may run lazily during the next forward pass), so explicit
-// reclamation would need reference counting. Inference rounds never memoize
-// and own a cache per round, so they run pooled (SetPooled): buffers come
-// from the spectra pool of their precision and return to it through the
-// round's release hook (ReleaseAll), killing the per-round spectrum garbage
-// that sustained serving traffic otherwise produces.
+// Two allocation regimes coexist. A cache whose spectra a memoizing edge
+// keeps uses GC-managed buffers: the edge retains references across the
+// round boundary (its update task may run lazily during the next forward
+// pass), so explicit reclamation would need reference counting. Every other
+// cache — every inference round's, and a training round's where no edge
+// memoizes — runs pooled (SetPooled): buffers come from the spectra pool of
+// their precision and return to it through the round's release hook
+// (ReleaseAll), killing the per-round spectrum garbage that sustained
+// serving traffic otherwise produces.
 type SpectrumCache struct {
 	mu      sync.Mutex
 	pooled  bool
@@ -321,15 +323,6 @@ func (t *Transformer) specGet() fft.Spectrum {
 	return fft.Spec128(mempool.Spectra.Get(t.sv))
 }
 
-// product returns the pointwise product a·b in a fresh pooled buffer whose
-// ownership passes to the caller.
-func (t *Transformer) product(a, b fft.Spectrum) fft.Spectrum {
-	prod := t.specGet()
-	fft.MulSpecInto(prod, a, b)
-	t.cnt.addMul(t.m)
-	return prod
-}
-
 // specInto computes the forward spectrum of src into buf (length t.sv) at
 // the transform shape and the transformer's precision.
 func (t *Transformer) specInto(buf fft.Spectrum, src *tensor.Tensor) {
@@ -450,97 +443,68 @@ func (t *Transformer) Forward(img, ker *tensor.Tensor, sc *SpectrumCache) *tenso
 }
 
 // ForwardBatch computes the edge's forward pass for every volume of a
-// round's sweep. On the FFT path the kernel spectrum is fetched (and, after
-// an invalidation, recomputed) once and streams through one pointwise
-// product and one inverse transform per volume — the ZNNi batching
-// observation that wins CPU inference throughput; the spatial path builds
-// the tap list once for the sweep. sc, when non-nil, must hold the same
-// images.
+// round's sweep, each the one-term case of the node sums: SpectralForward on
+// the FFT path, SumForward on the spatial one. sc, when non-nil, must hold
+// the same images and supplies their spectra.
 //
 // infer suppresses the memoization side effect. Concurrent forward-only
 // rounds share one Transformer, and the imgF memo slot is round-scoped
 // *training* state: if an inference pass overwrote it, a lazy update task
 // from the surrounding training rounds could consume the wrong image
-// spectrum.
+// spectrum. The memo slot holds one volume, which is all a training round
+// carries.
 func (t *Transformer) ForwardBatch(imgs []*tensor.Tensor, ker *tensor.Tensor, sc *SpectrumCache, infer bool) []*tensor.Tensor {
-	outs := make([]*tensor.Tensor, len(imgs))
-	if t.mth.IsFFT() {
-		imgFs, kf := t.forwardSpectra(imgs, ker, sc, infer)
-		for i, imgF := range imgFs {
-			outs[i] = t.FinishForward(t.product(imgF, kf))
-		}
-		return outs
-	}
-	t.checkForward(imgs, ker)
-	for i, img := range imgs {
-		outs[i] = tensor.New(t.out)
-		SumForward(outs[i], 0, t.out.Z, []Term{{t, img, ker}})
-	}
-	return outs
-}
-
-// checkForward validates a forward sweep's operand shapes.
-func (t *Transformer) checkForward(imgs []*tensor.Tensor, ker *tensor.Tensor) {
 	for _, img := range imgs {
 		if img.S != t.in {
 			panic(fmt.Sprintf("conv: forward image %v, want %v", img.S, t.in))
 		}
 	}
-	if ker.S != t.k {
-		panic(fmt.Sprintf("conv: kernel %v, want %v", ker.S, t.k))
+	if t.mth.IsFFT() && t.mem && !infer && len(imgs) != 1 {
+		panic(fmt.Sprintf("conv: memoizing forward over %d volumes", len(imgs)))
 	}
-}
-
-// forwardSpectra is the FFT forward core: the image spectrum of every
-// volume (shared through sc when one is supplied) and the kernel spectrum
-// they are all multiplied by. Unless infer is set, a memoizing transformer
-// records the image spectrum for KernelGrad; the memo slot holds one
-// volume, which is all a training round carries.
-func (t *Transformer) forwardSpectra(imgs []*tensor.Tensor, ker *tensor.Tensor, sc *SpectrumCache, infer bool) (imgFs []fft.Spectrum, kf fft.Spectrum) {
-	if !t.mth.IsFFT() {
-		panic("conv: spectral forward on a direct-method transformer")
-	}
-	t.checkForward(imgs, ker)
-	if sc != nil {
+	var imgFs []fft.Spectrum
+	if t.mth.IsFFT() && sc != nil {
 		imgFs = sc.GetBatch(t.m, t.prec, t.cnt)
 		if len(imgFs) != len(imgs) {
 			panic(fmt.Sprintf("conv: spectrum cache holds %d images, sweep has %d", len(imgFs), len(imgs)))
 		}
-	} else {
-		imgFs = make([]fft.Spectrum, len(imgs))
-		for i, img := range imgs {
-			imgFs[i] = t.newSpec(img)
+	}
+	outs := make([]*tensor.Tensor, len(imgs))
+	for i, img := range imgs {
+		outs[i] = tensor.New(t.out)
+		switch {
+		case !t.mth.IsFFT():
+			SumForward(outs[i], 0, t.out.Z, []Term{{Tr: t, Img: img, Ker: ker}})
+		case imgFs != nil:
+			SpectralForward(outs[i], []SpecTerm{{Tr: t, Ker: ker, F: imgFs[i]}}, infer)
+		default:
+			SpectralForward(outs[i], []SpecTerm{{Tr: t, Ker: ker, F: t.newSpec(img)}}, infer)
 		}
 	}
-	kf, _ = t.kernelSpectra(ker)
-	if t.mem && !infer {
-		if len(imgs) != 1 {
-			panic(fmt.Sprintf("conv: memoizing forward over %d volumes", len(imgs)))
-		}
-		t.mu.Lock()
-		t.imgF = imgFs[0]
-		t.mu.Unlock()
-	}
-	return imgFs, kf
+	return outs
 }
 
 // Backward computes the edge's backward pass: the full convolution of the
 // backward image bwd (shape n′) with the reflected kernel, yielding shape
-// n. sc, when non-nil, supplies the spectrum of bwd shared across the
-// in-edges of the node that produced it.
+// n — the one-term case of SpectralBackward or SumBackward. sc, when
+// non-nil, supplies the spectrum of bwd.
 func (t *Transformer) Backward(bwd, ker *tensor.Tensor, sc *SpectrumCache) *tensor.Tensor {
 	if bwd.S != t.out {
 		panic(fmt.Sprintf("conv: backward image %v, want %v", bwd.S, t.out))
 	}
-	if !t.mth.IsFFT() {
+	out := tensor.New(t.in)
+	switch {
+	case !t.mth.IsFFT():
 		var pc PadCache
 		pc.Reset(bwd)
-		out := tensor.New(t.in)
-		SumBackward(out, 0, t.in.Z, []Term{{t, pc.Get(t.Halo()), ker}})
+		SumBackward(out, 0, t.in.Z, []Term{{Tr: t, Img: pc.Get(t.Halo()), Ker: ker}})
 		pc.Release()
-		return out
+	case sc != nil:
+		SpectralBackward(out, []SpecTerm{{Tr: t, Ker: ker, F: t.Spectrum(sc)}})
+	default:
+		SpectralBackward(out, []SpecTerm{{Tr: t, Ker: ker, F: t.newSpec(bwd)}})
 	}
-	return t.FinishBackward(t.BackwardProduct(bwd, ker, sc))
+	return out
 }
 
 // KernelGrad computes the gradient of the loss with respect to the kernel:
@@ -595,14 +559,15 @@ func (t *Transformer) HasMemoizedSpectra() bool {
 	return !t.imgF.IsNil() && !t.bwdF.IsNil()
 }
 
-// --- Spectral accumulation (node-level FFT-domain summation) -------------
+// --- Spectral node sums --------------------------------------------------
 //
-// When every edge converging on a node uses the same FFT method with the
-// same transform shape, kernel shape and sparsity, the node can sum the
-// edges' FFT-domain products and run a single inverse transform: the
-// execution model the paper's Table II costs assume (f′ inverse transforms
-// per layer forward pass instead of f′·f). The methods below compute the
-// per-edge products and the per-node finishers.
+// A node's FFT edges that are pairwise SpectralCompatible form one spectral
+// group: the node multiply-accumulates their FFT-domain products into one
+// spectrum and runs a single inverse transform, the execution model the
+// paper's Table II costs assume (f′ inverse transforms per layer forward
+// pass instead of f′·f). The operand spectra come from the node caches that
+// the publishing tasks filled (Spectrum), so a group never transforms
+// another node's image.
 
 // SpectralCompatible reports whether two transformers may share a node's
 // spectral sum: same FFT method and precision (so the buffers have the same
@@ -613,74 +578,90 @@ func (t *Transformer) SpectralCompatible(o *Transformer) bool {
 		t.m == o.m && t.k == o.k && t.sp == o.sp && t.out == o.out && t.in == o.in
 }
 
-// ForwardProducts computes the edge's FFT-domain forward product
-// F(img)·F(kernel) for every volume of a round's sweep, each into a pooled
-// buffer whose ownership passes to the caller (typically one
-// wsum.Sum[fft.Spectrum] per volume); the inverse transforms happen at the
-// accumulating node (FinishForward), one per (node, volume). sc and infer
-// are as in ForwardBatch.
-func (t *Transformer) ForwardProducts(imgs []*tensor.Tensor, ker *tensor.Tensor, sc *SpectrumCache, infer bool) []fft.Spectrum {
-	imgFs, kf := t.forwardSpectra(imgs, ker, sc, infer)
-	prods := make([]fft.Spectrum, len(imgFs))
-	for i, imgF := range imgFs {
-		prods[i] = t.product(imgF, kf)
-	}
-	return prods
+// Memoizes reports whether the transformer keeps its phase spectra for
+// KernelGrad: an FFT transformer built with memoization.
+func (t *Transformer) Memoizes() bool { return t.mth.IsFFT() && t.mem }
+
+// Spectrum returns the spectrum of sc's image (volume 0) at the
+// transformer's transform shape and precision, computing it on first use.
+// The buffer is shared; treat it as immutable.
+func (t *Transformer) Spectrum(sc *SpectrumCache) fft.Spectrum { return sc.Get(t.m, t.prec, t.cnt) }
+
+// SpecTerm is one edge of a spectral node sum: the edge's transformer, its
+// kernel and the spectrum F of its operand at the edge's transform shape
+// (Transformer.Spectrum).
+type SpecTerm struct {
+	Tr  *Transformer
+	Ker *tensor.Tensor
+	F   fft.Spectrum
 }
 
-// FinishForward inverts an accumulated forward spectrum, crops the valid
-// region, and releases the buffer to the pool.
-func (t *Transformer) FinishForward(spec fft.Spectrum) *tensor.Tensor {
-	out := tensor.New(t.out)
-	t.inverseStore(out, spec,
-		t.sp.X*(t.k.X-1), t.sp.Y*(t.k.Y-1), t.sp.Z*(t.k.Z-1))
-	spec.Release()
-	return out
+// SpectralForward sets out to Σ valid(x_i, w_i) over the terms of one
+// spectral group, each F the spectrum of x_i at the group's transform
+// shape: F(x_i)·F(w_i) multiply-accumulates in term order into one pooled
+// spectrum, with no per-term product buffer, which is inverted once and
+// cropped to the valid region. Unless infer is set, a memoizing term
+// records F for its KernelGrad.
+func SpectralForward(out *tensor.Tensor, terms []SpecTerm, infer bool) {
+	spectralSum(out, terms, false, !infer)
 }
 
-// BackwardProduct computes the edge's FFT-domain backward product
-// F(bwd)·F(reflected kernel) into a pooled buffer.
-func (t *Transformer) BackwardProduct(bwd, ker *tensor.Tensor, sc *SpectrumCache) fft.Spectrum {
-	if !t.mth.IsFFT() {
-		panic("conv: BackwardProduct on a direct-method transformer")
+// SpectralBackward sets out to Σ full(g_j, reflect(w_j)) over the terms of
+// one spectral group, each F the spectrum of g_j: the mirror image of
+// SpectralForward over a node's out-edges. A memoizing term records F for
+// its KernelGrad.
+func SpectralBackward(out *tensor.Tensor, terms []SpecTerm) { spectralSum(out, terms, true, true) }
+
+// spectralSum is the one spectral node kernel. The accumulator returns to
+// its pool on every path, a panicking term included.
+func spectralSum(out *tensor.Tensor, terms []SpecTerm, bwd, record bool) {
+	t := terms[0].Tr
+	want, at := t.out, t.Halo()
+	if bwd {
+		want, at = t.in, tensor.Shape{}
 	}
-	if bwd.S != t.out {
-		panic(fmt.Sprintf("conv: backward image %v, want %v", bwd.S, t.out))
+	if out.S != want {
+		panic(fmt.Sprintf("conv: spectral sum into %v, want %v", out.S, want))
 	}
-	var bwdF fft.Spectrum
-	if sc != nil {
-		bwdF = sc.Get(t.m, t.prec, t.cnt)
-	} else {
-		bwdF = t.newSpec(bwd)
+	acc := t.specGet()
+	defer acc.Release()
+	for i, tm := range terms {
+		tr := tm.Tr
+		if !t.SpectralCompatible(tr) || tm.Ker.S != tr.k {
+			panic(fmt.Sprintf("conv: spectral sum term kernel %v (method %v) does not match the group's %v", tm.Ker.S, tr.mth, t.k))
+		}
+		kf, kfr := tr.kernelSpectra(tm.Ker)
+		if bwd {
+			kf = kfr
+		}
+		if i == 0 {
+			fft.MulSpecInto(acc, tm.F, kf)
+		} else {
+			fft.MulAccSpecInto(acc, tm.F, kf)
+		}
+		tr.cnt.addMul(tr.m)
+		if record && tr.mem {
+			tr.mu.Lock()
+			if bwd {
+				tr.bwdF = tm.F
+			} else {
+				tr.imgF = tm.F
+			}
+			tr.mu.Unlock()
+		}
 	}
-	_, kfr := t.kernelSpectra(ker)
-	prod := t.product(bwdF, kfr)
-	if t.mem {
-		t.mu.Lock()
-		t.bwdF = bwdF
-		t.mu.Unlock()
-	}
-	return prod
+	t.inverseStore(out, acc, at.X, at.Y, at.Z)
 }
 
-// KeepBackward records the spectrum of bwd, shared through sc, for a
-// memoizing KernelGrad without computing the backward product: the edge's
+// KeepBackward records the spectrum of sc's backward image for a
+// memoizing KernelGrad without computing the backward sum: the edge's
 // source is a graph input, whose backward image nobody reads. Other
 // transformers have nothing to record.
-func (t *Transformer) KeepBackward(bwd *tensor.Tensor, sc *SpectrumCache) {
-	if t.mth.IsFFT() && t.mem {
-		bwdF := sc.Get(t.m, t.prec, t.cnt)
+func (t *Transformer) KeepBackward(sc *SpectrumCache) {
+	if t.Memoizes() {
+		bwdF := t.Spectrum(sc)
 		t.mu.Lock()
 		t.bwdF = bwdF
 		t.mu.Unlock()
 	}
-}
-
-// FinishBackward inverts an accumulated backward spectrum, crops the full
-// region (the input shape), and releases the buffer.
-func (t *Transformer) FinishBackward(spec fft.Spectrum) *tensor.Tensor {
-	out := tensor.New(t.in)
-	t.inverseStore(out, spec, 0, 0, 0)
-	spec.Release()
-	return out
 }

@@ -8,11 +8,11 @@ import (
 
 // Spectrum is a dtype-tagged handle on a spectrum buffer: exactly one of
 // C128/C64 is non-nil. It lets precision-agnostic layers — the training
-// engine's spectral accumulation, the wait-free complex summation — move
+// engine's spectrum caches, the wait-free complex summation — move
 // buffers of either precision without being generic themselves, the same
 // role the packed/full layout flag plays in SpectrumCache keys. The layers
-// that do arithmetic unwrap the arm they own; Add/Copy below cover the
-// pointwise operations the engine needs.
+// that do arithmetic unwrap the arm they own; Add and the products below
+// cover the pointwise operations the engine needs.
 type Spectrum struct {
 	C128 []complex128
 	C64  []complex64
@@ -41,7 +41,7 @@ func (s Spectrum) Len() int {
 // Add accumulates v into s elementwise. Both spectra must hold the same
 // precision and length; a mismatch means a mixed packed/full or mixed-
 // precision contribution reached one summation, which is a bug upstream
-// (SpectralEligible/SpectralCompatible guarantee homogeneity).
+// (SpectralCompatible guarantees homogeneity).
 func (s Spectrum) Add(v Spectrum) {
 	if s.F32() != v.F32() || s.Len() != v.Len() {
 		panic(fmt.Sprintf("fft: spectrum mismatch (f32 %v/%v, len %d/%d): mixed layout or precision contributions",
@@ -61,7 +61,7 @@ func (s Spectrum) Add(v Spectrum) {
 // Release returns the buffer to the shared spectra pool of its precision
 // (mempool.Spectra32 for complex64, mempool.Spectra for complex128). It is
 // the single owner of the per-precision release dispatch — wsum partials,
-// transformer products and the serial baseline all go through it. Safe on
+// spectral-sum accumulators and cached spectra all go through it. Safe on
 // the zero Spectrum.
 func (s Spectrum) Release() {
 	if s.C64 != nil {
@@ -82,4 +82,17 @@ func MulSpecInto(dst, a, b Spectrum) {
 		return
 	}
 	MulInto(dst.C128, a.C128, b.C128)
+}
+
+// MulAccSpecInto computes dst[i] += a[i]*b[i] on whichever precision arm the
+// operands share: one step of a spectral node sum.
+func MulAccSpecInto(dst, a, b Spectrum) {
+	if dst.F32() != a.F32() || a.F32() != b.F32() {
+		panic("fft: MulAccSpecInto precision mismatch")
+	}
+	if dst.C64 != nil {
+		MulAccInto(dst.C64, a.C64, b.C64)
+		return
+	}
+	MulAccInto(dst.C128, a.C128, b.C128)
 }

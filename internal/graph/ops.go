@@ -4,17 +4,15 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"znn/internal/conv"
 	"znn/internal/ops"
 	"znn/internal/tensor"
 )
 
-// FwdCtx carries per-round shared state into forward ops: the spectrum
-// cache of the source node, so FFT edges reading the same image share one
-// transform (Section IV).
+// FwdCtx carries per-round state into forward ops.
 type FwdCtx struct {
-	Spectra *conv.SpectrumCache
 	// Infer marks an inference round, which may run concurrently with
 	// other inference rounds over the same ops; unset, the round is a
 	// training round. Ops must not store per-round state (Jacobian inputs,
@@ -27,10 +25,8 @@ type FwdCtx struct {
 // infer reports whether ctx marks an inference round (nil-safe).
 func (ctx *FwdCtx) infer() bool { return ctx != nil && ctx.Infer }
 
-// BwdCtx carries per-round shared state into backward ops: the spectrum
-// cache of the backward image at the edge's target node.
+// BwdCtx carries per-round state into backward ops.
 type BwdCtx struct {
-	Spectra *conv.SpectrumCache
 	// Owned hands the backward image to the op to overwrite: nothing else
 	// reads it afterwards (a non-convolution edge is its target's only
 	// in-edge), so the op may return it as its result.
@@ -56,20 +52,6 @@ type Op interface {
 	Forward(in *tensor.Tensor, ctx *FwdCtx) *tensor.Tensor
 	// Backward applies the transposed Jacobian to the backward image.
 	Backward(grad *tensor.Tensor, ctx *BwdCtx) *tensor.Tensor
-}
-
-// ForwardBatch applies op to every volume of one round's sweep: a
-// convolution edge runs its batched sweep (one kernel-spectrum fetch feeding
-// a pointwise product per volume), any other op is applied per volume.
-func ForwardBatch(op Op, ins []*tensor.Tensor, ctx *FwdCtx) []*tensor.Tensor {
-	if c, ok := op.(*ConvOp); ok {
-		return c.forwardBatch(ins, ctx)
-	}
-	outs := make([]*tensor.Tensor, len(ins))
-	for i, in := range ins {
-		outs[i] = op.Forward(in, ctx)
-	}
-	return outs
 }
 
 // Trainable is implemented by ops with parameters (convolution kernels,
@@ -114,24 +96,12 @@ func (o *ConvOp) OutShape(in tensor.Shape) tensor.Shape {
 
 // Forward computes the valid sparse convolution.
 func (o *ConvOp) Forward(in *tensor.Tensor, ctx *FwdCtx) *tensor.Tensor {
-	return o.forwardBatch([]*tensor.Tensor{in}, ctx)[0]
-}
-
-func (o *ConvOp) forwardBatch(ins []*tensor.Tensor, ctx *FwdCtx) []*tensor.Tensor {
-	var sc *conv.SpectrumCache
-	if ctx != nil {
-		sc = ctx.Spectra
-	}
-	return o.Tr.ForwardBatch(ins, o.Kernel, sc, ctx.infer())
+	return o.Tr.ForwardBatch([]*tensor.Tensor{in}, o.Kernel, nil, ctx.infer())[0]
 }
 
 // Backward computes the full convolution with the reflected kernel.
-func (o *ConvOp) Backward(grad *tensor.Tensor, ctx *BwdCtx) *tensor.Tensor {
-	var sc *conv.SpectrumCache
-	if ctx != nil {
-		sc = ctx.Spectra
-	}
-	return o.Tr.Backward(grad, o.Kernel, sc)
+func (o *ConvOp) Backward(grad *tensor.Tensor, _ *BwdCtx) *tensor.Tensor {
+	return o.Tr.Backward(grad, o.Kernel, nil)
 }
 
 // Update computes the kernel gradient and applies the SGD step, then
@@ -377,27 +347,38 @@ func LayerGeoms(g *Graph) []conv.LayerGeom {
 	return out
 }
 
-// SpectralEligible reports whether all edges are FFT convolutions with
-// pairwise-compatible geometry and precision (SpectralCompatible), so
-// their converging results may be summed in the FFT domain with a single
-// inverse transform at the node (the execution model of the paper's
-// Table II costs).
-func SpectralEligible(edges []*Edge) bool {
-	var first *conv.Transformer
+// SumParts partitions edges — a node's in-edges, or its out-edges for the
+// node's backward sum — into the parts that sum adds, in order of each
+// part's first edge. Convolution edges whose operands share shapes form one
+// part, summed by one node-level kernel: direct edges of equal input and
+// output shapes (conv.SumForward, conv.SumBackward) and FFT edges that are
+// SpectralCompatible (conv.SpectralForward, conv.SpectralBackward). Every
+// other edge is a part of its own.
+func SumParts(edges []*Edge) [][]*Edge {
+	var parts [][]*Edge
 	for _, e := range edges {
-		op, ok := e.Op.(*ConvOp)
-		if !ok || !op.Tr.Method().IsFFT() {
-			return false
-		}
-		if first == nil {
-			first = op.Tr
-			continue
-		}
-		if !first.SpectralCompatible(op.Tr) {
-			return false
+		i := slices.IndexFunc(parts, func(p []*Edge) bool { return sameSum(p[0], e) })
+		if i < 0 {
+			parts = append(parts, []*Edge{e})
+		} else {
+			parts[i] = append(parts[i], e)
 		}
 	}
-	return true
+	return parts
+}
+
+// sameSum reports whether edges a and b belong to one part of a node sum.
+func sameSum(a, b *Edge) bool {
+	x, ok := a.Op.(*ConvOp)
+	y, ok2 := b.Op.(*ConvOp)
+	switch {
+	case !ok || !ok2:
+		return false
+	case x.Tr.Method().IsFFT():
+		return x.Tr.SpectralCompatible(y.Tr)
+	default:
+		return y.Tr.Method() == conv.Direct && x.Tr.InShape() == y.Tr.InShape() && x.Tr.OutShape() == y.Tr.OutShape()
+	}
 }
 
 // InitKernel returns a kernel initialized with the scaled-uniform scheme

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"znn/internal/conv"
-	"znn/internal/fft"
 	"znn/internal/graph"
 	"znn/internal/ops"
 	"znn/internal/tensor"
@@ -50,45 +49,84 @@ func (nw *Network) forwardSerial(inputs []*tensor.Tensor, train bool) ([]*tensor
 	if err != nil {
 		return nil, err
 	}
-	// Per-node spectrum caches and spectral accumulation, exactly as the
-	// parallel engine: the serial baseline must run the same algorithm
-	// (the paper's T₁ is the serial execution of the parallel algorithm),
-	// or speedup measurements against it would be skewed.
+	// Per-node spectrum caches and node sums, exactly as the parallel
+	// engine: the serial baseline must run the same algorithm (the paper's
+	// T₁ is the serial execution of the parallel algorithm), or speedup
+	// measurements against it would be skewed.
 	caches := make([]conv.SpectrumCache, len(nw.G.Nodes))
 	for _, n := range order {
-		if n.IsInput() {
-			caches[n.ID].Reset(imgs[n.ID])
-			continue
-		}
-		var sum *tensor.Tensor
-		if len(n.In) > 1 && graph.SpectralEligible(n.In) {
-			var spec fft.Spectrum
-			for _, e := range n.In {
-				op := e.Op.(*graph.ConvOp)
-				in := []*tensor.Tensor{imgs[e.From.ID]}
-				prod := op.Tr.ForwardProducts(in, op.Kernel, &caches[e.From.ID], !train)[0]
-				if spec.IsNil() {
-					spec = prod
-				} else {
-					spec.Add(prod)
-					prod.Release()
-				}
+		if !n.IsInput() {
+			var sum *tensor.Tensor
+			for _, part := range graph.SumParts(n.In) {
+				sum = addPart(sum, forwardPart(part, imgs, caches, train))
 			}
-			sum = n.In[0].Op.(*graph.ConvOp).Tr.FinishForward(spec)
-		} else {
-			for _, e := range n.In {
-				out := e.Op.Forward(imgs[e.From.ID], &graph.FwdCtx{Spectra: &caches[e.From.ID], Infer: !train})
-				if sum == nil {
-					sum = out
-				} else {
-					sum.Add(out)
-				}
-			}
+			imgs[n.ID] = sum
 		}
-		imgs[n.ID] = sum
-		caches[n.ID].Reset(sum)
+		caches[n.ID].Reset(imgs[n.ID])
 	}
 	return imgs, nil
+}
+
+// forwardPart returns one part of a node's forward sum (graph.SumParts)
+// through the engine's node-sum kernels.
+func forwardPart(part []*graph.Edge, imgs []*tensor.Tensor, caches []conv.SpectrumCache, train bool) *tensor.Tensor {
+	op, ok := part[0].Op.(*graph.ConvOp)
+	if !ok {
+		return part[0].Op.Forward(imgs[part[0].From.ID], &graph.FwdCtx{Infer: !train})
+	}
+	out := tensor.New(part[0].To.Shape)
+	if op.Tr.Method().IsFFT() {
+		terms := make([]conv.SpecTerm, len(part))
+		for i, e := range part {
+			op := e.Op.(*graph.ConvOp)
+			terms[i] = conv.SpecTerm{Tr: op.Tr, Ker: op.Kernel, F: op.Tr.Spectrum(&caches[e.From.ID])}
+		}
+		conv.SpectralForward(out, terms, !train)
+		return out
+	}
+	terms := make([]conv.Term, len(part))
+	for i, e := range part {
+		op := e.Op.(*graph.ConvOp)
+		terms[i] = conv.Term{Tr: op.Tr, Img: imgs[e.From.ID], Ker: op.Kernel}
+	}
+	conv.SumForward(out, 0, out.S.Z, terms)
+	return out
+}
+
+// backwardPart returns one part of a node's backward sum over its
+// out-edges, reading each target's backward spectra or padded image.
+func backwardPart(part []*graph.Edge, bwd []*tensor.Tensor, caches []conv.SpectrumCache, pads []conv.PadCache) *tensor.Tensor {
+	op, ok := part[0].Op.(*graph.ConvOp)
+	if !ok {
+		return part[0].Op.Backward(bwd[part[0].To.ID], &graph.BwdCtx{})
+	}
+	out := tensor.New(part[0].From.Shape)
+	if op.Tr.Method().IsFFT() {
+		terms := make([]conv.SpecTerm, len(part))
+		for i, e := range part {
+			op := e.Op.(*graph.ConvOp)
+			terms[i] = conv.SpecTerm{Tr: op.Tr, Ker: op.Kernel, F: op.Tr.Spectrum(&caches[e.To.ID])}
+		}
+		conv.SpectralBackward(out, terms)
+		return out
+	}
+	terms := make([]conv.Term, len(part))
+	for i, e := range part {
+		op := e.Op.(*graph.ConvOp)
+		terms[i] = conv.Term{Tr: op.Tr, Img: pads[e.To.ID].Get(op.Tr.Halo()), Ker: op.Kernel}
+	}
+	conv.SumBackward(out, 0, out.S.Z, terms)
+	return out
+}
+
+// addPart adds part into sum in part order, the way the engine joins a
+// node's groups; a nil sum takes the part.
+func addPart(sum, part *tensor.Tensor) *tensor.Tensor {
+	if sum == nil {
+		return part
+	}
+	sum.Add(part)
+	return sum
 }
 
 // RoundSerial runs one full gradient iteration serially (forward, loss,
@@ -105,65 +143,49 @@ func (nw *Network) RoundSerial(inputs, desired []*tensor.Tensor, loss ops.Loss, 
 	}
 	lossVal, grads := loss.Eval(actual, desired)
 
-	// Backward pass in reverse topological order, accumulating per-node
-	// backward images; updates apply immediately after each edge's
-	// gradient is available (the serial algorithm has no laziness).
 	order, err := nw.G.TopoSort()
 	if err != nil {
 		return 0, err
 	}
 	// Backward pass: walk nodes in reverse topological order, each node
-	// pulling through its out-edges (whose targets' backward images are
-	// already complete). Spectral accumulation applies under the same
-	// eligibility rule as the parallel engine; updates apply immediately
-	// after each edge's backward transform (the serial algorithm has no
-	// laziness).
+	// summing through its out-edges (whose targets' backward images are
+	// already complete) part by part, as the parallel engine groups them;
+	// updates apply right after each part's backward sum (the serial
+	// algorithm has no laziness).
 	bwd := make([]*tensor.Tensor, len(nw.G.Nodes))
 	for i, o := range nw.Outputs {
 		bwd[o.ID] = grads[i]
 	}
 	bwdCaches := make([]conv.SpectrumCache, len(nw.G.Nodes))
+	pads := make([]conv.PadCache, len(nw.G.Nodes))
+	defer func() {
+		for i := range pads {
+			pads[i].Release()
+		}
+	}()
 	for i := len(order) - 1; i >= 0; i-- {
 		u := order[i]
 		if u.IsOutput() {
 			if bwd[u.ID] == nil {
 				return 0, fmt.Errorf("net: output %s has no loss gradient", u.Name)
 			}
-			bwdCaches[u.ID].Reset(bwd[u.ID])
-			continue
-		}
-		spectral := len(u.Out) > 1 && graph.SpectralEligible(u.Out)
-		var spec fft.Spectrum
-		for _, e := range u.Out {
-			g := bwd[e.To.ID]
-			if g == nil {
-				return 0, fmt.Errorf("net: node %s has no backward image", e.To.Name)
-			}
-			if spectral {
-				op := e.Op.(*graph.ConvOp)
-				prod := op.Tr.BackwardProduct(g, op.Kernel, &bwdCaches[e.To.ID])
-				if spec.IsNil() {
-					spec = prod
-				} else {
-					spec.Add(prod)
-					prod.Release()
+		} else {
+			for _, part := range graph.SumParts(u.Out) {
+				for _, e := range part {
+					if bwd[e.To.ID] == nil {
+						return 0, fmt.Errorf("net: node %s has no backward image", e.To.Name)
+					}
 				}
-			} else {
-				out := e.Op.Backward(g, &graph.BwdCtx{Spectra: &bwdCaches[e.To.ID]})
-				if bwd[u.ID] == nil {
-					bwd[u.ID] = out
-				} else {
-					bwd[u.ID].Add(out)
+				bwd[u.ID] = addPart(bwd[u.ID], backwardPart(part, bwd, bwdCaches, pads))
+				for _, e := range part {
+					if tr, ok := e.Op.(graph.Trainable); ok {
+						tr.Update(imgs[u.ID], bwd[e.To.ID], opt)
+					}
 				}
 			}
-			if tr, ok := e.Op.(graph.Trainable); ok {
-				tr.Update(imgs[u.ID], g, opt)
-			}
-		}
-		if spectral {
-			bwd[u.ID] = u.Out[0].Op.(*graph.ConvOp).Tr.FinishBackward(spec)
 		}
 		bwdCaches[u.ID].Reset(bwd[u.ID])
+		pads[u.ID].Reset(bwd[u.ID])
 	}
 	return lossVal, nil
 }

@@ -102,11 +102,3 @@ func (q *HeapOfLists) Len() int {
 	defer q.mu.Unlock()
 	return q.n
 }
-
-// DistinctPriorities returns K, the number of distinct priority levels
-// currently queued (the quantity that bounds operation cost).
-func (q *HeapOfLists) DistinctPriorities() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.heap)
-}

@@ -91,8 +91,15 @@ func TestDistinctPriorities(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		q.Push(int64(i%4), i)
 	}
-	if got := q.DistinctPriorities(); got != 4 {
-		t.Errorf("DistinctPriorities = %d, want 4", got)
+	// levels is K, the number of distinct priority levels queued (the
+	// quantity that bounds operation cost): one heap entry each.
+	levels := func() int {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return len(q.heap)
+	}
+	if got := levels(); got != 4 {
+		t.Errorf("distinct priorities = %d, want 4", got)
 	}
 	if q.Len() != 100 {
 		t.Errorf("Len = %d, want 100", q.Len())
@@ -101,8 +108,8 @@ func TestDistinctPriorities(t *testing.T) {
 	for i := 0; i < 25; i++ {
 		q.Pop() // drains all of priority 3 first
 	}
-	if got := q.DistinctPriorities(); got != 3 {
-		t.Errorf("DistinctPriorities after draining one level = %d, want 3", got)
+	if got := levels(); got != 3 {
+		t.Errorf("distinct priorities after draining one level = %d, want 3", got)
 	}
 }
 

@@ -60,14 +60,14 @@ func (en *Engine) Round(inputs, desired []*tensor.Tensor) (float64, error) {
 
 // Infer runs ONE K-wide forward-only inference round over the batch —
 // batch[v] is volume v's input slice in g.Inputs() order — and returns each
-// volume's outputs in g.Outputs() order. The round sweeps all K volumes at
-// each (node, edge) step: one kernel-spectrum fetch per edge feeds K
-// pointwise products, and each summing node runs one inverse transform per
+// volume's outputs in g.Outputs() order. K is data, not a code path: each
+// node sum runs as one node task per volume (a direct sum per block of
+// output planes), and a spectral node runs one inverse transform per
 // volume. Per-volume results are bit-identical to K separate K=1 rounds.
 //
 // Infer is safe to call from any number of goroutines at once: rounds share
 // the Program's scheduler, kernel spectra and memory pools but carry
-// private accumulators and spectrum caches, so N calls keep every worker
+// private part sums and spectrum caches, so N calls keep every worker
 // busy even when one round exposes little parallelism. Dropout is the
 // identity and no gradient or Jacobian state is touched. Pending
 // weight updates from a previous training round are drained before the

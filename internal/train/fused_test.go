@@ -13,15 +13,15 @@ import (
 	"znn/internal/tensor"
 )
 
-// fusedCheckNet builds a width-3 all-direct graph whose direct groups have
-// fan-in and fan-out above one, mixed 3³ and 5×5×1 kernels and one
-// sparsity-2 layer: in → 3×(3³) → tanh → 3×(5×5×1, fan-in 3) → logistic →
-// 2×(3³ at sparsity 2, fan-in 3) → linear. Biases start nonzero so their
-// gradients are not symmetric.
-func fusedCheckNet(seed int64) *net.Network {
+// fusedCheckNet builds a width-3 graph of one conv method over input shape
+// in whose groups have fan-in and fan-out above one, mixed 3³ and 5×5×1
+// kernels and one sparsity-2 layer: in → 3×(3³) → tanh → 3×(5×5×1, fan-in
+// 3) → logistic → 2×(3³ at sparsity 2, fan-in 3) → linear. FFT edges
+// memoize. Biases start nonzero so their gradients are not symmetric.
+func fusedCheckNet(seed int64, method conv.Method, inShape tensor.Shape) *net.Network {
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.New()
-	in := g.AddNode("in", tensor.S3(16, 16, 12))
+	in := g.AddNode("in", inShape)
 	cur := []*graph.Node{in}
 	layers := []struct {
 		width int
@@ -40,7 +40,7 @@ func fusedCheckNet(seed int64) *net.Network {
 			sum := g.AddNode(fmt.Sprintf("L%d/conv/%d", l, j), shape)
 			for _, u := range cur {
 				ker := graph.InitKernel(rng, ly.k, len(cur))
-				g.Connect(u, sum, graph.NewConvOp(u.Shape, ker, ly.sp, conv.Direct, false, nil))
+				g.Connect(u, sum, graph.NewConvOp(u.Shape, ker, ly.sp, method, method.IsFFT(), nil))
 			}
 			next[j] = g.AddNode(fmt.Sprintf("L%d/t/%d", l, j), shape)
 			g.Connect(sum, next[j], graph.NewTransferOp(ly.f, rng.Float64()-0.5))
@@ -68,61 +68,81 @@ func params(g *graph.Graph) []*float64 {
 }
 
 // TestFusedGradientsNumerical checks a training round through the node
-// tasks — fused forward sums, padded-once backward sums, per-edge kernel
-// updates, slice-level transfers — against central differences of the
-// serial reference's loss: every conv kernel's and every transfer bias's
-// gradient, each within the relative tolerance of
-// conv.TestDirectGradientsNumerical.
+// tasks — fused forward sums, padded-once or spectral backward sums,
+// per-edge kernel updates (memoized on FFT edges), slice-level transfers —
+// against central differences of the serial float64 reference's loss:
+// every conv kernel's and every transfer bias's gradient, each within the
+// relative tolerance of conv.TestDirectGradientsNumerical, or
+// conv.PrecF32.Tol() for float32 spectra.
 func TestFusedGradientsNumerical(t *testing.T) {
-	nw, ref := fusedCheckNet(91), fusedCheckNet(91)
-	rng := rand.New(rand.NewSource(92))
-	in := tensor.RandomUniform(rng, nw.Inputs[0].Shape, -1, 1)
-	des := make([]*tensor.Tensor, len(nw.Outputs))
-	for i, o := range nw.Outputs {
-		des[i] = tensor.RandomUniform(rng, o.Shape, -0.5, 0.5)
-	}
-	en, err := NewEngine(nw.G, Config{Workers: 2, Eta: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := en.Round([]*tensor.Tensor{in}, des); err != nil {
-		t.Fatal(err)
-	}
-	if err := en.Close(); err != nil {
-		t.Fatal(err)
-	}
-	lossAt := func() float64 {
-		out, err := ref.ForwardSerial([]*tensor.Tensor{in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, _ := ops.SquaredLoss{}.Eval(out, des)
-		return l
-	}
-	after, before := params(nw.G), params(ref.G)
-	const h = 1e-5
-	i := 0
-	for _, e := range ref.G.Edges {
-		n := 1
-		if op, ok := e.Op.(*graph.ConvOp); ok {
-			n = len(op.Kernel.Data)
-		}
-		var maxErr, maxGrad float64
-		for _, p := range before[i : i+n] {
-			x0 := *p
-			*p = x0 + h
-			lp := lossAt()
-			*p = x0 - h
-			lm := lossAt()
-			*p = x0
-			got := x0 - *after[i] // η = 1
-			maxErr = math.Max(maxErr, math.Abs((lp-lm)/(2*h)-got))
-			maxGrad = math.Max(maxGrad, math.Abs(got))
-			i++
-		}
-		if rel := maxErr / maxGrad; !(rel <= 1e-6) {
-			t.Errorf("%s edge %s: relative error %g vs central differences (max |grad| %g)", e.Op.Kind(), e, rel, maxGrad)
-		}
+	for _, tc := range []struct {
+		name   string
+		method conv.Method
+		prec   conv.Precision
+		in     tensor.Shape // the FFT nets run smaller: every probe transforms
+		tol    float64
+	}{
+		{"direct", conv.Direct, conv.PrecF64, tensor.S3(16, 16, 12), 1e-6},
+		{"fft", conv.FFT, conv.PrecF64, tensor.S3(12, 12, 8), 1e-6},
+		{"fft/f32", conv.FFT, conv.PrecF32, tensor.S3(12, 12, 8), conv.PrecF32.Tol()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, ref := fusedCheckNet(91, tc.method, tc.in), fusedCheckNet(91, tc.method, tc.in)
+			rng := rand.New(rand.NewSource(92))
+			in := tensor.RandomUniform(rng, nw.Inputs[0].Shape, -1, 1)
+			des := make([]*tensor.Tensor, len(nw.Outputs))
+			for i, o := range nw.Outputs {
+				des[i] = tensor.RandomUniform(rng, o.Shape, -0.5, 0.5)
+			}
+			en, err := NewEngine(nw.G, Config{Workers: 2, Eta: 1, Precision: tc.prec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := en.Round([]*tensor.Tensor{in}, des); err != nil {
+				t.Fatal(err)
+			}
+			if err := en.Close(); err != nil {
+				t.Fatal(err)
+			}
+			lossAt := func() float64 {
+				for _, e := range ref.G.Edges {
+					if op, ok := e.Op.(*graph.ConvOp); ok {
+						op.Tr.InvalidateKernel() // the kernel spectra must see each perturbation
+					}
+				}
+				out, err := ref.ForwardSerial([]*tensor.Tensor{in})
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, _ := ops.SquaredLoss{}.Eval(out, des)
+				return l
+			}
+			after, before := params(nw.G), params(ref.G)
+			const h = 1e-5
+			i := 0
+			for _, e := range ref.G.Edges {
+				n := 1
+				if op, ok := e.Op.(*graph.ConvOp); ok {
+					n = len(op.Kernel.Data)
+				}
+				var maxErr, maxGrad float64
+				for _, p := range before[i : i+n] {
+					x0 := *p
+					*p = x0 + h
+					lp := lossAt()
+					*p = x0 - h
+					lm := lossAt()
+					*p = x0
+					got := x0 - *after[i] // η = 1
+					maxErr = math.Max(maxErr, math.Abs((lp-lm)/(2*h)-got))
+					maxGrad = math.Max(maxGrad, math.Abs(got))
+					i++
+				}
+				if rel := maxErr / maxGrad; !(rel <= tc.tol) {
+					t.Errorf("%s edge %s: relative error %g vs central differences (max |grad| %g)", e.Op.Kind(), e, rel, maxGrad)
+				}
+			}
+		})
 	}
 }
 

@@ -151,13 +151,11 @@ func TestInferAfterTrainingSeesUpdatedWeights(t *testing.T) {
 //
 // The graph is chosen so the separation is deterministic at one worker: a
 // single input passes a linear transfer and then fans out through two FFT
-// convolutions to two outputs, so every forward node has fan-in 1
-// (non-spectral — each forward task holds one pooled product at a time,
-// plus the now-pooled shared image spectrum) while the backward pass
-// accumulates both edges' products spectrally at the transfer's node
-// (Algorithm 4 parks one partial while folding the next: two pooled
-// buffers live at the peak). An input node computes no backward image, so
-// the fan-out sits one node in.
+// convolutions to two outputs, so every forward node sums a group of one
+// edge (one pooled accumulator at a time, plus the pooled shared image
+// spectrum) while the backward pass sums both edges as one spectral group
+// at the transfer's node, over the outputs' pooled backward spectra. An
+// input node computes no backward image, so the fan-out sits one node in.
 func TestInferAllocatesLessThanRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := graph.New()
@@ -177,7 +175,7 @@ func TestInferAllocatesLessThanRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer en.Close()
-	if !en.p.nodes[n0.ID].bwdSpectral || en.p.nodes[n1.ID].fwdSpectral {
+	if gr := en.p.bwdGroup[n0.Out[0].ID]; !gr.spectral || len(gr.edges) != 2 || len(en.p.fwdGroup[n1.In[0].ID].edges) != 1 {
 		t.Fatal("test graph does not have the intended spectral structure")
 	}
 

@@ -117,10 +117,9 @@ func sameTrajectory(t *testing.T, label string, wantLoss, gotLoss []float64, wan
 }
 
 // roundPathRegimes are the convolution regimes TestRoundPathEquivalence
-// sweeps. Every net is width 2 — fan-in 2 everywhere, so each wait-free
-// join is one commutative float add and results are bit-identical whatever
-// order contributions arrive in (the repo's width-2 bit-exactness
-// convention). build returns a fresh, identically seeded network and the
+// sweeps. Every node sum adds its terms and groups in a fixed order, so
+// results are bit-identical whatever order tasks finish in, at width 8 as
+// at width 2. build returns a fresh, identically seeded network and the
 // engine config that runs it.
 var roundPathRegimes = []struct {
 	name  string
@@ -128,6 +127,16 @@ var roundPathRegimes = []struct {
 }{
 	{"forced-fft", func(t *testing.T) (*net.Network, Config) {
 		return buildForced(t, conv.FFT), Config{Eta: 0.05}
+	}},
+	{"forced-fft-w8", func(t *testing.T) (*net.Network, Config) {
+		nw, err := net.Build(net.MustParse("C3-Ttanh-C3"), net.BuildOptions{
+			Width: 8, OutputExtent: 4, Seed: 13,
+			Method: conv.FFT, Memoize: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw, Config{Eta: 0.05}
 	}},
 	{"forced-direct", func(t *testing.T) (*net.Network, Config) {
 		return buildForced(t, conv.Direct), Config{Eta: 0.05}

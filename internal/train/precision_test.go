@@ -42,8 +42,8 @@ func TestF32TrainingMatchesF64(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, ns := range en32.p.nodes {
-		if ns.fwdSpectral {
+	for _, gr := range en32.p.fwdGroup {
+		if gr.spectral && len(gr.edges) > 1 {
 			found = true
 		}
 	}

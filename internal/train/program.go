@@ -5,21 +5,21 @@
 // The execution core is split into two layers:
 //
 //   - Program is the immutable compiled form of a graph: topology, edge
-//     transformers and weights, spectral-eligibility analysis, scheduler
-//     priorities, and the shared worker pool. One Program is compiled per
-//     network and never changes shape after Compile (weights mutate only
-//     through training rounds, which are exclusive).
+//     transformers and weights, the grouping of every node's sums,
+//     scheduler priorities, and the shared worker pool. One Program is
+//     compiled per network and never changes shape after Compile (weights
+//     mutate only through training rounds, which are exclusive).
 //   - RoundState (round.go) is everything one round in flight mutates:
-//     per-node wait-free sums, spectrum caches, forward/backward images,
-//     the loss accumulator and the round-scoped task fan-out. Both kinds of
+//     per-node part sums, spectrum caches, forward/backward images, the
+//     loss accumulator and the round-scoped task fan-out. Both kinds of
 //     round — K-wide inference, K=1 training — are built by the one
-//     constructor, Program.NewRound, and run the one forward sweep
-//     (RoundState.doForward) over their volumes: the batch width K is the
-//     length of a slice, 1 outside inference, never a code path. Training
-//     sessions hold the Program's round lock exclusively; forward-only
-//     inference rounds hold it shared, so N of them run concurrently on
-//     the one scheduler and mempool — the regime ZNNi (Zlateski et al.,
-//     2016) shows maximizes CPU inference throughput.
+//     constructor, Program.NewRound, and run the one forward sweep over
+//     their volumes: the batch width K is the length of a slice, 1 outside
+//     inference, never a code path. Training sessions hold the Program's
+//     round lock exclusively; forward-only inference rounds hold it shared,
+//     so N of them run concurrently on the one scheduler and mempool — the
+//     regime ZNNi (Zlateski et al., 2016) shows maximizes CPU inference
+//     throughput.
 //
 // Each training round (one stochastic gradient iteration) proceeds as in
 // the paper: a data-provider task publishes the input images and starts the
@@ -36,27 +36,34 @@
 //
 // # Node tasks
 //
-// A node's direct convolution in-edges whose sources share a shape form a
-// group (every in-edge of every layered net): once all their sources are
-// published, the node runs one task per (volume, block of output planes),
-// each voxel a single FMA chain over every tap of every in-edge in edge
-// order (conv.SumForward), written straight into the node's image — no
-// edge tensor, no sum. On training rounds the group's wrapper waits on
-// every in-edge's fence and FORCEs each in-edge's pending update first.
-// Backward is the mirror image: once every target of a node's direct
-// out-edges has published its backward image — padded once per halo, in
-// pooled scratch the target owns — the node runs one task per plane block
-// computing Σ_j full(g_j, w_ij) (conv.SumBackward); when the group
-// completes, each out-edge enqueues its update and releases its fence, so
-// backward still reads w_ij before the update writes it (Algorithm 2). The
-// order of every sum is fixed, so direct training is bitwise reproducible
-// at any worker count.
+// Every node sum runs as node tasks, as in PZnet. Compile splits a node's
+// in-edges into groups (graph.SumParts): direct convolution edges whose
+// sources share a shape (every in-edge of a layered direct net), FFT edges
+// that are conv.SpectralCompatible (every in-edge of a layered FFT net),
+// and any other edge alone. Once all of a group's sources are published,
+// the node runs the group per volume: a direct group one task per (volume,
+// block of output planes), each voxel a single FMA chain over every tap of
+// every in-edge in edge order (conv.SumForward), written straight into the
+// node's image; a spectral group one task per volume that multiply-
+// accumulates F(x_i)·F(w_i) in edge order into one pooled spectrum and
+// inverts it once (conv.SpectralForward, the f′ inverse transforms of
+// Table II); any other edge one task per volume applying its op. On
+// training rounds the group's wrapper waits on every in-edge's fence and
+// FORCEs each in-edge's pending update first. The spectra a spectral group
+// reads are computed by the task that publishes the source image, before
+// fan-out, so no node task computes or waits on another node's transform.
 //
-// The wait-free sum (Algorithm 4, package wsum) remains where parts meet
-// in arrival order: at spectral nodes, whose FFT edges sum their products
-// before one inverse transform, and at any node whose in-edges (out-edges,
-// backward) are not all one direct group, where each group contributes one
-// partial.
+// Backward is the mirror image over a node's out-edges: once every target
+// of a group has published its backward image — padded once per halo, or
+// transformed once per transform shape, in caches the target owns — the
+// node runs Σ_j full(g_j, w_ij) (conv.SumBackward, conv.SpectralBackward);
+// when the group completes, each out-edge enqueues its update and releases
+// its fence, so backward still reads w_ij before the update writes it
+// (Algorithm 2). A node whose sum has several groups adds their partial
+// images in group order once the last arrives. Every sum therefore has a
+// fixed order, and training is bitwise reproducible at any worker count —
+// where ZNN's wait-free sum (Algorithm 4, package wsum) adds in arrival
+// order.
 //
 // # Round boundaries and per-edge fencing
 //
@@ -125,14 +132,6 @@ type Config struct {
 	// plan does not cover fall back to the global Precision. The plan's
 	// fused width K is advisory to round builders.
 	Plan *plan.Plan
-	// DisableSpectral turns off spectral accumulation. By default, when
-	// every edge converging on a node is an FFT convolution with identical
-	// geometry, the edges sum their FFT-domain products and the node runs
-	// a single inverse transform — the execution model assumed by the
-	// paper's Table II costs (f′ inverse transforms per layer instead of
-	// f′·f). The Transformer products and finishers keep the spectrum
-	// layout internal, so the engine only moves opaque buffers.
-	DisableSpectral bool
 }
 
 func (c *Config) fillDefaults() {
@@ -147,70 +146,69 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// nodeInfo is the compiled, immutable per-node execution plan: which
-// accumulator kind the node needs and how many contributions each of its
-// sums joins. All mutable per-round state lives in RoundState.
+// nodeInfo is the compiled, immutable per-node execution plan: how many
+// parts each of its sums adds and whether its spectra outlive a round. All
+// mutable per-round state lives in RoundState.
 type nodeInfo struct {
 	n *graph.Node
-
-	// Spectral accumulation: when eligible, the node's forward (backward)
-	// sum runs in the FFT domain with a single inverse transform.
-	fwdSpectral bool
-	bwdSpectral bool
-	// fwdParts and bwdParts count the contributions to the node's forward
-	// and backward sums: one per direct group, one per other edge. A sum of
-	// one part needs no accumulator; input nodes have no backward sum.
+	// fwdParts and bwdParts count the groups of the node's forward and
+	// backward sums. A sum of one part needs no part sum; input nodes have
+	// no backward sum.
 	fwdParts, bwdParts int
+	// fwdMemo and bwdMemo report that a memoizing FFT edge keeps the
+	// node's forward (backward) image spectrum for its update, so a
+	// training round may not return it to the pool.
+	fwdMemo, bwdMemo bool
 }
 
-// group is a set of one node's direct conv edges summed by node tasks, in
-// edge order (conv.SumForward, conv.SumBackward): forward, the in-edges
-// whose sources share a shape; backward, the out-edges whose targets share
-// a shape, and so their padded backward images too. Its output planes are
-// split into blocks, one task each per volume.
+// group is one part of a node's sum (graph.SumParts): forward, in-edges of
+// the node; backward, out-edges. A direct group's output planes are split
+// into blocks, one task each per volume; a spectral group and any other
+// edge, a group of one, run one task per volume.
 type group struct {
-	id     int // index of the round's count of unpublished operands
-	edges  []*graph.Edge
-	blocks [][2]int // output plane ranges [z0, z1)
+	id       int // index of the round's count of unpublished operands
+	part     int // the group's place in the node's sum
+	edges    []*graph.Edge
+	spectral bool
+	blocks   [][2]int // direct: output plane ranges [z0, z1)
 }
 
 // blockWork is the number of multiply-adds a node task aims for: enough to
 // amortize the task, so small requests are not cut into per-plane slivers.
 const blockWork = 1 << 20
 
-// directGroups partitions the direct conv edges among edges by key, in edge
-// order, into groups summing into shape out; it records each edge's group
-// in of and returns the number of parts the node's sum joins.
-func (p *Program) directGroups(edges []*graph.Edge, out tensor.Shape, of []*group, key func(*graph.Edge) tensor.Shape) (parts int) {
-	var groups []*group
-	for _, e := range edges {
-		op, ok := e.Op.(*graph.ConvOp)
-		if !ok || op.Tr.Method() != conv.Direct {
-			parts++
+// groups makes each part of a node's sum over edges a group summing into
+// shape out, records each edge's group in of, and returns the number of
+// parts.
+func (p *Program) groups(edges []*graph.Edge, out tensor.Shape, of []*group) int {
+	parts := graph.SumParts(edges)
+	for i, part := range parts {
+		gr := &group{id: len(p.groupEdges), part: i, edges: part}
+		p.groupEdges = append(p.groupEdges, int32(len(part)))
+		for _, e := range part {
+			of[e.ID] = gr
+		}
+		op, ok := part[0].Op.(*graph.ConvOp)
+		if gr.spectral = ok && op.Tr.Method().IsFFT(); !ok || gr.spectral {
 			continue
 		}
-		i := slices.IndexFunc(groups, func(g *group) bool { return key(g.edges[0]) == key(e) })
-		if i < 0 {
-			i = len(groups)
-			groups = append(groups, &group{id: len(p.groupEdges)})
-			p.groupEdges = append(p.groupEdges, 0)
-		}
-		groups[i].edges = append(groups[i].edges, e)
-		p.groupEdges[groups[i].id]++
-		of[e.ID] = groups[i]
-	}
-	for _, g := range groups {
 		taps := 0
-		for _, e := range g.edges {
+		for _, e := range part {
 			taps += e.Op.(*graph.ConvOp).Kernel.S.Volume()
 		}
 		per := max(1, blockWork/(out.X*out.Y*taps))
 		n := (out.Z + per - 1) / per
 		for b := range n {
-			g.blocks = append(g.blocks, [2]int{b * out.Z / n, (b + 1) * out.Z / n})
+			gr.blocks = append(gr.blocks, [2]int{b * out.Z / n, (b + 1) * out.Z / n})
 		}
 	}
-	return parts + len(groups)
+	return len(parts)
+}
+
+// memoizes reports whether e is an FFT edge that keeps its phase spectra.
+func memoizes(e *graph.Edge) bool {
+	tr := spectralTr(e)
+	return tr != nil && tr.Memoizes()
 }
 
 // edgeState tracks the edge's pending update task across rounds. It is the
@@ -309,8 +307,9 @@ type Program struct {
 	outputs []*graph.Node
 	nodes   []nodeInfo
 	edges   []*edgeState
-	// fwdGroup and bwdGroup map an edge ID to the direct group summing it
-	// at its target (forward) and at its source (backward), or nil.
+	// fwdGroup and bwdGroup map an edge ID to the group summing it at its
+	// target (forward) and at its source (backward); an edge leaving a graph
+	// input has no backward group.
 	fwdGroup, bwdGroup []*group
 	groupEdges         []int32 // edges per group, indexed by group id
 
@@ -345,15 +344,14 @@ func Compile(g *graph.Graph, cfg Config) (*Program, error) {
 		}
 	}
 	// Apply the program's execution plan — or, absent one, the global
-	// precision — to every conv edge before the spectral-eligibility
-	// analysis below: method and precision are part of SpectralCompatible,
-	// so they must be settled first. The config is authoritative for
-	// precision — compiling a graph previously used at another precision
-	// resets its edges, so a default-precision program is always the
-	// bit-compatible float64 one. Plan assignments are per layer group
-	// (keyed by the edge-derivable layer geometry), so every in-edge of a
-	// summing node receives the same (method, precision) and spectral
-	// accumulation stays available on planned FFT layers.
+	// precision — to every conv edge before the grouping below: method and
+	// precision are part of SpectralCompatible, so they must be settled
+	// first. The config is authoritative for precision — compiling a graph
+	// previously used at another precision resets its edges, so a
+	// default-precision program is always the bit-compatible float64 one.
+	// Plan assignments are per layer group (keyed by the edge-derivable
+	// layer geometry), so every in-edge of a summing node receives the same
+	// (method, precision) and a planned FFT layer sums as one group.
 	for _, e := range g.Edges {
 		op, ok := e.Op.(*graph.ConvOp)
 		if !ok {
@@ -379,18 +377,10 @@ func Compile(g *graph.Graph, cfg Config) (*Program, error) {
 	p.fwdGroup = make([]*group, len(g.Edges))
 	p.bwdGroup = make([]*group, len(g.Edges))
 	for i, n := range g.Nodes {
-		ni := nodeInfo{n: n}
-		if !cfg.DisableSpectral {
-			if len(n.In) > 1 && graph.SpectralEligible(n.In) {
-				ni.fwdSpectral = true
-			}
-			if len(n.Out) > 1 && !n.IsInput() && graph.SpectralEligible(n.Out) {
-				ni.bwdSpectral = true
-			}
-		}
-		ni.fwdParts = p.directGroups(n.In, n.Shape, p.fwdGroup, func(e *graph.Edge) tensor.Shape { return e.From.Shape })
+		ni := nodeInfo{n: n, fwdMemo: slices.ContainsFunc(n.Out, memoizes), bwdMemo: slices.ContainsFunc(n.In, memoizes)}
+		ni.fwdParts = p.groups(n.In, n.Shape, p.fwdGroup)
 		if !n.IsInput() {
-			ni.bwdParts = p.directGroups(n.Out, n.Shape, p.bwdGroup, func(e *graph.Edge) tensor.Shape { return e.To.Shape })
+			ni.bwdParts = p.groups(n.Out, n.Shape, p.bwdGroup)
 		}
 		p.nodes[i] = ni
 	}

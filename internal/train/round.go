@@ -7,27 +7,22 @@ import (
 
 	"znn/internal/chaos"
 	"znn/internal/conv"
-	"znn/internal/fft"
 	"znn/internal/graph"
 	"znn/internal/sched"
 	"znn/internal/tensor"
-	"znn/internal/wsum"
 )
 
 // roundNode is the per-round runtime state of one graph node. The forward
-// side is K-wide — one wait-free accumulator (when the node sums more than
-// one part), one published image and (lazily) one cached spectrum per
-// volume of the round's batch — while the backward side is singular: only
-// training rounds run backward, and they carry one volume. Accumulators
-// come from the wsum free lists, so N rounds in flight get private sums.
+// side is K-wide — one published image, one spectrum cache and (when the
+// node sums more than one part) one part sum per volume of the round's
+// batch — while the backward side is singular: only training rounds run
+// backward, and they carry one volume.
 type roundNode struct {
-	fwdSums  []*wsum.Sum[*tensor.Tensor] // per-volume tensor accumulators
-	fwdCSums []*wsum.Sum[fft.Spectrum]   // per-volume spectral accumulators
-	bwdSum   *wsum.Sum[*tensor.Tensor]
-	bwdCSum  *wsum.Sum[fft.Spectrum]
-	spectra  conv.SpectrumCache // forward image spectra shared by out-edges (batch-aware)
-	bwdSpec  conv.SpectrumCache // backward image spectra shared by in-edges
-	pads     conv.PadCache      // backward image padded per halo, shared by direct in-edges
+	spectra []conv.SpectrumCache // per-volume forward image spectra, read by FFT out-edges
+	bwdSpec conv.SpectrumCache   // backward image spectra, read by FFT in-edges
+	pads    conv.PadCache        // backward image padded per halo, read by direct in-edges
+	fwdSums []*partSum           // per-volume forward parts, when the node sums several
+	bwdSum  *partSum
 
 	mu      sync.Mutex
 	fwdImgs []*tensor.Tensor // per-volume forward images
@@ -36,19 +31,14 @@ type roundNode struct {
 }
 
 // completeFwd publishes volume v's forward image and reports whether it was
-// the node's last outstanding volume — the point where the node's batch
-// cache can be (re)pointed at the full image set and downstream edges fan
-// out over all K volumes at once.
+// the node's last outstanding volume — the point where downstream groups
+// count the node as published for all K volumes at once.
 func (rn *roundNode) completeFwd(v int, img *tensor.Tensor) (allDone bool) {
 	rn.mu.Lock()
+	defer rn.mu.Unlock()
 	rn.fwdImgs[v] = img
 	rn.fwdLeft--
-	allDone = rn.fwdLeft == 0
-	rn.mu.Unlock()
-	if allDone {
-		rn.spectra.Reset(rn.fwdImgs...)
-	}
-	return allDone
+	return rn.fwdLeft == 0
 }
 
 func (rn *roundNode) setBwd(img *tensor.Tensor) {
@@ -57,6 +47,35 @@ func (rn *roundNode) setBwd(img *tensor.Tensor) {
 	rn.mu.Unlock()
 	rn.bwdSpec.Reset(img)
 	rn.pads.Reset(img)
+}
+
+// partSum holds the parts of one node sum until the last arrives, then adds
+// them in part order, so the sum's bits do not depend on which part
+// finished first.
+type partSum struct {
+	mu    sync.Mutex
+	parts []*tensor.Tensor
+	left  int
+}
+
+func newPartSum(n int) *partSum { return &partSum{parts: make([]*tensor.Tensor, n), left: n} }
+
+// join records part i; the call that brings the last part returns the sum,
+// every other call nil.
+func (s *partSum) join(i int, img *tensor.Tensor) *tensor.Tensor {
+	s.mu.Lock()
+	s.parts[i] = img
+	s.left--
+	done := s.left == 0
+	s.mu.Unlock()
+	if !done {
+		return nil
+	}
+	sum := s.parts[0]
+	for _, p := range s.parts[1:] {
+		sum.Add(p)
+	}
+	return sum
 }
 
 // FwdImage returns the node's forward image for volume 0 — the only volume
@@ -93,13 +112,11 @@ const (
 
 // RoundState is one round in flight: a private fan-out of tasks over the
 // shared Program. The batch width K is data: a round carries its K volumes
-// through one task tree, so each (node, edge) sweep loads the edge's kernel
-// spectrum once for K pointwise products and the node runs one inverse
-// transform per volume (the ZNNi/PZnet batching regime). Training rounds
-// additionally carry the desired outputs, the loss accumulator and
-// backward sums, and have K = 1; inference rounds never allocate backward
-// accumulators and never touch cross-round op state, which is what lets
-// many of them run concurrently.
+// through one task tree, and each node sum runs per volume (the ZNNi/PZnet
+// batching regime). Training rounds additionally carry the desired outputs,
+// the loss accumulator and backward state, and have K = 1; inference rounds
+// never allocate backward state and never touch cross-round op state,
+// which is what lets many of them run concurrently.
 type RoundState struct {
 	p       *Program
 	sr      *sched.Round
@@ -108,7 +125,7 @@ type RoundState struct {
 	batch   [][]*tensor.Tensor // batch[v] is volume v's input images
 	desired []*tensor.Tensor
 	nodes   []roundNode
-	// operands counts, per direct group, the edges whose operand (source
+	// operands counts, per group, the edges whose operand (source
 	// forward image, or target backward image) is not yet published.
 	operands []atomic.Int32
 	// fenceSeq is a training round's 1-based sequence number on its Program
@@ -132,13 +149,11 @@ type RoundState struct {
 // admission — AcquireInfer for ModeInfer, the exclusive round lock for
 // ModeTrain (TrainPipeline does) — and runs the round with Start/Wait.
 //
-// Exactly one accumulator per volume is drawn per node side that sums more
-// than one part — the spectral one when the node's edges sum in the FFT
-// domain, the tensor one otherwise — and backward accumulators only for
-// training rounds, so forward-only rounds allocate strictly less. Inference rounds run their
-// spectrum caches pooled: they never memoize, so the buffers can return to
-// the spectra pools through the release hook instead of becoming per-round
-// garbage.
+// Spectrum caches run pooled — their buffers return to the spectra pools
+// when the round completes instead of becoming per-round garbage — unless
+// a memoizing FFT edge keeps a spectrum for its update, which may run
+// after the round ends; inference rounds never memoize, so theirs are
+// always pooled.
 func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tensor.Tensor) (*RoundState, error) {
 	train := mode == ModeTrain
 	k := len(batch)
@@ -188,24 +203,19 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 		rn := &rs.nodes[i]
 		rn.fwdImgs = make([]*tensor.Tensor, k)
 		rn.fwdLeft = k
-		if !train {
-			rn.spectra.SetPooled(true)
+		rn.spectra = make([]conv.SpectrumCache, k)
+		for v := range rn.spectra {
+			rn.spectra[v].SetPooled(!train || !ni.fwdMemo)
 		}
-		if ni.fwdSpectral {
-			rn.fwdCSums = make([]*wsum.Sum[fft.Spectrum], k)
-			for v := range rn.fwdCSums {
-				rn.fwdCSums[v] = wsum.GetComplex(ni.fwdParts)
-			}
-		} else if ni.fwdParts > 1 {
-			rn.fwdSums = make([]*wsum.Sum[*tensor.Tensor], k)
+		rn.bwdSpec.SetPooled(!ni.bwdMemo)
+		if ni.fwdParts > 1 {
+			rn.fwdSums = make([]*partSum, k)
 			for v := range rn.fwdSums {
-				rn.fwdSums[v] = wsum.Get(ni.fwdParts)
+				rn.fwdSums[v] = newPartSum(ni.fwdParts)
 			}
 		}
-		if train && ni.bwdSpectral {
-			rn.bwdCSum = wsum.GetComplex(ni.bwdParts)
-		} else if train && ni.bwdParts > 1 {
-			rn.bwdSum = wsum.Get(ni.bwdParts)
+		if train && ni.bwdParts > 1 {
+			rn.bwdSum = newPartSum(ni.bwdParts)
 		}
 	}
 	for id, n := range p.groupEdges {
@@ -231,67 +241,36 @@ func (rs *RoundState) Start() {
 			panic(err)
 		}
 		for i, node := range rs.p.inputs {
-			rn := &rs.nodes[node.ID]
-			imgs := make([]*tensor.Tensor, rs.k)
 			for v := range rs.batch {
-				imgs[v] = rs.batch[v][i]
+				rs.finishForward(node, v, rs.batch[v][i])
 			}
-			rn.mu.Lock()
-			copy(rn.fwdImgs, imgs)
-			rn.fwdLeft = 0
-			rn.mu.Unlock()
-			rn.spectra.Reset(rn.fwdImgs...)
-			rs.fanOutForward(node, imgs)
 		}
 	})
 }
 
 // Wait blocks until the round's own task tree has completed — other rounds
 // in flight and lazy update tasks are not waited on — then returns the
-// round's accumulators to their free lists and pooled spectrum-cache
-// buffers to the spectra pools; the published images (Outputs/OutputsAt)
-// stay valid. The returned error is round-local (sched attributes a round
-// task's panic to its Round), so one failing round in flight does not
-// poison concurrent or later rounds; update-task panics stay on the
-// engine's sticky error (Program.Err).
+// round's pooled buffers (see release); the published images
+// (Outputs/OutputsAt) stay valid. The returned error is round-local (sched
+// attributes a round task's panic to its Round), so one failing round in
+// flight does not poison concurrent or later rounds; update-task panics
+// stay on the engine's sticky error (Program.Err).
 func (rs *RoundState) Wait() error {
 	rs.sr.Wait()
 	rs.release()
 	return rs.sr.Err()
 }
 
-// release returns the round's accumulators to the wsum free lists and, on
-// inference rounds, the spectrum-cache buffers to the spectra pools (the
-// pooled-cache release hook). Called after the round's task tree has
-// completed, so no task can still touch them; the image tensors the sums
-// produced are owned by rs.nodes now.
+// release returns the spectrum caches' pooled buffers to the spectra pools
+// and the padded backward images to the scratch pool. Called after the
+// round's task tree has completed, so no task can still touch them.
 func (rs *RoundState) release() {
 	for i := range rs.nodes {
 		rn := &rs.nodes[i]
-		for v, s := range rn.fwdSums {
-			if s != nil {
-				s.Release()
-				rn.fwdSums[v] = nil
-			}
+		for v := range rn.spectra {
+			rn.spectra[v].ReleaseAll()
 		}
-		for v, s := range rn.fwdCSums {
-			if s != nil {
-				s.Release()
-				rn.fwdCSums[v] = nil
-			}
-		}
-		if rn.bwdSum != nil {
-			rn.bwdSum.Release()
-			rn.bwdSum = nil
-		}
-		if rn.bwdCSum != nil {
-			rn.bwdCSum.Release()
-			rn.bwdCSum = nil
-		}
-		if !rs.train {
-			rn.spectra.ReleaseAll()
-			rn.bwdSpec.ReleaseAll()
-		}
+		rn.bwdSpec.ReleaseAll()
 		rn.pads.Release()
 	}
 }
@@ -312,37 +291,38 @@ func (rs *RoundState) Loss() float64 {
 	return rs.loss
 }
 
-// fanOutForward hands node n's K published images to its out-edges. An
-// edge of a direct group counts down the group's unpublished sources, and
-// the last starts the group; every other edge gets a task of its own.
-// Training rounds gate both on fences and FORCE (gated); forward-only
-// rounds, whose admission drained every pending update, spawn at once.
-func (rs *RoundState) fanOutForward(n *graph.Node, imgs []*tensor.Tensor) {
+// fanOutForward counts node n's published images against its out-edges'
+// groups; the last operand of a group starts it. Training rounds gate the
+// group on its edges' fences and FORCE them (gated); forward-only rounds,
+// whose admission drained every pending update, spawn at once.
+func (rs *RoundState) fanOutForward(n *graph.Node) {
 	var specs []sched.TaskSpec
 	for _, e := range n.Out {
-		if gr := rs.p.fwdGroup[e.ID]; gr != nil {
-			if rs.operands[gr.id].Add(-1) == 0 {
-				rs.gated(e.To.FwdPrio, gr.edges, func() { rs.forwardGroup(e.To, gr) })
-			}
-		} else if rs.train {
-			rs.gated(e.To.FwdPrio, []*graph.Edge{e}, func() { rs.doForward(e, imgs) })
-		} else {
-			specs = append(specs, sched.TaskSpec{Prio: e.To.FwdPrio, Fn: func() { rs.doForward(e, imgs) }})
+		gr := rs.p.fwdGroup[e.ID]
+		if rs.operands[gr.id].Add(-1) != 0 {
+			continue
 		}
+		if !rs.train {
+			specs = rs.forwardGroup(specs, e.To, gr)
+			continue
+		}
+		rs.gated(e.To.FwdPrio, gr.edges, func() {
+			if specs := rs.forwardGroup(nil, e.To, gr); len(specs) == 1 {
+				specs[0].Fn() // a lone task runs inline on the gated wrapper
+			} else {
+				rs.sr.SpawnBatch(specs)
+			}
+		})
 	}
 	rs.sr.SpawnBatch(specs)
 }
 
-// gated runs fn, which reads the kernels of edges. A forward-only round
-// runs it at once. A training round wraps it in a task, counted against
-// the round now and enqueued once every edge's fence reports the previous
-// round's backward on that edge done; the task FORCEs each edge's pending
-// update in turn, then runs fn (Algorithm 1, FORWARD-TASK + FORCE).
+// gated runs fn, which reads the kernels of edges, in a task of a training
+// round: the task is counted against the round now and enqueued once every
+// edge's fence reports the previous round's backward on that edge done; it
+// FORCEs each edge's pending update in turn, then runs fn (Algorithm 1,
+// FORWARD-TASK + FORCE).
 func (rs *RoundState) gated(prio int64, edges []*graph.Edge, fn func()) {
-	if !rs.train {
-		fn()
-		return
-	}
 	wrapper := rs.sr.NewTask(sched.Work, prio, func() { rs.forceAll(prio, edges, fn) })
 	left := new(atomic.Int32)
 	left.Store(int32(len(edges)))
@@ -366,21 +346,42 @@ func (rs *RoundState) forceAll(prio int64, edges []*graph.Edge, fn func()) {
 	rs.p.sch.Force(rs.p.edges[edges[0].ID].pendingUpdate(), sub)
 }
 
-// forwardGroup sums direct group gr into node n's image of each volume:
-// each voxel one FMA chain over every tap of every in-edge.
-func (rs *RoundState) forwardGroup(n *graph.Node, gr *group) {
-	var specs []sched.TaskSpec
+// forwardGroup appends the tasks summing group gr into node n's image of
+// each volume: for a direct group one task per block of output planes,
+// each voxel one FMA chain over every tap of every in-edge; for a spectral
+// group one task multiply-accumulating every in-edge's product into one
+// spectrum; for any other edge one task applying its op.
+func (rs *RoundState) forwardGroup(specs []sched.TaskSpec, n *graph.Node, gr *group) []sched.TaskSpec {
 	for v := range rs.k {
-		terms := make([]conv.Term, len(gr.edges))
-		for i, e := range gr.edges {
-			op := e.Op.(*graph.ConvOp)
-			terms[i] = conv.Term{Tr: op.Tr, Img: rs.nodes[e.From.ID].FwdImageAt(v), Ker: op.Kernel}
+		done := func(out *tensor.Tensor) { rs.joinForward(n, v, gr.part, out) }
+		switch {
+		case gr.blocks != nil:
+			terms := make([]conv.Term, len(gr.edges))
+			for i, e := range gr.edges {
+				op := e.Op.(*graph.ConvOp)
+				terms[i] = conv.Term{Tr: op.Tr, Img: rs.nodes[e.From.ID].FwdImageAt(v), Ker: op.Kernel}
+			}
+			specs = rs.blockTasks(specs, n, n.FwdPrio, gr, terms, conv.SumForward, done)
+		case gr.spectral:
+			terms := make([]conv.SpecTerm, len(gr.edges))
+			for i, e := range gr.edges {
+				op := e.Op.(*graph.ConvOp)
+				terms[i] = conv.SpecTerm{Tr: op.Tr, Ker: op.Kernel, F: op.Tr.Spectrum(&rs.nodes[e.From.ID].spectra[v])}
+			}
+			specs = append(specs, sched.TaskSpec{Prio: n.FwdPrio, Fn: func() {
+				out := tensor.New(n.Shape)
+				conv.SpectralForward(out, terms, !rs.train)
+				done(out)
+			}})
+		default:
+			e := gr.edges[0]
+			img := rs.nodes[e.From.ID].FwdImageAt(v)
+			specs = append(specs, sched.TaskSpec{Prio: n.FwdPrio, Fn: func() {
+				done(e.Op.Forward(img, &graph.FwdCtx{Infer: !rs.train}))
+			}})
 		}
-		specs = rs.blockTasks(specs, n, n.FwdPrio, gr, terms, conv.SumForward, func(out *tensor.Tensor) {
-			rs.joinForward(n, v, out)
-		})
 	}
-	rs.sr.SpawnBatch(specs)
+	return specs
 }
 
 // blockTasks appends one task per block of gr's output planes, each summing
@@ -401,74 +402,37 @@ func (rs *RoundState) blockTasks(specs []sched.TaskSpec, n *graph.Node, prio int
 	return specs
 }
 
-// doForward is Algorithm 1's DO-FORWARD for an edge outside any direct
-// group, over the round's volumes: one sweep of the edge (its kernel
-// spectrum fetched once), then each volume joins its target's sum. The two
-// arms are the two kinds of sum a node can have.
-func (rs *RoundState) doForward(e *graph.Edge, imgs []*tensor.Tensor) {
-	us := &rs.nodes[e.From.ID]
-	vs := &rs.nodes[e.To.ID]
-	if rs.p.nodes[e.To.ID].fwdSpectral {
-		op := e.Op.(*graph.ConvOp)
-		var done []int // volumes whose sum this task completed
-		for v, prod := range op.Tr.ForwardProducts(imgs, op.Kernel, &us.spectra, !rs.train) {
-			if vs.fwdCSums[v].Add(prod) {
-				done = append(done, v)
-			}
-		}
-		// One inverse transform per (node, volume). All but one go out as
-		// tasks so the inverses of a completed batch run in parallel instead
-		// of serializing here; the last runs on this task.
-		for i, v := range done {
-			if i == len(done)-1 {
-				rs.finishSpectral(e, v)
-				break
-			}
-			v := v
-			rs.sr.Spawn(sched.Work, e.To.FwdPrio, func() { rs.finishSpectral(e, v) })
-		}
-		return
-	}
-	ctx := &graph.FwdCtx{Spectra: &us.spectra, Infer: !rs.train}
-	for v, out := range graph.ForwardBatch(e.Op, imgs, ctx) {
-		rs.joinForward(e.To, v, out)
-	}
-}
-
 // joinForward adds one part of volume v's image at node n; the last part
-// publishes it.
-func (rs *RoundState) joinForward(n *graph.Node, v int, img *tensor.Tensor) {
+// publishes the sum.
+func (rs *RoundState) joinForward(n *graph.Node, v, part int, img *tensor.Tensor) {
 	if sums := rs.nodes[n.ID].fwdSums; sums != nil {
-		if !sums[v].Add(img) {
+		if img = sums[v].join(part, img); img == nil {
 			return
 		}
-		img = sums[v].Value()
 	}
 	rs.finishForward(n, v, img)
 }
 
-// finishSpectral inverts volume v's completed spectral sum at edge e's
-// target node and publishes the image.
-func (rs *RoundState) finishSpectral(e *graph.Edge, v int) {
-	sum := rs.nodes[e.To.ID].fwdCSums[v].Value()
-	rs.finishForward(e.To, v, e.Op.(*graph.ConvOp).Tr.FinishForward(sum))
-}
-
-// finishForward publishes volume v's completed image at node n; the node's
-// last volume triggers the downstream fan-out (or output accounting).
+// finishForward publishes volume v's completed image at node n. It first
+// computes the image's spectra for n's FFT out-edges, so no group task
+// transforms another node's image; the node's last volume then starts the
+// downstream groups (or the output accounting).
 func (rs *RoundState) finishForward(n *graph.Node, v int, img *tensor.Tensor) {
-	vs := &rs.nodes[n.ID]
-	if !vs.completeFwd(v, img) {
+	rn := &rs.nodes[n.ID]
+	rn.spectra[v].Reset(img)
+	for _, e := range n.Out {
+		if tr := spectralTr(e); tr != nil {
+			tr.Spectrum(&rn.spectra[v])
+		}
+	}
+	if !rn.completeFwd(v, img) {
 		return
 	}
 	if n.IsOutput() {
 		rs.outputReady()
 		return
 	}
-	vs.mu.Lock()
-	imgs := vs.fwdImgs
-	vs.mu.Unlock()
-	rs.fanOutForward(n, imgs)
+	rs.fanOutForward(n)
 }
 
 // outputReady fires when one output node's forward images complete for all
@@ -498,16 +462,23 @@ func (rs *RoundState) outputReady() {
 }
 
 // publishBackward publishes node n's backward image to its in-edges
-// (Algorithm 2; only training rounds, which are K=1, run backward). An
-// edge summed by a direct group at its source counts down the group's
-// unpublished targets; the last starts the group. Every other edge gets a
-// backward task of its own.
+// (Algorithm 2; only training rounds, which are K=1, run backward), first
+// computing the image's spectra for the FFT in-edges that read them. Each
+// in-edge counts down the unpublished targets of its group at the source;
+// the last starts the group. An edge leaving a graph input has no group:
+// the input computes no backward image.
 func (rs *RoundState) publishBackward(n *graph.Node, img *tensor.Tensor) {
-	rs.nodes[n.ID].setBwd(img)
+	rn := &rs.nodes[n.ID]
+	rn.setBwd(img)
+	for _, e := range n.In {
+		if tr := spectralTr(e); tr != nil && (!e.From.IsInput() || tr.Memoizes()) {
+			tr.Spectrum(&rn.bwdSpec)
+		}
+	}
 	var specs []sched.TaskSpec
 	for _, e := range n.In {
 		if gr := rs.p.bwdGroup[e.ID]; gr == nil {
-			specs = append(specs, sched.TaskSpec{Prio: e.From.BwdPrio, Fn: func() { rs.doBackward(e, img) }})
+			specs = append(specs, sched.TaskSpec{Prio: e.From.BwdPrio, Fn: func() { rs.keepBackward(e, img) }})
 		} else if rs.operands[gr.id].Add(-1) == 0 {
 			specs = rs.backwardGroup(specs, e.From, gr)
 		}
@@ -515,51 +486,61 @@ func (rs *RoundState) publishBackward(n *graph.Node, img *tensor.Tensor) {
 	rs.sr.SpawnBatch(specs)
 }
 
-// backwardGroup appends the tasks summing direct group gr into node n's
-// backward image: each voxel one FMA chain over the reflected taps of every
-// out-edge, reading each target's backward image padded once per halo.
-// Once done, the group's edges release and the image joins n's sum.
+// backwardGroup appends the tasks summing group gr into node n's backward
+// image: for a direct group one task per plane block over the reflected
+// taps of every out-edge, reading each target's backward image padded once
+// per halo; for a spectral group one task multiply-accumulating every
+// out-edge's product; for any other edge one task applying its op's
+// Jacobian. Once the sum is done, the group's edges release and it joins
+// n's sum.
 func (rs *RoundState) backwardGroup(specs []sched.TaskSpec, n *graph.Node, gr *group) []sched.TaskSpec {
-	terms := make([]conv.Term, len(gr.edges))
-	for i, e := range gr.edges {
-		op := e.Op.(*graph.ConvOp)
-		terms[i] = conv.Term{Tr: op.Tr, Img: rs.nodes[e.To.ID].pads.Get(op.Tr.Halo()), Ker: op.Kernel}
-	}
-	return rs.blockTasks(specs, n, n.BwdPrio, gr, terms, conv.SumBackward, func(out *tensor.Tensor) {
+	done := func(out *tensor.Tensor) {
 		for _, e := range gr.edges {
 			rs.releaseEdge(e)
 		}
-		rs.joinBackward(n, out)
-	})
+		rs.joinBackward(n, gr.part, out)
+	}
+	switch {
+	case gr.blocks != nil:
+		terms := make([]conv.Term, len(gr.edges))
+		for i, e := range gr.edges {
+			op := e.Op.(*graph.ConvOp)
+			terms[i] = conv.Term{Tr: op.Tr, Img: rs.nodes[e.To.ID].pads.Get(op.Tr.Halo()), Ker: op.Kernel}
+		}
+		return rs.blockTasks(specs, n, n.BwdPrio, gr, terms, conv.SumBackward, done)
+	case gr.spectral:
+		terms := make([]conv.SpecTerm, len(gr.edges))
+		for i, e := range gr.edges {
+			op := e.Op.(*graph.ConvOp)
+			terms[i] = conv.SpecTerm{Tr: op.Tr, Ker: op.Kernel, F: op.Tr.Spectrum(&rs.nodes[e.To.ID].bwdSpec)}
+		}
+		return append(specs, sched.TaskSpec{Prio: n.BwdPrio, Fn: func() {
+			out := tensor.New(n.Shape)
+			conv.SpectralBackward(out, terms)
+			done(out)
+		}})
+	default:
+		// A non-convolution edge is its target's only in-edge, so its op
+		// may overwrite the backward image.
+		e := gr.edges[0]
+		img := rs.nodes[e.To.ID].BwdImage()
+		return append(specs, sched.TaskSpec{Prio: n.BwdPrio, Fn: func() {
+			done(e.Op.Backward(img, &graph.BwdCtx{Owned: true}))
+		}})
+	}
 }
 
-// doBackward is Algorithm 2's BACKWARD-TASK body for an edge outside any
-// direct group. The order matters: the backward transform runs first
-// (trainable transfer ops record their bias gradient during it), then the
-// edge releases, then the result joins the source node's sum. An input
-// node has no backward image: its edges only keep what their update needs.
-func (rs *RoundState) doBackward(e *graph.Edge, img *tensor.Tensor) {
-	vs := &rs.nodes[e.To.ID]
-	op, isConv := e.Op.(*graph.ConvOp)
-	ctx := &graph.BwdCtx{Spectra: &vs.bwdSpec, Owned: !isConv}
-	switch {
-	case e.From.IsInput() && isConv:
-		op.Tr.KeepBackward(img, &vs.bwdSpec)
-		rs.releaseEdge(e)
-	case e.From.IsInput():
-		e.Op.Backward(img, ctx)
-		rs.releaseEdge(e)
-	case rs.p.nodes[e.From.ID].bwdSpectral:
-		prod := op.Tr.BackwardProduct(img, op.Kernel, &vs.bwdSpec)
-		rs.releaseEdge(e)
-		if sum := rs.nodes[e.From.ID].bwdCSum; sum.Add(prod) {
-			rs.publishBackward(e.From, op.Tr.FinishBackward(sum.Value()))
-		}
-	default:
-		out := e.Op.Backward(img, ctx)
-		rs.releaseEdge(e)
-		rs.joinBackward(e.From, out)
+// keepBackward ends the backward of an edge leaving a graph input, which
+// computes no backward image: the edge keeps only what its update needs —
+// a memoizing FFT edge the target's backward spectrum, a trainable transfer
+// the bias gradient its Backward records — and releases.
+func (rs *RoundState) keepBackward(e *graph.Edge, img *tensor.Tensor) {
+	if op, ok := e.Op.(*graph.ConvOp); ok {
+		op.Tr.KeepBackward(&rs.nodes[e.To.ID].bwdSpec)
+	} else {
+		e.Op.Backward(img, &graph.BwdCtx{Owned: true})
 	}
+	rs.releaseEdge(e)
 }
 
 // releaseEdge ends edge e's backward: a trainable op's update task is
@@ -582,13 +563,20 @@ func (rs *RoundState) releaseEdge(e *graph.Edge) {
 }
 
 // joinBackward adds one part of node n's backward image; the last part
-// publishes it.
-func (rs *RoundState) joinBackward(n *graph.Node, img *tensor.Tensor) {
+// publishes the sum.
+func (rs *RoundState) joinBackward(n *graph.Node, part int, img *tensor.Tensor) {
 	if sum := rs.nodes[n.ID].bwdSum; sum != nil {
-		if !sum.Add(img) {
+		if img = sum.join(part, img); img == nil {
 			return
 		}
-		img = sum.Value()
 	}
 	rs.publishBackward(n, img)
+}
+
+// spectralTr returns the transformer of an FFT convolution edge, or nil.
+func spectralTr(e *graph.Edge) *conv.Transformer {
+	if op, ok := e.Op.(*graph.ConvOp); ok && op.Tr.Method().IsFFT() {
+		return op.Tr
+	}
+	return nil
 }

@@ -11,12 +11,15 @@
 // that contributes the final addition observes total == required and
 // reports completion, at which point the slot holds the full sum.
 //
-// One Sum type serves tensors (New, Get) and the spectra of spectral mode
-// (NewComplex, GetComplex), where edges converging on a node sum their
-// FFT-domain products before a single inverse transform (Table II's forward
-// cost). Spectra come from the pool of their precision, and every buffer a
-// spectral sum consumes goes back to it; all contributions to one sum share
-// a layout and precision (SpectralEligible), or Spectrum.Add panics.
+// One Sum type serves tensors (New) and spectra (NewComplex); every
+// spectrum buffer a complex sum consumes as a partial goes back to the pool
+// of its precision, and all contributions to one sum share a layout and
+// precision, or Spectrum.Add panics.
+//
+// The training engine does not sum this way: its node tasks add every sum
+// in a fixed order, so results do not depend on which task finished first
+// (package train). The package keeps the paper's algorithm, which the
+// benchmark measures.
 package wsum
 
 import (
@@ -28,72 +31,28 @@ import (
 )
 
 // Sum accumulates a fixed number of T values concurrently. Create one with
-// New or NewComplex (or Get/GetComplex from the free list), call Add from
-// any number of goroutines (collectively exactly `required` times), then
-// read the result with Value on the goroutine that received last == true.
+// New or NewComplex, call Add from any number of goroutines (collectively
+// exactly `required` times), then read the result with Value on the
+// goroutine that received last == true.
 type Sum[T interface{ Add(T) }] struct {
 	mu       sync.Mutex
 	sum      T
 	held     bool // the slot owns sum: a parked partial, or the result until Value
 	total    int
 	required int
-	kind     *kind[T]
-}
-
-// kind holds what differs between element types: the free list of Sum
-// objects, and what becomes of a buffer the sum consumes (nil drops it).
-type kind[T interface{ Add(T) }] struct {
-	free    sync.Pool
-	recycle func(T)
-}
-
-// Per-round sums come from free lists rather than being reset in place, so
-// concurrent rounds get private accumulators without allocation churn.
-var (
-	tensors = &kind[*tensor.Tensor]{}
-	spectra = &kind[fft.Spectrum]{recycle: fft.Spectrum.Release}
-)
-
-// get returns a Sum reset to expect required contributions, from the free
-// list when pooled is set.
-func (k *kind[T]) get(required int, pooled bool) (s *Sum[T]) {
-	if pooled {
-		s, _ = k.free.Get().(*Sum[T])
-	}
-	if s == nil {
-		s = &Sum[T]{kind: k}
-	}
-	s.Reset(required)
-	return s
+	recycle  func(T) // what becomes of a consumed partial; nil drops it
 }
 
 // New returns a tensor summation expecting exactly required contributions.
-func New(required int) *Sum[*tensor.Tensor] { return tensors.get(required, false) }
-
-// Get returns a tensor Sum from the package free list, reset to expect
-// required contributions. Pair with Release when the round completes.
-func Get(required int) *Sum[*tensor.Tensor] { return tensors.get(required, true) }
+func New(required int) *Sum[*tensor.Tensor] { return newSum[*tensor.Tensor](required, nil) }
 
 // NewComplex returns a spectral summation expecting required contributions.
-func NewComplex(required int) *Sum[fft.Spectrum] { return spectra.get(required, false) }
+func NewComplex(required int) *Sum[fft.Spectrum] { return newSum(required, fft.Spectrum.Release) }
 
-// GetComplex returns a spectral Sum from the free list, reset to expect
-// required contributions. Pair with Release when the round completes.
-func GetComplex(required int) *Sum[fft.Spectrum] { return spectra.get(required, true) }
-
-// Release returns the object to its free list. A buffer still parked in
-// the slot (an abandoned round that never reached Value) is recycled like
-// a consumed partial; a completed sum holds nothing, because Value
-// transfers the buffer out.
-func (s *Sum[T]) Release() {
-	s.mu.Lock()
-	held, ok := s.sum, s.held
-	s.mu.Unlock()
-	s.Reset(1)
-	if ok && s.kind.recycle != nil {
-		s.kind.recycle(held)
-	}
-	s.kind.free.Put(s)
+func newSum[T interface{ Add(T) }](required int, recycle func(T)) *Sum[T] {
+	s := &Sum[T]{recycle: recycle}
+	s.Reset(required)
+	return s
 }
 
 // Required returns the number of contributions the sum expects.
@@ -127,15 +86,14 @@ func (s *Sum[T]) Add(v T) (last bool) {
 		// The expensive image addition happens outside the critical
 		// section, on this thread's private copy.
 		v.Add(vPrime)
-		if s.kind.recycle != nil {
-			s.kind.recycle(vPrime)
+		if s.recycle != nil {
+			s.recycle(vPrime)
 		}
 	}
 }
 
-// Value returns the completed sum and transfers ownership to the caller,
-// so a later Release does not recycle it. It must only be called after
-// some Add returned true.
+// Value returns the completed sum and transfers ownership to the caller.
+// It must only be called after some Add returned true.
 func (s *Sum[T]) Value() T {
 	s.mu.Lock()
 	defer s.mu.Unlock()

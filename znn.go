@@ -12,7 +12,8 @@
 //   - Network: layered ConvNets built from a compact spec string
 //     ("C3-Trelu-M2-C3-Trelu-..."), trained with the paper's priority
 //     scheduler, FFT/direct autotuned convolution, FFT memoization, and
-//     wait-free concurrent summation.
+//     node sums in a fixed order, so training is bitwise reproducible at
+//     any worker count.
 //   - GraphBuilder: arbitrary-topology computation graphs ("ZNN allows for
 //     easy extensions and can efficiently train a ConvNet with an
 //     arbitrary topology").
@@ -390,11 +391,11 @@ func (n *Network) Infer(inputs ...*Tensor) ([]*Tensor, error) {
 // InferBatch runs the K volumes of batch — batch[v] is volume v's input
 // slice — through ONE K-wide fused inference round and returns volume v's
 // output slice at index v. The batch dimension is a property of the round
-// itself: every layer's kernel spectrum streams through cache once per
-// batch, feeding K pointwise products, with one inverse transform per
-// (node, volume) — the ZNNi/PZnet batching result for many-core CPU
-// inference throughput. Per-volume outputs are bit-identical to K separate
-// Infer calls; a round error fails only this batch. Like
+// itself: every node sum runs as one task per volume (a direct sum per
+// block of output planes), with one inverse transform per (node, volume) —
+// the ZNNi/PZnet batching result for many-core CPU inference throughput.
+// Per-volume outputs are bit-identical to K separate Infer calls; a round
+// error fails only this batch. Like
 // Infer it is concurrency-safe alongside any other inference calls (to
 // keep N independent rounds in flight instead, call Infer from N
 // goroutines).
