@@ -546,7 +546,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		"cube_blocks_done":    s.cubeBlocksDone.Load(),
 		"cube_blocks_total":   s.cubeBlocksTotal.Load(),
 		"cube_bytes_stitched": s.cubeBytesStitched.Load(),
-		// Which complex64 kernel set this process dispatched to ("avx2",
+		// Which FFT kernel set this process dispatched to ("avx2",
 		// "scalar", or "purego") and how many kernel calls it has made —
 		// the first thing to check when two hosts disagree on infer_ms_ew.
 		"kernel_path":       fft.KernelPath(),

@@ -19,8 +19,9 @@ func batchVolumes(r *rand.Rand, s tensor.Shape, k int) []*tensor.Tensor {
 }
 
 // TestForwardWidthTable pins batch width as data: for every method ×
-// precision × width K × {no cache, shared cache}, ForwardBatch(vols)[i] is
-// bitwise equal to the one-volume Forward(vols[i]).
+// precision × width K, ForwardBatch(vols)[i] is bitwise equal to the
+// one-volume Forward(vols[i]), and so is the FFT sum of one term whose
+// spectrum comes from a shared cache through Transformer.Spectrum.
 func TestForwardWidthTable(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	in := tensor.S3(9, 8, 7)
@@ -42,27 +43,30 @@ func TestForwardWidthTable(t *testing.T) {
 		for i, v := range vols {
 			want[i] = tr.Forward(v, ker, nil)
 		}
-		for _, k := range []int{1, 3} {
-			for _, cached := range []bool{false, true} {
-				var sc *SpectrumCache
-				if cached {
-					sc = new(SpectrumCache)
-					sc.Reset(vols[:k]...)
-				}
-				check := func(entry string, got []*tensor.Tensor) {
-					t.Helper()
-					if len(got) != k {
-						t.Fatalf("%s K=%d cached=%v: %s returned %d volumes", tc.name, k, cached, entry, len(got))
-					}
-					for i := range got {
-						if !got[i].Equal(want[i]) {
-							t.Errorf("%s K=%d cached=%v: %s volume %d differs from Forward (max |Δ| = %g)",
-								tc.name, k, cached, entry, i, got[i].MaxAbsDiff(want[i]))
-						}
-					}
-				}
-				check("ForwardBatch", tr.ForwardBatch(vols[:k], ker, sc, true))
+		check := func(entry string, k int, got []*tensor.Tensor) {
+			t.Helper()
+			if len(got) != k {
+				t.Fatalf("%s K=%d: %s returned %d volumes", tc.name, k, entry, len(got))
 			}
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Errorf("%s K=%d: %s volume %d differs from Forward (max |Δ| = %g)",
+						tc.name, k, entry, i, got[i].MaxAbsDiff(want[i]))
+				}
+			}
+		}
+		for _, k := range []int{1, 3} {
+			check("ForwardBatch", k, tr.ForwardBatch(vols[:k], ker, true))
+		}
+		if tc.mth.IsFFT() {
+			got := make([]*tensor.Tensor, len(vols))
+			for i, v := range vols {
+				var sc SpectrumCache
+				sc.Reset(v)
+				got[i] = tensor.New(tr.OutShape())
+				SpectralForward(got[i], []SpecTerm{{Tr: tr, Ker: ker, F: tr.Spectrum(&sc)}}, true)
+			}
+			check("cached Spectrum", len(vols), got)
 		}
 	}
 }
@@ -136,7 +140,7 @@ func TestInferSweepLeavesMemoAlone(t *testing.T) {
 		tr.Forward(img, ker, nil)
 		tr.Backward(bwd, ker, nil)
 		if inferBetween {
-			tr.ForwardBatch(others, ker, nil, true)
+			tr.ForwardBatch(others, ker, true)
 			SpectralForward(tensor.New(tr.OutShape()), []SpecTerm{{Tr: tr, Ker: ker, F: tr.newSpec(others[0])}}, true)
 			if !tr.HasMemoizedSpectra() {
 				t.Fatal("inference sweep cleared the memo slots")
@@ -150,45 +154,15 @@ func TestInferSweepLeavesMemoAlone(t *testing.T) {
 	}
 }
 
-// TestSpectrumCacheBatch checks the batch cache contract: GetBatch computes
-// each volume's spectrum once, Get returns volume 0's shared buffer, and a
-// second GetBatch is pure cache hits.
-func TestSpectrumCacheBatch(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	in := tensor.S3(8, 8, 8)
-	const k = 3
-	vols := batchVolumes(r, in, k)
-	m := tensor.S3(10, 10, 10)
-
-	var cnt Counters
-	var sc SpectrumCache
-	sc.Reset(vols...)
-	specs := sc.GetBatch(m, PrecF64, &cnt)
-	if len(specs) != k {
-		t.Fatalf("GetBatch returned %d spectra, want %d", len(specs), k)
-	}
-	ffts := cnt.Snapshot().FFTs
-	if ffts != k {
-		t.Fatalf("GetBatch computed %d FFTs, want %d", ffts, k)
-	}
-	if got := sc.Get(m, PrecF64, &cnt); &got.C128[0] != &specs[0].C128[0] {
-		t.Fatal("Get returned a different buffer than GetBatch's volume 0")
-	}
-	sc.GetBatch(m, PrecF64, &cnt)
-	if now := cnt.Snapshot().FFTs; now != ffts {
-		t.Fatalf("second GetBatch recomputed spectra: %d FFTs, want %d", now, ffts)
-	}
-}
-
 // TestSpectrumCachePooledRelease checks the pooled regime: buffers come
 // from the spectra pool of their precision and every byte returns on
 // ReleaseAll (the inference round's release hook), for both precisions.
 func TestSpectrumCachePooledRelease(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	in := tensor.S3(8, 8, 8)
-	const k = 2
-	vols := batchVolumes(r, in, k)
-	m := tensor.S3(10, 10, 10)
+	vols := batchVolumes(r, in, 2)
+	tr64 := NewTransformerPrec(in, tensor.Cube(3), tensor.Dense(), FFT, PrecF64, false, nil)
+	tr32 := NewTransformerPrec(in, tensor.Cube(3), tensor.Dense(), FFT, PrecF32, false, nil)
 
 	pre64 := mempool.Spectra.Stats().LiveBytes
 	pre32 := mempool.Spectra32.Stats().LiveBytes
@@ -196,8 +170,8 @@ func TestSpectrumCachePooledRelease(t *testing.T) {
 	var sc SpectrumCache
 	sc.SetPooled(true)
 	sc.Reset(vols...)
-	sc.GetBatch(m, PrecF64, nil)
-	sc.GetBatch(m, PrecF32, nil)
+	tr64.Spectrum(&sc)
+	tr32.Spectrum(&sc)
 	if live := mempool.Spectra.Stats().LiveBytes; live <= pre64 {
 		t.Fatalf("pooled f64 cache did not draw from the spectra pool (live %d, was %d)", live, pre64)
 	}
@@ -214,7 +188,7 @@ func TestSpectrumCachePooledRelease(t *testing.T) {
 
 	// Reset on a live pooled cache must also return its buffers.
 	sc.Reset(vols...)
-	sc.GetBatch(m, PrecF64, nil)
+	tr64.Spectrum(&sc)
 	sc.Reset(vols...)
 	if live := mempool.Spectra.Stats().LiveBytes; live != pre64 {
 		t.Fatalf("Reset leaked pooled bytes: live %d, want %d", live, pre64)

@@ -77,11 +77,11 @@ func (c *Counters) addDirect(flops int64) {
 
 // Snapshot is a plain-value copy of the counters, plus the process-global
 // vector-kernel dispatch state (fft.KernelPath / fft.KernelDispatches):
-// which complex64 kernel set this process runs and how many kernel calls
-// it has dispatched to the vector set. The dispatch fields describe the
-// process, not one edge, but they belong in the same observability surface
-// — an f32 FFT count is only interpretable next to the instruction set
-// that executed it.
+// which FFT kernel set this process runs and how many kernel calls it has
+// dispatched to the vector set. The dispatch fields describe the process,
+// not one edge, but they belong in the same observability surface — an FFT
+// count is only interpretable next to the instruction set that executed
+// it.
 type Snapshot struct {
 	FFTs         int64
 	InverseFFTs  int64

@@ -92,7 +92,7 @@ func reflectSpectrumPackedInto[C fft.Complex](dst, src []C, m, support tensor.Sh
 // iteration shape it (the packed spectrum shape; the phase tables are
 // indexed by coordinate). The complex64
 // instantiation runs in explicit float32 component arithmetic to dodge the
-// compiler's complex64-multiply promotion (see fft's kernels64).
+// compiler's complex64-multiply promotion (see fft's kernels.go).
 func reflectLoop[C fft.Complex](dst, src []C, it tensor.Shape, px, py, pz []C) {
 	if d64, ok := any(dst).([]complex64); ok {
 		reflectLoop64(d64, any(src).([]complex64), it,

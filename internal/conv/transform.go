@@ -23,7 +23,7 @@ type spectrumKey struct {
 // and precision so a node feeding layers with different kernel sizes or
 // dtypes keeps one spectrum per combination, and it holds one image — and
 // lazily one spectrum per key — per volume. Reset points it at the images,
-// every consumer sees the same buffers (Get/GetBatch), and the buffers are
+// every consumer sees the same buffers (Get), and the buffers are
 // immutable until the next Reset or ReleaseAll. The engine keeps one cache
 // per (node, volume) and fills it in the task that publishes the image,
 // before any node sum reads it.
@@ -95,20 +95,6 @@ func (sc *SpectrumCache) Get(m tensor.Shape, prec Precision, c *Counters) fft.Sp
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	return sc.getLocked(0, m, prec, c)
-}
-
-// GetBatch returns the spectra of all cached images at one key, computing
-// missing ones under a single lock hold — the entry point for transformer
-// sweeps, where one kernel-spectrum fetch feeds a pointwise product per
-// volume. The returned slice is shared; treat it and every buffer as
-// immutable.
-func (sc *SpectrumCache) GetBatch(m tensor.Shape, prec Precision, c *Counters) []fft.Spectrum {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	for i := range sc.imgs {
-		sc.getLocked(i, m, prec, c)
-	}
-	return sc.entries[spectrumKey{m: m, prec: prec}]
 }
 
 // getLocked computes-or-returns the spectrum of image i at the key.
@@ -436,16 +422,20 @@ func (t *Transformer) InvalidateKernel() {
 
 // Forward computes the edge's forward pass for one volume: the valid sparse
 // convolution of img with ker. sc, when non-nil, supplies the node-shared
-// image spectrum. With memoization enabled the image spectrum is retained
-// for KernelGrad.
+// image spectrum (Spectrum). With memoization enabled the image spectrum is
+// retained for KernelGrad.
 func (t *Transformer) Forward(img, ker *tensor.Tensor, sc *SpectrumCache) *tensor.Tensor {
-	return t.ForwardBatch([]*tensor.Tensor{img}, ker, sc, false)[0]
+	if sc == nil || !t.mth.IsFFT() || img.S != t.in { // ForwardBatch rejects a wrong shape
+		return t.ForwardBatch([]*tensor.Tensor{img}, ker, false)[0]
+	}
+	out := tensor.New(t.out)
+	SpectralForward(out, []SpecTerm{{Tr: t, Ker: ker, F: t.Spectrum(sc)}}, false)
+	return out
 }
 
 // ForwardBatch computes the edge's forward pass for every volume of a
 // round's sweep, each the one-term case of the node sums: SpectralForward on
-// the FFT path, SumForward on the spatial one. sc, when non-nil, must hold
-// the same images and supplies their spectra.
+// the FFT path, SumForward on the spatial one.
 //
 // infer suppresses the memoization side effect. Concurrent forward-only
 // rounds share one Transformer, and the imgF memo slot is round-scoped
@@ -453,7 +443,7 @@ func (t *Transformer) Forward(img, ker *tensor.Tensor, sc *SpectrumCache) *tenso
 // from the surrounding training rounds could consume the wrong image
 // spectrum. The memo slot holds one volume, which is all a training round
 // carries.
-func (t *Transformer) ForwardBatch(imgs []*tensor.Tensor, ker *tensor.Tensor, sc *SpectrumCache, infer bool) []*tensor.Tensor {
+func (t *Transformer) ForwardBatch(imgs []*tensor.Tensor, ker *tensor.Tensor, infer bool) []*tensor.Tensor {
 	for _, img := range imgs {
 		if img.S != t.in {
 			panic(fmt.Sprintf("conv: forward image %v, want %v", img.S, t.in))
@@ -462,23 +452,13 @@ func (t *Transformer) ForwardBatch(imgs []*tensor.Tensor, ker *tensor.Tensor, sc
 	if t.mth.IsFFT() && t.mem && !infer && len(imgs) != 1 {
 		panic(fmt.Sprintf("conv: memoizing forward over %d volumes", len(imgs)))
 	}
-	var imgFs []fft.Spectrum
-	if t.mth.IsFFT() && sc != nil {
-		imgFs = sc.GetBatch(t.m, t.prec, t.cnt)
-		if len(imgFs) != len(imgs) {
-			panic(fmt.Sprintf("conv: spectrum cache holds %d images, sweep has %d", len(imgFs), len(imgs)))
-		}
-	}
 	outs := make([]*tensor.Tensor, len(imgs))
 	for i, img := range imgs {
 		outs[i] = tensor.New(t.out)
-		switch {
-		case !t.mth.IsFFT():
-			SumForward(outs[i], 0, t.out.Z, []Term{{Tr: t, Img: img, Ker: ker}})
-		case imgFs != nil:
-			SpectralForward(outs[i], []SpecTerm{{Tr: t, Ker: ker, F: imgFs[i]}}, infer)
-		default:
+		if t.mth.IsFFT() {
 			SpectralForward(outs[i], []SpecTerm{{Tr: t, Ker: ker, F: t.newSpec(img)}}, infer)
+		} else {
+			SumForward(outs[i], 0, t.out.Z, []Term{{Tr: t, Img: img, Ker: ker}})
 		}
 	}
 	return outs

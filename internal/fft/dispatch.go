@@ -1,37 +1,40 @@
 package fft
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"znn/internal/tensor"
+)
 
 // Vector kernel dispatch.
 //
-// The complex64 hot-path kernels are reached through the function variables
-// below. At package init exactly one implementation set is installed:
+// The hot-path kernels of both precisions — the complex64 and complex128
+// pointwise products and scale, and the float32 and float64 lane kernels —
+// are reached through the variables below. At package init exactly one
+// implementation set is installed:
 //
-//   - the AVX2 assembly kernels (kernels64_amd64.s) when the build is
+//   - the AVX2 assembly kernels (kernels_amd64.s) when the build is
 //     amd64 without the purego tag AND internal/cpu detects AVX2+FMA with
 //     OS YMM support — KernelPath() reports "avx2";
-//   - otherwise the portable scalar/lane Go kernels — KernelPath() reports
-//     "scalar" on amd64 hosts that merely lack the features, and "purego"
-//     when the build excluded the assembly (purego tag or non-amd64).
+//   - otherwise the portable Go kernels — KernelPath() reports "scalar" on
+//     amd64 hosts that merely lack the features, and "purego" when the
+//     build excluded the assembly (purego tag or non-amd64).
 //
 // After init the table is immutable.
 var (
-	mulInto64    = mulInto64Scalar
-	mulAccInto64 = mulAccInto64Scalar
-	scale64      = scale64Scalar
+	mulInto64     = mulInto64Scalar
+	mulAccInto64  = mulAccInto64Scalar
+	scale64       = scale64Scalar
+	mulInto128    = mulInto128Scalar
+	mulAccInto128 = mulAccInto128Scalar
+	scale128      = scale128Scalar
 
-	bfLaneR2       = bfLaneR2Go
-	bfLaneR3       = bfLaneR3Go
-	bfLaneR4       = bfLaneR4Go
-	bfLaneR5       = bfLaneR5Go
-	r2cLaneCombine = r2cLaneCombineGo
-	c2rLanePre     = c2rLanePreGo
-
-	// laneBatch gates the lane-batched line passes of the 3D plans. The
-	// SoA restructuring pays for itself through the 8-wide assembly
-	// butterflies; without them the per-line scalar kernels keep the
-	// cache-tiled blockLines path, so the gate follows the kernel set.
-	laneBatch = false
+	// lane32 and lane64 are the lanes-wide kernel sets of the 3D passes,
+	// line32 and line64 the single-line Go sets of the 1D plans. The 3D
+	// passes run lanes wide on either kernel set: on the Go twins too, 8
+	// lines in lockstep beat one line at a time.
+	lane32, lane64 = portable[float32](lanes), portable[float64](lanes)
+	line32, line64 = portable[float32](1), portable[float64](1)
 
 	// vecActive mirrors "the AVX2 set is installed" for the dispatch
 	// counter below without a string compare on hot paths.
@@ -39,6 +42,19 @@ var (
 
 	kernelPath = "scalar"
 )
+
+// kernelsFor returns precision F's lanes-wide kernel set when batched, else
+// its single-line set.
+func kernelsFor[F tensor.Real](batched bool) *laneKernels[F] {
+	sets := [2]any{line64, lane64}
+	if isR32[F]() {
+		sets = [2]any{line32, lane32}
+	}
+	if batched {
+		return sets[1].(*laneKernels[F])
+	}
+	return sets[0].(*laneKernels[F])
+}
 
 // vecKernelOps counts dispatches into the AVX2 kernel set at kernel-call
 // granularity (one flat pointwise kernel over a whole spectrum, or one
@@ -53,9 +69,10 @@ func countVec() {
 	}
 }
 
-// KernelPath reports which complex64 kernel set this process runs:
-// "avx2", "scalar" (amd64 built with assembly but the CPU or OS lacks
-// AVX2/FMA/YMM support), or "purego" (assembly excluded at build time).
+// KernelPath reports which kernel set this process runs, for both
+// precisions: "avx2", "scalar" (amd64 built with assembly but the CPU or
+// OS lacks AVX2/FMA/YMM support), or "purego" (assembly excluded at build
+// time).
 func KernelPath() string { return kernelPath }
 
 // KernelDispatches returns the number of kernel calls dispatched to the

@@ -4,8 +4,9 @@
 // The original ZNN delegates to fftw or Intel MKL; this package is a
 // self-contained pure-Go replacement with the same asymptotics:
 //
-//   - iterative-free recursive mixed-radix Cooley-Tukey for lengths whose
-//     prime factors are all ≤ 5 (the sizes GoodSize produces), and
+//   - mixed-radix Cooley-Tukey for lengths whose prime factors are all
+//     ≤ 5 (the sizes GoodSize produces), one lane-batched recursion for
+//     both precisions (laneDFT), and
 //   - separable 3D real-to-complex transforms with Hermitian-packed spectra
 //     (PlanR/Plan3R), built from cached 1D plans, the path for convolution
 //     of real images.
@@ -69,33 +70,33 @@
 //
 // # Vector kernel dispatch
 //
-// The complex64 hot path — pointwise spectrum products and the inner
-// butterflies of the line transforms — is reachable through two
+// The hot path of both precisions — pointwise spectrum products and the
+// inner butterflies of the line transforms — is reachable through two
 // interchangeable kernel sets, selected once at package init:
 //
-//   - AVX2+FMA assembly (kernels64_amd64.s), installed on amd64 builds when
+//   - AVX2+FMA assembly (kernels_amd64.s), installed on amd64 builds when
 //     internal/cpu confirms AVX2, FMA and OS YMM-state support at runtime.
-//     The flat kernels process four complex64 coefficients per iteration;
-//     the butterfly kernels run lane-batched: the 3D plan gathers eight
-//     independent lines into split re/im float32 planes (element j of lane
-//     c at plane index j·8+c) so each butterfly is a column of 8-wide
-//     vertical float32 FMAs with broadcast twiddles. Lane batching covers
-//     all three axes, including the r2c/c2r X pass.
-//   - Portable Go kernels otherwise — bitwise-identical to the pre-dispatch
-//     scalar implementation.
+//     The flat kernels process one YMM register of coefficients per
+//     iteration (four complex64 or two complex128); the butterfly kernels
+//     run lane-batched: the 3D plan gathers eight independent lines into
+//     split re/im planes (element j of lane c at plane index j·8+c) so each
+//     butterfly is a column of 8-wide vertical float32 FMAs, or two 4-wide
+//     float64 ones, with broadcast twiddles. Lane batching covers all three
+//     axes, including the r2c/c2r X pass.
+//   - Portable Go kernels otherwise: the same lane-batched recursion on the
+//     Go twins of the butterflies (lane.go).
 //
 // The dispatch contract: selection happens exactly once, before any
 // transform runs; the installed set is process-global and immutable on the
-// production path; and the two sets agree at float32 tolerance (the
-// assembly contracts multiply-adds through FMA, so results differ from the
-// scalar path in the last bits — never rely on bitwise-identical spectra
-// across hosts). KernelPath reports the decision ("avx2", "scalar", or
-// "purego"); KernelDispatches counts calls into the vector set, which is
-// how CI proves the assembly actually ran. Building with `-tags purego`
-// is the escape hatch that excludes all assembly and CPUID probing — the
-// portable configuration every non-amd64 port compiles, and the fastest
-// way to rule the vector kernels in or out when debugging a numerical
-// discrepancy.
+// production path; and the two sets agree to rounding (the assembly
+// contracts multiply-adds through FMA, so results differ from the portable
+// path in the last bits — never rely on bitwise-identical spectra across
+// hosts). KernelPath reports the decision ("avx2", "scalar", or "purego");
+// KernelDispatches counts calls into the vector set, which is how CI proves
+// the assembly actually ran. Building with `-tags purego` is the escape
+// hatch that excludes all assembly and CPUID probing — the portable
+// configuration every non-amd64 port compiles, and the fastest way to rule
+// the vector kernels in or out when debugging a numerical discrepancy.
 package fft
 
 import (
@@ -128,15 +129,6 @@ func isR32[R tensor.Real]() bool {
 	return ok
 }
 
-// conjOf returns the complex conjugate generically. The round-trip through
-// complex128 is free for complex128 and a pair of float converts for
-// complex64; hot loops that conjugate per element absorb it in the halved
-// bandwidth.
-func conjOf[C Complex](c C) C {
-	z := complex128(c)
-	return C(complex(real(z), -imag(z)))
-}
-
 // cmplxOf builds a coefficient of type C from float64 parts.
 func cmplxOf[C Complex](re, im float64) C {
 	return C(complex(re, im))
@@ -151,10 +143,11 @@ const maxRadix = 5
 type PlanOf[C Complex] struct {
 	n       int
 	factors []int // mixed-radix factorization
+	perm    []int // leafOrder(factors)
 	w       []C   // w[k] = exp(-2πi k/n), forward twiddles
 	winv    []C   // conjugate twiddles for the inverse transform
 
-	scratch sync.Pool // *[]C of length n
+	scratch sync.Pool // *laneTile[F] of length n, F the component type of C
 }
 
 // Plan is the double-precision complex plan.
@@ -193,11 +186,8 @@ func NewPlanOf[C Complex](n int) *PlanOf[C] {
 	if p, ok := planCache[key]; ok {
 		return p.(*PlanOf[C])
 	}
-	p := &PlanOf[C]{n: n, factors: factors, w: twiddlesOf[C](n, -1), winv: twiddlesOf[C](n, +1)}
-	p.scratch.New = func() any {
-		s := make([]C, n)
-		return &s
-	}
+	p := &PlanOf[C]{n: n, factors: factors, perm: leafOrder(factors), w: twiddlesOf[C](n, -1), winv: twiddlesOf[C](n, +1)}
+	p.scratch.New = func() any { return newTile[C](n, 1) }
 	planCache[key] = p
 	return p
 }
@@ -215,9 +205,6 @@ func twiddlesOf[C Complex](n int, sign float64) []C {
 	}
 	return w
 }
-
-// twiddles returns the complex128 roots of unity exp(sign·2πi k/n).
-func twiddles(n int, sign float64) []complex128 { return twiddlesOf[complex128](n, sign) }
 
 // factorize splits n into factors in {4, 2, 3, 5} (4 first so the common
 // power-of-two case uses radix-4 butterflies), returning the factor list and
@@ -275,10 +262,7 @@ func scaleOf[C Complex](data []C, s float64) {
 		scale64(d64, float32(s))
 		return
 	}
-	d128 := any(data).([]complex128)
-	for i, v := range d128 {
-		d128[i] = complex(real(v)*s, imag(v)*s)
-	}
+	scale128(any(data).([]complex128), s)
 }
 
 // InverseUnscaled computes the inverse DFT without the 1/n factor. FFT
@@ -292,109 +276,30 @@ func (p *PlanOf[C]) transform(data []C, inverse bool) {
 	if p.n == 1 {
 		return
 	}
-	sp := p.scratch.Get().(*[]C)
-	src := *sp
-	copy(src, data)
-	w := p.w
-	if inverse {
-		w = p.winv
-	}
-	if d64, ok := any(data).([]complex64); ok {
-		rec64(p.factors, p.n, d64, any(src).([]complex64), p.n, 1, 0, any(w).([]complex64))
+	if is32[C]() {
+		lineTransform[float32](p, data, inverse)
 	} else {
-		rec(p.factors, p.n, any(data).([]complex128), any(src).([]complex128), p.n, 1, 0, any(w).([]complex128))
+		lineTransform[float64](p, data, inverse)
 	}
-	p.scratch.Put(sp)
 }
 
-// rec computes the DFT of the length-n subsequence of src starting at
-// offset 0 with the given stride, writing the contiguous result into dst.
-// factors is the plan's factorization (fi indexes this level's radix), pn
-// the plan length and w its full-length twiddle table for the chosen
-// direction. It is the complex128 recursion; rec64 is its complex64 twin.
-//
-// Each radix-r level twiddles leg j by w[j·k·step] with k < m = n/r and
-// step = pn/n, so j·k·step < pn and the index needs no reduction. The ω_r
-// constants come from the same table (w[pn/r], w[2·pn/r]), so the inverse
-// butterflies follow from winv with no sign logic.
-func rec(factors []int, pn int, dst, src []complex128, n, stride, fi int, w []complex128) {
-	if n == 1 {
-		dst[0] = src[0]
-		return
+// lineTransform runs one line through laneDFT at nl = 1 on the portable
+// kernels; F is C's component type.
+func lineTransform[F tensor.Real, C Complex](p *PlanOf[C], data []C, inverse bool) {
+	lt := p.scratch.Get().(*laneTile[F])
+	d := pairs[F](data)
+	gatherLanes(lt.dstRe, lt.dstIm, d, p.perm, 1, 0, 1, 1, p.n, 1)
+	laneDFT(kernelsFor[F](false), p, inverse, lt.dstRe, lt.dstIm)
+	scatterLanes(d, lt.dstRe, lt.dstIm, 1, 0, 1, 1, p.n, 1)
+	p.scratch.Put(lt)
+}
+
+// table returns the plan's twiddle table for the direction.
+func (p *PlanOf[C]) table(inverse bool) []C {
+	if inverse {
+		return p.winv
 	}
-	radix := factors[fi]
-	m := n / radix
-	for j := 0; j < radix; j++ {
-		rec(factors, pn, dst[j*m:(j+1)*m], src[j*stride:], m, stride*radix, fi+1, w)
-	}
-	// Combine the radix sub-transforms in place: for each k the reads
-	// (dst[j*m+k]) and writes (dst[q*m+k]) touch the same positions.
-	step := pn / n
-	switch radix {
-	case 2:
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * w[k*step]
-			dst[k] = a + b
-			dst[m+k] = a - b
-		}
-	case 3:
-		// y0 = a+s, y1,2 = a + Re(ω₃)·s ± i·Im(ω₃)·d with s = b+c, d = b−c.
-		wr, wi := real(w[pn/3]), imag(w[pn/3])
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * w[k*step]
-			c := dst[2*m+k] * w[2*k*step]
-			s, d := b+c, b-c
-			t := complex(real(a)+wr*real(s), imag(a)+wr*imag(s))
-			u := complex(-wi*imag(d), wi*real(d))
-			dst[k] = a + s
-			dst[m+k] = t + u
-			dst[2*m+k] = t - u
-		}
-	case 4:
-		// Radix-4 butterfly: ω_4 powers are ±1, ±i.
-		neg := w[pn/4] // -i forward, +i inverse
-		for k := 0; k < m; k++ {
-			a := dst[k]
-			b := dst[m+k] * w[k*step]
-			c := dst[2*m+k] * w[2*k*step]
-			d := dst[3*m+k] * w[3*k*step]
-			apc, amc := a+c, a-c
-			bpd, bmd := b+d, b-d
-			jbmd := bmd * neg
-			dst[k] = apc + bpd
-			dst[m+k] = amc + jbmd
-			dst[2*m+k] = apc - bpd
-			dst[3*m+k] = amc - jbmd
-		}
-	case 5:
-		// With s1,d1 = x1±x4 and s2,d2 = x2±x3 (x_j twiddled) and
-		// ω₅ = r1+i·i1, ω₅² = r2+i·i2:
-		//   y0    = x0 + s1 + s2
-		//   y1,4  = x0 + r1·s1 + r2·s2 ± i·(i1·d1 + i2·d2)
-		//   y2,3  = x0 + r2·s1 + r1·s2 ± i·(i2·d1 − i1·d2)
-		r1, i1 := real(w[pn/5]), imag(w[pn/5])
-		r2, i2 := real(w[2*pn/5]), imag(w[2*pn/5])
-		for k := 0; k < m; k++ {
-			x0 := dst[k]
-			x1 := dst[m+k] * w[k*step]
-			x2 := dst[2*m+k] * w[2*k*step]
-			x3 := dst[3*m+k] * w[3*k*step]
-			x4 := dst[4*m+k] * w[4*k*step]
-			s1, d1 := x1+x4, x1-x4
-			s2, d2 := x2+x3, x2-x3
-			t1 := complex(real(x0)+r1*real(s1)+r2*real(s2), imag(x0)+r1*imag(s1)+r2*imag(s2))
-			u1 := complex(-(i1*imag(d1) + i2*imag(d2)), i1*real(d1)+i2*real(d2))
-			t2 := complex(real(x0)+r2*real(s1)+r1*real(s2), imag(x0)+r2*imag(s1)+r1*imag(s2))
-			u2 := complex(-(i2*imag(d1) - i1*imag(d2)), i2*real(d1)-i1*real(d2))
-			dst[k] = x0 + s1 + s2
-			dst[m+k] = t1 + u1
-			dst[2*m+k] = t2 + u2
-			dst[3*m+k] = t2 - u2
-			dst[4*m+k] = t1 - u1
-		}
-	}
+	return p.w
 }
 
 var (
@@ -413,7 +318,7 @@ func Twiddle(n int) []complex128 {
 	if w, ok := twiddleCache[n]; ok {
 		return w
 	}
-	w := twiddles(n, -1)
+	w := twiddlesOf[complex128](n, -1)
 	twiddleCache[n] = w
 	return w
 }

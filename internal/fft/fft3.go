@@ -2,51 +2,6 @@ package fft
 
 import "znn/internal/tensor"
 
-// lineBlock is the number of adjacent strided lines gathered into one
-// contiguous tile by blockLines. Eight complex128 values span two cache
-// lines (eight complex64 values span one), so each sweep of the volume
-// moves whole lines' worth of useful data instead of one element per cache
-// line.
-const lineBlock = 8
-
-// blockLines applies the 1D transform pl to every length-n line of the
-// given stride inside buf: line c (for c = 0 .. width−1) occupies elements
-// buf[base + c + j*stride], j = 0 .. n−1.
-//
-// Lines are processed in blocks of lineBlock adjacent columns: each block
-// is transposed into the contiguous tile (line c at tile[c*n : (c+1)*n]),
-// transformed at unit stride, and transposed back. The gather/scatter reads
-// and writes runs of up to lineBlock consecutive elements, so a full pass
-// over the volume touches each cache line O(1) times instead of once per
-// column, which is what made the old element-at-a-time strided walk the
-// slow phase of the separable transform. tile must have room for
-// lineBlock·n elements.
-func blockLines[C Complex](pl *PlanOf[C], buf []C, base, width, stride, n int, inverse bool, tile []C) {
-	for x0 := 0; x0 < width; x0 += lineBlock {
-		b := min(lineBlock, width-x0)
-		for j := 0; j < n; j++ {
-			row := buf[base+x0+j*stride:]
-			for c := 0; c < b; c++ {
-				tile[c*n+j] = row[c]
-			}
-		}
-		for c := 0; c < b; c++ {
-			line := tile[c*n : (c+1)*n]
-			if inverse {
-				pl.InverseUnscaled(line)
-			} else {
-				pl.Forward(line)
-			}
-		}
-		for j := 0; j < n; j++ {
-			row := buf[base+x0+j*stride:]
-			for c := 0; c < b; c++ {
-				row[c] = tile[c*n+j]
-			}
-		}
-	}
-}
-
 // GoodShape returns the transform shape FFT convolution uses for a full
 // convolution of shape s: the smallest shape ≥ s whose extents are all
 // 5-smooth and whose X extent is even, or 1 when s.X is 1. An even X is
@@ -73,9 +28,7 @@ func MulInto[C Complex](dst, a, b []C) {
 		mulInto64(d64, any(a).([]complex64), any(b).([]complex64))
 		return
 	}
-	for i := range dst {
-		dst[i] = a[i] * b[i]
-	}
+	mulInto128(any(dst).([]complex128), any(a).([]complex128), any(b).([]complex128))
 }
 
 // MulAccInto computes dst[i] += a[i]*b[i] elementwise, the accumulation used
@@ -89,7 +42,5 @@ func MulAccInto[C Complex](dst, a, b []C) {
 		mulAccInto64(d64, any(a).([]complex64), any(b).([]complex64))
 		return
 	}
-	for i := range dst {
-		dst[i] += a[i] * b[i]
-	}
+	mulAccInto128(any(dst).([]complex128), any(a).([]complex128), any(b).([]complex128))
 }

@@ -47,19 +47,17 @@ type Plan3ROf[R tensor.Real, C Complex] struct {
 	px     *PlanROf[R, C]
 	py, pz *PlanOf[C]
 
-	tilePool sync.Pool  // *[]C, lineBlock·max(Y,Z)
-	linePool sync.Pool  // *[]R of length X, r2c/c2r line scratch
-	lanePool *sync.Pool // *laneTile for the lane-batched passes (complex64 only)
+	linePool sync.Pool // *[]R of length X, r2c/c2r line scratch
+	lanePool sync.Pool // *laneTile[R] of the X pass and the lane-batched Y/Z passes
 }
 
 // Plan3R is the double-precision packed real-transform plan.
 type Plan3R = Plan3ROf[float64, complex128]
 
-// plan3RKey identifies a cached packed 3D plan by shape and both element
-// types (see planRKey).
+// plan3RKey identifies a cached packed 3D plan by shape and precision.
 type plan3RKey struct {
-	s        tensor.Shape
-	r32, c32 bool
+	s   tensor.Shape
+	f32 bool
 }
 
 var (
@@ -72,12 +70,13 @@ var (
 func NewPlan3R(s tensor.Shape) *Plan3R { return NewPlan3ROf[float64, complex128](s) }
 
 // NewPlan3ROf returns a (cached) packed real-transform plan for the given
-// logical shape at the given precision.
+// logical shape at the given precision. Like NewPlanROf it panics when R
+// and C differ in precision.
 func NewPlan3ROf[R tensor.Real, C Complex](s tensor.Shape) *Plan3ROf[R, C] {
 	if !s.Valid() {
 		panic(fmt.Sprintf("fft: invalid 3D shape %v", s))
 	}
-	key := plan3RKey{s, isR32[R](), is32[C]()}
+	key := plan3RKey{s, is32[C]()}
 	plan3RMu.Lock()
 	defer plan3RMu.Unlock()
 	if p, ok := plan3RCache[key]; ok {
@@ -90,21 +89,14 @@ func NewPlan3ROf[R tensor.Real, C Complex](s tensor.Shape) *Plan3ROf[R, C] {
 		py: NewPlanOf[C](s.Y),
 		pz: NewPlanOf[C](s.Z),
 	}
-	m := lineBlock * max(s.Y, s.Z)
-	p.tilePool.New = func() any {
-		b := make([]C, m)
-		return &b
-	}
 	p.linePool.New = func() any {
 		b := make([]R, s.X)
 		return &b
 	}
-	if is32[C]() {
-		// The X pass needs planes of X/2+1 elements (packed row length),
-		// the Y/Z passes of Y and Z.
-		e := max(s.Y, s.Z, s.X/2+1)
-		p.lanePool = &sync.Pool{New: func() any { return newLaneTile(e) }}
-	}
+	// The X pass needs planes of X/2+1 elements (packed row length), the
+	// Y/Z passes of Y and Z.
+	e := max(s.Y, s.Z, s.X/2+1)
+	p.lanePool.New = func() any { return newLaneTile[R](e, lanes) }
 	plan3RCache[key] = p
 	return p
 }
@@ -164,90 +156,50 @@ func (p *Plan3ROf[R, C]) forwardRows(packed []C, ts tensor.Shape, loadRow func(l
 	for i := ts.X; i < p.s.X; i++ {
 		line[i] = 0
 	}
-	if !laneForwardX(p, packed, ts, line, loadRow) {
-		for z := 0; z < ts.Z; z++ {
-			for y := 0; y < ts.Y; y++ {
-				loadRow(line, y, z)
-				off := p.ps.Index(0, y, z)
-				p.px.Forward(packed[off:off+xh], line)
-			}
-		}
-	}
+	p.forwardX(packed, ts, line, loadRow)
 	p.linePool.Put(lp)
 	p.complexPasses(packed, false, 0, ts.Z)
 }
 
-// laneXEligible reports whether the r2c/c2r X pass can run lane-batched
-// (see lane64.go) and unwraps the concrete half-plan: the packed buffer is
-// complex64, the length is above 1, and the lane path is enabled.
-func laneXEligible[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C) (packed64 []complex64, hp *PlanOf[complex64], wf []complex64, ok bool) {
-	if !laneBatch || p.lanePool == nil {
-		return nil, nil, nil, false
-	}
-	packed64, ok = any(packed).([]complex64)
-	if !ok {
-		return nil, nil, nil, false
-	}
-	if p.px.half == nil {
-		return nil, nil, nil, false
-	}
-	hp, _ = any(p.px.half).(*PlanOf[complex64])
-	wf, _ = any(p.px.wf).([]complex64)
-	return packed64, hp, wf, true
-}
-
-// laneForwardX is the lane-batched fused load + r2c X pass: 8 rows of one
-// z-slab pack into SoA planes (the f64→f32 conversion of ForwardF64 rides
-// the pack, as in the per-line path), transform in lockstep through the
-// half-length plan, and split into their packed rows with the lane-batched
-// combine butterfly. Reports whether it handled the X pass.
-func laneForwardX[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C, ts tensor.Shape, line []R, loadRow func(line []R, y, z int)) bool {
-	packed64, hp, wf, ok := laneXEligible(p, packed)
-	if !ok {
-		return false
-	}
-	m := p.px.n / 2
+// forwardX is the fused load + r2c X pass: 8 rows of one z-slab pack into
+// SoA planes in the half plan's leaf order (the f64→f32 conversion of
+// ForwardF64 rides the pack), transform in lockstep through the
+// half-length plan, and split into their packed rows (PlanROf.r2c). An X
+// extent of 1 is its own spectrum.
+func (p *Plan3ROf[R, C]) forwardX(packed []C, ts tensor.Shape, line []R, loadRow func(line []R, y, z int)) {
 	xh := p.ps.X
-	lt := p.lanePool.Get().(*laneTile)
+	if p.px.half == nil {
+		for z := 0; z < ts.Z; z++ {
+			for y := 0; y < ts.Y; y++ {
+				loadRow(line, y, z)
+				packed[p.ps.Index(0, y, z)] = cmplxOf[C](float64(line[0]), 0)
+			}
+		}
+		return
+	}
+	k := kernelsFor[R](true)
+	nl, m := k.nl, p.px.n/2
+	pk, perm := pairs[R](packed), p.px.half.perm
+	lt := p.lanePool.Get().(*laneTile[R])
 	countVec()
 	for z := 0; z < ts.Z; z++ {
-		for y0 := 0; y0 < ts.Y; y0 += lanes {
-			b := min(lanes, ts.Y-y0)
-			for c := 0; c < b; c++ {
+		for y0 := 0; y0 < ts.Y; y0 += nl {
+			cols := min(nl, ts.Y-y0)
+			for c := 0; c < cols; c++ {
 				loadRow(line, y0+c, z)
-				for j := 0; j < m; j++ {
-					lt.srcRe[j*lanes+c] = float32(line[2*j])
-					lt.srcIm[j*lanes+c] = float32(line[2*j+1])
+				for q, j := range perm {
+					lt.dstRe[q*nl+c], lt.dstIm[q*nl+c] = line[2*j], line[2*j+1]
 				}
 			}
-			if b < lanes {
-				for j := 0; j < m; j++ {
-					o := j * lanes
-					for c := b; c < lanes; c++ {
-						lt.srcRe[o+c], lt.srcIm[o+c] = 0, 0
-					}
-				}
+			for q := 0; cols < nl && q < m; q++ {
+				clear(lt.dstRe[q*nl+cols : (q+1)*nl])
+				clear(lt.dstIm[q*nl+cols : (q+1)*nl])
 			}
-			recLane64(hp.factors, m, lt.dstRe, lt.dstIm, lt.srcRe, lt.srcIm, m, 1, 0, hp.w)
-			// The k = 0 and k = m terms come straight from Z[0]:
-			// F[0] = Re+Im, F[m] = Re−Im, both purely real.
-			for c := 0; c < lanes; c++ {
-				zr, zi := lt.dstRe[c], lt.dstIm[c]
-				lt.outRe[c], lt.outIm[c] = zr+zi, 0
-				lt.outRe[m*lanes+c], lt.outIm[m*lanes+c] = zr-zi, 0
-			}
-			r2cLaneCombine(lt.dstRe, lt.dstIm, lt.outRe, lt.outIm, wf, m)
-			base := p.ps.Index(0, y0, z)
-			for c := 0; c < b; c++ {
-				row := packed64[base+c*xh : base+(c+1)*xh]
-				for k := range row {
-					row[k] = complex(lt.outRe[k*lanes+c], lt.outIm[k*lanes+c])
-				}
-			}
+			p.px.r2c(k, lt)
+			scatterLanes(pk, lt.outRe, lt.outIm, nl, p.ps.Index(0, y0, z), xh, 1, xh, cols)
 		}
 	}
 	p.lanePool.Put(lt)
-	return true
 }
 
 // Inverse computes the inverse real transform of packed (in place along
@@ -288,147 +240,68 @@ func (p *Plan3ROf[R, C]) inverseRows(ds tensor.Shape, packed []C, ox, oy, oz int
 			ds, ox, oy, oz, p.s))
 	}
 	p.complexPasses(packed, true, oz, oz+ds.Z)
-	scale := 1 / float64(p.s.Y*p.s.Z)
 	lp := p.linePool.Get().(*[]R)
-	line := *lp
-	xh := p.ps.X
-	if !laneInverseX(p, ds, packed, oy, oz, scale, line, storeRow) {
-		for z := 0; z < ds.Z; z++ {
-			for y := 0; y < ds.Y; y++ {
-				off := p.ps.Index(0, oy+y, oz+z)
-				p.px.inverseScaled(line, packed[off:off+xh], scale)
-				storeRow(line, y, z)
-			}
-		}
-	}
+	p.inverseX(ds, packed, oy, oz, 1/float64(p.s.Y*p.s.Z), *lp, storeRow)
 	p.linePool.Put(lp)
 }
 
-// laneInverseX is the lane-batched c2r X pass over the crop region: 8
-// packed rows split into SoA planes, run the inverse split pre-pass (the
-// 1/N normalization folded into its scale constant, as per-line) and the
-// half-length inverse in lockstep, then scatter through storeRow, which
-// applies the crop and the float64 conversion of InverseF64. Reports
-// whether it handled the X pass.
-func laneInverseX[R tensor.Real, C Complex](p *Plan3ROf[R, C], ds tensor.Shape, packed []C, oy, oz int, scale float64, line []R, storeRow func(line []R, y, z int)) bool {
-	packed64, hp, wf, ok := laneXEligible(p, packed)
-	if !ok {
-		return false
-	}
-	m := p.px.n / 2
+// inverseX is the c2r X pass over the crop region: 8 packed rows split
+// into SoA planes, run the inverse split pre-pass (the 1/N normalization
+// folded into its scale constant) and the half-length inverse in lockstep
+// (PlanROf.c2r), then go out through storeRow, which applies the crop and
+// the float64 conversion of InverseF64.
+func (p *Plan3ROf[R, C]) inverseX(ds tensor.Shape, packed []C, oy, oz int, scale float64, line []R, storeRow func(line []R, y, z int)) {
 	xh := p.ps.X
-	cs := float32(0.5 * scale / float64(m))
-	lt := p.lanePool.Get().(*laneTile)
+	if p.px.half == nil {
+		for z := 0; z < ds.Z; z++ {
+			for y := 0; y < ds.Y; y++ {
+				line[0] = R(real(complex128(packed[p.ps.Index(0, oy+y, oz+z)])) * scale)
+				storeRow(line, y, z)
+			}
+		}
+		return
+	}
+	k := kernelsFor[R](true)
+	nl, m := k.nl, p.px.n/2
+	pk := pairs[R](packed)
+	lt := p.lanePool.Get().(*laneTile[R])
 	countVec()
 	for z := 0; z < ds.Z; z++ {
-		for y0 := 0; y0 < ds.Y; y0 += lanes {
-			b := min(lanes, ds.Y-y0)
-			base := p.ps.Index(0, oy+y0, oz+z)
-			// The out planes double as the split source: m+1 elements.
-			for c := 0; c < b; c++ {
-				row := packed64[base+c*xh : base+(c+1)*xh]
-				for k, v := range row {
-					lt.outRe[k*lanes+c] = real(v)
-					lt.outIm[k*lanes+c] = imag(v)
-				}
-			}
-			if b < lanes {
-				for k := 0; k <= m; k++ {
-					o := k * lanes
-					for c := b; c < lanes; c++ {
-						lt.outRe[o+c], lt.outIm[o+c] = 0, 0
-					}
-				}
-			}
-			c2rLanePre(lt.srcRe, lt.srcIm, lt.outRe, lt.outIm, wf, m, cs)
-			recLane64(hp.factors, m, lt.dstRe, lt.dstIm, lt.srcRe, lt.srcIm, m, 1, 0, hp.winv)
-			for c := 0; c < b; c++ {
+		for y0 := 0; y0 < ds.Y; y0 += nl {
+			cols := min(nl, ds.Y-y0)
+			gatherLanes(lt.outRe, lt.outIm, pk, nil, nl, p.ps.Index(0, oy+y0, oz+z), xh, 1, xh, cols)
+			p.px.c2r(k, lt, scale)
+			for c := 0; c < cols; c++ {
 				for j := 0; j < m; j++ {
-					line[2*j] = R(lt.dstRe[j*lanes+c])
-					line[2*j+1] = R(lt.dstIm[j*lanes+c])
+					line[2*j], line[2*j+1] = lt.dstRe[j*nl+c], lt.dstIm[j*nl+c]
 				}
 				storeRow(line, y0+c, z)
 			}
 		}
 	}
 	p.lanePool.Put(lt)
-	return true
 }
 
-// complexPasses runs the batched complex transforms along Y then Z (or Z
-// then Y for the inverse) over the packed columns. The Y pass runs only on
-// the z-slabs [z0, z1): the source's slabs forward, the crop's inverse (see
-// the pruning note on Plan3ROf).
+// complexPasses runs the lane-batched complex transforms along Y then Z
+// (or Z then Y for the inverse) over the packed columns (blockLanes). The
+// Y pass runs only on the z-slabs [z0, z1): the source's slabs forward,
+// the crop's inverse (see the pruning note on Plan3ROf).
 func (p *Plan3ROf[R, C]) complexPasses(packed []C, inverse bool, z0, z1 int) {
 	if p.s.Y <= 1 && p.s.Z <= 1 {
 		return
 	}
-	if lanePasses3R(p, packed, inverse, z0, z1) {
-		return
-	}
-	tp := p.tilePool.Get().(*[]C)
-	tile := *tp
+	k := kernelsFor[R](true)
+	lt := p.lanePool.Get().(*laneTile[R])
 	xh := p.ps.X
 	plane := xh * p.s.Y
-	if !inverse {
-		if p.s.Y > 1 {
-			for z := z0; z < z1; z++ {
-				blockLines(p.py, packed, z*plane, xh, xh, p.s.Y, false, tile)
-			}
-		}
-		if p.s.Z > 1 {
-			blockLines(p.pz, packed, 0, plane, plane, p.s.Z, false, tile)
-		}
-	} else {
-		if p.s.Z > 1 {
-			blockLines(p.pz, packed, 0, plane, plane, p.s.Z, true, tile)
-		}
-		if p.s.Y > 1 {
-			for z := z0; z < z1; z++ {
-				blockLines(p.py, packed, z*plane, xh, xh, p.s.Y, true, tile)
-			}
-		}
+	if inverse && p.s.Z > 1 {
+		blockLanes(k, p.pz, packed, 0, plane, plane, p.s.Z, true, lt)
 	}
-	p.tilePool.Put(tp)
-}
-
-// lanePasses3R is the lane-batched Y/Z counterpart of complexPasses: the
-// same column tiling as blockLines, but with the tile in split-stride SoA
-// planes so every butterfly runs 8 columns wide (see lane64.go), and the
-// same Y-pass slab range [z0, z1). Requires complex64 coefficients; reports
-// whether it handled the passes.
-func lanePasses3R[R tensor.Real, C Complex](p *Plan3ROf[R, C], packed []C, inverse bool, z0, z1 int) bool {
-	if !laneBatch || p.lanePool == nil {
-		return false
+	for z := z0; p.s.Y > 1 && z < z1; z++ {
+		blockLanes(k, p.py, packed, z*plane, xh, xh, p.s.Y, inverse, lt)
 	}
-	b64, ok := any(packed).([]complex64)
-	if !ok {
-		return false
-	}
-	py := any(p.py).(*PlanOf[complex64])
-	pz := any(p.pz).(*PlanOf[complex64])
-	lt := p.lanePool.Get().(*laneTile)
-	xh := p.ps.X
-	plane := xh * p.s.Y
-	if !inverse {
-		if p.s.Y > 1 {
-			for z := z0; z < z1; z++ {
-				blockLanes64(py, b64, z*plane, xh, xh, p.s.Y, false, lt)
-			}
-		}
-		if p.s.Z > 1 {
-			blockLanes64(pz, b64, 0, plane, plane, p.s.Z, false, lt)
-		}
-	} else {
-		if p.s.Z > 1 {
-			blockLanes64(pz, b64, 0, plane, plane, p.s.Z, true, lt)
-		}
-		if p.s.Y > 1 {
-			for z := z0; z < z1; z++ {
-				blockLanes64(py, b64, z*plane, xh, xh, p.s.Y, true, lt)
-			}
-		}
+	if !inverse && p.s.Z > 1 {
+		blockLanes(k, p.pz, packed, 0, plane, plane, p.s.Z, false, lt)
 	}
 	p.lanePool.Put(lt)
-	return true
 }

@@ -164,17 +164,14 @@ func TestPlan3RValidationPanics(t *testing.T) {
 // and 36³ must equal, element for element, the forward of the same data
 // zero-padded to the full shape (which runs every Y slab), and the inverse
 // cropped to 7³ at KernelGrad's offset (out−1 = n−13 for an n−6 image) must
-// equal the full inverse, then cropped. Both precisions; at float32 both
-// the scalar tile path and the lane path, whichever kernels are installed.
+// equal the full inverse, then cropped. Both precisions, on whichever
+// kernels are installed.
 func TestPlan3RPrunedMatchesFull(t *testing.T) {
-	testPruned[float64, complex128](t, "f64", false)
-	testPruned[float32, complex64](t, "f32/scalar", false)
-	testPruned[float32, complex64](t, "f32/lane", true)
+	testPruned[float64, complex128](t, "f64")
+	testPruned[float32, complex64](t, "f32")
 }
 
-func testPruned[R tensor.Real, C Complex](t *testing.T, name string, lane bool) {
-	defer func(old bool) { laneBatch = old }(laneBatch)
-	laneBatch = lane
+func testPruned[R tensor.Real, C Complex](t *testing.T, name string) {
 	rng := rand.New(rand.NewSource(37))
 	k := tensor.Cube(7)
 	for _, n := range []int{24, 30, 36} {
@@ -221,6 +218,42 @@ func testPruned[R tensor.Real, C Complex](t *testing.T, name string, lane bool) 
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPlan3RLaneMatchesNaiveDFT checks the lane-batched float64 packed
+// transform against the separable naive DFT: the forward spectrum
+// coefficient by coefficient and the inverse by round trip. The shapes are
+// train_fft7's 30³, a 7×12×30 source padded into its 8×12×30 GoodShape
+// (the pruned X pass), and length-1 axes.
+func TestPlan3RLaneMatchesNaiveDFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, src := range []*tensor.Tensor{
+		tensor.RandomUniform(rng, tensor.Cube(30), -1, 1),
+		tensor.RandomUniform(rng, tensor.S3(7, 12, 30), -1, 1),
+		tensor.RandomUniform(rng, tensor.S3(1, 12, 30), -1, 1),
+		tensor.RandomUniform(rng, tensor.S3(16, 12, 1), -1, 1),
+	} {
+		s := GoodShape(src.S)
+		full := make([]complex128, s.Volume())
+		LoadReal(full, s, src)
+		NaiveDFT3(full, s, false)
+		tol := 1e-12 * float64(s.Volume())
+		p := NewPlan3R(s)
+		packed := make([]complex128, p.PackedLen())
+		p.Forward(packed, src)
+		ps := PackedShape(s)
+		for i, got := range packed {
+			x, y, z := i%ps.X, i/ps.X%ps.Y, i/(ps.X*ps.Y)
+			if e := got - full[s.Index(x, y, z)]; math.Hypot(real(e), imag(e)) > tol {
+				t.Fatalf("%v in %v at (%d,%d,%d): packed %v, want %v", src.S, s, x, y, z, got, full[s.Index(x, y, z)])
+			}
+		}
+		back := tensor.New(src.S)
+		p.Inverse(back, packed, 0, 0, 0)
+		if d := back.MaxAbsDiff(src); d > 1e-12 {
+			t.Errorf("%v in %v: round trip differs by %g", src.S, s, d)
 		}
 	}
 }

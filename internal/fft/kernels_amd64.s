@@ -2,7 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2 bodies for the complex64 hot-path kernels. Layout conventions:
+// AVX2 bodies for the hot-path kernels of both precisions: the complex64
+// and float32 ones first, their complex128 and float64 twins (F64, 128)
+// after. Layout conventions:
 //
 //   - Flat kernels (mulInto64/mulAccInto64/scale64) work on interleaved
 //     complex64 slices, 4 complex values (one YMM register) per iteration;
@@ -11,7 +13,7 @@
 //     VFMADDSUB (even float lanes subtract — the real parts; odd add —
 //     the imaginary parts).
 //
-//   - Lane kernels work on SoA planes (see lane64.go): element k of the
+//   - Lane kernels work on SoA planes (see lane.go): element k of the
 //     transform is 8 contiguous float32 values per plane (32 bytes, one
 //     YMM), so every butterfly is pure vertical arithmetic with the
 //     twiddle components broadcast from the complex64 table (real at
@@ -141,7 +143,7 @@ r2loop:
 
 // func bfLaneR4Asm(dre, dim *float32, m, pn int, w *complex64, step int, nr, ni float32)
 //
-// Radix-4 lane butterfly, mirroring rec64's case 4: legs b/c/d are
+// Radix-4 lane butterfly, mirroring goLanes.r4: legs b/c/d are
 // twiddled by w[k·step], w[i2], w[i3] (i2, i3 tracked incrementally mod
 // pn), combined through the ±1/∓i network; nr+i·ni is the quarter
 // twiddle (−i forward, +i inverse).
@@ -260,7 +262,7 @@ r4i3ok:
 
 // func bfLaneR3Asm(dre, dim *float32, m int, w *complex64, step int, wr, wi float32)
 //
-// Radix-3 lane butterfly, mirroring rec64's case 3: legs b/c are twiddled
+// Radix-3 lane butterfly, mirroring goLanes.r3: legs b/c are twiddled
 // by w[k·step], w[2k·step] (no wrap: 2k·step < pn), then with s = b+c,
 // d = b−c and ω₃ = wr+i·wi:
 //   y0 = a+s;  y1,2 = a + wr·s ± i·wi·d
@@ -338,7 +340,7 @@ r3loop:
 
 // func bfLaneR5Asm(dre, dim *float32, m int, w *complex64, step int, r1, i1, r2, i2 float32)
 //
-// Radix-5 lane butterfly, mirroring rec64's case 5: legs 1..4 are twiddled
+// Radix-5 lane butterfly, mirroring goLanes.r5: legs 1..4 are twiddled
 // by w[j·k·step] (no wrap: 4k·step < pn), then with s1,d1 = x1±x4,
 // s2,d2 = x2±x3, ω₅ = r1+i·i1 and ω₅² = r2+i·i2:
 //   y0   = x0 + s1 + s2
@@ -491,7 +493,7 @@ r5loop:
 
 // func r2cLaneCombineAsm(zre, zim, outre, outim *float32, wf *complex64, m int)
 //
-// Forward split butterfly over k = 1 .. m−1 (lane-batched r2cCombine64):
+// Forward split butterfly over k = 1 .. m−1 (goLanes.combine):
 //   fe = (z[k] + conj(z[m−k]))/2,  fo = −i·(z[k] − conj(z[m−k]))/2
 //   out[k] = fe + wf[k]·fo
 TEXT ·r2cLaneCombineAsm(SB), NOSPLIT, $0-48
@@ -543,7 +545,7 @@ combdone:
 
 // func c2rLanePreAsm(zre, zim, sre, sim *float32, wf *complex64, m int, cs float32)
 //
-// Inverse pre-pass over k = 0 .. m−1 (lane-batched c2rPre64):
+// Inverse pre-pass over k = 0 .. m−1 (goLanes.pre):
 //   fe = src[k] + conj(src[m−k]),  fo = (src[k] − conj(src[m−k]))·conj(wf[k])
 //   z[k] = (fe + i·fo)·cs
 TEXT ·c2rLanePreAsm(SB), NOSPLIT, $0-52
@@ -585,5 +587,608 @@ preloop:
 	ADDQ $8, R12
 	DECQ CX
 	JNZ  preloop
+	VZEROUPPER
+	RET
+
+// Double precision. The complex128 flat kernels below take two
+// coefficients per YMM register. The float64 lane kernels after them are
+// the float32 bodies above at double width: an 8-lane row of float64 spans
+// two YMM registers (64 bytes), so each body runs twice per call, once
+// over lanes 0..3 and once over lanes 4..7 (the planes advanced by 32
+// bytes), with the element stride 64 bytes and the twiddle stride 16 bytes
+// (complex128 pairs). The second pass is recognised by DI no longer
+// equalling the first plane argument.
+
+// one half in float64 (0x3FE0000000000000), broadcast by the r2c combine.
+DATA f64half<>+0(SB)/8, $0x3FE0000000000000
+GLOBL f64half<>(SB), RODATA, $8
+
+// func mulInto128Asm(dst, a, b *complex128, n int)
+//
+// The complex product of mulInto64Asm at two complex128 per YMM: VMOVDDUP
+// and VPERMILPD stand in for the float32 dup/swap shuffles.
+TEXT ·mulInto128Asm(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHRQ $1, CX
+
+mul128loop:
+	VMOVUPD    (SI), Y0            // a: ar0 ai0 ar1 ai1
+	VMOVUPD    (DX), Y1            // b
+	VMOVDDUP   Y1, Y2              // br br …
+	VPERMILPD  $0x0F, Y1, Y3       // bi bi …
+	VPERMILPD  $0x05, Y0, Y4       // ai ar …
+	VMULPD     Y4, Y3, Y5          // ai·bi, ar·bi
+	VFMADDSUB231PD Y0, Y2, Y5      // even: ar·br−ai·bi  odd: ai·br+ar·bi
+	VMOVUPD    Y5, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  mul128loop
+	VZEROUPPER
+	RET
+
+// func mulAccInto128Asm(dst, a, b *complex128, n int)
+TEXT ·mulAccInto128Asm(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHRQ $1, CX
+
+acc128loop:
+	VMOVUPD    (SI), Y0
+	VMOVUPD    (DX), Y1
+	VMOVDDUP   Y1, Y2
+	VPERMILPD  $0x0F, Y1, Y3
+	VPERMILPD  $0x05, Y0, Y4
+	VMULPD     Y4, Y3, Y5
+	VFMADDSUB231PD Y0, Y2, Y5      // Y5 = a·b
+	VADDPD     (DI), Y5, Y5        // += dst
+	VMOVUPD    Y5, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  acc128loop
+	VZEROUPPER
+	RET
+
+// func scale128Asm(data *complex128, n int, s float64)
+TEXT ·scale128Asm(SB), NOSPLIT, $0-24
+	MOVQ data+0(FP), DI
+	MOVQ n+8(FP), CX
+	VBROADCASTSD s+16(FP), Y0
+	SHRQ $1, CX
+
+scale128loop:
+	VMULPD  (DI), Y0, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  scale128loop
+	VZEROUPPER
+	RET
+
+// func bfLaneR2AsmF64(dre, dim *float64, m int, w *float64, step int)
+TEXT ·bfLaneR2AsmF64(SB), NOSPLIT, $0-40
+	MOVQ dre+0(FP), DI
+	MOVQ dim+8(FP), SI
+
+r2dhalf:
+	MOVQ m+16(FP), CX
+	MOVQ w+24(FP), DX
+	MOVQ step+32(FP), BX
+	MOVQ CX, R8
+	SHLQ $6, R8                    // m·64: byte offset of the second half
+	SHLQ $4, BX                    // twiddle byte stride step·16
+	XORQ R9, R9                    // twiddle byte offset k·step·16
+	XORQ R10, R10                  // element byte offset k·64
+
+r2dloop:
+	VBROADCASTSD (DX)(R9*1), Y0    // tr
+	VBROADCASTSD 8(DX)(R9*1), Y1   // ti
+	VMOVUPD (DI)(R10*1), Y2        // ar
+	VMOVUPD (SI)(R10*1), Y3        // ai
+	LEAQ (R10)(R8*1), R11
+	VMOVUPD (DI)(R11*1), Y4        // br
+	VMOVUPD (SI)(R11*1), Y5        // bi
+	VMULPD       Y0, Y4, Y6        // br·tr
+	VFNMADD231PD Y1, Y5, Y6        // − bi·ti → xr
+	VMULPD       Y1, Y4, Y7        // br·ti
+	VFMADD231PD  Y0, Y5, Y7        // + bi·tr → xi
+	VADDPD Y6, Y2, Y8              // ar+xr
+	VSUBPD Y6, Y2, Y9              // ar−xr
+	VADDPD Y7, Y3, Y10             // ai+xi
+	VSUBPD Y7, Y3, Y11             // ai−xi
+	VMOVUPD Y8, (DI)(R10*1)
+	VMOVUPD Y9, (DI)(R11*1)
+	VMOVUPD Y10, (SI)(R10*1)
+	VMOVUPD Y11, (SI)(R11*1)
+	ADDQ BX, R9
+	ADDQ $64, R10
+	DECQ CX
+	JNZ  r2dloop
+	CMPQ DI, dre+0(FP)
+	JNE  r2ddone
+	ADDQ $32, DI
+	ADDQ $32, SI
+	JMP  r2dhalf
+
+r2ddone:
+	VZEROUPPER
+	RET
+
+// func bfLaneR4AsmF64(dre, dim *float64, m, pn int, w *float64, step int, nr, ni float64)
+TEXT ·bfLaneR4AsmF64(SB), NOSPLIT, $0-64
+	MOVQ dre+0(FP), DI
+	MOVQ dim+8(FP), SI
+	VBROADCASTSD nr+48(FP), Y14
+	VBROADCASTSD ni+56(FP), Y15
+
+r4dhalf:
+	MOVQ m+16(FP), CX
+	MOVQ pn+24(FP), R13
+	MOVQ w+32(FP), DX
+	MOVQ step+40(FP), BX
+	MOVQ CX, R8
+	SHLQ $6, R8                    // m·64
+	SHLQ $4, BX                    // step·16
+	SHLQ $4, R13                   // pn·16 (wrap bound in twiddle bytes)
+	XORQ R9, R9                    // k·step·16
+	XORQ R10, R10                  // k·64
+	XORQ R11, R11                  // i2·16
+	XORQ R12, R12                  // i3·16
+
+r4dloop:
+	// b' = w[k·step]·dst[m+k]
+	LEAQ (R10)(R8*1), AX
+	VBROADCASTSD (DX)(R9*1), Y0
+	VBROADCASTSD 8(DX)(R9*1), Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VMOVUPD (SI)(AX*1), Y3
+	VMULPD       Y0, Y2, Y4
+	VFNMADD231PD Y1, Y3, Y4        // br'
+	VMULPD       Y1, Y2, Y5
+	VFMADD231PD  Y0, Y3, Y5        // bi'
+
+	// c' = w[i2]·dst[2m+k]
+	LEAQ (R10)(R8*2), AX
+	VBROADCASTSD (DX)(R11*1), Y0
+	VBROADCASTSD 8(DX)(R11*1), Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VMOVUPD (SI)(AX*1), Y3
+	VMULPD       Y0, Y2, Y6
+	VFNMADD231PD Y1, Y3, Y6        // cr'
+	VMULPD       Y1, Y2, Y7
+	VFMADD231PD  Y0, Y3, Y7        // ci'
+
+	// d' = w[i3]·dst[3m+k]
+	ADDQ R8, AX
+	VBROADCASTSD (DX)(R12*1), Y0
+	VBROADCASTSD 8(DX)(R12*1), Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VMOVUPD (SI)(AX*1), Y3
+	VMULPD       Y0, Y2, Y8
+	VFNMADD231PD Y1, Y3, Y8        // dr'
+	VMULPD       Y1, Y2, Y9
+	VFMADD231PD  Y0, Y3, Y9        // di'
+
+	// a = dst[k]
+	VMOVUPD (DI)(R10*1), Y0        // ar
+	VMOVUPD (SI)(R10*1), Y1        // ai
+
+	VADDPD Y6, Y0, Y2              // apcR
+	VSUBPD Y6, Y0, Y3              // amcR
+	VADDPD Y7, Y1, Y6              // apcI
+	VSUBPD Y7, Y1, Y7              // amcI
+	VADDPD Y8, Y4, Y0              // bpdR
+	VSUBPD Y8, Y4, Y8              // bmdR
+	VADDPD Y9, Y5, Y1              // bpdI
+	VSUBPD Y9, Y5, Y9              // bmdI
+
+	// (jr, ji) = (nr+i·ni)·bmd
+	VMULPD       Y14, Y8, Y4
+	VFNMADD231PD Y15, Y9, Y4       // jr = bmdR·nr − bmdI·ni
+	VMULPD       Y15, Y8, Y5
+	VFMADD231PD  Y14, Y9, Y5       // ji = bmdR·ni + bmdI·nr
+
+	VADDPD Y0, Y2, Y10             // dst[k].re    = apcR+bpdR
+	VSUBPD Y0, Y2, Y11             // dst[2m+k].re = apcR−bpdR
+	VADDPD Y1, Y6, Y12             // dst[k].im
+	VSUBPD Y1, Y6, Y13             // dst[2m+k].im
+	VMOVUPD Y10, (DI)(R10*1)
+	VMOVUPD Y12, (SI)(R10*1)
+	LEAQ (R10)(R8*2), AX
+	VMOVUPD Y11, (DI)(AX*1)
+	VMOVUPD Y13, (SI)(AX*1)
+
+	VADDPD Y4, Y3, Y10             // dst[m+k].re  = amcR+jr
+	VSUBPD Y4, Y3, Y11             // dst[3m+k].re = amcR−jr
+	VADDPD Y5, Y7, Y12             // dst[m+k].im  = amcI+ji
+	VSUBPD Y5, Y7, Y13             // dst[3m+k].im = amcI−ji
+	LEAQ (R10)(R8*1), AX
+	VMOVUPD Y10, (DI)(AX*1)
+	VMOVUPD Y12, (SI)(AX*1)
+	ADDQ R8, AX
+	ADDQ R8, AX
+	VMOVUPD Y11, (DI)(AX*1)
+	VMOVUPD Y13, (SI)(AX*1)
+
+	ADDQ $64, R10
+	ADDQ BX, R9
+	LEAQ (R11)(BX*2), R11          // i2 += 2·step
+	CMPQ R11, R13
+	JLT  r4di2ok
+	SUBQ R13, R11
+
+r4di2ok:
+	LEAQ (R12)(BX*2), R12          // i3 += 3·step
+	ADDQ BX, R12
+	CMPQ R12, R13
+	JLT  r4di3ok
+	SUBQ R13, R12
+
+r4di3ok:
+	DECQ CX
+	JNZ  r4dloop
+	CMPQ DI, dre+0(FP)
+	JNE  r4ddone
+	ADDQ $32, DI
+	ADDQ $32, SI
+	JMP  r4dhalf
+
+r4ddone:
+	VZEROUPPER
+	RET
+
+// func bfLaneR3AsmF64(dre, dim *float64, m int, w *float64, step int, wr, wi float64)
+TEXT ·bfLaneR3AsmF64(SB), NOSPLIT, $0-56
+	MOVQ dre+0(FP), DI
+	MOVQ dim+8(FP), SI
+	VBROADCASTSD wr+40(FP), Y14
+	VBROADCASTSD wi+48(FP), Y15
+
+r3dhalf:
+	MOVQ m+16(FP), CX
+	MOVQ w+24(FP), DX
+	MOVQ step+32(FP), BX
+	MOVQ CX, R8
+	SHLQ $6, R8                    // m·64
+	SHLQ $4, BX                    // step·16
+	XORQ R9, R9                    // k·step·16
+	XORQ R10, R10                  // k·64
+
+r3dloop:
+	// b' = w[k·step]·dst[m+k]
+	LEAQ (R10)(R8*1), AX
+	VBROADCASTSD (DX)(R9*1), Y0
+	VBROADCASTSD 8(DX)(R9*1), Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VMOVUPD (SI)(AX*1), Y3
+	VMULPD       Y0, Y2, Y4
+	VFNMADD231PD Y1, Y3, Y4        // br'
+	VMULPD       Y1, Y2, Y5
+	VFMADD231PD  Y0, Y3, Y5        // bi'
+
+	// c' = w[2k·step]·dst[2m+k]
+	LEAQ (R10)(R8*2), AX
+	VBROADCASTSD (DX)(R9*2), Y0
+	VBROADCASTSD 8(DX)(R9*2), Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VMOVUPD (SI)(AX*1), Y3
+	VMULPD       Y0, Y2, Y6
+	VFNMADD231PD Y1, Y3, Y6        // cr'
+	VMULPD       Y1, Y2, Y7
+	VFMADD231PD  Y0, Y3, Y7        // ci'
+
+	VADDPD Y6, Y4, Y8              // sR
+	VSUBPD Y6, Y4, Y9              // dR
+	VADDPD Y7, Y5, Y10             // sI
+	VSUBPD Y7, Y5, Y11             // dI
+
+	// a = dst[k]; y0 = a+s
+	VMOVUPD (DI)(R10*1), Y0        // ar
+	VMOVUPD (SI)(R10*1), Y1        // ai
+	VADDPD Y8, Y0, Y2
+	VADDPD Y10, Y1, Y3
+	VMOVUPD Y2, (DI)(R10*1)
+	VMOVUPD Y3, (SI)(R10*1)
+
+	// t = a + wr·s;  i·wi·d = (−wi·dI, wi·dR)
+	VFMADD231PD Y14, Y8, Y0        // tR
+	VFMADD231PD Y14, Y10, Y1       // tI
+	VMULPD Y15, Y11, Y4            // wi·dI
+	VMULPD Y15, Y9, Y5             // wi·dR
+	VSUBPD Y4, Y0, Y2              // y1.re = tR − wi·dI
+	VADDPD Y4, Y0, Y3              // y2.re = tR + wi·dI
+	VADDPD Y5, Y1, Y6              // y1.im = tI + wi·dR
+	VSUBPD Y5, Y1, Y7              // y2.im = tI − wi·dR
+	VMOVUPD Y3, (DI)(AX*1)         // AX still addresses dst[2m+k]
+	VMOVUPD Y7, (SI)(AX*1)
+	SUBQ R8, AX
+	VMOVUPD Y2, (DI)(AX*1)
+	VMOVUPD Y6, (SI)(AX*1)
+
+	ADDQ $64, R10
+	ADDQ BX, R9
+	DECQ CX
+	JNZ  r3dloop
+	CMPQ DI, dre+0(FP)
+	JNE  r3ddone
+	ADDQ $32, DI
+	ADDQ $32, SI
+	JMP  r3dhalf
+
+r3ddone:
+	VZEROUPPER
+	RET
+
+// func bfLaneR5AsmF64(dre, dim *float64, m int, w *float64, step int, r1, i1, r2, i2 float64)
+TEXT ·bfLaneR5AsmF64(SB), NOSPLIT, $0-72
+	MOVQ dre+0(FP), DI
+	MOVQ dim+8(FP), SI
+	VBROADCASTSD r1+40(FP), Y14
+	VBROADCASTSD r2+56(FP), Y15
+
+r5dhalf:
+	MOVQ m+16(FP), CX
+	MOVQ w+24(FP), DX
+	MOVQ step+32(FP), BX
+	MOVQ CX, R8
+	SHLQ $6, R8                    // m·64
+	SHLQ $4, BX                    // step·16
+	XORQ R9, R9                    // k·step·16
+	XORQ R10, R10                  // k·64
+
+r5dloop:
+	// x1' = w[k·step]·dst[m+k]
+	LEAQ (R10)(R8*1), AX
+	VBROADCASTSD (DX)(R9*1), Y0
+	VBROADCASTSD 8(DX)(R9*1), Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VMOVUPD (SI)(AX*1), Y3
+	VMULPD       Y0, Y2, Y4
+	VFNMADD231PD Y1, Y3, Y4
+	VMULPD       Y1, Y2, Y5
+	VFMADD231PD  Y0, Y3, Y5
+
+	// x4' = w[4k·step]·dst[4m+k]
+	LEAQ (R10)(R8*4), AX
+	VBROADCASTSD (DX)(R9*4), Y0
+	VBROADCASTSD 8(DX)(R9*4), Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VMOVUPD (SI)(AX*1), Y3
+	VMULPD       Y0, Y2, Y6
+	VFNMADD231PD Y1, Y3, Y6
+	VMULPD       Y1, Y2, Y7
+	VFMADD231PD  Y0, Y3, Y7
+
+	VADDPD Y6, Y4, Y8              // s1R
+	VSUBPD Y6, Y4, Y4              // d1R
+	VADDPD Y7, Y5, Y9              // s1I
+	VSUBPD Y7, Y5, Y5              // d1I
+
+	// x2' = w[2k·step]·dst[2m+k]
+	LEAQ (R10)(R8*2), AX
+	VBROADCASTSD (DX)(R9*2), Y0
+	VBROADCASTSD 8(DX)(R9*2), Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VMOVUPD (SI)(AX*1), Y3
+	VMULPD       Y0, Y2, Y6
+	VFNMADD231PD Y1, Y3, Y6
+	VMULPD       Y1, Y2, Y7
+	VFMADD231PD  Y0, Y3, Y7
+
+	// x3' = w[3k·step]·dst[3m+k]
+	ADDQ R8, AX
+	LEAQ (R9)(R9*2), R11
+	VBROADCASTSD (DX)(R11*1), Y0
+	VBROADCASTSD 8(DX)(R11*1), Y1
+	VMOVUPD (DI)(AX*1), Y2
+	VMOVUPD (SI)(AX*1), Y3
+	VMULPD       Y0, Y2, Y10
+	VFNMADD231PD Y1, Y3, Y10
+	VMULPD       Y1, Y2, Y11
+	VFMADD231PD  Y0, Y3, Y11
+
+	VADDPD Y10, Y6, Y0             // s2R
+	VSUBPD Y10, Y6, Y6             // d2R
+	VADDPD Y11, Y7, Y1             // s2I
+	VSUBPD Y11, Y7, Y7             // d2I
+
+	// x0 = dst[k]; y0 = x0 + s1 + s2
+	VMOVUPD (DI)(R10*1), Y2        // x0R
+	VMOVUPD (SI)(R10*1), Y3        // x0I
+	VADDPD Y8, Y2, Y10
+	VADDPD Y0, Y10, Y10
+	VMOVUPD Y10, (DI)(R10*1)
+	VADDPD Y9, Y3, Y10
+	VADDPD Y1, Y10, Y10
+	VMOVUPD Y10, (SI)(R10*1)
+
+	// y1,4.re = (x0R + r1·s1R + r2·s2R) ∓ (i1·d1I + i2·d2I)
+	VMOVAPD Y2, Y10
+	VFMADD231PD Y14, Y8, Y10
+	VFMADD231PD Y15, Y0, Y10
+	VBROADCASTSD i1+48(FP), Y12
+	VBROADCASTSD i2+64(FP), Y13
+	VMULPD      Y12, Y5, Y11
+	VFMADD231PD Y13, Y7, Y11
+	VSUBPD Y11, Y10, Y12
+	VADDPD Y11, Y10, Y10
+	LEAQ (R10)(R8*1), AX
+	VMOVUPD Y12, (DI)(AX*1)        // y1.re
+	LEAQ (R10)(R8*4), R11
+	VMOVUPD Y10, (DI)(R11*1)       // y4.re
+
+	// y1,4.im = (x0I + r1·s1I + r2·s2I) ± (i1·d1R + i2·d2R)
+	VMOVAPD Y3, Y10
+	VFMADD231PD Y14, Y9, Y10
+	VFMADD231PD Y15, Y1, Y10
+	VBROADCASTSD i1+48(FP), Y12
+	VBROADCASTSD i2+64(FP), Y13
+	VMULPD      Y12, Y4, Y11
+	VFMADD231PD Y13, Y6, Y11
+	VADDPD Y11, Y10, Y12
+	VSUBPD Y11, Y10, Y10
+	VMOVUPD Y12, (SI)(AX*1)        // y1.im
+	VMOVUPD Y10, (SI)(R11*1)       // y4.im
+
+	// y2,3.re = (x0R + r2·s1R + r1·s2R) ∓ (i2·d1I − i1·d2I)
+	VMOVAPD Y2, Y10
+	VFMADD231PD Y15, Y8, Y10
+	VFMADD231PD Y14, Y0, Y10
+	VBROADCASTSD i2+64(FP), Y12
+	VBROADCASTSD i1+48(FP), Y13
+	VMULPD       Y12, Y5, Y11
+	VFNMADD231PD Y13, Y7, Y11
+	VSUBPD Y11, Y10, Y12
+	VADDPD Y11, Y10, Y10
+	LEAQ (R10)(R8*2), AX
+	VMOVUPD Y12, (DI)(AX*1)        // y2.re
+	LEAQ (AX)(R8*1), R11
+	VMOVUPD Y10, (DI)(R11*1)       // y3.re
+
+	// y2,3.im = (x0I + r2·s1I + r1·s2I) ± (i2·d1R − i1·d2R)
+	VMOVAPD Y3, Y10
+	VFMADD231PD Y15, Y9, Y10
+	VFMADD231PD Y14, Y1, Y10
+	VBROADCASTSD i2+64(FP), Y12
+	VBROADCASTSD i1+48(FP), Y13
+	VMULPD       Y12, Y4, Y11
+	VFNMADD231PD Y13, Y6, Y11
+	VADDPD Y11, Y10, Y12
+	VSUBPD Y11, Y10, Y10
+	VMOVUPD Y12, (SI)(AX*1)        // y2.im
+	VMOVUPD Y10, (SI)(R11*1)       // y3.im
+
+	ADDQ $64, R10
+	ADDQ BX, R9
+	DECQ CX
+	JNZ  r5dloop
+	CMPQ DI, dre+0(FP)
+	JNE  r5ddone
+	ADDQ $32, DI
+	ADDQ $32, SI
+	JMP  r5dhalf
+
+r5ddone:
+	VZEROUPPER
+	RET
+
+// func r2cLaneCombineAsmF64(zre, zim, outre, outim, wf *float64, m int)
+TEXT ·r2cLaneCombineAsmF64(SB), NOSPLIT, $0-48
+	MOVQ zre+0(FP), DI
+	MOVQ zim+8(FP), SI
+	MOVQ outre+16(FP), R8
+	MOVQ outim+24(FP), R9
+	MOVQ wf+32(FP), DX
+	VBROADCASTSD f64half<>(SB), Y15
+
+cbdhalf:
+	MOVQ m+40(FP), CX
+	MOVQ CX, R11
+	SHLQ $6, R11
+	SUBQ $64, R11                  // down offset (m−1)·64
+	MOVQ $64, R10                  // up offset, k = 1
+	MOVQ $16, R12                  // twiddle byte offset wf[1]
+	DECQ CX                        // m−1 iterations
+	JZ   cbdnext
+
+cbdloop:
+	VBROADCASTSD (DX)(R12*1), Y8   // tr
+	VBROADCASTSD 8(DX)(R12*1), Y9  // ti
+	VMOVUPD (DI)(R10*1), Y0        // ar
+	VMOVUPD (DI)(R11*1), Y1        // br
+	VMOVUPD (SI)(R10*1), Y2        // ai
+	VMOVUPD (SI)(R11*1), Y3        // bi
+	VADDPD Y1, Y0, Y4
+	VMULPD Y15, Y4, Y4             // feR = (ar+br)/2
+	VSUBPD Y3, Y2, Y5
+	VMULPD Y15, Y5, Y5             // feI = (ai−bi)/2
+	VADDPD Y3, Y2, Y6
+	VMULPD Y15, Y6, Y6             // foR = (ai+bi)/2
+	VSUBPD Y0, Y1, Y7
+	VMULPD Y15, Y7, Y7             // foI = (br−ar)/2
+	VFMADD231PD  Y8, Y6, Y4        // += foR·tr
+	VFNMADD231PD Y9, Y7, Y4        // −= foI·ti → outR
+	VFMADD231PD  Y9, Y6, Y5        // += foR·ti
+	VFMADD231PD  Y8, Y7, Y5        // += foI·tr → outI
+	VMOVUPD Y4, (R8)(R10*1)
+	VMOVUPD Y5, (R9)(R10*1)
+	ADDQ $64, R10
+	SUBQ $64, R11
+	ADDQ $16, R12
+	DECQ CX
+	JNZ  cbdloop
+
+cbdnext:
+	CMPQ DI, zre+0(FP)
+	JNE  cbddone
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	JMP  cbdhalf
+
+cbddone:
+	VZEROUPPER
+	RET
+
+// func c2rLanePreAsmF64(zre, zim, sre, sim, wf *float64, m int, cs float64)
+TEXT ·c2rLanePreAsmF64(SB), NOSPLIT, $0-56
+	MOVQ zre+0(FP), DI
+	MOVQ zim+8(FP), SI
+	MOVQ sre+16(FP), R8
+	MOVQ sim+24(FP), R9
+	MOVQ wf+32(FP), DX
+	VBROADCASTSD cs+48(FP), Y15
+
+prdhalf:
+	MOVQ m+40(FP), CX
+	MOVQ CX, R11
+	SHLQ $6, R11                   // down offset m·64 (k = 0 reads src[m])
+	XORQ R10, R10                  // up offset
+	XORQ R12, R12                  // twiddle byte offset
+
+prdloop:
+	VBROADCASTSD (DX)(R12*1), Y8   // tr
+	VBROADCASTSD 8(DX)(R12*1), Y9  // ti
+	VMOVUPD (R8)(R10*1), Y0        // ar
+	VMOVUPD (R8)(R11*1), Y1        // br
+	VMOVUPD (R9)(R10*1), Y2        // ai
+	VMOVUPD (R9)(R11*1), Y3        // bi
+	VADDPD Y1, Y0, Y4              // feR = ar+br
+	VSUBPD Y3, Y2, Y5              // feI = ai−bi
+	VSUBPD Y1, Y0, Y6              // dR = ar−br
+	VADDPD Y3, Y2, Y7              // dI = ai+bi
+	VMULPD       Y8, Y6, Y10
+	VFMADD231PD  Y9, Y7, Y10       // foR = dR·tr + dI·ti
+	VMULPD       Y8, Y7, Y11
+	VFNMADD231PD Y9, Y6, Y11       // foI = dI·tr − dR·ti
+	VSUBPD Y11, Y4, Y12
+	VMULPD Y15, Y12, Y12           // zre = (feR − foI)·cs
+	VADDPD Y10, Y5, Y13
+	VMULPD Y15, Y13, Y13           // zim = (feI + foR)·cs
+	VMOVUPD Y12, (DI)(R10*1)
+	VMOVUPD Y13, (SI)(R10*1)
+	ADDQ $64, R10
+	SUBQ $64, R11
+	ADDQ $16, R12
+	DECQ CX
+	JNZ  prdloop
+	CMPQ DI, zre+0(FP)
+	JNE  prddone
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	JMP  prdhalf
+
+prddone:
 	VZEROUPPER
 	RET

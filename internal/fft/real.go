@@ -19,7 +19,8 @@ import (
 // single complex plan of length n/2 (the classic pack-into-complex trick:
 // even samples become real parts, odd samples imaginary parts) followed by
 // an O(n) split butterfly, roughly halving the work of a full complex
-// transform.
+// transform. Both run on the lane kernels (lane.go): one row at a time
+// here, eight at a time in Plan3ROf's X pass.
 //
 // Plans are cached per (length, precision) and safe for concurrent use.
 type PlanROf[R tensor.Real, C Complex] struct {
@@ -27,32 +28,24 @@ type PlanROf[R tensor.Real, C Complex] struct {
 	half *PlanOf[C] // length n/2 complex plan (nil for n = 1)
 	wf   []C        // split twiddles exp(−2πik/n), k = 0 .. n/2
 
-	scratch sync.Pool // *[]C of length n/2
+	scratch sync.Pool // *laneTile[R] of length n/2+1 at one lane
 }
 
 // PlanR is the double-precision real-transform plan.
 type PlanR = PlanROf[float64, complex128]
 
-// planRKey identifies a cached real plan: both type parameters are free in
-// the generic signature, so mismatched-but-legal pairings like
-// (float32, complex128) must not collide with the canonical ones.
-type planRKey struct {
-	n        int
-	r32, c32 bool
-}
-
 var (
 	planRMu    sync.Mutex
-	planRCache = map[planRKey]any{} // *PlanROf[R, C]
+	planRCache = map[planKey]any{} // *PlanROf[R, C]
 )
 
 // NewPlanR returns a (cached) float64 real-transform plan for length n.
 func NewPlanR(n int) *PlanR { return NewPlanROf[float64, complex128](n) }
 
 // NewPlanROf returns a (cached) real-transform plan for length n at the
-// given precision. It panics for n < 1 and for odd n > 1: callers pad
-// the X extent with GoodShape first. An even n whose half is not 5-smooth
-// panics in NewPlanOf.
+// given precision. It panics for n < 1, for odd n > 1 (callers pad the X
+// extent with GoodShape first) and when R and C differ in precision. An
+// even n whose half is not 5-smooth panics in NewPlanOf.
 func NewPlanROf[R tensor.Real, C Complex](n int) *PlanROf[R, C] {
 	if n < 1 {
 		panic(fmt.Sprintf("fft: invalid transform length %d", n))
@@ -61,7 +54,12 @@ func NewPlanROf[R tensor.Real, C Complex](n int) *PlanROf[R, C] {
 		panic(fmt.Sprintf("fft: real transform length %d is odd; pad it with GoodShape (X extent %d)",
 			n, GoodShape(tensor.S3(n, 1, 1)).X))
 	}
-	key := planRKey{n, isR32[R](), is32[C]()}
+	if isR32[R]() != is32[C]() {
+		var r R
+		var c C
+		panic(fmt.Sprintf("fft: real type %T and coefficient type %T differ in precision", r, c))
+	}
+	key := planKey{n, is32[C]()}
 	planRMu.Lock()
 	defer planRMu.Unlock()
 	if p, ok := planRCache[key]; ok {
@@ -72,10 +70,7 @@ func NewPlanROf[R tensor.Real, C Complex](n int) *PlanROf[R, C] {
 		p.half = NewPlanOf[C](n / 2)
 		p.wf = twiddlesOf[C](n, -1)[: n/2+1 : n/2+1]
 	}
-	p.scratch.New = func() any {
-		s := make([]C, n/2)
-		return &s
-	}
+	p.scratch.New = func() any { return newLaneTile[R](n/2+1, 1) }
 	planRCache[key] = p
 	return p
 }
@@ -99,35 +94,13 @@ func (p *PlanROf[R, C]) Forward(dst []C, src []R) {
 		dst[0] = cmplxOf[C](float64(src[0]), 0)
 		return
 	}
-	sp := p.scratch.Get().(*[]C)
-	z := *sp
-	defer p.scratch.Put(sp)
-	// Even length n = 2m: transform z[j] = x[2j] + i·x[2j+1] at length m,
-	// then split even/odd sub-spectra with the butterfly
-	//   Fe[k] = (Z[k] + conj(Z[m−k]))/2
-	//   Fo[k] = −i·(Z[k] − conj(Z[m−k]))/2
-	//   F[k]  = Fe[k] + w^k·Fo[k],  w = exp(−2πi/n).
-	m := p.n / 2
-	for j := 0; j < m; j++ {
-		z[j] = cmplxOf[C](float64(src[2*j]), float64(src[2*j+1]))
+	lt := p.scratch.Get().(*laneTile[R])
+	for q, j := range p.half.perm {
+		lt.dstRe[q], lt.dstIm[q] = src[2*j], src[2*j+1]
 	}
-	p.half.Forward(z)
-	z0 := complex128(z[0])
-	dst[0] = cmplxOf[C](real(z0)+imag(z0), 0)
-	dst[m] = cmplxOf[C](real(z0)-imag(z0), 0)
-	if d64, ok := any(dst).([]complex64); ok {
-		r2cCombine64(d64, any(z).([]complex64), any(p.wf).([]complex64), m)
-		return
-	}
-	half := cmplxOf[C](0.5, 0)
-	negHalfI := cmplxOf[C](0, -0.5)
-	for k := 1; k < m; k++ {
-		a := z[k]
-		b := conjOf(z[m-k])
-		fe := (a + b) * half
-		fo := (a - b) * negHalfI
-		dst[k] = fe + p.wf[k]*fo
-	}
+	p.r2c(kernelsFor[R](false), lt)
+	scatterLanes(pairs[R](dst), lt.outRe, lt.outIm, 1, 0, 1, 1, p.HalfLen(), 1)
+	p.scratch.Put(lt)
 }
 
 // Inverse reconstructs the real signal from its packed half-spectrum,
@@ -149,34 +122,54 @@ func (p *PlanROf[R, C]) inverseScaled(dst []R, src []C, scale float64) {
 		dst[0] = R(real(complex128(src[0])) * scale)
 		return
 	}
-	sp := p.scratch.Get().(*[]C)
-	z := *sp
-	defer p.scratch.Put(sp)
-	// Even length n = 2m: invert the split butterfly,
-	//   Fe[k] = (F[k] + conj(F[m−k]))/2
-	//   Fo[k] = (F[k] − conj(F[m−k]))·w^{−k}/2
-	//   Z[k]  = Fe[k] + i·Fo[k],
-	// then a length-m inverse yields x[2j] + i·x[2j+1]. The 1/m and the
-	// caller's scale fold into the butterfly constant.
-	m := p.n / 2
-	if z64, ok := any(z).([]complex64); ok {
-		c2rPre64(z64, any(src).([]complex64), any(p.wf).([]complex64), m,
-			float32(0.5*scale/float64(m)))
-	} else {
-		cs := cmplxOf[C](0.5*scale/float64(m), 0)
-		posI := cmplxOf[C](0, 1)
-		for k := 0; k < m; k++ {
-			a := src[k]
-			b := conjOf(src[m-k])
-			fe := a + b
-			fo := (a - b) * conjOf(p.wf[k])
-			z[k] = (fe + fo*posI) * cs
-		}
+	lt := p.scratch.Get().(*laneTile[R])
+	gatherLanes(lt.outRe, lt.outIm, pairs[R](src), nil, 1, 0, 1, 1, p.HalfLen(), 1)
+	p.c2r(kernelsFor[R](false), lt, scale)
+	for j := range p.n / 2 {
+		dst[2*j], dst[2*j+1] = lt.dstRe[j], lt.dstIm[j]
 	}
-	p.half.InverseUnscaled(z)
-	for j := 0; j < m; j++ {
-		zj := complex128(z[j])
-		dst[2*j] = R(real(zj))
-		dst[2*j+1] = R(imag(zj))
+	p.scratch.Put(lt)
+}
+
+// r2c transforms k.nl real rows of even length n = 2m in lockstep. On
+// entry lt's dst planes hold each row's z[j] = x[2j] + i·x[2j+1] in the
+// half plan's leaf order (p.half.perm); the packed rows (m+1 coefficients)
+// land in its out planes. After the
+// length-m transform of z, the split butterfly
+//
+//	Fe[k] = (Z[k] + conj(Z[m−k]))/2
+//	Fo[k] = −i·(Z[k] − conj(Z[m−k]))/2
+//	F[k]  = Fe[k] + w^k·Fo[k],  w = exp(−2πi/n)
+//
+// separates the even and odd sub-spectra.
+func (p *PlanROf[R, C]) r2c(k *laneKernels[R], lt *laneTile[R]) {
+	m, nl := p.n/2, k.nl
+	laneDFT(k, p.half, false, lt.dstRe, lt.dstIm)
+	// The k = 0 and k = m terms come straight from Z[0]: F[0] = Re+Im,
+	// F[m] = Re−Im, both purely real.
+	for c := 0; c < nl; c++ {
+		zr, zi := lt.dstRe[c], lt.dstIm[c]
+		lt.outRe[c], lt.outIm[c] = zr+zi, 0
+		lt.outRe[m*nl+c], lt.outIm[m*nl+c] = zr-zi, 0
 	}
+	k.combine(lt.dstRe, lt.dstIm, lt.outRe, lt.outIm, pairs[R](p.wf), m)
+}
+
+// c2r is the inverse of r2c: on entry lt's out planes hold k.nl packed
+// rows; their real signals, times scale, land in its dst planes as
+// x[2j] + i·x[2j+1]. It inverts the split butterfly,
+//
+//	Fe[k] = (F[k] + conj(F[m−k]))/2
+//	Fo[k] = (F[k] − conj(F[m−k]))·w^{−k}/2
+//	Z[k]  = Fe[k] + i·Fo[k],
+//
+// with the 1/m of the length-m inverse and scale folded into its constant.
+func (p *PlanROf[R, C]) c2r(k *laneKernels[R], lt *laneTile[R], scale float64) {
+	m, nl := p.n/2, k.nl
+	k.pre(lt.srcRe, lt.srcIm, lt.outRe, lt.outIm, pairs[R](p.wf), m, R(0.5*scale/float64(m)))
+	for q, j := range p.half.perm {
+		copy(lt.dstRe[q*nl:(q+1)*nl], lt.srcRe[j*nl:(j+1)*nl])
+		copy(lt.dstIm[q*nl:(q+1)*nl], lt.srcIm[j*nl:(j+1)*nl])
+	}
+	laneDFT(k, p.half, true, lt.dstRe, lt.dstIm)
 }

@@ -2,6 +2,7 @@ package fft
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 )
@@ -61,7 +62,7 @@ func TestPlanRHermitianCompletionMatchesNaive(t *testing.T) {
 			if k <= n/2 {
 				got = packed[k]
 			} else {
-				got = conjOf(packed[n-k])
+				got = cmplx.Conj(packed[n-k])
 			}
 			if d := got - want[k]; math.Hypot(real(d), imag(d)) > 1e-9*float64(n) {
 				t.Errorf("n=%d k=%d: completed coefficient %v, want %v", n, k, got, want[k])

@@ -8,8 +8,8 @@ import (
 )
 
 // This file holds the scalar references the packed transforms are checked
-// against: the O(n²) DFT and a full complex 3D transform (Plan3) with its
-// real load and store. None of them is on a production path, so none of
+// against: the O(n²) DFT, its separable 3D application, and a full complex
+// 3D transform (Plan3) with its real load and store. None of them is on a production path, so none of
 // them is vectorized or cached.
 
 // NaiveDFT computes the O(n²) discrete Fourier transform.
@@ -31,9 +31,45 @@ func NaiveDFT(x []complex128, inverse bool) []complex128 {
 	return out
 }
 
+// NaiveDFT3 computes the full complex 3D DFT of buf (laid out with shape
+// s, x fastest) by applying NaiveDFT along each axis in turn: separable,
+// so O(N·(X+Y+Z)), and independent of every plan and kernel.
+func NaiveDFT3(buf []complex128, s tensor.Shape, inverse bool) {
+	axis := func(n, stride int, starts func(yield func(int))) {
+		line := make([]complex128, n)
+		starts(func(o int) {
+			for j := range line {
+				line[j] = buf[o+j*stride]
+			}
+			for j, v := range NaiveDFT(line, inverse) {
+				buf[o+j*stride] = v
+			}
+		})
+	}
+	axis(s.X, 1, func(yield func(int)) {
+		for z := 0; z < s.Z; z++ {
+			for y := 0; y < s.Y; y++ {
+				yield(s.Index(0, y, z))
+			}
+		}
+	})
+	axis(s.Y, s.X, func(yield func(int)) {
+		for z := 0; z < s.Z; z++ {
+			for x := 0; x < s.X; x++ {
+				yield(s.Index(x, 0, z))
+			}
+		}
+	})
+	axis(s.Z, s.X*s.Y, func(yield func(int)) {
+		for o := 0; o < s.X*s.Y; o++ {
+			yield(o)
+		}
+	})
+}
+
 // Plan3 performs separable complex128 3D transforms over a buffer laid out
-// like a tensor of the plan's shape (x fastest), through the same 1D plans
-// and line blocking as Plan3R.
+// like a tensor of the plan's shape (x fastest), one line at a time
+// through the same 1D plans as Plan3R.
 type Plan3 struct {
 	s          tensor.Shape
 	px, py, pz *Plan
@@ -71,14 +107,30 @@ func (p *Plan3) transform(buf []complex128, inverse bool) {
 			p.px.Forward(line)
 		}
 	}
-	tile := make([]complex128, lineBlock*max(s.Y, s.Z))
-	// Y lines have stride X, X adjacent columns per z-plane.
-	plane := s.X * s.Y
-	for z := 0; z < s.Z; z++ {
-		blockLines(p.py, buf, z*plane, s.X, s.X, s.Y, inverse, tile)
+	// Y lines have stride X, Z lines stride X·Y.
+	line := make([]complex128, max(s.Y, s.Z))
+	for _, ax := range []struct {
+		p         *Plan
+		n, stride int
+	}{{p.py, s.Y, s.X}, {p.pz, s.Z, s.X * s.Y}} {
+		for o := range buf {
+			if o/ax.stride%ax.n != 0 {
+				continue // not the first element of a line
+			}
+			l := line[:ax.n]
+			for j := range l {
+				l[j] = buf[o+j*ax.stride]
+			}
+			if inverse {
+				ax.p.InverseUnscaled(l)
+			} else {
+				ax.p.Forward(l)
+			}
+			for j, v := range l {
+				buf[o+j*ax.stride] = v
+			}
+		}
 	}
-	// Z lines have stride X·Y, X·Y adjacent columns.
-	blockLines(p.pz, buf, 0, plane, plane, s.Z, inverse, tile)
 }
 
 // LoadReal writes t into the complex buffer buf (laid out with shape s),

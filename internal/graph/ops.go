@@ -96,7 +96,7 @@ func (o *ConvOp) OutShape(in tensor.Shape) tensor.Shape {
 
 // Forward computes the valid sparse convolution.
 func (o *ConvOp) Forward(in *tensor.Tensor, ctx *FwdCtx) *tensor.Tensor {
-	return o.Tr.ForwardBatch([]*tensor.Tensor{in}, o.Kernel, nil, ctx.infer())[0]
+	return o.Tr.ForwardBatch([]*tensor.Tensor{in}, o.Kernel, ctx.infer())[0]
 }
 
 // Backward computes the full convolution with the reflected kernel.

@@ -119,6 +119,20 @@ func backwardPart(part []*graph.Edge, bwd []*tensor.Tensor, caches []conv.Spectr
 	return out
 }
 
+// keepBackward ends the backward of a graph input's out-edges as the
+// engine does: an input computes no backward image, so each edge keeps only
+// what its update needs — a memoizing FFT edge the target's backward
+// spectrum, a trainable transfer the bias gradient its Backward records.
+func keepBackward(part []*graph.Edge, bwd []*tensor.Tensor, caches []conv.SpectrumCache) {
+	for _, e := range part {
+		if op, ok := e.Op.(*graph.ConvOp); ok {
+			op.Tr.KeepBackward(&caches[e.To.ID])
+		} else {
+			e.Op.Backward(bwd[e.To.ID], &graph.BwdCtx{})
+		}
+	}
+}
+
 // addPart adds part into sum in part order, the way the engine joins a
 // node's groups; a nil sum takes the part.
 func addPart(sum, part *tensor.Tensor) *tensor.Tensor {
@@ -149,9 +163,10 @@ func (nw *Network) RoundSerial(inputs, desired []*tensor.Tensor, loss ops.Loss, 
 	}
 	// Backward pass: walk nodes in reverse topological order, each node
 	// summing through its out-edges (whose targets' backward images are
-	// already complete) part by part, as the parallel engine groups them;
-	// updates apply right after each part's backward sum (the serial
-	// algorithm has no laziness).
+	// already complete) part by part, as the parallel engine groups them —
+	// and, like the engine, computing no backward sum for a graph input;
+	// updates apply right after each part (the serial algorithm has no
+	// laziness).
 	bwd := make([]*tensor.Tensor, len(nw.G.Nodes))
 	for i, o := range nw.Outputs {
 		bwd[o.ID] = grads[i]
@@ -176,7 +191,11 @@ func (nw *Network) RoundSerial(inputs, desired []*tensor.Tensor, loss ops.Loss, 
 						return 0, fmt.Errorf("net: node %s has no backward image", e.To.Name)
 					}
 				}
-				bwd[u.ID] = addPart(bwd[u.ID], backwardPart(part, bwd, bwdCaches, pads))
+				if u.IsInput() {
+					keepBackward(part, bwd, bwdCaches)
+				} else {
+					bwd[u.ID] = addPart(bwd[u.ID], backwardPart(part, bwd, bwdCaches, pads))
+				}
 				for _, e := range part {
 					if tr, ok := e.Op.(graph.Trainable); ok {
 						tr.Update(imgs[u.ID], bwd[e.To.ID], opt)

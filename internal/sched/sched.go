@@ -15,6 +15,7 @@ package sched
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -265,6 +266,7 @@ func (e *Engine) runBody(t *Task) {
 	t.mu.Unlock()
 
 	e.mu.Lock()
+	woke := false
 	if t.kind == Update {
 		e.pendingUpdate--
 		if e.pendingUpdate == 0 {
@@ -279,13 +281,15 @@ func (e *Engine) runBody(t *Task) {
 			r.pendingWork--
 			if r.pendingWork == 0 && r.done != nil {
 				close(r.done)
-				r.done = nil // a reused round gets a fresh channel
+				r.done, woke = nil, true // a reused round gets a fresh channel
 			}
 		}
 	}
 	e.stats.Executed++
 	e.mu.Unlock()
-
+	if woke {
+		runtime.Gosched() // run the woken waiter now, not at the next preemption tick
+	}
 	if sub != nil {
 		e.execute(sub)
 	}

@@ -127,6 +127,54 @@ func TestSpectralInverseCounts(t *testing.T) {
 	}
 }
 
+// The serial T₁ baseline must do the engine's FFT work, no more: one
+// RoundSerial and one drained engine round of the same memoized FFT net run
+// the same numbers of inverse and forward transforms. The net's input
+// nodes feed FFT edges, whose backward sum the engine never computes.
+func TestSerialRoundFFTWorkMatchesEngine(t *testing.T) {
+	build := func(c *conv.Counters) *net.Network {
+		nw, err := net.Build(net.MustParse("C3-Ttanh-C3"), net.BuildOptions{
+			Width: 3, InWidth: 2, OutWidth: 2, InputExtent: 10,
+			Method: conv.FFT, Memoize: true, Counters: c, Seed: 47,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw
+	}
+	var cs, ce conv.Counters
+	serial, parallel := build(&cs), build(&ce)
+	rng := rand.New(rand.NewSource(48))
+	inputs, desired := make([]*tensor.Tensor, 2), make([]*tensor.Tensor, 2)
+	for i := range inputs {
+		inputs[i] = tensor.RandomUniform(rng, serial.InputShape(), -1, 1)
+		desired[i] = tensor.RandomUniform(rng, serial.OutputShape(), -0.5, 0.5)
+	}
+	cs.Reset()
+	if _, err := serial.RoundSerial(inputs, desired, ops.SquaredLoss{}, graph.UpdateOpts{Eta: 0.01}); err != nil {
+		t.Fatal(err)
+	}
+	en, err := NewEngine(parallel.G, Config{Workers: 2, Eta: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer en.Close()
+	ce.Reset()
+	if _, err := en.Round(inputs, desired); err != nil {
+		t.Fatal(err)
+	}
+	if err := en.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	s, e := cs.Snapshot(), ce.Snapshot()
+	if s.InverseFFTs != e.InverseFFTs {
+		t.Errorf("RoundSerial ran %d inverse FFTs, the engine round %d", s.InverseFFTs, e.InverseFFTs)
+	}
+	if s.FFTs != e.FFTs {
+		t.Errorf("RoundSerial ran %d forward FFTs, the engine round %d", s.FFTs, e.FFTs)
+	}
+}
+
 // The spectral Sum must produce exact sums under concurrency (integer
 // spectra make complex addition exact).
 func TestComplexSumConcurrent(t *testing.T) {
