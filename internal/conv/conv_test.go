@@ -290,7 +290,6 @@ func (s Snapshot) addBack(t Snapshot) Snapshot {
 		InverseFFTs: s.InverseFFTs + t.InverseFFTs,
 		FFTFlops:    s.FFTFlops + t.FFTFlops,
 		MulVolume:   s.MulVolume + t.MulVolume,
-		ReflectOps:  s.ReflectOps + t.ReflectOps,
 		DirectFlops: s.DirectFlops + t.DirectFlops,
 	}
 }

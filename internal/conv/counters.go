@@ -17,7 +17,6 @@ type Counters struct {
 	InverseFFTs atomic.Int64 // number of inverse 3D transforms
 	FFTFlops    atomic.Int64 // Σ over transforms of C·W·log2(N), W = (X/2+1)·Y·Z packed coefficients
 	MulVolume   atomic.Int64 // coefficients of pointwise complex multiply-accumulate
-	ReflectOps  atomic.Int64 // spectrum-reflection passes (phase trick, no FFT)
 	DirectFlops atomic.Int64 // multiply-add pairs of direct convolution
 	F32FFTs     atomic.Int64 // forward + inverse transforms that ran in float32/complex64
 }
@@ -61,13 +60,6 @@ func (c *Counters) addMul(m tensor.Shape) {
 	c.MulVolume.Add(int64(fft.PackedVolume(m)))
 }
 
-func (c *Counters) addReflect(m tensor.Shape) {
-	if c == nil {
-		return
-	}
-	c.ReflectOps.Add(1)
-}
-
 func (c *Counters) addDirect(flops int64) {
 	if c == nil {
 		return
@@ -87,7 +79,6 @@ type Snapshot struct {
 	InverseFFTs  int64
 	FFTFlops     int64
 	MulVolume    int64
-	ReflectOps   int64
 	DirectFlops  int64
 	F32FFTs      int64
 	VecKernelOps int64  // process-wide dispatches into the vector kernel set
@@ -104,7 +95,6 @@ func (c *Counters) Snapshot() Snapshot {
 		InverseFFTs:  c.InverseFFTs.Load(),
 		FFTFlops:     c.FFTFlops.Load(),
 		MulVolume:    c.MulVolume.Load(),
-		ReflectOps:   c.ReflectOps.Load(),
 		DirectFlops:  c.DirectFlops.Load(),
 		F32FFTs:      c.F32FFTs.Load(),
 		VecKernelOps: fft.KernelDispatches(),
@@ -120,7 +110,6 @@ func (s Snapshot) Sub(t Snapshot) Snapshot {
 		InverseFFTs:  s.InverseFFTs - t.InverseFFTs,
 		FFTFlops:     s.FFTFlops - t.FFTFlops,
 		MulVolume:    s.MulVolume - t.MulVolume,
-		ReflectOps:   s.ReflectOps - t.ReflectOps,
 		DirectFlops:  s.DirectFlops - t.DirectFlops,
 		F32FFTs:      s.F32FFTs - t.F32FFTs,
 		VecKernelOps: s.VecKernelOps - t.VecKernelOps,
@@ -137,7 +126,6 @@ func (c *Counters) Reset() {
 	c.InverseFFTs.Store(0)
 	c.FFTFlops.Store(0)
 	c.MulVolume.Store(0)
-	c.ReflectOps.Store(0)
 	c.DirectFlops.Store(0)
 	c.F32FFTs.Store(0)
 }

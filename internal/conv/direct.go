@@ -28,8 +28,9 @@
 // w_i) over a node's direct in-edges and SumBackward Σ_j full(g_j, w_j)
 // over its direct out-edges; SpectralForward and SpectralBackward compute
 // the same sums over a node's SpectralCompatible FFT edges, multiply-
-// accumulating F(x_i)·F(w_i) (or F(g_j)·F(w̃_j)) in term order into one
-// pooled spectrum that is inverted once. The operand spectra are computed
+// accumulating F(x_i)·F(w_i) (or F(g_j)·conj(F(w_j)), the same sum
+// without reflecting any spectrum) in term order into one pooled spectrum
+// that is inverted once. The operand spectra are computed
 // once per node image, before any sum reads them, and shared through the
 // node's SpectrumCache; the kernel spectra are cached on the Transformer.
 // Every sum adds its terms in the order given, so its bits do not depend on

@@ -34,60 +34,11 @@ func TestPackedTransformerMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestPackedReflectIsSpectrumOfReflection ties the packed conjugate-
-// reflection identity to its meaning: reflecting in the spectral domain must
-// equal transforming the spatially reflected, re-padded signal — at even X,
-// odd 5-smooth Y and Z, and degenerate transform extents.
-func TestPackedReflectIsSpectrumOfReflection(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	shapes := []struct{ m, support tensor.Shape }{
-		{tensor.S3(10, 6, 5), tensor.S3(4, 3, 2)},
-		{tensor.S3(8, 6, 4), tensor.S3(3, 2, 2)},
-		{tensor.S3(16, 15, 3), tensor.S3(4, 3, 1)}, // odd Y and Z
-		{tensor.S3(6, 25, 27), tensor.S3(2, 4, 5)},
-		{tensor.S3(6, 1, 1), tensor.S3(3, 1, 1)},
-	}
-	for _, c := range shapes {
-		w := tensor.RandomUniform(rng, c.support, -1, 1)
-
-		pk := make([]complex128, fft.PackedVolume(c.m))
-		fft.NewPlan3R(c.m).Forward(pk, w)
-		got := make([]complex128, len(pk))
-		reflectSpectrumPackedInto(got, pk, c.m, c.support)
-
-		want := make([]complex128, len(pk))
-		fft.NewPlan3R(c.m).Forward(want, w.Reflect())
-
-		for i := range got {
-			if d := got[i] - want[i]; real(d)*real(d)+imag(d)*imag(d) > tol*tol {
-				t.Fatalf("m %v support %v index %d: reflected spectrum %v, want %v",
-					c.m, c.support, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestPhaseTableCached(t *testing.T) {
-	a := phaseTableOf[complex128](12, 4)
-	b := phaseTableOf[complex128](12, 4)
-	if &a[0] != &b[0] {
-		t.Error("phaseTable rebuilt an already-cached table")
-	}
-	// (K−1) mod M collisions share one table.
-	c := phaseTableOf[complex128](12, 16)
-	if &a[0] != &c[0] {
-		t.Error("phaseTable missed the (M, shift) cache key collapse")
-	}
-	if len(phaseTableOf[complex128](5, 3)) != 5 {
-		t.Error("phaseTable length mismatch")
-	}
-}
-
 // TestPackedSpectraPoolFootprint is the pool-stats acceptance check for the
 // Hermitian-packed layout: one edge's forward, backward and kernel-gradient
-// phases hold the two cached kernel spectra plus one in-flight product,
+// phases hold the cached kernel spectrum plus one in-flight product,
 // each of PackedVolume(m) complex128 coefficients — at most half of what the
-// same three buffers draw as full-complex volumes (PR 1's 2× result, kept as
+// same two buffers draw as full-complex volumes (the packed layout's 2×, kept as
 // a closed-form bound now that the full-complex path is gone).
 func TestPackedSpectraPoolFootprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
@@ -104,10 +55,10 @@ func TestPackedSpectraPoolFootprint(t *testing.T) {
 	peak := mempool.Spectra.Stats().PeakLiveBytes - base
 
 	m := tr.TransformShape()
-	if want := int64(3 * mempool.ClassSize(fft.PackedVolume(m)) * 16); peak != want {
-		t.Errorf("packed peak pool bytes = %d, want %d (3 packed buffers)", peak, want)
+	if want := int64(2 * mempool.ClassSize(fft.PackedVolume(m)) * 16); peak != want {
+		t.Errorf("packed peak pool bytes = %d, want %d (2 packed buffers)", peak, want)
 	}
-	if full := int64(3 * mempool.ClassSize(m.Volume()) * 16); 2*peak > full {
+	if full := int64(2 * mempool.ClassSize(m.Volume()) * 16); 2*peak > full {
 		t.Errorf("packed peak pool bytes = %d, want ≤ half of the full-complex layout's %d", peak, full)
 	}
 }

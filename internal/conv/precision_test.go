@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"znn/internal/fft"
 	"znn/internal/mempool"
 	"znn/internal/tensor"
 )
@@ -48,39 +47,6 @@ func TestF32TransformerMatchesDirect(t *testing.T) {
 		gd := KernelGradDirect(img, bwd, ker.S, sp)
 		if d := gf.MaxAbsDiff(gd); d > tol {
 			t.Fatalf("trial %d: f32 kernel grad differs from direct by %g", trial, d)
-		}
-	}
-}
-
-// TestF32PackedReflectMatchesF64 checks the complex64 conjugate-reflection
-// pass against the complex128 one on packed spectra, including odd 5-smooth
-// Y and Z extents.
-func TestF32PackedReflectMatchesF64(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	shapes := []struct{ m, support tensor.Shape }{
-		{tensor.S3(8, 6, 4), tensor.S3(3, 2, 2)},
-		{tensor.S3(16, 15, 3), tensor.S3(4, 3, 1)}, // odd Y and Z
-		{tensor.S3(6, 25, 27), tensor.S3(2, 4, 5)},
-	}
-	for _, c := range shapes {
-		w := tensor.RandomUniform(rng, c.support, -1, 1)
-		w32 := tensor.ConvertOf[float32](w)
-
-		pk64 := make([]complex128, fft.PackedVolume(c.m))
-		fft.NewPlan3R(c.m).Forward(pk64, w)
-		refl64 := make([]complex128, len(pk64))
-		reflectSpectrumPackedInto(refl64, pk64, c.m, c.support)
-
-		pk32 := make([]complex64, fft.PackedVolume(c.m))
-		fft.NewPlan3ROf[float32, complex64](c.m).Forward(pk32, w32)
-		refl32 := make([]complex64, len(pk32))
-		reflectSpectrumPackedInto(refl32, pk32, c.m, c.support)
-
-		for i := range refl64 {
-			d := refl64[i] - complex128(refl32[i])
-			if real(d)*real(d)+imag(d)*imag(d) > 1e-8 {
-				t.Fatalf("m %v: reflect [%d] f32 %v vs f64 %v", c.m, i, refl32[i], refl64[i])
-			}
 		}
 	}
 }

@@ -172,6 +172,10 @@ func (m Method) IsFFT() bool { return m == FFT }
 // across rounds until the weight update invalidates it; with Memoize
 // enabled the forward image spectrum and backward gradient spectrum are
 // retained for the update, which then costs a single inverse transform.
+// The backward pass and the update reuse those spectra unreflected:
+// multiplying by a conjugate spectrum (fft.MulConjSpecInto) correlates instead
+// of convolving, and the correlation's origin sits at a fixed circular
+// offset of the transform (wrapOffset).
 //
 // The scheduler's FORCE discipline (Section VI) makes the memo slots safe
 // without extra synchronization beyond the internal mutex: an edge's update
@@ -191,9 +195,8 @@ type Transformer struct {
 	p3r32 *fft.Plan3ROf[float32, complex64] // packed real plan (Method FFT, PrecF32)
 
 	mu       sync.Mutex
-	kerValid bool         // kernel spectra below are current
+	kerValid bool         // kerF is current
 	kerF     fft.Spectrum // spectrum of the dilated kernel
-	kerFRefl fft.Spectrum // spectrum of the reflected dilated kernel
 	imgF     fft.Spectrum // memoized forward image spectrum (round-scoped)
 	bwdF     fft.Spectrum // memoized backward gradient spectrum (round-scoped)
 }
@@ -297,6 +300,18 @@ func (t *Transformer) InShape() tensor.Shape { return t.in }
 // pads the edge's backward image.
 func (t *Transformer) Halo() tensor.Shape { return t.in.Sub(t.out) }
 
+// wrapOffset returns (M − halo) mod M per axis of the transform shape M:
+// where the backward pass and the kernel gradient start in the inverse of
+// a conjugate product. G·conj(K) is the circular correlation
+// c[t] = Σ_u g[t+u]·w[u], and the full convolution with the reflected
+// kernel that the backward pass computes is c at t − halo; the kernel
+// gradient at tap a is likewise c (of G·conj(X)) at s·a − halo. The crop
+// wraps past the transform's end (fft.Plan3ROf.Inverse).
+func (t *Transformer) wrapOffset() tensor.Shape {
+	h := t.Halo()
+	return tensor.Shape{X: (t.m.X - h.X) % t.m.X, Y: (t.m.Y - h.Y) % t.m.Y, Z: (t.m.Z - h.Z) % t.m.Z}
+}
+
 // TransformShape returns the common FFT shape (meaningful for FFT methods).
 func (t *Transformer) TransformShape() tensor.Shape { return t.m }
 
@@ -345,53 +360,34 @@ func (t *Transformer) inverseStore(out *tensor.Tensor, spec fft.Spectrum, ox, oy
 	t.cnt.addFFT(t.m, t.prec == PrecF32, true)
 }
 
-// reflectInto applies the conjugate-reflection phase pass for a signal of
-// the given support, at the transformer's precision.
-func (t *Transformer) reflectInto(dst, src fft.Spectrum, support tensor.Shape) {
-	if t.prec == PrecF32 {
-		reflectSpectrumPackedInto(dst.C64, src.C64, t.m, support)
-	} else {
-		reflectSpectrumPackedInto(dst.C128, src.C128, t.m, support)
-	}
-	t.cnt.addReflect(t.m)
-}
-
-// kernelSpectra returns the (possibly cached) spectra of the dilated kernel
-// and its reflection, computing them if the update invalidated them. The
-// buffers are recomputed in place across invalidations: the kernel changes
-// every round, so releasing and reallocating two transform-sized buffers
-// per edge per round was pure GC churn on the hot path. In-place reuse is
-// safe under the FORCE discipline that already protects invalidation — an
+// kernelSpectrum returns the (possibly cached) spectrum of the dilated
+// kernel, computing it if the update invalidated it. The buffer is
+// recomputed in place across invalidations: the kernel changes every
+// round, so releasing and reallocating a transform-sized buffer per edge
+// per round was pure GC churn on the hot path. In-place reuse is safe
+// under the FORCE discipline that already protects invalidation — an
 // edge's update (which invalidates) always runs before the edge's next
-// forward pass reads the spectra.
-func (t *Transformer) kernelSpectra(ker *tensor.Tensor) (kf, kfr fft.Spectrum) {
+// forward pass reads the spectrum.
+func (t *Transformer) kernelSpectrum(ker *tensor.Tensor) fft.Spectrum {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.kerValid {
 		if t.kerF.IsNil() {
 			// Pool-backed so PeakLiveBytes covers the kernel-spectra
-			// working set (the plan byte model's 2·f·f′ term). The
-			// buffers stay checked out across rounds — recomputed in
-			// place on invalidation — and return to the pool only when
+			// working set (the plan byte model's kernel term). The
+			// buffer stays checked out across rounds — recomputed in
+			// place on invalidation — and returns to the pool only when
 			// the layout changes or the engine closes.
-			if t.prec == PrecF32 {
-				t.kerF = fft.Spec64(mempool.Spectra32.Get(t.sv))
-				t.kerFRefl = fft.Spec64(mempool.Spectra32.Get(t.sv))
-			} else {
-				t.kerF = fft.Spec128(mempool.Spectra.Get(t.sv))
-				t.kerFRefl = fft.Spec128(mempool.Spectra.Get(t.sv))
-			}
+			t.kerF = t.specGet()
 		}
-		d := ker.Dilate(t.sp)
-		t.specInto(t.kerF, d)
-		t.reflectInto(t.kerFRefl, t.kerF, d.S)
+		t.specInto(t.kerF, ker.Dilate(t.sp))
 		t.kerValid = true
 	}
-	return t.kerF, t.kerFRefl
+	return t.kerF
 }
 
-// ReleaseKernelSpectra returns the pooled kernel-spectra buffers and marks
-// them stale. The engine calls it on Close so a dead engine's transformers
+// ReleaseKernelSpectra returns the pooled kernel-spectrum buffer and marks
+// it stale. The engine calls it on Close so a dead engine's transformers
 // do not inflate the pools' live-byte baseline (one live engine per graph
 // is the documented rule, so the next Compile/round recomputes from
 // scratch). Safe to call repeatedly; a transformer that never computed
@@ -405,13 +401,11 @@ func (t *Transformer) ReleaseKernelSpectra() {
 func (t *Transformer) releaseKernelSpectraLocked() {
 	t.kerValid = false
 	t.kerF.Release()
-	t.kerFRefl.Release()
 	t.kerF = fft.Spectrum{}
-	t.kerFRefl = fft.Spectrum{}
 }
 
-// InvalidateKernel marks the cached kernel spectra stale; the update task
-// calls this after changing the weights. The buffers are retained for
+// InvalidateKernel marks the cached kernel spectrum stale; the update task
+// calls this after changing the weights. The buffer is retained for
 // in-place recomputation. Direct caches nothing: it builds its tap list
 // from the live kernel on every call.
 func (t *Transformer) InvalidateKernel() {
@@ -490,9 +484,9 @@ func (t *Transformer) Backward(bwd, ker *tensor.Tensor, sc *SpectrumCache) *tens
 // KernelGrad computes the gradient of the loss with respect to the kernel:
 // the valid convolution of the reflected forward image with the backward
 // image, subsampled at the sparsity stride. With memoization enabled and
-// both phase spectra retained, it costs one spectrum reflection, one
-// pointwise product and one inverse transform (Table II, memoized update).
-// The memo slots are consumed: a second call recomputes from the images.
+// both phase spectra retained, it costs one conjugate pointwise product
+// and one inverse transform (Table II, memoized update). The memo slots
+// are consumed: a second call recomputes from the images.
 func (t *Transformer) KernelGrad(img, bwd *tensor.Tensor) *tensor.Tensor {
 	if img.S != t.in || bwd.S != t.out {
 		panic(fmt.Sprintf("conv: kernel grad shapes img %v bwd %v, want %v and %v",
@@ -515,18 +509,14 @@ func (t *Transformer) KernelGrad(img, bwd *tensor.Tensor) *tensor.Tensor {
 	if bwdF.IsNil() {
 		bwdF = t.newSpec(bwd)
 	}
-	// F(reflect(img)) from the memoized F(img) via the phase trick.
+	// The correlation of g with img, whose values at s·a − halo,
+	// a = 0..k−1, are the gradient (wrapOffset).
 	prod := t.specGet()
-	t.reflectInto(prod, imgF, t.in)
-	fft.MulSpecInto(prod, prod, bwdF)
+	fft.MulConjSpecInto(prod, bwdF, imgF, false)
 	t.cnt.addMul(t.m)
-	// Full-convolution values at offsets (n′−1) + s·a, a = 0..k−1.
-	full := tensor.New(tensor.Shape{
-		X: t.sp.X*(t.k.X-1) + 1,
-		Y: t.sp.Y*(t.k.Y-1) + 1,
-		Z: t.sp.Z*(t.k.Z-1) + 1,
-	})
-	t.inverseStore(full, prod, t.out.X-1, t.out.Y-1, t.out.Z-1)
+	full := tensor.New(t.Halo().Add(tensor.Cube(1)))
+	o := t.wrapOffset()
+	t.inverseStore(full, prod, o.X, o.Y, o.Z)
 	prod.Release()
 	return full.Subsample(0, 0, 0, t.sp, t.k)
 }
@@ -598,7 +588,7 @@ func spectralSum(out *tensor.Tensor, terms []SpecTerm, bwd, record bool) {
 	t := terms[0].Tr
 	want, at := t.out, t.Halo()
 	if bwd {
-		want, at = t.in, tensor.Shape{}
+		want, at = t.in, t.wrapOffset()
 	}
 	if out.S != want {
 		panic(fmt.Sprintf("conv: spectral sum into %v, want %v", out.S, want))
@@ -610,13 +600,13 @@ func spectralSum(out *tensor.Tensor, terms []SpecTerm, bwd, record bool) {
 		if !t.SpectralCompatible(tr) || tm.Ker.S != tr.k {
 			panic(fmt.Sprintf("conv: spectral sum term kernel %v (method %v) does not match the group's %v", tm.Ker.S, tr.mth, t.k))
 		}
-		kf, kfr := tr.kernelSpectra(tm.Ker)
-		if bwd {
-			kf = kfr
-		}
-		if i == 0 {
+		kf := tr.kernelSpectrum(tm.Ker)
+		switch {
+		case bwd:
+			fft.MulConjSpecInto(acc, tm.F, kf, i > 0)
+		case i == 0:
 			fft.MulSpecInto(acc, tm.F, kf)
-		} else {
+		default:
 			fft.MulAccSpecInto(acc, tm.F, kf)
 		}
 		tr.cnt.addMul(tr.m)

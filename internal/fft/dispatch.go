@@ -29,6 +29,10 @@ var (
 	mulAccInto128 = mulAccInto128Scalar
 	scale128      = scale128Scalar
 
+	// mulConj64 and mulConj128 compute dst (+)= a·conj(b) (MulConjSpecInto).
+	mulConj64  = mulConjScalar[float32, complex64]
+	mulConj128 = mulConjScalar[float64, complex128]
+
 	// lane32 and lane64 are the lanes-wide kernel sets of the 3D passes,
 	// line32 and line64 the single-line Go sets of the 1D plans. The 3D
 	// passes run lanes wide on either kernel set: on the Go twins too, 8

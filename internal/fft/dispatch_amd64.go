@@ -2,7 +2,10 @@
 
 package fft
 
-import "znn/internal/cpu"
+import (
+	"znn/internal/cpu"
+	"znn/internal/tensor"
+)
 
 // init swaps the AVX2 kernel set into the dispatch table when the CPU
 // supports it (AVX2 + FMA + OS YMM state).
@@ -10,85 +13,93 @@ func init() {
 	if !cpu.VectorOK() {
 		return
 	}
-	mulInto64, mulAccInto64, scale64 = mulInto64AVX2, mulAccInto64AVX2, scale64AVX2
-	mulInto128, mulAccInto128, scale128 = mulInto128AVX2, mulAccInto128AVX2, scale128AVX2
+	mulInto64, mulAccInto64 = flatAVX2(mulInto64Asm, mulInto64Scalar), flatAVX2(mulAccInto64Asm, mulAccInto64Scalar)
+	mulInto128, mulAccInto128 = flatAVX2(mulInto128Asm, mulInto128Scalar), flatAVX2(mulAccInto128Asm, mulAccInto128Scalar)
+	scale64, scale128 = scaleAVX2(scale64Asm, scale64Scalar), scaleAVX2(scale128Asm, scale128Scalar)
+	mulConj64 = conjAVX2(mulConj64Asm, mulConjScalar[float32, complex64])
+	mulConj128 = conjAVX2(mulConj128Asm, mulConjScalar[float64, complex128])
 	*lane32 = laneKernels[float32]{lanes, bfLaneR2AVX2, bfLaneR3AVX2, bfLaneR4AVX2, bfLaneR5AVX2,
-		r2cLaneCombineAVX2, c2rLanePreAVX2}
+		r2cLaneCombineAVX2, c2rLanePreAVX2, gatherAVX2(gatherLanesAsm), scatterAVX2(scatterLanesAsm)}
 	*lane64 = laneKernels[float64]{lanes, bfLaneR2AVX2F64, bfLaneR3AVX2F64, bfLaneR4AVX2F64, bfLaneR5AVX2F64,
-		r2cLaneCombineAVX2F64, c2rLanePreAVX2F64}
+		r2cLaneCombineAVX2F64, c2rLanePreAVX2F64, gatherAVX2(gatherLanesAsmF64), scatterAVX2(scatterLanesAsmF64)}
 	vecActive = true
 	kernelPath = "avx2"
 }
 
 // The wrappers below bridge the asm bodies to slices. The flat ones also
 // bridge whole vector groups to arbitrary lengths: the assembly processes
-// the aligned-count prefix and the scalar kernel finishes the tail.
-// countVec rides the flat kernels here because they are called once per
-// spectrum.
+// the prefix that fills whole YMM registers (4 complex64 or 2 complex128)
+// and the Go twin finishes the tail. countVec rides the flat kernels here
+// because they are called once per spectrum.
 
-func mulInto64AVX2(dst, a, b []complex64) {
-	countVec()
-	n := len(dst) &^ 3
-	if n > 0 {
-		mulInto64Asm(&dst[0], &a[0], &b[0], n)
+func vecPrefix[C Complex](n int) int {
+	if is32[C]() {
+		return n &^ 3
 	}
-	if n < len(dst) {
-		mulInto64Scalar(dst[n:], a[n:], b[n:])
+	return n &^ 1
+}
+
+func flatAVX2[C Complex](body func(dst, a, b *C, n int), tail func(dst, a, b []C)) func(dst, a, b []C) {
+	return func(dst, a, b []C) {
+		countVec()
+		n := vecPrefix[C](len(dst))
+		if n > 0 {
+			body(&dst[0], &a[0], &b[0], n)
+		}
+		tail(dst[n:], a[n:], b[n:])
 	}
 }
 
-func mulAccInto64AVX2(dst, a, b []complex64) {
-	countVec()
-	n := len(dst) &^ 3
-	if n > 0 {
-		mulAccInto64Asm(&dst[0], &a[0], &b[0], n)
-	}
-	if n < len(dst) {
-		mulAccInto64Scalar(dst[n:], a[n:], b[n:])
-	}
-}
-
-func scale64AVX2(data []complex64, s float32) {
-	countVec()
-	n := len(data) &^ 3
-	if n > 0 {
-		scale64Asm(&data[0], n, s)
-	}
-	if n < len(data) {
-		scale64Scalar(data[n:], s)
+func conjAVX2[C Complex](body func(dst, a, b *C, n int, acc bool), tail func(dst, a, b []C, acc bool)) func(dst, a, b []C, acc bool) {
+	return func(dst, a, b []C, acc bool) {
+		countVec()
+		n := vecPrefix[C](len(dst))
+		if n > 0 {
+			body(&dst[0], &a[0], &b[0], n, acc)
+		}
+		tail(dst[n:], a[n:], b[n:], acc)
 	}
 }
 
-func mulInto128AVX2(dst, a, b []complex128) {
-	countVec()
-	n := len(dst) &^ 1
-	if n > 0 {
-		mulInto128Asm(&dst[0], &a[0], &b[0], n)
-	}
-	if n < len(dst) {
-		mulInto128Scalar(dst[n:], a[n:], b[n:])
-	}
-}
-
-func mulAccInto128AVX2(dst, a, b []complex128) {
-	countVec()
-	n := len(dst) &^ 1
-	if n > 0 {
-		mulAccInto128Asm(&dst[0], &a[0], &b[0], n)
-	}
-	if n < len(dst) {
-		mulAccInto128Scalar(dst[n:], a[n:], b[n:])
+func scaleAVX2[F tensor.Real, C Complex](body func(data *C, n int, s F), tail func([]C, F)) func([]C, F) {
+	return func(data []C, s F) {
+		countVec()
+		n := vecPrefix[C](len(data))
+		if n > 0 {
+			body(&data[0], n, s)
+		}
+		tail(data[n:], s)
 	}
 }
 
-func scale128AVX2(data []complex128, s float64) {
-	countVec()
-	n := len(data) &^ 1
-	if n > 0 {
-		scale128Asm(&data[0], n, s)
+// gatherAVX2 and scatterAVX2 bridge the block gather and scatter bodies
+// to the lane-kernel signatures: a full block of lanes columns goes to the
+// assembly, after bounds checks on its last row, and a pass's tail block
+// to the Go loops.
+func gatherAVX2[F tensor.Real](body func(sre, sim, b *F, perm *int, es, n, lim int)) func([]F, []F, [][2]F, []int, int, int, int, int) {
+	return func(sre, sim []F, b [][2]F, perm []int, es, n, cols, lim int) {
+		if cols < lanes {
+			gatherLanes(sre, sim, b, perm, lanes, 0, 1, es, n, cols, lim)
+			return
+		}
+		_, _, _ = b[(n-1)*es+lanes-1], sre[n*lanes-1], sim[n*lanes-1]
+		var pp *int
+		if perm != nil {
+			_ = perm[n-1]
+			pp = &perm[0]
+		}
+		body(&sre[0], &sim[0], &b[0][0], pp, es, n, lim)
 	}
-	if n < len(data) {
-		scale128Scalar(data[n:], s)
+}
+
+func scatterAVX2[F tensor.Real](body func(b, dre, dim *F, es, n int)) func([][2]F, []F, []F, int, int, int) {
+	return func(b [][2]F, dre, dim []F, es, n, cols int) {
+		if cols < lanes {
+			scatterLanes(b, dre, dim, lanes, 0, 1, es, n, cols)
+			return
+		}
+		_, _, _ = b[(n-1)*es+lanes-1], dre[n*lanes-1], dim[n*lanes-1]
+		body(&b[0][0], &dre[0], &dim[0], es, n)
 	}
 }
 

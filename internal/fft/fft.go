@@ -29,8 +29,8 @@
 // type. The training pipeline is memory-bandwidth-bound on multi-core
 // machines, so the complex64 instantiation — half the bytes per
 // coefficient — roughly doubles effective bandwidth through the Y/Z passes
-// and every pointwise spectral operation. Twiddle and phase tables are
-// always computed in float64 and rounded once, so the float32 path loses no
+// and every pointwise spectral operation. Twiddle tables are always
+// computed in float64 and rounded once, so the float32 path loses no
 // accuracy to table construction. Plan, PlanR and Plan3R remain aliases for
 // the float64/complex128 instantiations; plans of both precisions for one
 // length coexist in the cache.
@@ -48,10 +48,11 @@
 // halves both the transform flops (the even X extent runs r2c through a
 // half-length complex plan; Y and Z passes cover only X/2+1 columns) and
 // the memory and pointwise work of every spectral-domain operation.
-// Pointwise identities — products (MulInto/MulAccInto) and
-// conjugate-reflection phase passes — apply to packed spectra unchanged,
-// because they hold per coefficient and packing only drops coefficients
-// implied by symmetry.
+// Pointwise identities — products (MulInto/MulAccInto) and conjugate
+// products (MulConjSpecInto, the spectrum of a circular correlation, which
+// is how convolution's backward pass and update avoid reflecting a
+// spectrum) — apply to packed spectra unchanged, because they hold per
+// coefficient and packing only drops coefficients implied by symmetry.
 //
 // Plans are safe for concurrent use by multiple workers; per-call scratch
 // comes from sync.Pool so steady-state transforms do not allocate.
@@ -70,9 +71,10 @@
 //
 // # Vector kernel dispatch
 //
-// The hot path of both precisions — pointwise spectrum products and the
-// inner butterflies of the line transforms — is reachable through two
-// interchangeable kernel sets, selected once at package init:
+// The hot path of both precisions — pointwise spectrum products, the
+// inner butterflies of the line transforms and the gathers and scatters
+// around them — is reachable through two interchangeable kernel sets,
+// selected once at package init:
 //
 //   - AVX2+FMA assembly (kernels_amd64.s), installed on amd64 builds when
 //     internal/cpu confirms AVX2, FMA and OS YMM-state support at runtime.
@@ -82,7 +84,8 @@
 //     split re/im planes (element j of lane c at plane index j·8+c) so each
 //     butterfly is a column of 8-wide vertical float32 FMAs, or two 4-wide
 //     float64 ones, with broadcast twiddles. Lane batching covers all three
-//     axes, including the r2c/c2r X pass.
+//     axes, including the r2c/c2r X pass. The Y/Z passes' gather and
+//     scatter of each full block of 8 columns are assembly too.
 //   - Portable Go kernels otherwise: the same lane-batched recursion on the
 //     Go twins of the butterflies (lane.go).
 //
@@ -91,7 +94,9 @@
 // production path; and the two sets agree to rounding (the assembly
 // contracts multiply-adds through FMA, so results differ from the portable
 // path in the last bits — never rely on bitwise-identical spectra across
-// hosts). KernelPath reports the decision ("avx2", "scalar", or "purego");
+// hosts; the conjugate products, which round like their Go twin, and the
+// gathers and scatters, which only move data, agree bit for bit).
+// KernelPath reports the decision ("avx2", "scalar", or "purego");
 // KernelDispatches counts calls into the vector set, which is how CI proves
 // the assembly actually ran. Building with `-tags purego` is the escape
 // hatch that excludes all assembly and CPUID probing — the portable
@@ -288,7 +293,7 @@ func (p *PlanOf[C]) transform(data []C, inverse bool) {
 func lineTransform[F tensor.Real, C Complex](p *PlanOf[C], data []C, inverse bool) {
 	lt := p.scratch.Get().(*laneTile[F])
 	d := pairs[F](data)
-	gatherLanes(lt.dstRe, lt.dstIm, d, p.perm, 1, 0, 1, 1, p.n, 1)
+	gatherLanes(lt.dstRe, lt.dstIm, d, p.perm, 1, 0, 1, 1, p.n, 1, p.n)
 	laneDFT(kernelsFor[F](false), p, inverse, lt.dstRe, lt.dstIm)
 	scatterLanes(d, lt.dstRe, lt.dstIm, 1, 0, 1, 1, p.n, 1)
 	p.scratch.Put(lt)

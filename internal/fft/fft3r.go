@@ -31,11 +31,13 @@ func PackedVolume(s tensor.Shape) int { return PackedShape(s).Volume() }
 // columns — roughly half the work and half the memory of a full complex
 // transform. The inverse pass runs the complex Z/Y passes, then applies the
 // c2r X-pass only to the rows of the requested crop region, fusing the
-// store, crop, and 1/N normalization.
+// store, crop, and 1/N normalization. The crop is circular: a region that
+// runs past the plan's end continues at its start.
 //
 // Both directions are pruned (ZNNi's pruned FFTs): the forward X and Y
-// passes run only on the source's rows and z-slabs, since the padding is
-// zero and transforms to zero; the inverse Y and X passes run only on the
+// passes run only on the source's rows and z-slabs, and the Y and Z
+// gathers read the padding as zeros instead of loading it, so nothing
+// clears the buffer first; the inverse Y and X passes run only on the
 // crop's z-slabs and rows, since nothing else is read. The Z pass runs over
 // every packed column. The pruning is exact: outputs match the unpruned
 // transform bit for bit.
@@ -128,12 +130,11 @@ func (p *Plan3ROf[R, C]) ForwardF64(packed []C, t *tensor.Tensor) {
 	})
 }
 
-// forwardRows is the shared forward body: it validates the geometry, zeroes
-// the packed rows outside the source's Y/Z extent (rows inside are fully
-// written by the r2c transform, so a whole-buffer memset would be redundant
-// bandwidth on the hot path), and runs the fused load+X-pass — loadRow
-// fills line[:ts.X] for the (y, z) row; the padding tail of the line is
-// zeroed once up front — followed by the batched Y/Z passes.
+// forwardRows is the shared forward body: it validates the geometry and
+// runs the fused load+X-pass — loadRow fills line[:ts.X] for the (y, z)
+// row; the padding tail of the line is zeroed once up front — followed by
+// the batched Y/Z passes, whose gathers stand in zeros for the packed rows
+// outside the source's Y/Z extent, which nothing has written.
 func (p *Plan3ROf[R, C]) forwardRows(packed []C, ts tensor.Shape, loadRow func(line []R, y, z int)) {
 	if len(packed) != p.ps.Volume() {
 		panic(fmt.Sprintf("fft: packed buffer length %d does not match shape %v (want %d)",
@@ -142,15 +143,6 @@ func (p *Plan3ROf[R, C]) forwardRows(packed []C, ts tensor.Shape, loadRow func(l
 	if !ts.Fits(p.s) {
 		panic(fmt.Sprintf("fft: tensor %v does not fit in transform shape %v", ts, p.s))
 	}
-	xh := p.ps.X
-	if ts.Y < p.s.Y {
-		for z := 0; z < ts.Z; z++ {
-			clear(packed[p.ps.Index(0, ts.Y, z) : (z+1)*p.s.Y*xh])
-		}
-	}
-	if ts.Z < p.s.Z {
-		clear(packed[p.ps.Index(0, 0, ts.Z):])
-	}
 	lp := p.linePool.Get().(*[]R)
 	line := *lp
 	for i := ts.X; i < p.s.X; i++ {
@@ -158,7 +150,7 @@ func (p *Plan3ROf[R, C]) forwardRows(packed []C, ts tensor.Shape, loadRow func(l
 	}
 	p.forwardX(packed, ts, line, loadRow)
 	p.linePool.Put(lp)
-	p.complexPasses(packed, false, 0, ts.Z)
+	p.complexPasses(packed, false, 0, ts)
 }
 
 // forwardX is the fused load + r2c X pass: 8 rows of one z-slab pack into
@@ -205,10 +197,15 @@ func (p *Plan3ROf[R, C]) forwardX(packed []C, ts tensor.Shape, line []R, loadRow
 // Inverse computes the inverse real transform of packed (in place along
 // Y/Z, consuming the buffer) and stores the sub-volume of the result
 // starting at (ox,oy,oz) into dst, including the 1/N normalization. The
-// c2r X-pass runs only for the rows of the crop region.
+// sub-volume is read circularly: each offset lies inside the plan shape,
+// dst is no larger than it, and a row, column or slab that runs past the
+// plan's end continues at index 0. The c2r X-pass runs only for the rows
+// of the crop region.
 func (p *Plan3ROf[R, C]) Inverse(dst *tensor.Vol[R], packed []C, ox, oy, oz int) {
 	p.inverseRows(dst.S, packed, ox, oy, oz, func(line []R, y, z int) {
-		copy(dst.Data[dst.S.Index(0, y, z):dst.S.Index(0, y, z)+dst.S.X], line[ox:ox+dst.S.X])
+		row := dst.Data[dst.S.Index(0, y, z) : dst.S.Index(0, y, z)+dst.S.X]
+		n := copy(row, line[ox:])
+		copy(row[n:], line) // the wrapped part, if any
 	})
 }
 
@@ -219,8 +216,12 @@ func (p *Plan3ROf[R, C]) Inverse(dst *tensor.Vol[R], packed []C, ox, oy, oz int)
 func (p *Plan3ROf[R, C]) InverseF64(dst *tensor.Tensor, packed []C, ox, oy, oz int) {
 	p.inverseRows(dst.S, packed, ox, oy, oz, func(line []R, y, z int) {
 		row := dst.Data[dst.S.Index(0, y, z) : dst.S.Index(0, y, z)+dst.S.X]
-		for x := range row {
-			row[x] = float64(line[ox+x])
+		n := min(len(row), len(line)-ox)
+		for x, v := range line[ox : ox+n] {
+			row[x] = float64(v)
+		}
+		for x, v := range line[:len(row)-n] { // the wrapped part, if any
+			row[n+x] = float64(v)
 		}
 	})
 }
@@ -235,11 +236,11 @@ func (p *Plan3ROf[R, C]) inverseRows(ds tensor.Shape, packed []C, ox, oy, oz int
 		panic(fmt.Sprintf("fft: packed buffer length %d does not match shape %v (want %d)",
 			len(packed), p.s, p.ps.Volume()))
 	}
-	if ox < 0 || oy < 0 || oz < 0 || ox+ds.X > p.s.X || oy+ds.Y > p.s.Y || oz+ds.Z > p.s.Z {
+	if ox < 0 || oy < 0 || oz < 0 || ox >= p.s.X || oy >= p.s.Y || oz >= p.s.Z || !ds.Fits(p.s) {
 		panic(fmt.Sprintf("fft: store region %v at (%d,%d,%d) out of range of %v",
 			ds, ox, oy, oz, p.s))
 	}
-	p.complexPasses(packed, true, oz, oz+ds.Z)
+	p.complexPasses(packed, true, oz, ds)
 	lp := p.linePool.Get().(*[]R)
 	p.inverseX(ds, packed, oy, oz, 1/float64(p.s.Y*p.s.Z), *lp, storeRow)
 	p.linePool.Put(lp)
@@ -249,13 +250,15 @@ func (p *Plan3ROf[R, C]) inverseRows(ds tensor.Shape, packed []C, ox, oy, oz int
 // into SoA planes, run the inverse split pre-pass (the 1/N normalization
 // folded into its scale constant) and the half-length inverse in lockstep
 // (PlanROf.c2r), then go out through storeRow, which applies the crop and
-// the float64 conversion of InverseF64.
+// the float64 conversion of InverseF64. Crop rows and slabs wrap at the
+// plan's end; a block of rows stops at the Y wrap, so it stays one run of
+// adjacent packed rows.
 func (p *Plan3ROf[R, C]) inverseX(ds tensor.Shape, packed []C, oy, oz int, scale float64, line []R, storeRow func(line []R, y, z int)) {
 	xh := p.ps.X
 	if p.px.half == nil {
 		for z := 0; z < ds.Z; z++ {
 			for y := 0; y < ds.Y; y++ {
-				line[0] = R(real(complex128(packed[p.ps.Index(0, oy+y, oz+z)])) * scale)
+				line[0] = R(real(complex128(packed[p.ps.Index(0, (oy+y)%p.s.Y, (oz+z)%p.s.Z)])) * scale)
 				storeRow(line, y, z)
 			}
 		}
@@ -267,9 +270,11 @@ func (p *Plan3ROf[R, C]) inverseX(ds tensor.Shape, packed []C, oy, oz int, scale
 	lt := p.lanePool.Get().(*laneTile[R])
 	countVec()
 	for z := 0; z < ds.Z; z++ {
-		for y0 := 0; y0 < ds.Y; y0 += nl {
-			cols := min(nl, ds.Y-y0)
-			gatherLanes(lt.outRe, lt.outIm, pk, nil, nl, p.ps.Index(0, oy+y0, oz+z), xh, 1, xh, cols)
+		pz := (oz + z) % p.s.Z
+		for y0, cols := 0, 0; y0 < ds.Y; y0 += cols {
+			py := (oy + y0) % p.s.Y
+			cols = min(nl, ds.Y-y0, p.s.Y-py)
+			gatherLanes(lt.outRe, lt.outIm, pk, nil, nl, p.ps.Index(0, py, pz), xh, 1, xh, cols, xh)
 			p.px.c2r(k, lt, scale)
 			for c := 0; c < cols; c++ {
 				for j := 0; j < m; j++ {
@@ -284,9 +289,11 @@ func (p *Plan3ROf[R, C]) inverseX(ds tensor.Shape, packed []C, oy, oz int, scale
 
 // complexPasses runs the lane-batched complex transforms along Y then Z
 // (or Z then Y for the inverse) over the packed columns (blockLanes). The
-// Y pass runs only on the z-slabs [z0, z1): the source's slabs forward,
-// the crop's inverse (see the pruning note on Plan3ROf).
-func (p *Plan3ROf[R, C]) complexPasses(packed []C, inverse bool, z0, z1 int) {
+// Y pass runs only on the ext.Z z-slabs from oz on, wrapping at the plan's
+// end: the source's slabs forward, the crop's inverse (see the pruning note
+// on Plan3ROf). Forward, ext is the source's extent and the gathers read
+// the rows and slabs past it as zeros.
+func (p *Plan3ROf[R, C]) complexPasses(packed []C, inverse bool, oz int, ext tensor.Shape) {
 	if p.s.Y <= 1 && p.s.Z <= 1 {
 		return
 	}
@@ -294,14 +301,18 @@ func (p *Plan3ROf[R, C]) complexPasses(packed []C, inverse bool, z0, z1 int) {
 	lt := p.lanePool.Get().(*laneTile[R])
 	xh := p.ps.X
 	plane := xh * p.s.Y
-	if inverse && p.s.Z > 1 {
-		blockLanes(k, p.pz, packed, 0, plane, plane, p.s.Z, true, lt)
+	ylim, zlim := ext.Y, ext.Z
+	if inverse {
+		ylim, zlim = p.s.Y, p.s.Z
 	}
-	for z := z0; p.s.Y > 1 && z < z1; z++ {
-		blockLanes(k, p.py, packed, z*plane, xh, xh, p.s.Y, inverse, lt)
+	if inverse && p.s.Z > 1 {
+		blockLanes(k, p.pz, packed, 0, plane, plane, zlim, true, lt)
+	}
+	for i := 0; p.s.Y > 1 && i < ext.Z; i++ {
+		blockLanes(k, p.py, packed, (oz+i)%p.s.Z*plane, xh, xh, ylim, inverse, lt)
 	}
 	if !inverse && p.s.Z > 1 {
-		blockLanes(k, p.pz, packed, 0, plane, plane, p.s.Z, false, lt)
+		blockLanes(k, p.pz, packed, 0, plane, plane, zlim, false, lt)
 	}
 	p.lanePool.Put(lt)
 }

@@ -3,6 +3,7 @@ package fft
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"znn/internal/tensor"
@@ -143,8 +144,14 @@ func TestPlan3RValidationPanics(t *testing.T) {
 		"fwd short buffer": func() { p.Forward(make([]complex128, 5), tensor.New(tensor.S3(4, 4, 4))) },
 		"fwd oversize img": func() { p.Forward(make([]complex128, p.PackedLen()), tensor.New(tensor.S3(5, 4, 4))) },
 		"inv short buffer": func() { p.Inverse(tensor.New(tensor.S3(2, 2, 2)), make([]complex128, 5), 0, 0, 0) },
-		"inv bad crop": func() {
-			p.Inverse(tensor.New(tensor.S3(2, 2, 2)), make([]complex128, p.PackedLen()), 3, 3, 3)
+		"inv offset at extent": func() {
+			p.Inverse(tensor.New(tensor.S3(2, 2, 2)), make([]complex128, p.PackedLen()), 0, 4, 0)
+		},
+		"inv negative offset": func() {
+			p.Inverse(tensor.New(tensor.S3(2, 2, 2)), make([]complex128, p.PackedLen()), 0, 0, -1)
+		},
+		"inv crop larger than plan": func() {
+			p.Inverse(tensor.New(tensor.S3(5, 2, 2)), make([]complex128, p.PackedLen()), 0, 0, 0)
 		},
 	}
 	for name, f := range cases {
@@ -215,6 +222,59 @@ func testPruned[R tensor.Real, C Complex](t *testing.T, name string) {
 					g, w := crop.Data[k.Index(x, y, z)], full.Data[s.Index(o+x, o+y, o+z)]
 					if g != w {
 						t.Fatalf("%s n=%d: pruned inverse (%d,%d,%d) = %v, full %v", name, n, x, y, z, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlan3RWrappedCropMatchesFull pins the circular crop of Inverse and
+// InverseF64 as exact: at offsets that wrap, the cropped inverse must
+// equal, bit for bit, the circular extraction of the full-shape inverse,
+// in both precisions. The cases wrap every axis with a crop whose Y rows
+// 12, 13, 14, 0, 1, 2 would share one 8-row block, have an X extent of 1,
+// and have a zero-halo Z axis (a k×k×1 kernel's: offset 0, as the
+// backward pass and the kernel gradient crop it), the last with the whole
+// plan rotated in X and Y.
+func TestPlan3RWrappedCropMatchesFull(t *testing.T) {
+	testWrappedCrop[float64, complex128](t)
+	testWrappedCrop[float32, complex64](t)
+}
+
+func testWrappedCrop[R tensor.Real, C Complex](t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	bits := func(v R) uint64 { return math.Float64bits(float64(v)) }
+	for _, c := range []struct {
+		s, crop    tensor.Shape
+		ox, oy, oz int
+	}{
+		{tensor.S3(12, 15, 10), tensor.S3(7, 6, 5), 9, 12, 8},
+		{tensor.S3(1, 12, 9), tensor.S3(1, 10, 4), 0, 5, 7},
+		{tensor.S3(16, 18, 5), tensor.S3(13, 13, 1), 12, 14, 0},
+		{tensor.S3(10, 6, 5), tensor.S3(10, 6, 3), 3, 2, 0},
+	} {
+		p := NewPlan3ROf[R, C](c.s)
+		src := tensor.NewOf[R](c.s)
+		for i := range src.Data {
+			src.Data[i] = R(rng.Float64()*2 - 1)
+		}
+		spec := make([]C, p.PackedLen())
+		p.Forward(spec, src)
+		full := tensor.NewOf[R](c.s)
+		p.Inverse(full, slices.Clone(spec), 0, 0, 0)
+		crop := tensor.NewOf[R](c.crop)
+		p.Inverse(crop, slices.Clone(spec), c.ox, c.oy, c.oz)
+		crop64 := tensor.New(c.crop)
+		p.InverseF64(crop64, slices.Clone(spec), c.ox, c.oy, c.oz)
+		for z := 0; z < c.crop.Z; z++ {
+			for y := 0; y < c.crop.Y; y++ {
+				for x := 0; x < c.crop.X; x++ {
+					w := full.Data[c.s.Index((c.ox+x)%c.s.X, (c.oy+y)%c.s.Y, (c.oz+z)%c.s.Z)]
+					i := c.crop.Index(x, y, z)
+					if bits(crop.Data[i]) != bits(w) || math.Float64bits(crop64.Data[i]) != bits(w) {
+						t.Fatalf("%T %v crop %v at (%d,%d,%d): (%d,%d,%d) is %v (F64 %v), full inverse %v",
+							w, c.s, c.crop, c.ox, c.oy, c.oz, x, y, z, crop.Data[i], crop64.Data[i], w)
 					}
 				}
 			}

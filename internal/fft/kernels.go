@@ -1,5 +1,7 @@
 package fft
 
+import "znn/internal/tensor"
+
 // This file holds the portable flat kernels: the pointwise spectrum
 // products and the real scale, per precision.
 //
@@ -59,5 +61,22 @@ func mulInto128Scalar(dst, a, b []complex128) {
 func mulAccInto128Scalar(dst, a, b []complex128) {
 	for i := range dst {
 		dst[i] += a[i] * b[i]
+	}
+}
+
+// mulConjScalar computes dst[i] = a[i]·conj(b[i]), or with acc dst[i] +=
+// a[i]·conj(b[i]), in the component arithmetic of F, C's float type (which
+// also spares complex64 the promotion). Each product is rounded before the
+// sums (the conversions forbid fusing them), the operation order of the
+// AVX2 bodies, so the two agree bit for bit.
+func mulConjScalar[F tensor.Real, C Complex](dst, a, b []C, acc bool) {
+	d, x, y := pairs[F](dst), pairs[F](a), pairs[F](b)
+	for i := range d {
+		xr, xi, yr, yi := x[i][0], x[i][1], y[i][0], y[i][1]
+		re, im := F(xr*yr)+F(xi*yi), F(xi*yr)-F(xr*yi)
+		if acc {
+			re, im = d[i][0]+re, d[i][1]+im
+		}
+		d[i] = [2]F{re, im}
 	}
 }

@@ -1192,3 +1192,259 @@ prdloop:
 prddone:
 	VZEROUPPER
 	RET
+
+// func mulConj64Asm(dst, a, b *complex64, n int, acc bool)
+//
+// dst (+)= a·conj(b): the product of mulInto64Asm with b's imaginary parts
+// negated and without FMA. Both products round before VADDSUBPS sums
+// them, the operation order of the Go twin (mulConjScalar), so the two
+// agree bit for bit; acc adds the old dst last, as the twin does.
+TEXT ·mulConj64Asm(SB), NOSPLIT, $0-33
+	MOVQ    dst+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    b+16(FP), DX
+	MOVQ    n+24(FP), CX
+	MOVBQZX acc+32(FP), AX
+	SHRQ    $2, CX
+	VPCMPEQD Y7, Y7, Y7
+	VPSLLD   $31, Y7, Y7           // float32 sign bits
+
+conj64loop:
+	VMOVUPS    (SI), Y0            // a: ar ai …
+	VMOVUPS    (DX), Y1            // b
+	VMOVSLDUP  Y1, Y2              // br br …
+	VMOVSHDUP  Y1, Y3              // bi bi …
+	VXORPS     Y7, Y3, Y3          // −bi −bi …
+	VPERMILPS  $0xB1, Y0, Y4       // ai ar …
+	VMULPS     Y2, Y0, Y5          // ar·br, ai·br
+	VMULPS     Y3, Y4, Y6          // −ai·bi, −ar·bi
+	VADDSUBPS  Y6, Y5, Y5          // even: ar·br+ai·bi  odd: ai·br−ar·bi
+	TESTQ AX, AX
+	JZ    conj64store
+	VADDPS (DI), Y5, Y5            // += dst
+
+conj64store:
+	VMOVUPS Y5, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  conj64loop
+	VZEROUPPER
+	RET
+
+// func mulConj128Asm(dst, a, b *complex128, n int, acc bool)
+//
+// The conjugate product of mulConj64Asm at two complex128 per YMM.
+TEXT ·mulConj128Asm(SB), NOSPLIT, $0-33
+	MOVQ    dst+0(FP), DI
+	MOVQ    a+8(FP), SI
+	MOVQ    b+16(FP), DX
+	MOVQ    n+24(FP), CX
+	MOVBQZX acc+32(FP), AX
+	SHRQ    $1, CX
+	VPCMPEQQ Y7, Y7, Y7
+	VPSLLQ   $63, Y7, Y7           // float64 sign bits
+
+conj128loop:
+	VMOVUPD    (SI), Y0            // a: ar0 ai0 ar1 ai1
+	VMOVUPD    (DX), Y1            // b
+	VMOVDDUP   Y1, Y2              // br br …
+	VPERMILPD  $0x0F, Y1, Y3       // bi bi …
+	VXORPD     Y7, Y3, Y3          // −bi −bi …
+	VPERMILPD  $0x05, Y0, Y4       // ai ar …
+	VMULPD     Y2, Y0, Y5          // ar·br, ai·br
+	VMULPD     Y3, Y4, Y6          // −ai·bi, −ar·bi
+	VADDSUBPD  Y6, Y5, Y5          // even: ar·br+ai·bi  odd: ai·br−ar·bi
+	TESTQ AX, AX
+	JZ    conj128store
+	VADDPD (DI), Y5, Y5            // += dst
+
+conj128store:
+	VMOVUPD Y5, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  conj128loop
+	VZEROUPPER
+	RET
+
+// func gatherLanesAsm(sre, sim *float32, b *float32, perm *int, es, n, lim int)
+//
+// Plane row p (8 floats per plane) takes the 8 adjacent complex64 values
+// of element j = perm[p] (p when perm is nil) at b + j·es, split into real
+// and imaginary parts; rows with j ≥ lim are zeroed without a load. Two
+// 128-bit loads with VINSERTF128 pair coefficients 0,1|4,5 and 2,3|6,7,
+// so one in-lane VSHUFPS per plane puts all 8 in natural order.
+TEXT ·gatherLanesAsm(SB), NOSPLIT, $0-56
+	MOVQ sre+0(FP), DI
+	MOVQ sim+8(FP), DX
+	MOVQ b+16(FP), BX
+	MOVQ perm+24(FP), R9
+	MOVQ es+32(FP), R8
+	MOVQ n+40(FP), CX
+	MOVQ lim+48(FP), R10
+	SHLQ $3, R8                    // element stride in bytes
+	XORQ R11, R11                  // p
+	VXORPS Y15, Y15, Y15
+
+g32loop:
+	MOVQ  R11, AX
+	TESTQ R9, R9
+	JZ    g32elem
+	MOVQ  (R9)(R11*8), AX          // j = perm[p]
+
+g32elem:
+	CMPQ AX, R10
+	JGE  g32zero
+	IMULQ R8, AX
+	LEAQ (BX)(AX*1), SI
+	VMOVUPS     (SI), X0                // r0 i0 r1 i1
+	VINSERTF128 $1, 32(SI), Y0, Y0      // | r4 i4 r5 i5
+	VMOVUPS     16(SI), X1              // r2 i2 r3 i3
+	VINSERTF128 $1, 48(SI), Y1, Y1      // | r6 i6 r7 i7
+	VSHUFPS $0x88, Y1, Y0, Y2           // r0 r1 r2 r3 | r4 r5 r6 r7
+	VSHUFPS $0xDD, Y1, Y0, Y3           // i0 … i7
+	VMOVUPS Y2, (DI)
+	VMOVUPS Y3, (DX)
+	JMP g32next
+
+g32zero:
+	VMOVUPS Y15, (DI)
+	VMOVUPS Y15, (DX)
+
+g32next:
+	ADDQ $32, DI
+	ADDQ $32, DX
+	INCQ R11
+	CMPQ R11, CX
+	JLT  g32loop
+	VZEROUPPER
+	RET
+
+// func scatterLanesAsm(b *float32, dre, dim *float32, es, n int)
+//
+// The inverse of gatherLanesAsm in natural order: row j of the planes
+// interleaves back into the 8 complex64 values at b + j·es.
+TEXT ·scatterLanesAsm(SB), NOSPLIT, $0-40
+	MOVQ b+0(FP), BX
+	MOVQ dre+8(FP), DI
+	MOVQ dim+16(FP), DX
+	MOVQ es+24(FP), R8
+	MOVQ n+32(FP), CX
+	SHLQ $3, R8
+
+s32loop:
+	VMOVUPS (DI), Y0               // r0 … r7
+	VMOVUPS (DX), Y1               // i0 … i7
+	VUNPCKLPS Y1, Y0, Y2           // r0 i0 r1 i1 | r4 i4 r5 i5
+	VUNPCKHPS Y1, Y0, Y3           // r2 i2 r3 i3 | r6 i6 r7 i7
+	VMOVUPS X2, (BX)
+	VMOVUPS X3, 16(BX)
+	VEXTRACTF128 $1, Y2, 32(BX)
+	VEXTRACTF128 $1, Y3, 48(BX)
+	ADDQ $32, DI
+	ADDQ $32, DX
+	ADDQ R8, BX
+	DECQ CX
+	JNZ  s32loop
+	VZEROUPPER
+	RET
+
+// func gatherLanesAsmF64(sre, sim *float64, b *float64, perm *int, es, n, lim int)
+//
+// gatherLanesAsm at float64: a row is 8 complex128 values (128 bytes) and
+// two YMM per plane; 128-bit loads pair coefficients 0|2 and 1|3 so one
+// VUNPCKLPD/VUNPCKHPD per half-row puts them in natural order.
+TEXT ·gatherLanesAsmF64(SB), NOSPLIT, $0-56
+	MOVQ sre+0(FP), DI
+	MOVQ sim+8(FP), DX
+	MOVQ b+16(FP), BX
+	MOVQ perm+24(FP), R9
+	MOVQ es+32(FP), R8
+	MOVQ n+40(FP), CX
+	MOVQ lim+48(FP), R10
+	SHLQ $4, R8                    // element stride in bytes
+	XORQ R11, R11                  // p
+	VXORPD Y15, Y15, Y15
+
+g64loop:
+	MOVQ  R11, AX
+	TESTQ R9, R9
+	JZ    g64elem
+	MOVQ  (R9)(R11*8), AX          // j = perm[p]
+
+g64elem:
+	CMPQ AX, R10
+	JGE  g64zero
+	IMULQ R8, AX
+	LEAQ (BX)(AX*1), SI
+	VMOVUPD     (SI), X0                // r0 i0
+	VINSERTF128 $1, 32(SI), Y0, Y0      // | r2 i2
+	VMOVUPD     16(SI), X1              // r1 i1
+	VINSERTF128 $1, 48(SI), Y1, Y1      // | r3 i3
+	VMOVUPD     64(SI), X4              // r4 i4
+	VINSERTF128 $1, 96(SI), Y4, Y4      // | r6 i6
+	VMOVUPD     80(SI), X5              // r5 i5
+	VINSERTF128 $1, 112(SI), Y5, Y5     // | r7 i7
+	VUNPCKLPD Y1, Y0, Y2                // r0 r1 r2 r3
+	VUNPCKHPD Y1, Y0, Y3                // i0 i1 i2 i3
+	VUNPCKLPD Y5, Y4, Y6                // r4 r5 r6 r7
+	VUNPCKHPD Y5, Y4, Y7                // i4 i5 i6 i7
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y6, 32(DI)
+	VMOVUPD Y3, (DX)
+	VMOVUPD Y7, 32(DX)
+	JMP g64next
+
+g64zero:
+	VMOVUPD Y15, (DI)
+	VMOVUPD Y15, 32(DI)
+	VMOVUPD Y15, (DX)
+	VMOVUPD Y15, 32(DX)
+
+g64next:
+	ADDQ $64, DI
+	ADDQ $64, DX
+	INCQ R11
+	CMPQ R11, CX
+	JLT  g64loop
+	VZEROUPPER
+	RET
+
+// func scatterLanesAsmF64(b *float64, dre, dim *float64, es, n int)
+//
+// The inverse of gatherLanesAsmF64 in natural order.
+TEXT ·scatterLanesAsmF64(SB), NOSPLIT, $0-40
+	MOVQ b+0(FP), BX
+	MOVQ dre+8(FP), DI
+	MOVQ dim+16(FP), DX
+	MOVQ es+24(FP), R8
+	MOVQ n+32(FP), CX
+	SHLQ $4, R8
+
+s64loop:
+	VMOVUPD (DI), Y0               // r0 r1 r2 r3
+	VMOVUPD 32(DI), Y1             // r4 … r7
+	VMOVUPD (DX), Y2               // i0 i1 i2 i3
+	VMOVUPD 32(DX), Y3             // i4 … i7
+	VUNPCKLPD Y2, Y0, Y4           // r0 i0 | r2 i2
+	VUNPCKHPD Y2, Y0, Y5           // r1 i1 | r3 i3
+	VUNPCKLPD Y3, Y1, Y6           // r4 i4 | r6 i6
+	VUNPCKHPD Y3, Y1, Y7           // r5 i5 | r7 i7
+	VMOVUPD X4, (BX)
+	VMOVUPD X5, 16(BX)
+	VEXTRACTF128 $1, Y4, 32(BX)
+	VEXTRACTF128 $1, Y5, 48(BX)
+	VMOVUPD X6, 64(BX)
+	VMOVUPD X7, 80(BX)
+	VEXTRACTF128 $1, Y6, 96(BX)
+	VEXTRACTF128 $1, Y7, 112(BX)
+	ADDQ $64, DI
+	ADDQ $64, DX
+	ADDQ R8, BX
+	DECQ CX
+	JNZ  s64loop
+	VZEROUPPER
+	RET

@@ -177,3 +177,23 @@ func BenchmarkLaneR5(b *testing.B) {
 			k.r5(re64, im64, benchPN35/5, w64, 1, w64[t1][0], w64[t1][1], w64[t2][0], w64[t2][1])
 		})
 }
+
+// BenchmarkLaneGather moves every 8-column block of a 30³ float64 packed
+// spectrum through the Z pass's gather (leaf order) and scatter, the
+// transposes around every Y/Z pass's butterflies; bytes count both ways.
+func BenchmarkLaneGather(b *testing.B) {
+	ps := PackedShape(tensor.Cube(30))
+	plane := ps.X * ps.Y
+	buf := pairs[float64](make([]complex128, ps.Volume()))
+	re, im := lanePlanes[float64](ps.Z, 1)
+	perm := NewPlan(ps.Z).perm
+	run := func(k *laneKernels[float64]) func() {
+		return func() {
+			for x0 := 0; x0 < plane; x0 += lanes {
+				k.gather(re, im, buf[x0:], perm, plane, ps.Z, lanes, ps.Z)
+				k.scatter(buf[x0:], re, im, plane, ps.Z, lanes)
+			}
+		}
+	}
+	benchPair(b, 2*ps.Volume()*16, run(kernelsFor[float64](true)), run(portable[float64](lanes)))
+}

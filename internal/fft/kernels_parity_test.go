@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,6 +125,98 @@ func TestFlatKernelParity(t *testing.T) {
 		scale64, scale64Scalar)
 	flatParity[float64](t, randC128, mulInto128, mulInto128Scalar, mulAccInto128, mulAccInto128Scalar,
 		scale128, scale128Scalar)
+}
+
+// bitsOf returns the bit patterns of a coefficient slice's components, so
+// that comparisons tell −0 from +0.
+func bitsOf[F tensor.Real, C Complex](c []C) []uint64 {
+	var out []uint64
+	for _, v := range pairs[F](c) {
+		out = append(out, math.Float64bits(float64(v[0])), math.Float64bits(float64(v[1])))
+	}
+	return out
+}
+
+// TestMulConjParity pins the installed conjugate products to their Go twin
+// bit for bit (both round each product before summing, with no FMA) at
+// every kernel length, tails of 1 to 3 past the vector groups included,
+// at unaligned offsets, with and without accumulation, aliased (dst == a)
+// too, in both precisions.
+func TestMulConjParity(t *testing.T) {
+	if !vecActive {
+		t.Skipf("vector kernels not active (path %q)", KernelPath())
+	}
+	mulConjParity[float32](t, randC64, mulConj64)
+	mulConjParity[float64](t, randC128, mulConj128)
+}
+
+func mulConjParity[F tensor.Real, C Complex](t *testing.T, rnd func(*rand.Rand, int) []C, fn func(dst, a, b []C, acc bool)) {
+	rng := rand.New(rand.NewSource(23))
+	for _, n := range kernelLengths {
+		for _, off := range []int{0, 1, 3} {
+			a, b, dst := rnd(rng, n+off)[off:], rnd(rng, n+off)[off:], rnd(rng, n+off)[off:]
+			for _, acc := range []bool{false, true} {
+				want, got := slices.Clone(dst), slices.Clone(dst)
+				mulConjScalar[F](want, a, b, acc)
+				fn(got, a, b, acc)
+				if !slices.Equal(bitsOf[F](got), bitsOf[F](want)) {
+					t.Fatalf("%T n=%d off=%d acc=%v: installed conjugate product differs from the Go twin", a, n, off, acc)
+				}
+				want, got = slices.Clone(a), slices.Clone(a)
+				mulConjScalar[F](want, want, b, acc)
+				fn(got, got, b, acc)
+				if !slices.Equal(bitsOf[F](got), bitsOf[F](want)) {
+					t.Fatalf("%T n=%d off=%d acc=%v aliased: installed conjugate product differs from the Go twin", a, n, off, acc)
+				}
+			}
+		}
+	}
+}
+
+// TestLaneGatherScatterParity pins the installed block gather and scatter
+// to their Go twins bit for bit, on one block of 8 columns of a random
+// 30³ packed spectrum starting one coefficient past a boundary: at the Y
+// pass's stride (X/2+1) and the Z pass's (a plane), in leaf order and in
+// natural order, reading every element and zero-filling from a bound below
+// n, in both precisions. Tail blocks run the Go loops on either set.
+func TestLaneGatherScatterParity(t *testing.T) {
+	if !vecActive {
+		t.Skipf("vector kernels not active (path %q)", KernelPath())
+	}
+	gatherScatterParity[float32](t, randC64)
+	gatherScatterParity[float64](t, randC128)
+}
+
+func gatherScatterParity[F tensor.Real, C Complex](t *testing.T, rnd func(*rand.Rand, int) []C) {
+	rng := rand.New(rand.NewSource(29))
+	const n = 30
+	ps := PackedShape(tensor.Cube(n))
+	buf := rnd(rng, ps.Volume())
+	goK, k := portable[F](lanes), kernelsFor[F](true)
+	for _, es := range []int{ps.X, ps.X * ps.Y} {
+		for _, perm := range [][]int{NewPlanOf[C](n).perm, nil} {
+			for _, lim := range []int{n, 7} {
+				name := fmt.Sprintf("%T es=%d perm=%v lim=%d", buf[0], es, perm != nil, lim)
+				wantRe, wantIm := randPlanes[F](rng, n*lanes)
+				gotRe, gotIm := slices.Clone(wantRe), slices.Clone(wantIm)
+				goK.gather(wantRe, wantIm, pairs[F](buf)[1:], perm, es, n, lanes, lim)
+				k.gather(gotRe, gotIm, pairs[F](buf)[1:], perm, es, n, lanes, lim)
+				for i := range wantRe {
+					if math.Float64bits(float64(gotRe[i])) != math.Float64bits(float64(wantRe[i])) ||
+						math.Float64bits(float64(gotIm[i])) != math.Float64bits(float64(wantIm[i])) {
+						t.Fatalf("gather %s: plane index %d is %v%+vi, Go twin %v%+vi", name, i, gotRe[i], gotIm[i], wantRe[i], wantIm[i])
+					}
+				}
+			}
+			want, got := slices.Clone(buf), slices.Clone(buf)
+			re, im := randPlanes[F](rng, n*lanes)
+			goK.scatter(pairs[F](want)[1:], re, im, es, n, lanes)
+			k.scatter(pairs[F](got)[1:], re, im, es, n, lanes)
+			if !slices.Equal(bitsOf[F](got), bitsOf[F](want)) {
+				t.Fatalf("scatter %T es=%d: installed scatter differs from the Go twin", buf[0], es)
+			}
+		}
+	}
 }
 
 // laneButterflyParity drives one installed lane butterfly against its Go
@@ -305,9 +398,10 @@ func laneRecMatchesLines[F tensor.Real, C Complex](t *testing.T) {
 // TestKernelDispatchAVX2 is CI's proof that the assembly actually runs on
 // the host: with ZNN_REQUIRE_AVX2=1 it fails (rather than skips) when the
 // AVX2 path is not installed, checks that every lane butterfly the plans
-// reach (radix 2, 3, 4 and 5) is its AVX2 body in both precisions, then
-// drives a pointwise product of each precision and a float64 transform and
-// asserts the dispatch counter advanced for each.
+// reach (radix 2, 3, 4 and 5) and the block gather and scatter are their
+// AVX2 bodies in both precisions, then drives a pointwise product of each
+// precision, a conjugate product and a float64 transform and asserts the
+// dispatch counter advanced for each.
 func TestKernelDispatchAVX2(t *testing.T) {
 	require := os.Getenv("ZNN_REQUIRE_AVX2") != ""
 	if KernelPath() != "avx2" {
@@ -328,6 +422,15 @@ func TestKernelDispatchAVX2(t *testing.T) {
 			}
 		}
 	}
+	for name, fn := range map[string]any{
+		"float32 gather": lane32.gather, "float32 scatter": lane32.scatter,
+		"float64 gather": lane64.gather, "float64 scatter": lane64.scatter,
+	} {
+		got := runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
+		if want := strings.Fields(name)[1] + "AVX2"; !strings.Contains(got, "."+want) {
+			t.Errorf("%s dispatches to %s, want the %s bridge", name, got, want)
+		}
+	}
 	for name, run := range map[string]func(){
 		"complex64 product": func() {
 			a := randC64(rand.New(rand.NewSource(1)), 1024)
@@ -336,6 +439,10 @@ func TestKernelDispatchAVX2(t *testing.T) {
 		"complex128 product": func() {
 			a := randC128(rand.New(rand.NewSource(1)), 1024)
 			MulInto(a, a, randC128(rand.New(rand.NewSource(2)), 1024))
+		},
+		"complex128 conjugate product": func() {
+			a := Spec128(randC128(rand.New(rand.NewSource(1)), 1024))
+			MulConjSpecInto(a, a, Spec128(randC128(rand.New(rand.NewSource(2)), 1024)), true)
 		},
 		"float64 transform": func() {
 			p := NewPlan3R(tensor.Cube(16))

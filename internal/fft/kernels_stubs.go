@@ -64,3 +64,24 @@ func r2cLaneCombineAsmF64(zre, zim, outre, outim, wf *float64, m int)
 
 //go:noescape
 func c2rLanePreAsmF64(zre, zim, sre, sim, wf *float64, m int, cs float64)
+
+//go:noescape
+func mulConj64Asm(dst, a, b *complex64, n int, acc bool)
+
+//go:noescape
+func mulConj128Asm(dst, a, b *complex128, n int, acc bool)
+
+// The gathers and scatters move one block of 8 adjacent columns
+// (gatherLanes/scatterLanes at cs = 1, cols = 8); es counts coefficients.
+
+//go:noescape
+func gatherLanesAsm(sre, sim *float32, b *float32, perm *int, es, n, lim int)
+
+//go:noescape
+func scatterLanesAsm(b *float32, dre, dim *float32, es, n int)
+
+//go:noescape
+func gatherLanesAsmF64(sre, sim *float64, b *float64, perm *int, es, n, lim int)
+
+//go:noescape
+func scatterLanesAsmF64(b *float64, dre, dim *float64, es, n int)

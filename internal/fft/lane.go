@@ -24,7 +24,9 @@ import (
 // the tile, splits the interleaved complex values into the two planes and
 // puts the elements in the order laneDFT wants, in one pass; eight complex
 // values span one or two whole cache lines, so a pass over the volume
-// touches each cache line O(1) times instead of once per column.
+// touches each cache line O(1) times instead of once per column. The
+// gather and its inverse, the scatter, are lane kernels too: the AVX2 set
+// moves a full block of 8 columns with 128-bit loads and in-lane shuffles.
 //
 // Twiddle tables and coefficient buffers reach the kernels as (real,
 // imaginary) pairs of the float type (pairs), which is the memory layout
@@ -39,7 +41,9 @@ const lanes = 8
 // butterflies combine the radix sub-transforms of laneDFT in place (r is
 // the radix; nr+i·ni and the like are the radix's root-of-unity constants);
 // combine and pre are the r2c split butterfly and the c2r pre-pass of
-// PlanROf.
+// PlanROf; gather and scatter move cols ≤ nl adjacent columns between the
+// coefficients b (column c's element j at b[c + j·es]) and the planes
+// (gatherLanes, scatterLanes).
 type laneKernels[F tensor.Real] struct {
 	nl      int
 	r2      func(dre, dim []F, m int, w [][2]F, step int)
@@ -48,12 +52,14 @@ type laneKernels[F tensor.Real] struct {
 	r5      func(dre, dim []F, m int, w [][2]F, step int, r1, i1, r2, i2 F)
 	combine func(zre, zim, outre, outim []F, wf [][2]F, m int)
 	pre     func(zre, zim, sre, sim []F, wf [][2]F, m int, cs F)
+	gather  func(sre, sim []F, b [][2]F, perm []int, es, n, cols, lim int)
+	scatter func(b [][2]F, dre, dim []F, es, n, cols int)
 }
 
 // portable returns the Go kernel set at lane count nl.
 func portable[F tensor.Real](nl int) *laneKernels[F] {
 	g := goLanes[F](nl)
-	return &laneKernels[F]{nl, g.r2, g.r3, g.r4, g.r5, g.combine, g.pre}
+	return &laneKernels[F]{nl, g.r2, g.r3, g.r4, g.r5, g.combine, g.pre, g.gather, g.scatter}
 }
 
 // pairs views a coefficient slice as its (real, imaginary) pairs, the
@@ -328,10 +334,12 @@ func (g goLanes[F]) pre(zre, zim, sre, sim []F, wf [][2]F, m int, cs F) {
 // either the columns adjacent (cs = 1: the Y/Z passes) or each column
 // contiguous (es = 1: packed X rows, single lines); the inner loop runs
 // along the adjacent one. Plane row p takes element perm[p] (the leaf
-// order of laneDFT), or element p when perm is nil. Unused lanes (c ≥
-// cols, the tail block of a pass) are zero-filled so the butterflies run
-// on defined values; their results are discarded by the scatter.
-func gatherLanes[F tensor.Real](sre, sim []F, b [][2]F, perm []int, nl, base, cs, es, n, cols int) {
+// order of laneDFT), or element p when perm is nil. Elements j ≥ lim are
+// zero-filled without being read: the pruned forward pass's padding,
+// which nothing has written. Unused lanes (c ≥ cols, the tail block of a
+// pass) are zero-filled so the butterflies run on defined values; their
+// results are discarded by the scatter.
+func gatherLanes[F tensor.Real](sre, sim []F, b [][2]F, perm []int, nl, base, cs, es, n, cols, lim int) {
 	for c := cols; c < nl; c++ {
 		for p := 0; p < n; p++ {
 			sre[p*nl+c], sim[p*nl+c] = 0, 0
@@ -343,6 +351,11 @@ func gatherLanes[F tensor.Real](sre, sim []F, b [][2]F, perm []int, nl, base, cs
 			j = perm[p]
 		}
 		dr, di := sre[p*nl:p*nl+cols], sim[p*nl:p*nl+cols]
+		if j >= lim {
+			clear(dr)
+			clear(di)
+			continue
+		}
 		if cs == 1 {
 			for c, v := range b[base+j*es : base+j*es+cols] {
 				dr[c], di[c] = v[0], v[1]
@@ -374,17 +387,27 @@ func scatterLanes[F tensor.Real](b [][2]F, dre, dim []F, nl, base, cs, es, n, co
 	}
 }
 
-// blockLanes applies pl to every length-n line of the given stride inside
-// buf (line c, for c = 0 .. width−1, at buf[base + c + j·stride]): each
-// block of k.nl adjacent columns is gathered into SoA planes, transformed
-// in lockstep, and merged back.
-func blockLanes[F tensor.Real, C Complex](k *laneKernels[F], pl *PlanOf[C], buf []C, base, width, stride, n int, inverse bool, lt *laneTile[F]) {
+// gather and scatter are gatherLanes and scatterLanes over adjacent
+// columns (the Y/Z passes), b starting at the block's first column.
+func (g goLanes[F]) gather(sre, sim []F, b [][2]F, perm []int, es, n, cols, lim int) {
+	gatherLanes(sre, sim, b, perm, int(g), 0, 1, es, n, cols, lim)
+}
+
+func (g goLanes[F]) scatter(b [][2]F, dre, dim []F, es, n, cols int) {
+	scatterLanes(b, dre, dim, int(g), 0, 1, es, n, cols)
+}
+
+// blockLanes applies pl to every line of the given stride inside buf
+// (line c, for c = 0 .. width−1, at buf[base + c + j·stride]): each block
+// of k.nl adjacent columns is gathered into SoA planes, transformed in
+// lockstep, and merged back. Elements j ≥ lim read as zero (gatherLanes).
+func blockLanes[F tensor.Real, C Complex](k *laneKernels[F], pl *PlanOf[C], buf []C, base, width, stride, lim int, inverse bool, lt *laneTile[F]) {
 	b, nl := pairs[F](buf), k.nl
 	countVec()
 	for x0 := 0; x0 < width; x0 += nl {
 		cols := min(nl, width-x0)
-		gatherLanes(lt.dstRe, lt.dstIm, b, pl.perm, nl, base+x0, 1, stride, n, cols)
+		k.gather(lt.dstRe, lt.dstIm, b[base+x0:], pl.perm, stride, pl.n, cols, lim)
 		laneDFT(k, pl, inverse, lt.dstRe, lt.dstIm)
-		scatterLanes(b, lt.dstRe, lt.dstIm, nl, base+x0, 1, stride, n, cols)
+		k.scatter(b[base+x0:], lt.dstRe, lt.dstIm, stride, pl.n, cols)
 	}
 }

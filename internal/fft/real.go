@@ -123,7 +123,7 @@ func (p *PlanROf[R, C]) inverseScaled(dst []R, src []C, scale float64) {
 		return
 	}
 	lt := p.scratch.Get().(*laneTile[R])
-	gatherLanes(lt.outRe, lt.outIm, pairs[R](src), nil, 1, 0, 1, 1, p.HalfLen(), 1)
+	gatherLanes(lt.outRe, lt.outIm, pairs[R](src), nil, 1, 0, 1, 1, p.HalfLen(), 1, p.HalfLen())
 	p.c2r(kernelsFor[R](false), lt, scale)
 	for j := range p.n / 2 {
 		dst[2*j], dst[2*j+1] = lt.dstRe[j], lt.dstIm[j]

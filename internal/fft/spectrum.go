@@ -96,3 +96,21 @@ func MulAccSpecInto(dst, a, b Spectrum) {
 	}
 	MulAccInto(dst.C128, a.C128, b.C128)
 }
+
+// MulConjSpecInto computes dst[i] = a[i]·conj(b[i]), or with acc dst[i] +=
+// a[i]·conj(b[i]), on whichever precision arm the operands share; dst may
+// alias a. conj(F(w)) is the spectrum of w reflected about the origin, so
+// the product is the spectrum of the circular cross-correlation of a's
+// signal with b's: how the backward pass and the update reuse forward
+// spectra without reflecting them. Like MulInto it works on full and
+// packed spectra alike.
+func MulConjSpecInto(dst, a, b Spectrum, acc bool) {
+	if dst.F32() != a.F32() || a.F32() != b.F32() || dst.Len() != a.Len() || a.Len() != b.Len() {
+		panic("fft: MulConjSpecInto precision or length mismatch")
+	}
+	if dst.C64 != nil {
+		mulConj64(dst.C64, a.C64, b.C64, acc)
+		return
+	}
+	mulConj128(dst.C128, a.C128, b.C128, acc)
+}

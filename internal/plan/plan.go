@@ -38,9 +38,10 @@
 // inference round*: node image-spectrum caches (K·f buffers per FFT
 // layer, live until the round's ReleaseAll), spectral-sum accumulators
 // (K·f′ buffers), in-flight pointwise products (bounded by the worker
-// count), and the cached kernel spectra (2·f·f′ buffers per FFT layer —
-// one kernel and one reflection per edge transformer, checked out of the
-// pool for the engine's lifetime and independent of K). Buffer sizes are
+// count), and the cached kernel spectra (charged as 2·f·f′ buffers per FFT
+// layer, checked out of the pool for the engine's lifetime and independent
+// of K; each edge transformer now holds one, so the term over-counts by
+// f·f′ — kept because halving it changes the plans it picks). Buffer sizes are
 // rounded up to the allocator's power-of-two classes (mempool.ClassSize),
 // exactly as the pools charge them. GC-managed memory — images, memo
 // slots, tensor-sum scratch — is not pooled and not counted. Because the
@@ -325,9 +326,13 @@ func layerCost(g conv.LayerGeom, m conv.Method, prec conv.Precision, k int, trai
 // K-fused inference round with (m, prec): K·f node image-spectrum cache
 // buffers (live until the round's ReleaseAll), K·f′ spectral-sum
 // accumulators, up to `workers` in-flight pointwise products, and the
-// layer's 2·f·f′ cached kernel spectra (one kernel and one reflection per
-// edge transformer, checked out of the pool for the engine's lifetime),
-// each of the allocator's power-of-two class capacity. Spatial methods use
+// layer's cached kernel spectra, charged as 2·f·f′ (checked out of the pool
+// for the engine's lifetime), each of the allocator's power-of-two class
+// capacity. Each edge transformer holds one kernel spectrum since the
+// backward pass multiplies by its conjugate instead of a reflected copy,
+// so that term over-counts by f·f′; halving it would move infer_cube_f32's
+// plan from K=1 to K=2 at the same 58³ block, a change of behaviour this
+// model does not yet justify by measurement. Spatial methods use
 // no pooled spectra and return 0.
 func LayerBytes(g conv.LayerGeom, m conv.Method, prec conv.Precision, k, workers int) int64 {
 	return LayerBytesRounds(g, m, prec, k, workers, 1)
@@ -355,7 +360,7 @@ func LayerBytesRounds(g conv.LayerGeom, m conv.Method, prec conv.Precision, k, w
 	if workers < inflight {
 		inflight = workers
 	}
-	kernels := 2 * g.F * g.FPrime
+	kernels := 2 * g.F * g.FPrime // over-counts by f·f′ (see LayerBytes)
 	return buf * int64(rounds*(k*g.F+k*g.FPrime+inflight)+kernels)
 }
 

@@ -204,7 +204,7 @@ func TestLayerBytesModel(t *testing.T) {
 	}
 	// K·f + K·f′ + min(workers, K·f·f′) + 2·f·f′ buffers at K=2, f=4,
 	// f′=4: 8 + 8 + min(w, 32) + 32 (the kernel-spectra term is
-	// K-independent: one kernel and one reflection per edge transformer).
+	// K-independent, and charged at two buffers per edge transformer).
 	few := LayerBytes(g, conv.FFT, conv.PrecF64, 2, 1)
 	many := LayerBytes(g, conv.FFT, conv.PrecF64, 2, 64)
 	buf := few / (8 + 8 + 1 + 32)
