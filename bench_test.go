@@ -412,33 +412,6 @@ func abBatch(nw *znn.Network, seed int64, k int) [][]*znn.Tensor {
 	return batch
 }
 
-// BenchmarkInferFused: the same 8 volumes as ONE fused 8-wide round
-// (InferBatch) vs 8 independent rounds in flight (8 goroutines × Infer), on
-// a small narrow net where one round exposes few independent tasks.
-func BenchmarkInferFused(b *testing.B) {
-	nw := abNetwork(b, "C5-Ttanh-C3", znn.Config{Width: 2, InputPatch: 26, Conv: znn.ForceFFT, Seed: 17})
-	batch := abBatch(nw, 18, 8)
-	benchSides(b, "vols/s", len(batch),
-		abSide{"Independent8", func() error {
-			errs := make([]error, len(batch))
-			var wg sync.WaitGroup
-			for v := range batch {
-				wg.Add(1)
-				go func(v int) {
-					defer wg.Done()
-					_, errs[v] = nw.Infer(batch[v]...)
-				}(v)
-			}
-			wg.Wait()
-			return errors.Join(errs...)
-		}},
-		abSide{"Fused8", func() error {
-			_, err := nw.InferBatch(batch)
-			return err
-		}},
-	)
-}
-
 // BenchmarkTrainLag: a TrainStart session of 8 rounds waited with lag 0
 // (each round before the next is submitted — what Train does) vs lag 1 (one
 // round submitted ahead, so round N's backward tail and update drain
@@ -498,8 +471,8 @@ func BenchmarkTileWindow(b *testing.B) {
 
 // BenchmarkPlanRegimes: the same 8 volumes through a mixed-method net
 // (C5-Ttanh-C7: the planner runs the 5³ layer direct and the 7³ layer FFT)
-// compiled from the execution planner vs both global forcings. The planned
-// side runs rounds of its plan's K, the forced sides one 8-wide round.
+// compiled from the execution planner vs both global forcings, each side
+// running the volumes as 8 concurrent Infer calls.
 func BenchmarkPlanRegimes(b *testing.B) {
 	const vols = 8
 	cfg := znn.Config{Width: 4, OutWidth: 4, OutputPatch: 24, Seed: 23}
@@ -508,17 +481,18 @@ func BenchmarkPlanRegimes(b *testing.B) {
 		mod(&c)
 		nw := abNetwork(b, "C5-Ttanh-C7", c)
 		batch := abBatch(nw, 24, vols)
-		k := vols
-		if p := nw.Plan(); p != nil {
-			k = p.K
-		}
 		return abSide{name, func() error {
-			for i := 0; i < len(batch); i += k {
-				if _, err := nw.InferBatch(batch[i:min(i+k, len(batch))]); err != nil {
-					return err
-				}
+			errs := make([]error, len(batch))
+			var wg sync.WaitGroup
+			for v := range batch {
+				wg.Add(1)
+				go func(v int) {
+					defer wg.Done()
+					_, errs[v] = nw.Infer(batch[v]...)
+				}(v)
 			}
-			return nil
+			wg.Wait()
+			return errors.Join(errs...)
 		}}
 	}
 	benchSides(b, "vols/s", vols,

@@ -155,7 +155,7 @@ func (s *server) cubeLookup(w http.ResponseWriter, r *http.Request) *cubeJob {
 
 // cubeCreateRequest is the POST /cube body. Block/K/Window are the
 // TileOptions knobs; zero values let the execution planner (or the
-// defaults) choose.
+// defaults) choose, and negative ones are refused.
 type cubeCreateRequest struct {
 	Shape  []int  `json:"shape"`
 	DType  string `json:"dtype,omitempty"`
@@ -164,6 +164,10 @@ type cubeCreateRequest struct {
 	Window int    `json:"window,omitempty"`
 }
 
+// handleCubeCreate answers POST /cube: 201 with the job document; 400 for
+// a malformed body, shape, dtype or option, a network that cannot tile, or
+// a volume under the field of view; 413 for a volume, output or input ring
+// over -max-cube-bytes; 429 past -max-cube-jobs unfinished jobs.
 func (s *server) handleCubeCreate(w http.ResponseWriter, r *http.Request) {
 	var req cubeCreateRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
@@ -174,6 +178,12 @@ func (s *server) handleCubeCreate(w http.ResponseWriter, r *http.Request) {
 	if len(req.Shape) != 3 {
 		s.rejected.Add(1)
 		http.Error(w, fmt.Sprintf("shape must have 3 extents, got %d", len(req.Shape)), http.StatusBadRequest)
+		return
+	}
+	if req.Block < 0 || req.K < 0 || req.Window < 0 {
+		s.rejected.Add(1)
+		http.Error(w, fmt.Sprintf("block, k and window must be non-negative, got %d, %d and %d",
+			req.Block, req.K, req.Window), http.StatusBadRequest)
 		return
 	}
 	shape := tensor.Shape{X: req.Shape[0], Y: req.Shape[1], Z: req.Shape[2]}
@@ -218,6 +228,20 @@ func (s *server) handleCubeCreate(w http.ResponseWriter, r *http.Request) {
 			shape, g.Out, dt, s.maxCubeBytes), http.StatusRequestEntityTooLarge)
 		return
 	}
+	// The tiler holds a ring of (window+1)·k float64 block inputs; the ring
+	// the request asks for, at the probe block, must fit the same cap. Unset
+	// k and window count at their smallest defaults, 1 and 2.
+	ringK, ringWindow := max(req.K, 1), req.Window
+	if ringWindow == 0 {
+		ringWindow = 2
+	}
+	ring := (float64(ringWindow) + 1) * float64(ringK) * float64(g.BlockIn.Volume()) * 8
+	if ring > float64(s.maxCubeBytes) {
+		s.rejected.Add(1)
+		http.Error(w, fmt.Sprintf("k %d × window %d asks for a %.3g-byte block input ring, over the %d-byte cube cap",
+			req.K, req.Window, ring, s.maxCubeBytes), http.StatusRequestEntityTooLarge)
+		return
+	}
 	// Job-granular admission: shed before allocating the input buffer.
 	if active := s.cubeActive(); s.maxCubeJobs > 0 && active >= s.maxCubeJobs {
 		s.shed.Add(1)
@@ -241,6 +265,10 @@ func (s *server) handleCubeCreate(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(doc)
 }
 
+// handleCubeUpload answers PUT /cube/{id}/data: 200 with the bytes
+// received so far; 400 for a malformed offset, a chunk past the volume's
+// end or an upload already complete; 404 for an unknown job; 409 for a
+// non-contiguous offset, a concurrent upload or a job already started.
 func (s *server) handleCubeUpload(w http.ResponseWriter, r *http.Request) {
 	job := s.cubeLookup(w, r)
 	if job == nil {

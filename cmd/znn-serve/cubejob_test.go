@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 	"time"
 
@@ -89,7 +90,7 @@ func TestCubeJobLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	s := newServer(nw, 2, 1, 0)
+	s := newServer(nw, 2)
 	ts := serveMux(s)
 	defer ts.Close()
 
@@ -198,7 +199,7 @@ func TestCubeJobLifecycle(t *testing.T) {
 func TestCubeJobValidation(t *testing.T) {
 	nw := testNet(t, 23) // C3-Trelu-C1: FOV 3
 	defer nw.Close()
-	s := newServer(nw, 2, 1, 0)
+	s := newServer(nw, 2)
 	ts := serveMux(s)
 	defer ts.Close()
 
@@ -258,6 +259,130 @@ func TestCubeJobValidation(t *testing.T) {
 	}
 }
 
+// TestCubeJobOptionBounds checks the tiling options a create request
+// carries: a negative block, k or window is a 400, and a (window+1)·k ring
+// of block inputs over the cube byte cap is a 413, however small the
+// volume. Neither stores a job.
+func TestCubeJobOptionBounds(t *testing.T) {
+	nw := testNet(t, 24) // C3-Trelu-C1: FOV 3
+	defer nw.Close()
+	s := newServer(nw, 2)
+	ts := serveMux(s)
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"negative block", `{"shape":[9,9,9],"block":-1}`, http.StatusBadRequest},
+		{"negative k", `{"shape":[9,9,9],"k":-2}`, http.StatusBadRequest},
+		{"negative window", `{"shape":[9,9,9],"window":-1}`, http.StatusBadRequest},
+		// 729 voxels, but 4097·4096 block inputs of 3³ voxels are ~3.6 GB.
+		{"input ring over the cap", `{"shape":[9,9,9],"k":4096,"window":4096}`, http.StatusRequestEntityTooLarge},
+	} {
+		if resp, m := cubeReq(t, http.MethodPost, ts.URL+"/cube", []byte(tc.body)); resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d (%v)", tc.name, resp.StatusCode, tc.status, m)
+		}
+	}
+	s.cubeMu.Lock()
+	defer s.cubeMu.Unlock()
+	if n := len(s.cubeJobs); n != 0 {
+		t.Fatalf("%d jobs stored by refused creates", n)
+	}
+}
+
+// FuzzCubeJobRequests drives the cube-job create and chunked-upload
+// handlers with fuzzed create bodies (shape, dtype, block, k, window),
+// then two chunks of fuzzed length, each at a fuzzed ?offset=. No handler
+// may panic or answer a status it does not document, a refused create
+// stores no job, and a job never counts more bytes received than its
+// volume holds. Jobs are never started, and each is deleted after its
+// uploads.
+func FuzzCubeJobRequests(f *testing.F) {
+	for _, body := range []string{
+		`{"shape":[9,9]}`,
+		`{"shape":[2,9,9]}`,
+		`{"shape":[9,9,9],"dtype":"f16"}`,
+		`{`,
+		`{"shape":[4194304,4194304,1048576]}`,
+		`{"shape":[64,64,64]}`,
+		`{"shape":[5,5,5]}`,
+		`{"shape":[9,9,9],"block":3,"k":2}`,
+		`{"shape":[8,8,8],"dtype":"f32","block":2,"window":1}`,
+		`{"shape":[9,9,9],"k":4096,"window":4096}`,
+	} {
+		f.Add(body, uint16(800), "", uint16(5*5*5*8+8), "800")
+	}
+	f.Add(`{"shape":[5,5,5]}`, uint16(8), "-1", uint16(992), "x")
+
+	nw := testNet(f, 23)
+	defer nw.Close()
+	s := newServer(nw, 2)
+	s.maxCubeBytes = 1 << 16 // keeps every admitted job's buffers small
+	mux := http.NewServeMux()
+	s.cubeRoutes(mux)
+	do := func(method, target string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(method, target, bytes.NewReader(body)))
+		return rec
+	}
+	jobs := func() int {
+		s.cubeMu.Lock()
+		defer s.cubeMu.Unlock()
+		return len(s.cubeJobs)
+	}
+	createOK := map[int]bool{201: true, 400: true, 413: true, 429: true}
+	uploadOK := map[int]bool{200: true, 400: true, 404: true, 409: true}
+
+	f.Fuzz(func(t *testing.T, body string, n1 uint16, off1 string, n2 uint16, off2 string) {
+		before := jobs()
+		rec := do(http.MethodPost, "/cube", []byte(body))
+		if !createOK[rec.Code] {
+			t.Fatalf("create %q: undocumented status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusCreated {
+			if after := jobs(); after != before {
+				t.Fatalf("create %q answered %d but stored a job (%d → %d)", body, rec.Code, before, after)
+			}
+			return
+		}
+		var doc struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatalf("create %q: %v", body, err)
+		}
+		s.cubeMu.Lock()
+		job := s.cubeJobs[doc.ID]
+		s.cubeMu.Unlock()
+		if job == nil {
+			t.Fatalf("create %q: 201 without a stored job %q", body, doc.ID)
+		}
+		for _, c := range []struct {
+			n   uint16
+			off string
+		}{{n1, off1}, {n2, off2}} {
+			target := "/cube/" + doc.ID + "/data"
+			if c.off != "" {
+				target += "?offset=" + url.QueryEscape(c.off)
+			}
+			rec := do(http.MethodPut, target, make([]byte, c.n))
+			if !uploadOK[rec.Code] {
+				t.Fatalf("upload %d bytes at offset %q: undocumented status %d: %s", c.n, c.off, rec.Code, rec.Body)
+			}
+			job.mu.Lock()
+			received, total := job.received, job.inputBytes()
+			job.mu.Unlock()
+			if received > total {
+				t.Fatalf("received %d of a %d-byte volume", received, total)
+			}
+		}
+		if rec := do(http.MethodDelete, "/cube/"+doc.ID, nil); rec.Code != http.StatusNoContent {
+			t.Fatalf("delete unstarted job: status %d", rec.Code)
+		}
+	})
+}
+
 // TestCubeJobF32 runs an f32-interchange job end to end: uploads float32
 // voxels, downloads float32 voxels, and checks them against single-shot
 // inference after the same round-trip quantization.
@@ -269,7 +394,7 @@ func TestCubeJobF32(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nw.Close()
-	s := newServer(nw, 2, 1, 0)
+	s := newServer(nw, 2)
 	ts := serveMux(s)
 	defer ts.Close()
 

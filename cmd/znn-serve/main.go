@@ -1,16 +1,9 @@
 // znn-serve is the inference-serving front-end: it loads (or builds) a
-// network once and serves forward passes over HTTP, keeping up to
-// -inflight rounds concurrently in flight on the shared scheduler — the
-// throughput regime of ZNNi, where many volumes share one set of kernel
-// spectra, plans and memory pools instead of serializing forward passes.
-//
-// Queued requests are additionally coalesced into fused K-wide rounds: up
-// to -max-batch requests (waiting at most -batch-delay microseconds)
-// dispatch as ONE round that sweeps all K volumes at each layer, so the
-// layer's kernel spectra stream through cache once per batch instead of
-// once per request. -batch-delay 0 (the default) is greedy: a lone request
-// on an idle server dispatches immediately, and batches form exactly when
-// load makes requests queue. -max-batch 1 disables batching entirely.
+// network once and serves forward passes over HTTP. Every /infer request
+// runs as its own forward-only round, and up to -inflight rounds stay in
+// flight at once on the shared scheduler, where they share one set of
+// kernel spectra, plans and memory pools instead of serializing forward
+// passes.
 //
 // The process is built to survive production churn:
 //
@@ -20,16 +13,16 @@
 //     /healthz reports the generation counter and reload state.
 //   - Admission control: requests carry deadlines (X-Deadline-Ms header or
 //     -default-deadline); a deadline that expires while queued frees the
-//     request without occupying a batch slot (504). Past -max-queue
-//     requests in the server, new ones shed immediately with 429 and a
-//     Retry-After derived from the EW latency gauge.
+//     request before it runs a round (504). Past -max-queue requests in
+//     the server, new ones shed immediately with 429 and a Retry-After
+//     derived from the EW latency gauge.
 //   - Graceful shutdown: SIGINT/SIGTERM stops accepting, drains in-flight
 //     rounds within -drain-timeout, and exits 0.
 //
 // Usage:
 //
 //	znn-serve -checkpoint model.znn [-addr :8080] [-inflight 2N] [-workers N]
-//	          [-max-batch K] [-batch-delay µs] [-max-queue N]
+//	          [-max-batch K] [-max-queue N]
 //	          [-default-deadline 0] [-drain-timeout 30s]
 //	          [-plan] [-mem-budget bytes]
 //
@@ -37,9 +30,10 @@
 // whole-network execution plan: the planner picks each conv layer's
 // (method, precision) and the fused batch width K so that estimated
 // throughput is maximal while the pooled spectrum footprint of one fused
-// round stays under -mem-budget (0 = unconstrained). The plan's K cap is
-// -max-batch, so the estimate covers the widest round the batcher can
-// dispatch; /stats reports the active plan and /healthz its budget.
+// round stays under -mem-budget (0 = unconstrained). -max-batch caps that
+// K, at startup and on every reload; cube jobs run their blocks in fused
+// rounds of the plan's K. /stats reports the active plan and /healthz its
+// budget.
 //
 //	znn-serve -spec C3-Trelu-C1 -width 4 -out 8    # random weights (smoke/demo)
 //
@@ -48,7 +42,7 @@
 //	GET  /healthz  liveness, input/output geometry, model generation + reload state
 //	POST /infer    {"data":[...]} or {"inputs":[[...],...]} → outputs
 //	POST /reload   {"checkpoint": path}? → hot-swap weights (default: -checkpoint)
-//	GET  /stats    scheduler, mempool, serving, batcher, admission and cube-job counters
+//	GET  /stats    scheduler, mempool, serving, admission and cube-job counters
 //
 // Volumes too large to POST as one JSON body go through the cube-job API
 // (see cubejob.go): POST /cube submits a whole-volume streaming job, raw
@@ -89,9 +83,8 @@ func main() {
 	dims := flag.Int("dims", 3, "2 or 3 dimensional images")
 	workers := flag.Int("workers", 0, "scheduler workers (0 = all CPUs)")
 	inflight := flag.Int("inflight", 0, "max concurrent inference rounds (0 = 2×workers)")
-	maxBatch := flag.Int("max-batch", 4, "max requests fused into one K-wide round (1 = no batching)")
-	batchDelay := flag.Int("batch-delay", 0, "microseconds the batcher waits for a fuller batch (0 = dispatch greedily, no added latency)")
-	maxQueue := flag.Int("max-queue", 0, "shed 429 past this many requests in the server (0 = 4×inflight×max-batch, -1 = never shed)")
+	maxBatch := flag.Int("max-batch", 4, "cap on the execution plan's fused batch width K, the blocks one cube-job round carries (with -plan or -mem-budget)")
+	maxQueue := flag.Int("max-queue", 0, "shed 429 past this many requests in the server (0 = 4×inflight, -1 = never shed)")
 	defaultDeadline := flag.Duration("default-deadline", 0, "deadline for requests without X-Deadline-Ms (0 = none)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "SIGTERM drain budget for in-flight rounds")
 	f32 := flag.Bool("f32", false, "run the spectral pipeline in float32/complex64")
@@ -117,8 +110,6 @@ func main() {
 	var err error
 	if *checkpoint != "" {
 		if usePlan {
-			// PlanMaxK = -max-batch: the plan's byte estimate must cover the
-			// widest fused round the batcher can dispatch.
 			nw, err = znn.LoadFilePlanned(*checkpoint, *workers, *memBudget, *maxBatch)
 		} else {
 			nw, err = znn.LoadFile(*checkpoint, *workers)
@@ -143,11 +134,12 @@ func main() {
 		}
 	}
 
-	s := newServer(nw, *inflight, *maxBatch, time.Duration(*batchDelay)*time.Microsecond)
+	s := newServer(nw, *inflight)
 	s.reloadPath = *checkpoint
 	s.defaultDeadline = *defaultDeadline
 	s.planned = usePlan
 	s.memBudget = *memBudget
+	s.maxK = *maxBatch
 	switch {
 	case *maxQueue > 0:
 		s.maxQueue = *maxQueue
@@ -175,8 +167,8 @@ func main() {
 	if p := nw.Plan(); p != nil {
 		log.Printf("znn-serve: execution plan (budget=%d):\n%s", *memBudget, p.Table())
 	}
-	log.Printf("znn-serve: listening on %s (workers=%d, inflight=%d, max-batch=%d, batch-delay=%s, max-queue=%d, default-deadline=%s)",
-		*addr, *workers, *inflight, *maxBatch, time.Duration(*batchDelay)*time.Microsecond, s.maxQueue, *defaultDeadline)
+	log.Printf("znn-serve: listening on %s (workers=%d, inflight=%d, max-queue=%d, default-deadline=%s)",
+		*addr, *workers, *inflight, s.maxQueue, *defaultDeadline)
 
 	// Graceful shutdown: SIGINT/SIGTERM stops the listener, in-flight
 	// requests finish within -drain-timeout, then the engine drains and

@@ -33,20 +33,17 @@ type generation struct {
 	wg       sync.WaitGroup
 }
 
-// server holds the serving generation, the in-flight round limiter, the
-// request batcher, and the admission-control state. Each HTTP request
-// either joins a fused K-wide round via the batcher (max-batch > 1) or
-// runs one forward-only round directly; the semaphore bounds how many
-// rounds are admitted to the scheduler at once, and the queue-depth
-// threshold sheds load with 429 + Retry-After before requests queue to
-// death.
+// server holds the serving generation, the in-flight round limiter and
+// the admission-control state. Each HTTP request runs one forward-only
+// round; the semaphore bounds how many rounds are admitted to the
+// scheduler at once, and the queue-depth threshold sheds load with 429 +
+// Retry-After before requests queue to death.
 type server struct {
 	genMu sync.RWMutex
 	gen   *generation
 
 	workers int
 	sem     chan struct{}
-	batch   *batcher // nil when batching is disabled
 	start   time.Time
 	maxBody int64
 
@@ -60,11 +57,13 @@ type server struct {
 	// reloadPath is the default checkpoint path for POST /reload bodies
 	// that don't name one (the -checkpoint flag value).
 	reloadPath string
-	// planned/memBudget mirror the -plan/-mem-budget flags: reloads then
-	// recompile under the same execution-plan regime as the startup build,
-	// and /healthz + /stats surface the budget and the active plan.
+	// planned/memBudget/maxK mirror the -plan/-mem-budget/-max-batch
+	// flags: reloads then recompile under the same execution-plan regime
+	// as the startup build, and /healthz + /stats surface the budget and
+	// the active plan.
 	planned   bool
 	memBudget int64
+	maxK      int
 	reloadMu  sync.Mutex   // serializes reloads
 	reloading atomic.Bool  // surfaced in /healthz while a reload compiles
 	reloads   atomic.Int64 // completed reloads
@@ -95,10 +94,15 @@ type server struct {
 	inferNsEW atomic.Int64 // exponentially weighted request latency (ns)
 }
 
+// errDeadlineExpired is returned to a request whose deadline passed while
+// it waited for a round slot. The handler maps it to 504 and the expired
+// counter.
+var errDeadlineExpired = errors.New("request deadline expired while queued")
+
 // newServer assembles the serving state around a loaded network
 // (generation 1). maxQueue and defaultDeadline start at their defaults
 // (4× the request capacity, no deadline); main overrides them from flags.
-func newServer(nw *znn.Network, inflight, maxBatch int, batchDelay time.Duration) *server {
+func newServer(nw *znn.Network, inflight int) *server {
 	s := &server{
 		gen:     &generation{nw: nw, id: 1, source: "startup", loadedAt: time.Now()},
 		workers: nw.Workers(),
@@ -109,12 +113,7 @@ func newServer(nw *znn.Network, inflight, maxBatch int, batchDelay time.Duration
 	// input volumes (~25 bytes per float64 voxel, ×2 headroom, per input
 	// node) so a hostile POST cannot buffer gigabytes.
 	s.maxBody = int64(nw.InputShape().Volume())*int64(nw.NumInputs())*25*2 + 1<<20
-	perRound := 1
-	if maxBatch > 1 {
-		perRound = maxBatch
-		s.batch = newBatcher(s.dispatchFused, maxBatch, batchDelay, s.sem)
-	}
-	s.maxQueue = 4 * inflight * perRound
+	s.maxQueue = 4 * inflight
 	s.lastErr.Store("")
 	s.cubeJobs = make(map[string]*cubeJob)
 	s.cubeRun = make(chan struct{}, 1)
@@ -145,19 +144,9 @@ func (s *server) acquire() *generation {
 
 func (g *generation) release() { g.wg.Done() }
 
-// dispatchFused is the batcher's dispatch callback: resolve the serving
-// generation at round start, run the fused round on it, report which
-// generation served the batch.
-func (s *server) dispatchFused(batch [][]*znn.Tensor) ([][]*znn.Tensor, int64, error) {
-	g := s.acquire()
-	defer g.release()
-	outs, err := g.nw.InferBatch(batch)
-	return outs, g.id, err
-}
-
-// inferDirect is the unbatched request path: wait for an in-flight round
-// slot (bounded by the request deadline), then run one forward-only round
-// on the current generation.
+// inferDirect is the request path: wait for an in-flight round slot
+// (bounded by the request deadline), then run one forward-only round on
+// the current generation and report which generation served it.
 func (s *server) inferDirect(inputs []*znn.Tensor, deadline time.Time) ([]*znn.Tensor, int64, error) {
 	if deadline.IsZero() {
 		s.sem <- struct{}{}
@@ -190,11 +179,7 @@ func (s *server) retryAfterSecs() int {
 	if ew <= 0 {
 		ew = 250 * time.Millisecond
 	}
-	perRound := 1
-	if s.batch != nil {
-		perRound = s.batch.maxBatch
-	}
-	capacity := cap(s.sem) * perRound
+	capacity := cap(s.sem)
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -321,16 +306,7 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 
 	start := time.Now()
-	var outs []*znn.Tensor
-	var gen int64
-	if s.batch != nil {
-		// Join the coalescing queue; the batcher holds a sem slot per
-		// dispatched fused round, and per-request latency includes the
-		// coalesce wait (tracked separately in the batcher's EW gauge).
-		outs, gen, err = s.batch.submit(inputs, deadline)
-	} else {
-		outs, gen, err = s.inferDirect(inputs, deadline)
-	}
+	outs, gen, err := s.inferDirect(inputs, deadline)
 	elapsed := time.Since(start)
 	if errors.Is(err, errDeadlineExpired) {
 		s.expired.Add(1)
@@ -343,8 +319,6 @@ func (s *server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.served.Add(1)
-	// EW latency: 7/8 old + 1/8 new; CAS so concurrent requests don't
-	// lose each other's samples.
 	ewmaUpdate(&s.inferNsEW, elapsed.Nanoseconds())
 
 	resp := inferResponse{Generation: gen, Ms: float64(elapsed.Nanoseconds()) / 1e6}
@@ -412,11 +386,7 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if s.planned {
 		// Recompute the plan for the new weights (kernel density may have
 		// changed) under the same budget and batch-width cap as startup.
-		maxK := 1
-		if s.batch != nil {
-			maxK = s.batch.maxBatch
-		}
-		next, err = znn.LoadFilePlanned(path, s.workers, s.memBudget, maxK)
+		next, err = znn.LoadFilePlanned(path, s.workers, s.memBudget, s.maxK)
 	} else {
 		next, err = znn.LoadFile(path, s.workers)
 	}
@@ -508,24 +478,20 @@ func poolWire(st mempool.Stats) poolStats {
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	g := s.current()
 	sch := g.nw.Stats()
-	expired := s.expired.Load()
-	if s.batch != nil {
-		expired += s.batch.expired.Load()
-	}
 	stats := map[string]any{
 		"uptime_s": time.Since(s.start).Seconds(),
 		"served":   s.served.Load(),
 		"rejected": s.rejected.Load(),
 		// Admission control: shed counts 429s, expired counts requests
-		// whose deadline passed while queued (batcher seal drops plus
-		// direct-path semaphore timeouts), max_queue is the shed threshold.
+		// whose deadline passed while waiting for a round slot, max_queue
+		// is the shed threshold.
 		"shed":      s.shed.Load(),
-		"expired":   expired,
+		"expired":   s.expired.Load(),
 		"max_queue": s.maxQueue,
-		// inflight counts rounds holding a semaphore slot (≤ max_inflight,
-		// as in the unbatched server); requests_inflight counts HTTP
-		// requests inside the server, including those still coalescing in
-		// the batcher queue — the difference is the queue depth.
+		// inflight counts rounds holding a semaphore slot (≤ max_inflight);
+		// requests_inflight counts HTTP requests inside the server,
+		// including those waiting for a slot — the difference is the queue
+		// depth.
 		"inflight":          len(s.sem),
 		"requests_inflight": s.requests.Load(),
 		"infer_ms_ew":       float64(s.inferNsEW.Load()) / 1e6,
@@ -555,14 +521,6 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if s.defaultDeadline > 0 {
 		stats["default_deadline_ms"] = s.defaultDeadline.Milliseconds()
 	}
-	if s.batch != nil {
-		stats["batches"] = s.batch.batches.Load()
-		stats["batched_requests"] = s.batch.batchedReqs.Load()
-		stats["batch_width_mean"] = s.batch.widthMean()
-		stats["coalesce_ms_ew"] = float64(s.batch.coalesceNsEW.Load()) / 1e6
-		stats["max_batch"] = s.batch.maxBatch
-		stats["batch_delay_us"] = s.batch.delay.Microseconds()
-	}
 	// The active execution plan, when the serving generation was compiled
 	// from one: per-layer (method, precision) assignments plus the planner's
 	// cost and pooled-byte estimates (see internal/plan Stats).
@@ -574,13 +532,10 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // shutdown drains the serving state after the HTTP server has stopped
-// accepting: close the batcher loop, wait (bounded) for rounds that
-// already landed on the current generation, then close its engine. Old
-// generations from reloads close themselves once their refs drop.
+// accepting: wait (bounded) for rounds that already landed on the current
+// generation, then close its engine. Old generations from reloads close
+// themselves once their refs drop.
 func (s *server) shutdown(timeout time.Duration) (drained bool) {
-	if s.batch != nil {
-		s.batch.close()
-	}
 	g := s.current()
 	done := make(chan struct{})
 	go func() {
@@ -594,4 +549,19 @@ func (s *server) shutdown(timeout time.Duration) (drained bool) {
 	}
 	drained, _ = g.nw.CloseTimeout(timeout)
 	return drained
+}
+
+// ewmaUpdate folds a sample into an exponentially weighted gauge (7/8 old
+// + 1/8 new) with CAS so concurrent samples don't lose each other.
+func ewmaUpdate(g *atomic.Int64, sample int64) {
+	for {
+		old := g.Load()
+		next := old - old/8 + sample/8
+		if old == 0 {
+			next = sample
+		}
+		if g.CompareAndSwap(old, next) {
+			return
+		}
+	}
 }

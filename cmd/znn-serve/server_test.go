@@ -22,7 +22,7 @@ import (
 	"znn/internal/chaos"
 )
 
-func testNet(t *testing.T, seed int64) *znn.Network {
+func testNet(t testing.TB, seed int64) *znn.Network {
 	t.Helper()
 	nw, err := znn.NewNetwork("C3-Trelu-C1", znn.Config{
 		Width: 2, OutputPatch: 5, Workers: 2, Seed: seed,
@@ -115,7 +115,7 @@ func TestReloadUnderLoadBitIdentical(t *testing.T) {
 		t.Fatal("generations 1 and 2 produce identical outputs; the test cannot tell them apart")
 	}
 
-	s := newServer(nw, 4, 4, 0)
+	s := newServer(nw, 4)
 	ts := serveMux(s)
 	defer ts.Close()
 	defer s.shutdown(5 * time.Second)
@@ -212,7 +212,7 @@ func TestReloadFailureLeavesOldGenerationServing(t *testing.T) {
 	}
 	next.Close()
 
-	s := newServer(nw, 2, 1, 0)
+	s := newServer(nw, 2)
 	s.reloadPath = ckpt
 	ts := serveMux(s)
 	defer ts.Close()
@@ -273,7 +273,7 @@ func TestReloadRejectsCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(bad, append([]byte("ZNNCKPT\x02"), make([]byte, 40)...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(nw, 2, 1, 0)
+	s := newServer(nw, 2)
 	ts := serveMux(s)
 	defer ts.Close()
 	defer s.shutdown(5 * time.Second)
@@ -298,7 +298,7 @@ func TestReloadRejectsCorruptCheckpoint(t *testing.T) {
 // request are all unharmed.
 func TestChaosRoundPanicStaysRoundLocal(t *testing.T) {
 	nw := testNet(t, 41)
-	s := newServer(nw, 2, 4, 0)
+	s := newServer(nw, 2)
 	ts := serveMux(s)
 	defer ts.Close()
 	defer s.shutdown(5 * time.Second)
@@ -336,7 +336,7 @@ func TestChaosRoundPanicStaysRoundLocal(t *testing.T) {
 // frees.
 func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 	nw := testNet(t, 31)
-	s := newServer(nw, 1, 1, 0) // unbatched direct path
+	s := newServer(nw, 1)
 	s.maxQueue = 1
 	ts := serveMux(s)
 	defer ts.Close()
@@ -387,7 +387,7 @@ func TestAdmissionShedsWithRetryAfter(t *testing.T) {
 // counts as expired, never having run a round.
 func TestDeadlineExpiresInQueue(t *testing.T) {
 	nw := testNet(t, 32)
-	s := newServer(nw, 1, 1, 0)
+	s := newServer(nw, 1)
 	ts := serveMux(s)
 	defer ts.Close()
 
@@ -421,68 +421,11 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 	s.shutdown(5 * time.Second)
 }
 
-// TestExpiredRequestsNeverOccupyBatchSlot wedges the batcher behind a full
-// in-flight semaphore until the queued requests' deadlines pass: at seal
-// time they must all be dropped with errDeadlineExpired and NO round may
-// dispatch — an expired request never occupies a batch slot.
-func TestExpiredRequestsNeverOccupyBatchSlot(t *testing.T) {
-	var mu sync.Mutex
-	var widths []int
-	sem := make(chan struct{}, 1)
-	b := newBatcher(stubDispatch(&mu, &widths, nil), 4, 0, sem)
-	defer b.close()
-
-	sem <- struct{}{} // no round slot frees until we say so
-	deadline := time.Now().Add(20 * time.Millisecond)
-	const n = 3
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, _, errs[i] = b.submit(reqTensor(float64(i)), deadline)
-		}(i)
-	}
-	time.Sleep(60 * time.Millisecond) // all three deadlines pass while queued
-	<-sem                             // slot frees; the batch seals and must drop everyone
-	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, errDeadlineExpired) {
-			t.Fatalf("request %d: err = %v, want errDeadlineExpired", i, err)
-		}
-	}
-	if got := b.expired.Load(); got != n {
-		t.Fatalf("expired = %d, want %d", got, n)
-	}
-	if got := b.batches.Load(); got != 0 {
-		t.Fatalf("batches = %d: an expired request occupied a batch slot", got)
-	}
-	mu.Lock()
-	w := append([]int(nil), widths...)
-	mu.Unlock()
-	if len(w) != 0 {
-		t.Fatalf("dispatch widths = %v, want none", w)
-	}
-
-	// The freed slot is usable: a live request dispatches normally.
-	outs, _, err := b.submit(reqTensor(9), time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outs[0].Data[0] != 9 {
-		t.Fatalf("live request after expiries demuxed %v, want 9", outs[0].Data[0])
-	}
-	if got := b.batches.Load(); got != 1 {
-		t.Fatalf("batches = %d after live request, want 1", got)
-	}
-}
-
 // TestShutdownDrains checks the serving-side half of graceful shutdown:
 // after traffic, shutdown() reports a clean drain within its budget.
 func TestShutdownDrains(t *testing.T) {
 	nw := testNet(t, 51)
-	s := newServer(nw, 2, 4, 0)
+	s := newServer(nw, 2)
 	ts := serveMux(s)
 	in := make([]float64, nw.InputShape().Volume())
 	for i := 0; i < 3; i++ {

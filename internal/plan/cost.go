@@ -8,14 +8,17 @@ import (
 )
 
 // f32FFTCostFactor discounts the modeled FFT cost when the spectral path
-// runs in float32. The flop count is unchanged and an isolated transform
-// is nearly precision-neutral (scalar butterflies are compute-bound), but
-// the quantity the planner predicts is per-round layer cost, and measured
-// spectral training rounds — where spectrum traffic, pool zeroing and
-// allocation volume halve — run ≈1.78× faster at f32 at 96³-class shapes
-// (see BenchmarkSpectralRound96*). The factor is the inverse of that
-// measured end-to-end ratio, applied to the whole spectral term as a
-// bandwidth proxy; it shifts the direct-vs-FFT crossover toward FFT.
+// runs in float32. The flop count is unchanged, but the quantity the
+// planner predicts is per-round layer cost, and spectral training rounds —
+// where spectrum traffic, pool zeroing and allocation volume halve — run
+// faster at f32. The factor is the inverse of the ≈1.78× f32 speedup
+// BenchmarkSpectralRound96* measured at 96³-class shapes when both
+// precisions ran scalar butterflies. Both now run SIMD lane butterflies,
+// and the same benchmark reads ≈1.5× (2-vCPU Xeon, go1.24, 3 runs of 5
+// rounds), so the factor over-discounts f32 until the cost model is
+// calibrated against measured rounds. It applies to the whole spectral
+// term as a bandwidth proxy and shifts the direct-vs-FFT crossover toward
+// FFT.
 const f32FFTCostFactor = 0.56
 
 // taps returns the number of kernel taps Direct's forward and backward

@@ -98,14 +98,15 @@ func Run(cfg Config) (Stats, error) {
 	if cfg.In.Shape() != g.Vol {
 		return st, fmt.Errorf("tile: reader shape %v ≠ volume %v", cfg.In.Shape(), g.Vol)
 	}
-	k := cfg.K
-	if k < 1 {
-		k = 1
-	}
+	// K beyond the block count and Window beyond the round count would
+	// only grow the input ring below with tensors no round ever reads.
+	total := g.NumBlocks()
+	k := max(min(cfg.K, total), 1)
 	window := cfg.Window
 	if window < 1 {
 		window = 2
 	}
+	window = max(min(window, (total+k-1)/k), 1)
 
 	release := cfg.Prog.AcquireInfer()
 	defer release()
@@ -118,7 +119,6 @@ func Run(cfg Config) (Stats, error) {
 		free <- tensor.New(g.BlockIn)
 	}
 
-	total := g.NumBlocks()
 	drain := func(f inflight) error {
 		t0 := time.Now()
 		err := f.rs.Wait()

@@ -14,15 +14,16 @@ import (
 	"znn/internal/tensor"
 )
 
-// buildInferNet compiles a small two-conv-layer FFT network. Width 2 keeps
-// summing-node fan-in at 2, where Algorithm 4's accumulation is a single
-// commutative addition — bit-identical regardless of contribution order —
-// so concurrent rounds can be compared byte-for-byte against serial ones.
-func buildInferNet(t testing.TB, workers int) (*Engine, *net.Network) {
+// buildInferNet compiles a small two-conv-layer network whose conv edges
+// all use method m. Width 2 keeps summing-node fan-in at 2, where
+// Algorithm 4's accumulation is a single commutative addition —
+// bit-identical regardless of contribution order — so concurrent rounds
+// can be compared byte-for-byte against serial ones.
+func buildInferNet(t testing.TB, workers int, m conv.Method) (*Engine, *net.Network) {
 	t.Helper()
 	nw, err := net.Build(net.MustParse("C3-Ttanh-C3"), net.BuildOptions{
 		Width: 2, InputExtent: 16,
-		Method:  conv.FFT,
+		Method:  m,
 		Memoize: true, Seed: 11,
 	})
 	if err != nil {
@@ -50,7 +51,7 @@ func infer1(en *Engine, inputs ...*tensor.Tensor) ([]*tensor.Tensor, error) {
 // of the same input. This is both the -race exercise for
 // concurrent in-flight rounds and the determinism acceptance check.
 func TestConcurrentInferDeterminism(t *testing.T) {
-	en, nw := buildInferNet(t, 4)
+	en, nw := buildInferNet(t, 4, conv.FFT)
 	defer en.Close()
 
 	rng := rand.New(rand.NewSource(3))
@@ -102,7 +103,7 @@ func TestConcurrentInferDeterminism(t *testing.T) {
 // before the first Infer round is admitted, so Infer and an Infer after an
 // explicit Drain agree bit-for-bit.
 func TestInferAfterTrainingSeesUpdatedWeights(t *testing.T) {
-	en, nw := buildInferNet(t, 3)
+	en, nw := buildInferNet(t, 3, conv.FFT)
 	defer en.Close()
 
 	rng := rand.New(rand.NewSource(5))
@@ -230,10 +231,16 @@ func TestInferAllocatesLessThanRound(t *testing.T) {
 // TestInferFusedMatchesForward checks the fused-round acceptance property:
 // one K-wide fused inference round's per-volume outputs are bit-identical
 // to K separate K=1 rounds over the same volumes, at K=5, with lazy
-// updates pending at the training→serving transition.
-// Run under the CI -race job.
+// updates pending at the training→serving transition, for an FFT and a
+// direct net. Run under the CI -race job.
 func TestInferFusedMatchesForward(t *testing.T) {
-	en, nw := buildInferNet(t, 4)
+	for _, m := range []conv.Method{conv.FFT, conv.Direct} {
+		t.Run(m.String(), func(t *testing.T) { testInferFusedMatchesForward(t, m) })
+	}
+}
+
+func testInferFusedMatchesForward(t *testing.T, m conv.Method) {
+	en, nw := buildInferNet(t, 4, m)
 	defer en.Close()
 
 	rng := rand.New(rand.NewSource(23))
@@ -276,12 +283,19 @@ func TestInferFusedMatchesForward(t *testing.T) {
 }
 
 // TestInferFusedConcurrent keeps several fused K-wide rounds in flight at
-// once (the serving batcher's steady state under load) and checks each
-// round's per-volume outputs against the serialized reference; under -race
-// this exercises the batch caches, per-volume accumulators and per-volume
-// inverse tasks racing across rounds.
+// once (the tiler's steady state with a window of rounds) and checks each
+// round's per-volume outputs against the serialized reference, for an FFT
+// and a direct net; under -race this exercises the batch caches,
+// per-volume accumulators and per-volume inverse tasks racing across
+// rounds.
 func TestInferFusedConcurrent(t *testing.T) {
-	en, nw := buildInferNet(t, 4)
+	for _, m := range []conv.Method{conv.FFT, conv.Direct} {
+		t.Run(m.String(), func(t *testing.T) { testInferFusedConcurrent(t, m) })
+	}
+}
+
+func testInferFusedConcurrent(t *testing.T, m conv.Method) {
+	en, nw := buildInferNet(t, 4, m)
 	defer en.Close()
 
 	rng := rand.New(rand.NewSource(29))
@@ -338,7 +352,7 @@ func TestInferFusedConcurrent(t *testing.T) {
 // per-volume partial sums) to the pool when it completes, and warm fused
 // rounds run without fresh allocations.
 func TestInferFusedReleasesPool(t *testing.T) {
-	en, nw := buildInferNet(t, 2)
+	en, nw := buildInferNet(t, 2, conv.FFT)
 	defer en.Close()
 
 	rng := rand.New(rand.NewSource(31))
@@ -371,7 +385,7 @@ func TestInferFusedReleasesPool(t *testing.T) {
 // weight state — after a few drain attempts Infer must fall back to
 // running under the exclusive lock and still return.
 func TestInferProgressUnderSustainedTraining(t *testing.T) {
-	en, nw := buildInferNet(t, 2)
+	en, nw := buildInferNet(t, 2, conv.FFT)
 	defer en.Close()
 
 	rng := rand.New(rand.NewSource(19))
@@ -410,9 +424,9 @@ func TestInferProgressUnderSustainedTraining(t *testing.T) {
 // inference: Infer must leave no trace in cross-round op state (memo
 // slots, Jacobian inputs, dropout masks).
 func TestInferDoesNotDisturbTraining(t *testing.T) {
-	enA, nw := buildInferNet(t, 3)
+	enA, nw := buildInferNet(t, 3, conv.FFT)
 	defer enA.Close()
-	enB, _ := buildInferNet(t, 3)
+	enB, _ := buildInferNet(t, 3, conv.FFT)
 	defer enB.Close()
 
 	rng := rand.New(rand.NewSource(13))

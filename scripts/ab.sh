@@ -15,8 +15,16 @@
 # are merged into one result file in DIR (default ab-out/) and handed to
 # the benchmark's own -compare; then, per metric, it prints each
 # side's quartiles, the median of the pairwise change/parent ratios, the
-# change's wins out of N and a two-sided sign-test p-value. It exits 1 when
-# a run was not correct or had failed operations. benchmark/ is only read.
+# change's wins out of N, a two-sided sign-test p-value and the minimum
+# detectable effect at N kept pairs,
+#
+#   MDE = 2.8 · (IQR of ln(change/parent) / 1.349) / √N, as a percentage:
+#
+# the normal approximation at α = 0.05 (two-sided) and power 0.8
+# (2.8 ≈ 1.96 + 0.84), with IQR/1.349 a robust estimate of the pairwise
+# log ratios' standard deviation. A change smaller than the MDE can go
+# unseen at N pairs. It exits 1 when a run was not correct or had failed
+# operations. benchmark/ is only read.
 set -euo pipefail
 
 usage() {
@@ -160,7 +168,13 @@ for side in ("parent", "change"):
                                        "values": {k: v["value"] for k, v in r["metrics"].items()}} for r in rs]})
     json.dump({"fingerprint": fp, "workloads": wls}, open(f"{out}/ab_{side}.json", "w"), indent=1)
 
-print(f"{'workload':<17} {'metric':<13} {'parent q1/median/q3':>30} {'change q1/median/q3':>30} {'ratio':>6} {'wins':>6} {'sign p':>7}")
+def mde(logs):  # percent; see the header comment
+    if len(logs) < 2:
+        return math.nan
+    q1, _, q3 = quartiles(logs)
+    return 100 * 2.8 * ((q3 - q1) / 1.349) / math.sqrt(len(logs))
+
+print(f"{'workload':<17} {'metric':<13} {'parent q1/median/q3':>30} {'change q1/median/q3':>30} {'ratio':>6} {'wins':>6} {'sign p':>7} {'MDE %':>6}")
 for w in workloads:
     by_seed = {}
     for r in runs:
@@ -175,7 +189,8 @@ for w in workloads:
         losses = sum((y > x) if lower else (y < x) for x, y in zip(a, b))
         ratio = quartiles([y / x for x, y in zip(a, b) if x])[1]
         fa, fb = ("/".join(f"{x:.4g}" for x in quartiles(v)) for v in (a, b))
-        print(f"{w:<17} {d['name']:<13} {fa:>30} {fb:>30} {ratio:6.3f} {wins:>3}/{len(pairs):<2} {sign_p(wins, losses):7.2g}")
+        logs = [math.log(y / x) for x, y in zip(a, b) if x > 0 and y > 0]
+        print(f"{w:<17} {d['name']:<13} {fa:>30} {fb:>30} {ratio:6.3f} {wins:>3}/{len(pairs):<2} {sign_p(wins, losses):7.2g} {mde(logs):6.1f}")
 steal = sorted(r["steal"] for r in runs)
 bad = sum(not r["result"]["correct"] or r["result"]["failed"] > 0 for r in runs)
 print(f"runs kept {len(runs)}; steal share median {steal[len(steal) // 2]:.3f}, max {steal[-1]:.3f}; "

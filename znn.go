@@ -134,9 +134,10 @@ type Config struct {
 	// fused inference round (see internal/plan for the exact semantics);
 	// 0 means unconstrained.
 	MemBudget int64
-	// PlanMaxK caps the planner's fused batch width (default 8). Serving
-	// front ends should set it to their maximum batch size so the plan's
-	// footprint estimate covers the widest round they will run.
+	// PlanMaxK caps the planner's fused batch width (default 8): the
+	// widest K-wide round the plan's footprint estimate must cover. Tiled
+	// inference (InferVolume, InferVolumeIO) runs its blocks in rounds of
+	// the plan's K; Infer always runs K=1 rounds.
 	PlanMaxK int
 }
 
@@ -386,21 +387,6 @@ func (n *Network) Infer(inputs ...*Tensor) ([]*Tensor, error) {
 		return nil, err
 	}
 	return outs[0], nil
-}
-
-// InferBatch runs the K volumes of batch — batch[v] is volume v's input
-// slice — through ONE K-wide fused inference round and returns volume v's
-// output slice at index v. The batch dimension is a property of the round
-// itself: every node sum runs as one task per volume (a direct sum per
-// block of output planes), with one inverse transform per (node, volume) —
-// the ZNNi/PZnet batching result for many-core CPU inference throughput.
-// Per-volume outputs are bit-identical to K separate Infer calls; a round
-// error fails only this batch. Like
-// Infer it is concurrency-safe alongside any other inference calls (to
-// keep N independent rounds in flight instead, call Infer from N
-// goroutines).
-func (n *Network) InferBatch(batch [][]*Tensor) ([][]*Tensor, error) {
-	return n.en.Infer(batch)
 }
 
 // Params returns a copy of the flattened parameter vector.
