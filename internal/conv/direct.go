@@ -51,20 +51,23 @@
 // plane is one run at the images' row stride — the gather dst[i] = Σ_t
 // w_t·src_t[i], where every tap carries its own source run, 32 voxels held
 // in eight YMM accumulators across every tap of every edge — whose rows are
-// copied out. The backward pass is the same gather over each g_j
-// zero-padded by s(k−1), with the reflected taps read straight off the
-// kernel; PadCache pads a node's backward image once per halo for all the
-// edges that read it. The kernel gradient is one dot product per tap and
-// backward plane.
+// copied out. Two sibling nodes whose taps read the same runs (SumNodes) run
+// as one gather of 16 voxels each, every source load feeding both. The
+// backward pass is the same gather over each g_j zero-padded by s(k−1),
+// with the reflected taps read straight off the kernel; PadCache pads a
+// node's backward image once per halo for all the edges that read it. The
+// kernel gradient is one dot product per tap and backward plane at the
+// forward image's row stride (GapRows), three taps per load of the plane.
 //
 // Rounding contract: every output voxel is the FMA chain from +0 over the
 // taps of its terms, term by term in the order given and each term's taps
 // in list order — in the vector body, in the final block (which overlaps
-// its predecessor instead of leaving a tail) and in the math.FMA scalar
-// code alike — so its bits do not depend on where a row, plane, block or
-// tile boundary falls, nor on which task ran first: tiled ≡ single-shot is
-// bitwise, and so is training at any worker count. The gradient sums in the
-// fixed order documented on dotGo. The AVX2+FMA assembly runs when
+// its predecessor instead of leaving a tail), paired or not, and in the
+// math.FMA scalar code alike — so its bits do not depend on where a row,
+// plane, block or tile boundary falls, nor on which task ran first: tiled ≡
+// single-shot is bitwise, and so is training at any worker count. The
+// gradient sums every tap in the fixed order documented on dotGo, in a tap
+// block or alone. The AVX2+FMA assembly runs when
 // internal/cpu reports VectorOK; otherwise (the purego tag, other GOARCHes,
 // pre-AVX2 hosts) the Go twins in kernels.go produce the same bits — via
 // math.FMA, slow only on pre-FMA x86.
@@ -241,64 +244,102 @@ type Term struct {
 
 // SumForward sets output planes [z0, z1) of out to Σ valid(Img, Ker) over
 // terms whose images share one shape: a node's direct in-edges.
-func SumForward(out *tensor.Tensor, z0, z1 int, terms []Term) { sumPlanes(out, z0, z1, terms, false) }
+func SumForward(out *tensor.Tensor, z0, z1 int, terms []Term) {
+	SumNodes([]*tensor.Tensor{out}, z0, z1, [][]Term{terms}, false)
+}
 
 // SumBackward sets planes [z0, z1) of out to Σ full(bwd, reflect(Ker)) over
 // terms whose padded images share one shape: a node's direct out-edges.
-func SumBackward(out *tensor.Tensor, z0, z1 int, terms []Term) { sumPlanes(out, z0, z1, terms, true) }
+func SumBackward(out *tensor.Tensor, z0, z1 int, terms []Term) {
+	SumNodes([]*tensor.Tensor{out}, z0, z1, [][]Term{terms}, true)
+}
 
-// gatherSet is sumPlanes' tap table: every tap of every term in order, its
-// weight, its image from the tap's offset on, and its run in one plane.
+// SumNodes runs SumForward (SumBackward, with bwd) for B = len(outs) ≤ 2
+// nodes, terms[b] into outs[b]. When the nodes' taps read the same images
+// at the same positions in the same order — sibling nodes, whose kernels
+// share shape, sparsity and zero pattern — each source load feeds both
+// nodes; otherwise each node runs alone. The bits are SumForward's either way.
+func SumNodes(outs []*tensor.Tensor, z0, z1 int, terms [][]Term, bwd bool) {
+	is, os := terms[0][0].Img.S, outs[0].S
+	if z0 < 0 || z1 > os.Z || z0 > z1 || len(outs) != len(terms) || len(outs) > 2 {
+		panic(fmt.Sprintf("conv: planes [%d, %d) of %v over %d outputs, %d term lists", z0, z1, os, len(outs), len(terms)))
+	}
+	gs := gatherSets.Get().(*gatherSet)
+	for b, tms := range terms {
+		if outs[b].S != os {
+			panic(fmt.Sprintf("conv: direct sums into %v and %v", os, outs[b].S))
+		}
+		gs.w[b], gs.src[b] = gs.w[b][:0], gs.src[b][:0]
+		for _, tm := range tms {
+			if tm.Img.S != is || tm.Ker.S != tm.Tr.k || is.ValidConv(tm.Ker.S, tm.Tr.sp) != os {
+				panic(fmt.Sprintf("conv: direct sum term image %v kernel %v sparsity %v, output %v over images %v",
+					tm.Img.S, tm.Ker.S, tm.Tr.sp, os, is))
+			}
+			tl := newTapList(tm.Ker, bwd)
+			gs.w[b] = append(gs.w[b], tl.w...)
+			for _, off := range tl.bind(is, tm.Tr.sp) {
+				gs.src[b] = append(gs.src[b], tm.Img.Data[off:])
+			}
+			if z0 == 0 { // once per sum, in the paper's n′·k³ units for both passes; zero taps skipped
+				tm.Tr.cnt.addDirect(int64(tm.Tr.out.Volume() * tl.Len()))
+			}
+			tapLists.Put(tl)
+		}
+	}
+	if len(outs) == 2 && slices.EqualFunc(gs.src[0], gs.src[1], sameRun) {
+		gs.pair = slices.Grow(gs.pair[:0], 2*len(gs.w[0]))
+		for t, w := range gs.w[0] {
+			gs.pair = append(gs.pair, w, gs.w[1][t])
+		}
+		gs.planes(outs, z0, z1, is, gs.src[0], gs.pair)
+	} else {
+		for b := range outs {
+			gs.planes(outs[b:b+1], z0, z1, is, gs.src[b], gs.w[b])
+		}
+	}
+	for b := range gs.src {
+		clear(gs.src[b])
+	}
+	clear(gs.runs)
+	gatherSets.Put(gs)
+}
+
+// sameRun reports whether two taps read the same source run.
+func sameRun(a, b []float64) bool { return len(a) == len(b) && &a[0] == &b[0] }
+
+// gatherSet is SumNodes' tap table: per node, every tap of every term in
+// order, its weight and its image from the tap's offset on; pair, two
+// nodes' weights interleaved; runs, the taps' runs in one plane.
 type gatherSet struct {
-	w         []float64
-	src, runs [][]float64
+	w    [2][]float64
+	src  [2][][]float64
+	pair []float64
+	runs [][]float64
 }
 
 var gatherSets = sync.Pool{New: func() any { return new(gatherSet) }}
 
-// sumPlanes is the one direct kernel: a valid gather over the terms' images
-// (already padded when refl, with the reflected taps). Each output plane is
-// one run at the images' row stride in scratch — every voxel one FMA chain
-// over all taps of all terms — whose rows are then copied into out.
-func sumPlanes(out *tensor.Tensor, z0, z1 int, terms []Term, refl bool) {
-	is, os := terms[0].Img.S, out.S
-	if z0 < 0 || z1 > os.Z || z0 > z1 {
-		panic(fmt.Sprintf("conv: planes [%d, %d) of %v", z0, z1, os))
-	}
-	gs := gatherSets.Get().(*gatherSet)
-	gs.w, gs.src = gs.w[:0], gs.src[:0]
-	for _, tm := range terms {
-		if tm.Img.S != is || tm.Ker.S != tm.Tr.k || is.ValidConv(tm.Ker.S, tm.Tr.sp) != os {
-			panic(fmt.Sprintf("conv: direct sum term image %v kernel %v sparsity %v, output %v over images %v",
-				tm.Img.S, tm.Ker.S, tm.Tr.sp, os, is))
-		}
-		tl := newTapList(tm.Ker, refl)
-		gs.w = append(gs.w, tl.w...)
-		for _, off := range tl.bind(is, tm.Tr.sp) {
-			gs.src = append(gs.src, tm.Img.Data[off:])
-		}
-		if z0 == 0 { // once per sum, in the paper's n′·k³ units for both passes; zero taps skipped
-			tm.Tr.cnt.addDirect(int64(tm.Tr.out.Volume() * tl.Len()))
-		}
-		tapLists.Put(tl)
-	}
+// planes gathers planes [z0, z1) of the B = len(outs) nodes whose taps read
+// srcs with weights ws (interleaved when B = 2): each plane one run at the
+// images' row stride in scratch, whose rows are then copied out.
+func (gs *gatherSet) planes(outs []*tensor.Tensor, z0, z1 int, is tensor.Shape, srcs [][]float64, ws []float64) {
+	os := outs[0].S
 	n := (os.Y-1)*is.X + os.X
-	gs.runs = slices.Grow(gs.runs[:0], len(gs.src))[:len(gs.src)]
-	plane := getScratch(n)
+	gs.runs = slices.Grow(gs.runs[:0], len(srcs))[:len(srcs)]
+	plane := getScratch(len(outs) * n)
 	for z := z0; z < z1; z++ {
 		base := is.Index(0, 0, z)
-		for t, s := range gs.src {
+		for t, s := range srcs {
 			gs.runs[t] = s[base:][:n]
 		}
-		gather(plane, gs.runs, gs.w)
-		for y := 0; y < os.Y; y++ {
-			copy(out.Data[os.Index(0, y, z):][:os.X], plane[y*is.X:])
+		gather(plane, gs.runs, ws)
+		for b, out := range outs {
+			for y := 0; y < os.Y; y++ {
+				copy(out.Data[os.Index(0, y, z):][:os.X], plane[b*n+y*is.X:])
+			}
 		}
 	}
 	putScratch(plane)
-	clear(gs.src)
-	clear(gs.runs)
-	gatherSets.Put(gs)
 }
 
 // PadCache holds one node's backward image zero-padded once per halo, in
@@ -346,21 +387,38 @@ func (pc *PadCache) Release() {
 	pc.pads = pc.pads[:0]
 }
 
+// GapRows returns bwd at row stride x ≥ bwd.S.X, its gaps zero, in pooled
+// scratch (FreeRows returns it): KernelGradDirect's operand for a forward
+// image of row length x, which the engine builds once per node.
+func GapRows(bwd *tensor.Tensor, x int) *tensor.Tensor {
+	gs := tensor.S3(x, bwd.S.Y, bwd.S.Z)
+	g := &tensor.Tensor{S: gs, Data: getScratch(gs.Volume())}
+	padInto(g.Data, gs, bwd.Data, bwd.S, tensor.Shape{})
+	return g
+}
+
+// FreeRows returns a GapRows image to the scratch pool.
+func FreeRows(g *tensor.Tensor) { putScratch(g.Data) }
+
 // KernelGradDirect computes the gradient of the loss with respect to the
 // kernel of a valid sparse convolution: given the forward input image
 // (shape n) and the backward image at the edge's output (shape n−s(k−1)),
-// it returns a tensor of the kernel's shape kshape. Each kernel tap's
-// gradient is the inner product of the backward image with the
-// correspondingly shifted forward image.
+// or that image at the input's row stride (GapRows), it returns a tensor of
+// the kernel's shape kshape. Each kernel tap's gradient is the inner
+// product of the backward image with the correspondingly shifted forward
+// image, summed plane by plane in the fixed order of dotGo.
 func KernelGradDirect(img, bwd *tensor.Tensor, kshape tensor.Shape, sp tensor.Sparsity) *tensor.Tensor {
 	checkConvArgs(img, bwd, sp)
-	want := img.S.ValidConv(kshape, sp)
-	if bwd.S != want {
+	is, bs := img.S, img.S.ValidConv(kshape, sp)
+	if bwd.S != bs && bwd.S != tensor.S3(is.X, bs.Y, bs.Z) {
 		panic(fmt.Sprintf("conv: backward image %v, want %v for image %v kernel %v sparsity %v",
-			bwd.S, want, img.S, kshape, sp))
+			bwd.S, bs, img.S, kshape, sp))
+	}
+	if bwd.S.X != is.X {
+		bwd = GapRows(bwd, is.X)
+		defer FreeRows(bwd)
 	}
 	g := tensor.New(kshape)
-	is, bs := img.S, bwd.S
 	// Every tap: a zero coefficient still receives a gradient.
 	all := tapLists.Get().(*TapList)
 	all.ks, all.at = kshape, all.at[:0]
@@ -368,18 +426,15 @@ func KernelGradDirect(img, bwd *tensor.Tensor, kshape tensor.Shape, sp tensor.Sp
 		all.at = append(all.at, a)
 	}
 	offs := all.bind(is, sp)
-	// A backward plane at the image's row stride, gaps zeroed; the dots.
-	ws, bp := tensor.S3(is.X, bs.Y, 1), tensor.S3(bs.X, bs.Y, 1)
-	buf := getScratch(ws.Volume() + len(offs))
-	run, part := buf[:(bs.Y-1)*is.X+bs.X], buf[ws.Volume():]
+	part := getScratch(len(offs))
 	for z := 0; z < bs.Z; z++ {
-		padInto(buf, ws, bwd.Data[bs.Index(0, 0, z):], bp, tensor.Shape{})
+		run := bwd.Data[bwd.S.Index(0, 0, z):][:(bs.Y-1)*is.X+bs.X]
 		dotTaps(part, run, img.Data[is.Index(0, 0, z):], offs)
 		for j, p := range part {
 			g.Data[j] += p
 		}
 	}
-	putScratch(buf)
+	putScratch(part)
 	tapLists.Put(all)
 	return g
 }

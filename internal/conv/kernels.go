@@ -9,28 +9,41 @@ var (
 	dotTaps = dotGo
 )
 
-// gatherGo sets dst[i] = Σ_t ws[t]·srcs[t][i], each voxel a math.FMA chain
-// over the taps in list order from +0. Every tap carries its own source run,
-// so one chain spans the taps of several images (a node-level sum).
+// gatherGo sets dst[b·n+i] = Σ_t ws[t·B+b]·srcs[t][i] for each of the
+// B = len(ws)/len(srcs) outputs of n = len(dst)/B voxels, each voxel a
+// math.FMA chain over the taps in list order from +0. Every tap carries its
+// own source run, so one chain spans the taps of several images (a node-level
+// sum), and the B outputs read the same runs with their own weights (sibling
+// nodes over the same operands). With no taps dst is zero. B = 1 is the
+// single-node gather.
 func gatherGo(dst []float64, srcs [][]float64, ws []float64) {
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		var a0, a1, a2, a3 float64
-		for t, w := range ws {
-			s := srcs[t][i:][:4]
-			a0 = math.FMA(w, s[0], a0)
-			a1 = math.FMA(w, s[1], a1)
-			a2 = math.FMA(w, s[2], a2)
-			a3 = math.FMA(w, s[3], a3)
-		}
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = a0, a1, a2, a3
+	if len(srcs) == 0 {
+		clear(dst)
+		return
 	}
-	for ; i < len(dst); i++ {
-		var a float64
-		for t, w := range ws {
-			a = math.FMA(w, srcs[t][i], a)
+	nb := len(ws) / len(srcs)
+	n := len(dst) / nb
+	for b := range nb {
+		d := dst[b*n:][:n]
+		i := 0
+		for ; i+4 <= n; i += 4 {
+			var a0, a1, a2, a3 float64
+			for t, src := range srcs {
+				w, s := ws[t*nb+b], src[i:][:4]
+				a0 = math.FMA(w, s[0], a0)
+				a1 = math.FMA(w, s[1], a1)
+				a2 = math.FMA(w, s[2], a2)
+				a3 = math.FMA(w, s[3], a3)
+			}
+			d[i], d[i+1], d[i+2], d[i+3] = a0, a1, a2, a3
 		}
-		dst[i] = a
+		for ; i < n; i++ {
+			var a float64
+			for t, src := range srcs {
+				a = math.FMA(ws[t*nb+b], src[i], a)
+			}
+			d[i] = a
+		}
 	}
 }
 
@@ -38,8 +51,10 @@ func gatherGo(dst []float64, srcs [][]float64, ws []float64) {
 // over the first len(a)&^15 elements element i accumulates into lane i mod
 // 16 (four 4-lane vectors L0..L3), the lanes reduce as
 // v = (L0+L1) + (L2+L3) and then (v0+v2) + (v1+v3), and the remaining
-// elements continue that sum as a math.FMA chain (dotTail). Lanes are
-// independent chains, so the twin runs them four at a time.
+// elements continue that sum as a math.FMA chain. Lanes are independent
+// chains, so the twin runs them four at a time, and the assembly runs
+// three taps per pass over a — each load of a feeds three taps — without
+// changing any tap's lanes or tree.
 func dotGo(dst, a, b []float64, offs []int) {
 	nb := len(a) &^ 15
 	for t, off := range offs {
@@ -55,17 +70,9 @@ func dotGo(dst, a, b []float64, offs []int) {
 			acc[l], acc[l+1], acc[l+2], acc[l+3] = s0, s1, s2, s3
 		}
 		v := func(l int) float64 { return (acc[l] + acc[4+l]) + (acc[8+l] + acc[12+l]) }
-		dst[t] = (v(0) + v(2)) + (v(1) + v(3))
-	}
-	dotTail(dst, a, b, offs, nb)
-}
-
-// dotTail adds elements from..len(a)−1 to each tap's dot product in order.
-func dotTail(dst, a, b []float64, offs []int, from int) {
-	for t, off := range offs {
-		s := dst[t]
-		for i := from; i < len(a); i++ {
-			s = math.FMA(a[i], b[off+i], s)
+		s := (v(0) + v(2)) + (v(1) + v(3))
+		for i := nb; i < len(a); i++ {
+			s = math.FMA(a[i], bt[i], s)
 		}
 		dst[t] = s
 	}

@@ -15,34 +15,45 @@ func init() {
 func gatherAsm(dst *float64, n int, srcs *[]float64, w *float64, nt int)
 
 //go:noescape
+func gather2Asm(dst *float64, n int, srcs *[]float64, w *float64, nt int)
+
+//go:noescape
 func dotAsm(dst, a *float64, n int, b *float64, off *int, nt int)
 
-// gatherAVX2 runs runs of 32 voxels or more in assembly, shorter ones in Go.
+// gatherAVX2 runs one output's runs of 32 voxels or more, or two outputs'
+// runs of 16 or more, in assembly, and everything else in Go.
 func gatherAVX2(dst []float64, srcs [][]float64, ws []float64) {
-	bad := len(srcs) != len(ws)
+	if len(srcs) == 0 {
+		gatherGo(dst, srcs, ws)
+		return
+	}
+	nb := len(ws) / len(srcs)
+	bad := nb < 1 || nb > 2 || len(ws) != nb*len(srcs) || len(dst)%nb != 0
+	n := len(dst) / max(nb, 1)
 	for _, s := range srcs {
-		bad = bad || len(s) < len(dst)
+		bad = bad || len(s) < n
 	}
 	if bad {
 		panic("conv: direct kernel taps outside their source")
 	}
-	if len(dst) < 32 || len(ws) == 0 {
+	switch {
+	case nb == 1 && n >= 32:
+		gatherAsm(&dst[0], n, &srcs[0], &ws[0], len(srcs))
+	case nb == 2 && n >= 16:
+		gather2Asm(&dst[0], n, &srcs[0], &ws[0], len(srcs))
+	default:
 		gatherGo(dst, srcs, ws)
-		return
 	}
-	gatherAsm(&dst[0], len(dst), &srcs[0], &ws[0], len(ws))
 }
 
-// dotAVX2 runs the 16-element blocks in assembly and the tail in Go.
+// dotAVX2 runs runs of 16 elements or more in assembly, shorter ones in Go.
 func dotAVX2(dst, a, b []float64, offs []int) {
 	checkTaps(len(a), b, len(dst), offs)
-	nb := len(a) &^ 15
-	if nb > 0 && len(offs) > 0 {
-		dotAsm(&dst[0], &a[0], nb, &b[0], &offs[0], len(offs))
-	} else {
-		clear(dst)
+	if len(a) < 16 || len(offs) == 0 {
+		dotGo(dst, a, b, offs)
+		return
 	}
-	dotTail(dst, a, b, offs, nb)
+	dotAsm(&dst[0], &a[0], len(a), &b[0], &offs[0], len(offs))
 }
 
 // checkTaps bounds-checks every tap's run src[off : off+n] for the assembly.

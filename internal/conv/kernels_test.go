@@ -242,3 +242,134 @@ func BenchmarkDirectBackward(b *testing.B) {
 func BenchmarkDirectKernelGrad(b *testing.B) {
 	benchDirect(b, func(tr *Transformer, img, _, bwd *tensor.Tensor) { tr.KernelGrad(img, bwd) })
 }
+
+// requireVector skips a parity test where the assembly is not installed,
+// or fails it when ZNN_REQUIRE_AVX2 is set (CI's dispatch step).
+func requireVector(t *testing.T) {
+	t.Helper()
+	if vectorized() {
+		return
+	}
+	if os.Getenv("ZNN_REQUIRE_AVX2") != "" {
+		t.Fatalf("ZNN_REQUIRE_AVX2 set but the direct kernels are not on the AVX2 path (cpu: %+v)", cpu.X86)
+	}
+	t.Skip("direct kernels not vectorized on this build/host: nothing to differentiate")
+}
+
+// TestPairedGatherMatchesGoTwin: the installed gather of B = 1 and B = 2
+// outputs produces the Go twin's bits over runs of 16, 17, 31 and 1933
+// voxels — the two-output body's single block, ragged final blocks that
+// overlap their predecessor, the exemplar 3³ plane — at 1, 25, 27 and 8×27
+// taps; and each output of the B = 2 twin is the B = 1 twin over that
+// output's weights.
+func TestPairedGatherMatchesGoTwin(t *testing.T) {
+	requireVector(t)
+	rng := rand.New(rand.NewSource(86))
+	for _, taps := range []int{1, 25, 27, 8 * 27} {
+		for _, n := range []int{16, 17, 31, 1933} {
+			srcs, w := make([][]float64, taps), [2][]float64{make([]float64, taps), make([]float64, taps)}
+			var pair []float64
+			for j := range srcs {
+				src := tensor.RandomUniform(rng, tensor.S3(n+rng.Intn(60), 1, 1), -1, 1).Data
+				srcs[j] = src[rng.Intn(len(src)-n+1):][:n]
+				w[0][j], w[1][j] = rng.Float64()*2-1, rng.Float64()*2-1
+				pair = append(pair, w[0][j], w[1][j])
+			}
+			for _, ws := range [][]float64{w[0], pair} {
+				nb := len(ws) / taps
+				want, got := make([]float64, nb*n), make([]float64, nb*n)
+				gatherGo(want, srcs, ws)
+				gather(got, srcs, ws)
+				if i := sameBits(want, got); i >= 0 {
+					t.Fatalf("B=%d taps %d n %d: voxel %d = %v, twin %v", nb, taps, n, i, got[i], want[i])
+				}
+				for b := 0; b < nb && nb > 1; b++ {
+					one := make([]float64, n)
+					gatherGo(one, srcs, w[b])
+					if i := sameBits(one, want[b*n:]); i >= 0 {
+						t.Fatalf("B=2 taps %d n %d: output %d voxel %d = %v, single-output twin %v", taps, n, b, i, want[b*n+i], one[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSumNodesPairMatchesSingle: SumNodes over two sibling nodes that read
+// the same three images gives each node the bits SumForward (and, over
+// padded images with reflected taps, SumBackward) gives it alone — through
+// the paired gather when the kernels' zero patterns match, and through one
+// single-node gather per node when the nodes' zero taps sit at different
+// positions — for whole and partial plane ranges, leaving the other planes
+// untouched.
+func TestSumNodesPairMatchesSingle(t *testing.T) {
+	rng := rand.New(rand.NewSource(87))
+	for _, k := range []tensor.Shape{tensor.Cube(3), tensor.S3(5, 5, 1)} {
+		for _, sparse := range []bool{false, true} {
+			for _, bwd := range []bool{false, true} {
+				tr := NewTransformer(tensor.S3(21, 19, 7), k, tensor.Dense(), Direct, false, nil)
+				var terms [2][]Term
+				for range 3 {
+					img := tensor.RandomUniform(rng, tr.InShape(), -1, 1)
+					if bwd {
+						var pc PadCache
+						pc.Reset(tensor.RandomUniform(rng, tr.OutShape(), -1, 1))
+						img = pc.Get(tr.Halo())
+					}
+					for b := range terms {
+						terms[b] = append(terms[b], Term{Tr: tr, Img: img, Ker: tensor.RandomUniform(rng, k, -1, 1)})
+					}
+				}
+				if sparse { // as many taps, at other positions
+					terms[0][1].Ker.Data[5] = 0
+					terms[1][1].Ker.Data[4] = 0
+				}
+				os := tr.OutShape()
+				if bwd {
+					os = tr.InShape()
+				}
+				for _, zs := range [][2]int{{0, os.Z}, {1, 3}} {
+					outs := []*tensor.Tensor{tensor.New(os), tensor.New(os)}
+					SumNodes(outs, zs[0], zs[1], terms[:], bwd)
+					for b, got := range outs {
+						want := tensor.New(os)
+						if bwd {
+							SumBackward(want, zs[0], zs[1], terms[b])
+						} else {
+							SumForward(want, zs[0], zs[1], terms[b])
+						}
+						if i := sameBits(want.Data, got.Data); i >= 0 {
+							t.Fatalf("k%v sparse %v bwd %v planes %v: node %d voxel %d = %v, single-node sum %v",
+								k, sparse, bwd, zs, b, i, got.Data[i], want.Data[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTapBlockedDotMatchesTwin: the installed tap dot, which runs taps in
+// blocks of three with a final block of one or two, produces dotGo's bits
+// at 1, 2, 3, 25 and 27 taps over runs with and without a tail, every tap
+// at a random offset.
+func TestTapBlockedDotMatchesTwin(t *testing.T) {
+	requireVector(t)
+	rng := rand.New(rand.NewSource(88))
+	for _, taps := range []int{1, 2, 3, 25, 27} {
+		for _, n := range []int{16, 47, 1933, 2201} {
+			a := tensor.RandomUniform(rng, tensor.S3(n, 1, 1), -1, 1).Data
+			b := tensor.RandomUniform(rng, tensor.S3(n+200, 1, 1), -1, 1).Data
+			offs := make([]int, taps)
+			for j := range offs {
+				offs[j] = rng.Intn(201)
+			}
+			want, got := make([]float64, taps), make([]float64, taps)
+			dotGo(want, a, b, offs)
+			dotTaps(got, a, b, offs)
+			if i := sameBits(want, got); i >= 0 {
+				t.Fatalf("taps %d n %d: tap %d = %v, twin %v", taps, n, i, got[i], want[i])
+			}
+		}
+	}
+}

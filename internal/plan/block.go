@@ -44,9 +44,11 @@ var DefaultBlockCandidates = []int{4, 8, 12, 16, 24, 32, 48, 64, 96, 128}
 // the feasible plans by modeled cost per fresh output voxel (ties: smaller
 // peak bytes, then smaller block). The winner is returned with its
 // BlockOut/BlockIn/HaloWaste/CostPerVoxel fields set and is emitted in the
-// plan table. Infeasible candidates — geometries the spec rejects or
-// plans over budget at every (method, precision, K) — are skipped; an
-// error is returned only when every candidate is infeasible.
+// plan table. Each candidate is charged Rounds in-flight rounds, but no
+// more than the ⌈blocks/K⌉ rounds its grid runs at width K. Infeasible
+// candidates — geometries the spec rejects or plans over budget at every
+// (method, precision, K) — are skipped; an error is returned only when
+// every candidate is infeasible.
 func BuildBlocked(bc BlockConfig) (*Plan, error) {
 	if bc.FOV < 1 {
 		return nil, fmt.Errorf("plan: field of view %d must be ≥ 1", bc.FOV)
@@ -81,6 +83,7 @@ func BuildBlocked(bc BlockConfig) (*Plan, error) {
 		}
 		seen[bo] = true
 		bi := bo.Add(tensor.S3(halo, halo, halo))
+		blocks := ceilDiv(outVol.X, bo.X) * ceilDiv(outVol.Y, bo.Y) * ceilDiv(outVol.Z, bo.Z)
 		geoms, err := bc.Geoms(bi)
 		if err != nil {
 			if firstErr == nil {
@@ -88,7 +91,7 @@ func BuildBlocked(bc BlockConfig) (*Plan, error) {
 			}
 			continue
 		}
-		p, err := Build(geoms, bc.Config)
+		p, err := build(geoms, bc.Config, blocks)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("block %v: %w", bo, err)
@@ -108,6 +111,8 @@ func BuildBlocked(bc BlockConfig) (*Plan, error) {
 	}
 	return best, nil
 }
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // betterBlocked orders blocked plans: lower cost per output voxel, then
 // lower peak bytes, then smaller block — a deterministic total order.

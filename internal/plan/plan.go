@@ -113,6 +113,7 @@ type Plan struct {
 	Cost      float64 // total modeled per-volume cost
 	PeakBytes int64   // Σ layer byte estimates (upper bound for one round)
 	Budget    int64   // the budget it was planned under (0 = unconstrained)
+	Rounds    int     // in-flight rounds the byte estimates charge
 
 	// Block-choice fields, set by BuildBlocked (zero otherwise): the
 	// chosen per-block output and input shapes, the halo-waste fraction
@@ -150,7 +151,11 @@ type option struct {
 // Build plans the network described by geoms (one entry per conv layer, in
 // execution order) under cfg. It returns an error only when no assignment
 // at any K fits the budget.
-func Build(geoms []conv.LayerGeom, cfg Config) (*Plan, error) {
+func Build(geoms []conv.LayerGeom, cfg Config) (*Plan, error) { return build(geoms, cfg, 0) }
+
+// build is Build for a BuildBlocked candidate whose grid has blocks blocks
+// (0 for none): at width K it charges at most the grid's ⌈blocks/K⌉ rounds.
+func build(geoms []conv.LayerGeom, cfg Config, blocks int) (*Plan, error) {
 	maxK := cfg.MaxK
 	if maxK <= 0 {
 		maxK = 8
@@ -173,7 +178,11 @@ func Build(geoms []conv.LayerGeom, cfg Config) (*Plan, error) {
 
 	var best *Plan
 	for k := 1; k <= maxK; k *= 2 {
-		cand, ok := planAtK(geoms, cfg, methods, precs, k, workers)
+		ck := cfg
+		if ck.Rounds = max(cfg.Rounds, 1); blocks > 0 {
+			ck.Rounds = min(ck.Rounds, (blocks+k-1)/k)
+		}
+		cand, ok := planAtK(geoms, ck, methods, precs, k, workers)
 		if !ok {
 			continue
 		}
@@ -255,7 +264,7 @@ func planAtK(geoms []conv.LayerGeom, cfg Config, methods []conv.Method, precs []
 		}
 	}
 
-	p := &Plan{K: k, Cost: cost, PeakBytes: bytes, Budget: cfg.Budget}
+	p := &Plan{K: k, Cost: cost, PeakBytes: bytes, Budget: cfg.Budget, Rounds: cfg.Rounds}
 	for i, g := range geoms {
 		o := opts[i][pick[i]]
 		p.Layers = append(p.Layers, Assignment{

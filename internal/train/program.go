@@ -53,14 +53,20 @@
 // reads are computed by the task that publishes the source image, before
 // fan-out, so no node task computes or waits on another node's transform.
 //
+// Two nodes' direct groups over the same sources in the same order, with
+// kernels of the same shapes and sparsity — any two nodes of a layered
+// direct net — run as a pair: one operand count, one gate, one task per
+// (volume, plane block) writing both images (conv.SumNodes).
+//
 // Backward is the mirror image over a node's out-edges: once every target
 // of a group has published its backward image — padded once per halo, or
 // transformed once per transform shape, in caches the target owns — the
-// node runs Σ_j full(g_j, w_ij) (conv.SumBackward, conv.SpectralBackward);
-// when the group completes, each out-edge enqueues its update and releases
-// its fence, so backward still reads w_ij before the update writes it
-// (Algorithm 2). A node whose sum has several groups adds their partial
-// images in group order once the last arrives. Every sum therefore has a
+// node runs Σ_j full(g_j, w_ij) (conv.SumBackward, conv.SpectralBackward;
+// nodes with the same targets pair); when the group completes, each
+// out-edge enqueues its update and releases its fence, so backward still
+// reads w_ij before the update writes it (Algorithm 2). A node whose sum
+// has several groups adds their partial images in group order once the
+// last arrives. Every sum therefore has a
 // fixed order, and training is bitwise reproducible at any worker count —
 // where ZNN's wait-free sum (Algorithm 4, package wsum) adds in arrival
 // order.
@@ -161,14 +167,22 @@ type nodeInfo struct {
 	fwdMemo, bwdMemo bool
 }
 
-// group is one part of a node's sum (graph.SumParts): forward, in-edges of
-// the node; backward, out-edges. A direct group's output planes are split
-// into blocks, one task each per volume; a spectral group and any other
-// edge, a group of one, run one task per volume.
+// part is one part of node n's sum (graph.SumParts): forward, in-edges;
+// backward, out-edges.
+type part struct {
+	n     *graph.Node
+	idx   int // its place in n's sum
+	edges []*graph.Edge
+}
+
+// group is one part, or a pair of direct parts (pairParts), run as one set
+// of tasks. A direct group's output planes are split into blocks, one task
+// each per volume writing every part's image; a spectral group and any
+// other edge, a group of one, run one task per volume.
 type group struct {
-	id       int // index of the round's count of unpublished operands
-	part     int // the group's place in the node's sum
-	edges    []*graph.Edge
+	id       int           // index of the round's count of unpublished operands
+	parts    []part        // one, or a direct pair
+	edges    []*graph.Edge // every part's edges in order
 	spectral bool
 	blocks   [][2]int // direct: output plane ranges [z0, z1)
 }
@@ -177,32 +191,76 @@ type group struct {
 // amortize the task, so small requests are not cut into per-plane slivers.
 const blockWork = 1 << 20
 
-// groups makes each part of a node's sum over edges a group summing into
-// shape out, records each edge's group in of, and returns the number of
-// parts.
-func (p *Program) groups(edges []*graph.Edge, out tensor.Shape, of []*group) int {
-	parts := graph.SumParts(edges)
-	for i, part := range parts {
-		gr := &group{id: len(p.groupEdges), part: i, edges: part}
-		p.groupEdges = append(p.groupEdges, int32(len(part)))
-		for _, e := range part {
-			of[e.ID] = gr
+// appendParts appends the parts of n's sum over edges; it returns their number.
+func appendParts(parts []part, n *graph.Node, edges []*graph.Edge) ([]part, int) {
+	sum := graph.SumParts(edges)
+	for i, es := range sum {
+		parts = append(parts, part{n: n, idx: i, edges: es})
+	}
+	return parts, len(sum)
+}
+
+// direct reports whether a part runs the direct node kernel.
+func (pt part) direct() bool {
+	op, ok := pt.edges[0].Op.(*graph.ConvOp)
+	return ok && !op.Tr.Method().IsFFT()
+}
+
+// pairParts reports whether two direct parts can run as one group: into
+// nodes of one shape, over the same operands (forward the sources, backward
+// the targets) in order, with kernels of the same shapes and sparsity.
+func pairParts(a, b part, operand func(*graph.Edge) *graph.Node) bool {
+	if !a.direct() || !b.direct() || a.n.Shape != b.n.Shape || len(a.edges) != len(b.edges) {
+		return false
+	}
+	for i, e := range a.edges {
+		x, y := e.Op.(*graph.ConvOp), b.edges[i].Op.(*graph.ConvOp)
+		if operand(e) != operand(b.edges[i]) || x.Kernel.S != y.Kernel.S || x.Sp != y.Sp {
+			return false
 		}
-		op, ok := part[0].Op.(*graph.ConvOp)
-		if gr.spectral = ok && op.Tr.Method().IsFFT(); !ok || gr.spectral {
+	}
+	return true
+}
+
+// groups makes the groups of parts, pairing each direct part with the first
+// later one it pairs with, and returns each edge's group.
+func (p *Program) groups(parts []part, operand func(*graph.Edge) *graph.Node) []*group {
+	of := make([]*group, len(p.g.Edges))
+	taken := make([]bool, len(parts))
+	for i, pt := range parts {
+		if taken[i] {
 			continue
 		}
-		taps := 0
-		for _, e := range part {
+		gr := &group{id: len(p.groupEdges), parts: []part{pt}}
+		for j := i + 1; j < len(parts) && pt.direct(); j++ {
+			if !taken[j] && pairParts(pt, parts[j], operand) {
+				taken[j] = true
+				gr.parts = append(gr.parts, parts[j])
+				break
+			}
+		}
+		for _, q := range gr.parts {
+			gr.edges = append(gr.edges, q.edges...)
+		}
+		for _, e := range gr.edges {
+			of[e.ID] = gr
+		}
+		p.groupEdges = append(p.groupEdges, int32(len(gr.edges)))
+		if gr.spectral = spectralTr(pt.edges[0]) != nil; !pt.direct() {
+			continue
+		}
+		taps := 0 // of the whole group: a pair's task does both parts' work
+		for _, e := range gr.edges {
 			taps += e.Op.(*graph.ConvOp).Kernel.S.Volume()
 		}
+		out := pt.n.Shape
 		per := max(1, blockWork/(out.X*out.Y*taps))
 		n := (out.Z + per - 1) / per
 		for b := range n {
 			gr.blocks = append(gr.blocks, [2]int{b * out.Z / n, (b + 1) * out.Z / n})
 		}
 	}
-	return len(parts)
+	return of
 }
 
 // memoizes reports whether e is an FFT edge that keeps its phase spectra.
@@ -374,16 +432,17 @@ func Compile(g *graph.Graph, cfg Config) (*Program, error) {
 		outputs: g.Outputs(),
 	}
 	p.nodes = make([]nodeInfo, len(g.Nodes))
-	p.fwdGroup = make([]*group, len(g.Edges))
-	p.bwdGroup = make([]*group, len(g.Edges))
+	var fwd, bwd []part
 	for i, n := range g.Nodes {
 		ni := nodeInfo{n: n, fwdMemo: slices.ContainsFunc(n.Out, memoizes), bwdMemo: slices.ContainsFunc(n.In, memoizes)}
-		ni.fwdParts = p.groups(n.In, n.Shape, p.fwdGroup)
+		fwd, ni.fwdParts = appendParts(fwd, n, n.In)
 		if !n.IsInput() {
-			ni.bwdParts = p.groups(n.Out, n.Shape, p.bwdGroup)
+			bwd, ni.bwdParts = appendParts(bwd, n, n.Out)
 		}
 		p.nodes[i] = ni
 	}
+	p.fwdGroup = p.groups(fwd, func(e *graph.Edge) *graph.Node { return e.From })
+	p.bwdGroup = p.groups(bwd, func(e *graph.Edge) *graph.Node { return e.To })
 	p.edges = make([]*edgeState, len(g.Edges))
 	for i, e := range g.Edges {
 		p.edges[i] = &edgeState{e: e}

@@ -21,6 +21,7 @@ type roundNode struct {
 	spectra []conv.SpectrumCache // per-volume forward image spectra, read by FFT out-edges
 	bwdSpec conv.SpectrumCache   // backward image spectra, read by FFT in-edges
 	pads    conv.PadCache        // backward image padded per halo, read by direct in-edges
+	grads   []gradImage          // per forward part, read by its direct edges' updates
 	fwdSums []*partSum           // per-volume forward parts, when the node sums several
 	bwdSum  *partSum
 
@@ -217,6 +218,9 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 		if train && ni.bwdParts > 1 {
 			rn.bwdSum = newPartSum(ni.bwdParts)
 		}
+		if train {
+			rn.grads = make([]gradImage, ni.fwdParts)
+		}
 	}
 	for id, n := range p.groupEdges {
 		rs.operands[id].Store(n)
@@ -303,11 +307,11 @@ func (rs *RoundState) fanOutForward(n *graph.Node) {
 			continue
 		}
 		if !rs.train {
-			specs = rs.forwardGroup(specs, e.To, gr)
+			specs = rs.forwardGroup(specs, gr)
 			continue
 		}
-		rs.gated(e.To.FwdPrio, gr.edges, func() {
-			if specs := rs.forwardGroup(nil, e.To, gr); len(specs) == 1 {
+		rs.gated(gr.parts[0].n.FwdPrio, gr.edges, func() {
+			if specs := rs.forwardGroup(nil, gr); len(specs) == 1 {
 				specs[0].Fn() // a lone task runs inline on the gated wrapper
 			} else {
 				rs.sr.SpawnBatch(specs)
@@ -346,22 +350,20 @@ func (rs *RoundState) forceAll(prio int64, edges []*graph.Edge, fn func()) {
 	rs.p.sch.Force(rs.p.edges[edges[0].ID].pendingUpdate(), sub)
 }
 
-// forwardGroup appends the tasks summing group gr into node n's image of
-// each volume: for a direct group one task per block of output planes,
-// each voxel one FMA chain over every tap of every in-edge; for a spectral
-// group one task multiply-accumulating every in-edge's product into one
-// spectrum; for any other edge one task applying its op.
-func (rs *RoundState) forwardGroup(specs []sched.TaskSpec, n *graph.Node, gr *group) []sched.TaskSpec {
+// forwardGroup appends the tasks summing group gr into its nodes' images
+// of each volume: for a direct group one task per block of output planes
+// writing every part's image, each voxel one FMA chain over every tap of
+// every in-edge; for a spectral group one task multiply-accumulating every
+// in-edge's product into one spectrum; for any other edge one task applying
+// its op.
+func (rs *RoundState) forwardGroup(specs []sched.TaskSpec, gr *group) []sched.TaskSpec {
+	n := gr.parts[0].n
 	for v := range rs.k {
-		done := func(out *tensor.Tensor) { rs.joinForward(n, v, gr.part, out) }
+		done := func(b int, out *tensor.Tensor) { rs.joinForward(gr.parts[b].n, v, gr.parts[b].idx, out) }
 		switch {
 		case gr.blocks != nil:
-			terms := make([]conv.Term, len(gr.edges))
-			for i, e := range gr.edges {
-				op := e.Op.(*graph.ConvOp)
-				terms[i] = conv.Term{Tr: op.Tr, Img: rs.nodes[e.From.ID].FwdImageAt(v), Ker: op.Kernel}
-			}
-			specs = rs.blockTasks(specs, n, n.FwdPrio, gr, terms, conv.SumForward, done)
+			img := func(e *graph.Edge) *tensor.Tensor { return rs.nodes[e.From.ID].FwdImageAt(v) }
+			specs = rs.blockTasks(specs, n.FwdPrio, gr, img, false, done)
 		case gr.spectral:
 			terms := make([]conv.SpecTerm, len(gr.edges))
 			for i, e := range gr.edges {
@@ -371,13 +373,13 @@ func (rs *RoundState) forwardGroup(specs []sched.TaskSpec, n *graph.Node, gr *gr
 			specs = append(specs, sched.TaskSpec{Prio: n.FwdPrio, Fn: func() {
 				out := tensor.New(n.Shape)
 				conv.SpectralForward(out, terms, !rs.train)
-				done(out)
+				done(0, out)
 			}})
 		default:
 			e := gr.edges[0]
 			img := rs.nodes[e.From.ID].FwdImageAt(v)
 			specs = append(specs, sched.TaskSpec{Prio: n.FwdPrio, Fn: func() {
-				done(e.Op.Forward(img, &graph.FwdCtx{Infer: !rs.train}))
+				done(0, e.Op.Forward(img, &graph.FwdCtx{Infer: !rs.train}))
 			}})
 		}
 	}
@@ -385,17 +387,27 @@ func (rs *RoundState) forwardGroup(specs []sched.TaskSpec, n *graph.Node, gr *gr
 }
 
 // blockTasks appends one task per block of gr's output planes, each summing
-// terms into its planes of a fresh image of node n; the last calls done.
-func (rs *RoundState) blockTasks(specs []sched.TaskSpec, n *graph.Node, prio int64, gr *group, terms []conv.Term,
-	sum func(out *tensor.Tensor, z0, z1 int, terms []conv.Term), done func(out *tensor.Tensor)) []sched.TaskSpec {
-	out := tensor.New(n.Shape)
+// every part's edges, each reading its operand img, into its planes of a
+// fresh image per part (conv.SumNodes); the last calls done for every part.
+func (rs *RoundState) blockTasks(specs []sched.TaskSpec, prio int64, gr *group, img func(*graph.Edge) *tensor.Tensor,
+	bwd bool, done func(b int, out *tensor.Tensor)) []sched.TaskSpec {
+	outs, terms := make([]*tensor.Tensor, len(gr.parts)), make([][]conv.Term, len(gr.parts))
+	for b, pt := range gr.parts {
+		outs[b] = tensor.New(pt.n.Shape)
+		for _, e := range pt.edges {
+			op := e.Op.(*graph.ConvOp)
+			terms[b] = append(terms[b], conv.Term{Tr: op.Tr, Img: img(e), Ker: op.Kernel})
+		}
+	}
 	left := new(atomic.Int32)
 	left.Store(int32(len(gr.blocks)))
-	for _, b := range gr.blocks {
+	for _, blk := range gr.blocks {
 		specs = append(specs, sched.TaskSpec{Prio: prio, Fn: func() {
-			sum(out, b[0], b[1], terms)
+			conv.SumNodes(outs, blk[0], blk[1], terms, bwd)
 			if left.Add(-1) == 0 {
-				done(out)
+				for b, out := range outs {
+					done(b, out)
+				}
 			}
 		}})
 	}
@@ -480,34 +492,32 @@ func (rs *RoundState) publishBackward(n *graph.Node, img *tensor.Tensor) {
 		if gr := rs.p.bwdGroup[e.ID]; gr == nil {
 			specs = append(specs, sched.TaskSpec{Prio: e.From.BwdPrio, Fn: func() { rs.keepBackward(e, img) }})
 		} else if rs.operands[gr.id].Add(-1) == 0 {
-			specs = rs.backwardGroup(specs, e.From, gr)
+			specs = rs.backwardGroup(specs, gr)
 		}
 	}
 	rs.sr.SpawnBatch(specs)
 }
 
-// backwardGroup appends the tasks summing group gr into node n's backward
-// image: for a direct group one task per plane block over the reflected
-// taps of every out-edge, reading each target's backward image padded once
-// per halo; for a spectral group one task multiply-accumulating every
-// out-edge's product; for any other edge one task applying its op's
-// Jacobian. Once the sum is done, the group's edges release and it joins
-// n's sum.
-func (rs *RoundState) backwardGroup(specs []sched.TaskSpec, n *graph.Node, gr *group) []sched.TaskSpec {
-	done := func(out *tensor.Tensor) {
-		for _, e := range gr.edges {
+// backwardGroup appends the tasks summing group gr into its nodes'
+// backward images: for a direct group one task per plane block over the
+// reflected taps of every out-edge, writing every part's image and reading
+// each target's backward image padded once per halo; for a spectral group
+// one task multiply-accumulating every out-edge's product; for any other
+// edge one task applying its op's Jacobian. Once a part's sum is done, its
+// edges release and it joins its node's sum.
+func (rs *RoundState) backwardGroup(specs []sched.TaskSpec, gr *group) []sched.TaskSpec {
+	n := gr.parts[0].n
+	done := func(b int, out *tensor.Tensor) {
+		pt := gr.parts[b]
+		for _, e := range pt.edges {
 			rs.releaseEdge(e)
 		}
-		rs.joinBackward(n, gr.part, out)
+		rs.joinBackward(pt.n, pt.idx, out)
 	}
 	switch {
 	case gr.blocks != nil:
-		terms := make([]conv.Term, len(gr.edges))
-		for i, e := range gr.edges {
-			op := e.Op.(*graph.ConvOp)
-			terms[i] = conv.Term{Tr: op.Tr, Img: rs.nodes[e.To.ID].pads.Get(op.Tr.Halo()), Ker: op.Kernel}
-		}
-		return rs.blockTasks(specs, n, n.BwdPrio, gr, terms, conv.SumBackward, done)
+		img := func(e *graph.Edge) *tensor.Tensor { return rs.nodes[e.To.ID].pads.Get(e.Op.(*graph.ConvOp).Tr.Halo()) }
+		return rs.blockTasks(specs, n.BwdPrio, gr, img, true, done)
 	case gr.spectral:
 		terms := make([]conv.SpecTerm, len(gr.edges))
 		for i, e := range gr.edges {
@@ -517,7 +527,7 @@ func (rs *RoundState) backwardGroup(specs []sched.TaskSpec, n *graph.Node, gr *g
 		return append(specs, sched.TaskSpec{Prio: n.BwdPrio, Fn: func() {
 			out := tensor.New(n.Shape)
 			conv.SpectralBackward(out, terms)
-			done(out)
+			done(0, out)
 		}})
 	default:
 		// A non-convolution edge is its target's only in-edge, so its op
@@ -525,7 +535,7 @@ func (rs *RoundState) backwardGroup(specs []sched.TaskSpec, n *graph.Node, gr *g
 		e := gr.edges[0]
 		img := rs.nodes[e.To.ID].BwdImage()
 		return append(specs, sched.TaskSpec{Prio: n.BwdPrio, Fn: func() {
-			done(e.Op.Backward(img, &graph.BwdCtx{Owned: true}))
+			done(0, e.Op.Backward(img, &graph.BwdCtx{Owned: true}))
 		}})
 	}
 }
@@ -548,18 +558,42 @@ func (rs *RoundState) keepBackward(e *graph.Edge, img *tensor.Tensor) {
 // settled by then — the backward transform has consumed the op's recorded
 // forward inputs and this round's update sits in the edge slot where FORCE
 // orders it — so a successor round's forward on e may start; the
-// round-local source-sum join need not hold it back.
+// round-local source-sum join need not hold it back. A direct edge's update
+// reads its target's gradImage.
 func (rs *RoundState) releaseEdge(e *graph.Edge) {
 	if trainable, ok := e.Op.(graph.Trainable); ok {
 		fwdIn, bwd := rs.nodes[e.From.ID].FwdImage(), rs.nodes[e.To.ID].BwdImage()
 		opt := graph.UpdateOpts{Eta: rs.p.cfg.Eta, Momentum: rs.p.cfg.Momentum}
-		upd := rs.sr.NewTask(sched.Update, graph.UpdatePriority, func() {
-			trainable.Update(fwdIn, bwd, opt)
-		})
+		fn := func() { trainable.Update(fwdIn, bwd, opt) }
+		if gr := rs.p.fwdGroup[e.ID]; gr.blocks != nil {
+			pt := gr.parts[0]
+			if pt.n != e.To {
+				pt = gr.parts[1]
+			}
+			gi := &rs.nodes[e.To.ID].grads[pt.idx]
+			fn = func() {
+				gi.once.Do(func() { gi.img = conv.GapRows(bwd, fwdIn.S.X) })
+				trainable.Update(fwdIn, gi.img, opt)
+				if int(gi.ran.Add(1)) == len(pt.edges) {
+					conv.FreeRows(gi.img)
+				}
+			}
+		}
+		upd := rs.sr.NewTask(sched.Update, graph.UpdatePriority, fn)
 		rs.p.edges[e.ID].swapUpdate(upd)
 		rs.p.sch.Enqueue(upd)
 	}
 	rs.p.edges[e.ID].backwardDone(rs.fenceSeq)
+}
+
+// gradImage is a node's backward image at the row stride of a direct
+// part's sources (conv.GapRows), shared by the part's updates: the first
+// to run builds it, the last returns it to scratch. Updates outlive their
+// round's Wait, so this count of ran updates, not release, frees it.
+type gradImage struct {
+	once sync.Once
+	img  *tensor.Tensor
+	ran  atomic.Int32
 }
 
 // joinBackward adds one part of node n's backward image; the last part

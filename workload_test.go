@@ -161,3 +161,75 @@ func BenchmarkWorkloadTrainAnisoAuto(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDirectNodeGroup times one width-8 direct 3³ layer over 45×45×15
+// sources through the engine: a training update of
+// in → 8 linear transfers → 8 sums of 8 direct edges each (the outputs),
+// so one op is the layer's forward node sums, the sources' backward node
+// sums over their 8 out-edges and the 64 kernel gradients, two workers.
+func BenchmarkDirectNodeGroup(b *testing.B) {
+	const width = 8
+	in := S3(45, 45, 15)
+	bld := NewGraphBuilder(Config{Conv: ForceDirect, Workers: 2, Seed: 1, Eta: 1e-4})
+	src := bld.Input("in", in)
+	srcs := make([]NodeRef, width)
+	for i := range srcs {
+		srcs[i] = bld.Transfer(fmt.Sprintf("src/%d", i), "linear", src)
+	}
+	for j := 0; j < width; j++ {
+		bld.Conv(fmt.Sprintf("sum/%d", j), Cube(3), Dense(), srcs...)
+	}
+	m, err := bld.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	out := in.ValidConv(Cube(3), Dense())
+	p := data.NewBoundaryProvider(in, out, 1)
+	s := p.Next()
+	desired := make([]*Tensor, width)
+	for i := range desired {
+		desired[i] = s.Desired[0]
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.Train([]*Tensor{s.Input}, desired); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestPlanBlocksChargesGridRounds: the block planner charges a candidate
+// no more in-flight rounds than its grid runs, so a streaming window larger
+// than the round count cannot buy a worse plan. At Window 64 the cube
+// net's 106³ plan is charged at most ⌈blocks/K⌉ rounds, and a window that
+// every grid fills leaves the plan as at the default window.
+func TestPlanBlocksChargesGridRounds(t *testing.T) {
+	nw, err := NewNetwork(cubeSpec, Config{
+		Width: 4, OutputPatch: 16, Planned: true, Float32: true,
+		MemBudget: 64 << 20, Workers: 2, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	vol := Cube(106)
+	out := vol.X - nw.FieldOfView() + 1
+	bp, err := nw.PlanBlocks(vol, TileOptions{Window: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := (out + bp.BlockOut.X - 1) / bp.BlockOut.X
+	rounds := (per*per*per + bp.K - 1) / bp.K
+	t.Logf("window 64: K=%d block %v, %d rounds charged of %d, peak %d B", bp.K, bp.BlockOut, bp.Rounds, rounds, bp.PeakBytes)
+	if bp.Rounds < 1 || bp.Rounds > rounds {
+		t.Errorf("block %v at K=%d charged %d rounds; its grid runs %d", bp.BlockOut, bp.K, bp.Rounds, rounds)
+	}
+	def, err := nw.PlanBlocks(vol, TileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if def.Rounds != 2 {
+		t.Errorf("default window: %d rounds charged, want 2", def.Rounds)
+	}
+}
