@@ -53,11 +53,11 @@
 // in eight YMM accumulators across every tap of every edge — whose rows are
 // copied out. Two sibling nodes whose taps read the same runs (SumNodes) run
 // as one gather of 16 voxels each, every source load feeding both. The
-// backward pass is the same gather over each g_j zero-padded by s(k−1),
-// with the reflected taps read straight off the kernel; PadCache pads a
-// node's backward image once per halo for all the edges that read it. The
-// kernel gradient is one dot product per tap and backward plane at the
-// forward image's row stride (GapRows), three taps per load of the plane.
+// backward pass is the same gather over each g_j zero-padded by s(k−1) at
+// the forward image's row stride (padded), with the reflected taps read
+// straight off the kernel; the kernel gradient, one dot product per tap and
+// backward plane, three taps per load of the plane, reads the same padded
+// image. PadCache pads a node's backward image once per halo for all of it.
 //
 // Rounding contract: every output voxel is the FMA chain from +0 over the
 // taps of its terms, term by term in the order given and each term's taps
@@ -198,23 +198,27 @@ func putScratch(b []float64) {
 	scratch.Unlock()
 }
 
-// padInto writes the box of shape ds into dst: src (shape ss) at offset h,
-// zeros everywhere else.
-func padInto(dst []float64, ds tensor.Shape, src []float64, ss, h tensor.Shape) {
-	for z := 0; z < ds.Z; z++ {
-		for y := 0; y < ds.Y; y++ {
-			row := dst[ds.Index(0, y, z):][:ds.X]
-			sy, sz := y-h.Y, z-h.Z
-			if sy < 0 || sy >= ss.Y || sz < 0 || sz >= ss.Z {
-				clear(row)
-				continue
-			}
-			clear(row[:h.X])
-			copy(row[h.X:], src[ss.Index(0, sy, sz):][:ss.X])
-			clear(row[h.X+ss.X:])
+// padded returns img zero-padded by h in pooled scratch (putScratch returns
+// it) with rows at stride img.X+h.X: each row is h.X zeros then the image
+// row, so the next row's left pad is its right pad, and h.X zeros follow
+// the last row. h.Y rows and h.Z planes of zeros lie on either side.
+func padded(img *tensor.Tensor, h tensor.Shape) *tensor.Tensor {
+	ss, ps := img.S, padShape(img.S, h)
+	p := &tensor.Tensor{S: ps, Data: getScratch(ps.Volume() + h.X)}
+	at := 0 // the end of the last row written
+	for z := range ss.Z {
+		for y := range ss.Y {
+			i := ps.Index(h.X, y+h.Y, z+h.Z)
+			clear(p.Data[at:i])
+			at = i + copy(p.Data[i:], img.Data[ss.Index(0, y, z):][:ss.X])
 		}
 	}
+	clear(p.Data[at:])
+	return p
 }
+
+// padShape is the shape of an image of shape s padded by h (padded).
+func padShape(s, h tensor.Shape) tensor.Shape { return tensor.S3(s.X+h.X, s.Y+2*h.Y, s.Z+2*h.Z) }
 
 // ValidDirect computes the valid sparse convolution of img with ker
 // directly in the spatial domain. The output shape is n − s(k−1) per axis;
@@ -271,7 +275,11 @@ func SumNodes(outs []*tensor.Tensor, z0, z1 int, terms [][]Term, bwd bool) {
 		}
 		gs.w[b], gs.src[b] = gs.w[b][:0], gs.src[b][:0]
 		for _, tm := range tms {
-			if tm.Img.S != is || tm.Ker.S != tm.Tr.k || is.ValidConv(tm.Ker.S, tm.Tr.sp) != os {
+			want := is.ValidConv(tm.Ker.S, tm.Tr.sp)
+			if bwd { // padded rows are at the output's stride
+				want.X = is.X
+			}
+			if tm.Img.S != is || tm.Ker.S != tm.Tr.k || want != os {
 				panic(fmt.Sprintf("conv: direct sum term image %v kernel %v sparsity %v, output %v over images %v",
 					tm.Img.S, tm.Ker.S, tm.Tr.sp, os, is))
 			}
@@ -297,9 +305,8 @@ func SumNodes(outs []*tensor.Tensor, z0, z1 int, terms [][]Term, bwd bool) {
 			gs.planes(outs[b:b+1], z0, z1, is, gs.src[b], gs.w[b])
 		}
 	}
-	for b := range gs.src {
-		clear(gs.src[b])
-	}
+	clear(gs.src[0])
+	clear(gs.src[1])
 	clear(gs.runs)
 	gatherSets.Put(gs)
 }
@@ -342,11 +349,11 @@ func (gs *gatherSet) planes(outs []*tensor.Tensor, z0, z1 int, is tensor.Shape, 
 	putScratch(plane)
 }
 
-// PadCache holds one node's backward image zero-padded once per halo, in
-// pooled scratch, for every direct in-edge that reads it: the spatial
-// counterpart of the node's SpectrumCache. Reset points it at an image;
-// Get pads on first use; Release returns the buffers once no task can
-// still read them.
+// PadCache holds one node's backward image zero-padded once per halo
+// (padded) for every direct in-edge, backward sum and kernel gradient alike:
+// the spatial counterpart of the node's SpectrumCache. Reset points it at
+// an image; Get pads on first use; Release returns the buffers once no task
+// can still read them.
 type PadCache struct {
 	mu   sync.Mutex
 	img  *tensor.Tensor
@@ -360,19 +367,18 @@ func (pc *PadCache) Reset(img *tensor.Tensor) {
 	pc.img = img
 }
 
-// Get returns the cached image zero-padded by h on every side, padding it
-// on first use. The buffer is shared; treat it as immutable.
+// Get returns the cached image zero-padded by h (padded), padding it on
+// first use. The buffer is shared; treat it as immutable.
 func (pc *PadCache) Get(h tensor.Shape) *tensor.Tensor {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	ps := pc.img.S.Add(h).Add(h)
+	ps := padShape(pc.img.S, h)
 	for _, p := range pc.pads {
 		if p.S == ps {
 			return p
 		}
 	}
-	p := &tensor.Tensor{S: ps, Data: getScratch(ps.Volume())}
-	padInto(p.Data, ps, pc.img.Data, pc.img.S, h)
+	p := padded(pc.img, h)
 	pc.pads = append(pc.pads, p)
 	return p
 }
@@ -387,36 +393,26 @@ func (pc *PadCache) Release() {
 	pc.pads = pc.pads[:0]
 }
 
-// GapRows returns bwd at row stride x ≥ bwd.S.X, its gaps zero, in pooled
-// scratch (FreeRows returns it): KernelGradDirect's operand for a forward
-// image of row length x, which the engine builds once per node.
-func GapRows(bwd *tensor.Tensor, x int) *tensor.Tensor {
-	gs := tensor.S3(x, bwd.S.Y, bwd.S.Z)
-	g := &tensor.Tensor{S: gs, Data: getScratch(gs.Volume())}
-	padInto(g.Data, gs, bwd.Data, bwd.S, tensor.Shape{})
-	return g
-}
-
-// FreeRows returns a GapRows image to the scratch pool.
-func FreeRows(g *tensor.Tensor) { putScratch(g.Data) }
-
 // KernelGradDirect computes the gradient of the loss with respect to the
 // kernel of a valid sparse convolution: given the forward input image
 // (shape n) and the backward image at the edge's output (shape n−s(k−1)),
-// or that image at the input's row stride (GapRows), it returns a tensor of
-// the kernel's shape kshape. Each kernel tap's gradient is the inner
-// product of the backward image with the correspondingly shifted forward
-// image, summed plane by plane in the fixed order of dotGo.
+// or that image padded by s(k−1) (PadCache.Get), it returns a tensor of the
+// kernel's shape kshape. Each tap's gradient is the inner product of the
+// backward image with the shifted forward image, summed plane by plane in
+// dotGo's order over the padded image's planes at the image's row stride.
 func KernelGradDirect(img, bwd *tensor.Tensor, kshape tensor.Shape, sp tensor.Sparsity) *tensor.Tensor {
 	checkConvArgs(img, bwd, sp)
 	is, bs := img.S, img.S.ValidConv(kshape, sp)
-	if bwd.S != bs && bwd.S != tensor.S3(is.X, bs.Y, bs.Z) {
-		panic(fmt.Sprintf("conv: backward image %v, want %v for image %v kernel %v sparsity %v",
-			bwd.S, bs, img.S, kshape, sp))
+	h := is.Sub(bs)
+	if bwd.S != bs && bwd.S != padShape(bs, h) {
+		panic(fmt.Sprintf("conv: backward image %v, want %v or padded %v for image %v kernel %v sparsity %v",
+			bwd.S, bs, padShape(bs, h), img.S, kshape, sp))
 	}
-	if bwd.S.X != is.X {
-		bwd = GapRows(bwd, is.X)
-		defer FreeRows(bwd)
+	if bwd.S == bs { // not padded: pad along x alone
+		if h.Y, h.Z = 0, 0; h.X > 0 {
+			bwd = padded(bwd, h)
+			defer putScratch(bwd.Data)
+		}
 	}
 	g := tensor.New(kshape)
 	// Every tap: a zero coefficient still receives a gradient.
@@ -428,7 +424,7 @@ func KernelGradDirect(img, bwd *tensor.Tensor, kshape tensor.Shape, sp tensor.Sp
 	offs := all.bind(is, sp)
 	part := getScratch(len(offs))
 	for z := 0; z < bs.Z; z++ {
-		run := bwd.Data[bwd.S.Index(0, 0, z):][:(bs.Y-1)*is.X+bs.X]
+		run := bwd.Data[bwd.S.Index(h.X, h.Y, z+h.Z):][:(bs.Y-1)*is.X+bs.X]
 		dotTaps(part, run, img.Data[is.Index(0, 0, z):], offs)
 		for j, p := range part {
 			g.Data[j] += p

@@ -12,16 +12,11 @@ var (
 // gatherGo sets dst[b·n+i] = Σ_t ws[t·B+b]·srcs[t][i] for each of the
 // B = len(ws)/len(srcs) outputs of n = len(dst)/B voxels, each voxel a
 // math.FMA chain over the taps in list order from +0. Every tap carries its
-// own source run, so one chain spans the taps of several images (a node-level
-// sum), and the B outputs read the same runs with their own weights (sibling
-// nodes over the same operands). With no taps dst is zero. B = 1 is the
-// single-node gather.
+// own source run, so one chain spans the taps of several images (a node
+// sum); the B outputs, B = 1 for one node, read the same runs with their
+// own weights (sibling nodes). With no taps dst is zero.
 func gatherGo(dst []float64, srcs [][]float64, ws []float64) {
-	if len(srcs) == 0 {
-		clear(dst)
-		return
-	}
-	nb := len(ws) / len(srcs)
+	nb := max(len(ws)/max(len(srcs), 1), 1)
 	n := len(dst) / nb
 	for b := range nb {
 		d := dst[b*n:][:n]
@@ -52,9 +47,8 @@ func gatherGo(dst []float64, srcs [][]float64, ws []float64) {
 // 16 (four 4-lane vectors L0..L3), the lanes reduce as
 // v = (L0+L1) + (L2+L3) and then (v0+v2) + (v1+v3), and the remaining
 // elements continue that sum as a math.FMA chain. Lanes are independent
-// chains, so the twin runs them four at a time, and the assembly runs
-// three taps per pass over a — each load of a feeds three taps — without
-// changing any tap's lanes or tree.
+// chains, so the twin runs them four at a time; the assembly runs three
+// taps per load of a, each tap's lanes and tree unchanged.
 func dotGo(dst, a, b []float64, offs []int) {
 	nb := len(a) &^ 15
 	for t, off := range offs {

@@ -23,20 +23,15 @@ func dotAsm(dst, a *float64, n int, b *float64, off *int, nt int)
 // gatherAVX2 runs one output's runs of 32 voxels or more, or two outputs'
 // runs of 16 or more, in assembly, and everything else in Go.
 func gatherAVX2(dst []float64, srcs [][]float64, ws []float64) {
-	if len(srcs) == 0 {
-		gatherGo(dst, srcs, ws)
-		return
-	}
-	nb := len(ws) / len(srcs)
-	bad := nb < 1 || nb > 2 || len(ws) != nb*len(srcs) || len(dst)%nb != 0
+	nb := len(ws) / max(len(srcs), 1)
 	n := len(dst) / max(nb, 1)
+	bad := len(srcs) > 0 && (nb < 1 || nb > 2 || len(ws) != nb*len(srcs) || len(dst)%nb != 0)
 	for _, s := range srcs {
 		bad = bad || len(s) < n
 	}
-	if bad {
-		panic("conv: direct kernel taps outside their source")
-	}
 	switch {
+	case bad:
+		panic("conv: direct kernel taps outside their source")
 	case nb == 1 && n >= 32:
 		gatherAsm(&dst[0], n, &srcs[0], &ws[0], len(srcs))
 	case nb == 2 && n >= 16:

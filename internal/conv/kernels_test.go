@@ -373,3 +373,32 @@ func TestTapBlockedDotMatchesTwin(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelGradPaddedOperand: KernelGradDirect over the backward image
+// padded by the edge's halo (PadCache.Get, the operand the engine's updates
+// pass) gives the bits it gives over the image itself — dense and sparse,
+// with halos along every axis, along y and z only, and none.
+func TestKernelGradPaddedOperand(t *testing.T) {
+	rng := rand.New(rand.NewSource(88))
+	for _, c := range []struct {
+		in, k tensor.Shape
+		sp    tensor.Sparsity
+	}{
+		{tensor.S3(45, 45, 15), tensor.S3(5, 5, 1), tensor.Dense()},
+		{tensor.S3(43, 43, 13), tensor.Cube(3), tensor.Dense()},
+		{tensor.S3(15, 12, 11), tensor.S3(3, 2, 3), tensor.Sparsity{X: 2, Y: 1, Z: 3}},
+		{tensor.S3(9, 12, 11), tensor.S3(1, 3, 2), tensor.Dense()},
+		{tensor.Cube(6), tensor.Cube(1), tensor.Dense()},
+	} {
+		img := tensor.RandomUniform(rng, c.in, -1, 1)
+		bwd := tensor.RandomUniform(rng, c.in.ValidConv(c.k, c.sp), -1, 1)
+		var pc PadCache
+		pc.Reset(bwd)
+		want := KernelGradDirect(img, bwd, c.k, c.sp)
+		got := KernelGradDirect(img, pc.Get(c.in.Sub(bwd.S)), c.k, c.sp)
+		if i := sameBits(want.Data, got.Data); i >= 0 {
+			t.Errorf("image %v kernel %v sparsity %v: tap %d = %v over the padded image, %v over the image", c.in, c.k, c.sp, i, got.Data[i], want.Data[i])
+		}
+		pc.Release()
+	}
+}

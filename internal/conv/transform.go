@@ -487,9 +487,9 @@ func (t *Transformer) Backward(bwd, ker *tensor.Tensor, sc *SpectrumCache) *tens
 // both phase spectra retained, it costs one conjugate pointwise product
 // and one inverse transform (Table II, memoized update). The memo slots
 // are consumed: a second call recomputes from the images. A direct
-// transformer also takes bwd at the input's row stride (GapRows).
+// transformer also takes bwd padded by Halo (PadCache.Get).
 func (t *Transformer) KernelGrad(img, bwd *tensor.Tensor) *tensor.Tensor {
-	if img.S != t.in || bwd.S != t.out && (t.mth.IsFFT() || bwd.S != tensor.S3(t.in.X, t.out.Y, t.out.Z)) {
+	if img.S != t.in || bwd.S != t.out && (t.mth.IsFFT() || bwd.S != padShape(t.out, t.Halo())) {
 		panic(fmt.Sprintf("conv: kernel grad shapes img %v bwd %v, want %v and %v",
 			img.S, bwd.S, t.in, t.out))
 	}

@@ -83,7 +83,6 @@ func BuildBlocked(bc BlockConfig) (*Plan, error) {
 		}
 		seen[bo] = true
 		bi := bo.Add(tensor.S3(halo, halo, halo))
-		blocks := ceilDiv(outVol.X, bo.X) * ceilDiv(outVol.Y, bo.Y) * ceilDiv(outVol.Z, bo.Z)
 		geoms, err := bc.Geoms(bi)
 		if err != nil {
 			if firstErr == nil {
@@ -91,7 +90,7 @@ func BuildBlocked(bc BlockConfig) (*Plan, error) {
 			}
 			continue
 		}
-		p, err := build(geoms, bc.Config, blocks)
+		p, err := build(geoms, bc.Config, ceilDiv(outVol.X, bo.X)*ceilDiv(outVol.Y, bo.Y)*ceilDiv(outVol.Z, bo.Z))
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("block %v: %w", bo, err)

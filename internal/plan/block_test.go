@@ -101,6 +101,36 @@ func TestBuildBlockedBudgetShrinksBlock(t *testing.T) {
 	}
 }
 
+// TestBuildBlockedChargesGridRounds: a candidate is charged at most the
+// ⌈blocks/K⌉ rounds its grid runs, however wide the streaming window. A
+// 16³ block over a 33³ output is a 3×3×3 grid, its last blocks ragged, so
+// at K=1 a window of 64 rounds costs what a window of 27 does.
+func TestBuildBlockedChargesGridRounds(t *testing.T) {
+	geoms := blockGeoms(t, "C3-Trelu-C3", 2)
+	cfg := Config{Methods: []conv.Method{conv.FFT}, Precisions: []conv.Precision{conv.PrecF64}, MaxK: 1}
+	gs, err := geoms(tensor.Cube(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := func(rounds int) int64 {
+		c := cfg
+		c.Rounds = rounds
+		p, err := Build(gs, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.PeakBytes
+	}
+	cfg.Rounds = 64
+	p, err := BuildBlocked(BlockConfig{Config: cfg, FOV: 5, Vol: tensor.Cube(37), Candidates: []int{16}, Geoms: geoms})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := peak(27); p.PeakBytes != want || want >= peak(64) {
+		t.Errorf("window 64 over 27 blocks: peak %d B, want %d (27 rounds; 64 rounds cost %d)", p.PeakBytes, want, peak(64))
+	}
+}
+
 // TestBuildBlockedClampsThinVolume: a 7×96×96 volume clamps the candidate
 // to a thin anisotropic block instead of failing.
 func TestBuildBlockedClampsThinVolume(t *testing.T) {

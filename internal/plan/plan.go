@@ -113,7 +113,6 @@ type Plan struct {
 	Cost      float64 // total modeled per-volume cost
 	PeakBytes int64   // Σ layer byte estimates (upper bound for one round)
 	Budget    int64   // the budget it was planned under (0 = unconstrained)
-	Rounds    int     // in-flight rounds the byte estimates charge
 
 	// Block-choice fields, set by BuildBlocked (zero otherwise): the
 	// chosen per-block output and input shapes, the halo-waste fraction
@@ -264,7 +263,7 @@ func planAtK(geoms []conv.LayerGeom, cfg Config, methods []conv.Method, precs []
 		}
 	}
 
-	p := &Plan{K: k, Cost: cost, PeakBytes: bytes, Budget: cfg.Budget, Rounds: cfg.Rounds}
+	p := &Plan{K: k, Cost: cost, PeakBytes: bytes, Budget: cfg.Budget}
 	for i, g := range geoms {
 		o := opts[i][pick[i]]
 		p.Layers = append(p.Layers, Assignment{

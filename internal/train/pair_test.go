@@ -113,3 +113,63 @@ func TestPairedDirectGroups(t *testing.T) {
 		}
 	}
 }
+
+// TestPaddedImagesOutliveRound: a training round's padded backward images
+// are held by the round and by each direct in-edge's update, which reads
+// them after the round's Wait; once the updates have run, every hold is
+// dropped and every node's images are back in scratch.
+func TestPaddedImagesOutliveRound(t *testing.T) {
+	g := anisoGraph(nil, 9)
+	en, err := NewEngine(g, Config{Workers: 2, Eta: 0.01})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer en.Close()
+	rng := rand.New(rand.NewSource(10))
+	in := tensor.RandomUniform(rng, g.Inputs()[0].Shape, -1, 1)
+	des := tensor.RandomUniform(rng, g.Outputs()[0].Shape, 0, 1)
+	tp := en.StartPipeline()
+	pr, err := tp.Submit([]*tensor.Tensor{in}, []*tensor.Tensor{des})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pr.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := en.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for i := range pr.rs.nodes {
+		if n := pr.rs.nodes[i].padRefs.Load(); n != 0 {
+			t.Errorf("node %s: %d holds on its padded images after the updates ran", g.Nodes[i].Name, n)
+		}
+	}
+}
+
+// TestPairPriority: a pair's tasks run at the higher of its two nodes'
+// priorities, whichever node of the pair holds it.
+func TestPairPriority(t *testing.T) {
+	g := anisoGraph(nil, 11)
+	en, err := NewEngine(g, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer en.Close()
+	for _, gr := range en.p.fwdGroup {
+		if gr == nil || len(gr.parts) != 2 {
+			continue
+		}
+		a, b := gr.parts[0].n, gr.parts[1].n
+		for _, p := range [][4]int64{{5, 9, 3, 7}, {9, 5, 7, 3}} {
+			a.FwdPrio, b.FwdPrio, a.BwdPrio, b.BwdPrio = p[0], p[1], p[2], p[3]
+			if gr.prio(false) != 9 || gr.prio(true) != 7 {
+				t.Fatalf("pair %s+%s at %v: priorities %d forward, %d backward, want 9 and 7", a.Name, b.Name, p, gr.prio(false), gr.prio(true))
+			}
+		}
+		return
+	}
+	t.Fatal("no forward pair")
+}

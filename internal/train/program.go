@@ -64,12 +64,12 @@
 // node runs Σ_j full(g_j, w_ij) (conv.SumBackward, conv.SpectralBackward;
 // nodes with the same targets pair); when the group completes, each
 // out-edge enqueues its update and releases its fence, so backward still
-// reads w_ij before the update writes it (Algorithm 2). A node whose sum
-// has several groups adds their partial images in group order once the
-// last arrives. Every sum therefore has a
-// fixed order, and training is bitwise reproducible at any worker count —
-// where ZNN's wait-free sum (Algorithm 4, package wsum) adds in arrival
-// order.
+// reads w_ij before the update writes it (Algorithm 2). A direct edge's
+// update reads the target's padded image too. A node whose sum has several
+// groups adds their partial images in group order once the last arrives.
+// Every sum therefore has a fixed order, and training is bitwise
+// reproducible at any worker count — where ZNN's wait-free sum (Algorithm
+// 4, package wsum) adds in arrival order.
 //
 // # Round boundaries and per-edge fencing
 //
@@ -167,8 +167,8 @@ type nodeInfo struct {
 	fwdMemo, bwdMemo bool
 }
 
-// part is one part of node n's sum (graph.SumParts): forward, in-edges;
-// backward, out-edges.
+// part is one part of node n's sum (graph.SumParts) over its in-edges
+// (forward) or out-edges (backward).
 type part struct {
 	n     *graph.Node
 	idx   int // its place in n's sum
@@ -176,9 +176,9 @@ type part struct {
 }
 
 // group is one part, or a pair of direct parts (pairParts), run as one set
-// of tasks. A direct group's output planes are split into blocks, one task
-// each per volume writing every part's image; a spectral group and any
-// other edge, a group of one, run one task per volume.
+// of tasks: a direct group one task per (volume, block of output planes)
+// writing every part's image; a spectral group and any other edge, a group
+// of one, one task per volume.
 type group struct {
 	id       int           // index of the round's count of unpublished operands
 	parts    []part        // one, or a direct pair
@@ -200,15 +200,25 @@ func appendParts(parts []part, n *graph.Node, edges []*graph.Edge) ([]part, int)
 	return parts, len(sum)
 }
 
+// prio is the group's forward (bwd: backward) task priority, the higher of
+// its first and last nodes': a pair runs no later than either node alone.
+func (gr *group) prio(bwd bool) int64 {
+	a, b := gr.parts[0].n, gr.parts[len(gr.parts)-1].n
+	if bwd {
+		return max(a.BwdPrio, b.BwdPrio)
+	}
+	return max(a.FwdPrio, b.FwdPrio)
+}
+
 // direct reports whether a part runs the direct node kernel.
 func (pt part) direct() bool {
 	op, ok := pt.edges[0].Op.(*graph.ConvOp)
 	return ok && !op.Tr.Method().IsFFT()
 }
 
-// pairParts reports whether two direct parts can run as one group: into
-// nodes of one shape, over the same operands (forward the sources, backward
-// the targets) in order, with kernels of the same shapes and sparsity.
+// pairParts reports whether two direct parts can run as one group: nodes of
+// one shape summing the same operands (sources or targets) in order, with
+// kernels of the same shapes and sparsity.
 func pairParts(a, b part, operand func(*graph.Edge) *graph.Node) bool {
 	if !a.direct() || !b.direct() || a.n.Shape != b.n.Shape || len(a.edges) != len(b.edges) {
 		return false
@@ -226,16 +236,14 @@ func pairParts(a, b part, operand func(*graph.Edge) *graph.Node) bool {
 // later one it pairs with, and returns each edge's group.
 func (p *Program) groups(parts []part, operand func(*graph.Edge) *graph.Node) []*group {
 	of := make([]*group, len(p.g.Edges))
-	taken := make([]bool, len(parts))
 	for i, pt := range parts {
-		if taken[i] {
+		if of[pt.edges[0].ID] != nil { // paired with an earlier part
 			continue
 		}
 		gr := &group{id: len(p.groupEdges), parts: []part{pt}}
-		for j := i + 1; j < len(parts) && pt.direct(); j++ {
-			if !taken[j] && pairParts(pt, parts[j], operand) {
-				taken[j] = true
-				gr.parts = append(gr.parts, parts[j])
+		for _, q := range parts[i+1:] {
+			if of[q.edges[0].ID] == nil && pairParts(pt, q, operand) {
+				gr.parts = append(gr.parts, q)
 				break
 			}
 		}

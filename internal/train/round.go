@@ -21,7 +21,7 @@ type roundNode struct {
 	spectra []conv.SpectrumCache // per-volume forward image spectra, read by FFT out-edges
 	bwdSpec conv.SpectrumCache   // backward image spectra, read by FFT in-edges
 	pads    conv.PadCache        // backward image padded per halo, read by direct in-edges
-	grads   []gradImage          // per forward part, read by its direct edges' updates
+	padRefs atomic.Int32         // holds on pads: the round's and its direct in-edges' pending updates
 	fwdSums []*partSum           // per-volume forward parts, when the node sums several
 	bwdSum  *partSum
 
@@ -218,9 +218,7 @@ func (p *Program) NewRound(mode Mode, batch [][]*tensor.Tensor, desired []*tenso
 		if train && ni.bwdParts > 1 {
 			rn.bwdSum = newPartSum(ni.bwdParts)
 		}
-		if train {
-			rn.grads = make([]gradImage, ni.fwdParts)
-		}
+		rn.padRefs.Store(1)
 	}
 	for id, n := range p.groupEdges {
 		rs.operands[id].Store(n)
@@ -266,8 +264,8 @@ func (rs *RoundState) Wait() error {
 }
 
 // release returns the spectrum caches' pooled buffers to the spectra pools
-// and the padded backward images to the scratch pool. Called after the
-// round's task tree has completed, so no task can still touch them.
+// and drops the round's hold on the padded backward images. Called after
+// the round's task tree has completed, so no task can still touch them.
 func (rs *RoundState) release() {
 	for i := range rs.nodes {
 		rn := &rs.nodes[i]
@@ -275,6 +273,15 @@ func (rs *RoundState) release() {
 			rn.spectra[v].ReleaseAll()
 		}
 		rn.bwdSpec.ReleaseAll()
+		rn.dropPads()
+	}
+}
+
+// dropPads drops one hold on the node's padded backward images: the
+// round's, or that of a direct in-edge's update, which reads them. Updates
+// outlive Wait, so the last hold, not release, returns them to scratch.
+func (rn *roundNode) dropPads() {
+	if rn.padRefs.Add(-1) == 0 {
 		rn.pads.Release()
 	}
 }
@@ -310,7 +317,7 @@ func (rs *RoundState) fanOutForward(n *graph.Node) {
 			specs = rs.forwardGroup(specs, gr)
 			continue
 		}
-		rs.gated(gr.parts[0].n.FwdPrio, gr.edges, func() {
+		rs.gated(gr.prio(false), gr.edges, func() {
 			if specs := rs.forwardGroup(nil, gr); len(specs) == 1 {
 				specs[0].Fn() // a lone task runs inline on the gated wrapper
 			} else {
@@ -363,7 +370,7 @@ func (rs *RoundState) forwardGroup(specs []sched.TaskSpec, gr *group) []sched.Ta
 		switch {
 		case gr.blocks != nil:
 			img := func(e *graph.Edge) *tensor.Tensor { return rs.nodes[e.From.ID].FwdImageAt(v) }
-			specs = rs.blockTasks(specs, n.FwdPrio, gr, img, false, done)
+			specs = rs.blockTasks(specs, gr.prio(false), gr, img, false, done)
 		case gr.spectral:
 			terms := make([]conv.SpecTerm, len(gr.edges))
 			for i, e := range gr.edges {
@@ -517,7 +524,7 @@ func (rs *RoundState) backwardGroup(specs []sched.TaskSpec, gr *group) []sched.T
 	switch {
 	case gr.blocks != nil:
 		img := func(e *graph.Edge) *tensor.Tensor { return rs.nodes[e.To.ID].pads.Get(e.Op.(*graph.ConvOp).Tr.Halo()) }
-		return rs.blockTasks(specs, n.BwdPrio, gr, img, true, done)
+		return rs.blockTasks(specs, gr.prio(true), gr, img, true, done)
 	case gr.spectral:
 		terms := make([]conv.SpecTerm, len(gr.edges))
 		for i, e := range gr.edges {
@@ -559,24 +566,18 @@ func (rs *RoundState) keepBackward(e *graph.Edge, img *tensor.Tensor) {
 // forward inputs and this round's update sits in the edge slot where FORCE
 // orders it — so a successor round's forward on e may start; the
 // round-local source-sum join need not hold it back. A direct edge's update
-// reads its target's gradImage.
+// reads its target's padded backward image (PadCache), as backward does.
 func (rs *RoundState) releaseEdge(e *graph.Edge) {
 	if trainable, ok := e.Op.(graph.Trainable); ok {
 		fwdIn, bwd := rs.nodes[e.From.ID].FwdImage(), rs.nodes[e.To.ID].BwdImage()
 		opt := graph.UpdateOpts{Eta: rs.p.cfg.Eta, Momentum: rs.p.cfg.Momentum}
 		fn := func() { trainable.Update(fwdIn, bwd, opt) }
-		if gr := rs.p.fwdGroup[e.ID]; gr.blocks != nil {
-			pt := gr.parts[0]
-			if pt.n != e.To {
-				pt = gr.parts[1]
-			}
-			gi := &rs.nodes[e.To.ID].grads[pt.idx]
+		if rs.p.fwdGroup[e.ID].blocks != nil {
+			to := &rs.nodes[e.To.ID]
+			to.padRefs.Add(1)
 			fn = func() {
-				gi.once.Do(func() { gi.img = conv.GapRows(bwd, fwdIn.S.X) })
-				trainable.Update(fwdIn, gi.img, opt)
-				if int(gi.ran.Add(1)) == len(pt.edges) {
-					conv.FreeRows(gi.img)
-				}
+				trainable.Update(fwdIn, to.pads.Get(e.Op.(*graph.ConvOp).Tr.Halo()), opt)
+				to.dropPads()
 			}
 		}
 		upd := rs.sr.NewTask(sched.Update, graph.UpdatePriority, fn)
@@ -584,16 +585,6 @@ func (rs *RoundState) releaseEdge(e *graph.Edge) {
 		rs.p.sch.Enqueue(upd)
 	}
 	rs.p.edges[e.ID].backwardDone(rs.fenceSeq)
-}
-
-// gradImage is a node's backward image at the row stride of a direct
-// part's sources (conv.GapRows), shared by the part's updates: the first
-// to run builds it, the last returns it to scratch. Updates outlive their
-// round's Wait, so this count of ran updates, not release, frees it.
-type gradImage struct {
-	once sync.Once
-	img  *tensor.Tensor
-	ran  atomic.Int32
 }
 
 // joinBackward adds one part of node n's backward image; the last part

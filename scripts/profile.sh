@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # CPU profile of one benchmark workload through its root-package mirror.
 #
-#   scripts/profile.sh <workload> [--updates N] [--out DIR]
+#   scripts/profile.sh <workload> [--out DIR]
 #
 # <workload> is train_fft7, train_aniso_auto or infer_cube_f32: the
 # go-test mirrors BenchmarkWorkloadTrainFFT7, BenchmarkWorkloadTrainAnisoAuto
 # and BenchmarkWorkloadInferCubeF32, which run the gated benchmark's
 # networks through the public API. The script compiles the root package's
-# test binary into DIR (default profile-out/), runs the mirror for N
-# iterations (default 150; 20 for infer_cube_f32, whose iteration streams a
-# whole cube) with -test.cpuprofile, and prints `go tool pprof -top
+# test binary into DIR (default profile-out/), runs the mirror for 150
+# iterations (20 for infer_cube_f32, whose iteration streams a whole cube)
+# with -test.cpuprofile, and prints `go tool pprof -top
 # -nodecount 10` of the profile. serve_closed2 has no mirror: it drives a
 # znn-serve process over HTTP, so the script refuses it.
 set -euo pipefail
@@ -21,14 +21,11 @@ usage() {
 [ $# -ge 1 ] || usage
 workload=$1
 shift
-updates="" out=profile-out
+out=profile-out
 while [ $# -gt 0 ]; do
 	[ $# -ge 2 ] || usage
-	case $1 in
-	--updates) updates=$2 ;;
-	--out) out=$2 ;;
-	*) usage ;;
-	esac
+	[ "$1" = --out ] || usage
+	out=$2
 	shift 2
 done
 
@@ -45,7 +42,6 @@ serve_closed2)
 	exit 2
 	;;
 esac
-n=${updates:-$n}
 
 root=$(git rev-parse --show-toplevel)
 mkdir -p "$out"

@@ -198,38 +198,3 @@ func BenchmarkDirectNodeGroup(b *testing.B) {
 		}
 	}
 }
-
-// TestPlanBlocksChargesGridRounds: the block planner charges a candidate
-// no more in-flight rounds than its grid runs, so a streaming window larger
-// than the round count cannot buy a worse plan. At Window 64 the cube
-// net's 106³ plan is charged at most ⌈blocks/K⌉ rounds, and a window that
-// every grid fills leaves the plan as at the default window.
-func TestPlanBlocksChargesGridRounds(t *testing.T) {
-	nw, err := NewNetwork(cubeSpec, Config{
-		Width: 4, OutputPatch: 16, Planned: true, Float32: true,
-		MemBudget: 64 << 20, Workers: 2, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	vol := Cube(106)
-	out := vol.X - nw.FieldOfView() + 1
-	bp, err := nw.PlanBlocks(vol, TileOptions{Window: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	per := (out + bp.BlockOut.X - 1) / bp.BlockOut.X
-	rounds := (per*per*per + bp.K - 1) / bp.K
-	t.Logf("window 64: K=%d block %v, %d rounds charged of %d, peak %d B", bp.K, bp.BlockOut, bp.Rounds, rounds, bp.PeakBytes)
-	if bp.Rounds < 1 || bp.Rounds > rounds {
-		t.Errorf("block %v at K=%d charged %d rounds; its grid runs %d", bp.BlockOut, bp.K, bp.Rounds, rounds)
-	}
-	def, err := nw.PlanBlocks(vol, TileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def.Rounds != 2 {
-		t.Errorf("default window: %d rounds charged, want 2", def.Rounds)
-	}
-}
