@@ -2,9 +2,11 @@ package conv
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
+	"znn/internal/fft"
 	"znn/internal/mempool"
 	"znn/internal/tensor"
 )
@@ -192,5 +194,79 @@ func TestSpectrumCachePooledRelease(t *testing.T) {
 	sc.Reset(vols...)
 	if live := mempool.Spectra.Stats().LiveBytes; live != pre64 {
 		t.Fatalf("Reset leaked pooled bytes: live %d, want %d", live, pre64)
+	}
+}
+
+// TestSpectrumBuffersSkipPoolClear: the spectrum buffers drawn without the
+// pool's clear — pooled SpectrumCache entries, specGet's kernel spectra,
+// accumulators and gradient products, and fftOf's — are written in full
+// before anything reads them. With every pooled chunk of their size filled
+// with NaN, Forward, a two-term SpectralForward, SpectralBackward,
+// KernelGrad and ValidFFT give the bits of a run whose chunks are zero, as
+// fresh make'd buffers are, at both precisions.
+func TestSpectrumBuffersSkipPoolClear(t *testing.T) {
+	r := rand.New(rand.NewSource(61))
+	in, ks := tensor.S3(9, 8, 7), tensor.Cube(3)
+	imgs, kers := batchVolumes(r, in, 2), batchVolumes(r, ks, 2)
+	bwd := tensor.RandomUniform(r, in.ValidConv(ks, tensor.Dense()), -1, 1)
+	fill := func(n int, v float64) {
+		var c128 [][]complex128
+		var c64 [][]complex64
+		for range 8 {
+			c128, c64 = append(c128, mempool.Spectra.Get(n)), append(c64, mempool.Spectra32.Get(n))
+		}
+		for i := range c128 {
+			c128[i], c64[i] = c128[i][:cap(c128[i])], c64[i][:cap(c64[i])]
+			for j := range c128[i] {
+				c128[i][j], c64[i][j] = complex(v, v), complex64(complex(v, v))
+			}
+			mempool.Spectra.Put(c128[i])
+			mempool.Spectra32.Put(c64[i])
+		}
+	}
+	// run refills the pool's top chunks before each operation, since the one
+	// before returns its own buffers, written, on top of them.
+	run := func(prec Precision, v float64) []*tensor.Tensor {
+		tr := NewTransformerPrec(in, ks, tensor.Dense(), FFT, prec, true, nil)
+		tr2 := NewTransformerPrec(in, ks, tensor.Dense(), FFT, prec, false, nil)
+		n := fft.PackedVolume(tr.TransformShape())
+		var sc, sc2, bsc SpectrumCache
+		for i, c := range []*SpectrumCache{&sc, &sc2, &bsc} {
+			c.SetPooled(true)
+			c.Reset([]*tensor.Tensor{imgs[0], imgs[1], bwd}[i])
+		}
+		sum, back := tensor.New(tr.OutShape()), tensor.New(in)
+		var out []*tensor.Tensor
+		for _, op := range []func() *tensor.Tensor{
+			func() *tensor.Tensor { return tr.Forward(imgs[0], kers[0], &sc) },
+			func() *tensor.Tensor {
+				SpectralForward(sum, []SpecTerm{{Tr: tr2, Ker: kers[1], F: tr2.Spectrum(&sc2)}, {Tr: tr, Ker: kers[0], F: tr.Spectrum(&sc)}}, true)
+				return sum
+			},
+			func() *tensor.Tensor {
+				SpectralBackward(back, []SpecTerm{{Tr: tr, Ker: kers[0], F: tr.Spectrum(&bsc)}})
+				return back
+			},
+			func() *tensor.Tensor { return tr.KernelGrad(imgs[0], bwd) },
+			func() *tensor.Tensor { return ValidFFT(imgs[0], kers[0], tensor.Dense()) },
+		} {
+			fill(n, v)
+			out = append(out, op())
+		}
+		for _, c := range []*SpectrumCache{&sc, &sc2, &bsc} {
+			c.ReleaseAll()
+		}
+		tr.ReleaseKernelSpectra()
+		tr2.ReleaseKernelSpectra()
+		return out
+	}
+	names := []string{"Forward", "SpectralForward", "SpectralBackward", "KernelGrad", "ValidFFT"}
+	for _, prec := range []Precision{PrecF64, PrecF32} {
+		want, got := run(prec, 0), run(prec, math.NaN())
+		for i, name := range names {
+			if at := sameBits(got[i].Data, want[i].Data); at >= 0 {
+				t.Errorf("%v %s: voxel %d is %v over NaN-filled pool chunks, %v over zeroed ones", prec, name, at, got[i].Data[at], want[i].Data[at])
+			}
+		}
 	}
 }

@@ -25,10 +25,10 @@ func transformShape(n, k tensor.Shape, sp tensor.Sparsity) tensor.Shape {
 }
 
 // fftOf loads t into a pooled Hermitian-packed buffer for transform shape m
-// and computes its packed spectrum. Callers release the buffer with
-// mempool.Spectra.Put.
+// and computes its packed spectrum, which writes every coefficient (so the
+// buffer skips the pool's clear). Callers release it with mempool.Spectra.Put.
 func fftOf(t *tensor.Tensor, m tensor.Shape, c *Counters) []complex128 {
-	buf := mempool.Spectra.Get(fft.PackedVolume(m))
+	buf := mempool.Spectra.GetUncleared(fft.PackedVolume(m))
 	fft.NewPlan3R(m).Forward(buf, t)
 	c.addFFT(m, false, false)
 	return buf

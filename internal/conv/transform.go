@@ -115,11 +115,12 @@ func (sc *SpectrumCache) getLocked(i int, m tensor.Shape, prec Precision, c *Cou
 	if !specs[i].IsNil() {
 		return specs[i]
 	}
+	// Forward writes every coefficient: a pooled buffer skips the clear.
 	var buf fft.Spectrum
 	if prec == PrecF32 {
 		var b []complex64
 		if sc.pooled {
-			b = mempool.Spectra32.Get(fft.PackedVolume(m))
+			b = mempool.Spectra32.GetUncleared(fft.PackedVolume(m))
 		} else {
 			b = make([]complex64, fft.PackedVolume(m))
 		}
@@ -128,7 +129,7 @@ func (sc *SpectrumCache) getLocked(i int, m tensor.Shape, prec Precision, c *Cou
 	} else {
 		var b []complex128
 		if sc.pooled {
-			b = mempool.Spectra.Get(fft.PackedVolume(m))
+			b = mempool.Spectra.GetUncleared(fft.PackedVolume(m))
 		} else {
 			b = make([]complex128, fft.PackedVolume(m))
 		}
@@ -316,12 +317,13 @@ func (t *Transformer) wrapOffset() tensor.Shape {
 func (t *Transformer) TransformShape() tensor.Shape { return t.m }
 
 // specGet draws a spectrum buffer of the method's length from the pool of
-// the method's precision.
+// the method's precision, uncleared: each user writes every coefficient
+// before it reads any (specInto, or a product that does not accumulate).
 func (t *Transformer) specGet() fft.Spectrum {
 	if t.prec == PrecF32 {
-		return fft.Spec64(mempool.Spectra32.Get(t.sv))
+		return fft.Spec64(mempool.Spectra32.GetUncleared(t.sv))
 	}
-	return fft.Spec128(mempool.Spectra.Get(t.sv))
+	return fft.Spec128(mempool.Spectra.GetUncleared(t.sv))
 }
 
 // specInto computes the forward spectrum of src into buf (length t.sv) at

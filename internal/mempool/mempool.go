@@ -133,7 +133,14 @@ func elemBytes[T Element]() int64 {
 // Get returns a zeroed slice of length n backed by a chunk of capacity
 // 2^class. The chunk may be reused; contents are always cleared before
 // return so callers can rely on zero initialization exactly as with make.
-func (p *Pool[T]) Get(n int) []T {
+func (p *Pool[T]) Get(n int) []T { return p.get(n, true) }
+
+// GetUncleared is Get without the clear: a reused chunk keeps what its last
+// user left in it. It is for callers that write every element before they
+// read any, such as a forward transform into a spectrum buffer.
+func (p *Pool[T]) GetUncleared(n int) []T { return p.get(n, false) }
+
+func (p *Pool[T]) get(n int, zero bool) []T {
 	if n == 0 {
 		return nil
 	}
@@ -144,8 +151,8 @@ func (p *Pool[T]) Get(n int) []T {
 		p.stats.hits.Add(1)
 		p.stats.poolBytes.Add(-int64(cap) * elemBytes[T]())
 		buf = buf[:n]
-		for i := range buf {
-			buf[i] = 0
+		if zero {
+			clear(buf)
 		}
 		return buf
 	}

@@ -246,3 +246,26 @@ func TestPeakLiveBytes(t *testing.T) {
 	}
 	p.Put(c)
 }
+
+// GetUncleared hands back a reused chunk as its last user left it, and a
+// new one zeroed; Get clears a reused chunk.
+func TestGetUncleared(t *testing.T) {
+	var p Float64Pool
+	if b := p.GetUncleared(5); len(b) != 5 || cap(b) != 8 || b[4] != 0 {
+		t.Fatalf("fresh GetUncleared: len %d cap %d b[4] %v", len(b), cap(b), b[4])
+	}
+	b := p.Get(5)
+	b[4] = 3
+	p.Put(b)
+	if b := p.GetUncleared(6); b[4] != 3 {
+		t.Fatalf("GetUncleared cleared a reused chunk: b[4] = %v", b[4])
+	} else {
+		p.Put(b)
+	}
+	if b := p.Get(6); b[4] != 0 {
+		t.Fatalf("Get left a reused chunk dirty: b[4] = %v", b[4])
+	}
+	if s := p.Stats(); s.Hits != 2 || s.Misses != 2 {
+		t.Fatalf("stats %+v, want 2 hits and 2 misses", s)
+	}
+}

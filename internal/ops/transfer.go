@@ -2,6 +2,8 @@
 // ZNN computation graph (Section II of the paper): transfer functions with
 // biases, max-pooling, max-filtering, and the dropout extension — each with
 // its Jacobian for the backward pass (Section III).
+// Logistic and ReLU forward passes run AVX2 assembly (transfer_amd64.s)
+// where internal/cpu reports VectorOK, with the Go loops' bits.
 package ops
 
 import (
@@ -16,7 +18,9 @@ import (
 // output, which is what makes transfer Jacobians O(n³) with no stored
 // pre-activations). Forward and Backward are the slice-level passes, one
 // loop each with no per-voxel interface call, evaluating exactly Apply's
-// and Deriv's expressions.
+// and Deriv's expressions. Only the logistic's and ReLU's Forward have
+// vector bodies: the compiler may fuse math.Tanh's multiply-adds, and each
+// Backward's bias gradient is an in-order sum.
 type Transfer interface {
 	Name() string
 	Apply(x float64) float64
@@ -27,6 +31,10 @@ type Transfer interface {
 	// in index order (tensor.Sum's), the bias gradient.
 	Backward(dst, y, g []float64) float64
 }
+
+// logisticForward and reluForward are the Go loops below, or the assembly
+// transfer_amd64.go installs in their place.
+var logisticForward, reluForward = logisticGo, reluGo
 
 // Logistic is the sigmoid 1/(1+e^{−x}).
 type Logistic struct{}
@@ -41,7 +49,10 @@ func (Logistic) Apply(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 func (Logistic) Deriv(y float64) float64 { return y * (1 - y) }
 
 // Forward evaluates the sigmoid of every biased voxel.
-func (Logistic) Forward(dst, src []float64, bias float64) {
+func (Logistic) Forward(dst, src []float64, bias float64) { logisticForward(dst, src, bias) }
+
+// logisticGo is Logistic.Forward's Go body.
+func logisticGo(dst, src []float64, bias float64) {
 	for i, x := range src[:len(dst)] {
 		dst[i] = 1 / (1 + math.Exp(-(x + bias)))
 	}
@@ -108,9 +119,12 @@ func (ReLU) Deriv(y float64) float64 {
 }
 
 // Forward rectifies every biased voxel.
-func (r ReLU) Forward(dst, src []float64, bias float64) {
+func (ReLU) Forward(dst, src []float64, bias float64) { reluForward(dst, src, bias) }
+
+// reluGo is ReLU.Forward's Go body.
+func reluGo(dst, src []float64, bias float64) {
 	for i, x := range src[:len(dst)] {
-		dst[i] = r.Apply(x + bias)
+		dst[i] = ReLU{}.Apply(x + bias)
 	}
 }
 
